@@ -32,8 +32,8 @@ class ConvexSpec:
 
     kind "interval" is the indicator of [a, b] (value 0 inside, +inf
     outside, bounds may be infinite), "quadratic" is c |y|^2 / 2 with
-    c > 0, "abs" is |y|, "custom" wraps a user evaluator.  Separable
-    customs are applied coordinatewise and must broadcast over arrays.
+    c > 0, "abs" is |y|, "custom" wraps a user evaluator, which is
+    applied coordinatewise and must broadcast over arrays.
     """
 
     kind: str
@@ -41,9 +41,6 @@ class ConvexSpec:
     b: float = np.inf
     c: float = 1.0
     evaluator: Optional[Callable] = None
-    separable: bool = True
-    dimension: int = 1
-    prox_iterations: int = 10_000
 
     @staticmethod
     def zero() -> "ConvexSpec":
@@ -70,15 +67,11 @@ class ConvexSpec:
     @staticmethod
     def custom(
         evaluator: Callable,
-        separable: bool = True,
-        dimension: int = 1,
         check: bool = True,
         zero_at_origin: bool = True,
         seed: int = 0,
     ) -> "ConvexSpec":
-        spec = ConvexSpec(
-            kind="custom", evaluator=evaluator, separable=separable, dimension=dimension
-        )
+        spec = ConvexSpec(kind="custom", evaluator=evaluator)
         if check:
             validate_custom(spec, zero_at_origin=zero_at_origin, seed=seed)
         return spec
@@ -96,12 +89,11 @@ def validate_custom(
     f = spec.evaluator
     rng = np.random.default_rng(seed)
     if zero_at_origin:
-        v0 = float(np.asarray(f(np.zeros(1) if spec.separable else np.zeros(spec.dimension))).ravel()[0])
+        v0 = float(np.asarray(f(np.zeros(1))).ravel()[0])
         if not np.isclose(v0, 0.0, atol=1e-9):
             raise DomainError(f"custom potential has phi(0) = {v0}, expected 0")
-    shape = (samples,) if spec.separable else (samples, spec.dimension)
-    x = rng.uniform(-10.0, 10.0, size=shape)
-    y = rng.uniform(-10.0, 10.0, size=shape)
+    x = rng.uniform(-10.0, 10.0, size=samples)
+    y = rng.uniform(-10.0, 10.0, size=samples)
     fx, fy, fm = (np.asarray(f(v), dtype=float) for v in (x, y, (x + y) / 2.0))
     if np.any(np.minimum(np.minimum(fx, fy), fm) < -1e-12):
         raise DomainError("custom potential takes negative values on samples")
@@ -162,9 +154,7 @@ def resolvent(spec: ConvexSpec, eps, y) -> np.ndarray:
     if spec.kind == "abs":
         return np.sign(y) * np.maximum(np.abs(y) - eps, 0.0)
     if spec.kind == "custom":
-        if spec.separable:
-            return _prox_golden(spec.evaluator, eps, y)
-        return _prox_projected_gradient(spec, eps, y)
+        return _prox_golden(spec.evaluator, eps, y)
     raise DomainError(f"unknown potential kind {spec.kind!r}")
 
 
@@ -236,7 +226,7 @@ def gradient_breakpoints(spec: ConvexSpec, eps: float) -> list:
 
 
 def _prox_golden(evaluator, eps, y, iterations=120):
-    """Vectorized golden-section search for separable custom potentials.
+    """Vectorized golden-section search for custom potentials.
 
     The bracket is first shrunk onto the effective domain (bisecting
     against 0, which the normalization keeps inside), because golden
@@ -294,38 +284,6 @@ def _prox_golden(evaluator, eps, y, iterations=120):
     return out
 
 
-def _prox_projected_gradient(spec, eps, y):
-    """Gradient descent on the prox objective for non-separable customs."""
-    y = np.asarray(y, dtype=float)
-    f = spec.evaluator
-    v = np.zeros_like(y)
-    h = 1e-6
-
-    def grad_phi(x):
-        g = np.empty_like(x)
-        for i in range(x.size):
-            e = np.zeros_like(x)
-            e[i] = h
-            g[i] = (f(x + e) - f(x - e)) / (2.0 * h)
-        return g
-
-    lips = float(np.max(np.abs(grad_phi(y)))) if np.all(np.isfinite(f(y))) else 1.0
-    step = eps / (1.0 + lips)
-    best = v
-    best_val = np.inf
-    for _ in range(spec.prox_iterations):
-        g = grad_phi(v) + (v - y) / eps
-        v = v - step * g
-        val = float((np.sum((y - v) ** 2)) / (2.0 * eps) + f(v))
-        if val < best_val - 1e-15:
-            best_val, best = val, v
-        if np.linalg.norm(g) < 1e-12:
-            break
-    if not np.isfinite(best_val):
-        raise ProxFailure("projected-gradient prox did not find a finite value")
-    return best
-
-
 @dataclass(frozen=True)
 class RecenterData:
     """Shift point u0 with one subgradient of each potential at u0."""
@@ -360,10 +318,7 @@ def _recenter_one(spec: ConvexSpec, u0: float, sub: float, seed: int) -> ConvexS
     def shifted(y, base=spec, point=u0, slope=sub):
         return potential_value(base, np.asarray(y, dtype=float) + point) - slope * np.asarray(y, dtype=float)
 
-    return ConvexSpec.custom(
-        shifted, separable=spec.separable, dimension=spec.dimension,
-        check=True, zero_at_origin=False, seed=seed,
-    )
+    return ConvexSpec.custom(shifted, check=True, zero_at_origin=False, seed=seed)
 
 
 def recenter(

@@ -143,21 +143,18 @@ def terminal_from_config(d: dict, where: str = "scenario.terminal") -> Callable:
 
 
 def solver_from_config(d: dict, where: str = "solver") -> SolverConfig:
-    try:
-        return SolverConfig(
-            p=_get(d, "p", float, where, default=2.0),
-            lam=_get(d, "lambda", float, where, default=0.5),
-            eps_schedule=tuple(_get(d, "eps_schedule", list, where, default=[0.1])),
-            mode=_get(d, "mode", str, where, default="semi_implicit"),
-            ce=_get(d, "ce", str, where, default="tree"),
-            degree=_get(d, "degree", int, where, default=3),
-            ridge=_get(d, "ridge", float, where, default=0.0),
-            mollify=_get(d, "mollify", bool, where, default=False),
-            mollifier_nq=_get(d, "mollifier_nq", int, where, default=401),
-            sweeps=_get(d, "sweeps", int, where, default=1),
-        )
-    except ConfigError:
-        raise
+    return SolverConfig(
+        p=_get(d, "p", float, where, default=2.0),
+        lam=_get(d, "lambda", float, where, default=0.5),
+        eps_schedule=tuple(_get(d, "eps_schedule", list, where, default=[0.1])),
+        mode=_get(d, "mode", str, where, default="semi_implicit"),
+        ce=_get(d, "ce", str, where, default="tree"),
+        degree=_get(d, "degree", int, where, default=3),
+        ridge=_get(d, "ridge", float, where, default=0.0),
+        mollify=_get(d, "mollify", bool, where, default=False),
+        mollifier_nq=_get(d, "mollifier_nq", int, where, default=401),
+        sweeps=_get(d, "sweeps", int, where, default=1),
+    )
 
 
 SCENARIOS = {

@@ -105,9 +105,6 @@ class TreeBackend:
             return np.zeros_like(v_next)
         return (v_next[1:] - v_next[:-1]) / (2.0 * self.sqdt)
 
-    def to_paths(self, level_values: list) -> np.ndarray:
-        return self.bundle.on_paths(level_values)
-
 
 class RegressionBackend:
     """Least-squares projection onto monomials {1, B, ..., B^degree}."""
@@ -141,9 +138,6 @@ class RegressionBackend:
         # from O(|v|^2/dt) to O(var(v increment)/dt)
         resid = v_next - self._fit(i, v_next)
         return self._fit(i, resid * self.bundle.dB[:, i] / self.bundle.dt[i])
-
-    def to_paths(self, level_values: list) -> np.ndarray:
-        return np.stack(level_values, axis=1)
 
 
 def make_backend(bundle: PathBundle, cfg: SolverConfig):
@@ -224,10 +218,12 @@ def resolve_implicit(
 class SolutionField:
     """Backward solution on the grid, stored level by level.
 
-    Tree levels hold one value per lattice node, Monte Carlo levels one
-    value per path.  H_levels records the driver value the predictor
-    actually used, so Y, Z, U, H satisfy the step identity
-    Y_{i+1} = Y_i - (H_i - U_i) dQ_i + Z_i dB_i exactly on lattices.
+    The level format follows the backend that built the levels, not the
+    noise: tree levels hold one value per lattice node, regression levels
+    one value per evaluation path, even on a tree bundle.  H_levels
+    records the driver value the predictor actually used, so Y, Z, U, H
+    satisfy the step identity Y_{i+1} = Y_i - (H_i - U_i) dQ_i + Z_i dB_i
+    exactly on lattices.
     """
 
     eps: float
@@ -238,6 +234,7 @@ class SolutionField:
     U_levels: list
     H_levels: list
     dq: np.ndarray
+    _expanded: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def y0(self) -> float:
@@ -247,19 +244,38 @@ class SolutionField:
     def kinc_levels(self) -> list:
         return [u * q for u, q in zip(self.U_levels, self.dq)]
 
+    @property
+    def lattice(self) -> bool:
+        """Levels hold lattice node values from exact expectations."""
+        return self.backend_kind == "tree"
+
+    def expand(self, bundle: PathBundle, levels: list) -> np.ndarray:
+        """Levels built by this solution's backend as a (paths, nodes) array.
+
+        This is the only route from levels to paths: lattice levels are
+        gathered along the bundle's walks, per-path levels are stacked.
+        """
+        if self.lattice:
+            return bundle.on_paths(levels)
+        return np.stack(levels, axis=1)
+
     def paths(self, bundle: PathBundle) -> dict:
-        """Materialize Y, Z, U, H onto the bundle's evaluation paths."""
-        if bundle.node_index is not None:
-            expand = bundle.on_paths
-        else:
-            def expand(levels):
-                return np.stack(levels, axis=1)
-        return {
-            "Y": expand(self.Y_levels),
-            "Z": expand(self.Z_levels),
-            "U": expand(self.U_levels),
-            "H": expand(self.H_levels),
-        }
+        """Y, Z, U, H on the bundle's evaluation paths.
+
+        Expanded once per bundle object; later calls return the same
+        read-only arrays.
+        """
+        if self._expanded is None or self._expanded[0] is not bundle:
+            arrays = {
+                "Y": self.expand(bundle, self.Y_levels),
+                "Z": self.expand(bundle, self.Z_levels),
+                "U": self.expand(bundle, self.U_levels),
+                "H": self.expand(bundle, self.H_levels),
+            }
+            for arr in arrays.values():
+                arr.flags.writeable = False
+            self._expanded = (bundle, arrays)
+        return dict(self._expanded[1])
 
 
 def solve_penalized(
@@ -370,7 +386,6 @@ def solve_sequence(
     """
     solutions = {}
     energy = {}
-    backend = make_backend(bundle, cfg)
     dt = bundle.dt
     dq = bundle.dq
     for eps in cfg.eps_schedule:
@@ -385,8 +400,10 @@ def solve_sequence(
             float(np.max(np.abs(ya - yb)))
             for ya, yb in zip(a.Y_levels, b.Y_levels)
         )
-        za = backend.to_paths(a.Z_levels)
-        zb = backend.to_paths(b.Z_levels)
+        # Z alone: caching full fields of every eps here would hold them
+        # all through verification
+        za = a.expand(bundle, a.Z_levels)
+        zb = b.expand(bundle, b.Z_levels)
         z_gap = float(np.sqrt(np.sum(np.mean((za - zb) ** 2, axis=0) * dt)))
         gaps.append(
             {

@@ -192,7 +192,7 @@ def check_ito_identity(
     delta: float,
     tol: float,
     name: str = "ito-identity",
-    pathwise: Optional[bool] = None,
+    pathwise: bool = False,
 ) -> VerificationReport:
     """Residual of the norm-power transformation identity.
 
@@ -200,18 +200,17 @@ def check_ito_identity(
     increments D_i playing the role of F dr.  The squared-variation
     integral is realized as sum R^2 dt and the stochastic integral as
     sum <Y, R dB>; on the binomial lattice (dB)^2 = dt makes the p = 2,
-    delta = 0 form an algebraic identity per path, and pathwise mode is
-    selected automatically.  Monte Carlo paths satisfy the identity only
-    after averaging (dB^2 fluctuates around dt and regression values do
-    not reconstruct exactly path by path), so there the residual is the
-    worst interval gap of the path-averaged profile.
+    delta = 0 form an algebraic identity per path, so callers pass
+    pathwise=True when they know the expectations were exact on a
+    lattice.  Otherwise (Monte Carlo paths, where dB^2 fluctuates around
+    dt, or regression values, which do not reconstruct exactly path by
+    path) the identity holds only after averaging, and the residual is
+    the worst interval gap of the path-averaged profile.
     """
     if p < 2.0 and delta <= 0.0:
         raise DomainError("delta > 0 is required for p < 2")
     if delta < 0.0:
         raise DomainError(f"delta must be >= 0, got {delta}")
-    if pathwise is None:
-        pathwise = bundle.kind in ("tree", "deterministic")
     n = bundle.grid.steps
     if y_paths.shape[1] != n + 1 or drift_incr.shape[1] != n or r_paths.shape[1] != n:
         raise GridMismatch("path arrays do not conform to the bundle's grid")
@@ -258,6 +257,7 @@ def ito_report_from_solution(
     return check_ito_identity(
         pw["Y"], drift, pw["Z"], bundle, p, delta, tol,
         name=f"ito-identity p={p:g} delta={delta:g}",
+        pathwise=sol.lattice,
     )
 
 
@@ -301,6 +301,14 @@ def check_contraction(
     )
 
 
+def _driver_source(gen: GeneratorSpec, bundle: PathBundle, v: np.ndarray, power) -> float:
+    """(sum e^{v}(|F(t,0,0)| dt + |G(t,0)| dA))^power over the grid steps."""
+    t = bundle.grid.nodes
+    f0 = np.array([np.abs(float(np.asarray(gen.F(t[i], 0.0, 0.0)))) for i in range(len(t) - 1)])
+    g0 = np.array([np.abs(float(np.asarray(gen.G(t[i], 0.0)))) for i in range(len(t) - 1)])
+    return float(np.sum(np.exp(v[:-1]) * (f0 * bundle.dt + g0 * bundle.dA)) ** power)
+
+
 def check_apriori_bound(
     sol: SolutionField,
     bundle: PathBundle,
@@ -320,14 +328,11 @@ def check_apriori_bound(
         raise GridMismatch("bundle has no accumulated weights, call accumulate_weights")
     pw = sol.paths(bundle)
     v = bundle.V
-    t = bundle.grid.nodes
     lhs = float(
         np.mean(np.max(np.exp(p * v) * np.abs(pw["Y"]) ** p, axis=1))
         + np.mean(np.sum(np.exp(2.0 * v[:-1]) * pw["Z"] ** 2 * bundle.dt, axis=1) ** (p / 2.0))
     )
-    f0 = np.array([np.abs(float(np.asarray(gen.F(t[i], 0.0, 0.0)))) for i in range(len(t) - 1)])
-    g0 = np.array([np.abs(float(np.asarray(gen.G(t[i], 0.0)))) for i in range(len(t) - 1)])
-    source = float(np.sum(np.exp(v[:-1]) * (f0 * bundle.dt + g0 * bundle.dA)) ** p)
+    source = _driver_source(gen, bundle, v, p)
     rhs = float(np.mean(np.exp(p * v[-1]) * np.abs(terminal_values) ** p) + source)
     margin = c_fit * rhs - lhs
     return VerificationReport(
@@ -357,11 +362,8 @@ def check_energy_bound(
         raise GridMismatch("bundle has no accumulated weights, call accumulate_weights")
     pw = sol.paths(bundle)
     v = bundle.Vplus
-    t = bundle.grid.nodes
     lhs = float(np.mean(np.max(np.exp(2.0 * v) * pw["Y"] ** 2, axis=1)))
-    f0 = np.array([np.abs(float(np.asarray(gen.F(t[i], 0.0, 0.0)))) for i in range(len(t) - 1)])
-    g0 = np.array([np.abs(float(np.asarray(gen.G(t[i], 0.0)))) for i in range(len(t) - 1)])
-    source = float(np.sum(np.exp(v[:-1]) * (f0 * bundle.dt + g0 * bundle.dA)) ** 2)
+    source = _driver_source(gen, bundle, v, 2)
     rhs = float(np.mean(np.exp(2.0 * v[-1]) * terminal_values**2) + source)
     return VerificationReport(
         name=name,
@@ -401,13 +403,10 @@ def smoothed_midpoint_process(
 ) -> TestProcess:
     """Exponential smoothing of the solution itself as a test process."""
     sm = smoothing_operator(bundle, backend, sol.Y_levels, SmoothingConfig(smooth_eps))
-    if bundle.node_index is not None:
-        n_paths = bundle.on_paths(sm.N_levels)
-        r_paths = bundle.on_paths(sm.R_levels)
-    else:
-        n_paths = np.stack(sm.N_levels, axis=1)
-        r_paths = np.stack(sm.R_levels, axis=1)
-    return TestProcess(sm.gamma, n_paths, r_paths, label="smoothed")
+    return TestProcess(
+        sm.gamma, sol.expand(bundle, sm.N_levels), sol.expand(bundle, sm.R_levels),
+        label="smoothed",
+    )
 
 
 def random_step_process(

@@ -177,6 +177,19 @@ def test_main_reports_config_errors(tmp_path):
     assert main(["run", "--config", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("scenario", ["martingale", "two_barrier_driven"])
+def test_tree_noise_with_regression_expectations_verifies(scenario):
+    # regression levels hold one value per path even on a tree bundle, so
+    # they reach paths by stacking, not through lattice node indices
+    exp = build_experiment(
+        {"scenario": scenario, "solver": {"ce": "lsq"}, "noise": {"kind": "tree", "eval_paths": 256}}
+    )
+    res = execute(exp)
+    assert res.summary["all_passed"], [r.name for r in res.reports if not r.passed]
+    sol = res.seq.solutions[exp.solver.eps_schedule[-1]]
+    assert np.array_equal(sol.paths(res.bundle)["Y"], np.stack(sol.Y_levels, axis=1))
+
+
 def test_execute_summary_structure(tmp_path):
     exp = build_experiment(MART_SMALL)
     res = execute(exp)

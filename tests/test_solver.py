@@ -163,6 +163,12 @@ def test_tree_step_identity_reconstructs_exactly():
     dq = bundle.dq
     recon = p["Y"][:, :-1] - (p["H"] - p["U"]) * dq + p["Z"] * bundle.dB
     assert np.allclose(recon, p["Y"][:, 1:], rtol=0, atol=1e-12)
+    # expanded once per bundle: the same read-only arrays come back
+    again = sol.paths(bundle)
+    for key, arr in p.items():
+        assert again[key] is arr
+        with pytest.raises(ValueError):
+            arr[0, 0] = 0.0
 
 
 def test_budget_truncation_switches_the_dynamics_off():
