@@ -138,6 +138,9 @@ def execute(exp: Experiment) -> RunResult:
         "y0_by_eps": {fmt(e): seq.solutions[e].y0 for e in exp.solver.eps_schedule},
         "gaps": seq.gaps,
         "penalty_energy": {fmt(e): v for e, v in seq.penalty_energy.items()},
+        "implicit_method_by_eps": {
+            fmt(e): seq.solutions[e].implicit_method for e in exp.solver.eps_schedule
+        },
         "reference_error": ref,
         "tolerance": tol,
         "verifications": [
@@ -160,31 +163,39 @@ def execute(exp: Experiment) -> RunResult:
 
 
 def _write_results_csv(path: str, result: RunResult) -> None:
+    """One row per node (lattice) or path, written one level at a time.
+
+    The bytes are those of csv.writer's default dialect: fields need no
+    quoting, rows end in CRLF, and the last step leaves alpha, Z, U and
+    Kinc empty.
+    """
     sol = result.seq.solutions[result.exp.solver.eps_schedule[-1]]
     bundle = result.bundle
     t = bundle.grid.nodes
     n = bundle.grid.steps
     kinc = sol.kinc_levels
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "t", "Q", "alpha", "node_or_path", "Y", "Z", "U", "Kinc"])
+        fh.write("step,t,Q,alpha,node_or_path,Y,Z,U,Kinc\r\n")
         for i in range(n + 1):
-            y_level = np.atleast_1d(sol.Y_levels[i])
             last = i == n
-            for j in range(y_level.size):
-                writer.writerow(
-                    [
-                        i,
-                        fmt(t[i]),
-                        fmt(bundle.Q[i]),
-                        "" if last else fmt(bundle.alpha[i]),
-                        j,
-                        fmt(y_level[j]),
-                        "" if last else fmt(np.atleast_1d(sol.Z_levels[i])[j]),
-                        "" if last else fmt(np.atleast_1d(sol.U_levels[i])[j]),
-                        "" if last else fmt(np.atleast_1d(kinc[i])[j]),
-                    ]
+            alpha = "" if last else fmt(bundle.alpha[i])
+            head = f"{i},{fmt(t[i])},{fmt(bundle.Q[i])},{alpha},"
+            ys = [f"{y:.17g}" for y in np.atleast_1d(sol.Y_levels[i]).tolist()]
+            if last:
+                rows = (f"{head}{j},{y},,,\r\n" for j, y in enumerate(ys))
+            else:
+                rest = zip(
+                    ys,
+                    np.atleast_1d(sol.Z_levels[i]).tolist(),
+                    np.atleast_1d(sol.U_levels[i]).tolist(),
+                    np.atleast_1d(kinc[i]).tolist(),
+                    strict=True,
                 )
+                rows = (
+                    f"{head}{j},{y},{z:.17g},{u:.17g},{k:.17g}\r\n"
+                    for j, (y, z, u, k) in enumerate(rest)
+                )
+            fh.write("".join(rows))
 
 
 def _sha256(path: str) -> str:

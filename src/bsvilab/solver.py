@@ -19,7 +19,8 @@ or least-squares regression on monomials of the driver value.
 The implicit step is solved exactly for closed-form potentials (the map
 v -> v + dQ D Psi_eps(v) is piecewise linear and strictly increasing)
 and by bisection otherwise; both paths are exposed so they can be
-cross-checked.
+cross-checked.  The inverse depends only on (alpha, eps, dQ), so a solve
+builds it once per distinct (alpha_i, dQ_i) and reuses it.
 """
 
 import warnings
@@ -148,6 +149,91 @@ def make_backend(bundle: PathBundle, cfg: SolverConfig):
     return RegressionBackend(bundle, cfg.degree, cfg.ridge)
 
 
+def implicit_method(phi: ConvexSpec, psi: ConvexSpec, eps: float) -> str:
+    """'closed_form' when both Yosida gradients are piecewise linear, else 'bisect'."""
+    exact = (
+        convex.gradient_breakpoints(phi, eps) is not None
+        and convex.gradient_breakpoints(psi, eps) is not None
+    )
+    return "closed_form" if exact else "bisect"
+
+
+def implicit_step(
+    phi: ConvexSpec,
+    psi: ConvexSpec,
+    alpha: float,
+    eps: float,
+    dq: float,
+    method: str = "auto",
+) -> Callable:
+    """The map y_hat -> v solving v + dq D Psi_eps(v) = y_hat.
+
+    Here D Psi_eps = alpha D phi_eps + (1 - alpha) D psi_eps.  The left
+    side is strictly increasing with value 0 at 0, so the root is unique
+    and lies between 0 and y_hat.  Closed-form kinds make the map
+    piecewise linear; its breakpoints, values and slopes depend only on
+    (alpha, eps, dq), so they are computed here once and every call
+    inverts segment by segment.  Otherwise each call bisects.
+    """
+
+    def forward(v):
+        return v + dq * convex.combined_gradient(phi, psi, alpha, eps, v)
+
+    if method == "auto":
+        method = implicit_method(phi, psi, eps)
+    if method == "closed_form":
+        breaks_phi = convex.gradient_breakpoints(phi, eps)
+        breaks_psi = convex.gradient_breakpoints(psi, eps)
+        if breaks_phi is None or breaks_psi is None:
+            raise PenalizationSolveFailure(
+                "closed-form implicit step needs piecewise-linear gradients"
+            )
+        xs = np.unique(np.asarray(breaks_phi + breaks_psi, dtype=float))
+        if xs.size == 0:
+            slope = float(forward(np.asarray(1.0)))  # forward(0) = 0, map is linear
+            return lambda y_hat: np.asarray(y_hat, dtype=float) / slope
+        g_at = forward(xs)
+        lo_slope = float((g_at[0] - forward(xs[0] - 1.0)))
+        hi_slope = float((forward(xs[-1] + 1.0) - g_at[-1]))
+        slopes = (g_at[1:] - g_at[:-1]) / (xs[1:] - xs[:-1])
+
+        def closed_form(y_hat):
+            y_hat = np.asarray(y_hat, dtype=float)
+            idx = np.searchsorted(g_at, y_hat)
+            v = np.empty_like(y_hat)
+            for seg in range(xs.size + 1):
+                mask = idx == seg
+                if not np.any(mask):
+                    continue
+                if seg == 0:
+                    v[mask] = xs[0] - (g_at[0] - y_hat[mask]) / lo_slope
+                elif seg == xs.size:
+                    v[mask] = xs[-1] + (y_hat[mask] - g_at[-1]) / hi_slope
+                else:
+                    v[mask] = xs[seg - 1] + (y_hat[mask] - g_at[seg - 1]) / slopes[seg - 1]
+            return v
+
+        return closed_form
+    if method != "bisect":
+        raise ConfigError(f"unknown implicit-solve method {method!r}")
+
+    def bisect(y_hat):
+        y_hat = np.asarray(y_hat, dtype=float)
+        lo = np.minimum(y_hat, 0.0)
+        hi = np.maximum(y_hat, 0.0)
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            too_big = forward(mid) > y_hat
+            hi = np.where(too_big, mid, hi)
+            lo = np.where(too_big, lo, mid)
+        v = 0.5 * (lo + hi)
+        if np.max(np.abs(forward(v) - y_hat)) > 1e-9 * (1.0 + np.max(np.abs(y_hat))):
+            raise PenalizationSolveFailure("bisection did not close the implicit step")
+        return v
+
+    return bisect
+
+
 def resolve_implicit(
     phi: ConvexSpec,
     psi: ConvexSpec,
@@ -157,61 +243,8 @@ def resolve_implicit(
     y_hat: np.ndarray,
     method: str = "auto",
 ) -> np.ndarray:
-    """Solve v + dq [alpha D phi_eps(v) + (1 - alpha) D psi_eps(v)] = y_hat.
-
-    The left side is strictly increasing with value 0 at 0, so the root
-    is unique and lies between 0 and y_hat.  Closed-form kinds make the
-    map piecewise linear; it is inverted exactly segment by segment.
-    """
-    y_hat = np.asarray(y_hat, dtype=float)
-
-    def forward(v):
-        return v + dq * convex.combined_gradient(phi, psi, alpha, eps, v)
-
-    breaks_phi = convex.gradient_breakpoints(phi, eps)
-    breaks_psi = convex.gradient_breakpoints(psi, eps)
-    exact_ok = breaks_phi is not None and breaks_psi is not None
-    if method == "auto":
-        method = "closed_form" if exact_ok else "bisect"
-    if method == "closed_form":
-        if not exact_ok:
-            raise PenalizationSolveFailure(
-                "closed-form implicit step needs piecewise-linear gradients"
-            )
-        xs = np.unique(np.asarray(breaks_phi + breaks_psi, dtype=float))
-        if xs.size == 0:
-            slope = float(forward(np.asarray(1.0)))  # forward(0) = 0, map is linear
-            return y_hat / slope
-        g_at = forward(xs)
-        idx = np.searchsorted(g_at, y_hat)
-        v = np.empty_like(y_hat)
-        lo_slope = float((g_at[0] - forward(xs[0] - 1.0)))
-        hi_slope = float((forward(xs[-1] + 1.0) - g_at[-1]))
-        for seg in range(xs.size + 1):
-            mask = idx == seg
-            if not np.any(mask):
-                continue
-            if seg == 0:
-                v[mask] = xs[0] - (g_at[0] - y_hat[mask]) / lo_slope
-            elif seg == xs.size:
-                v[mask] = xs[-1] + (y_hat[mask] - g_at[-1]) / hi_slope
-            else:
-                s = (g_at[seg] - g_at[seg - 1]) / (xs[seg] - xs[seg - 1])
-                v[mask] = xs[seg - 1] + (y_hat[mask] - g_at[seg - 1]) / s
-        return v
-    if method != "bisect":
-        raise ConfigError(f"unknown implicit-solve method {method!r}")
-    lo = np.minimum(y_hat, 0.0)
-    hi = np.maximum(y_hat, 0.0)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        too_big = forward(mid) > y_hat
-        hi = np.where(too_big, mid, hi)
-        lo = np.where(too_big, lo, mid)
-    v = 0.5 * (lo + hi)
-    if np.max(np.abs(forward(v) - y_hat)) > 1e-9 * (1.0 + np.max(np.abs(y_hat))):
-        raise PenalizationSolveFailure("bisection did not close the implicit step")
-    return v
+    """Solve v + dq [alpha D phi_eps(v) + (1 - alpha) D psi_eps(v)] = y_hat once."""
+    return implicit_step(phi, psi, alpha, eps, dq, method)(y_hat)
 
 
 @dataclass
@@ -223,7 +256,8 @@ class SolutionField:
     one value per evaluation path, even on a tree bundle.  H_levels
     records the driver value the predictor actually used, so Y, Z, U, H
     satisfy the step identity Y_{i+1} = Y_i - (H_i - U_i) dQ_i + Z_i dB_i
-    exactly on lattices.
+    exactly on lattices.  implicit_method names how the penalty step
+    was solved: 'closed_form', 'bisect' or 'explicit'.
     """
 
     eps: float
@@ -234,6 +268,7 @@ class SolutionField:
     U_levels: list
     H_levels: list
     dq: np.ndarray
+    implicit_method: str
     _expanded: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     @property
@@ -317,6 +352,8 @@ def solve_penalized(
             f"explicit penalty step with max dQ/eps = {np.max(dq[active]) / eps:.3g} > 1",
             StiffnessWarning,
         )
+    method = "explicit" if cfg.mode == "explicit" else implicit_method(phi, psi, eps)
+    steps = {}  # one implicit_step per distinct (alpha_i, dQ_i)
 
     y_levels = [None] * (n + 1)
     z_levels = [None] * n
@@ -337,12 +374,15 @@ def solve_penalized(
             for _ in range(cfg.sweeps):
                 h = driver(i, y_hat, z)
                 y_hat = ce + h * dq[i]
-            if cfg.mode == "semi_implicit":
-                y = resolve_implicit(phi, psi, alpha[i], eps, dq[i], y_hat)
-                u = (y_hat - y) / dq[i]
-            else:
+            if method == "explicit":
                 u = convex.combined_gradient(phi, psi, alpha[i], eps, y_hat)
                 y = y_hat - dq[i] * u
+            else:
+                key = (alpha[i], dq[i])
+                if key not in steps:
+                    steps[key] = implicit_step(phi, psi, alpha[i], eps, dq[i], method)
+                y = steps[key](y_hat)
+                u = (y_hat - y) / dq[i]
         else:
             y, h = ce, np.zeros_like(ce)
             u = np.zeros_like(ce)
@@ -357,6 +397,7 @@ def solve_penalized(
         U_levels=u_levels,
         H_levels=h_levels,
         dq=dq,
+        implicit_method=method,
     )
 
 

@@ -116,6 +116,31 @@ def _mixed_potential(phi, psi, alpha, x, eps_pen):
     return left + right
 
 
+def candidate_terms(
+    sol: SolutionField,
+    phi: ConvexSpec,
+    psi: ConvexSpec,
+    gen: GeneratorSpec,
+    bundle: PathBundle,
+    penalization_eps: Optional[float] = None,
+) -> tuple:
+    """(H(t, Y, Z), Psi(t, Y)) on the bundle's paths, one column per step.
+
+    These are the terms of the variational inequality that depend on the
+    candidate alone, not on the test process.  The driver is evaluated
+    step by step because F and G are only promised a scalar time.
+    """
+    pw = sol.paths(bundle)
+    y, z = pw["Y"], pw["Z"]
+    t = bundle.grid.nodes
+    alpha = bundle.alpha
+    h_fresh = np.empty_like(z)
+    for r in range(bundle.grid.steps):
+        h_fresh[:, r] = combined_driver(gen, alpha[r], t[r], y[:, r], z[:, r])
+    psi_y = _mixed_potential(phi, psi, alpha, y[:, :-1], penalization_eps)
+    return h_fresh, psi_y
+
+
 def check_variational_inequality(
     sol: SolutionField,
     tp: TestProcess,
@@ -128,8 +153,15 @@ def check_variational_inequality(
     tol: Optional[float] = None,
     penalization_eps: Optional[float] = None,
     name: Optional[str] = None,
+    *,
+    terms: Optional[tuple] = None,
 ) -> VerificationReport:
-    """Worst interval residual of the variational inequality, path-averaged."""
+    """Worst interval residual of the variational inequality, path-averaged.
+
+    terms is candidate_terms(...) at the same penalization_eps, for
+    callers that check one candidate against many test processes; it is
+    computed here when not given.
+    """
     if not (1.0 < q <= 2.0):
         raise DomainError(f"q must lie in (1, 2], got {q}")
     dq_shift = gamma_shift(delta, q)
@@ -137,7 +169,6 @@ def check_variational_inequality(
     pw = sol.paths(bundle)
     y, z, h_used = pw["Y"], pw["Z"], pw["H"]
     m = tp.materialize(bundle)
-    t = bundle.grid.nodes
     alpha = bundle.alpha
     dqs = bundle.dq
     dts = bundle.dt
@@ -146,16 +177,14 @@ def check_variational_inequality(
     g_nodes = gamma**q
     g_pow = gamma[:, :-1] ** (q - 2.0)
 
-    psi_y = _mixed_potential(phi, psi, alpha, y[:, :-1], penalization_eps)
+    if terms is None:
+        terms = candidate_terms(sol, phi, psi, gen, bundle, penalization_eps)
+    h_fresh, psi_y = terms
     psi_m = _mixed_potential(phi, psi, alpha, m[:, :-1], penalization_eps)
     if penalization_eps is None and np.any(np.isinf(psi_m)):
         raise InfinitePotential(
             "test process leaves the domain of the potential, inequality is vacuous"
         )
-
-    h_fresh = np.empty_like(z)
-    for r in range(bundle.grid.steps):
-        h_fresh[:, r] = combined_driver(gen, alpha[r], t[r], y[:, r], z[:, r])
 
     diff = m[:, :-1] - y[:, :-1]
     incr = (
@@ -448,9 +477,10 @@ def battery(
 
     Processes: the zero process, the solution's own reconstruction, and
     the smoothing of the solution's midpoints.  Potentials are taken at
-    the solution's penalization level.  Also reports the collapse of the
-    reconstruction Gamma to the delta_q floor (the strong solution seen
-    through the inequality).
+    the solution's penalization level; the candidate's own terms H and
+    Psi(Y) are evaluated once and shared by every check.  Also reports
+    the collapse of the reconstruction Gamma to the delta_q floor (the
+    strong solution seen through the inequality).
     """
     tol = default_tolerance(bundle) if tol is None else float(tol)
     smooth_eps = smooth_eps if smooth_eps is not None else max(
@@ -462,6 +492,7 @@ def battery(
         smoothed_midpoint_process(sol, bundle, backend, smooth_eps),
     ]
     q_values = sorted({2.0, min(float(p), 2.0)})
+    terms = candidate_terms(sol, phi, psi, gen, bundle, sol.eps)
     reports = []
     for tp in processes:
         for q in q_values:
@@ -471,6 +502,7 @@ def battery(
                         sol, tp, phi, psi, gen, bundle, q, delta,
                         tol=tol, penalization_eps=sol.eps,
                         name=f"variational{label}[{tp.label}] q={q:g} delta={delta:g}",
+                        terms=terms,
                     )
                 )
     recon = processes[1]

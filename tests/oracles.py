@@ -3,8 +3,11 @@
 These deliberately avoid the package's own code paths: proximal points
 come from staged grid minimization of the defining objective, and
 mollified drivers from a high-resolution quadrature with its own
-normalization.  Slow and simple on purpose.
+normalization.  The results.csv writer is the plain per-row csv.writer
+rendering.  Slow and simple on purpose.
 """
+
+import csv
 
 import numpy as np
 
@@ -75,3 +78,36 @@ def mollify_oracle(F, eps, t, y, z, n_q=10_000):
 def reflection_oracle(t_nodes, terminal, push, horizon):
     """Projection solution min(0, terminal + push * (T - t)) per node."""
     return np.minimum(0.0, terminal + push * (horizon - np.asarray(t_nodes)))
+
+
+def results_csv_oracle(path, result):
+    """results.csv of a run, one csv.writer row per node or path."""
+
+    def fmt(x):
+        return f"{float(x):.17g}"
+
+    sol = result.seq.solutions[result.exp.solver.eps_schedule[-1]]
+    bundle = result.bundle
+    t = bundle.grid.nodes
+    n = bundle.grid.steps
+    kinc = sol.kinc_levels
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["step", "t", "Q", "alpha", "node_or_path", "Y", "Z", "U", "Kinc"])
+        for i in range(n + 1):
+            y_level = np.atleast_1d(sol.Y_levels[i])
+            last = i == n
+            for j in range(y_level.size):
+                writer.writerow(
+                    [
+                        i,
+                        fmt(t[i]),
+                        fmt(bundle.Q[i]),
+                        "" if last else fmt(bundle.alpha[i]),
+                        j,
+                        fmt(y_level[j]),
+                        "" if last else fmt(np.atleast_1d(sol.Z_levels[i])[j]),
+                        "" if last else fmt(np.atleast_1d(sol.U_levels[i])[j]),
+                        "" if last else fmt(np.atleast_1d(kinc[i])[j]),
+                    ]
+                )

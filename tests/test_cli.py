@@ -9,6 +9,8 @@ from bsvilab.cli import execute, fmt, main, write_artifacts
 from bsvilab.errors import ConfigError
 from bsvilab.scenarios import SCENARIOS, build_experiment, resolve_config
 
+from oracles import results_csv_oracle
+
 MART_SMALL = {"scenario": "martingale", "grid": {"steps": 16}, "seed": 5}
 
 
@@ -202,3 +204,39 @@ def test_execute_summary_structure(tmp_path):
     assert s["reference_error"] == 0.0
     written = write_artifacts(str(tmp_path / "out"), res)
     assert set(written["artifact_hashes"]) == {"results.csv", "verify.json"}
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"scenario": "mc_martingale", "grid": {"steps": 16}, "noise": {"paths": 300}},
+        {"scenario": "two_barrier_driven", "grid": {"steps": 32}},
+        {"scenario": "reflection", "grid": {"steps": 100}},
+        {
+            "scenario": "martingale",
+            "grid": {"steps": 16},
+            "solver": {"ce": "lsq"},
+            "noise": {"kind": "tree", "eval_paths": 256},
+        },
+    ],
+    ids=["mc-lsq", "tree", "deterministic", "tree-lsq"],
+)
+def test_results_csv_matches_the_per_row_writer(tmp_path, config):
+    res = execute(build_experiment(config))
+    write_artifacts(str(tmp_path / "out"), res)
+    results_csv_oracle(str(tmp_path / "oracle.csv"), res)
+    got = open(tmp_path / "out" / "results.csv", "rb").read()
+    assert got == open(tmp_path / "oracle.csv", "rb").read()
+    final = res.seq.solutions[res.exp.solver.eps_schedule[-1]]
+    assert got.count(b"\r\n") == 1 + sum(np.size(y) for y in final.Y_levels)
+
+
+def test_summary_names_the_implicit_method():
+    cases = (
+        ({}, "closed_form"),
+        ({"solver": {"mode": "explicit", "eps_schedule": [0.5, 0.25]}}, "explicit"),
+    )
+    for override, method in cases:
+        res = execute(build_experiment({**MART_SMALL, **override}))
+        eps = res.exp.solver.eps_schedule
+        assert res.summary["implicit_method_by_eps"] == {fmt(e): method for e in eps}

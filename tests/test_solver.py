@@ -10,7 +10,8 @@ from bsvilab.errors import (
     PenalizationSolveFailure,
     StiffnessWarning,
 )
-from bsvilab.generators import GeneratorSpec
+from bsvilab import solver
+from bsvilab.generators import GeneratorSpec, combined_driver
 from bsvilab.paths import IncreasingProcessSpec, NoiseModel, TimeGrid, build_paths
 from bsvilab.solver import (
     SmoothingConfig,
@@ -138,6 +139,67 @@ def test_implicit_step_custom_falls_back_to_bisection():
         resolve_implicit(custom, ZERO, 1.0, 0.25, 0.1, y_hat, method="closed_form")
     with pytest.raises(ConfigError):
         resolve_implicit(QUAD1, ZERO, 1.0, 0.25, 0.1, y_hat, method="newton")
+
+
+def per_step_sweep(bundle, phi, psi, gen, terminal, eps):
+    """Y levels of the semi-implicit sweep with a fresh implicit solve per step."""
+    backend = make_backend(bundle, SolverConfig(eps_schedule=(eps,)))
+    t, dq, alpha = bundle.grid.nodes, bundle.dq, bundle.alpha
+    y = np.asarray(terminal(backend.terminal_driver(), bundle.A[-1]), dtype=float)
+    levels = [y]
+    for i in reversed(range(bundle.grid.steps)):
+        ce, z = backend.ce(i, y), backend.z(i, y)
+        if bundle.A[i] <= 1.0 / eps:
+            y_hat = ce + combined_driver(gen, alpha[i], t[i], ce, z) * dq[i]
+            y = resolve_implicit(phi, psi, alpha[i], eps, dq[i], y_hat)
+        else:
+            y = ce
+        levels.append(y)
+    return levels[::-1]
+
+
+CUSTOM_QUAD = ConvexSpec.custom(lambda y: 0.5 * np.square(y))
+RAMP = IncreasingProcessSpec.ramp(0.5, 1.0)
+# dyadic steps 1/4 and 1/8 around the ramp start: dQ = 1/4 with alpha 1
+# and with alpha 1/2, so neither alpha nor dQ alone identifies a step
+UNEVEN = build_paths(
+    TimeGrid(np.array([0.0, 0.25, 0.5, 0.625, 0.75, 1.0])), NoiseModel.deterministic(), RAMP
+)
+
+
+@pytest.mark.parametrize(
+    "bundle, phi, method, n_keys",
+    [
+        (tree_bundle(16, a_spec=RAMP), IND11, "closed_form", 2),
+        (UNEVEN, IND11, "closed_form", 3),
+        # each bisect step runs a numeric prox per probe, so keep it short
+        (tree_bundle(1, a_spec=RAMP), CUSTOM_QUAD, "bisect", 1),
+    ],
+    ids=["closed_form-tree", "closed_form-uneven", "bisect"],
+)
+def test_one_implicit_step_per_alpha_and_dq_matches_per_step_solves(
+    monkeypatch, bundle, phi, method, n_keys
+):
+    keys = set(zip(bundle.alpha, bundle.dq))
+    assert len(keys) == n_keys
+    gen = GeneratorSpec.from_expressions("0.3 - y", "0.5 * y")
+    terminal = lambda b, a: 0.5 * b + 1.2  # noqa: E731
+    builds = []
+
+    def counted(*args, **kwargs):
+        builds.append(args[2:5])
+        return implicit_step(*args, **kwargs)
+
+    implicit_step = solver.implicit_step
+    monkeypatch.setattr(solver, "implicit_step", counted)
+    eps = 0.5
+    cfg = SolverConfig(eps_schedule=(eps,))
+    sol = solve_penalized(bundle, phi, QUAD1, gen, terminal, eps, cfg)
+    assert sol.implicit_method == method
+    assert sorted((a, d) for a, _, d in builds) == sorted(keys)
+    ref = per_step_sweep(bundle, phi, QUAD1, gen, terminal, eps)
+    for got, want in zip(sol.Y_levels, ref, strict=True):
+        assert np.array_equal(got, want)
 
 
 def test_explicit_mode_warns_when_stiff():

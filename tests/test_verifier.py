@@ -27,6 +27,7 @@ from bsvilab.verify import (
     penalty_monotonicity,
     random_step_process,
     reconstruction_process,
+    smoothed_midpoint_process,
     zero_process,
 )
 
@@ -341,3 +342,28 @@ def test_battery_composition_and_verdicts():
         sol, bundle, backend, HALFLINE, ZERO, gen, p=1.5, tol=0.25
     )
     assert len(lowp) == 19  # both q = 1.5 and q = 2 run for p < 2
+
+
+@pytest.mark.parametrize("p", [2.0, 1.5])
+def test_battery_shares_candidate_terms_without_changing_reports(p):
+    bundle = tree_bundle(12)
+    gen = GeneratorSpec.from_expressions("2 - y + 0.5 * z", "0")
+    sol = solve_penalized(bundle, IND11, ZERO, gen, lambda b, a: 1.2 * b, 0.1, CFG)
+    backend = make_backend(bundle, CFG)
+    got = battery(sol, bundle, backend, IND11, ZERO, gen, p, smooth_eps=0.25)
+    processes = [
+        zero_process(bundle),
+        reconstruction_process(sol, bundle),
+        smoothed_midpoint_process(sol, bundle, backend, 0.25),
+    ]
+    tol = default_tolerance(bundle)
+    want = [
+        check_variational_inequality(
+            sol, tp, IND11, ZERO, gen, bundle, q, delta, tol=tol, penalization_eps=sol.eps
+        )
+        for tp in processes
+        for q in sorted({2.0, min(p, 2.0)})
+        for delta in (1.0, 0.1, 0.01)
+    ]
+    assert [r.as_dict() for r in got[: len(want)]] == [r.as_dict() for r in want]
+    assert len(got) == len(want) + 1
