@@ -141,6 +141,13 @@ def execute(exp: Experiment) -> RunResult:
         "implicit_method_by_eps": {
             fmt(e): seq.solutions[e].implicit_method for e in exp.solver.eps_schedule
         },
+        "penalty_by_eps": {
+            fmt(e): {
+                "active_fraction": seq.solutions[e].active_fraction,
+                "max_stiffness": seq.solutions[e].max_stiffness,
+            }
+            for e in exp.solver.eps_schedule
+        },
         "reference_error": ref,
         "tolerance": tol,
         "verifications": [

@@ -16,11 +16,17 @@ exceeds the budget 1/eps.  Conditional expectations CE_i come from a
 pluggable backend: exact averaging on the recombining binomial lattice,
 or least-squares regression on monomials of the driver value.
 
+The whole eps schedule is solved in one sweep on the shared bundle:
+every level holds Y, Z, U and H with one row per eps, so conditional
+expectations, the driver and the penalty update run once per step for
+all rows, and each row carries its own budget 1/eps.
+
 The implicit step is solved exactly for closed-form potentials (the map
 v -> v + dQ D Psi_eps(v) is piecewise linear and strictly increasing)
 and by bisection otherwise; both paths are exposed so they can be
-cross-checked.  The inverse depends only on (alpha, eps, dQ), so a solve
-builds it once per distinct (alpha_i, dQ_i) and reuses it.
+cross-checked.  The inverse depends only on (alpha, eps, dQ), so a sweep
+tabulates it once per distinct (alpha_i, dQ_i) for all rows and reuses
+it.
 """
 
 import warnings
@@ -84,7 +90,11 @@ class SolverConfig:
 
 
 class TreeBackend:
-    """Exact conditional expectations on the recombining lattice."""
+    """Exact conditional expectations on the recombining lattice.
+
+    Lattice nodes lie on the last axis; leading axes (one row per eps)
+    are carried along.
+    """
 
     def __init__(self, bundle: PathBundle):
         if bundle.levels is None:
@@ -99,16 +109,20 @@ class TreeBackend:
     def ce(self, i: int, v_next: np.ndarray) -> np.ndarray:
         if self.degenerate:
             return v_next.copy()
-        return 0.5 * (v_next[:-1] + v_next[1:])
+        return 0.5 * (v_next[..., :-1] + v_next[..., 1:])
 
     def z(self, i: int, v_next: np.ndarray) -> np.ndarray:
         if self.degenerate:
             return np.zeros_like(v_next)
-        return (v_next[1:] - v_next[:-1]) / (2.0 * self.sqdt)
+        return (v_next[..., 1:] - v_next[..., :-1]) / (2.0 * self.sqdt)
 
 
 class RegressionBackend:
-    """Least-squares projection onto monomials {1, B, ..., B^degree}."""
+    """Least-squares projection onto monomials {1, B, ..., B^degree}.
+
+    Values hold one entry per path on the last axis; a 2-D array is
+    fitted row by row.
+    """
 
     def __init__(self, bundle: PathBundle, degree: int, ridge: float):
         self.bundle = bundle
@@ -120,6 +134,12 @@ class RegressionBackend:
         return self.B[:, -1]
 
     def _fit(self, i: int, target: np.ndarray) -> np.ndarray:
+        if target.ndim == 2:
+            # one fit per eps row: stacked right-hand sides change lstsq's bits
+            out = np.empty_like(target)
+            for r, row in enumerate(target):
+                out[r] = self._fit(i, row)
+            return out
         if i == 0:
             return np.full_like(target, float(np.mean(target)))
         x = np.vander(self.B[:, i], self.degree + 1, increasing=True)
@@ -162,60 +182,102 @@ def implicit_step(
     phi: ConvexSpec,
     psi: ConvexSpec,
     alpha: float,
-    eps: float,
+    schedule,
     dq: float,
     method: str = "auto",
 ) -> Callable:
-    """The map y_hat -> v solving v + dq D Psi_eps(v) = y_hat.
+    """The map (y_hat, rows) -> v solving v + dq D Psi_eps(v) = y_hat, one row per eps.
 
     Here D Psi_eps = alpha D phi_eps + (1 - alpha) D psi_eps.  The left
     side is strictly increasing with value 0 at 0, so the root is unique
-    and lies between 0 and y_hat.  Closed-form kinds make the map
-    piecewise linear; its breakpoints, values and slopes depend only on
-    (alpha, eps, dq), so they are computed here once and every call
-    inverts segment by segment.  Otherwise each call bisects.
+    and lies between 0 and y_hat.  y_hat holds one row for each eps of
+    the schedule's slice ``rows`` (all of it by default).  Closed-form
+    kinds make the map piecewise linear; its breakpoints, values and
+    slopes depend only on (alpha, eps, dq), so they are tabulated here
+    once per eps and every call inverts all rows by one gather.
+    Otherwise each call bisects row by row.
+    """
+    schedule = [float(eps) for eps in schedule]
+    if method == "auto":
+        method = implicit_method(phi, psi, schedule[0])
+    if method == "closed_form":
+        return _piecewise_linear_inverse(phi, psi, alpha, schedule, dq)
+    if method != "bisect":
+        raise ConfigError(f"unknown implicit-solve method {method!r}")
+    solves = [_bisection(phi, psi, alpha, eps, dq) for eps in schedule]
+
+    def bisect_rows(y_hat, rows=slice(None)):
+        return np.stack([solve(y) for solve, y in zip(solves[rows], y_hat)])
+
+    return bisect_rows
+
+
+def _piecewise_linear_inverse(phi, psi, alpha, schedule, dq):
+    """Closed-form inverse for every eps of the schedule, one gather per call.
+
+    On segment s with base point x, knot value g and slope d the inverse
+    is x - (g - y) / d.  That is x + (y - g) / d bit for bit wherever
+    y != g, and keeps its signed zero on the lower outer segment, the
+    one segment where y == g can occur.
     """
 
-    def forward(v):
+    def forward(v, eps):
         return v + dq * convex.combined_gradient(phi, psi, alpha, eps, v)
 
-    if method == "auto":
-        method = implicit_method(phi, psi, eps)
-    if method == "closed_form":
+    kinks = []
+    for eps in schedule:
         breaks_phi = convex.gradient_breakpoints(phi, eps)
         breaks_psi = convex.gradient_breakpoints(psi, eps)
         if breaks_phi is None or breaks_psi is None:
             raise PenalizationSolveFailure(
                 "closed-form implicit step needs piecewise-linear gradients"
             )
-        xs = np.unique(np.asarray(breaks_phi + breaks_psi, dtype=float))
-        if xs.size == 0:
-            slope = float(forward(np.asarray(1.0)))  # forward(0) = 0, map is linear
-            return lambda y_hat: np.asarray(y_hat, dtype=float) / slope
-        g_at = forward(xs)
-        lo_slope = float((g_at[0] - forward(xs[0] - 1.0)))
-        hi_slope = float((forward(xs[-1] + 1.0) - g_at[-1]))
+        kinks.append(np.unique(np.asarray(breaks_phi + breaks_psi, dtype=float)))
+
+    # whether a kind has kinks does not depend on eps
+    if kinks[0].size == 0:
+        # forward(0) = 0 and the map is linear: divide, which keeps -0.0
+        slopes = np.array([float(forward(np.asarray(1.0), eps)) for eps in schedule])[:, None]
+
+        def linear(y_hat, rows=slice(None)):
+            y = np.asarray(y_hat, dtype=float)
+            return (y.reshape(len(y), -1) / slopes[rows]).reshape(y.shape)
+
+        return linear
+
+    # the kinks of two potentials coincide at some eps only; such rows
+    # are padded with knots at +inf, which no finite y_hat passes
+    width = max(xs.size for xs in kinks)
+    knots = np.full((len(schedule), width), np.inf)
+    table = np.empty((len(schedule), width + 1, 3))  # base, knot value, slope
+    for r, (eps, xs) in enumerate(zip(schedule, kinks)):
+        g_at = forward(xs, eps)
+        lo_slope = float((g_at[0] - forward(xs[0] - 1.0, eps)))
+        hi_slope = float((forward(xs[-1] + 1.0, eps) - g_at[-1]))
         slopes = (g_at[1:] - g_at[:-1]) / (xs[1:] - xs[:-1])
+        m = xs.size
+        knots[r, :m] = g_at
+        table[r, : m + 1, 0] = np.concatenate([xs[:1], xs])
+        table[r, : m + 1, 1] = np.concatenate([g_at[:1], g_at])
+        table[r, : m + 1, 2] = np.concatenate([[lo_slope], slopes, [hi_slope]])
+        table[r, m + 1 :] = table[r, m]
+    row_index = np.arange(len(schedule))[:, None]
 
-        def closed_form(y_hat):
-            y_hat = np.asarray(y_hat, dtype=float)
-            idx = np.searchsorted(g_at, y_hat)
-            v = np.empty_like(y_hat)
-            for seg in range(xs.size + 1):
-                mask = idx == seg
-                if not np.any(mask):
-                    continue
-                if seg == 0:
-                    v[mask] = xs[0] - (g_at[0] - y_hat[mask]) / lo_slope
-                elif seg == xs.size:
-                    v[mask] = xs[-1] + (y_hat[mask] - g_at[-1]) / hi_slope
-                else:
-                    v[mask] = xs[seg - 1] + (y_hat[mask] - g_at[seg - 1]) / slopes[seg - 1]
-            return v
+    def closed_form(y_hat, rows=slice(None)):
+        y = np.asarray(y_hat, dtype=float)
+        flat = y.reshape(len(y), -1)
+        # segment = number of knots below y_hat, as searchsorted(side="left")
+        seg = np.count_nonzero(flat[:, :, None] > knots[rows][:, None, :], axis=2)
+        picked = table[rows][row_index[: len(flat)], seg]
+        v = picked[..., 0] - (picked[..., 1] - flat) / picked[..., 2]
+        return v.reshape(y.shape)
 
-        return closed_form
-    if method != "bisect":
-        raise ConfigError(f"unknown implicit-solve method {method!r}")
+    return closed_form
+
+
+def _bisection(phi, psi, alpha, eps, dq):
+    def forward(v):
+        return v + dq * convex.combined_gradient(phi, psi, alpha, eps, v)
 
     def bisect(y_hat):
         y_hat = np.asarray(y_hat, dtype=float)
@@ -244,7 +306,8 @@ def resolve_implicit(
     method: str = "auto",
 ) -> np.ndarray:
     """Solve v + dq [alpha D phi_eps(v) + (1 - alpha) D psi_eps(v)] = y_hat once."""
-    return implicit_step(phi, psi, alpha, eps, dq, method)(y_hat)
+    step = implicit_step(phi, psi, alpha, (eps,), dq, method)
+    return step(np.asarray(y_hat, dtype=float)[None])[0]
 
 
 @dataclass
@@ -257,7 +320,8 @@ class SolutionField:
     records the driver value the predictor actually used, so Y, Z, U, H
     satisfy the step identity Y_{i+1} = Y_i - (H_i - U_i) dQ_i + Z_i dB_i
     exactly on lattices.  implicit_method names how the penalty step
-    was solved: 'closed_form', 'bisect' or 'explicit'.
+    was solved: 'closed_form', 'bisect' or 'explicit'; max_stiffness is
+    the largest dQ_i / eps over the steps inside the budget (0 if none).
     """
 
     eps: float
@@ -269,11 +333,18 @@ class SolutionField:
     H_levels: list
     dq: np.ndarray
     implicit_method: str
+    max_stiffness: float
     _expanded: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def y0(self) -> float:
         return float(np.mean(self.Y_levels[0]))
+
+    @property
+    def active_fraction(self) -> float:
+        """Share of the level entries before the horizon where U != 0."""
+        hit = sum(int(np.count_nonzero(u)) for u in self.U_levels)
+        return hit / sum(u.size for u in self.U_levels)
 
     @property
     def kinc_levels(self) -> list:
@@ -313,18 +384,44 @@ class SolutionField:
         return dict(self._expanded[1])
 
 
-def solve_penalized(
+@dataclass
+class Sweep:
+    """One backward sweep over an eps schedule.
+
+    Y_levels and U_levels hold one row per eps at every level;
+    solutions has one SolutionField per eps, whose levels are views of
+    those rows.
+    """
+
+    Y_levels: list
+    U_levels: list
+    solutions: list
+
+
+def backward_sweep(
     bundle: PathBundle,
     phi: ConvexSpec,
     psi: ConvexSpec,
     gen: GeneratorSpec,
     terminal: Callable,
-    eps: float,
+    schedule,
     cfg: SolverConfig,
-) -> SolutionField:
-    """One backward solve at a fixed penalization level eps."""
-    if not (np.isfinite(eps) and eps > 0.0):
-        raise DomainError(f"eps must be finite and > 0, got {eps}")
+) -> Sweep:
+    """One backward sweep for a strictly decreasing eps schedule.
+
+    Every level holds one row per eps.  Row r is active at step i while
+    A_i <= 1 / eps_r; a finer eps has the larger budget, so the active
+    rows of a step are the last ones.  Only those reach the driver and
+    the implicit step; the others keep Y = CE with H = U = 0.  Work that
+    is elementwise runs once per step for all rows.  Explicit mode, the
+    bisection and the mollified driver depend on eps and run row by row.
+    """
+    schedule = tuple(schedule)
+    for eps in schedule:
+        if not (np.isfinite(eps) and eps > 0.0):
+            raise DomainError(f"eps must be finite and > 0, got {eps}")
+    if any(fine >= coarse for coarse, fine in zip(schedule, schedule[1:])):
+        raise ConfigError("the eps schedule of a sweep must be strictly decreasing")
     for label, pot in (("phi", phi), ("psi", psi)):
         at0 = float(np.asarray(potential_value(pot, np.zeros(1))).ravel()[0])
         if not np.isfinite(at0):
@@ -336,69 +433,105 @@ def solve_penalized(
     t = bundle.grid.nodes
     dq = bundle.dq
     alpha = bundle.alpha
-    active = bundle.A[:-1] <= 1.0 / eps  # budget indicator at the left node
+    n_eps = len(schedule)
+    # budget indicator at the left node, one row per eps
+    active = np.array([bundle.A[:-1] <= 1.0 / eps for eps in schedule])
+    first_active = n_eps - np.count_nonzero(active, axis=0)
 
-    moll = MollifierConfig(eps=eps, n_q=cfg.mollifier_nq) if cfg.mollify else None
+    molls = (
+        [MollifierConfig(eps=eps, n_q=cfg.mollifier_nq) for eps in schedule]
+        if cfg.mollify else None
+    )
 
-    def driver(i, y, z):
-        if moll is None:
+    def driver(i, rows, y, z):
+        if molls is None:
             return combined_driver(gen, alpha[i], t[i], y, z)
-        f = mollify_driver(gen, moll, t[i], y, z)
-        g = mollify_driver_g(gen, moll, t[i], y)
-        return alpha[i] * f + (1.0 - alpha[i]) * g
+        return np.stack([
+            alpha[i] * mollify_driver(gen, moll, t[i], y_r, z_r)
+            + (1.0 - alpha[i]) * mollify_driver_g(gen, moll, t[i], y_r)
+            for moll, y_r, z_r in zip(molls[rows], y, z)
+        ])
 
-    if cfg.mode == "explicit" and np.any(dq[active] / eps > 1.0):
-        warnings.warn(
-            f"explicit penalty step with max dQ/eps = {np.max(dq[active]) / eps:.3g} > 1",
-            StiffnessWarning,
-        )
-    method = "explicit" if cfg.mode == "explicit" else implicit_method(phi, psi, eps)
-    steps = {}  # one implicit_step per distinct (alpha_i, dQ_i)
+    stiffness = [float(np.max(dq[act] / eps, initial=0.0)) for eps, act in zip(schedule, active)]
+    if cfg.mode == "explicit":
+        for s in stiffness:
+            if s > 1.0:
+                warnings.warn(
+                    f"explicit penalty step with max dQ/eps = {s:.3g} > 1", StiffnessWarning
+                )
+    # closed form or bisection follows from the potential kinds alone
+    method = "explicit" if cfg.mode == "explicit" else implicit_method(phi, psi, schedule[0])
+    steps = {}  # one implicit_step for all rows per distinct (alpha_i, dQ_i)
 
     y_levels = [None] * (n + 1)
     z_levels = [None] * n
     u_levels = [None] * n
     h_levels = [None] * n
-    y_levels[n] = np.asarray(
-        terminal(backend.terminal_driver(), bundle.A[-1]), dtype=float
-    )
-    if not np.all(np.isfinite(y_levels[n])):
+    y_n = np.asarray(terminal(backend.terminal_driver(), bundle.A[-1]), dtype=float)
+    if not np.all(np.isfinite(y_n)):
         raise DomainError("terminal condition evaluated to non-finite values")
+    y_levels[n] = np.repeat(y_n[None], n_eps, axis=0)
+
+    def penalized_step(i, rows, ce, z):
+        """(Y, H, U) of the active rows, given their CE and Z."""
+        y_hat = ce
+        for _ in range(cfg.sweeps):
+            h = driver(i, rows, y_hat, z)
+            y_hat = ce + h * dq[i]
+        if method == "explicit":
+            u = np.stack([
+                convex.combined_gradient(phi, psi, alpha[i], eps, y_r)
+                for eps, y_r in zip(schedule[rows], y_hat)
+            ])
+            return y_hat - dq[i] * u, h, u
+        key = (alpha[i], dq[i])
+        if key not in steps:
+            steps[key] = implicit_step(phi, psi, alpha[i], schedule, dq[i], method)
+        y = steps[key](y_hat, rows)
+        return y, h, (y_hat - y) / dq[i]
 
     for i in reversed(range(n)):
         ce = backend.ce(i, y_levels[i + 1])
         z = backend.z(i, y_levels[i + 1])
-        if active[i]:
-            y_hat = ce
-            h = np.zeros_like(ce)
-            for _ in range(cfg.sweeps):
-                h = driver(i, y_hat, z)
-                y_hat = ce + h * dq[i]
-            if method == "explicit":
-                u = convex.combined_gradient(phi, psi, alpha[i], eps, y_hat)
-                y = y_hat - dq[i] * u
-            else:
-                key = (alpha[i], dq[i])
-                if key not in steps:
-                    steps[key] = implicit_step(phi, psi, alpha[i], eps, dq[i], method)
-                y = steps[key](y_hat)
-                u = (y_hat - y) / dq[i]
+        rows = slice(first_active[i], n_eps)
+        if rows.start == 0:
+            y, h, u = penalized_step(i, rows, ce, z)
         else:
-            y, h = ce, np.zeros_like(ce)
-            u = np.zeros_like(ce)
+            # rows outside the budget keep Y = CE (a fresh array) with H = U = 0
+            y, h, u = ce, np.zeros_like(ce), np.zeros_like(ce)
+            if rows.start < n_eps:
+                y[rows], h[rows], u[rows] = penalized_step(i, rows, ce[rows], z[rows])
         y_levels[i], z_levels[i], u_levels[i], h_levels[i] = y, z, u, h
 
-    return SolutionField(
-        eps=float(eps),
-        mode=cfg.mode,
-        backend_kind=cfg.ce,
-        Y_levels=y_levels,
-        Z_levels=z_levels,
-        U_levels=u_levels,
-        H_levels=h_levels,
-        dq=dq,
-        implicit_method=method,
-    )
+    solutions = [
+        SolutionField(
+            eps=float(eps),
+            mode=cfg.mode,
+            backend_kind=cfg.ce,
+            Y_levels=[lv[r] for lv in y_levels],
+            Z_levels=[lv[r] for lv in z_levels],
+            U_levels=[lv[r] for lv in u_levels],
+            H_levels=[lv[r] for lv in h_levels],
+            dq=dq,
+            implicit_method=method,
+            max_stiffness=stiffness[r],
+        )
+        for r, eps in enumerate(schedule)
+    ]
+    return Sweep(Y_levels=y_levels, U_levels=u_levels, solutions=solutions)
+
+
+def solve_penalized(
+    bundle: PathBundle,
+    phi: ConvexSpec,
+    psi: ConvexSpec,
+    gen: GeneratorSpec,
+    terminal: Callable,
+    eps: float,
+    cfg: SolverConfig,
+) -> SolutionField:
+    """One backward solve at a fixed penalization level eps."""
+    return backward_sweep(bundle, phi, psi, gen, terminal, (eps,), cfg).solutions[0]
 
 
 @dataclass
@@ -425,37 +558,34 @@ def solve_sequence(
     Also logs the penalty energy eps * sum_i mean |U_i|^2 dQ_i, which
     stays bounded along the schedule when penalization converges.
     """
-    solutions = {}
-    energy = {}
+    schedule = cfg.eps_schedule
     dt = bundle.dt
     dq = bundle.dq
-    for eps in cfg.eps_schedule:
-        sol = solve_penalized(bundle, phi, psi, gen, terminal, eps, cfg)
-        solutions[eps] = sol
-        u2 = np.array([float(np.mean(u * u)) for u in sol.U_levels])
-        energy[eps] = float(eps * np.sum(u2 * dq))
+    sweep = backward_sweep(bundle, phi, psi, gen, terminal, schedule, cfg)
+    solutions = dict(zip(schedule, sweep.solutions))
+    # per level: mean |U|^2 of every row, and max |Y^a - Y^b| of every adjacent pair
+    u2 = np.array([np.mean(u * u, axis=-1) for u in sweep.U_levels]).T
+    energy = {eps: float(eps * np.sum(u2_r * dq)) for eps, u2_r in zip(schedule, u2)}
+    y_gaps = np.max([np.max(np.abs(y[:-1] - y[1:]), axis=-1) for y in sweep.Y_levels], axis=0)
     gaps = []
-    for e_coarse, e_fine in zip(cfg.eps_schedule, cfg.eps_schedule[1:]):
+    # Z alone, each eps expanded once and at most two held: caching full
+    # fields of every eps here would hold them all through verification
+    zb = None
+    for r, (e_coarse, e_fine) in enumerate(zip(schedule, schedule[1:])):
         a, b = solutions[e_coarse], solutions[e_fine]
-        y_gap = max(
-            float(np.max(np.abs(ya - yb)))
-            for ya, yb in zip(a.Y_levels, b.Y_levels)
-        )
-        # Z alone: caching full fields of every eps here would hold them
-        # all through verification
-        za = a.expand(bundle, a.Z_levels)
+        za = a.expand(bundle, a.Z_levels) if zb is None else zb
         zb = b.expand(bundle, b.Z_levels)
         z_gap = float(np.sqrt(np.sum(np.mean((za - zb) ** 2, axis=0) * dt)))
         gaps.append(
             {
                 "eps_coarse": float(e_coarse),
                 "eps_fine": float(e_fine),
-                "y_gap": y_gap,
+                "y_gap": float(y_gaps[r]),
                 "z_gap": z_gap,
             }
         )
     return SequenceResult(
-        eps_list=list(cfg.eps_schedule),
+        eps_list=list(schedule),
         solutions=solutions,
         gaps=gaps,
         penalty_energy=energy,

@@ -141,6 +141,31 @@ def candidate_terms(
     return h_fresh, psi_y
 
 
+def process_terms(
+    sol: SolutionField,
+    tp: TestProcess,
+    phi: ConvexSpec,
+    psi: ConvexSpec,
+    bundle: PathBundle,
+    penalization_eps: Optional[float] = None,
+) -> tuple:
+    """(M - Y, Psi(t, M), R - Z) on the bundle's paths for one test process.
+
+    These are the terms of the variational inequality that depend on the
+    test process but not on (q, delta).  A test process that leaves the
+    domain of a raw potential makes the inequality vacuous and raises
+    InfinitePotential here.
+    """
+    pw = sol.paths(bundle)
+    m = tp.materialize(bundle)
+    psi_m = _mixed_potential(phi, psi, bundle.alpha, m[:, :-1], penalization_eps)
+    if penalization_eps is None and np.any(np.isinf(psi_m)):
+        raise InfinitePotential(
+            "test process leaves the domain of the potential, inequality is vacuous"
+        )
+    return m - pw["Y"], psi_m, tp.R - pw["Z"]
+
+
 def check_variational_inequality(
     sol: SolutionField,
     tp: TestProcess,
@@ -155,44 +180,41 @@ def check_variational_inequality(
     name: Optional[str] = None,
     *,
     terms: Optional[tuple] = None,
+    process: Optional[tuple] = None,
 ) -> VerificationReport:
     """Worst interval residual of the variational inequality, path-averaged.
 
-    terms is candidate_terms(...) at the same penalization_eps, for
-    callers that check one candidate against many test processes; it is
-    computed here when not given.
+    terms is candidate_terms(...) and process is process_terms(...) at
+    the same penalization_eps, for callers that check one candidate
+    against many test processes and exponents; each is computed here
+    when not given.
     """
     if not (1.0 < q <= 2.0):
         raise DomainError(f"q must lie in (1, 2], got {q}")
     dq_shift = gamma_shift(delta, q)
     tol = default_tolerance(bundle) if tol is None else float(tol)
-    pw = sol.paths(bundle)
-    y, z, h_used = pw["Y"], pw["Z"], pw["H"]
-    m = tp.materialize(bundle)
-    alpha = bundle.alpha
+    h_used = sol.paths(bundle)["H"]
     dqs = bundle.dq
     dts = bundle.dt
 
-    gamma = np.sqrt((m - y) ** 2 + dq_shift)
+    if process is None:
+        process = process_terms(sol, tp, phi, psi, bundle, penalization_eps)
+    m_minus_y, psi_m, r_minus_z = process
+    gamma = np.sqrt(m_minus_y ** 2 + dq_shift)
     g_nodes = gamma**q
     g_pow = gamma[:, :-1] ** (q - 2.0)
 
     if terms is None:
         terms = candidate_terms(sol, phi, psi, gen, bundle, penalization_eps)
     h_fresh, psi_y = terms
-    psi_m = _mixed_potential(phi, psi, alpha, m[:, :-1], penalization_eps)
-    if penalization_eps is None and np.any(np.isinf(psi_m)):
-        raise InfinitePotential(
-            "test process leaves the domain of the potential, inequality is vacuous"
-        )
 
-    diff = m[:, :-1] - y[:, :-1]
+    diff = m_minus_y[:, :-1]
     incr = (
-        0.5 * q * (q - 1.0) * g_pow * (tp.R - z) ** 2 * dts
+        0.5 * q * (q - 1.0) * g_pow * r_minus_z ** 2 * dts
         + q * g_pow * psi_y * dqs
         - q * g_pow * psi_m * dqs
         - q * g_pow * diff * (tp.N - h_fresh) * dqs
-        + q * g_pow * diff * (tp.R - z) * bundle.dB
+        + q * g_pow * diff * r_minus_z * bundle.dB
     )
     a = np.mean(g_nodes, axis=0).copy()
     a[1:] -= np.cumsum(np.mean(incr, axis=0))
@@ -478,7 +500,8 @@ def battery(
     Processes: the zero process, the solution's own reconstruction, and
     the smoothing of the solution's midpoints.  Potentials are taken at
     the solution's penalization level; the candidate's own terms H and
-    Psi(Y) are evaluated once and shared by every check.  Also reports
+    Psi(Y) are evaluated once and shared by every check, and each test
+    process's terms once and shared by its checks.  Also reports
     the collapse of the reconstruction Gamma to the delta_q floor (the
     strong solution seen through the inequality).
     """
@@ -486,15 +509,17 @@ def battery(
     smooth_eps = smooth_eps if smooth_eps is not None else max(
         4.0 * float(np.max(bundle.dt)), 0.05 * bundle.grid.horizon
     )
+    recon = reconstruction_process(sol, bundle)
     processes = [
         zero_process(bundle),
-        reconstruction_process(sol, bundle),
+        recon,
         smoothed_midpoint_process(sol, bundle, backend, smooth_eps),
     ]
     q_values = sorted({2.0, min(float(p), 2.0)})
     terms = candidate_terms(sol, phi, psi, gen, bundle, sol.eps)
     reports = []
     for tp in processes:
+        process = process_terms(sol, tp, phi, psi, bundle, sol.eps)
         for q in q_values:
             for delta in deltas:
                 reports.append(
@@ -502,13 +527,12 @@ def battery(
                         sol, tp, phi, psi, gen, bundle, q, delta,
                         tol=tol, penalization_eps=sol.eps,
                         name=f"variational{label}[{tp.label}] q={q:g} delta={delta:g}",
-                        terms=terms,
+                        terms=terms, process=process,
                     )
                 )
-    recon = processes[1]
-    m = recon.materialize(bundle)
-    y = sol.paths(bundle)["Y"]
-    collapse = float(np.max(np.mean((m - y) ** 2, axis=0)))
+        if tp is recon:
+            collapse = float(np.max(np.mean(process[0] ** 2, axis=0)))
+        del process  # one process's path arrays at a time
     reports.append(
         VerificationReport(
             name=f"reconstruction-collapse{label}",

@@ -4,12 +4,25 @@ These deliberately avoid the package's own code paths: proximal points
 come from staged grid minimization of the defining objective, and
 mollified drivers from a high-resolution quadrature with its own
 normalization.  The results.csv writer is the plain per-row csv.writer
-rendering.  Slow and simple on purpose.
+rendering, and the eps schedule is solved by one backward sweep per eps
+with a per-segment implicit inverse.  Slow and simple on purpose.
 """
 
 import csv
+import warnings
 
 import numpy as np
+
+from bsvilab import convex
+from bsvilab.convex import potential_value
+from bsvilab.errors import DomainError, PenalizationSolveFailure, StiffnessWarning
+from bsvilab.generators import (
+    MollifierConfig,
+    combined_driver,
+    mollify_driver,
+    mollify_driver_g,
+)
+from bsvilab.solver import implicit_method, make_backend
 
 
 def prox_oracle(potential, eps, y, half_width=None):
@@ -111,3 +124,132 @@ def results_csv_oracle(path, result):
                         "" if last else fmt(np.atleast_1d(kinc[i])[j]),
                     ]
                 )
+
+
+def implicit_step_oracle(phi, psi, alpha, eps, dq, method):
+    """y_hat -> v with v + dq D Psi_eps(v) = y_hat, inverted segment by segment."""
+
+    def forward(v):
+        return v + dq * convex.combined_gradient(phi, psi, alpha, eps, v)
+
+    if method == "closed_form":
+        breaks_phi = convex.gradient_breakpoints(phi, eps)
+        breaks_psi = convex.gradient_breakpoints(psi, eps)
+        xs = np.unique(np.asarray(breaks_phi + breaks_psi, dtype=float))
+        if xs.size == 0:
+            slope = float(forward(np.asarray(1.0)))
+            return lambda y_hat: np.asarray(y_hat, dtype=float) / slope
+        g_at = forward(xs)
+        lo_slope = float((g_at[0] - forward(xs[0] - 1.0)))
+        hi_slope = float((forward(xs[-1] + 1.0) - g_at[-1]))
+        slopes = (g_at[1:] - g_at[:-1]) / (xs[1:] - xs[:-1])
+
+        def closed_form(y_hat):
+            y_hat = np.asarray(y_hat, dtype=float)
+            idx = np.searchsorted(g_at, y_hat)
+            v = np.empty_like(y_hat)
+            for seg in range(xs.size + 1):
+                mask = idx == seg
+                if not np.any(mask):
+                    continue
+                if seg == 0:
+                    v[mask] = xs[0] - (g_at[0] - y_hat[mask]) / lo_slope
+                elif seg == xs.size:
+                    v[mask] = xs[-1] + (y_hat[mask] - g_at[-1]) / hi_slope
+                else:
+                    v[mask] = xs[seg - 1] + (y_hat[mask] - g_at[seg - 1]) / slopes[seg - 1]
+            return v
+
+        return closed_form
+
+    def bisect(y_hat):
+        y_hat = np.asarray(y_hat, dtype=float)
+        lo = np.minimum(y_hat, 0.0)
+        hi = np.maximum(y_hat, 0.0)
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            too_big = forward(mid) > y_hat
+            hi = np.where(too_big, mid, hi)
+            lo = np.where(too_big, lo, mid)
+        v = 0.5 * (lo + hi)
+        if np.max(np.abs(forward(v) - y_hat)) > 1e-9 * (1.0 + np.max(np.abs(y_hat))):
+            raise PenalizationSolveFailure("bisection did not close the implicit step")
+        return v
+
+    return bisect
+
+
+def solve_penalized_oracle(bundle, phi, psi, gen, terminal, eps, cfg):
+    """One backward sweep at a single eps; levels as a dict of lists."""
+    if not (np.isfinite(eps) and eps > 0.0):
+        raise DomainError(f"eps must be finite and > 0, got {eps}")
+    for label, pot in (("phi", phi), ("psi", psi)):
+        at0 = float(np.asarray(potential_value(pot, np.zeros(1))).ravel()[0])
+        if not np.isfinite(at0):
+            raise DomainError(f"{label} is infinite at 0; recenter the potential first")
+    backend = make_backend(bundle, cfg)
+    n = bundle.grid.steps
+    t = bundle.grid.nodes
+    dq = bundle.dq
+    alpha = bundle.alpha
+    active = bundle.A[:-1] <= 1.0 / eps
+
+    moll = MollifierConfig(eps=eps, n_q=cfg.mollifier_nq) if cfg.mollify else None
+
+    def driver(i, y, z):
+        if moll is None:
+            return combined_driver(gen, alpha[i], t[i], y, z)
+        f = mollify_driver(gen, moll, t[i], y, z)
+        g = mollify_driver_g(gen, moll, t[i], y)
+        return alpha[i] * f + (1.0 - alpha[i]) * g
+
+    if cfg.mode == "explicit" and np.any(dq[active] / eps > 1.0):
+        warnings.warn(
+            f"explicit penalty step with max dQ/eps = {np.max(dq[active]) / eps:.3g} > 1",
+            StiffnessWarning,
+        )
+    method = "explicit" if cfg.mode == "explicit" else implicit_method(phi, psi, eps)
+
+    y_levels = [None] * (n + 1)
+    z_levels = [None] * n
+    u_levels = [None] * n
+    h_levels = [None] * n
+    y_levels[n] = np.asarray(terminal(backend.terminal_driver(), bundle.A[-1]), dtype=float)
+    if not np.all(np.isfinite(y_levels[n])):
+        raise DomainError("terminal condition evaluated to non-finite values")
+
+    for i in reversed(range(n)):
+        ce = backend.ce(i, y_levels[i + 1])
+        z = backend.z(i, y_levels[i + 1])
+        if active[i]:
+            y_hat = ce
+            h = np.zeros_like(ce)
+            for _ in range(cfg.sweeps):
+                h = driver(i, y_hat, z)
+                y_hat = ce + h * dq[i]
+            if method == "explicit":
+                u = convex.combined_gradient(phi, psi, alpha[i], eps, y_hat)
+                y = y_hat - dq[i] * u
+            else:
+                y = implicit_step_oracle(phi, psi, alpha[i], eps, dq[i], method)(y_hat)
+                u = (y_hat - y) / dq[i]
+        else:
+            y, h = ce, np.zeros_like(ce)
+            u = np.zeros_like(ce)
+        y_levels[i], z_levels[i], u_levels[i], h_levels[i] = y, z, u, h
+
+    return {
+        "Y_levels": y_levels,
+        "Z_levels": z_levels,
+        "U_levels": u_levels,
+        "H_levels": h_levels,
+        "implicit_method": method,
+    }
+
+
+def solve_sequence_oracle(bundle, phi, psi, gen, terminal, cfg):
+    """The eps schedule solved one eps at a time, keyed by eps."""
+    return {
+        eps: solve_penalized_oracle(bundle, phi, psi, gen, terminal, eps, cfg)
+        for eps in cfg.eps_schedule
+    }

@@ -240,3 +240,18 @@ def test_summary_names_the_implicit_method():
         res = execute(build_experiment({**MART_SMALL, **override}))
         eps = res.exp.solver.eps_schedule
         assert res.summary["implicit_method_by_eps"] == {fmt(e): method for e in eps}
+
+
+def test_summary_reports_the_penalty_per_eps():
+    res = execute(build_experiment({"scenario": "reflection", "grid": {"steps": 200}}))
+    eps = res.exp.solver.eps_schedule
+    penalty = res.summary["penalty_by_eps"]
+    assert set(penalty) == {fmt(e) for e in eps}
+    dq = res.bundle.dq
+    for e in eps:
+        assert set(penalty[fmt(e)]) == {"active_fraction", "max_stiffness"}
+        # the wall at 0 binds on the 100 steps before t = 1/2
+        assert penalty[fmt(e)]["active_fraction"] == 0.5
+        # no budget binds (A = 0), so every step counts
+        assert penalty[fmt(e)]["max_stiffness"] == float(np.max(dq / e))
+    json.dumps(penalty)  # plain floats, ready for summary.json

@@ -7,12 +7,14 @@ from bsvilab.convex import ConvexSpec
 from bsvilab.errors import (
     ConfigError,
     DomainError,
+    NonFiniteGenerator,
     PenalizationSolveFailure,
     StiffnessWarning,
 )
 from bsvilab import solver
 from bsvilab.generators import GeneratorSpec, combined_driver
 from bsvilab.paths import IncreasingProcessSpec, NoiseModel, TimeGrid, build_paths
+from bsvilab.scenarios import SCENARIOS, build_experiment
 from bsvilab.solver import (
     SmoothingConfig,
     SolverConfig,
@@ -23,7 +25,7 @@ from bsvilab.solver import (
     solve_sequence,
 )
 
-from oracles import reflection_oracle
+from oracles import reflection_oracle, solve_sequence_oracle
 
 ZERO = ConvexSpec.zero()
 QUAD1 = ConvexSpec.quadratic(1.0)
@@ -344,4 +346,180 @@ def test_unnormalized_potential_is_refused():
     with pytest.raises(DomainError, match="recenter"):
         solve_penalized(
             det_bundle(10), off, ZERO, ZERO_GEN, terminal_const(1.0), 0.1, SolverConfig()
+        )
+
+
+def assert_matches_oracle(seq, ref):
+    """Every level of every eps equal to the per-eps sweep, bit for bit."""
+    assert list(seq.solutions) == list(ref)
+    for eps, want in ref.items():
+        sol = seq.solutions[eps]
+        assert sol.implicit_method == want["implicit_method"]
+        for key in ("Y_levels", "Z_levels", "U_levels", "H_levels"):
+            got = getattr(sol, key)
+            assert len(got) == len(want[key])
+            for i, (g, w) in enumerate(zip(got, want[key])):
+                assert g.dtype == w.dtype and g.shape == w.shape, (eps, key, i)
+                # tobytes, not array_equal: -0.0 and 0.0 print differently
+                assert g.tobytes() == w.tobytes(), (eps, key, i)
+
+
+def sweep_and_oracle(config):
+    """(one sweep, per-eps oracle, their StiffnessWarning messages) for a config."""
+    exp = build_experiment(config)
+    bundle = build_paths(exp.grid, exp.noise, exp.a_spec)
+    args = (bundle, exp.phi, exp.psi, exp.gen, exp.terminal, exp.solver)
+    out = []
+    for solve in (solve_sequence, solve_sequence_oracle):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            out.append(solve(*args))
+        out.append([str(w.message) for w in caught if w.category is StiffnessWarning])
+    seq, seq_warned, ref, ref_warned = out
+    return seq, ref, seq_warned, ref_warned
+
+
+SWEEP_CASES = {
+    **{name: {"scenario": name} for name in sorted(SCENARIOS)},
+    # the benchmark workloads
+    "reflection_fine": {
+        "scenario": "reflection",
+        "grid": {"T": 1.0, "steps": 1000},
+        "solver": {"eps_schedule": [0.1, 0.05, 0.025]},
+    },
+    "tree_barrier": {
+        "scenario": "two_barrier_driven",
+        "grid": {"T": 1.0, "steps": 256},
+        "noise": {"kind": "tree", "eval_paths": 1024},
+        "solver": {"eps_schedule": [0.1, 0.05, 0.025, 0.0125]},
+    },
+    "abs-quadratic": {
+        "scenario": "two_barrier_driven",
+        "grid": {"steps": 32},
+        "potentials": {"phi": {"kind": "abs"}, "psi": {"kind": "quadratic", "c": 2.0}},
+        "generator": {"F": "2 - y"},
+    },
+    # breakpoint-free potentials: the inverse is a division, which keeps -0.0
+    "quadratic-signed-zero": {
+        "scenario": {"name": "linear", "terminal": {"kind": "constant", "value": -0.0}},
+        "grid": {"steps": 20},
+        "potentials": {"phi": {"kind": "quadratic", "c": 1.0}},
+        "generator": {"F": "y", "G": "y", "mu": 1.0, "nu": 1.0},
+        "solver": {"eps_schedule": [0.2, 0.1]},
+    },
+    # y_hat = +0.0 on the knot of a wall at -0.0: the lower outer segment
+    # must keep the wall's sign
+    "wall-at-negative-zero": {
+        "scenario": {"name": "reflection", "terminal": {"kind": "constant", "value": 0.0}},
+        "grid": {"steps": 20},
+        "potentials": {"phi": {"kind": "interval", "b": -0.0}},
+        "generator": {"F": "0"},
+    },
+    # the kinks of abs (+-eps) and of the interval coincide at eps 0.05 only,
+    # so that row has fewer segments than the others
+    "coinciding-kinks": {
+        "scenario": "two_barrier_driven",
+        "grid": {"steps": 32},
+        "potentials": {"phi": {"kind": "abs"}, "psi": {"kind": "interval", "a": -0.05, "b": 0.05}},
+        "solver": {"eps_schedule": [0.1, 0.05, 0.025]},
+    },
+    # dQ/eps = 1.25 and 1.67 at the finer two eps: two warnings, still stable
+    "explicit": {
+        "scenario": "reflection",
+        "grid": {"steps": 100},
+        "solver": {"mode": "explicit", "eps_schedule": [0.1, 0.008, 0.006]},
+    },
+    "mollify": {
+        "scenario": "two_barrier_driven",
+        "grid": {"steps": 16},
+        "generator": {"F": "2 - y + min(z, 1)"},
+        "solver": {"mollify": True, "eps_schedule": [0.2, 0.1]},
+    },
+    "lsq-two-eps": {
+        "scenario": "mc_martingale",
+        "grid": {"steps": 16},
+        "noise": {"paths": 500},
+        "potentials": {"phi": {"kind": "interval", "a": -0.3, "b": 0.3}},
+        "generator": {"F": "0.5 - y"},
+        "solver": {"eps_schedule": [0.1, 0.05]},
+    },
+}
+
+
+@pytest.mark.parametrize("config", SWEEP_CASES.values(), ids=SWEEP_CASES.keys())
+def test_one_sweep_matches_the_per_eps_sweeps(config):
+    seq, ref, seq_warned, ref_warned = sweep_and_oracle(config)
+    assert_matches_oracle(seq, ref)
+    assert seq_warned == ref_warned
+    if config.get("solver", {}).get("mode") == "explicit":
+        assert len(seq_warned) == 2
+
+
+def test_one_sweep_matches_the_per_eps_sweeps_on_bisection():
+    # each bisection step runs a numeric prox per probe, so keep it short;
+    # eps >= 0.5 because the bisection gate fails at smaller eps
+    bundle = tree_bundle(1, a_spec=RAMP)
+    gen = GeneratorSpec.from_expressions("0.3 - y", "0.5 * y")
+    terminal = lambda b, a: 0.5 * b + 1.2  # noqa: E731
+    cfg = SolverConfig(eps_schedule=(1.0, 0.5))
+    args = (bundle, CUSTOM_QUAD, QUAD1, gen, terminal, cfg)
+    seq = solve_sequence(*args)
+    assert {sol.implicit_method for sol in seq.solutions.values()} == {"bisect"}
+    assert_matches_oracle(seq, solve_sequence_oracle(*args))
+
+
+def test_rows_outside_their_budget_skip_the_driver_and_the_penalty(monkeypatch):
+    # A = 4t crosses 1/eps = 2 at t = 1/2 but never reaches 1/eps = 10
+    config = {
+        "scenario": "two_barrier_driven",
+        "grid": {"steps": 32},
+        "a_process": {"kind": "linear", "rate": 4.0},
+        "solver": {"eps_schedule": [0.5, 0.1]},
+    }
+    rows_seen = []
+
+    def counted(gen, alpha, t, y, z):
+        rows_seen.append(len(y))
+        return combined_driver(gen, alpha, t, y, z)
+
+    monkeypatch.setattr(solver, "combined_driver", counted)
+    seq, ref, _, _ = sweep_and_oracle(config)
+    assert_matches_oracle(seq, ref)
+
+    exp = build_experiment(config)
+    a_left = build_paths(exp.grid, exp.noise, exp.a_spec).A[:-1]
+    out = a_left > 2.0
+    assert out.any() and not out.all() and np.all(a_left <= 10.0)
+    # one driver call per step, carrying only the rows inside their budget
+    assert rows_seen == [1 if o else 2 for o in out[::-1]]
+    coarse, fine = seq.solutions[0.5], seq.solutions[0.1]
+    for i in np.flatnonzero(out):
+        for level in (coarse.H_levels[i], coarse.U_levels[i]):
+            assert level.tobytes() == np.zeros_like(level).tobytes()
+        assert np.all(fine.H_levels[i] != 0.0)
+    dq = seq.solutions[0.5].dq
+    assert coarse.max_stiffness == float(np.max(dq[~out] / 0.5))
+    assert fine.max_stiffness == float(np.max(dq / 0.1))
+
+
+def test_non_finite_driver_on_the_finest_row_alone_still_raises():
+    # A = 4t: the coarse row (budget 2) stays at -0.5 after t = 1/2 and
+    # climbs to about 0.02 by t = 0; the fine row, in budget throughout,
+    # overshoots the wall at 0 by up to about 0.1
+    bundle = det_bundle(40, a_spec=IncreasingProcessSpec.linear(4.0))
+    gen = GeneratorSpec(
+        F=lambda t, y, z: np.where(np.asarray(y) > 0.05, np.nan, 1.0),
+        G=lambda t, y: np.zeros_like(np.asarray(y, dtype=float)),
+    )
+    cfg = SolverConfig(eps_schedule=(0.5, 0.1))
+    coarse = solve_penalized(bundle, HALFLINE, ZERO, gen, terminal_const(-0.5), 0.5, cfg)
+    assert max(float(y[0]) for y in coarse.Y_levels) < 0.05
+    with pytest.raises(NonFiniteGenerator):
+        solve_sequence(bundle, HALFLINE, ZERO, gen, terminal_const(-0.5), cfg)
+
+
+def test_sweep_refuses_a_schedule_that_is_not_decreasing():
+    with pytest.raises(ConfigError):
+        solver.backward_sweep(
+            det_bundle(4), ZERO, ZERO, ZERO_GEN, terminal_const(1.0), (0.1, 0.2), SolverConfig()
         )
