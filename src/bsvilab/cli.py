@@ -80,10 +80,10 @@ def execute(exp: Experiment) -> RunResult:
         bundle, exp.gen.mu, exp.gen.nu, exp.gen.ell, exp.solver.p, exp.solver.lam
     )
     t_solve = time.perf_counter()
-    seq = solve_sequence(bundle, exp.phi, exp.psi, exp.gen, exp.terminal, exp.solver)
+    backend = make_backend(bundle, exp.solver)
+    seq = solve_sequence(backend, exp.phi, exp.psi, exp.gen, exp.terminal, exp.solver)
     solve_s = time.perf_counter() - t_solve
 
-    backend = make_backend(bundle, exp.solver)
     final = seq.solutions[exp.solver.eps_schedule[-1]]
     vcfg = exp.verify
     tol = verifymod.default_tolerance(
@@ -318,7 +318,7 @@ def cmd_sweep(args) -> int:
         result = execute(exp)
         runtime = time.perf_counter() - t0
         final = result.seq.solutions[exp.solver.eps_schedule[-1]]
-        ref = reference_error(exp.name, final, result.bundle)
+        ref = result.summary["reference_error"]
         gap = "" if prev_y0 is None else fmt(abs(final.y0 - prev_y0))
         rows.append(
             [args.axis, fmt(value), fmt(final.y0), gap,

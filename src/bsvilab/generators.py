@@ -117,29 +117,32 @@ class GeneratorSpec:
         )
 
 
-def _checked(name, value, like=None):
+def _checked(name, value):
     arr = np.asarray(value, dtype=float)
-    if like is not None:
-        arr = np.broadcast_to(arr, np.broadcast_shapes(arr.shape, np.shape(like)))
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NonFiniteGenerator(f"{name} evaluated to a non-finite value")
     return arr
 
 
 def driver_f(gen: GeneratorSpec, t, y, z) -> np.ndarray:
-    return _checked("F", gen.F(t, y, z), like=y)
+    return _checked("F", gen.F(t, y, z))
 
 
 def driver_g(gen: GeneratorSpec, t, y) -> np.ndarray:
-    return _checked("G", gen.G(t, y), like=y)
+    return _checked("G", gen.G(t, y))
 
 
 def combined_driver(gen: GeneratorSpec, alpha, t, y, z) -> np.ndarray:
-    """H = alpha F + (1 - alpha) G at one time, vectorized over y, z."""
-    alpha = np.asarray(alpha, dtype=float)
-    if np.any(alpha < 0.0) or np.any(alpha > 1.0):
-        raise DomainError("alpha must lie in [0, 1]")
-    return alpha * driver_f(gen, t, y, z) + (1.0 - alpha) * driver_g(gen, t, y)
+    """H = alpha F + (1 - alpha) G at one time for a scalar alpha, vectorized over y, z.
+
+    Checked once, on H: for alpha in [0, 1] a non-finite F or G leaves H
+    non-finite (0 * inf is nan).  Returns a fresh writable array of y's shape.
+    """
+    if not 0.0 <= alpha <= 1.0:
+        raise DomainError(f"alpha must lie in [0, 1], got {alpha}")
+    f = alpha * np.asarray(gen.F(t, y, z), dtype=float)
+    h = np.add(f, (1.0 - alpha) * np.asarray(gen.G(t, y), dtype=float), out=np.empty(np.shape(y)))
+    return _checked("H", h)
 
 
 def project_to_ball(eps: float, z) -> np.ndarray:
@@ -184,29 +187,25 @@ class MollifierConfig:
         object.__setattr__(self, "kappa", float(np.max(np.abs(rho_prime))))
 
 
+def _mollify(name, cfg: MollifierConfig, yy, values, cut) -> np.ndarray:
+    """sum_k w_k values_k 1[eps |cut_k| <= 1] over the shifted nodes yy, checked once."""
+    values, cut = (np.broadcast_to(np.asarray(v, dtype=float), yy.shape) for v in (values, cut))
+    keep = (cfg.eps * np.abs(cut) <= 1.0).astype(float)
+    return _checked(name, np.sum(cfg.weights * values * keep, axis=-1))
+
+
 def mollify_driver(gen: GeneratorSpec, cfg: MollifierConfig, t, y, z) -> np.ndarray:
     """Smoothed driver F_eps, vectorized over y (and z alongside it)."""
-    eps = cfg.eps
-    y = np.asarray(y, dtype=float)
-    zc = project_to_ball(eps, z)
-    yy = y[..., None] - eps * cfg.nodes
-    zz = np.asarray(zc)[..., None]
-    fv = np.broadcast_to(np.asarray(gen.F(t, yy, zz), dtype=float), yy.shape)
-    f0 = np.broadcast_to(np.asarray(gen.F(t, yy, np.zeros_like(zz)), dtype=float), yy.shape)
-    keep = (eps * np.abs(f0) <= 1.0).astype(float)
-    out = np.sum(cfg.weights * fv * keep, axis=-1)
-    return _checked("F_eps", out)
+    yy = np.asarray(y, dtype=float)[..., None] - cfg.eps * cfg.nodes
+    zz = project_to_ball(cfg.eps, z)[..., None]
+    return _mollify("F_eps", cfg, yy, gen.F(t, yy, zz), gen.F(t, yy, np.zeros_like(zz)))
 
 
 def mollify_driver_g(gen: GeneratorSpec, cfg: MollifierConfig, t, y) -> np.ndarray:
     """Same smoothing applied to G, which has no z argument."""
-    eps = cfg.eps
-    y = np.asarray(y, dtype=float)
-    yy = y[..., None] - eps * cfg.nodes
-    gv = np.broadcast_to(np.asarray(gen.G(t, yy), dtype=float), yy.shape)
-    keep = (eps * np.abs(gv) <= 1.0).astype(float)
-    out = np.sum(cfg.weights * gv * keep, axis=-1)
-    return _checked("G_eps", out)
+    yy = np.asarray(y, dtype=float)[..., None] - cfg.eps * cfg.nodes
+    g = gen.G(t, yy)
+    return _mollify("G_eps", cfg, yy, g, g)
 
 
 def local_sup_f(gen: GeneratorSpec, rho: float, t) -> float:

@@ -38,7 +38,22 @@ def _get(d: dict, key: str, kind, where: str, default=None, required=False):
     return val
 
 
+def _known(d: dict, keys, where: str) -> dict:
+    """d itself, once every key is one the block's kinds read.
+
+    A user block is merged field by field over the preset's, so the
+    keys allowed are the union over the block's kinds.
+    """
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where}: expected an object, got {type(d).__name__}")
+    unknown = sorted(set(d) - set(keys))
+    if unknown:
+        raise ConfigError(f"{where}: unknown keys {unknown}")
+    return d
+
+
 def potential_from_config(d: dict, where: str) -> ConvexSpec:
+    _known(d, ("kind", "a", "b", "c"), where)
     kind = _get(d, "kind", str, where, required=True)
     if kind == "zero":
         return ConvexSpec.zero()
@@ -63,6 +78,7 @@ def potential_from_config(d: dict, where: str) -> ConvexSpec:
 
 
 def generator_from_config(d: dict, where: str = "generator") -> GeneratorSpec:
+    _known(d, ("F", "G", "mu", "nu", "ell"), where)
     f_expr = _get(d, "F", str, where, default="0")
     g_expr = _get(d, "G", str, where, default="0")
     try:
@@ -80,6 +96,7 @@ def generator_from_config(d: dict, where: str = "generator") -> GeneratorSpec:
 
 
 def grid_from_config(d: dict, where: str = "grid") -> TimeGrid:
+    _known(d, ("T", "steps", "nodes"), where)
     if "nodes" in d:
         return TimeGrid(np.asarray(d["nodes"], dtype=float))
     horizon = _get(d, "T", float, where, required=True)
@@ -88,6 +105,7 @@ def grid_from_config(d: dict, where: str = "grid") -> TimeGrid:
 
 
 def noise_from_config(d: dict, seed: int, where: str = "noise") -> NoiseModel:
+    _known(d, ("kind", "eval_paths", "paths"), where)
     kind = _get(d, "kind", str, where, required=True)
     if kind == "tree":
         return NoiseModel.binomial_tree(
@@ -101,6 +119,7 @@ def noise_from_config(d: dict, seed: int, where: str = "noise") -> NoiseModel:
 
 
 def a_process_from_config(d: dict, where: str = "a_process") -> IncreasingProcessSpec:
+    _known(d, ("kind", "rate", "start"), where)
     kind = _get(d, "kind", str, where, default="zero")
     if kind == "zero":
         return IncreasingProcessSpec.zero()
@@ -115,6 +134,7 @@ def a_process_from_config(d: dict, where: str = "a_process") -> IncreasingProces
 
 
 def terminal_from_config(d: dict, where: str = "scenario.terminal") -> Callable:
+    _known(d, ("kind", "value", "lo", "hi", "expr"), where)
     kind = _get(d, "kind", str, where, required=True)
     if kind == "constant":
         value = _get(d, "value", float, where, required=True)
@@ -143,6 +163,10 @@ def terminal_from_config(d: dict, where: str = "scenario.terminal") -> Callable:
 
 
 def solver_from_config(d: dict, where: str = "solver") -> SolverConfig:
+    _known(d, (
+        "p", "lambda", "eps_schedule", "mode", "ce", "degree", "ridge",
+        "mollify", "mollifier_nq", "sweeps",
+    ), where)
     return SolverConfig(
         p=_get(d, "p", float, where, default=2.0),
         lam=_get(d, "lambda", float, where, default=0.5),
@@ -324,7 +348,8 @@ def build_experiment(config: dict) -> Experiment:
         # reserved value: derive from the wall clock, then record
         seed = int(time.time_ns() & ((1 << 62) - 1)) or 1
     merged["seed"] = seed
-    pots = merged.get("potentials", {})
+    _known(merged["scenario"], ("name", "terminal"), "scenario")
+    pots = _known(merged.get("potentials", {}), ("phi", "psi"), "potentials")
     phi = potential_from_config(pots.get("phi", {"kind": "zero"}), "potentials.phi")
     psi = potential_from_config(pots.get("psi", {"kind": "zero"}), "potentials.psi")
     grid = grid_from_config(merged.get("grid", {}), "grid")
@@ -343,7 +368,10 @@ def build_experiment(config: dict) -> Experiment:
         gen=gen,
         terminal=terminal,
         solver=solver,
-        verify=merged.get("verify", {}) or {},
+        verify=_known(
+            merged.get("verify", {}) or {},
+            ("c_dt", "c_mc", "deltas", "smooth_eps", "ito_delta"), "verify",
+        ),
         seed=seed,
         out_dir=merged.get("out_dir"),
         echo=merged,

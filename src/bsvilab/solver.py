@@ -96,9 +96,11 @@ class TreeBackend:
     are carried along.
     """
 
+    kind = "tree"
+
     def __init__(self, bundle: PathBundle):
         if bundle.levels is None:
-            raise ConfigError("tree backend requires a lattice bundle")
+            raise ConfigError("solver.ce 'tree' needs tree or deterministic noise")
         self.bundle = bundle
         self.sqdt = float(np.sqrt(bundle.dt[0])) if bundle.kind == "tree" else 0.0
         self.degenerate = bundle.kind == "deterministic"
@@ -123,6 +125,8 @@ class RegressionBackend:
     Values hold one entry per path on the last axis; a 2-D array is
     fitted row by row.
     """
+
+    kind = "lsq"
 
     def __init__(self, bundle: PathBundle, degree: int, ridge: float):
         self.bundle = bundle
@@ -163,8 +167,6 @@ class RegressionBackend:
 
 def make_backend(bundle: PathBundle, cfg: SolverConfig):
     if cfg.ce == "tree":
-        if bundle.kind not in ("tree", "deterministic"):
-            raise ConfigError("solver.ce 'tree' needs tree or deterministic noise")
         return TreeBackend(bundle)
     return RegressionBackend(bundle, cfg.degree, cfg.ridge)
 
@@ -314,18 +316,18 @@ def resolve_implicit(
 class SolutionField:
     """Backward solution on the grid, stored level by level.
 
-    The level format follows the backend that built the levels, not the
-    noise: tree levels hold one value per lattice node, regression levels
-    one value per evaluation path, even on a tree bundle.  H_levels
-    records the driver value the predictor actually used, so Y, Z, U, H
-    satisfy the step identity Y_{i+1} = Y_i - (H_i - U_i) dQ_i + Z_i dB_i
-    exactly on lattices.  implicit_method names how the penalty step
-    was solved: 'closed_form', 'bisect' or 'explicit'; max_stiffness is
-    the largest dQ_i / eps over the steps inside the budget (0 if none).
+    The level format follows backend_kind, the kind of the backend that
+    built the levels: tree levels hold one value per lattice node,
+    regression levels one value per evaluation path, even on a tree
+    bundle.  H_levels records the driver value the predictor actually
+    used, so Y, Z, U, H satisfy the step identity
+    Y_{i+1} = Y_i - (H_i - U_i) dQ_i + Z_i dB_i exactly on lattices.
+    implicit_method names how the penalty step was solved: 'closed_form',
+    'bisect' or 'explicit'; max_stiffness is the largest dQ_i / eps over
+    the steps inside the budget (0 if none).
     """
 
     eps: float
-    mode: str
     backend_kind: str
     Y_levels: list
     Z_levels: list
@@ -399,7 +401,7 @@ class Sweep:
 
 
 def backward_sweep(
-    bundle: PathBundle,
+    backend,
     phi: ConvexSpec,
     psi: ConvexSpec,
     gen: GeneratorSpec,
@@ -407,7 +409,7 @@ def backward_sweep(
     schedule,
     cfg: SolverConfig,
 ) -> Sweep:
-    """One backward sweep for a strictly decreasing eps schedule.
+    """One backward sweep on backend.bundle for a strictly decreasing eps schedule.
 
     Every level holds one row per eps.  Row r is active at step i while
     A_i <= 1 / eps_r; a finer eps has the larger budget, so the active
@@ -428,7 +430,7 @@ def backward_sweep(
             raise DomainError(
                 f"{label} is infinite at 0; recenter the potential first"
             )
-    backend = make_backend(bundle, cfg)
+    bundle = backend.bundle
     n = bundle.grid.steps
     t = bundle.grid.nodes
     dq = bundle.dq
@@ -506,8 +508,7 @@ def backward_sweep(
     solutions = [
         SolutionField(
             eps=float(eps),
-            mode=cfg.mode,
-            backend_kind=cfg.ce,
+            backend_kind=backend.kind,
             Y_levels=[lv[r] for lv in y_levels],
             Z_levels=[lv[r] for lv in z_levels],
             U_levels=[lv[r] for lv in u_levels],
@@ -530,20 +531,20 @@ def solve_penalized(
     eps: float,
     cfg: SolverConfig,
 ) -> SolutionField:
-    """One backward solve at a fixed penalization level eps."""
-    return backward_sweep(bundle, phi, psi, gen, terminal, (eps,), cfg).solutions[0]
+    """One backward solve at a fixed penalization level eps, on its own backend."""
+    sweep = backward_sweep(make_backend(bundle, cfg), phi, psi, gen, terminal, (eps,), cfg)
+    return sweep.solutions[0]
 
 
 @dataclass
 class SequenceResult:
-    eps_list: list
     solutions: dict
     gaps: list
     penalty_energy: dict
 
 
 def solve_sequence(
-    bundle: PathBundle,
+    backend,
     phi: ConvexSpec,
     psi: ConvexSpec,
     gen: GeneratorSpec,
@@ -552,20 +553,20 @@ def solve_sequence(
 ) -> SequenceResult:
     """Solve along the decreasing eps schedule on common random numbers.
 
-    The bundle is shared by every solve, so successive gaps measure the
-    penalization error alone.  Reported per adjacent pair: the sup gap of
-    Y over all nodes and the L2-in-time gap of Z along evaluation paths.
+    The caller builds the backend once; one sweep on backend.bundle
+    serves every eps, so gaps measure the penalization error alone.
+    Reported per adjacent pair: the sup gap of Y over all nodes and the
+    L2-in-time gap of Z along evaluation paths.
     Also logs the penalty energy eps * sum_i mean |U_i|^2 dQ_i, which
     stays bounded along the schedule when penalization converges.
     """
     schedule = cfg.eps_schedule
-    dt = bundle.dt
-    dq = bundle.dq
-    sweep = backward_sweep(bundle, phi, psi, gen, terminal, schedule, cfg)
+    bundle = backend.bundle
+    sweep = backward_sweep(backend, phi, psi, gen, terminal, schedule, cfg)
     solutions = dict(zip(schedule, sweep.solutions))
     # per level: mean |U|^2 of every row, and max |Y^a - Y^b| of every adjacent pair
     u2 = np.array([np.mean(u * u, axis=-1) for u in sweep.U_levels]).T
-    energy = {eps: float(eps * np.sum(u2_r * dq)) for eps, u2_r in zip(schedule, u2)}
+    energy = {eps: float(eps * np.sum(u2_r * bundle.dq)) for eps, u2_r in zip(schedule, u2)}
     y_gaps = np.max([np.max(np.abs(y[:-1] - y[1:]), axis=-1) for y in sweep.Y_levels], axis=0)
     gaps = []
     # Z alone, each eps expanded once and at most two held: caching full
@@ -575,7 +576,7 @@ def solve_sequence(
         a, b = solutions[e_coarse], solutions[e_fine]
         za = a.expand(bundle, a.Z_levels) if zb is None else zb
         zb = b.expand(bundle, b.Z_levels)
-        z_gap = float(np.sqrt(np.sum(np.mean((za - zb) ** 2, axis=0) * dt)))
+        z_gap = float(np.sqrt(np.sum(np.mean((za - zb) ** 2, axis=0) * bundle.dt)))
         gaps.append(
             {
                 "eps_coarse": float(e_coarse),
@@ -585,7 +586,6 @@ def solve_sequence(
             }
         )
     return SequenceResult(
-        eps_list=list(schedule),
         solutions=solutions,
         gaps=gaps,
         penalty_energy=energy,

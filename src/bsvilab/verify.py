@@ -31,7 +31,7 @@ import numpy as np
 from . import rng as rngmod
 from .convex import ConvexSpec, envelope, potential_value
 from .errors import DomainError, GridMismatch, InfinitePotential
-from .generators import GeneratorSpec, combined_driver
+from .generators import GeneratorSpec, combined_driver, driver_f, driver_g
 from .paths import PathBundle, gamma_shift
 from .solver import SmoothingConfig, SolutionField, smoothing_operator
 
@@ -353,10 +353,10 @@ def check_contraction(
 
 
 def _driver_source(gen: GeneratorSpec, bundle: PathBundle, v: np.ndarray, power) -> float:
-    """(sum e^{v}(|F(t,0,0)| dt + |G(t,0)| dA))^power over the grid steps."""
-    t = bundle.grid.nodes
-    f0 = np.array([np.abs(float(np.asarray(gen.F(t[i], 0.0, 0.0)))) for i in range(len(t) - 1)])
-    g0 = np.array([np.abs(float(np.asarray(gen.G(t[i], 0.0)))) for i in range(len(t) - 1)])
+    """(sum e^{v}(|F(t,0,0)| dt + |G(t,0)| dA))^power over the grid steps, F and G checked."""
+    t = bundle.grid.nodes[:-1]
+    f0 = np.array([np.abs(float(driver_f(gen, ti, 0.0, 0.0))) for ti in t])
+    g0 = np.array([np.abs(float(driver_g(gen, ti, 0.0))) for ti in t])
     return float(np.sum(np.exp(v[:-1]) * (f0 * bundle.dt + g0 * bundle.dA)) ** power)
 
 

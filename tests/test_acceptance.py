@@ -83,8 +83,8 @@ def _solve_scenario(overrides):
     exp = build_experiment(overrides)
     bundle = build_paths(exp.grid, exp.noise, exp.a_spec)
     bundle = _weighted(bundle, exp.gen, exp.solver.p, exp.solver.lam)
-    seq = solve_sequence(bundle, exp.phi, exp.psi, exp.gen, exp.terminal,
-                         exp.solver)
+    seq = solve_sequence(make_backend(bundle, exp.solver), exp.phi, exp.psi,
+                         exp.gen, exp.terminal, exp.solver)
     return exp, bundle, seq
 
 
@@ -255,10 +255,11 @@ def test_acceptance_08_contraction_mirror_and_terminal_shift(capsys):
     tree = _weighted(build_paths(grid, NoiseModel.binomial_tree(seed=1),
                                  ZERO_A))
     cfg = SolverConfig(eps_schedule=(0.1,))
-    base = solve_sequence(tree, ZERO, ZERO, ZERO_GEN, lambda b, a: b, cfg)
+    backend = make_backend(tree, cfg)
+    base = solve_sequence(backend, ZERO, ZERO, ZERO_GEN, lambda b, a: b, cfg)
     worst_shift = 0.0
     for h in (1e-3, 1e-2):
-        bumped = solve_sequence(tree, ZERO, ZERO, ZERO_GEN,
+        bumped = solve_sequence(backend, ZERO, ZERO, ZERO_GEN,
                                 lambda b, a: b + h, cfg)
         gap = abs(bumped.solutions[0.1].y0 - base.solutions[0.1].y0)
         worst_shift = max(worst_shift, abs(gap - h))

@@ -1,11 +1,14 @@
 import hashlib
+import importlib.util
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bsvilab.cli import execute, fmt, main, write_artifacts
+from bsvilab import cli, solver
+from bsvilab.cli import _sweep_override, execute, fmt, main, write_artifacts
 from bsvilab.errors import ConfigError
 from bsvilab.scenarios import SCENARIOS, build_experiment, resolve_config
 
@@ -57,11 +60,89 @@ def test_config_errors_name_the_field():
         ({"scenario": {"name": "martingale", "terminal": {"kind": "oracle"}}}, "scenario.terminal.kind"),
         ({"scenario": {"name": "martingale", "terminal": {"kind": "clamp", "lo": 1.0, "hi": -1.0}}}, "lo < hi"),
         ({"seed": "abc"}, "seed"),
+        # a typo inside a block names the key instead of falling back to a default
+        ({"scenario": {"name": "martingale", "terminal": {"kind": "brownian", "valeu": 1.0}}},
+         r"scenario.terminal: unknown keys \['valeu'\]"),
+        ({"scenario": {"name": "martingale", "termnal": {}}}, r"scenario: unknown keys \['termnal'\]"),
+        ({"potentials": {"phy": {"kind": "zero"}}}, r"potentials: unknown keys \['phy'\]"),
+        ({"potentials": {"phi": {"kind": "interval", "bb": 0.0}}}, r"potentials.phi: unknown keys \['bb'\]"),
+        ({"generator": {"g": "0"}}, r"generator: unknown keys \['g'\]"),
+        ({"noise": {"kind": "mc", "path": 10}}, r"noise: unknown keys \['path'\]"),
+        ({"grid": {"step": 10}}, r"grid: unknown keys \['step'\]"),
+        ({"grid": 10}, "grid: expected an object"),
+        ({"a_process": {"kind": "linear", "rat": 2.0}}, r"a_process: unknown keys \['rat'\]"),
+        ({"solver": {"eps_shedule": [0.05]}}, r"solver: unknown keys \['eps_shedule'\]"),
+        ({"verify": {"c_d": 1.0}}, r"verify: unknown keys \['c_d'\]"),
     ]
     for override, needle in cases:
         cfg = {**base, **override}
         with pytest.raises(ConfigError, match=needle):
             build_experiment(cfg)
+
+
+def _benchmark_configs():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return {name: w.config_for(1) for name, w in module.WORKLOADS.items()}
+
+
+def test_every_shipped_config_passes_the_key_check():
+    configs = {name: {"scenario": name} for name in SCENARIOS}
+    configs.update(_benchmark_configs())
+    # a block merged over a preset of another kind keeps the preset's keys
+    configs["tree-over-mc"] = {"scenario": "mc_martingale", "noise": {"kind": "tree"}}
+    configs["quadratic-over-interval"] = {
+        "scenario": "two_barrier", "potentials": {"phi": {"kind": "quadratic", "c": 1.0}}
+    }
+    for name, config in configs.items():
+        base = resolve_config(config)
+        build_experiment(base)
+        axes = {"eps": 0.05, "dt": 0.01}
+        if base["noise"]["kind"] == "mc":
+            axes["paths"] = 100
+        for axis, value in axes.items():
+            merged = base
+            for key, block in _sweep_override(axis, value, base).items():
+                merged = {**merged, key: {**merged.get(key, {}), **block}}
+            build_experiment(merged)
+
+
+def test_execute_builds_one_backend(monkeypatch):
+    make_backend = solver.make_backend
+    calls = []
+
+    def counted(bundle, cfg):
+        calls.append(cfg.ce)
+        return make_backend(bundle, cfg)
+
+    monkeypatch.setattr(cli, "make_backend", counted)
+    monkeypatch.setattr(solver, "make_backend", counted)
+    for config in (MART_SMALL, {"scenario": "mc_martingale", "grid": {"steps": 8}, "noise": {"paths": 200}}):
+        calls.clear()
+        res = execute(build_experiment(config))
+        assert calls == [res.exp.solver.ce]
+        assert {s.backend_kind for s in res.seq.solutions.values()} == {res.exp.solver.ce}
+
+
+# sha256 of results.csv for every tree and deterministic preset at its
+# defaults.  These runs use only +, -, *, / and sqrt, so the bytes should
+# not depend on the CPU; a change that moves them moves a result.
+RESULTS_CSV_SHA256 = {
+    "clocked_decay": "774f9ddcfb3337a8e14268f3aefeb407276475140a8c9f49f48fde1eb16ce7d4",
+    "linear": "907ff6ebc11baa77e819236c03b492fc675fd60f44671390f2533e28186c21ed",
+    "martingale": "c9666b6a76a98a19f926b7651a465eb2049fb1200456d9c3765a47b0c5bf9f6a",
+    "reflection": "5126da07cf993631ebb24165b38a11b7978df833b03b1c54a4afc1c682017941",
+    "two_barrier": "0c1c6ca9ac2cd1e4928411af05f4c9f5240a4f09b97b554a314e88df9a86d2da",
+    "two_barrier_driven": "f2d6f8f8ba90d0a0b7fcc9b2cd4741e40f2e4a0c1c71f6643b8b615d3782ae05",
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(RESULTS_CSV_SHA256))
+def test_results_csv_bytes_hold_on_exact_presets(tmp_path, scenario):
+    written = write_artifacts(str(tmp_path), execute(build_experiment({"scenario": scenario})))
+    assert written["artifact_hashes"]["results.csv"] == RESULTS_CSV_SHA256[scenario]
 
 
 def test_terminal_kinds_evaluate():

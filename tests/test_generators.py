@@ -40,8 +40,9 @@ def test_combined_driver_frozen_values():
     assert combined_driver(gen, 0.5, 0.0, 1.0, 0.0) == 0.5
     assert combined_driver(gen, 1.0, 0.3, 2.0, 7.0) == -2.0
     assert combined_driver(ZERO_GEN, 0.7, 0.1, 3.0, -4.0) == 0.0
-    with pytest.raises(DomainError):
-        combined_driver(gen, 1.5, 0.0, 1.0, 0.0)
+    for alpha in (1.5, -0.1, np.nan):
+        with pytest.raises(DomainError):
+            combined_driver(gen, alpha, 0.0, 1.0, 0.0)
 
 
 def test_combined_driver_vectorizes_over_y():
@@ -49,6 +50,13 @@ def test_combined_driver_vectorizes_over_y():
     y = np.array([-1.0, 0.0, 2.0])
     out = combined_driver(gen, 0.5, 0.0, y, np.zeros(3))
     assert np.array_equal(out, 0.5 * (-y) + 0.5 * (2 * y))
+    # constant drivers still give a fresh writable array of y's shape,
+    # because the sweep assigns into H rows
+    const = GeneratorSpec.from_expressions("1", "0")
+    out = combined_driver(const, 0.25, 0.0, y, np.zeros(3))
+    assert out.shape == y.shape and out.dtype == float and out.flags.writeable
+    out[0] = 7.0
+    assert np.array_equal(combined_driver(const, 0.25, 0.0, y, np.zeros(3)), np.full(3, 0.25))
 
 
 def test_project_to_ball_values():
@@ -162,6 +170,7 @@ def test_validate_generator_checks_declared_coefficients():
         validate_generator(GeneratorSpec.from_expressions("z", "0", ell=0.0))
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # 0 * inf
 def test_non_finite_driver_is_reported():
     bad = GeneratorSpec(
         F=lambda t, y, z: np.where(np.asarray(y) > 0.0, np.inf, 0.0),
@@ -169,6 +178,16 @@ def test_non_finite_driver_is_reported():
     )
     with pytest.raises(NonFiniteGenerator):
         combined_driver(bad, 1.0, 0.0, np.array([1.0]), np.array([0.0]))
+    # H is checked once, after mixing: a bad driver at weight 0 still shows
+    y, z = np.array([1.0, -1.0]), np.zeros(2)
+    for value in (np.inf, -np.inf, np.nan):
+        blow_up = GeneratorSpec(
+            F=lambda t, y, z, v=value: np.full(np.shape(y), v), G=lambda t, y, v=value: v
+        )
+        with pytest.raises(NonFiniteGenerator):
+            combined_driver(GeneratorSpec(F=bad.F, G=blow_up.G), 1.0, 0.0, -y, z)
+        with pytest.raises(NonFiniteGenerator):
+            combined_driver(GeneratorSpec(F=blow_up.F, G=bad.G), 0.0, 0.0, y, z)
 
 
 def test_mollifier_config_invariants():

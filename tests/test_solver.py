@@ -255,7 +255,7 @@ def test_sequence_zero_potentials_have_zero_gaps():
     bundle = tree_bundle(7)
     gen = GeneratorSpec.from_expressions("-y", "0", mu=-1.0)
     cfg = SolverConfig(eps_schedule=(0.1, 0.05, 0.025))
-    seq = solve_sequence(bundle, ZERO, ZERO, gen, terminal_driver, cfg)
+    seq = solve_sequence(make_backend(bundle, cfg), ZERO, ZERO, gen, terminal_driver, cfg)
     for gap in seq.gaps:
         assert gap["y_gap"] == 0.0
         assert gap["z_gap"] == 0.0
@@ -266,7 +266,7 @@ def test_sequence_reflection_gap_tracks_eps():
     bundle = det_bundle(500)
     gen = GeneratorSpec.from_expressions("1", "0")
     cfg = SolverConfig(eps_schedule=(0.1, 0.05))
-    seq = solve_sequence(bundle, HALFLINE, ZERO, gen, terminal_const(-0.5), cfg)
+    seq = solve_sequence(make_backend(bundle, cfg), HALFLINE, ZERO, gen, terminal_const(-0.5), cfg)
     assert np.isclose(seq.gaps[0]["y_gap"], 0.05, rtol=0.2)
     assert all(np.isfinite(v) for v in seq.penalty_energy.values())
 
@@ -339,6 +339,11 @@ def test_backend_selection_rules():
         make_backend(mc, SolverConfig(ce="tree"))
     assert make_backend(mc, SolverConfig(ce="lsq")).degree == 3
     assert make_backend(tree_bundle(4), SolverConfig()).__class__.__name__ == "TreeBackend"
+    # the level format is the backend's, whatever cfg.ce says
+    lsq = make_backend(tree_bundle(4), SolverConfig(ce="lsq"))
+    seq = solve_sequence(lsq, ZERO, ZERO, ZERO_GEN, terminal_driver, SolverConfig())
+    assert seq.solutions[0.1].backend_kind == lsq.kind == "lsq"
+    assert seq.solutions[0.1].Y_levels[2].shape == (lsq.bundle.n_paths,)
 
 
 def test_unnormalized_potential_is_refused():
@@ -368,12 +373,15 @@ def sweep_and_oracle(config):
     """(one sweep, per-eps oracle, their StiffnessWarning messages) for a config."""
     exp = build_experiment(config)
     bundle = build_paths(exp.grid, exp.noise, exp.a_spec)
-    args = (bundle, exp.phi, exp.psi, exp.gen, exp.terminal, exp.solver)
+    args = (exp.phi, exp.psi, exp.gen, exp.terminal, exp.solver)
     out = []
-    for solve in (solve_sequence, solve_sequence_oracle):
+    for solve, on in (
+        (solve_sequence, make_backend(bundle, exp.solver)),
+        (solve_sequence_oracle, bundle),
+    ):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            out.append(solve(*args))
+            out.append(solve(on, *args))
         out.append([str(w.message) for w in caught if w.category is StiffnessWarning])
     seq, seq_warned, ref, ref_warned = out
     return seq, ref, seq_warned, ref_warned
@@ -462,10 +470,10 @@ def test_one_sweep_matches_the_per_eps_sweeps_on_bisection():
     gen = GeneratorSpec.from_expressions("0.3 - y", "0.5 * y")
     terminal = lambda b, a: 0.5 * b + 1.2  # noqa: E731
     cfg = SolverConfig(eps_schedule=(1.0, 0.5))
-    args = (bundle, CUSTOM_QUAD, QUAD1, gen, terminal, cfg)
-    seq = solve_sequence(*args)
+    args = (CUSTOM_QUAD, QUAD1, gen, terminal, cfg)
+    seq = solve_sequence(make_backend(bundle, cfg), *args)
     assert {sol.implicit_method for sol in seq.solutions.values()} == {"bisect"}
-    assert_matches_oracle(seq, solve_sequence_oracle(*args))
+    assert_matches_oracle(seq, solve_sequence_oracle(bundle, *args))
 
 
 def test_rows_outside_their_budget_skip_the_driver_and_the_penalty(monkeypatch):
@@ -515,11 +523,12 @@ def test_non_finite_driver_on_the_finest_row_alone_still_raises():
     coarse = solve_penalized(bundle, HALFLINE, ZERO, gen, terminal_const(-0.5), 0.5, cfg)
     assert max(float(y[0]) for y in coarse.Y_levels) < 0.05
     with pytest.raises(NonFiniteGenerator):
-        solve_sequence(bundle, HALFLINE, ZERO, gen, terminal_const(-0.5), cfg)
+        solve_sequence(make_backend(bundle, cfg), HALFLINE, ZERO, gen, terminal_const(-0.5), cfg)
 
 
 def test_sweep_refuses_a_schedule_that_is_not_decreasing():
     with pytest.raises(ConfigError):
         solver.backward_sweep(
-            det_bundle(4), ZERO, ZERO, ZERO_GEN, terminal_const(1.0), (0.1, 0.2), SolverConfig()
+            make_backend(det_bundle(4), SolverConfig()), ZERO, ZERO, ZERO_GEN, terminal_const(1.0),
+            (0.1, 0.2), SolverConfig(),
         )

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bsvilab.convex import ConvexSpec
-from bsvilab.errors import DomainError, GridMismatch, InfinitePotential
+from bsvilab.errors import DomainError, GridMismatch, InfinitePotential, NonFiniteGenerator
 from bsvilab.generators import GeneratorSpec
 from bsvilab.paths import (
     IncreasingProcessSpec,
@@ -37,6 +37,10 @@ HALFLINE = ConvexSpec.interval(-np.inf, 0.0)
 ZERO_GEN = GeneratorSpec.from_expressions("0", "0")
 ZERO_A = IncreasingProcessSpec.zero()
 CFG = SolverConfig(eps_schedule=(0.1,))
+INF_F_AT_ZERO = GeneratorSpec(
+    F=lambda t, y, z: np.where(np.asarray(y) == 0.0, np.inf, 0.0), G=ZERO_GEN.G
+)
+INF_G = GeneratorSpec(F=ZERO_GEN.F, G=lambda t, y: np.inf)
 
 
 def terminal_driver(b, a):
@@ -280,6 +284,11 @@ def test_apriori_bound_reference_cases():
     with pytest.raises(GridMismatch):
         check_apriori_bound(ssol, bare, ZERO_GEN, np.zeros(bare.n_paths), p=2.0)
 
+    # an infinite source term would let the bound pass vacuously
+    for bad in (INF_F_AT_ZERO, INF_G):
+        with pytest.raises(NonFiniteGenerator):
+            check_apriori_bound(lsol, db, bad, np.ones(1), p=2.0)
+
 
 def test_energy_bound_with_positive_part_weights():
     bundle, sol = martingale_solution()
@@ -292,6 +301,10 @@ def test_energy_bound_with_positive_part_weights():
     ssol = solve_penalized(bare, ZERO, ZERO, ZERO_GEN, terminal_driver, 0.1, CFG)
     with pytest.raises(GridMismatch):
         check_energy_bound(ssol, bare, ZERO_GEN, np.zeros(bare.n_paths))
+
+    for bad in (INF_F_AT_ZERO, INF_G):
+        with pytest.raises(NonFiniteGenerator):
+            check_energy_bound(sol, bundle, bad, eta)
 
 
 def test_zero_potential_solutions_pass_random_probes():
