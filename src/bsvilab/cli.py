@@ -112,13 +112,16 @@ def execute(exp: Experiment) -> RunResult:
             )
         )
     terminal_values = final.paths(bundle)["Y"][:, -1]
+    at_zero = verifymod.driver_at_zero(exp.gen, bundle)
     reports.append(
         verifymod.check_apriori_bound(
-            final, bundle, exp.gen, terminal_values, exp.solver.p
+            final, bundle, exp.gen, terminal_values, exp.solver.p, at_zero=at_zero
         )
     )
     reports.append(
-        verifymod.check_energy_bound(final, bundle, exp.gen, terminal_values)
+        verifymod.check_energy_bound(
+            final, bundle, exp.gen, terminal_values, at_zero=at_zero
+        )
     )
     verify_s = time.perf_counter() - t_verify
 

@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from . import rng as rngmod
-from .errors import ConfigError, DomainError, ZeroStep
+from .errors import ConfigError, DomainError, GridMismatch, ZeroStep
 
 # trees with at most this many steps enumerate every path exactly
 ENUMERATION_LIMIT = 12
@@ -175,7 +175,8 @@ class PathBundle:
 
     @property
     def dq(self) -> np.ndarray:
-        return np.diff(self.Q)
+        # dt + dA, not diff(Q): rounding keeps it >= dt, so alpha <= 1
+        return self.dt + np.diff(self.A)
 
     @property
     def dA(self) -> np.ndarray:
@@ -189,11 +190,19 @@ class PathBundle:
         return out
 
     def on_paths(self, level_values: list) -> np.ndarray:
-        """Materialize per-level lattice arrays onto evaluation paths."""
+        """Materialize per-level lattice arrays onto evaluation paths.
+
+        The levels are laid end to end and gathered in one take: level
+        i starts at the sum of the sizes of the levels before it.
+        """
         if self.node_index is None:
             raise ConfigError("on_paths requires a lattice bundle")
-        cols = [level_values[i][self.node_index[:, i]] for i in range(len(level_values))]
-        return np.stack(cols, axis=1)
+        n = len(level_values)
+        sizes = [len(level) for level in level_values]
+        if sizes != [len(level) for level in self.levels[:n]]:
+            raise GridMismatch("level sizes do not match the lattice")
+        offsets = np.concatenate([[0], np.cumsum(sizes[:-1], dtype=np.int64)])
+        return np.concatenate(level_values)[self.node_index[:, :n] + offsets]
 
 
 def _tree_levels(n_steps: int, sqdt: float) -> list:
@@ -220,7 +229,9 @@ def build_paths(
     dt = grid.dt
     A = a_spec.values(t)
     Q = t + A
-    dq = np.diff(Q)
+    # diff(t + A) can round below dt when dA is tiny; dt + dA cannot,
+    # since A is non-decreasing and rounding is monotone
+    dq = dt + np.diff(A)
     alpha = dt / dq
 
     levels = None

@@ -36,18 +36,37 @@ def aux_stream(seed: int, role_index: int) -> np.random.Generator:
     return keyed_stream(seed, AUX_NS + role_index)
 
 
+def _path_streams(seed: int, n_paths: int):
+    """The path streams 0, 1, ... in turn, as one generator re-keyed in place.
+
+    Each re-key restores the state of a freshly keyed Philox (counter 0,
+    empty buffers) under the path's key, so the draws equal those of
+    path_stream(seed, p) without building a generator per path.
+    """
+    gen = path_stream(seed, 0)
+    bitgen = gen.bit_generator
+    fresh = bitgen.state
+    for p in range(n_paths):
+        if p:
+            fresh["state"]["key"] = np.array(
+                [seed & _MASK64, (PATH_NS + p) & _MASK64], dtype=np.uint64
+            )
+            bitgen.state = fresh
+        yield gen
+
+
 def gaussian_increments(seed: int, n_paths: int, dt: np.ndarray) -> np.ndarray:
     """Brownian increments, shape (n_paths, len(dt)), one stream per path."""
     sqdt = np.sqrt(np.asarray(dt, dtype=float))
     out = np.empty((n_paths, sqdt.size))
-    for p in range(n_paths):
-        out[p] = path_stream(seed, p).standard_normal(sqdt.size) * sqdt
+    for p, gen in enumerate(_path_streams(seed, n_paths)):
+        out[p] = gen.standard_normal(sqdt.size) * sqdt
     return out
 
 
 def sign_paths(seed: int, n_paths: int, n_steps: int) -> np.ndarray:
     """Fair up/down indicators in {0, 1}, shape (n_paths, n_steps)."""
     out = np.empty((n_paths, n_steps), dtype=np.int64)
-    for p in range(n_paths):
-        out[p] = path_stream(seed, p).integers(0, 2, size=n_steps)
+    for p, gen in enumerate(_path_streams(seed, n_paths)):
+        out[p] = gen.integers(0, 2, size=n_steps)
     return out

@@ -123,7 +123,19 @@ class RegressionBackend:
     """Least-squares projection onto monomials {1, B, ..., B^degree}.
 
     Values hold one entry per path on the last axis; a 2-D array is
-    fitted row by row.
+    fitted row by row.  At date 0 every path has B = 0 and the fit is
+    the sample mean.
+
+    The basis x = vander(B_i) changes only with the date, so it is
+    factored once per date: a thin SVD x = U S V^T, keeping the columns
+    u of U whose singular value exceeds finfo.eps * max(P, degree + 1)
+    * s_max.  That is lstsq's rank rule with rcond=None, so every fit
+    u (u^T target) is lstsq's minimum-norm fit, also where the basis is
+    rank deficient (a tree's early dates, deterministic noise).  One
+    slot holds the last date's factor, so callers keep a date's fits
+    together; a cache across dates would hold P x (degree + 1) floats
+    per date.  With a ridge the fit solves the regularized normal
+    equations on x instead.
     """
 
     kind = "lsq"
@@ -133,26 +145,36 @@ class RegressionBackend:
         self.degree = int(degree)
         self.ridge = float(ridge)
         self.B = bundle.driver_paths()
+        self._slot = (None, None)  # (date, u or, with a ridge, x)
 
     def terminal_driver(self) -> np.ndarray:
         return self.B[:, -1]
 
+    def _basis(self, i: int) -> np.ndarray:
+        if self._slot[0] != i:
+            x = np.vander(self.B[:, i], self.degree + 1, increasing=True)
+            if self.ridge > 0.0:
+                self._slot = (i, x)
+            else:
+                u, s, _ = np.linalg.svd(x, full_matrices=False)
+                rank = np.count_nonzero(s > np.finfo(float).eps * max(x.shape) * s[0])
+                self._slot = (i, u[:, :rank])
+        return self._slot[1]
+
     def _fit(self, i: int, target: np.ndarray) -> np.ndarray:
         if target.ndim == 2:
-            # one fit per eps row: stacked right-hand sides change lstsq's bits
+            # one fit per eps row: stacked right-hand sides change the bits
             out = np.empty_like(target)
             for r, row in enumerate(target):
                 out[r] = self._fit(i, row)
             return out
         if i == 0:
             return np.full_like(target, float(np.mean(target)))
-        x = np.vander(self.B[:, i], self.degree + 1, increasing=True)
+        x = self._basis(i)
         if self.ridge > 0.0:
             gram = x.T @ x + self.ridge * np.eye(self.degree + 1)
-            beta = np.linalg.solve(gram, x.T @ target)
-        else:
-            beta = np.linalg.lstsq(x, target, rcond=None)[0]
-        return x @ beta
+            return x @ np.linalg.solve(gram, x.T @ target)
+        return x @ (target @ x)
 
     def ce(self, i: int, v_next: np.ndarray) -> np.ndarray:
         return self._fit(i, v_next)
@@ -636,35 +658,34 @@ def smoothing_operator(
     n = bundle.grid.steps
     t = bundle.grid.nodes
     dq = bundle.dq
+    # the first node with t >= eps; eps > 0 = t_0, so i_eps >= 1
     i_eps = int(np.searchsorted(t, cfg.eps))
     if i_eps >= n + 1:
         raise DomainError("smoothing eps lies beyond the horizon")
-    if i_eps == 0:
-        i_eps = 1  # eps > 0 and t_0 = 0, so the window never starts at 0
     scale = float(bundle.Q[i_eps])
 
-    # backward accumulation of the kernel sum and its deterministic mass
+    # one backward pass; each date takes its expectation and its loading
+    # together.  From i_eps on, M is the kernel sum over its deterministic
+    # mass; below i_eps it extends as a martingale.
     g_acc = np.asarray(u_levels[n], dtype=float).copy()
     w_acc = 1.0  # closed-form tail on the held terminal value
     m_levels = [None] * (n + 1)
+    n_levels = [None] * n
+    r_levels = [None] * n
     m_levels[n] = g_acc / w_acc
     for i in reversed(range(n)):
-        decay = float(np.exp(-dq[i] / scale))
-        w_i = dq[i] / scale
-        g_acc = w_i * np.asarray(u_levels[i], dtype=float) + decay * backend.ce(i, g_acc)
-        w_acc = w_i + decay * w_acc
-        m_levels[i] = g_acc / w_acc
-    for i in range(i_eps - 1, -1, -1):
-        m_levels[i] = backend.ce(i, m_levels[i + 1])
-
-    n_levels = []
-    r_levels = []
-    for i in range(n):
-        if t[i] >= cfg.eps:
-            n_levels.append((np.asarray(u_levels[i], dtype=float) - m_levels[i]) / scale)
+        if i >= i_eps:
+            decay = float(np.exp(-dq[i] / scale))
+            w_i = dq[i] / scale
+            u_i = np.asarray(u_levels[i], dtype=float)
+            g_acc = w_i * u_i + decay * backend.ce(i, g_acc)
+            w_acc = w_i + decay * w_acc
+            m_levels[i] = g_acc / w_acc
+            n_levels[i] = (u_i - m_levels[i]) / scale
         else:
-            n_levels.append(np.zeros_like(m_levels[i]))
-        r_levels.append(backend.z(i, m_levels[i + 1]))
+            m_levels[i] = backend.ce(i, m_levels[i + 1])
+            n_levels[i] = np.zeros_like(m_levels[i])
+        r_levels[i] = backend.z(i, m_levels[i + 1])
 
     return SmoothedProcess(
         gamma=float(np.mean(m_levels[0])),

@@ -352,11 +352,26 @@ def check_contraction(
     )
 
 
-def _driver_source(gen: GeneratorSpec, bundle: PathBundle, v: np.ndarray, power) -> float:
-    """(sum e^{v}(|F(t,0,0)| dt + |G(t,0)| dA))^power over the grid steps, F and G checked."""
+def driver_at_zero(gen: GeneratorSpec, bundle: PathBundle) -> tuple:
+    """(|F(t,0,0)|, |G(t,0)|) at the left node of every step, F and G checked.
+
+    The a-priori and energy bounds share these source terms; callers
+    that run both compute them once and hand them to each.
+    """
     t = bundle.grid.nodes[:-1]
     f0 = np.array([np.abs(float(driver_f(gen, ti, 0.0, 0.0))) for ti in t])
     g0 = np.array([np.abs(float(driver_g(gen, ti, 0.0))) for ti in t])
+    return f0, g0
+
+
+def _driver_source(
+    gen: GeneratorSpec, bundle: PathBundle, v: np.ndarray, power, at_zero: Optional[tuple]
+) -> float:
+    """(sum e^{v}(|F(t,0,0)| dt + |G(t,0)| dA))^power over the grid steps.
+
+    at_zero is driver_at_zero(gen, bundle), computed here when None.
+    """
+    f0, g0 = driver_at_zero(gen, bundle) if at_zero is None else at_zero
     return float(np.sum(np.exp(v[:-1]) * (f0 * bundle.dt + g0 * bundle.dA)) ** power)
 
 
@@ -368,12 +383,16 @@ def check_apriori_bound(
     p: float,
     c_fit: float = APRIORI_C_FIT,
     name: str = "apriori-bound",
+    *,
+    at_zero: Optional[tuple] = None,
 ) -> VerificationReport:
     """Path-averaged a-priori estimate with a frozen fitted constant.
 
     mean[max_i e^{pV_i}|Y_i|^p] + mean[(sum e^{2V}|Z|^2 dt)^{p/2}]
     <= c_fit * ( mean[e^{pV_N}|eta|^p]
                  + mean[(sum e^{V}(|F(t,0,0)| dt + |G(t,0)| dA))^p] ).
+
+    at_zero is driver_at_zero(gen, bundle), computed here when not given.
     """
     if bundle.V is None:
         raise GridMismatch("bundle has no accumulated weights, call accumulate_weights")
@@ -383,7 +402,7 @@ def check_apriori_bound(
         np.mean(np.max(np.exp(p * v) * np.abs(pw["Y"]) ** p, axis=1))
         + np.mean(np.sum(np.exp(2.0 * v[:-1]) * pw["Z"] ** 2 * bundle.dt, axis=1) ** (p / 2.0))
     )
-    source = _driver_source(gen, bundle, v, p)
+    source = _driver_source(gen, bundle, v, p, at_zero)
     rhs = float(np.mean(np.exp(p * v[-1]) * np.abs(terminal_values) ** p) + source)
     margin = c_fit * rhs - lhs
     return VerificationReport(
@@ -402,19 +421,23 @@ def check_energy_bound(
     terminal_values: np.ndarray,
     c_fit: float = ENERGY_C_FIT,
     name: str = "energy-bound",
+    *,
+    at_zero: Optional[tuple] = None,
 ) -> VerificationReport:
     """Positive-part weighted energy estimate with a frozen fitted constant.
 
     mean[max_i e^{2Vplus_i}|Y_i|^2]
     <= c_fit * ( mean[e^{2Vplus_N}|eta|^2]
                  + mean[(sum e^{Vplus}(|F(t,0,0)| dt + |G(t,0)| dA))^2] ).
+
+    at_zero is driver_at_zero(gen, bundle), computed here when not given.
     """
     if bundle.Vplus is None:
         raise GridMismatch("bundle has no accumulated weights, call accumulate_weights")
     pw = sol.paths(bundle)
     v = bundle.Vplus
     lhs = float(np.mean(np.max(np.exp(2.0 * v) * pw["Y"] ** 2, axis=1)))
-    source = _driver_source(gen, bundle, v, 2)
+    source = _driver_source(gen, bundle, v, 2, at_zero)
     rhs = float(np.mean(np.exp(2.0 * v[-1]) * terminal_values**2) + source)
     return VerificationReport(
         name=name,

@@ -5,7 +5,10 @@ come from staged grid minimization of the defining objective, and
 mollified drivers from a high-resolution quadrature with its own
 normalization.  The results.csv writer is the plain per-row csv.writer
 rendering, and the eps schedule is solved by one backward sweep per eps
-with a per-segment implicit inverse.  Slow and simple on purpose.
+with a per-segment implicit inverse.  Regression fits rebuild the
+Vandermonde basis and call lstsq on every fit, and the smoothing
+operator runs its kernel sum over every date before a second pass.
+Slow and simple on purpose.
 """
 
 import csv
@@ -22,7 +25,7 @@ from bsvilab.generators import (
     mollify_driver,
     mollify_driver_g,
 )
-from bsvilab.solver import implicit_method, make_backend
+from bsvilab.solver import SmoothedProcess, implicit_method, make_backend
 
 
 def prox_oracle(potential, eps, y, half_width=None):
@@ -253,3 +256,59 @@ def solve_sequence_oracle(bundle, phi, psi, gen, terminal, cfg):
         eps: solve_penalized_oracle(bundle, phi, psi, gen, terminal, eps, cfg)
         for eps in cfg.eps_schedule
     }
+
+
+def regression_fit_oracle(b, degree, target, ridge=0.0):
+    """Least-squares fit of target on {1, b, ..., b^degree}, one lstsq per row."""
+    target = np.asarray(target, dtype=float)
+    if target.ndim == 2:
+        return np.stack([regression_fit_oracle(b, degree, row, ridge) for row in target])
+    x = np.vander(b, degree + 1, increasing=True)
+    if ridge > 0.0:
+        gram = x.T @ x + ridge * np.eye(degree + 1)
+        beta = np.linalg.solve(gram, x.T @ target)
+    else:
+        beta = np.linalg.lstsq(x, target, rcond=None)[0]
+    return x @ beta
+
+
+def smoothing_operator_oracle(bundle, backend, u_levels, cfg):
+    """The smoothing operator as two backward loops and a forward one."""
+    n = bundle.grid.steps
+    t = bundle.grid.nodes
+    dq = bundle.dq
+    i_eps = int(np.searchsorted(t, cfg.eps))
+    if i_eps >= n + 1:
+        raise DomainError("smoothing eps lies beyond the horizon")
+    scale = float(bundle.Q[i_eps])
+
+    g_acc = np.asarray(u_levels[n], dtype=float).copy()
+    w_acc = 1.0
+    m_levels = [None] * (n + 1)
+    m_levels[n] = g_acc / w_acc
+    for i in reversed(range(n)):
+        decay = float(np.exp(-dq[i] / scale))
+        w_i = dq[i] / scale
+        g_acc = w_i * np.asarray(u_levels[i], dtype=float) + decay * backend.ce(i, g_acc)
+        w_acc = w_i + decay * w_acc
+        m_levels[i] = g_acc / w_acc
+    for i in range(i_eps - 1, -1, -1):
+        m_levels[i] = backend.ce(i, m_levels[i + 1])
+
+    n_levels = []
+    r_levels = []
+    for i in range(n):
+        if t[i] >= cfg.eps:
+            n_levels.append((np.asarray(u_levels[i], dtype=float) - m_levels[i]) / scale)
+        else:
+            n_levels.append(np.zeros_like(m_levels[i]))
+        r_levels.append(backend.z(i, m_levels[i + 1]))
+
+    return SmoothedProcess(
+        gamma=float(np.mean(m_levels[0])),
+        M_levels=m_levels,
+        N_levels=n_levels,
+        R_levels=r_levels,
+        i_eps=i_eps,
+        scale=scale,
+    )

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bsvilab import cli, solver
+from bsvilab import cli, solver, verify
 from bsvilab.cli import _sweep_override, execute, fmt, main, write_artifacts
 from bsvilab.errors import ConfigError
 from bsvilab.scenarios import SCENARIOS, build_experiment, resolve_config
@@ -271,6 +271,41 @@ def test_tree_noise_with_regression_expectations_verifies(scenario):
     assert res.summary["all_passed"], [r.name for r in res.reports if not r.passed]
     sol = res.seq.solutions[exp.solver.eps_schedule[-1]]
     assert np.array_equal(sol.paths(res.bundle)["Y"], np.stack(sol.Y_levels, axis=1))
+
+
+def test_tiny_ramp_keeps_the_clock_density_at_most_one():
+    # diff(t + A) rounded below dt on the last step: alpha was 1 + 6.7e-16
+    # and combined_driver raised DomainError
+    exp = build_experiment({
+        "scenario": "linear",
+        "grid": {"T": 1, "steps": 5},
+        "a_process": {"kind": "ramp", "start": 0.5, "rate": 2.220446049250313e-16},
+    })
+    res = execute(exp)
+    assert np.all(res.bundle.alpha <= 1.0)
+    assert res.summary["all_passed"], [r.name for r in res.reports if not r.passed]
+
+
+def test_execute_evaluates_the_driver_at_zero_once(monkeypatch):
+    driver_f = verify.driver_f
+    calls = []
+
+    def counted(gen, t, y, z):
+        calls.append(t)
+        return driver_f(gen, t, y, z)
+
+    monkeypatch.setattr(verify, "driver_f", counted)
+    exp = build_experiment({"scenario": "two_barrier_driven", "grid": {"steps": 16}})
+    res = execute(exp)
+    assert len(calls) == exp.grid.steps
+    # each bound computes the same source terms itself when not handed them
+    final = res.seq.solutions[exp.solver.eps_schedule[-1]]
+    eta = final.paths(res.bundle)["Y"][:, -1]
+    alone = [
+        verify.check_apriori_bound(final, res.bundle, exp.gen, eta, exp.solver.p),
+        verify.check_energy_bound(final, res.bundle, exp.gen, eta),
+    ]
+    assert [r.as_dict() for r in res.reports[-2:]] == [r.as_dict() for r in alone]
 
 
 def test_execute_summary_structure(tmp_path):

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bsvilab import rng as rngmod
-from bsvilab.errors import ConfigError, DomainError, ZeroStep
+from bsvilab.errors import ConfigError, DomainError, GridMismatch, ZeroStep
 from bsvilab.paths import (
     DEFAULT_TREE_EVAL_PATHS,
     IncreasingProcessSpec,
@@ -132,6 +132,18 @@ def test_tree_enumeration_and_lattice_maps():
     assert np.allclose(walked, b.driver_paths(), rtol=0, atol=1e-12)
 
 
+def test_on_paths_gathers_each_level_along_the_walks():
+    b = build_paths(TimeGrid.uniform(1.0, 20), NoiseModel.binomial_tree(seed=3, eval_paths=64), ZERO_A)
+    rng = np.random.default_rng(2)
+    values = [rng.standard_normal(i + 1) for i in range(21)]
+    for n in (21, 20, 1):  # Y levels, Z/U/H levels, one level
+        want = np.stack([values[i][b.node_index[:, i]] for i in range(n)], axis=1)
+        got = b.on_paths(values[:n])
+        assert got.shape == (64, n) and got.tobytes() == want.tobytes()
+    with pytest.raises(GridMismatch):
+        b.on_paths([values[1]] + values[1:])
+
+
 def test_tree_sampling_beyond_enumeration_limit():
     b = build_paths(TimeGrid.uniform(1.0, 13), NoiseModel.binomial_tree(seed=7), ZERO_A)
     assert b.n_paths == DEFAULT_TREE_EVAL_PATHS
@@ -158,12 +170,16 @@ def test_mc_increment_mean_gate():
     start=st.floats(min_value=0.0, max_value=0.9),
     steps=st.integers(min_value=1, max_value=40),
 )
+# diff(t + A) rounds below dt here, which made alpha = 1 + 6.7e-16
+@example(rate=2.220446049250313e-16, start=0.5, steps=5)
 def test_clock_consistency(rate, start, steps):
     grid = TimeGrid.uniform(1.0, steps)
     b = build_paths(grid, NoiseModel.deterministic(), IncreasingProcessSpec.ramp(start, rate))
     assert np.all(b.alpha > 0.0) and np.all(b.alpha <= 1.0)
     assert np.isclose(np.sum(b.alpha * b.dq), 1.0, rtol=0, atol=1e-12)
     assert np.isclose(np.sum((1.0 - b.alpha) * b.dq), b.A[-1], rtol=0, atol=1e-12)
+    assert np.array_equal(b.dq, b.dt + np.diff(b.A))
+    assert np.array_equal(b.alpha, b.dt / b.dq)
 
 
 def test_grid_and_spec_validation():
@@ -230,6 +246,12 @@ def test_rng_stream_derivation_rule():
     w1 = rngmod.keyed_stream(5, 0).standard_normal(4)
     w2 = rngmod.keyed_stream(5 + 2**64, 0).standard_normal(4)
     assert np.array_equal(w1, w2)
+    # sign draws use the half-word buffer; an odd count leaves it half full
+    for steps in (3, 64):
+        ups = rngmod.sign_paths(seed=11, n_paths=4, n_steps=steps)
+        for p in range(4):
+            expect = rngmod.path_stream(11, p).integers(0, 2, size=steps)
+            assert np.array_equal(ups[p], expect)
 
 
 def test_sign_paths_are_fair_indicators():

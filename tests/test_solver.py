@@ -25,7 +25,12 @@ from bsvilab.solver import (
     solve_sequence,
 )
 
-from oracles import reflection_oracle, solve_sequence_oracle
+from oracles import (
+    reflection_oracle,
+    regression_fit_oracle,
+    smoothing_operator_oracle,
+    solve_sequence_oracle,
+)
 
 ZERO = ConvexSpec.zero()
 QUAD1 = ConvexSpec.quadratic(1.0)
@@ -532,3 +537,111 @@ def test_sweep_refuses_a_schedule_that_is_not_decreasing():
             make_backend(det_bundle(4), SolverConfig()), ZERO, ZERO, ZERO_GEN, terminal_const(1.0),
             (0.1, 0.2), SolverConfig(),
         )
+
+
+# MC paths; MC paths over T = 1e-6, whose bases are full rank with
+# s_min / s_max near 1e-10; an enumerated tree whose first dates have
+# fewer distinct driver values than monomials; one deterministic path
+# with B = 0 (rank 1)
+REGRESSION_BUNDLES = {
+    "mc": lambda: build_paths(TimeGrid.uniform(1.0, 8), NoiseModel.gaussian_mc(300, seed=4), ZERO_A),
+    "mc-near-degenerate": lambda: build_paths(
+        TimeGrid.uniform(1e-6, 8), NoiseModel.gaussian_mc(300, seed=4), ZERO_A
+    ),
+    "tree": lambda: tree_bundle(6),
+    "deterministic": lambda: det_bundle(6),
+}
+
+
+@pytest.mark.parametrize("kind", REGRESSION_BUNDLES)
+def test_regression_fits_match_vander_lstsq(kind):
+    bundle = REGRESSION_BUNDLES[kind]()
+    backend = make_backend(bundle, SolverConfig(ce="lsq"))
+    B = backend.B
+    n = bundle.grid.steps
+    bases = [np.vander(B[:, i], 4, increasing=True) for i in range(1, n)]
+    if kind in ("tree", "deterministic"):
+        assert min(map(np.linalg.matrix_rank, bases)) < 4  # the minimum-norm fit is exercised
+    if kind == "mc-near-degenerate":
+        s = np.linalg.svd(bases[0], compute_uv=False)
+        assert s[-1] / s[0] < 1e-8  # kept by lstsq's rank rule, dropped by a looser one
+    rng = np.random.default_rng(7)
+    for shape in ((bundle.n_paths,), (3, bundle.n_paths)):
+        # dates out of order and revisited, so the one-slot factor is replaced
+        for i in (1, 2, n - 1, 2, 3):
+            v = rng.standard_normal(shape) * 3.0
+            want_ce = regression_fit_oracle(B[:, i], 3, v)
+            target = (v - want_ce) * bundle.dB[:, i] / bundle.dt[i]
+            want_z = regression_fit_oracle(B[:, i], 3, target)
+            got_ce, got_z = backend.ce(i, v), backend.z(i, v)
+            assert got_ce.shape == got_z.shape == shape
+            assert np.max(np.abs(got_ce - want_ce)) <= 1e-12 * (1.0 + np.max(np.abs(v)))
+            assert np.max(np.abs(got_z - want_z)) <= 1e-12 * (1.0 + np.max(np.abs(target)))
+        v = rng.standard_normal(shape)
+        assert np.array_equal(backend.ce(0, v), np.broadcast_to(np.mean(v, axis=-1, keepdims=True), shape))
+
+
+def test_ridge_regression_keeps_its_arithmetic():
+    bundle = REGRESSION_BUNDLES["mc"]()
+    backend = make_backend(bundle, SolverConfig(ce="lsq", ridge=0.3))
+    v = np.random.default_rng(8).standard_normal((2, bundle.n_paths))
+    for i in (1, 5):
+        want = regression_fit_oracle(backend.B[:, i], 3, v, ridge=0.3)
+        assert backend.ce(i, v).tobytes() == want.tobytes()
+
+
+def test_regression_factors_each_date_once_per_pass(monkeypatch):
+    calls = {"svd": 0, "lstsq": 0}
+    svd, lstsq = np.linalg.svd, np.linalg.lstsq
+
+    def counted(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(np.linalg, "svd", counted("svd", svd))
+    monkeypatch.setattr(np.linalg, "lstsq", counted("lstsq", lstsq))
+    steps = 16
+    exp = build_experiment({
+        "scenario": "mc_martingale",
+        "grid": {"steps": steps},
+        "noise": {"paths": 200},
+        "solver": {"eps_schedule": [0.1, 0.05]},
+    })
+    bundle = build_paths(exp.grid, exp.noise, exp.a_spec)
+    backend = make_backend(bundle, exp.solver)
+    sol = solve_sequence(backend, exp.phi, exp.psi, exp.gen, exp.terminal, exp.solver).solutions[0.05]
+    # date 0 is the sample mean; dates 1 .. steps-1 are factored once each
+    assert calls["svd"] <= steps - 1
+    calls["svd"] = 0
+    smoothing_operator(bundle, backend, sol.Y_levels, SmoothingConfig(eps=0.2))
+    assert calls["svd"] <= steps - 1
+    assert calls["lstsq"] == 0
+
+
+SMOOTHING_BUNDLES = {
+    "tree": lambda: (tree_bundle(8, a_spec=IncreasingProcessSpec.ramp(0.3, 1.5)), "tree"),
+    "deterministic": lambda: (det_bundle(12), "tree"),
+    "mc-lsq": lambda: (REGRESSION_BUNDLES["mc"](), "lsq"),
+}
+
+
+@pytest.mark.parametrize("kind", SMOOTHING_BUNDLES)
+@pytest.mark.parametrize("eps", [0.05, 0.3, 1.0])
+def test_one_pass_smoothing_matches_the_two_loop_oracle(kind, eps):
+    bundle, ce = SMOOTHING_BUNDLES[kind]()
+    backend = make_backend(bundle, SolverConfig(ce=ce))
+    rng = np.random.default_rng(11)
+    if ce == "lsq":
+        sizes = [bundle.n_paths] * (bundle.grid.steps + 1)
+    else:
+        sizes = [level.size for level in bundle.levels]
+    u = [rng.uniform(-2.0, 2.0, size) for size in sizes]
+    got = smoothing_operator(bundle, backend, u, SmoothingConfig(eps=eps))
+    want = smoothing_operator_oracle(bundle, backend, u, SmoothingConfig(eps=eps))
+    assert (got.gamma, got.i_eps, got.scale) == (want.gamma, want.i_eps, want.scale)
+    for key in ("M_levels", "N_levels", "R_levels"):
+        g, w = getattr(got, key), getattr(want, key)
+        assert len(g) == len(w)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(g, w)), key
