@@ -27,8 +27,6 @@ from .errors import (
     NonFiniteGenerator,
     NonFiniteInput,
     NotASubgradient,
-    PenalizationSolveFailure,
-    ProxFailure,
     QuadratureFailure,
     StiffnessWarning,
     ZeroStep,

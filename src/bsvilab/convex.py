@@ -1,7 +1,8 @@
 """Convex potentials and their Moreau-Yosida regularizations.
 
 A potential is a proper convex lower-semicontinuous function
-phi: R -> [0, +inf] normalized so that phi(0) = 0 <= phi(y).  For eps > 0
+phi: R -> [0, +inf] normalized so that phi(0) = 0 <= phi(y); a
+recentered one only has 0 as a minimizer.  For eps > 0
 the regularization and its ingredients are
 
     envelope:   phi_eps(y) = inf_v { |y - v|^2 / (2 eps) + phi(v) }
@@ -10,21 +11,16 @@ the regularization and its ingredients are
 
 The gradient is 1/eps Lipschitz, the resolvent is nonexpansive, and the
 envelope decomposes as phi_eps(y) = |y - J_eps(y)|^2/(2 eps) + phi(J_eps(y)).
-All closed-form kinds act coordinatewise, so every operation broadcasts
-over numpy arrays of scalar coordinates.
+Every kind is closed form and acts coordinatewise, so every operation
+broadcasts over numpy arrays of scalar coordinates.
 """
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, NonFiniteInput, NotASubgradient, ProxFailure
-
-_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
-
-KINDS = ("zero", "interval", "quadratic", "abs", "custom")
-
+from .errors import DomainError, NonFiniteInput, NotASubgradient
 
 @dataclass(frozen=True)
 class ConvexSpec:
@@ -32,15 +28,23 @@ class ConvexSpec:
 
     kind "interval" is the indicator of [a, b] (value 0 inside, +inf
     outside, bounds may be infinite), "quadratic" is c |y|^2 / 2 with
-    c > 0, "abs" is |y|, "custom" wraps a user evaluator, which is
-    applied coordinatewise and must broadcast over arrays.
+    c > 0, "abs" is |y|.  A recentered spec (see recenter) stands for
+    phi(y + shift) - tilt * y, where phi is the kind's potential; the
+    proximal rules for a translation and a linear tilt keep every
+    operation in closed form.  With shift = tilt = 0 each operation is
+    the kind's own formula, untouched.
     """
 
     kind: str
     a: float = -np.inf
     b: float = np.inf
     c: float = 1.0
-    evaluator: Optional[Callable] = None
+    shift: float = 0.0
+    tilt: float = 0.0
+
+    @property
+    def recentered(self) -> bool:
+        return self.shift != 0.0 or self.tilt != 0.0
 
     @staticmethod
     def zero() -> "ConvexSpec":
@@ -64,43 +68,6 @@ class ConvexSpec:
     def abs_value() -> "ConvexSpec":
         return ConvexSpec(kind="abs")
 
-    @staticmethod
-    def custom(
-        evaluator: Callable,
-        check: bool = True,
-        zero_at_origin: bool = True,
-        seed: int = 0,
-    ) -> "ConvexSpec":
-        spec = ConvexSpec(kind="custom", evaluator=evaluator)
-        if check:
-            validate_custom(spec, zero_at_origin=zero_at_origin, seed=seed)
-        return spec
-
-
-def validate_custom(
-    spec: ConvexSpec, zero_at_origin: bool = True, seed: int = 0, samples: int = 1000
-) -> None:
-    """Sampled sanity checks of a custom evaluator.
-
-    Midpoint convexity and nonnegativity on random segments, and
-    optionally phi(0) = 0.  Convexity cannot be certified pointwise, so a
-    failed sample raises and a passing run only means "no lie found".
-    """
-    f = spec.evaluator
-    rng = np.random.default_rng(seed)
-    if zero_at_origin:
-        v0 = float(np.asarray(f(np.zeros(1))).ravel()[0])
-        if not np.isclose(v0, 0.0, atol=1e-9):
-            raise DomainError(f"custom potential has phi(0) = {v0}, expected 0")
-    x = rng.uniform(-10.0, 10.0, size=samples)
-    y = rng.uniform(-10.0, 10.0, size=samples)
-    fx, fy, fm = (np.asarray(f(v), dtype=float) for v in (x, y, (x + y) / 2.0))
-    if np.any(np.minimum(np.minimum(fx, fy), fm) < -1e-12):
-        raise DomainError("custom potential takes negative values on samples")
-    finite = np.isfinite(fx) & np.isfinite(fy)
-    if np.any(fm[finite] > (fx[finite] + fy[finite]) / 2.0 + 1e-9):
-        raise DomainError("custom evaluator fails midpoint convexity on samples")
-
 
 def _require_finite(name, x):
     arr = np.asarray(x, dtype=float)
@@ -116,9 +83,29 @@ def _require_eps(eps) -> float:
     return eps
 
 
+def _unknown(spec: ConvexSpec) -> DomainError:
+    return DomainError(f"unknown potential kind {spec.kind!r}")
+
+
+def _moved(spec: ConvexSpec, eps: float, y: np.ndarray) -> np.ndarray:
+    """x = y + shift + eps tilt, where a recentered spec reads its kind's maps.
+
+    For phi_hat(y) = phi(y + shift) - tilt y, completing the square gives
+    J_hat(y) = J(x) - shift, D phi_hat_eps(y) = D phi_eps(x) - tilt and
+    phi_hat_eps(y) = phi_eps(x) - tilt y - eps tilt^2 / 2.
+    """
+    return y + spec.shift + eps * spec.tilt
+
+
 def potential_value(spec: ConvexSpec, y) -> np.ndarray:
     """Extended-real potential value, elementwise over scalar coordinates."""
     y = _require_finite("y", y)
+    if spec.recentered:
+        return _value(spec, y + spec.shift) - spec.tilt * y
+    return _value(spec, y)
+
+
+def _value(spec, y):
     if spec.kind == "zero":
         return np.zeros_like(y)
     if spec.kind == "interval":
@@ -128,9 +115,7 @@ def potential_value(spec: ConvexSpec, y) -> np.ndarray:
         return 0.5 * spec.c * y * y
     if spec.kind == "abs":
         return np.abs(y)
-    if spec.kind == "custom":
-        return np.asarray(spec.evaluator(y), dtype=float)
-    raise DomainError(f"unknown potential kind {spec.kind!r}")
+    raise _unknown(spec)
 
 
 def resolvent(spec: ConvexSpec, eps, y) -> np.ndarray:
@@ -138,13 +123,15 @@ def resolvent(spec: ConvexSpec, eps, y) -> np.ndarray:
 
     Closed forms: identity (zero), linear shrink y/(1 + eps c)
     (quadratic), clamp to [a, b] (interval), soft threshold (abs).
-    Customs fall back to a bracketed golden-section search per
-    coordinate, with bracket half-width |y| + 10 eps (1 + |slope|); the
-    normalization phi(0) = 0 <= phi guarantees |y - J(y)| <= |y|, so the
-    bracket always contains the minimizer.
     """
     y = _require_finite("y", y)
     eps = _require_eps(eps)
+    if spec.recentered:
+        return _resolvent(spec, eps, _moved(spec, eps, y)) - spec.shift
+    return _resolvent(spec, eps, y)
+
+
+def _resolvent(spec, eps, y):
     if spec.kind == "zero":
         return y.copy()
     if spec.kind == "quadratic":
@@ -153,19 +140,24 @@ def resolvent(spec: ConvexSpec, eps, y) -> np.ndarray:
         return np.clip(y, spec.a, spec.b)
     if spec.kind == "abs":
         return np.sign(y) * np.maximum(np.abs(y) - eps, 0.0)
-    if spec.kind == "custom":
-        return _prox_golden(spec.evaluator, eps, y)
-    raise DomainError(f"unknown potential kind {spec.kind!r}")
+    raise _unknown(spec)
 
 
 def envelope(spec: ConvexSpec, eps, y) -> np.ndarray:
     """Moreau envelope phi_eps(y), elementwise.
 
-    Computed through the decomposition
-    phi_eps(y) = |y - J_eps(y)|^2 / (2 eps) + phi(J_eps(y)).
+    Equal to |y - J_eps(y)|^2 / (2 eps) + phi(J_eps(y)), written out per
+    kind.
     """
     y = _require_finite("y", y)
     eps = _require_eps(eps)
+    if spec.recentered:
+        x = _moved(spec, eps, y)
+        return _envelope(spec, eps, x) - spec.tilt * y - 0.5 * eps * spec.tilt * spec.tilt
+    return _envelope(spec, eps, y)
+
+
+def _envelope(spec, eps, y):
     if spec.kind == "zero":
         return np.zeros_like(y)
     if spec.kind == "quadratic":
@@ -176,11 +168,7 @@ def envelope(spec: ConvexSpec, eps, y) -> np.ndarray:
     if spec.kind == "abs":
         # Huber function
         return np.where(np.abs(y) <= eps, y * y / (2.0 * eps), np.abs(y) - 0.5 * eps)
-    j = resolvent(spec, eps, y)
-    val = (y - j) ** 2 / (2.0 * eps) + potential_value(spec, j)
-    if not np.all(np.isfinite(np.asarray(val))):
-        raise ProxFailure("envelope evaluation produced non-finite values")
-    return val
+    raise _unknown(spec)
 
 
 def yosida_gradient(spec: ConvexSpec, eps, y) -> np.ndarray:
@@ -190,9 +178,15 @@ def yosida_gradient(spec: ConvexSpec, eps, y) -> np.ndarray:
     """
     y = _require_finite("y", y)
     eps = _require_eps(eps)
+    if spec.recentered:
+        return _gradient(spec, eps, _moved(spec, eps, y)) - spec.tilt
+    return _gradient(spec, eps, y)
+
+
+def _gradient(spec, eps, y):
     if spec.kind == "interval":
         return (np.maximum(y - spec.b, 0.0) - np.maximum(spec.a - y, 0.0)) / eps
-    return (y - resolvent(spec, eps, y)) / eps
+    return (y - _resolvent(spec, eps, y)) / eps
 
 
 def combined_gradient(
@@ -213,75 +207,21 @@ def combined_gradient(
 def gradient_breakpoints(spec: ConvexSpec, eps: float) -> list:
     """Kink locations of the piecewise-linear Yosida gradient.
 
-    Only closed-form kinds have one; customs return None to signal that
-    an implicit solve must fall back to bisection.
+    Every kind has one; a recentered spec's kinks move by
+    -(shift + eps tilt).
     """
     if spec.kind in ("zero", "quadratic"):
-        return []
-    if spec.kind == "interval":
-        return [x for x in (spec.a, spec.b) if np.isfinite(x)]
-    if spec.kind == "abs":
-        return [-eps, eps]
-    return None
-
-
-def _prox_golden(evaluator, eps, y, iterations=120):
-    """Vectorized golden-section search for custom potentials.
-
-    The bracket is first shrunk onto the effective domain (bisecting
-    against 0, which the normalization keeps inside), because golden
-    section cannot break ties between two +inf probes; on the shrunk
-    bracket the objective is finite and unimodal by convexity.
-    """
-    y = np.asarray(y, dtype=float)
-    h = 1e-6 * (1.0 + np.abs(y))
-    f_hi = np.asarray(evaluator(y + h), dtype=float)
-    f_lo = np.asarray(evaluator(y - h), dtype=float)
-    both = np.isfinite(f_hi) & np.isfinite(f_lo)
-    with np.errstate(invalid="ignore"):
-        slope = np.where(both, np.abs(f_hi - f_lo), 0.0) / (2.0 * h)
-    half = np.abs(y) + 10.0 * eps * (1.0 + slope)
-
-    def objective(v):
-        return (y - v) ** 2 / (2.0 * eps) + np.asarray(evaluator(v), dtype=float)
-
-    def shrink_to_domain(edge):
-        bad = ~np.isfinite(np.asarray(evaluator(edge), dtype=float))
-        outside = edge
-        inside = np.where(bad, 0.0, edge)
-        for _ in range(80):
-            mid = 0.5 * (outside + inside)
-            fin = np.isfinite(np.asarray(evaluator(mid), dtype=float))
-            inside = np.where(fin, mid, inside)
-            outside = np.where(fin, outside, mid)
-        return inside
-
-    lo = shrink_to_domain(y - half)
-    hi = shrink_to_domain(y + half)
-    x1 = hi - _GOLDEN * (hi - lo)
-    x2 = lo + _GOLDEN * (hi - lo)
-    f1 = objective(x1)
-    f2 = objective(x2)
-    for _ in range(iterations):
-        move_right = f1 > f2
-        lo = np.where(move_right, x1, lo)
-        hi = np.where(move_right, hi, x2)
-        x1_new = np.where(move_right, x2, hi - _GOLDEN * (hi - lo))
-        x2_new = np.where(move_right, lo + _GOLDEN * (hi - lo), x1)
-        f1_keep = np.where(move_right, f2, 0.0)
-        f2_keep = np.where(move_right, 0.0, f1)
-        x1, x2 = x1_new, x2_new
-        f1 = np.where(move_right, f1_keep, objective(x1))
-        f2 = np.where(move_right, objective(x2), f2_keep)
-    out = 0.5 * (lo + hi)
-    # a kink or domain wall can sit between the last probes, keep the best
-    cand = np.stack([out, lo, hi])
-    vals = np.stack([objective(c) for c in cand])
-    pick = np.argmin(vals.reshape(3, -1), axis=0)
-    out = cand.reshape(3, -1)[pick, np.arange(pick.size)].reshape(out.shape)
-    if not np.all(np.isfinite(objective(out))):
-        raise ProxFailure("golden-section prox left the domain of the potential")
-    return out
+        kinks = []
+    elif spec.kind == "interval":
+        kinks = [x for x in (spec.a, spec.b) if np.isfinite(x)]
+    elif spec.kind == "abs":
+        kinks = [-eps, eps]
+    else:
+        raise _unknown(spec)
+    if spec.recentered:
+        move = spec.shift + eps * spec.tilt
+        return [x - move for x in kinks]
+    return kinks
 
 
 @dataclass(frozen=True)
@@ -307,6 +247,10 @@ def _check_subgradient(spec: ConvexSpec, u0: float, sub: float, seed: int = 0) -
 
 
 def _recenter_one(spec: ConvexSpec, u0: float, sub: float, seed: int) -> ConvexSpec:
+    if spec.recentered:
+        # two recenterings compose to phi(y + u0 + u1) - (s0 + s1) y - s0 u1,
+        # whose constant the spec cannot hold
+        raise DomainError("the potential is already recentered")
     _check_subgradient(spec, u0, sub, seed=seed)
     if spec.kind == "zero":
         return spec
@@ -314,11 +258,7 @@ def _recenter_one(spec: ConvexSpec, u0: float, sub: float, seed: int) -> ConvexS
         return ConvexSpec.interval(spec.a - u0, spec.b - u0)
     if u0 == 0.0 and sub == 0.0:
         return spec
-
-    def shifted(y, base=spec, point=u0, slope=sub):
-        return potential_value(base, np.asarray(y, dtype=float) + point) - slope * np.asarray(y, dtype=float)
-
-    return ConvexSpec.custom(shifted, check=True, zero_at_origin=False, seed=seed)
+    return replace(spec, shift=u0, tilt=sub)
 
 
 def recenter(
@@ -329,7 +269,10 @@ def recenter(
     Returns (phi_hat, psi_hat) with
     phi_hat(y) = phi(y + u0) - <phi_subgradient, y>, and likewise for psi.
     The tilt makes 0 a minimizer of the shifted potential (0 belongs to
-    its subdifferential at 0); the minimum value need not be 0.
+    its subdifferential at 0); the minimum value need not be 0.  The
+    result is exact: an interval with a zero subgradient is translated,
+    any other kind carries shift u0 and tilt subgradient.  A spec that
+    is already recentered is refused.
     """
     u0 = float(data.u0)
     if not np.isfinite(u0):

@@ -9,10 +9,6 @@ class NonFiniteInput(BsvilabError):
     """An argument contains NaN or infinity where a finite value is required."""
 
 
-class ProxFailure(BsvilabError):
-    """The numeric proximal solve did not produce a usable minimizer."""
-
-
 class NotASubgradient(BsvilabError):
     """A claimed subgradient fails the defining inequality on sampled points."""
 
@@ -31,10 +27,6 @@ class NonFiniteGenerator(BsvilabError):
 
 class QuadratureFailure(BsvilabError):
     """Mollifier quadrature weights failed their normalization check."""
-
-
-class PenalizationSolveFailure(BsvilabError):
-    """The implicit penalty step could not be solved to tolerance."""
 
 
 class InfinitePotential(BsvilabError):

@@ -140,9 +140,15 @@ def combined_driver(gen: GeneratorSpec, alpha, t, y, z) -> np.ndarray:
     """
     if not 0.0 <= alpha <= 1.0:
         raise DomainError(f"alpha must lie in [0, 1], got {alpha}")
-    f = alpha * np.asarray(gen.F(t, y, z), dtype=float)
-    h = np.add(f, (1.0 - alpha) * np.asarray(gen.G(t, y), dtype=float), out=np.empty(np.shape(y)))
-    return _checked("H", h)
+    f = np.asarray(gen.F(t, y, z), dtype=float)
+    g = np.asarray(gen.G(t, y), dtype=float)
+    return _checked("H", _mix(alpha, f, g, np.empty(np.shape(y))))
+
+
+@np.errstate(invalid="ignore")
+def _mix(alpha, f, g, out):
+    # a 0 * inf here is nan, which the caller reports without a numpy warning
+    return np.add(alpha * f, (1.0 - alpha) * g, out=out)
 
 
 def project_to_ball(eps: float, z) -> np.ndarray:

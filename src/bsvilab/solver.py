@@ -21,14 +21,14 @@ every level holds Y, Z, U and H with one row per eps, so conditional
 expectations, the driver and the penalty update run once per step for
 all rows, and each row carries its own budget 1/eps.
 
-The implicit step is solved exactly for closed-form potentials (the map
-v -> v + dQ D Psi_eps(v) is piecewise linear and strictly increasing)
-and by bisection otherwise; both paths are exposed so they can be
-cross-checked.  The inverse depends only on (alpha, eps, dQ), so a sweep
+The implicit step is solved exactly: every potential is closed form,
+so the map v -> v + dQ D Psi_eps(v) is piecewise linear and strictly
+increasing.  The inverse depends only on (alpha, eps, dQ), so a sweep
 tabulates it once per distinct (alpha_i, dQ_i) for all rows and reuses
 it.
 """
 
+import dataclasses
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -37,12 +37,7 @@ import numpy as np
 
 from . import convex
 from .convex import ConvexSpec, potential_value
-from .errors import (
-    ConfigError,
-    DomainError,
-    PenalizationSolveFailure,
-    StiffnessWarning,
-)
+from .errors import ConfigError, DomainError, StiffnessWarning
 from .generators import (
     GeneratorSpec,
     MollifierConfig,
@@ -72,8 +67,8 @@ class SolverConfig:
         if not (0.0 < self.lam < 1.0):
             raise ConfigError(f"solver.lambda must lie in (0, 1), got {self.lam}")
         sched = tuple(float(e) for e in self.eps_schedule)
-        if not sched or any(e <= 0.0 for e in sched):
-            raise ConfigError("solver.eps_schedule must be non-empty and positive")
+        if not sched or not all(np.isfinite(e) and e > 0.0 for e in sched):
+            raise ConfigError("solver.eps_schedule must be non-empty, finite and positive")
         if any(b >= a for a, b in zip(sched, sched[1:])):
             raise ConfigError("solver.eps_schedule must be strictly decreasing")
         if self.mode not in ("semi_implicit", "explicit"):
@@ -193,81 +188,45 @@ def make_backend(bundle: PathBundle, cfg: SolverConfig):
     return RegressionBackend(bundle, cfg.degree, cfg.ridge)
 
 
-def implicit_method(phi: ConvexSpec, psi: ConvexSpec, eps: float) -> str:
-    """'closed_form' when both Yosida gradients are piecewise linear, else 'bisect'."""
-    exact = (
-        convex.gradient_breakpoints(phi, eps) is not None
-        and convex.gradient_breakpoints(psi, eps) is not None
-    )
-    return "closed_form" if exact else "bisect"
-
-
-def implicit_step(
-    phi: ConvexSpec,
-    psi: ConvexSpec,
-    alpha: float,
-    schedule,
-    dq: float,
-    method: str = "auto",
-) -> Callable:
+def implicit_step(phi: ConvexSpec, psi: ConvexSpec, alpha: float, schedule, dq: float) -> Callable:
     """The map (y_hat, rows) -> v solving v + dq D Psi_eps(v) = y_hat, one row per eps.
 
     Here D Psi_eps = alpha D phi_eps + (1 - alpha) D psi_eps.  The left
-    side is strictly increasing with value 0 at 0, so the root is unique
-    and lies between 0 and y_hat.  y_hat holds one row for each eps of
-    the schedule's slice ``rows`` (all of it by default).  Closed-form
-    kinds make the map piecewise linear; its breakpoints, values and
-    slopes depend only on (alpha, eps, dq), so they are tabulated here
-    once per eps and every call inverts all rows by one gather.
-    Otherwise each call bisects row by row.
-    """
-    schedule = [float(eps) for eps in schedule]
-    if method == "auto":
-        method = implicit_method(phi, psi, schedule[0])
-    if method == "closed_form":
-        return _piecewise_linear_inverse(phi, psi, alpha, schedule, dq)
-    if method != "bisect":
-        raise ConfigError(f"unknown implicit-solve method {method!r}")
-    solves = [_bisection(phi, psi, alpha, eps, dq) for eps in schedule]
-
-    def bisect_rows(y_hat, rows=slice(None)):
-        return np.stack([solve(y) for solve, y in zip(solves[rows], y_hat)])
-
-    return bisect_rows
-
-
-def _piecewise_linear_inverse(phi, psi, alpha, schedule, dq):
-    """Closed-form inverse for every eps of the schedule, one gather per call.
-
-    On segment s with base point x, knot value g and slope d the inverse
-    is x - (g - y) / d.  That is x + (y - g) / d bit for bit wherever
+    side is strictly increasing and piecewise linear, so the root is
+    unique.  y_hat holds one row for each eps of the schedule's slice
+    ``rows`` (all of it by default).  The breakpoints, values and slopes
+    depend only on (alpha, eps, dq), so they are tabulated here once per
+    eps and every call inverts all rows by one gather.  On segment s
+    with base point x, knot value g and slope d the inverse is
+    x - (g - y) / d.  That is x + (y - g) / d bit for bit wherever
     y != g, and keeps its signed zero on the lower outer segment, the
     one segment where y == g can occur.
     """
+    schedule = [float(eps) for eps in schedule]
 
     def forward(v, eps):
         return v + dq * convex.combined_gradient(phi, psi, alpha, eps, v)
 
-    kinks = []
-    for eps in schedule:
-        breaks_phi = convex.gradient_breakpoints(phi, eps)
-        breaks_psi = convex.gradient_breakpoints(psi, eps)
-        if breaks_phi is None or breaks_psi is None:
-            raise PenalizationSolveFailure(
-                "closed-form implicit step needs piecewise-linear gradients"
-            )
-        kinks.append(np.unique(np.asarray(breaks_phi + breaks_psi, dtype=float)))
+    kinks = [
+        np.unique(np.asarray(
+            convex.gradient_breakpoints(phi, eps) + convex.gradient_breakpoints(psi, eps),
+            dtype=float,
+        ))
+        for eps in schedule
+    ]
 
     # whether a kind has kinks does not depend on eps
     if kinks[0].size == 0:
-        # forward(0) = 0 and the map is linear: divide, which keeps -0.0
-        slopes = np.array([float(forward(np.asarray(1.0), eps)) for eps in schedule])[:, None]
+        # the map is affine: subtract its value at 0, +0.0 unless a
+        # potential is recentered, then divide, which keeps -0.0
+        at0 = np.array([float(forward(np.asarray(0.0), eps)) for eps in schedule])[:, None]
+        slopes = np.array([float(forward(np.asarray(1.0), eps)) for eps in schedule])[:, None] - at0
 
-        def linear(y_hat, rows=slice(None)):
+        def affine(y_hat, rows=slice(None)):
             y = np.asarray(y_hat, dtype=float)
-            return (y.reshape(len(y), -1) / slopes[rows]).reshape(y.shape)
+            return ((y.reshape(len(y), -1) - at0[rows]) / slopes[rows]).reshape(y.shape)
 
-        return linear
+        return affine
 
     # the kinks of two potentials coincide at some eps only; such rows
     # are padded with knots at +inf, which no finite y_hat passes
@@ -291,33 +250,12 @@ def _piecewise_linear_inverse(phi, psi, alpha, schedule, dq):
         y = np.asarray(y_hat, dtype=float)
         flat = y.reshape(len(y), -1)
         # segment = number of knots below y_hat, as searchsorted(side="left")
-        seg = np.count_nonzero(flat[:, :, None] > knots[rows][:, None, :], axis=2)
+        seg = (flat[:, :, None] > knots[rows][:, None, :]).sum(axis=2)
         picked = table[rows][row_index[: len(flat)], seg]
         v = picked[..., 0] - (picked[..., 1] - flat) / picked[..., 2]
         return v.reshape(y.shape)
 
     return closed_form
-
-
-def _bisection(phi, psi, alpha, eps, dq):
-    def forward(v):
-        return v + dq * convex.combined_gradient(phi, psi, alpha, eps, v)
-
-    def bisect(y_hat):
-        y_hat = np.asarray(y_hat, dtype=float)
-        lo = np.minimum(y_hat, 0.0)
-        hi = np.maximum(y_hat, 0.0)
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            too_big = forward(mid) > y_hat
-            hi = np.where(too_big, mid, hi)
-            lo = np.where(too_big, lo, mid)
-        v = 0.5 * (lo + hi)
-        if np.max(np.abs(forward(v) - y_hat)) > 1e-9 * (1.0 + np.max(np.abs(y_hat))):
-            raise PenalizationSolveFailure("bisection did not close the implicit step")
-        return v
-
-    return bisect
 
 
 def resolve_implicit(
@@ -327,10 +265,9 @@ def resolve_implicit(
     eps: float,
     dq: float,
     y_hat: np.ndarray,
-    method: str = "auto",
 ) -> np.ndarray:
     """Solve v + dq [alpha D phi_eps(v) + (1 - alpha) D psi_eps(v)] = y_hat once."""
-    step = implicit_step(phi, psi, alpha, (eps,), dq, method)
+    step = implicit_step(phi, psi, alpha, (eps,), dq)
     return step(np.asarray(y_hat, dtype=float)[None])[0]
 
 
@@ -344,8 +281,8 @@ class SolutionField:
     bundle.  H_levels records the driver value the predictor actually
     used, so Y, Z, U, H satisfy the step identity
     Y_{i+1} = Y_i - (H_i - U_i) dQ_i + Z_i dB_i exactly on lattices.
-    implicit_method names how the penalty step was solved: 'closed_form',
-    'bisect' or 'explicit'; max_stiffness is the largest dQ_i / eps over
+    implicit_method names how the penalty step was solved: 'closed_form'
+    or 'explicit'; max_stiffness is the largest dQ_i / eps over
     the steps inside the budget (0 if none).
     """
 
@@ -367,8 +304,8 @@ class SolutionField:
     @property
     def active_fraction(self) -> float:
         """Share of the level entries before the horizon where U != 0."""
-        hit = sum(int(np.count_nonzero(u)) for u in self.U_levels)
-        return hit / sum(u.size for u in self.U_levels)
+        u = np.concatenate(self.U_levels)
+        return np.count_nonzero(u) / u.size
 
     @property
     def kinc_levels(self) -> list:
@@ -428,24 +365,20 @@ def backward_sweep(
     psi: ConvexSpec,
     gen: GeneratorSpec,
     terminal: Callable,
-    schedule,
     cfg: SolverConfig,
 ) -> Sweep:
-    """One backward sweep on backend.bundle for a strictly decreasing eps schedule.
+    """One backward sweep on backend.bundle over cfg.eps_schedule.
 
     Every level holds one row per eps.  Row r is active at step i while
     A_i <= 1 / eps_r; a finer eps has the larger budget, so the active
     rows of a step are the last ones.  Only those reach the driver and
     the implicit step; the others keep Y = CE with H = U = 0.  Work that
-    is elementwise runs once per step for all rows.  Explicit mode, the
-    bisection and the mollified driver depend on eps and run row by row.
+    is elementwise runs once per step for all rows.  Explicit mode and
+    the mollified driver depend on eps and run row by row.  SolverConfig
+    has checked that the schedule is finite, positive and strictly
+    decreasing.
     """
-    schedule = tuple(schedule)
-    for eps in schedule:
-        if not (np.isfinite(eps) and eps > 0.0):
-            raise DomainError(f"eps must be finite and > 0, got {eps}")
-    if any(fine >= coarse for coarse, fine in zip(schedule, schedule[1:])):
-        raise ConfigError("the eps schedule of a sweep must be strictly decreasing")
+    schedule = cfg.eps_schedule
     for label, pot in (("phi", phi), ("psi", psi)):
         at0 = float(np.asarray(potential_value(pot, np.zeros(1))).ravel()[0])
         if not np.isfinite(at0):
@@ -483,8 +416,7 @@ def backward_sweep(
                 warnings.warn(
                     f"explicit penalty step with max dQ/eps = {s:.3g} > 1", StiffnessWarning
                 )
-    # closed form or bisection follows from the potential kinds alone
-    method = "explicit" if cfg.mode == "explicit" else implicit_method(phi, psi, schedule[0])
+    method = "explicit" if cfg.mode == "explicit" else "closed_form"
     steps = {}  # one implicit_step for all rows per distinct (alpha_i, dQ_i)
 
     y_levels = [None] * (n + 1)
@@ -510,7 +442,7 @@ def backward_sweep(
             return y_hat - dq[i] * u, h, u
         key = (alpha[i], dq[i])
         if key not in steps:
-            steps[key] = implicit_step(phi, psi, alpha[i], schedule, dq[i], method)
+            steps[key] = implicit_step(phi, psi, alpha[i], schedule, dq[i])
         y = steps[key](y_hat, rows)
         return y, h, (y_hat - y) / dq[i]
 
@@ -554,7 +486,8 @@ def solve_penalized(
     cfg: SolverConfig,
 ) -> SolutionField:
     """One backward solve at a fixed penalization level eps, on its own backend."""
-    sweep = backward_sweep(make_backend(bundle, cfg), phi, psi, gen, terminal, (eps,), cfg)
+    one = dataclasses.replace(cfg, eps_schedule=(eps,))
+    sweep = backward_sweep(make_backend(bundle, one), phi, psi, gen, terminal, one)
     return sweep.solutions[0]
 
 
@@ -584,21 +517,18 @@ def solve_sequence(
     """
     schedule = cfg.eps_schedule
     bundle = backend.bundle
-    sweep = backward_sweep(backend, phi, psi, gen, terminal, schedule, cfg)
+    sweep = backward_sweep(backend, phi, psi, gen, terminal, cfg)
     solutions = dict(zip(schedule, sweep.solutions))
     # per level: mean |U|^2 of every row, and max |Y^a - Y^b| of every adjacent pair
-    u2 = np.array([np.mean(u * u, axis=-1) for u in sweep.U_levels]).T
+    # (np.mean's sum and division, less its wrapper: one call per level)
+    u2 = np.array([np.add.reduce(u * u, axis=-1) / u.shape[-1] for u in sweep.U_levels]).T
     energy = {eps: float(eps * np.sum(u2_r * bundle.dq)) for eps, u2_r in zip(schedule, u2)}
-    y_gaps = np.max([np.max(np.abs(y[:-1] - y[1:]), axis=-1) for y in sweep.Y_levels], axis=0)
+    y_gaps = np.max([np.abs(y[:-1] - y[1:]).max(axis=-1) for y in sweep.Y_levels], axis=0)
     gaps = []
-    # Z alone, each eps expanded once and at most two held: caching full
-    # fields of every eps here would hold them all through verification
-    zb = None
     for r, (e_coarse, e_fine) in enumerate(zip(schedule, schedule[1:])):
         a, b = solutions[e_coarse], solutions[e_fine]
-        za = a.expand(bundle, a.Z_levels) if zb is None else zb
-        zb = b.expand(bundle, b.Z_levels)
-        z_gap = float(np.sqrt(np.sum(np.mean((za - zb) ** 2, axis=0) * bundle.dt)))
+        sq = a.expand(bundle, [(za - zb) ** 2 for za, zb in zip(a.Z_levels, b.Z_levels)])
+        z_gap = float(np.sqrt(np.sum(np.mean(sq, axis=0) * bundle.dt)))
         gaps.append(
             {
                 "eps_coarse": float(e_coarse),

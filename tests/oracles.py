@@ -18,14 +18,14 @@ import numpy as np
 
 from bsvilab import convex
 from bsvilab.convex import potential_value
-from bsvilab.errors import DomainError, PenalizationSolveFailure, StiffnessWarning
+from bsvilab.errors import DomainError, StiffnessWarning
 from bsvilab.generators import (
     MollifierConfig,
     combined_driver,
     mollify_driver,
     mollify_driver_g,
 )
-from bsvilab.solver import SmoothedProcess, implicit_method, make_backend
+from bsvilab.solver import SmoothedProcess, make_backend
 
 
 def prox_oracle(potential, eps, y, half_width=None):
@@ -130,7 +130,13 @@ def results_csv_oracle(path, result):
 
 
 def implicit_step_oracle(phi, psi, alpha, eps, dq, method):
-    """y_hat -> v with v + dq D Psi_eps(v) = y_hat, inverted segment by segment."""
+    """y_hat -> v with v + dq D Psi_eps(v) = y_hat.
+
+    method "closed_form" inverts segment by segment between the gradient
+    breakpoints; "bisect" halves 200 times from the bracket |v| <= r,
+    r = |y_hat - forward(0)|: forward(v) - forward(0) moves at least as
+    fast as v, since the gradients are monotone.
+    """
 
     def forward(v):
         return v + dq * convex.combined_gradient(phi, psi, alpha, eps, v)
@@ -140,8 +146,9 @@ def implicit_step_oracle(phi, psi, alpha, eps, dq, method):
         breaks_psi = convex.gradient_breakpoints(psi, eps)
         xs = np.unique(np.asarray(breaks_phi + breaks_psi, dtype=float))
         if xs.size == 0:
-            slope = float(forward(np.asarray(1.0)))
-            return lambda y_hat: np.asarray(y_hat, dtype=float) / slope
+            at0 = float(forward(np.asarray(0.0)))
+            slope = float(forward(np.asarray(1.0))) - at0
+            return lambda y_hat: (np.asarray(y_hat, dtype=float) - at0) / slope
         g_at = forward(xs)
         lo_slope = float((g_at[0] - forward(xs[0] - 1.0)))
         hi_slope = float((forward(xs[-1] + 1.0) - g_at[-1]))
@@ -167,8 +174,8 @@ def implicit_step_oracle(phi, psi, alpha, eps, dq, method):
 
     def bisect(y_hat):
         y_hat = np.asarray(y_hat, dtype=float)
-        lo = np.minimum(y_hat, 0.0)
-        hi = np.maximum(y_hat, 0.0)
+        hi = np.abs(y_hat - forward(np.zeros_like(y_hat)))
+        lo = -hi
         for _ in range(200):
             mid = 0.5 * (lo + hi)
             too_big = forward(mid) > y_hat
@@ -176,7 +183,7 @@ def implicit_step_oracle(phi, psi, alpha, eps, dq, method):
             lo = np.where(too_big, lo, mid)
         v = 0.5 * (lo + hi)
         if np.max(np.abs(forward(v) - y_hat)) > 1e-9 * (1.0 + np.max(np.abs(y_hat))):
-            raise PenalizationSolveFailure("bisection did not close the implicit step")
+            raise AssertionError("bisection did not close the implicit step")
         return v
 
     return bisect
@@ -211,7 +218,7 @@ def solve_penalized_oracle(bundle, phi, psi, gen, terminal, eps, cfg):
             f"explicit penalty step with max dQ/eps = {np.max(dq[active]) / eps:.3g} > 1",
             StiffnessWarning,
         )
-    method = "explicit" if cfg.mode == "explicit" else implicit_method(phi, psi, eps)
+    method = "explicit" if cfg.mode == "explicit" else "closed_form"
 
     y_levels = [None] * (n + 1)
     z_levels = [None] * n

@@ -31,6 +31,13 @@ QUAD1 = ConvexSpec.quadratic(1.0)
 IND11 = ConvexSpec.interval(-1.0, 1.0)
 ABS = ConvexSpec.abs_value()
 ZERO = ConvexSpec.zero()
+# recentered at u0 with subgradient s: phi(y + u0) - s y
+QUAD_AT_1 = recenter(QUAD1, ZERO, RecenterData(u0=1.0, phi_subgradient=1.0, psi_subgradient=0.0))[0]
+ABS_AT_HALF = recenter(ABS, ZERO, RecenterData(u0=0.5, phi_subgradient=1.0, psi_subgradient=0.0))[0]
+WALL_TILTED = recenter(
+    ConvexSpec.interval(-1.0, 0.5), ZERO,
+    RecenterData(u0=0.5, phi_subgradient=2.0, psi_subgradient=0.0),
+)[0]
 
 finite_y = st.floats(min_value=-8.0, max_value=8.0)
 small_eps = st.floats(min_value=1e-3, max_value=2.0)
@@ -93,39 +100,16 @@ def test_constructor_validation():
         envelope(QUAD1, -0.1, 1.0)
 
 
-def test_custom_validation_catches_lies():
-    with pytest.raises(DomainError):
-        ConvexSpec.custom(lambda y: np.asarray(y) ** 2 - 1.0)  # negative somewhere
-    with pytest.raises(DomainError):
-        ConvexSpec.custom(lambda y: np.abs(y) + 1.0)  # phi(0) != 0
-    with pytest.raises(DomainError):
-        ConvexSpec.custom(lambda y: -np.minimum(np.asarray(y) ** 2, 1.0) + 1.0)
-
-
-def test_custom_prox_matches_closed_form():
-    spec = ConvexSpec.custom(lambda y: 0.5 * np.square(y))
-    y = np.array([-3.0, -0.2, 0.0, 0.7, 4.0])
-    assert np.allclose(resolvent(spec, 0.25, y), y / 1.25, atol=1e-6)
-    assert np.allclose(envelope(spec, 0.25, y), 0.5 * y * y / 1.25, atol=1e-6)
-
-
-def test_custom_prox_handles_indicator_walls():
-    wall = ConvexSpec.custom(
-        lambda y: np.where(np.abs(np.asarray(y, dtype=float)) <= 1.0, 0.0, np.inf),
-        check=False,
-    )
-    y = np.array([-2.5, -0.3, 0.0, 1.4])
-    assert np.allclose(resolvent(wall, 0.1, y), np.clip(y, -1, 1), atol=1e-6)
-
-
 def test_gradient_breakpoints():
     assert gradient_breakpoints(ZERO, 0.1) == []
     assert gradient_breakpoints(QUAD1, 0.1) == []
     assert gradient_breakpoints(IND11, 0.1) == [-1.0, 1.0]
     assert gradient_breakpoints(ConvexSpec.interval(-np.inf, 0.0), 0.1) == [0.0]
     assert gradient_breakpoints(ABS, 0.2) == [-0.2, 0.2]
-    custom = ConvexSpec.custom(lambda y: 0.5 * np.square(y))
-    assert gradient_breakpoints(custom, 0.1) is None
+    # a recentered spec's kinks move by -(shift + eps tilt)
+    assert gradient_breakpoints(QUAD_AT_1, 0.1) == []
+    assert np.allclose(gradient_breakpoints(ABS_AT_HALF, 0.2), [-0.9, -0.5], rtol=0, atol=1e-15)
+    assert np.allclose(gradient_breakpoints(WALL_TILTED, 0.25), [-2.0, -0.5], rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize(
@@ -136,6 +120,9 @@ def test_gradient_breakpoints():
         (IND11, indicator_potential(-1, 1)),
         (ConvexSpec.interval(-0.5, 2.0), indicator_potential(-0.5, 2.0)),
         (ABS, abs_potential()),
+        (QUAD_AT_1, lambda v: quadratic_potential(1.0)(v + 1.0) - v),
+        (ABS_AT_HALF, lambda v: abs_potential()(v + 0.5) - v),
+        (WALL_TILTED, lambda v: indicator_potential(-1.0, 0.5)(v + 0.5) - 2.0 * v),
     ],
 )
 def test_random_samples_against_oracle(spec, potential):
@@ -149,7 +136,9 @@ def test_random_samples_against_oracle(spec, potential):
         assert abs(float(yosida_gradient(spec, eps, y)) - (y - j) / eps) < 1e-4
 
 
-CLOSED_FORMS = [QUAD1, IND11, ABS, ZERO, ConvexSpec.interval(-np.inf, 0.0)]
+# WALL_TILTED is left out: its domain [-1.5, 0] misses the samples of
+# the domain-bound properties below
+CLOSED_FORMS = [QUAD1, IND11, ABS, ZERO, ConvexSpec.interval(-np.inf, 0.0), QUAD_AT_1, ABS_AT_HALF]
 
 
 @settings(max_examples=200, deadline=None)
@@ -230,6 +219,21 @@ def test_recenter_quadratic_example():
     assert np.all(vals >= v0 - 1e-9)
     assert np.allclose(vals, 0.5 * (y + 1) ** 2 - y, atol=1e-12)
     assert psi_hat.kind == "zero"
+
+
+def test_recenter_is_exact_and_refuses_a_second_recentering():
+    assert (QUAD_AT_1.kind, QUAD_AT_1.shift, QUAD_AT_1.tilt) == ("quadratic", 1.0, 1.0)
+    y = np.linspace(-4.0, 4.0, 201)
+    for eps in (0.05, 0.5):
+        # phi(y + 1) - y = y^2/2 + 1/2: shrink y / (1 + eps), envelope
+        # y^2 / (2 (1 + eps)) + 1/2
+        assert np.allclose(resolvent(QUAD_AT_1, eps, y), y / (1.0 + eps), rtol=0, atol=1e-14)
+        assert np.allclose(envelope(QUAD_AT_1, eps, y), 0.5 * y * y / (1.0 + eps) + 0.5, rtol=0, atol=1e-13)
+        # 0 minimizes a recentered potential
+        for spec in (QUAD_AT_1, ABS_AT_HALF, WALL_TILTED):
+            assert abs(float(yosida_gradient(spec, eps, 0.0))) <= 1e-15
+    with pytest.raises(DomainError, match="already recentered"):
+        recenter(QUAD_AT_1, ZERO, RecenterData(u0=0.5, phi_subgradient=0.0, psi_subgradient=0.0))
 
 
 def test_recenter_interval_translation():

@@ -170,7 +170,6 @@ def test_validate_generator_checks_declared_coefficients():
         validate_generator(GeneratorSpec.from_expressions("z", "0", ell=0.0))
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # 0 * inf
 def test_non_finite_driver_is_reported():
     bad = GeneratorSpec(
         F=lambda t, y, z: np.where(np.asarray(y) > 0.0, np.inf, 0.0),

@@ -1,14 +1,14 @@
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
 
-from bsvilab.convex import ConvexSpec
+from bsvilab.convex import ConvexSpec, RecenterData, recenter
 from bsvilab.errors import (
     ConfigError,
     DomainError,
     NonFiniteGenerator,
-    PenalizationSolveFailure,
     StiffnessWarning,
 )
 from bsvilab import solver
@@ -26,6 +26,7 @@ from bsvilab.solver import (
 )
 
 from oracles import (
+    implicit_step_oracle,
     reflection_oracle,
     regression_fit_oracle,
     smoothing_operator_oracle,
@@ -37,6 +38,15 @@ QUAD1 = ConvexSpec.quadratic(1.0)
 IND11 = ConvexSpec.interval(-1.0, 1.0)
 HALFLINE = ConvexSpec.interval(-np.inf, 0.0)
 ABS = ConvexSpec.abs_value()
+# phi(y + u0) - s y with s a subgradient at u0, so 0 is a minimizer
+QUAD_AT_1, ABS_AT_1 = recenter(QUAD1, ABS, RecenterData(u0=1.0, phi_subgradient=1.0, psi_subgradient=1.0))
+# a subgradient off by 1e-6, which the sampled check admits: 0 is not
+# quite a minimizer, so the kink-free inverse must subtract its value at 0
+QUAD_NEAR_1 = recenter(QUAD1, ZERO, RecenterData(u0=1.0, phi_subgradient=1.0 + 1e-6, psi_subgradient=0.0))[0]
+WALL_TILTED = recenter(
+    ConvexSpec.interval(-1.0, 0.5), ZERO,
+    RecenterData(u0=0.5, phi_subgradient=2.0, psi_subgradient=0.0),
+)[0]
 ZERO_GEN = GeneratorSpec.from_expressions("0", "0")
 ZERO_A = IncreasingProcessSpec.zero()
 
@@ -66,13 +76,17 @@ def test_solver_config_validation():
         {"eps_schedule": (0.1, 0.1)},
         {"eps_schedule": (0.05, 0.1)},
         {"eps_schedule": (0.1, -0.05)},
+        {"eps_schedule": (np.nan,)},
+        {"eps_schedule": (0.1, np.nan)},
+        {"eps_schedule": (np.inf, 0.1)},
+        {"eps_schedule": (-np.inf,)},
         {"mode": "implicit"},
         {"ce": "nn"},
         {"degree": 0},
         {"ridge": -1.0},
         {"sweeps": 0},
     ):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="solver"):
             SolverConfig(**kwargs)
     cfg = SolverConfig(eps_schedule=[0.1, 0.05])
     assert cfg.eps_schedule == (0.1, 0.05)
@@ -123,29 +137,23 @@ def test_penalization_force_single_sign_for_one_sided_wall():
     assert np.isfinite(total) and total > 0.0
 
 
-@pytest.mark.parametrize("pair", [(ZERO, ZERO), (QUAD1, ZERO), (IND11, ABS), (HALFLINE, QUAD1)])
+@pytest.mark.parametrize(
+    "pair",
+    [
+        (ZERO, ZERO), (QUAD1, ZERO), (IND11, ABS), (HALFLINE, QUAD1),
+        # recentered: kink-free affine maps, and kinks away from 0
+        (QUAD_AT_1, ZERO), (QUAD_NEAR_1, QUAD1), (WALL_TILTED, ABS_AT_1),
+    ],
+)
 @pytest.mark.parametrize("alpha", [0.0, 0.4, 1.0])
 def test_implicit_step_closed_form_matches_bisection(pair, alpha):
     phi, psi = pair
     y_hat = np.linspace(-4.0, 4.0, 41)
     for eps in (0.05, 0.5):
         for dq in (0.01, 0.3):
-            exact = resolve_implicit(phi, psi, alpha, eps, dq, y_hat, method="closed_form")
-            probed = resolve_implicit(phi, psi, alpha, eps, dq, y_hat, method="bisect")
+            exact = resolve_implicit(phi, psi, alpha, eps, dq, y_hat)
+            probed = implicit_step_oracle(phi, psi, alpha, eps, dq, "bisect")(y_hat)
             assert np.allclose(exact, probed, rtol=0, atol=1e-11)
-
-
-def test_implicit_step_custom_falls_back_to_bisection():
-    custom = ConvexSpec.custom(lambda y: 0.5 * np.square(y))
-    y_hat = np.array([-2.0, 0.0, 1.5])
-    got = resolve_implicit(custom, ZERO, 1.0, 0.25, 0.1, y_hat)
-    ref = resolve_implicit(QUAD1, ZERO, 1.0, 0.25, 0.1, y_hat, method="closed_form")
-    # the numeric prox inside the custom route carries a few 1e-9 itself
-    assert np.allclose(got, ref, rtol=0, atol=1e-7)
-    with pytest.raises(PenalizationSolveFailure):
-        resolve_implicit(custom, ZERO, 1.0, 0.25, 0.1, y_hat, method="closed_form")
-    with pytest.raises(ConfigError):
-        resolve_implicit(QUAD1, ZERO, 1.0, 0.25, 0.1, y_hat, method="newton")
 
 
 def per_step_sweep(bundle, phi, psi, gen, terminal, eps):
@@ -165,7 +173,6 @@ def per_step_sweep(bundle, phi, psi, gen, terminal, eps):
     return levels[::-1]
 
 
-CUSTOM_QUAD = ConvexSpec.custom(lambda y: 0.5 * np.square(y))
 RAMP = IncreasingProcessSpec.ramp(0.5, 1.0)
 # dyadic steps 1/4 and 1/8 around the ramp start: dQ = 1/4 with alpha 1
 # and with alpha 1/2, so neither alpha nor dQ alone identifies a step
@@ -179,10 +186,10 @@ UNEVEN = build_paths(
     [
         (tree_bundle(16, a_spec=RAMP), IND11, "closed_form", 2),
         (UNEVEN, IND11, "closed_form", 3),
-        # each bisect step runs a numeric prox per probe, so keep it short
-        (tree_bundle(1, a_spec=RAMP), CUSTOM_QUAD, "bisect", 1),
+        # with psi = QUAD1 neither potential has kinks: the affine inverse
+        (tree_bundle(8, a_spec=RAMP), QUAD_AT_1, "closed_form", 2),
     ],
-    ids=["closed_form-tree", "closed_form-uneven", "bisect"],
+    ids=["closed_form-tree", "closed_form-uneven", "recentered"],
 )
 def test_one_implicit_step_per_alpha_and_dq_matches_per_step_solves(
     monkeypatch, bundle, phi, method, n_keys
@@ -265,6 +272,19 @@ def test_sequence_zero_potentials_have_zero_gaps():
         assert gap["y_gap"] == 0.0
         assert gap["z_gap"] == 0.0
     assert all(v == 0.0 for v in seq.penalty_energy.values())
+
+
+@pytest.mark.parametrize("case", ["tree_barrier", "lsq-two-eps"])
+def test_z_gap_is_the_path_l2_gap_of_the_expanded_fields(case):
+    exp = build_experiment({**SWEEP_CASES[case], "grid": {"steps": 32}})
+    bundle = build_paths(exp.grid, exp.noise, exp.a_spec)
+    seq = solve_sequence(make_backend(bundle, exp.solver), exp.phi, exp.psi, exp.gen, exp.terminal, exp.solver)
+    schedule = exp.solver.eps_schedule
+    assert len(seq.gaps) == len(schedule) - 1
+    for gap, coarse, fine in zip(seq.gaps, schedule, schedule[1:]):
+        za, zb = (seq.solutions[e].paths(bundle)["Z"] for e in (coarse, fine))
+        want = float(np.sqrt(np.sum(np.mean((za - zb) ** 2, axis=0) * bundle.dt)))
+        assert want > 0.0 and gap["z_gap"] == want
 
 
 def test_sequence_reflection_gap_tracks_eps():
@@ -375,10 +395,16 @@ def assert_matches_oracle(seq, ref):
 
 
 def sweep_and_oracle(config):
-    """(one sweep, per-eps oracle, their StiffnessWarning messages) for a config."""
+    """(one sweep, per-eps oracle, their StiffnessWarning messages) for a config.
+
+    A "recenter" entry holds RecenterData for the config's potentials.
+    """
+    config = dict(config)
+    data = config.pop("recenter", None)
     exp = build_experiment(config)
     bundle = build_paths(exp.grid, exp.noise, exp.a_spec)
-    args = (exp.phi, exp.psi, exp.gen, exp.terminal, exp.solver)
+    phi, psi = (exp.phi, exp.psi) if data is None else recenter(exp.phi, exp.psi, data)
+    args = (phi, psi, exp.gen, exp.terminal, exp.solver)
     out = []
     for solve, on in (
         (solve_sequence, make_backend(bundle, exp.solver)),
@@ -456,6 +482,16 @@ SWEEP_CASES = {
         "generator": {"F": "0.5 - y"},
         "solver": {"eps_schedule": [0.1, 0.05]},
     },
+    # recentered potentials on a ramp clock: "recenter" is read by
+    # sweep_and_oracle, not by build_experiment
+    "recentered": {
+        "scenario": "two_barrier_driven",
+        "grid": {"steps": 8},
+        "a_process": {"kind": "ramp", "start": 0.5, "rate": 1.0},
+        "potentials": {"phi": {"kind": "quadratic", "c": 1.0}, "psi": {"kind": "abs"}},
+        "solver": {"eps_schedule": [0.5, 0.1]},
+        "recenter": RecenterData(u0=1.0, phi_subgradient=1.0, psi_subgradient=1.0),
+    },
 }
 
 
@@ -466,19 +502,6 @@ def test_one_sweep_matches_the_per_eps_sweeps(config):
     assert seq_warned == ref_warned
     if config.get("solver", {}).get("mode") == "explicit":
         assert len(seq_warned) == 2
-
-
-def test_one_sweep_matches_the_per_eps_sweeps_on_bisection():
-    # each bisection step runs a numeric prox per probe, so keep it short;
-    # eps >= 0.5 because the bisection gate fails at smaller eps
-    bundle = tree_bundle(1, a_spec=RAMP)
-    gen = GeneratorSpec.from_expressions("0.3 - y", "0.5 * y")
-    terminal = lambda b, a: 0.5 * b + 1.2  # noqa: E731
-    cfg = SolverConfig(eps_schedule=(1.0, 0.5))
-    args = (CUSTOM_QUAD, QUAD1, gen, terminal, cfg)
-    seq = solve_sequence(make_backend(bundle, cfg), *args)
-    assert {sol.implicit_method for sol in seq.solutions.values()} == {"bisect"}
-    assert_matches_oracle(seq, solve_sequence_oracle(bundle, *args))
 
 
 def test_rows_outside_their_budget_skip_the_driver_and_the_penalty(monkeypatch):
@@ -532,11 +555,14 @@ def test_non_finite_driver_on_the_finest_row_alone_still_raises():
 
 
 def test_sweep_refuses_a_schedule_that_is_not_decreasing():
-    with pytest.raises(ConfigError):
-        solver.backward_sweep(
-            make_backend(det_bundle(4), SolverConfig()), ZERO, ZERO, ZERO_GEN, terminal_const(1.0),
-            (0.1, 0.2), SolverConfig(),
-        )
+    # the sweep reads its schedule from the config, which checks it once,
+    # also where solve_penalized swaps in its one eps
+    cfg = SolverConfig()
+    with pytest.raises(ConfigError, match="solver.eps_schedule"):
+        dataclasses.replace(cfg, eps_schedule=(0.1, 0.2))
+    for eps in (np.nan, np.inf, 0.0):
+        with pytest.raises(ConfigError, match="solver.eps_schedule"):
+            solve_penalized(det_bundle(4), ZERO, ZERO, ZERO_GEN, terminal_const(1.0), eps, cfg)
 
 
 # MC paths; MC paths over T = 1e-6, whose bases are full rank with
