@@ -28,7 +28,6 @@ from .errors import (
     NonFiniteInput,
     NotASubgradient,
     QuadratureFailure,
-    StiffnessWarning,
     ZeroStep,
 )
 from .generators import (

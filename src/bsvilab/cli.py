@@ -141,9 +141,6 @@ def execute(exp: Experiment) -> RunResult:
         "y0_by_eps": {fmt(e): seq.solutions[e].y0 for e in exp.solver.eps_schedule},
         "gaps": seq.gaps,
         "penalty_energy": {fmt(e): v for e, v in seq.penalty_energy.items()},
-        "implicit_method_by_eps": {
-            fmt(e): seq.solutions[e].implicit_method for e in exp.solver.eps_schedule
-        },
         "penalty_by_eps": {
             fmt(e): {
                 "active_fraction": seq.solutions[e].active_fraction,

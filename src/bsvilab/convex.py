@@ -189,19 +189,12 @@ def _gradient(spec, eps, y):
     return (y - _resolvent(spec, eps, y)) / eps
 
 
-def combined_gradient(
-    phi: ConvexSpec, psi: ConvexSpec, alpha, eps, y, active=True
-) -> np.ndarray:
-    """alpha * D phi_eps + (1 - alpha) * D psi_eps, times a truncation flag.
-
-    ``active`` is the indicator that the increasing process is still
-    within the 1/eps budget; it broadcasts against y.
-    """
+def combined_gradient(phi: ConvexSpec, psi: ConvexSpec, alpha, eps, y) -> np.ndarray:
+    """alpha * D phi_eps + (1 - alpha) * D psi_eps."""
     alpha = np.asarray(alpha, dtype=float)
     if np.any(alpha < 0.0) or np.any(alpha > 1.0):
         raise DomainError("alpha must lie in [0, 1]")
-    g = alpha * yosida_gradient(phi, eps, y) + (1.0 - alpha) * yosida_gradient(psi, eps, y)
-    return g * np.asarray(active, dtype=float)
+    return alpha * yosida_gradient(phi, eps, y) + (1.0 - alpha) * yosida_gradient(psi, eps, y)
 
 
 def gradient_breakpoints(spec: ConvexSpec, eps: float) -> list:
@@ -233,25 +226,31 @@ class RecenterData:
     psi_subgradient: float
 
 
-def _check_subgradient(spec: ConvexSpec, u0: float, sub: float, seed: int = 0) -> None:
-    f_u0 = float(np.asarray(potential_value(spec, np.asarray([u0]))).ravel()[0])
-    if not np.isfinite(f_u0):
-        raise NotASubgradient(f"recentering point {u0} lies outside the domain")
-    rng = np.random.default_rng(seed)
-    v = np.concatenate([rng.uniform(-10.0, 10.0, 500), np.linspace(-5.0, 5.0, 501)])
-    fv = potential_value(spec, v)
-    if np.any(fv < f_u0 + sub * (v - u0) - 1e-9):
-        raise NotASubgradient(
-            f"{sub} is not a subgradient of the potential at {u0}"
-        )
+def _check_subgradient(spec: ConvexSpec, u0: float, sub: float) -> None:
+    """Refuse sub unless it lies in the kind's subdifferential at u0."""
+    if spec.kind == "zero":
+        ok = sub == 0.0
+    elif spec.kind == "quadratic":
+        ok = abs(sub - spec.c * u0) <= 1e-12 * max(1.0, abs(spec.c * u0))
+    elif spec.kind == "abs":
+        ok = abs(sub) <= 1.0 if u0 == 0.0 else sub == np.sign(u0)
+    elif spec.kind == "interval":
+        if not spec.a <= u0 <= spec.b:
+            raise NotASubgradient(f"recentering point {u0} lies outside the domain")
+        # the normal cone: {0} inside, [0, inf) at b, (-inf, 0] at a
+        ok = sub == 0.0 or (u0 == spec.b and sub > 0.0) or (u0 == spec.a and sub < 0.0)
+    else:
+        raise _unknown(spec)
+    if not (ok and np.isfinite(sub)):
+        raise NotASubgradient(f"{sub} is not a subgradient of the potential at {u0}")
 
 
-def _recenter_one(spec: ConvexSpec, u0: float, sub: float, seed: int) -> ConvexSpec:
+def _recenter_one(spec: ConvexSpec, u0: float, sub: float) -> ConvexSpec:
     if spec.recentered:
         # two recenterings compose to phi(y + u0 + u1) - (s0 + s1) y - s0 u1,
         # whose constant the spec cannot hold
         raise DomainError("the potential is already recentered")
-    _check_subgradient(spec, u0, sub, seed=seed)
+    _check_subgradient(spec, u0, sub)
     if spec.kind == "zero":
         return spec
     if spec.kind == "interval" and sub == 0.0:
@@ -261,9 +260,7 @@ def _recenter_one(spec: ConvexSpec, u0: float, sub: float, seed: int) -> ConvexS
     return replace(spec, shift=u0, tilt=sub)
 
 
-def recenter(
-    phi: ConvexSpec, psi: ConvexSpec, data: RecenterData, seed: int = 0
-) -> tuple:
+def recenter(phi: ConvexSpec, psi: ConvexSpec, data: RecenterData) -> tuple:
     """Shift both potentials so the distinguished point moves to the origin.
 
     Returns (phi_hat, psi_hat) with
@@ -277,8 +274,8 @@ def recenter(
     u0 = float(data.u0)
     if not np.isfinite(u0):
         raise NonFiniteInput("recentering point must be finite")
-    phi_hat = _recenter_one(phi, u0, float(data.phi_subgradient), seed)
-    psi_hat = _recenter_one(psi, u0, float(data.psi_subgradient), seed)
+    phi_hat = _recenter_one(phi, u0, float(data.phi_subgradient))
+    psi_hat = _recenter_one(psi, u0, float(data.psi_subgradient))
     return phi_hat, psi_hat
 
 

@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the package."""
+"""Exception types shared across the package."""
 
 
 class BsvilabError(Exception):
@@ -10,7 +10,7 @@ class NonFiniteInput(BsvilabError):
 
 
 class NotASubgradient(BsvilabError):
-    """A claimed subgradient fails the defining inequality on sampled points."""
+    """A claimed subgradient is not in the potential's subdifferential at its point."""
 
 
 class ZeroStep(BsvilabError):
@@ -43,7 +43,3 @@ class ConfigError(BsvilabError):
 
     The message names the offending field.
     """
-
-
-class StiffnessWarning(UserWarning):
-    """Explicit penalty step with dQ/eps > 1, expect oscillation."""

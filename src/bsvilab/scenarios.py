@@ -16,7 +16,7 @@ import numpy as np
 
 from .convex import ConvexSpec
 from .errors import ConfigError
-from .generators import GeneratorSpec, compile_expression
+from .generators import GeneratorSpec, compile_expression, validate_generator
 from .paths import IncreasingProcessSpec, NoiseModel, TimeGrid
 from .solver import SolverConfig
 
@@ -82,13 +82,16 @@ def generator_from_config(d: dict, where: str = "generator") -> GeneratorSpec:
     f_expr = _get(d, "F", str, where, default="0")
     g_expr = _get(d, "G", str, where, default="0")
     try:
-        return GeneratorSpec.from_expressions(
+        gen = GeneratorSpec.from_expressions(
             f_expr,
             g_expr,
             mu=_get(d, "mu", float, where, default=0.0),
             nu=_get(d, "nu", float, where, default=0.0),
             ell=_get(d, "ell", float, where, default=0.0),
         )
+        # mu, nu and ell set the weights behind the contraction check and both bounds
+        validate_generator(gen)
+        return gen
     except ConfigError:
         raise
     except Exception as exc:
@@ -162,22 +165,18 @@ def terminal_from_config(d: dict, where: str = "scenario.terminal") -> Callable:
     raise ConfigError(f"{where}.kind: unknown terminal kind {kind!r}")
 
 
+SOLVER_KEYS = ("p", "lambda", "eps_schedule", "ce", "degree", "mollify")
+
+
 def solver_from_config(d: dict, where: str = "solver") -> SolverConfig:
-    _known(d, (
-        "p", "lambda", "eps_schedule", "mode", "ce", "degree", "ridge",
-        "mollify", "mollifier_nq", "sweeps",
-    ), where)
+    _known(d, SOLVER_KEYS, where)
     return SolverConfig(
         p=_get(d, "p", float, where, default=2.0),
         lam=_get(d, "lambda", float, where, default=0.5),
         eps_schedule=tuple(_get(d, "eps_schedule", list, where, default=[0.1])),
-        mode=_get(d, "mode", str, where, default="semi_implicit"),
         ce=_get(d, "ce", str, where, default="tree"),
         degree=_get(d, "degree", int, where, default=3),
-        ridge=_get(d, "ridge", float, where, default=0.0),
         mollify=_get(d, "mollify", bool, where, default=False),
-        mollifier_nq=_get(d, "mollifier_nq", int, where, default=401),
-        sweeps=_get(d, "sweeps", int, where, default=1),
     )
 
 

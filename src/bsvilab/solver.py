@@ -2,7 +2,7 @@
 
 One backward Euler sweep in the clock Q per step, splitting the driver
 (explicit, one predictor evaluation) from the penalty gradient
-(implicit by default):
+(implicit):
 
     Z_i    = CE_i[Y_{i+1} dB_i] / dt_i
     y_hat  = CE_i[Y_{i+1}] + H_eps(t_i, CE_i[Y_{i+1}], Z_i) dQ_i
@@ -29,7 +29,7 @@ it.
 """
 
 import dataclasses
-import warnings
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -37,7 +37,7 @@ import numpy as np
 
 from . import convex
 from .convex import ConvexSpec, potential_value
-from .errors import ConfigError, DomainError, StiffnessWarning
+from .errors import ConfigError, DomainError
 from .generators import (
     GeneratorSpec,
     MollifierConfig,
@@ -53,34 +53,29 @@ class SolverConfig:
     p: float = 2.0
     lam: float = 0.5
     eps_schedule: tuple = (0.1,)
-    mode: str = "semi_implicit"  # or "explicit"
     ce: str = "tree"  # or "lsq"
     degree: int = 3
-    ridge: float = 0.0
     mollify: bool = False
-    mollifier_nq: int = 401
-    sweeps: int = 1
 
     def __post_init__(self):
         if not (np.isfinite(self.p) and self.p > 1.0):
             raise ConfigError(f"solver.p must be > 1, got {self.p}")
         if not (0.0 < self.lam < 1.0):
             raise ConfigError(f"solver.lambda must lie in (0, 1), got {self.lam}")
-        sched = tuple(float(e) for e in self.eps_schedule)
-        if not sched or not all(np.isfinite(e) and e > 0.0 for e in sched):
-            raise ConfigError("solver.eps_schedule must be non-empty, finite and positive")
+        sched = tuple(self.eps_schedule)
+        # a bool or a numeric string would pass float() silently
+        if not sched or not all(
+            isinstance(e, numbers.Real) and not isinstance(e, bool) and np.isfinite(e) and e > 0.0
+            for e in sched
+        ):
+            raise ConfigError("solver.eps_schedule must be non-empty, finite and positive numbers")
+        sched = tuple(float(e) for e in sched)
         if any(b >= a for a, b in zip(sched, sched[1:])):
             raise ConfigError("solver.eps_schedule must be strictly decreasing")
-        if self.mode not in ("semi_implicit", "explicit"):
-            raise ConfigError(f"solver.mode unknown: {self.mode!r}")
         if self.ce not in ("tree", "lsq"):
             raise ConfigError(f"solver.ce unknown: {self.ce!r}")
         if self.degree < 1:
             raise ConfigError(f"solver.degree must be >= 1, got {self.degree}")
-        if self.ridge < 0.0:
-            raise ConfigError(f"solver.ridge must be >= 0, got {self.ridge}")
-        if self.sweeps < 1:
-            raise ConfigError(f"solver.sweeps must be >= 1, got {self.sweeps}")
         object.__setattr__(self, "eps_schedule", sched)
 
 
@@ -129,18 +124,16 @@ class RegressionBackend:
     rank deficient (a tree's early dates, deterministic noise).  One
     slot holds the last date's factor, so callers keep a date's fits
     together; a cache across dates would hold P x (degree + 1) floats
-    per date.  With a ridge the fit solves the regularized normal
-    equations on x instead.
+    per date.
     """
 
     kind = "lsq"
 
-    def __init__(self, bundle: PathBundle, degree: int, ridge: float):
+    def __init__(self, bundle: PathBundle, degree: int):
         self.bundle = bundle
         self.degree = int(degree)
-        self.ridge = float(ridge)
         self.B = bundle.driver_paths()
-        self._slot = (None, None)  # (date, u or, with a ridge, x)
+        self._slot = (None, None)  # (date, u)
 
     def terminal_driver(self) -> np.ndarray:
         return self.B[:, -1]
@@ -148,12 +141,9 @@ class RegressionBackend:
     def _basis(self, i: int) -> np.ndarray:
         if self._slot[0] != i:
             x = np.vander(self.B[:, i], self.degree + 1, increasing=True)
-            if self.ridge > 0.0:
-                self._slot = (i, x)
-            else:
-                u, s, _ = np.linalg.svd(x, full_matrices=False)
-                rank = np.count_nonzero(s > np.finfo(float).eps * max(x.shape) * s[0])
-                self._slot = (i, u[:, :rank])
+            u, s, _ = np.linalg.svd(x, full_matrices=False)
+            rank = np.count_nonzero(s > np.finfo(float).eps * max(x.shape) * s[0])
+            self._slot = (i, u[:, :rank])
         return self._slot[1]
 
     def _fit(self, i: int, target: np.ndarray) -> np.ndarray:
@@ -165,11 +155,8 @@ class RegressionBackend:
             return out
         if i == 0:
             return np.full_like(target, float(np.mean(target)))
-        x = self._basis(i)
-        if self.ridge > 0.0:
-            gram = x.T @ x + self.ridge * np.eye(self.degree + 1)
-            return x @ np.linalg.solve(gram, x.T @ target)
-        return x @ (target @ x)
+        u = self._basis(i)
+        return u @ (target @ u)
 
     def ce(self, i: int, v_next: np.ndarray) -> np.ndarray:
         return self._fit(i, v_next)
@@ -185,7 +172,7 @@ class RegressionBackend:
 def make_backend(bundle: PathBundle, cfg: SolverConfig):
     if cfg.ce == "tree":
         return TreeBackend(bundle)
-    return RegressionBackend(bundle, cfg.degree, cfg.ridge)
+    return RegressionBackend(bundle, cfg.degree)
 
 
 def implicit_step(phi: ConvexSpec, psi: ConvexSpec, alpha: float, schedule, dq: float) -> Callable:
@@ -281,9 +268,8 @@ class SolutionField:
     bundle.  H_levels records the driver value the predictor actually
     used, so Y, Z, U, H satisfy the step identity
     Y_{i+1} = Y_i - (H_i - U_i) dQ_i + Z_i dB_i exactly on lattices.
-    implicit_method names how the penalty step was solved: 'closed_form'
-    or 'explicit'; max_stiffness is the largest dQ_i / eps over
-    the steps inside the budget (0 if none).
+    max_stiffness is the largest dQ_i / eps over the steps inside the
+    budget (0 if none).
     """
 
     eps: float
@@ -293,7 +279,6 @@ class SolutionField:
     U_levels: list
     H_levels: list
     dq: np.ndarray
-    implicit_method: str
     max_stiffness: float
     _expanded: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
@@ -373,10 +358,9 @@ def backward_sweep(
     A_i <= 1 / eps_r; a finer eps has the larger budget, so the active
     rows of a step are the last ones.  Only those reach the driver and
     the implicit step; the others keep Y = CE with H = U = 0.  Work that
-    is elementwise runs once per step for all rows.  Explicit mode and
-    the mollified driver depend on eps and run row by row.  SolverConfig
-    has checked that the schedule is finite, positive and strictly
-    decreasing.
+    is elementwise runs once per step for all rows; the mollified driver
+    depends on eps and runs row by row.  SolverConfig has checked that
+    the schedule is finite, positive and strictly decreasing.
     """
     schedule = cfg.eps_schedule
     for label, pot in (("phi", phi), ("psi", psi)):
@@ -395,10 +379,7 @@ def backward_sweep(
     active = np.array([bundle.A[:-1] <= 1.0 / eps for eps in schedule])
     first_active = n_eps - np.count_nonzero(active, axis=0)
 
-    molls = (
-        [MollifierConfig(eps=eps, n_q=cfg.mollifier_nq) for eps in schedule]
-        if cfg.mollify else None
-    )
+    molls = [MollifierConfig(eps=eps) for eps in schedule] if cfg.mollify else None
 
     def driver(i, rows, y, z):
         if molls is None:
@@ -410,13 +391,6 @@ def backward_sweep(
         ])
 
     stiffness = [float(np.max(dq[act] / eps, initial=0.0)) for eps, act in zip(schedule, active)]
-    if cfg.mode == "explicit":
-        for s in stiffness:
-            if s > 1.0:
-                warnings.warn(
-                    f"explicit penalty step with max dQ/eps = {s:.3g} > 1", StiffnessWarning
-                )
-    method = "explicit" if cfg.mode == "explicit" else "closed_form"
     steps = {}  # one implicit_step for all rows per distinct (alpha_i, dQ_i)
 
     y_levels = [None] * (n + 1)
@@ -430,16 +404,8 @@ def backward_sweep(
 
     def penalized_step(i, rows, ce, z):
         """(Y, H, U) of the active rows, given their CE and Z."""
-        y_hat = ce
-        for _ in range(cfg.sweeps):
-            h = driver(i, rows, y_hat, z)
-            y_hat = ce + h * dq[i]
-        if method == "explicit":
-            u = np.stack([
-                convex.combined_gradient(phi, psi, alpha[i], eps, y_r)
-                for eps, y_r in zip(schedule[rows], y_hat)
-            ])
-            return y_hat - dq[i] * u, h, u
+        h = driver(i, rows, ce, z)
+        y_hat = ce + h * dq[i]
         key = (alpha[i], dq[i])
         if key not in steps:
             steps[key] = implicit_step(phi, psi, alpha[i], schedule, dq[i])
@@ -468,7 +434,6 @@ def backward_sweep(
             U_levels=[lv[r] for lv in u_levels],
             H_levels=[lv[r] for lv in h_levels],
             dq=dq,
-            implicit_method=method,
             max_stiffness=stiffness[r],
         )
         for r, eps in enumerate(schedule)

@@ -12,13 +12,12 @@ Slow and simple on purpose.
 """
 
 import csv
-import warnings
 
 import numpy as np
 
 from bsvilab import convex
 from bsvilab.convex import potential_value
-from bsvilab.errors import DomainError, StiffnessWarning
+from bsvilab.errors import DomainError
 from bsvilab.generators import (
     MollifierConfig,
     combined_driver,
@@ -204,7 +203,7 @@ def solve_penalized_oracle(bundle, phi, psi, gen, terminal, eps, cfg):
     alpha = bundle.alpha
     active = bundle.A[:-1] <= 1.0 / eps
 
-    moll = MollifierConfig(eps=eps, n_q=cfg.mollifier_nq) if cfg.mollify else None
+    moll = MollifierConfig(eps=eps) if cfg.mollify else None
 
     def driver(i, y, z):
         if moll is None:
@@ -212,13 +211,6 @@ def solve_penalized_oracle(bundle, phi, psi, gen, terminal, eps, cfg):
         f = mollify_driver(gen, moll, t[i], y, z)
         g = mollify_driver_g(gen, moll, t[i], y)
         return alpha[i] * f + (1.0 - alpha[i]) * g
-
-    if cfg.mode == "explicit" and np.any(dq[active] / eps > 1.0):
-        warnings.warn(
-            f"explicit penalty step with max dQ/eps = {np.max(dq[active]) / eps:.3g} > 1",
-            StiffnessWarning,
-        )
-    method = "explicit" if cfg.mode == "explicit" else "closed_form"
 
     y_levels = [None] * (n + 1)
     z_levels = [None] * n
@@ -232,17 +224,10 @@ def solve_penalized_oracle(bundle, phi, psi, gen, terminal, eps, cfg):
         ce = backend.ce(i, y_levels[i + 1])
         z = backend.z(i, y_levels[i + 1])
         if active[i]:
-            y_hat = ce
-            h = np.zeros_like(ce)
-            for _ in range(cfg.sweeps):
-                h = driver(i, y_hat, z)
-                y_hat = ce + h * dq[i]
-            if method == "explicit":
-                u = convex.combined_gradient(phi, psi, alpha[i], eps, y_hat)
-                y = y_hat - dq[i] * u
-            else:
-                y = implicit_step_oracle(phi, psi, alpha[i], eps, dq[i], method)(y_hat)
-                u = (y_hat - y) / dq[i]
+            h = driver(i, ce, z)
+            y_hat = ce + h * dq[i]
+            y = implicit_step_oracle(phi, psi, alpha[i], eps, dq[i], "closed_form")(y_hat)
+            u = (y_hat - y) / dq[i]
         else:
             y, h = ce, np.zeros_like(ce)
             u = np.zeros_like(ce)
@@ -253,7 +238,6 @@ def solve_penalized_oracle(bundle, phi, psi, gen, terminal, eps, cfg):
         "Z_levels": z_levels,
         "U_levels": u_levels,
         "H_levels": h_levels,
-        "implicit_method": method,
     }
 
 
@@ -265,17 +249,13 @@ def solve_sequence_oracle(bundle, phi, psi, gen, terminal, cfg):
     }
 
 
-def regression_fit_oracle(b, degree, target, ridge=0.0):
+def regression_fit_oracle(b, degree, target):
     """Least-squares fit of target on {1, b, ..., b^degree}, one lstsq per row."""
     target = np.asarray(target, dtype=float)
     if target.ndim == 2:
-        return np.stack([regression_fit_oracle(b, degree, row, ridge) for row in target])
+        return np.stack([regression_fit_oracle(b, degree, row) for row in target])
     x = np.vander(b, degree + 1, increasing=True)
-    if ridge > 0.0:
-        gram = x.T @ x + ridge * np.eye(degree + 1)
-        beta = np.linalg.solve(gram, x.T @ target)
-    else:
-        beta = np.linalg.lstsq(x, target, rcond=None)[0]
+    beta = np.linalg.lstsq(x, target, rcond=None)[0]
     return x @ beta
 
 

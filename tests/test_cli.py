@@ -1,7 +1,6 @@
 import hashlib
 import importlib.util
 import json
-import os
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +52,8 @@ def test_config_errors_name_the_field():
         ({"potentials": {"phi": {"kind": "interval", "a": 0.5, "b": 2.0}}}, "potentials.phi"),
         ({"potentials": {"phi": {"kind": "cubic"}}}, "potentials.phi.kind"),
         ({"generator": {"F": "y/2"}}, "Div"),
+        # F = y is increasing in y, so it breaks the declared mu = 0
+        ({"generator": {"F": "y"}}, "generator: F violates its declared monotonicity bound mu"),
         ({"noise": {"kind": "sobol"}}, "noise.kind"),
         ({"a_process": {"kind": "steps"}}, "a_process.kind"),
         ({"solver": {"lambda": 2.0}}, "lambda"),
@@ -185,22 +186,20 @@ def test_run_writes_byte_identical_artifacts(tmp_path):
     assert main(["run", "--config", cfg, "--out", out2]) == 0
 
     for fname in ("results.csv", "verify.json", "config_echo.json"):
-        b1 = open(os.path.join(out1, fname), "rb").read()
-        b2 = open(os.path.join(out2, fname), "rb").read()
-        assert b1 == b2, fname
+        assert Path(out1, fname).read_bytes() == Path(out2, fname).read_bytes(), fname
 
-    s1 = json.load(open(os.path.join(out1, "summary.json")))
-    s2 = json.load(open(os.path.join(out2, "summary.json")))
+    s1 = json.loads(Path(out1, "summary.json").read_text())
+    s2 = json.loads(Path(out2, "summary.json").read_text())
     s1.pop("timings"), s2.pop("timings")
     assert s1 == s2
 
-    blob = open(os.path.join(out1, "results.csv"), "rb").read()
+    blob = Path(out1, "results.csv").read_bytes()
     assert s1["artifact_hashes"]["results.csv"] == hashlib.sha256(blob).hexdigest()
     assert s1["all_passed"] is True
     assert s1["y0_by_eps"][fmt(0.1)] == 0.0
 
-    head = open(os.path.join(out1, "results.csv")).readline().strip()
-    assert head == "step,t,Q,alpha,node_or_path,Y,Z,U,Kinc"
+    head = blob.split(b"\r\n", 1)[0]
+    assert head == b"step,t,Q,alpha,node_or_path,Y,Z,U,Kinc"
 
 
 def test_verify_subcommand_replays_a_run(tmp_path, capsys):
@@ -231,7 +230,7 @@ def test_sweep_dt_shows_first_order_convergence(tmp_path, capsys):
         "sweep", "--config", cfg, "--axis", "dt", "--values", "0.02,0.01", "--out", out
     ]) == 0
     capsys.readouterr()
-    rows = open(os.path.join(out, "sweep.csv")).read().strip().splitlines()
+    rows = Path(out, "sweep.csv").read_text().strip().splitlines()
     assert rows[0] == "axis,value,y0,y0_gap_prev,reference_error,runtime_s"
     errs = [float(r.split(",")[4]) for r in rows[1:]]
     assert 1.7 <= errs[0] / errs[1] <= 2.3
@@ -341,21 +340,10 @@ def test_results_csv_matches_the_per_row_writer(tmp_path, config):
     res = execute(build_experiment(config))
     write_artifacts(str(tmp_path / "out"), res)
     results_csv_oracle(str(tmp_path / "oracle.csv"), res)
-    got = open(tmp_path / "out" / "results.csv", "rb").read()
-    assert got == open(tmp_path / "oracle.csv", "rb").read()
+    got = (tmp_path / "out" / "results.csv").read_bytes()
+    assert got == (tmp_path / "oracle.csv").read_bytes()
     final = res.seq.solutions[res.exp.solver.eps_schedule[-1]]
     assert got.count(b"\r\n") == 1 + sum(np.size(y) for y in final.Y_levels)
-
-
-def test_summary_names_the_implicit_method():
-    cases = (
-        ({}, "closed_form"),
-        ({"solver": {"mode": "explicit", "eps_schedule": [0.5, 0.25]}}, "explicit"),
-    )
-    for override, method in cases:
-        res = execute(build_experiment({**MART_SMALL, **override}))
-        eps = res.exp.solver.eps_schedule
-        assert res.summary["implicit_method_by_eps"] == {fmt(e): method for e in eps}
 
 
 def test_summary_reports_the_penalty_per_eps():

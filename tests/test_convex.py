@@ -77,7 +77,6 @@ def test_indicator_gradient_formula_on_grid():
 
 def test_combined_gradient_values():
     assert np.isclose(combined_gradient(IND11, IND11, 0.3, 0.1, 1.5), 5.0, atol=1e-12)
-    assert combined_gradient(IND11, IND11, 0.3, 0.1, 1.5, active=False) == 0.0
     assert np.isclose(combined_gradient(QUAD1, ZERO, 0.5, 0.25, 2.0), 0.8, atol=1e-12)
 
 
@@ -250,11 +249,45 @@ def test_recenter_identity():
 
 
 def test_recenter_rejects_bad_subgradient():
-    with pytest.raises(NotASubgradient):
-        recenter(QUAD1, ZERO, RecenterData(u0=1.0, phi_subgradient=5.0, psi_subgradient=0.0))
-    with pytest.raises(NotASubgradient):
-        # point outside the domain
+    # the subdifferential of quadratic(1) at 1 is {1}, to 1e-12 relative
+    for sub in (5.0, 1.01, 1.0 + 4e-5, np.nan, np.inf):
+        with pytest.raises(NotASubgradient):
+            recenter(QUAD1, ZERO, RecenterData(u0=1.0, phi_subgradient=sub, psi_subgradient=0.0))
+    with pytest.raises(NotASubgradient, match="outside the domain"):
         recenter(IND11, ZERO, RecenterData(u0=2.0, phi_subgradient=0.0, psi_subgradient=0.0))
+    for spec, u0, sub in (
+        (ZERO, 1.0, 1e-9),
+        (ABS, 0.0, 1.0 + 1e-12),  # [-1, 1] at the kink
+        (ABS, 0.0, -1.5),
+        (ABS, 0.5, 1.0 - 1e-12),  # {sign u0} away from it
+        (ABS, -0.5, 1.0),
+        (IND11, 0.5, 0.1),  # {0} inside the interval
+        (IND11, 1.0, -0.1),  # [0, inf) at b
+        (IND11, -1.0, 0.1),  # (-inf, 0] at a
+        (IND11, 1.0, np.inf),
+    ):
+        with pytest.raises(NotASubgradient):
+            recenter(spec, ZERO, RecenterData(u0=u0, phi_subgradient=sub, psi_subgradient=0.0))
+
+
+def test_recenter_accepts_the_whole_subdifferential():
+    for spec, u0, sub in (
+        (ZERO, 2.0, 0.0),
+        (QUAD1, 1.0, 1.0 + 1e-13),
+        (ConvexSpec.quadratic(3.0), -2.0, -6.0),
+        (ABS, 0.0, -1.0),
+        (ABS, 0.0, 0.25),
+        (ABS, 0.0, 1.0),
+        (ABS, -0.5, -1.0),
+        (IND11, 0.5, 0.0),
+        (IND11, 1.0, 0.0),
+        (IND11, 1.0, 3.0),
+        (IND11, -1.0, -3.0),
+        (ConvexSpec.interval(-np.inf, 0.5), 0.5, 2.0),
+    ):
+        hat, _ = recenter(spec, ZERO, RecenterData(u0=u0, phi_subgradient=sub, psi_subgradient=0.0))
+        # 0 minimizes the recentered potential: its Yosida gradient vanishes there
+        assert abs(float(yosida_gradient(hat, 0.1, 0.0))) <= 1e-12 * max(1.0, abs(sub))
 
 
 def _samples():

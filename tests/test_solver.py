@@ -1,5 +1,4 @@
 import dataclasses
-import warnings
 
 import numpy as np
 import pytest
@@ -9,12 +8,11 @@ from bsvilab.errors import (
     ConfigError,
     DomainError,
     NonFiniteGenerator,
-    StiffnessWarning,
 )
 from bsvilab import solver
 from bsvilab.generators import GeneratorSpec, combined_driver
 from bsvilab.paths import IncreasingProcessSpec, NoiseModel, TimeGrid, build_paths
-from bsvilab.scenarios import SCENARIOS, build_experiment
+from bsvilab.scenarios import SCENARIOS, SOLVER_KEYS, build_experiment
 from bsvilab.solver import (
     SmoothingConfig,
     SolverConfig,
@@ -40,9 +38,9 @@ HALFLINE = ConvexSpec.interval(-np.inf, 0.0)
 ABS = ConvexSpec.abs_value()
 # phi(y + u0) - s y with s a subgradient at u0, so 0 is a minimizer
 QUAD_AT_1, ABS_AT_1 = recenter(QUAD1, ABS, RecenterData(u0=1.0, phi_subgradient=1.0, psi_subgradient=1.0))
-# a subgradient off by 1e-6, which the sampled check admits: 0 is not
-# quite a minimizer, so the kink-free inverse must subtract its value at 0
-QUAD_NEAR_1 = recenter(QUAD1, ZERO, RecenterData(u0=1.0, phi_subgradient=1.0 + 1e-6, psi_subgradient=0.0))[0]
+# a tilt 1e-6 off the gradient, which recenter refuses: 0 is not quite
+# a minimizer, so the kink-free inverse must subtract its value at 0
+QUAD_NEAR_1 = dataclasses.replace(QUAD1, shift=1.0, tilt=1.0 + 1e-6)
 WALL_TILTED = recenter(
     ConvexSpec.interval(-1.0, 0.5), ZERO,
     RecenterData(u0=0.5, phi_subgradient=2.0, psi_subgradient=0.0),
@@ -80,16 +78,35 @@ def test_solver_config_validation():
         {"eps_schedule": (0.1, np.nan)},
         {"eps_schedule": (np.inf, 0.1)},
         {"eps_schedule": (-np.inf,)},
-        {"mode": "implicit"},
+        # float() would read these; only real numbers are schedule entries
+        {"eps_schedule": ("a",)},
+        {"eps_schedule": (None,)},
+        {"eps_schedule": (True, 0.5)},
+        {"eps_schedule": (0.1, "0.05")},
         {"ce": "nn"},
         {"degree": 0},
-        {"ridge": -1.0},
-        {"sweeps": 0},
     ):
         with pytest.raises(ConfigError, match="solver"):
             SolverConfig(**kwargs)
     cfg = SolverConfig(eps_schedule=[0.1, 0.05])
     assert cfg.eps_schedule == (0.1, 0.05)
+    assert SolverConfig(eps_schedule=[1, np.float32(0.5)]).eps_schedule == (1.0, 0.5)
+    assert type(SolverConfig(eps_schedule=[1]).eps_schedule[0]) is float
+    for entries in (["a"], [None], [True, 0.5], [0.1, "0.05"]):
+        with pytest.raises(ConfigError, match="solver.eps_schedule"):
+            build_experiment({"scenario": "linear", "solver": {"eps_schedule": entries}})
+
+
+def test_solver_block_keys_are_the_config_fields():
+    fields = {f.name for f in dataclasses.fields(SolverConfig)}
+    assert fields == {"p", "lam", "eps_schedule", "ce", "degree", "mollify"}
+    assert {"lam" if k == "lambda" else k for k in SOLVER_KEYS} == fields
+    assert len(SOLVER_KEYS) == len(fields)
+    # the penalty scheme has no knobs: explicit steps, predictor sweeps,
+    # ridge fits and the mollifier's node count are gone
+    for key, value in (("mode", "explicit"), ("sweeps", 2), ("ridge", 0.1), ("mollifier_nq", 101)):
+        with pytest.raises(ConfigError, match=rf"solver: unknown keys \['{key}'\]"):
+            build_experiment({"scenario": "linear", "solver": {key: value}})
 
 
 def test_martingale_exactness_on_tree():
@@ -182,17 +199,17 @@ UNEVEN = build_paths(
 
 
 @pytest.mark.parametrize(
-    "bundle, phi, method, n_keys",
+    "bundle, phi, n_keys",
     [
-        (tree_bundle(16, a_spec=RAMP), IND11, "closed_form", 2),
-        (UNEVEN, IND11, "closed_form", 3),
+        (tree_bundle(16, a_spec=RAMP), IND11, 2),
+        (UNEVEN, IND11, 3),
         # with psi = QUAD1 neither potential has kinks: the affine inverse
-        (tree_bundle(8, a_spec=RAMP), QUAD_AT_1, "closed_form", 2),
+        (tree_bundle(8, a_spec=RAMP), QUAD_AT_1, 2),
     ],
     ids=["closed_form-tree", "closed_form-uneven", "recentered"],
 )
 def test_one_implicit_step_per_alpha_and_dq_matches_per_step_solves(
-    monkeypatch, bundle, phi, method, n_keys
+    monkeypatch, bundle, phi, n_keys
 ):
     keys = set(zip(bundle.alpha, bundle.dq))
     assert len(keys) == n_keys
@@ -209,23 +226,10 @@ def test_one_implicit_step_per_alpha_and_dq_matches_per_step_solves(
     eps = 0.5
     cfg = SolverConfig(eps_schedule=(eps,))
     sol = solve_penalized(bundle, phi, QUAD1, gen, terminal, eps, cfg)
-    assert sol.implicit_method == method
     assert sorted((a, d) for a, _, d in builds) == sorted(keys)
     ref = per_step_sweep(bundle, phi, QUAD1, gen, terminal, eps)
     for got, want in zip(sol.Y_levels, ref, strict=True):
         assert np.array_equal(got, want)
-
-
-def test_explicit_mode_warns_when_stiff():
-    gen = GeneratorSpec.from_expressions("1", "0")
-    bundle = det_bundle(10)
-    cfg = SolverConfig(eps_schedule=(0.05,), mode="explicit")
-    with pytest.warns(StiffnessWarning):
-        solve_penalized(bundle, HALFLINE, ZERO, gen, terminal_const(-0.5), 0.05, cfg)
-    calm = SolverConfig(eps_schedule=(0.05,))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        solve_penalized(bundle, HALFLINE, ZERO, gen, terminal_const(-0.5), 0.05, calm)
 
 
 def test_tree_step_identity_reconstructs_exactly():
@@ -384,7 +388,6 @@ def assert_matches_oracle(seq, ref):
     assert list(seq.solutions) == list(ref)
     for eps, want in ref.items():
         sol = seq.solutions[eps]
-        assert sol.implicit_method == want["implicit_method"]
         for key in ("Y_levels", "Z_levels", "U_levels", "H_levels"):
             got = getattr(sol, key)
             assert len(got) == len(want[key])
@@ -395,7 +398,7 @@ def assert_matches_oracle(seq, ref):
 
 
 def sweep_and_oracle(config):
-    """(one sweep, per-eps oracle, their StiffnessWarning messages) for a config.
+    """(one sweep, per-eps oracle) for a config.
 
     A "recenter" entry holds RecenterData for the config's potentials.
     """
@@ -405,17 +408,8 @@ def sweep_and_oracle(config):
     bundle = build_paths(exp.grid, exp.noise, exp.a_spec)
     phi, psi = (exp.phi, exp.psi) if data is None else recenter(exp.phi, exp.psi, data)
     args = (phi, psi, exp.gen, exp.terminal, exp.solver)
-    out = []
-    for solve, on in (
-        (solve_sequence, make_backend(bundle, exp.solver)),
-        (solve_sequence_oracle, bundle),
-    ):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            out.append(solve(on, *args))
-        out.append([str(w.message) for w in caught if w.category is StiffnessWarning])
-    seq, seq_warned, ref, ref_warned = out
-    return seq, ref, seq_warned, ref_warned
+    seq = solve_sequence(make_backend(bundle, exp.solver), *args)
+    return seq, solve_sequence_oracle(bundle, *args)
 
 
 SWEEP_CASES = {
@@ -462,16 +456,11 @@ SWEEP_CASES = {
         "potentials": {"phi": {"kind": "abs"}, "psi": {"kind": "interval", "a": -0.05, "b": 0.05}},
         "solver": {"eps_schedule": [0.1, 0.05, 0.025]},
     },
-    # dQ/eps = 1.25 and 1.67 at the finer two eps: two warnings, still stable
-    "explicit": {
-        "scenario": "reflection",
-        "grid": {"steps": 100},
-        "solver": {"mode": "explicit", "eps_schedule": [0.1, 0.008, 0.006]},
-    },
+    # min(z, 1) is 1-Lipschitz in z
     "mollify": {
         "scenario": "two_barrier_driven",
         "grid": {"steps": 16},
-        "generator": {"F": "2 - y + min(z, 1)"},
+        "generator": {"F": "2 - y + min(z, 1)", "ell": 1.0},
         "solver": {"mollify": True, "eps_schedule": [0.2, 0.1]},
     },
     "lsq-two-eps": {
@@ -497,11 +486,7 @@ SWEEP_CASES = {
 
 @pytest.mark.parametrize("config", SWEEP_CASES.values(), ids=SWEEP_CASES.keys())
 def test_one_sweep_matches_the_per_eps_sweeps(config):
-    seq, ref, seq_warned, ref_warned = sweep_and_oracle(config)
-    assert_matches_oracle(seq, ref)
-    assert seq_warned == ref_warned
-    if config.get("solver", {}).get("mode") == "explicit":
-        assert len(seq_warned) == 2
+    assert_matches_oracle(*sweep_and_oracle(config))
 
 
 def test_rows_outside_their_budget_skip_the_driver_and_the_penalty(monkeypatch):
@@ -519,7 +504,7 @@ def test_rows_outside_their_budget_skip_the_driver_and_the_penalty(monkeypatch):
         return combined_driver(gen, alpha, t, y, z)
 
     monkeypatch.setattr(solver, "combined_driver", counted)
-    seq, ref, _, _ = sweep_and_oracle(config)
+    seq, ref = sweep_and_oracle(config)
     assert_matches_oracle(seq, ref)
 
     exp = build_experiment(config)
@@ -605,15 +590,6 @@ def test_regression_fits_match_vander_lstsq(kind):
             assert np.max(np.abs(got_z - want_z)) <= 1e-12 * (1.0 + np.max(np.abs(target)))
         v = rng.standard_normal(shape)
         assert np.array_equal(backend.ce(0, v), np.broadcast_to(np.mean(v, axis=-1, keepdims=True), shape))
-
-
-def test_ridge_regression_keeps_its_arithmetic():
-    bundle = REGRESSION_BUNDLES["mc"]()
-    backend = make_backend(bundle, SolverConfig(ce="lsq", ridge=0.3))
-    v = np.random.default_rng(8).standard_normal((2, bundle.n_paths))
-    for i in (1, 5):
-        want = regression_fit_oracle(backend.B[:, i], 3, v, ridge=0.3)
-        assert backend.ce(i, v).tobytes() == want.tobytes()
 
 
 def test_regression_factors_each_date_once_per_pass(monkeypatch):
