@@ -85,21 +85,15 @@ def execute(exp: Experiment) -> RunResult:
     solve_s = time.perf_counter() - t_solve
 
     final = seq.solutions[exp.solver.eps_schedule[-1]]
-    vcfg = exp.verify
-    tol = verifymod.default_tolerance(
-        bundle, float(vcfg.get("c_dt", 5.0)), float(vcfg.get("c_mc", 5.0))
-    )
-    deltas = tuple(float(d) for d in vcfg.get("deltas", (1.0, 0.1, 0.01)))
+    tol = verifymod.default_tolerance(bundle)
 
     t_verify = time.perf_counter()
     reports = verifymod.battery(
-        final, bundle, backend, exp.phi, exp.psi, exp.gen, exp.solver.p,
-        deltas=deltas, tol=tol,
-        smooth_eps=vcfg.get("smooth_eps"),
+        final, bundle, backend, exp.phi, exp.psi, exp.gen, exp.solver.p, tol=tol
     )
     reports.append(
         verifymod.ito_report_from_solution(
-            final, bundle, exp.solver.p, float(vcfg.get("ito_delta", 0.1)), tol
+            final, bundle, exp.solver.p, verifymod.ITO_DELTA, tol
         )
     )
     q_c = min(exp.solver.p, 2.0)
@@ -125,7 +119,7 @@ def execute(exp: Experiment) -> RunResult:
     )
     verify_s = time.perf_counter() - t_verify
 
-    ref = reference_error(exp.name, final, bundle)
+    ref = reference_error(exp, final, bundle)
     p = exp.solver.p
     summary = {
         "scenario": exp.name,

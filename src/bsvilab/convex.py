@@ -295,7 +295,6 @@ def compatibility_check(
     t_samples,
     y_samples,
     z_samples,
-    tol: float = 1e-10,
 ) -> CompatibilityReport:
     """Sampled test of the three sign conditions coupling potentials and drivers.
 
@@ -303,7 +302,7 @@ def compatibility_check(
         (i)    <D phi_eps(y), D psi_eps(y)> >= 0
         (ii)   <D phi_eps(y), G(t, y)>    <= |D psi_eps(y)| |G(t, y)|
         (iii)  <D psi_eps(y), F(t, y, z)> <= |D phi_eps(y)| |F(t, y, z)|
-    A positive margin is a violation.  This certifies nothing beyond the
+    A margin above 1e-10 is a violation.  This certifies nothing beyond the
     sampled points; the report records the worst offender for diagnosis.
     """
     y = _require_finite("y_samples", y_samples)
@@ -336,4 +335,4 @@ def compatibility_check(
             for z in z_samples:
                 f_val = np.broadcast_to(np.asarray(F(t, y, z), dtype=float), y.shape)
                 record("F_alignment", gq * f_val - np.abs(gp) * np.abs(f_val), eps, t)
-    return CompatibilityReport(passed=bool(worst <= tol), worst_margin=float(worst), worst_case=worst_case)
+    return CompatibilityReport(passed=bool(worst <= 1e-10), worst_margin=float(worst), worst_case=worst_case)

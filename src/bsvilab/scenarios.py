@@ -1,8 +1,8 @@
 """Named experiment presets and config-dict parsing.
 
 A full experiment configuration is a JSON-style dict with keys
-scenario, potentials, generator, noise, grid, a_process, solver, verify,
-seed, out_dir.  A scenario name pre-fills every block from the registry;
+scenario, potentials, generator, noise, grid, a_process, solver, seed,
+out_dir.  A scenario name pre-fills every block from the registry;
 explicit blocks override field by field.  Everything here validates
 loudly with the offending field named.
 """
@@ -29,10 +29,11 @@ def _get(d: dict, key: str, kind, where: str, default=None, required=False):
             raise ConfigError(f"{where}.{key}: missing required field")
         return default
     val = d[key]
-    if kind is float and isinstance(val, (int, float)) and not isinstance(val, bool):
+    # bool is an int subclass: true would pass a number field as 1
+    if isinstance(val, bool) and kind in (int, float):
+        raise ConfigError(f"{where}.{key}: expected {kind}, got bool")
+    if kind is float and isinstance(val, (int, float)):
         return float(val)
-    if kind is int and isinstance(val, int) and not isinstance(val, bool):
-        return int(val)
     if kind is not None and not isinstance(val, kind):
         raise ConfigError(f"{where}.{key}: expected {kind}, got {type(val).__name__}")
     return val
@@ -189,7 +190,6 @@ SCENARIOS = {
         "grid": {"T": 1.0, "steps": 64},
         "a_process": {"kind": "zero"},
         "solver": {"p": 2.0, "lambda": 0.5, "eps_schedule": [0.1], "ce": "tree"},
-        "verify": {},
         "seed": 1,
     },
     "mc_martingale": {
@@ -200,7 +200,6 @@ SCENARIOS = {
         "grid": {"T": 1.0, "steps": 64},
         "a_process": {"kind": "zero"},
         "solver": {"p": 2.0, "lambda": 0.5, "eps_schedule": [0.1], "ce": "lsq", "degree": 3},
-        "verify": {},
         "seed": 1,
     },
     "linear": {
@@ -211,7 +210,6 @@ SCENARIOS = {
         "grid": {"T": 1.0, "steps": 100},
         "a_process": {"kind": "zero"},
         "solver": {"p": 2.0, "lambda": 0.5, "eps_schedule": [0.1], "ce": "tree"},
-        "verify": {},
         "seed": 1,
     },
     "reflection": {
@@ -227,7 +225,6 @@ SCENARIOS = {
             "eps_schedule": [0.1, 0.05, 0.025],
             "ce": "tree",
         },
-        "verify": {},
         "seed": 1,
     },
     "two_barrier": {
@@ -246,7 +243,6 @@ SCENARIOS = {
             "eps_schedule": [0.1, 0.05, 0.025, 0.0125],
             "ce": "tree",
         },
-        "verify": {},
         "seed": 1,
     },
     "two_barrier_driven": {
@@ -265,7 +261,6 @@ SCENARIOS = {
             "eps_schedule": [0.1, 0.05, 0.025, 0.0125],
             "ce": "tree",
         },
-        "verify": {},
         "seed": 1,
     },
     "clocked_decay": {
@@ -276,14 +271,13 @@ SCENARIOS = {
         "grid": {"T": 1.0, "steps": 100},
         "a_process": {"kind": "linear", "rate": 1.0},
         "solver": {"p": 2.0, "lambda": 0.5, "eps_schedule": [0.1], "ce": "tree"},
-        "verify": {},
         "seed": 1,
     },
 }
 
 _TOP_KEYS = {
     "scenario", "potentials", "generator", "noise", "grid",
-    "a_process", "solver", "verify", "seed", "out_dir",
+    "a_process", "solver", "seed", "out_dir",
 }
 
 
@@ -308,7 +302,6 @@ class Experiment:
     gen: GeneratorSpec
     terminal: Callable
     solver: SolverConfig
-    verify: dict
     seed: int
     out_dir: Optional[str]
     echo: dict
@@ -367,18 +360,27 @@ def build_experiment(config: dict) -> Experiment:
         gen=gen,
         terminal=terminal,
         solver=solver,
-        verify=_known(
-            merged.get("verify", {}) or {},
-            ("c_dt", "c_mc", "deltas", "smooth_eps", "ito_delta"), "verify",
-        ),
         seed=seed,
         out_dir=merged.get("out_dir"),
         echo=merged,
     )
 
 
-def reference_error(name: str, sol, bundle) -> Optional[float]:
-    """Scenario-specific error against a closed-form benchmark, if any."""
+def reference_error(exp: Experiment, sol, bundle) -> Optional[float]:
+    """Error against the preset's closed form, if it has one.
+
+    The closed form solves the preset's data, so a run that changes its
+    terminal, potentials, generator, increasing process or horizon gets
+    None; grid steps, noise and solver settings may change freely.
+    """
+    name, preset = exp.name, SCENARIOS.get(exp.name)
+    if (
+        preset is None
+        or exp.grid.horizon != preset["grid"]["T"]
+        or exp.echo["scenario"]["terminal"] != preset["scenario"]["terminal"]
+        or any(exp.echo.get(k) != preset[k] for k in ("potentials", "generator", "a_process"))
+    ):
+        return None
     if name in ("martingale", "mc_martingale"):
         return abs(sol.y0)
     if name in ("linear", "clocked_decay"):

@@ -30,6 +30,7 @@ it.
 
 import dataclasses
 import numbers
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -58,25 +59,30 @@ class SolverConfig:
     mollify: bool = False
 
     def __post_init__(self):
-        if not (np.isfinite(self.p) and self.p > 1.0):
-            raise ConfigError(f"solver.p must be > 1, got {self.p}")
-        if not (0.0 < self.lam < 1.0):
-            raise ConfigError(f"solver.lambda must lie in (0, 1), got {self.lam}")
+        if not (_real(self.p) and np.isfinite(self.p) and self.p > 1.0):
+            raise ConfigError(f"solver.p must be a number > 1, got {self.p!r}")
+        if not (_real(self.lam) and 0.0 < self.lam < 1.0):
+            raise ConfigError(f"solver.lambda must be a number in (0, 1), got {self.lam!r}")
+        if not isinstance(self.eps_schedule, Iterable):
+            raise ConfigError(f"solver.eps_schedule must be a list, got {self.eps_schedule!r}")
         sched = tuple(self.eps_schedule)
-        # a bool or a numeric string would pass float() silently
-        if not sched or not all(
-            isinstance(e, numbers.Real) and not isinstance(e, bool) and np.isfinite(e) and e > 0.0
-            for e in sched
-        ):
+        if not sched or not all(_real(e) and np.isfinite(e) and e > 0.0 for e in sched):
             raise ConfigError("solver.eps_schedule must be non-empty, finite and positive numbers")
         sched = tuple(float(e) for e in sched)
         if any(b >= a for a, b in zip(sched, sched[1:])):
             raise ConfigError("solver.eps_schedule must be strictly decreasing")
         if self.ce not in ("tree", "lsq"):
             raise ConfigError(f"solver.ce unknown: {self.ce!r}")
-        if self.degree < 1:
-            raise ConfigError(f"solver.degree must be >= 1, got {self.degree}")
+        if not (isinstance(self.degree, numbers.Integral) and _real(self.degree) and self.degree >= 1):
+            raise ConfigError(f"solver.degree must be an integer >= 1, got {self.degree!r}")
+        if not isinstance(self.mollify, bool):
+            raise ConfigError(f"solver.mollify must be true or false, got {self.mollify!r}")
         object.__setattr__(self, "eps_schedule", sched)
+
+
+def _real(x) -> bool:
+    # a bool would pass as 0 or 1, a numeric string through float()
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
 class TreeBackend:

@@ -40,6 +40,12 @@ from .solver import SmoothingConfig, SolutionField, smoothing_operator
 # then frozen
 APRIORI_C_FIT = 4.0
 ENERGY_C_FIT = 4.0
+# the gate of every interval check: C_DT * max(dt) + C_MC / sqrt(paths)
+C_DT = 5.0
+C_MC = 5.0
+# the battery's Gamma shifts, and the shift of the Ito identity check
+DELTAS = (1.0, 0.1, 0.01)
+ITO_DELTA = 0.1
 
 
 @dataclass(frozen=True)
@@ -84,9 +90,9 @@ class VerificationReport:
         }
 
 
-def default_tolerance(bundle: PathBundle, c_dt: float = 5.0, c_mc: float = 5.0) -> float:
-    """c_dt * max(dt) + c_mc / sqrt(paths): discretization plus sampling."""
-    return float(c_dt * np.max(bundle.dt) + c_mc / np.sqrt(bundle.n_paths))
+def default_tolerance(bundle: PathBundle) -> float:
+    """C_DT * max(dt) + C_MC / sqrt(paths): discretization plus sampling."""
+    return float(C_DT * np.max(bundle.dt) + C_MC / np.sqrt(bundle.n_paths))
 
 
 def _pair_max(a: np.ndarray) -> float:
@@ -381,7 +387,6 @@ def check_apriori_bound(
     gen: GeneratorSpec,
     terminal_values: np.ndarray,
     p: float,
-    c_fit: float = APRIORI_C_FIT,
     name: str = "apriori-bound",
     *,
     at_zero: Optional[tuple] = None,
@@ -389,8 +394,8 @@ def check_apriori_bound(
     """Path-averaged a-priori estimate with a frozen fitted constant.
 
     mean[max_i e^{pV_i}|Y_i|^p] + mean[(sum e^{2V}|Z|^2 dt)^{p/2}]
-    <= c_fit * ( mean[e^{pV_N}|eta|^p]
-                 + mean[(sum e^{V}(|F(t,0,0)| dt + |G(t,0)| dA))^p] ).
+    <= APRIORI_C_FIT * ( mean[e^{pV_N}|eta|^p]
+                         + mean[(sum e^{V}(|F(t,0,0)| dt + |G(t,0)| dA))^p] ).
 
     at_zero is driver_at_zero(gen, bundle), computed here when not given.
     """
@@ -404,13 +409,13 @@ def check_apriori_bound(
     )
     source = _driver_source(gen, bundle, v, p, at_zero)
     rhs = float(np.mean(np.exp(p * v[-1]) * np.abs(terminal_values) ** p) + source)
-    margin = c_fit * rhs - lhs
+    margin = APRIORI_C_FIT * rhs - lhs
     return VerificationReport(
         name=name,
-        passed=bool(lhs <= c_fit * rhs * (1.0 + 1e-12) + 1e-12),
-        worst_violation=float(lhs - c_fit * rhs),
+        passed=bool(lhs <= APRIORI_C_FIT * rhs * (1.0 + 1e-12) + 1e-12),
+        worst_violation=float(lhs - APRIORI_C_FIT * rhs),
         tolerance=0.0,
-        monitors={"lhs": lhs, "rhs": rhs, "c_fit": float(c_fit), "margin": float(margin)},
+        monitors={"lhs": lhs, "rhs": rhs, "c_fit": APRIORI_C_FIT, "margin": float(margin)},
     )
 
 
@@ -419,7 +424,6 @@ def check_energy_bound(
     bundle: PathBundle,
     gen: GeneratorSpec,
     terminal_values: np.ndarray,
-    c_fit: float = ENERGY_C_FIT,
     name: str = "energy-bound",
     *,
     at_zero: Optional[tuple] = None,
@@ -427,8 +431,8 @@ def check_energy_bound(
     """Positive-part weighted energy estimate with a frozen fitted constant.
 
     mean[max_i e^{2Vplus_i}|Y_i|^2]
-    <= c_fit * ( mean[e^{2Vplus_N}|eta|^2]
-                 + mean[(sum e^{Vplus}(|F(t,0,0)| dt + |G(t,0)| dA))^2] ).
+    <= ENERGY_C_FIT * ( mean[e^{2Vplus_N}|eta|^2]
+                        + mean[(sum e^{Vplus}(|F(t,0,0)| dt + |G(t,0)| dA))^2] ).
 
     at_zero is driver_at_zero(gen, bundle), computed here when not given.
     """
@@ -441,10 +445,10 @@ def check_energy_bound(
     rhs = float(np.mean(np.exp(2.0 * v[-1]) * terminal_values**2) + source)
     return VerificationReport(
         name=name,
-        passed=bool(lhs <= c_fit * rhs * (1.0 + 1e-12) + 1e-12),
-        worst_violation=float(lhs - c_fit * rhs),
+        passed=bool(lhs <= ENERGY_C_FIT * rhs * (1.0 + 1e-12) + 1e-12),
+        worst_violation=float(lhs - ENERGY_C_FIT * rhs),
         tolerance=0.0,
-        monitors={"lhs": lhs, "rhs": rhs, "c_fit": float(c_fit)},
+        monitors={"lhs": lhs, "rhs": rhs, "c_fit": ENERGY_C_FIT},
     )
 
 
@@ -513,15 +517,13 @@ def battery(
     psi: ConvexSpec,
     gen: GeneratorSpec,
     p: float,
-    deltas=(1.0, 0.1, 0.01),
     tol: Optional[float] = None,
-    smooth_eps: Optional[float] = None,
-    label: str = "",
 ) -> list:
     """Three-way test-process battery at q = 2 and q = min(p, 2).
 
     Processes: the zero process, the solution's own reconstruction, and
-    the smoothing of the solution's midpoints.  Potentials are taken at
+    the smoothing of the solution's midpoints at scale max(4 max(dt), T/20),
+    each at every delta of DELTAS.  Potentials are taken at
     the solution's penalization level; the candidate's own terms H and
     Psi(Y) are evaluated once and shared by every check, and each test
     process's terms once and shared by its checks.  Also reports
@@ -529,9 +531,7 @@ def battery(
     strong solution seen through the inequality).
     """
     tol = default_tolerance(bundle) if tol is None else float(tol)
-    smooth_eps = smooth_eps if smooth_eps is not None else max(
-        4.0 * float(np.max(bundle.dt)), 0.05 * bundle.grid.horizon
-    )
+    smooth_eps = max(4.0 * float(np.max(bundle.dt)), 0.05 * bundle.grid.horizon)
     recon = reconstruction_process(sol, bundle)
     processes = [
         zero_process(bundle),
@@ -544,13 +544,11 @@ def battery(
     for tp in processes:
         process = process_terms(sol, tp, phi, psi, bundle, sol.eps)
         for q in q_values:
-            for delta in deltas:
+            for delta in DELTAS:
                 reports.append(
                     check_variational_inequality(
                         sol, tp, phi, psi, gen, bundle, q, delta,
-                        tol=tol, penalization_eps=sol.eps,
-                        name=f"variational{label}[{tp.label}] q={q:g} delta={delta:g}",
-                        terms=terms, process=process,
+                        tol=tol, penalization_eps=sol.eps, terms=terms, process=process,
                     )
                 )
         if tp is recon:
@@ -558,7 +556,7 @@ def battery(
         del process  # one process's path arrays at a time
     reports.append(
         VerificationReport(
-            name=f"reconstruction-collapse{label}",
+            name="reconstruction-collapse",
             passed=bool(collapse <= tol),
             worst_violation=collapse,
             tolerance=tol,

@@ -73,7 +73,13 @@ def test_config_errors_name_the_field():
         ({"grid": 10}, "grid: expected an object"),
         ({"a_process": {"kind": "linear", "rat": 2.0}}, r"a_process: unknown keys \['rat'\]"),
         ({"solver": {"eps_shedule": [0.05]}}, r"solver: unknown keys \['eps_shedule'\]"),
-        ({"verify": {"c_d": 1.0}}, r"verify: unknown keys \['c_d'\]"),
+        # the verifier's gates are constants, so a verify block is no key at all
+        ({"verify": {}}, r"config: unknown top-level keys \['verify'\]"),
+        # bool is an int subclass; an integer field still refuses true
+        ({"noise": {"kind": "mc", "paths": True}}, r"noise.paths: expected .*int.*got bool"),
+        ({"grid": {"T": 1.0, "steps": True}}, r"grid.steps: expected .*int.*got bool"),
+        ({"seed": True}, r"config.seed: expected .*int.*got bool"),
+        ({"solver": {"degree": True}}, r"solver.degree: expected .*int.*got bool"),
     ]
     for override, needle in cases:
         cfg = {**base, **override}
@@ -202,7 +208,7 @@ def test_run_writes_byte_identical_artifacts(tmp_path):
     assert head == b"step,t,Q,alpha,node_or_path,Y,Z,U,Kinc"
 
 
-def test_verify_subcommand_replays_a_run(tmp_path, capsys):
+def test_verify_subcommand_replays_a_run(tmp_path, capsys, monkeypatch):
     cfg = write_cfg(tmp_path, MART_SMALL)
     out = str(tmp_path / "run")
     assert main(["run", "--config", cfg, "--out", out]) == 0
@@ -213,9 +219,17 @@ def test_verify_subcommand_replays_a_run(tmp_path, capsys):
 
     assert main(["verify", str(tmp_path / "missing")]) == 2
 
+    # a run directory whose echo carries a verify block predates the fixed gates
+    echo = json.loads(Path(out, "config_echo.json").read_text())
+    old = tmp_path / "old"
+    old.mkdir()
+    (old / "config_echo.json").write_text(json.dumps({**echo, "verify": {}}))
+    assert main(["verify", str(old)]) == 2
+
     # a zero tolerance turns the O(dt) discretization bias into failures
-    strict = {"scenario": "linear", "grid": {"T": 1.0, "steps": 50},
-              "verify": {"c_dt": 0.0, "c_mc": 0.0}, "seed": 3}
+    monkeypatch.setattr(verify, "C_DT", 0.0)
+    monkeypatch.setattr(verify, "C_MC", 0.0)
+    strict = {"scenario": "linear", "grid": {"T": 1.0, "steps": 50}, "seed": 3}
     cfg2 = write_cfg(tmp_path, strict, name="strict.json")
     out2 = str(tmp_path / "strict")
     main(["run", "--config", cfg2, "--out", out2])
@@ -319,6 +333,31 @@ def test_execute_summary_structure(tmp_path):
     assert s["reference_error"] == 0.0
     written = write_artifacts(str(tmp_path / "out"), res)
     assert set(written["artifact_hashes"]) == {"results.csv", "verify.json"}
+
+
+def test_reference_error_needs_the_presets_data():
+    # exp(-1) solves linear's own data; Y0 = 0.1326 under F = -2y is not 0.235 off
+    for override in (
+        {"generator": {"F": "-2*y", "mu": -2.0}},
+        {"scenario": {"name": "linear", "terminal": {"kind": "constant", "value": 3.0}}},
+        {"grid": {"T": 2.0, "steps": 100}},
+        {"a_process": {"kind": "linear", "rate": 1.0}},
+        {"potentials": {"phi": {"kind": "interval", "b": 2.0}}},
+    ):
+        res = execute(build_experiment({"scenario": "linear", **override}))
+        assert res.summary["reference_error"] is None, override
+    # grid steps, noise and solver settings keep the comparison
+    for override in (
+        {},
+        {"grid": {"T": 1.0, "steps": 50}},
+        {"noise": {"kind": "tree"}, "grid": {"steps": 8}},
+        {"solver": {"eps_schedule": [0.05]}},
+    ):
+        res = execute(build_experiment({"scenario": "linear", **override}))
+        assert res.summary["reference_error"] < 0.04, override
+    for name in ("mc_regression", "reflection_fine"):
+        res = execute(build_experiment(_benchmark_configs()[name]))
+        assert res.summary["reference_error"] is not None, name
 
 
 @pytest.mark.parametrize(

@@ -191,7 +191,7 @@ def test_non_finite_driver_is_reported():
 
 def test_mollifier_config_invariants():
     cfg = MollifierConfig(eps=0.5)
-    assert cfg.n_q == 401
+    assert cfg.nodes.size == cfg.weights.size == 401
     assert abs(float(np.sum(cfg.weights)) - 1.0) <= 1e-12
     assert cfg.nodes.min() > -1.0 and cfg.nodes.max() < 1.0
     assert np.allclose(cfg.nodes, -cfg.nodes[::-1], rtol=0, atol=1e-15)
@@ -208,8 +208,6 @@ def test_mollifier_config_invariants():
     for eps in (0.0, 1.5, -0.2):
         with pytest.raises(DomainError):
             MollifierConfig(eps=eps)
-    with pytest.raises(DomainError):
-        MollifierConfig(eps=0.5, n_q=2)
 
 
 @settings(max_examples=80, deadline=None)

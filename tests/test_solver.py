@@ -95,6 +95,22 @@ def test_solver_config_validation():
     for entries in (["a"], [None], [True, 0.5], [0.1, "0.05"]):
         with pytest.raises(ConfigError, match="solver.eps_schedule"):
             build_experiment({"scenario": "linear", "solver": {"eps_schedule": entries}})
+    # built directly, a wrong type names its field instead of raising TypeError
+    for kwargs, needle in (
+        ({"eps_schedule": 0.1}, "solver.eps_schedule"),
+        ({"eps_schedule": None}, "solver.eps_schedule"),
+        ({"p": "3"}, "solver.p"),
+        ({"p": True}, "solver.p"),
+        ({"lam": "a"}, "solver.lambda"),
+        ({"degree": 2.5}, "solver.degree"),
+        ({"degree": True}, "solver.degree"),
+        ({"degree": "3"}, "solver.degree"),
+        ({"mollify": "no"}, "solver.mollify"),
+        ({"mollify": 1}, "solver.mollify"),
+    ):
+        with pytest.raises(ConfigError, match=needle):
+            SolverConfig(**kwargs)
+    assert SolverConfig(degree=np.int64(2), mollify=True).degree == 2
 
 
 def test_solver_block_keys_are_the_config_fields():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bsvilab import verify
 from bsvilab.convex import ConvexSpec
 from bsvilab.errors import DomainError, GridMismatch, InfinitePotential, NonFiniteGenerator
 from bsvilab.generators import GeneratorSpec
@@ -70,12 +71,14 @@ def martingale_solution(steps=10):
     return bundle, sol
 
 
-def test_default_tolerance_combines_bias_and_noise():
+def test_default_tolerance_combines_bias_and_noise(monkeypatch):
     bundle = tree_bundle(10)  # 2^10 enumerated paths
     assert np.isclose(default_tolerance(bundle), 5 * 0.1 + 5 / 32.0, rtol=0, atol=1e-15)
     single = det_bundle(4)
     assert np.isclose(default_tolerance(single), 5 * 0.25 + 5.0, rtol=0, atol=1e-15)
-    assert np.isclose(default_tolerance(single, c_dt=1.0, c_mc=0.0), 0.25, atol=1e-15)
+    monkeypatch.setattr(verify, "C_DT", 1.0)
+    monkeypatch.setattr(verify, "C_MC", 0.0)
+    assert np.isclose(default_tolerance(single), 0.25, atol=1e-15)
 
 
 def test_pair_scans_match_brute_force():
@@ -338,16 +341,14 @@ def test_battery_composition_and_verdicts():
     gen = GeneratorSpec.from_expressions("1", "0")
     sol = solve_penalized(bundle, HALFLINE, ZERO, gen, terminal_const(-0.5), 0.025, CFG)
     backend = make_backend(bundle, CFG)
-    reports = battery(
-        sol, bundle, backend, HALFLINE, ZERO, gen, p=2.0, tol=0.25, label="@test"
-    )
+    reports = battery(sol, bundle, backend, HALFLINE, ZERO, gen, p=2.0, tol=0.25)
     # 3 processes x 1 exponent (q = 2 twice collapses) x 3 deltas + collapse
     assert len(reports) == 10
     names = [r.name for r in reports]
     assert any("zero" in s for s in names)
     assert any("reconstruction" in s for s in names)
     assert any("smoothed" in s for s in names)
-    assert names[-1].startswith("reconstruction-collapse")
+    assert names[-1] == "reconstruction-collapse"
     for rep in reports:
         assert rep.passed, rep.name
 
@@ -363,11 +364,12 @@ def test_battery_shares_candidate_terms_without_changing_reports(p):
     gen = GeneratorSpec.from_expressions("2 - y + 0.5 * z", "0")
     sol = solve_penalized(bundle, IND11, ZERO, gen, lambda b, a: 1.2 * b, 0.1, CFG)
     backend = make_backend(bundle, CFG)
-    got = battery(sol, bundle, backend, IND11, ZERO, gen, p, smooth_eps=0.25)
+    got = battery(sol, bundle, backend, IND11, ZERO, gen, p)
+    smooth_eps = max(4.0 * float(np.max(bundle.dt)), 0.05 * bundle.grid.horizon)
     processes = [
         zero_process(bundle),
         reconstruction_process(sol, bundle),
-        smoothed_midpoint_process(sol, bundle, backend, 0.25),
+        smoothed_midpoint_process(sol, bundle, backend, smooth_eps),
     ]
     tol = default_tolerance(bundle)
     want = [
