@@ -6,7 +6,7 @@
     bsvilab list-scenarios
 
 `run` realizes the noise, solves along the penalization schedule, runs
-the verification battery, and writes results.csv, verify.json,
+the checks that verify.verify_run plans, and writes results.csv, verify.json,
 summary.json, and config_echo.json into the output directory.  Floats
 in CSV artifacts carry 17 significant digits so that a re-run with the
 same recorded seed reproduces them byte for byte; summary.json isolates
@@ -84,41 +84,11 @@ def execute(exp: Experiment) -> RunResult:
     seq = solve_sequence(backend, exp.phi, exp.psi, exp.gen, exp.terminal, exp.solver)
     solve_s = time.perf_counter() - t_solve
 
-    final = seq.solutions[exp.solver.eps_schedule[-1]]
-    tol = verifymod.default_tolerance(bundle)
-
     t_verify = time.perf_counter()
-    reports = verifymod.battery(
-        final, bundle, backend, exp.phi, exp.psi, exp.gen, exp.solver.p, tol=tol
-    )
-    reports.append(
-        verifymod.ito_report_from_solution(
-            final, bundle, exp.solver.p, verifymod.ITO_DELTA, tol
-        )
-    )
-    q_c = min(exp.solver.p, 2.0)
-    for e_coarse, e_fine in zip(exp.solver.eps_schedule, exp.solver.eps_schedule[1:]):
-        reports.append(
-            verifymod.check_contraction(
-                seq.solutions[e_coarse], seq.solutions[e_fine], bundle, q_c,
-                tol=max(tol, 2.0 * (e_coarse + e_fine)),
-                name=f"contraction eps {e_coarse:g} vs {e_fine:g}",
-            )
-        )
-    terminal_values = final.paths(bundle)["Y"][:, -1]
-    at_zero = verifymod.driver_at_zero(exp.gen, bundle)
-    reports.append(
-        verifymod.check_apriori_bound(
-            final, bundle, exp.gen, terminal_values, exp.solver.p, at_zero=at_zero
-        )
-    )
-    reports.append(
-        verifymod.check_energy_bound(
-            final, bundle, exp.gen, terminal_values, at_zero=at_zero
-        )
-    )
+    reports = verifymod.verify_run(seq, backend, exp.phi, exp.psi, exp.gen, exp.solver.p)
     verify_s = time.perf_counter() - t_verify
 
+    final = seq.solutions[exp.solver.eps_schedule[-1]]
     ref = reference_error(exp, final, bundle)
     p = exp.solver.p
     summary = {
@@ -143,7 +113,7 @@ def execute(exp: Experiment) -> RunResult:
             for e in exp.solver.eps_schedule
         },
         "reference_error": ref,
-        "tolerance": tol,
+        "tolerance": verifymod.default_tolerance(bundle),
         "verifications": [
             {
                 "name": r.name,
@@ -238,7 +208,7 @@ def cmd_run(args) -> int:
     config = load_config(args.config)
     exp = build_experiment(config)
     result = execute(exp)
-    out_dir = args.out or exp.out_dir or _default_out_dir(exp)
+    out_dir = args.out or _default_out_dir(exp)
     summary = write_artifacts(out_dir, result)
     print(f"scenario {exp.name} (seed {exp.seed})")
     for eps in exp.solver.eps_schedule:

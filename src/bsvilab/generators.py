@@ -19,7 +19,7 @@ as expressions over a tiny grammar: +, -, *, min, max, numbers, t, y, z.
 
 import ast
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -103,8 +103,6 @@ class GeneratorSpec:
     mu: float = 0.0
     nu: float = 0.0
     ell: float = 0.0
-    f_expr: Optional[str] = None
-    g_expr: Optional[str] = None
 
     @staticmethod
     def from_expressions(
@@ -112,10 +110,7 @@ class GeneratorSpec:
     ) -> "GeneratorSpec":
         f = compile_expression(f_expr, ("t", "y", "z"))
         g = compile_expression(g_expr, ("t", "y"))
-        return GeneratorSpec(
-            F=f, G=g, mu=float(mu), nu=float(nu), ell=float(ell),
-            f_expr=f_expr, g_expr=g_expr,
-        )
+        return GeneratorSpec(F=f, G=g, mu=float(mu), nu=float(nu), ell=float(ell))
 
 
 def _checked(name, value):

@@ -93,6 +93,8 @@ class NoiseModel:
 
     @staticmethod
     def binomial_tree(seed: int = 0, eval_paths: Optional[int] = None) -> "NoiseModel":
+        if eval_paths is not None and eval_paths < 1:
+            raise ConfigError(f"noise: eval_paths must be >= 1, got {eval_paths}")
         return NoiseModel(kind="tree", seed=seed, eval_paths=eval_paths)
 
     @staticmethod
@@ -159,7 +161,6 @@ class PathBundle:
     A: np.ndarray
     Q: np.ndarray
     alpha: np.ndarray
-    seed: int
     levels: Optional[list] = None
     node_index: Optional[np.ndarray] = None
     V: Optional[np.ndarray] = None
@@ -244,7 +245,7 @@ def build_paths(
         if n <= ENUMERATION_LIMIT and noise.eval_paths is None:
             ups = _enumerate_sign_paths(n)
         else:
-            count = noise.eval_paths or DEFAULT_TREE_EVAL_PATHS
+            count = DEFAULT_TREE_EVAL_PATHS if noise.eval_paths is None else noise.eval_paths
             ups = rngmod.sign_paths(noise.seed, count, n)
         dB = (2.0 * ups - 1.0) * sqdt
         node_index = np.concatenate(
@@ -261,7 +262,7 @@ def build_paths(
 
     return PathBundle(
         grid=grid, kind=noise.kind, dB=dB, A=A, Q=Q, alpha=alpha,
-        seed=noise.seed, levels=levels, node_index=node_index,
+        levels=levels, node_index=node_index,
     )
 
 

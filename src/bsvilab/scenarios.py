@@ -1,13 +1,14 @@
 """Named experiment presets and config-dict parsing.
 
 A full experiment configuration is a JSON-style dict with keys
-scenario, potentials, generator, noise, grid, a_process, solver, seed,
-out_dir.  A scenario name pre-fills every block from the registry;
+scenario, potentials, generator, noise, grid, a_process, solver, seed.
+A scenario name pre-fills every block from the registry;
 explicit blocks override field by field.  Everything here validates
 loudly with the offending field named.
 """
 
 import copy
+import dataclasses
 import time
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -101,8 +102,12 @@ def generator_from_config(d: dict, where: str = "generator") -> GeneratorSpec:
 
 def grid_from_config(d: dict, where: str = "grid") -> TimeGrid:
     _known(d, ("T", "steps", "nodes"), where)
-    if "nodes" in d:
-        return TimeGrid(np.asarray(d["nodes"], dtype=float))
+    nodes = _get(d, "nodes", list, where)
+    if nodes is not None:
+        # bool is an int subclass: true would pass as the node 1
+        if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in nodes):
+            raise ConfigError(f"{where}.nodes: expected a list of numbers")
+        return TimeGrid(np.asarray(nodes, dtype=float))
     horizon = _get(d, "T", float, where, required=True)
     steps = _get(d, "steps", int, where, required=True)
     return TimeGrid.uniform(horizon, steps)
@@ -112,9 +117,7 @@ def noise_from_config(d: dict, seed: int, where: str = "noise") -> NoiseModel:
     _known(d, ("kind", "eval_paths", "paths"), where)
     kind = _get(d, "kind", str, where, required=True)
     if kind == "tree":
-        return NoiseModel.binomial_tree(
-            seed=seed, eval_paths=_get(d, "eval_paths", int, where)
-        )
+        return NoiseModel.binomial_tree(seed=seed, eval_paths=_get(d, "eval_paths", int, where))
     if kind == "mc":
         return NoiseModel.gaussian_mc(_get(d, "paths", int, where, required=True), seed=seed)
     if kind == "deterministic":
@@ -166,19 +169,15 @@ def terminal_from_config(d: dict, where: str = "scenario.terminal") -> Callable:
     raise ConfigError(f"{where}.kind: unknown terminal kind {kind!r}")
 
 
-SOLVER_KEYS = ("p", "lambda", "eps_schedule", "ce", "degree", "mollify")
-
-
 def solver_from_config(d: dict, where: str = "solver") -> SolverConfig:
-    _known(d, SOLVER_KEYS, where)
-    return SolverConfig(
-        p=_get(d, "p", float, where, default=2.0),
-        lam=_get(d, "lambda", float, where, default=0.5),
-        eps_schedule=tuple(_get(d, "eps_schedule", list, where, default=[0.1])),
-        ce=_get(d, "ce", str, where, default="tree"),
-        degree=_get(d, "degree", int, where, default=3),
-        mollify=_get(d, "mollify", bool, where, default=False),
-    )
+    """SolverConfig from the block, which SolverConfig alone checks.
+
+    The keys are its fields, lam spelled lambda; null means unset.
+    """
+    fields = dataclasses.fields(SolverConfig)
+    keys = {"lambda" if f.name == "lam" else f.name: f.name for f in fields}
+    _known(d, keys, where)
+    return SolverConfig(**{keys[k]: v for k, v in d.items() if v is not None})
 
 
 SCENARIOS = {
@@ -277,7 +276,7 @@ SCENARIOS = {
 
 _TOP_KEYS = {
     "scenario", "potentials", "generator", "noise", "grid",
-    "a_process", "solver", "seed", "out_dir",
+    "a_process", "solver", "seed",
 }
 
 
@@ -303,7 +302,6 @@ class Experiment:
     terminal: Callable
     solver: SolverConfig
     seed: int
-    out_dir: Optional[str]
     echo: dict
 
 
@@ -361,7 +359,6 @@ def build_experiment(config: dict) -> Experiment:
         terminal=terminal,
         solver=solver,
         seed=seed,
-        out_dir=merged.get("out_dir"),
         echo=merged,
     )
 

@@ -77,6 +77,8 @@ class SolverConfig:
             raise ConfigError(f"solver.degree must be an integer >= 1, got {self.degree!r}")
         if not isinstance(self.mollify, bool):
             raise ConfigError(f"solver.mollify must be true or false, got {self.mollify!r}")
+        object.__setattr__(self, "p", float(self.p))
+        object.__setattr__(self, "lam", float(self.lam))
         object.__setattr__(self, "eps_schedule", sched)
 
 

@@ -20,7 +20,8 @@ Raw potentials are used when no penalization level is given.
 
 Companion checks: the norm-power transformation identity along paths,
 the weighted contraction between two solutions, and the a-priori bound
-with a frozen fitted constant.
+with a frozen fitted constant.  verify_run is the plan of a run: it
+picks every check, exponent and gate, and names every report.
 """
 
 from dataclasses import dataclass, field
@@ -33,7 +34,7 @@ from .convex import ConvexSpec, envelope, potential_value
 from .errors import DomainError, GridMismatch, InfinitePotential
 from .generators import GeneratorSpec, combined_driver, driver_f, driver_g
 from .paths import PathBundle, gamma_shift
-from .solver import SmoothingConfig, SolutionField, smoothing_operator
+from .solver import SequenceResult, SmoothingConfig, SolutionField, smoothing_operator
 
 # fitted once on the martingale reference scenarios (p in 1.5 .. 2.5,
 # where the largest observed lhs/rhs ratios stay below 2.8 and 1.7),
@@ -183,7 +184,6 @@ def check_variational_inequality(
     delta: float,
     tol: Optional[float] = None,
     penalization_eps: Optional[float] = None,
-    name: Optional[str] = None,
     *,
     terms: Optional[tuple] = None,
     process: Optional[tuple] = None,
@@ -232,7 +232,7 @@ def check_variational_inequality(
         "driver_eval_gap": float(np.max(np.abs(h_used - h_fresh))),
     }
     return VerificationReport(
-        name=name or f"variational[{tp.label}] q={q:g} delta={delta:g}",
+        name=f"variational[{tp.label}] q={q:g} delta={delta:g}",
         passed=bool(worst <= tol),
         worst_violation=worst,
         tolerance=tol,
@@ -248,7 +248,6 @@ def check_ito_identity(
     p: float,
     delta: float,
     tol: float,
-    name: str = "ito-identity",
     pathwise: bool = False,
 ) -> VerificationReport:
     """Residual of the norm-power transformation identity.
@@ -298,7 +297,7 @@ def check_ito_identity(
         a = np.mean(a, axis=0, keepdims=True)
     worst = _pair_range(a)
     return VerificationReport(
-        name=name,
+        name=f"ito-identity p={p:g} delta={delta:g}",
         passed=bool(worst <= tol),
         worst_violation=worst,
         tolerance=float(tol),
@@ -312,9 +311,7 @@ def ito_report_from_solution(
     pw = sol.paths(bundle)
     drift = (pw["H"] - pw["U"]) * bundle.dq
     return check_ito_identity(
-        pw["Y"], drift, pw["Z"], bundle, p, delta, tol,
-        name=f"ito-identity p={p:g} delta={delta:g}",
-        pathwise=sol.lattice,
+        pw["Y"], drift, pw["Z"], bundle, p, delta, tol, pathwise=sol.lattice
     )
 
 
@@ -324,7 +321,6 @@ def check_contraction(
     bundle: PathBundle,
     q: float,
     tol: float,
-    name: str = "contraction",
 ) -> VerificationReport:
     """Backward submartingale test of the weighted gap.
 
@@ -342,7 +338,7 @@ def check_contraction(
     )
     worst = _pair_max(profile)
     return VerificationReport(
-        name=name,
+        name=f"contraction eps {sol_a.eps:g} vs {sol_b.eps:g}",
         passed=bool(worst <= tol),
         worst_violation=worst,
         tolerance=float(tol),
@@ -387,7 +383,6 @@ def check_apriori_bound(
     gen: GeneratorSpec,
     terminal_values: np.ndarray,
     p: float,
-    name: str = "apriori-bound",
     *,
     at_zero: Optional[tuple] = None,
 ) -> VerificationReport:
@@ -411,7 +406,7 @@ def check_apriori_bound(
     rhs = float(np.mean(np.exp(p * v[-1]) * np.abs(terminal_values) ** p) + source)
     margin = APRIORI_C_FIT * rhs - lhs
     return VerificationReport(
-        name=name,
+        name="apriori-bound",
         passed=bool(lhs <= APRIORI_C_FIT * rhs * (1.0 + 1e-12) + 1e-12),
         worst_violation=float(lhs - APRIORI_C_FIT * rhs),
         tolerance=0.0,
@@ -424,7 +419,6 @@ def check_energy_bound(
     bundle: PathBundle,
     gen: GeneratorSpec,
     terminal_values: np.ndarray,
-    name: str = "energy-bound",
     *,
     at_zero: Optional[tuple] = None,
 ) -> VerificationReport:
@@ -444,7 +438,7 @@ def check_energy_bound(
     source = _driver_source(gen, bundle, v, 2, at_zero)
     rhs = float(np.mean(np.exp(2.0 * v[-1]) * terminal_values**2) + source)
     return VerificationReport(
-        name=name,
+        name="energy-bound",
         passed=bool(lhs <= ENERGY_C_FIT * rhs * (1.0 + 1e-12) + 1e-12),
         worst_violation=float(lhs - ENERGY_C_FIT * rhs),
         tolerance=0.0,
@@ -476,10 +470,11 @@ def reconstruction_process(sol: SolutionField, bundle: PathBundle) -> TestProces
     )
 
 
-def smoothed_midpoint_process(
-    sol: SolutionField, bundle: PathBundle, backend, smooth_eps: float
-) -> TestProcess:
-    """Exponential smoothing of the solution itself as a test process."""
+def smoothed_midpoint_process(sol: SolutionField, bundle: PathBundle, backend) -> TestProcess:
+    """Exponential smoothing of the solution itself at scale
+    max(4 max(dt), T/20), capped at T for grids of a few steps."""
+    horizon = bundle.grid.horizon
+    smooth_eps = min(max(4.0 * float(np.max(bundle.dt)), 0.05 * horizon), horizon)
     sm = smoothing_operator(bundle, backend, sol.Y_levels, SmoothingConfig(smooth_eps))
     return TestProcess(
         sm.gamma, sol.expand(bundle, sm.N_levels), sol.expand(bundle, sm.R_levels),
@@ -488,15 +483,15 @@ def smoothed_midpoint_process(
 
 
 def random_step_process(
-    bundle: PathBundle, seed: int, blocks: int = 8, scale: float = 1.0, index: int = 0
+    bundle: PathBundle, seed: int, scale: float = 1.0, index: int = 0
 ) -> TestProcess:
-    """Piecewise-constant (N, R) with Gaussian block values, for probing."""
+    """Piecewise-constant (N, R) with Gaussian values on 8 blocks, for probing."""
     gen = rngmod.aux_stream(seed, 1000 + index)
     n = bundle.grid.steps
-    edges = np.linspace(0, n, blocks + 1).astype(int)
+    edges = np.linspace(0, n, 9).astype(int)
     nn = np.zeros(n)
     rr = np.zeros(n)
-    for k in range(blocks):
+    for k in range(8):
         nn[edges[k]:edges[k + 1]] = scale * gen.standard_normal()
         rr[edges[k]:edges[k + 1]] = scale * gen.standard_normal()
     gamma = float(scale * gen.standard_normal())
@@ -517,26 +512,24 @@ def battery(
     psi: ConvexSpec,
     gen: GeneratorSpec,
     p: float,
-    tol: Optional[float] = None,
 ) -> list:
     """Three-way test-process battery at q = 2 and q = min(p, 2).
 
     Processes: the zero process, the solution's own reconstruction, and
-    the smoothing of the solution's midpoints at scale max(4 max(dt), T/20),
-    each at every delta of DELTAS.  Potentials are taken at
+    the smoothing of the solution's midpoints, each at every delta of
+    DELTAS, gated at default_tolerance(bundle).  Potentials are taken at
     the solution's penalization level; the candidate's own terms H and
     Psi(Y) are evaluated once and shared by every check, and each test
     process's terms once and shared by its checks.  Also reports
     the collapse of the reconstruction Gamma to the delta_q floor (the
     strong solution seen through the inequality).
     """
-    tol = default_tolerance(bundle) if tol is None else float(tol)
-    smooth_eps = max(4.0 * float(np.max(bundle.dt)), 0.05 * bundle.grid.horizon)
+    tol = default_tolerance(bundle)
     recon = reconstruction_process(sol, bundle)
     processes = [
         zero_process(bundle),
         recon,
-        smoothed_midpoint_process(sol, bundle, backend, smooth_eps),
+        smoothed_midpoint_process(sol, bundle, backend),
     ]
     q_values = sorted({2.0, min(float(p), 2.0)})
     terms = candidate_terms(sol, phi, psi, gen, bundle, sol.eps)
@@ -563,4 +556,31 @@ def battery(
             monitors={},
         )
     )
+    return reports
+
+
+def verify_run(seq: SequenceResult, backend, phi, psi, gen: GeneratorSpec, p: float) -> list:
+    """Every check of one solved run, in the order verify.json lists them.
+
+    The battery and the Ito identity at ITO_DELTA on the finest eps; the
+    contraction of each adjacent eps pair at q = min(p, 2), which lies in
+    (1, 2] for every p > 1, gated at max(tol, 2 (eps + eps')) for the
+    penalization cross term; then the a-priori and energy bounds on the
+    finest solution's terminal values, sharing one driver_at_zero.  tol
+    is default_tolerance(backend.bundle).
+    """
+    bundle = backend.bundle
+    tol = default_tolerance(bundle)
+    sols = list(seq.solutions.values())
+    final = sols[-1]
+    reports = battery(final, bundle, backend, phi, psi, gen, p)
+    reports.append(ito_report_from_solution(final, bundle, p, ITO_DELTA, tol))
+    q = min(p, 2.0)
+    for coarse, fine in zip(sols, sols[1:]):
+        gate = max(tol, 2.0 * (coarse.eps + fine.eps))
+        reports.append(check_contraction(coarse, fine, bundle, q, gate))
+    terminal_values = final.paths(bundle)["Y"][:, -1]
+    at_zero = driver_at_zero(gen, bundle)
+    reports.append(check_apriori_bound(final, bundle, gen, terminal_values, p, at_zero=at_zero))
+    reports.append(check_energy_bound(final, bundle, gen, terminal_values, at_zero=at_zero))
     return reports

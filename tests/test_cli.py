@@ -79,7 +79,15 @@ def test_config_errors_name_the_field():
         ({"noise": {"kind": "mc", "paths": True}}, r"noise.paths: expected .*int.*got bool"),
         ({"grid": {"T": 1.0, "steps": True}}, r"grid.steps: expected .*int.*got bool"),
         ({"seed": True}, r"config.seed: expected .*int.*got bool"),
-        ({"solver": {"degree": True}}, r"solver.degree: expected .*int.*got bool"),
+        ({"solver": {"degree": True}}, r"solver.degree must be an integer >= 1, got True"),
+        ({"grid": {"nodes": "abc"}}, r"grid.nodes: expected .*list.*got str"),
+        ({"grid": {"nodes": [0, True]}}, r"grid.nodes: expected a list of numbers"),
+        ({"grid": {"nodes": [0, "1"]}}, r"grid.nodes: expected a list of numbers"),
+        ({"noise": {"kind": "tree", "eval_paths": -3}}, r"noise: eval_paths must be >= 1, got -3"),
+        # 0 is no request for the default count
+        ({"noise": {"kind": "tree", "eval_paths": 0}}, r"noise: eval_paths must be >= 1, got 0"),
+        # --out and the default directory name the output; the config does not
+        ({"out_dir": 5}, r"config: unknown top-level keys \['out_dir'\]"),
     ]
     for override, needle in cases:
         cfg = {**base, **override}
@@ -264,6 +272,29 @@ def test_sweep_guards_axes(tmp_path):
         "seed": 2,
     }, name="nodes.json")
     assert main(["sweep", "--config", nodes_cfg, "--axis", "dt", "--values", "0.1", "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("config", [
+    {"scenario": "linear", "grid": {"T": 1.0, "steps": 3}},
+    {"scenario": "linear", "grid": {"T": 1.0, "steps": 1}},
+    {"scenario": "two_barrier", "grid": {"T": 1.0, "steps": 2}},
+    {"scenario": "linear", "grid": {"nodes": [0.0, 0.5, 1.0]}},
+])
+def test_grids_of_a_few_steps_run_and_verify(tmp_path, capsys, config):
+    # max(4 max(dt), T/20) lies past the horizon here; the smoothing
+    # scale is capped at T instead of raising DomainError
+    out = str(tmp_path / "run")
+    assert main(["run", "--config", write_cfg(tmp_path, config), "--out", out]) == 0
+    summary = json.loads(Path(out, "summary.json").read_text())
+    assert summary["all_passed"], summary["verifications"]
+    capsys.readouterr()
+
+
+def test_sweep_dt_runs_above_a_quarter_of_the_horizon(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, {"scenario": "linear"})
+    argv = ["sweep", "--config", cfg, "--axis", "dt", "--values", "0.5,0.3", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    capsys.readouterr()
 
 
 def test_main_reports_config_errors(tmp_path):

@@ -12,7 +12,7 @@ from bsvilab.errors import (
 from bsvilab import solver
 from bsvilab.generators import GeneratorSpec, combined_driver
 from bsvilab.paths import IncreasingProcessSpec, NoiseModel, TimeGrid, build_paths
-from bsvilab.scenarios import SCENARIOS, SOLVER_KEYS, build_experiment
+from bsvilab.scenarios import SCENARIOS, build_experiment
 from bsvilab.solver import (
     SmoothingConfig,
     SolverConfig,
@@ -116,8 +116,11 @@ def test_solver_config_validation():
 def test_solver_block_keys_are_the_config_fields():
     fields = {f.name for f in dataclasses.fields(SolverConfig)}
     assert fields == {"p", "lam", "eps_schedule", "ce", "degree", "mollify"}
-    assert {"lam" if k == "lambda" else k for k in SOLVER_KEYS} == fields
-    assert len(SOLVER_KEYS) == len(fields)
+    # lam is spelled lambda in a config, and integers are read as floats
+    exp = build_experiment({"scenario": "linear", "solver": {"p": 3, "lambda": 0.25}})
+    assert (exp.solver.p, exp.solver.lam) == (3.0, 0.25) and type(exp.solver.p) is float
+    with pytest.raises(ConfigError, match=r"solver: unknown keys \['lam'\]"):
+        build_experiment({"scenario": "linear", "solver": {"lam": 0.25}})
     # the penalty scheme has no knobs: explicit steps, predictor sweeps,
     # ridge fits and the mollifier's node count are gone
     for key, value in (("mode", "explicit"), ("sweeps", 2), ("ridge", 0.1), ("mollifier_nq", 101)):

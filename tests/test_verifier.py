@@ -12,7 +12,9 @@ from bsvilab.paths import (
     accumulate_weights,
     build_paths,
 )
-from bsvilab.solver import SolverConfig, make_backend, solve_penalized
+from bsvilab.cli import execute
+from bsvilab.scenarios import build_experiment
+from bsvilab.solver import SolverConfig, make_backend, solve_penalized, solve_sequence
 from bsvilab.verify import (
     TestProcess as ComparisonProcess,
     _pair_max,
@@ -336,12 +338,15 @@ def test_reconstruction_process_collapses_gamma():
     assert abs(rep.monitors["terminal_gamma_sq_minus_shift"]) <= 1e-14
 
 
-def test_battery_composition_and_verdicts():
+def test_battery_composition_and_verdicts(monkeypatch):
     bundle = det_bundle(500)
     gen = GeneratorSpec.from_expressions("1", "0")
     sol = solve_penalized(bundle, HALFLINE, ZERO, gen, terminal_const(-0.5), 0.025, CFG)
     backend = make_backend(bundle, CFG)
-    reports = battery(sol, bundle, backend, HALFLINE, ZERO, gen, p=2.0, tol=0.25)
+    # one path: a gate of 0.25, tighter than the default 5.01
+    monkeypatch.setattr(verify, "C_DT", 0.0)
+    monkeypatch.setattr(verify, "C_MC", 0.25)
+    reports = battery(sol, bundle, backend, HALFLINE, ZERO, gen, p=2.0)
     # 3 processes x 1 exponent (q = 2 twice collapses) x 3 deltas + collapse
     assert len(reports) == 10
     names = [r.name for r in reports]
@@ -351,10 +356,9 @@ def test_battery_composition_and_verdicts():
     assert names[-1] == "reconstruction-collapse"
     for rep in reports:
         assert rep.passed, rep.name
+        assert rep.tolerance == 0.25
 
-    lowp = battery(
-        sol, bundle, backend, HALFLINE, ZERO, gen, p=1.5, tol=0.25
-    )
+    lowp = battery(sol, bundle, backend, HALFLINE, ZERO, gen, p=1.5)
     assert len(lowp) == 19  # both q = 1.5 and q = 2 run for p < 2
 
 
@@ -365,11 +369,10 @@ def test_battery_shares_candidate_terms_without_changing_reports(p):
     sol = solve_penalized(bundle, IND11, ZERO, gen, lambda b, a: 1.2 * b, 0.1, CFG)
     backend = make_backend(bundle, CFG)
     got = battery(sol, bundle, backend, IND11, ZERO, gen, p)
-    smooth_eps = max(4.0 * float(np.max(bundle.dt)), 0.05 * bundle.grid.horizon)
     processes = [
         zero_process(bundle),
         reconstruction_process(sol, bundle),
-        smoothed_midpoint_process(sol, bundle, backend, smooth_eps),
+        smoothed_midpoint_process(sol, bundle, backend),
     ]
     tol = default_tolerance(bundle)
     want = [
@@ -382,3 +385,40 @@ def test_battery_shares_candidate_terms_without_changing_reports(p):
     ]
     assert [r.as_dict() for r in got[: len(want)]] == [r.as_dict() for r in want]
     assert len(got) == len(want) + 1
+
+
+@pytest.mark.parametrize("p", [2.0, 1.5, 2.5])
+def test_verify_run_is_the_plan_of_a_run(p):
+    exp = build_experiment({"scenario": "two_barrier_driven", "solver": {"p": p}})
+    bundle = accumulate_weights(
+        build_paths(exp.grid, exp.noise, exp.a_spec),
+        exp.gen.mu, exp.gen.nu, exp.gen.ell, p, exp.solver.lam,
+    )
+    backend = make_backend(bundle, exp.solver)
+    seq = solve_sequence(backend, exp.phi, exp.psi, exp.gen, exp.terminal, exp.solver)
+    got = verify.verify_run(seq, backend, exp.phi, exp.psi, exp.gen, p)
+
+    sols = [seq.solutions[e] for e in exp.solver.eps_schedule]
+    assert len(sols) == 4
+    final = sols[-1]
+    tol = default_tolerance(bundle)
+    eta = final.paths(bundle)["Y"][:, -1]
+    want = battery(final, bundle, backend, exp.phi, exp.psi, exp.gen, p)
+    want.append(ito_report_from_solution(final, bundle, p, verify.ITO_DELTA, tol))
+    for a, b in zip(sols, sols[1:]):
+        want.append(check_contraction(a, b, bundle, min(p, 2.0), max(tol, 2.0 * (a.eps + b.eps))))
+    want.append(check_apriori_bound(final, bundle, exp.gen, eta, p))
+    want.append(check_energy_bound(final, bundle, exp.gen, eta))
+    assert [r.as_dict() for r in got] == [r.as_dict() for r in want]
+    assert [r.as_dict() for r in execute(exp).reports] == [r.as_dict() for r in want]
+    assert [r.name for r in got[-6:]] == [
+        f"ito-identity p={p:g} delta=0.1",
+        "contraction eps 0.1 vs 0.05",
+        "contraction eps 0.05 vs 0.025",
+        "contraction eps 0.025 vs 0.0125",
+        "apriori-bound",
+        "energy-bound",
+    ]
+    # the coarsest pair is gated by the cross term 2 (eps + eps'), not by tol
+    assert got[-5].tolerance == 2.0 * (0.1 + 0.05) > tol
+
