@@ -19,10 +19,12 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
 import time
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -138,12 +140,14 @@ def _write_results_csv(path: str, result: RunResult) -> None:
 
     The bytes are those of csv.writer's default dialect: fields need no
     quoting, rows end in CRLF, and the last step leaves alpha, Z, U and
-    Kinc empty.
+    Kinc empty.  Each level is one %-format of its row template repeated
+    once per row; %.17g writes the bytes of fmt.
     """
     sol = result.seq.solutions[result.exp.solver.eps_schedule[-1]]
     bundle = result.bundle
     t = bundle.grid.nodes
     n = bundle.grid.steps
+    # read once: a property that rebuilds every level on each read
     kinc = sol.kinc_levels
     with open(path, "w", newline="") as fh:
         fh.write("step,t,Q,alpha,node_or_path,Y,Z,U,Kinc\r\n")
@@ -151,22 +155,16 @@ def _write_results_csv(path: str, result: RunResult) -> None:
             last = i == n
             alpha = "" if last else fmt(bundle.alpha[i])
             head = f"{i},{fmt(t[i])},{fmt(bundle.Q[i])},{alpha},"
-            ys = [f"{y:.17g}" for y in np.atleast_1d(sol.Y_levels[i]).tolist()]
             if last:
-                rows = (f"{head}{j},{y},,,\r\n" for j, y in enumerate(ys))
+                row = head + "%d,%.17g,,,\r\n"
+                cols = (sol.Y_levels[i],)
             else:
-                rest = zip(
-                    ys,
-                    np.atleast_1d(sol.Z_levels[i]).tolist(),
-                    np.atleast_1d(sol.U_levels[i]).tolist(),
-                    np.atleast_1d(kinc[i]).tolist(),
-                    strict=True,
-                )
-                rows = (
-                    f"{head}{j},{y},{z:.17g},{u:.17g},{k:.17g}\r\n"
-                    for j, (y, z, u, k) in enumerate(rest)
-                )
-            fh.write("".join(rows))
+                row = head + "%d,%.17g,%.17g,%.17g,%.17g\r\n"
+                cols = (sol.Y_levels[i], sol.Z_levels[i], sol.U_levels[i], kinc[i])
+            cols = [np.atleast_1d(c).tolist() for c in cols]
+            m = len(cols[0])
+            fields = chain.from_iterable(zip(range(m), *cols, strict=True))
+            fh.write((row * m) % tuple(fields))
 
 
 def _sha256(path: str) -> str:
@@ -245,6 +243,8 @@ def cmd_verify(args) -> int:
 
 
 def _sweep_override(axis: str, value: float, base: dict) -> dict:
+    if not (math.isfinite(value) and value > 0.0):
+        raise ConfigError(f"sweep: {axis} values must be finite and positive, got {value}")
     if axis == "eps":
         return {"solver": {"eps_schedule": [float(value)]}}
     if axis == "dt":
@@ -258,6 +258,8 @@ def _sweep_override(axis: str, value: float, base: dict) -> dict:
     if axis == "paths":
         if base.get("noise", {}).get("kind") != "mc":
             raise ConfigError("sweep over paths needs Monte Carlo noise")
+        if value != int(value):
+            raise ConfigError(f"sweep: paths values must be whole numbers, got {value}")
         return {"noise": {"paths": int(value)}}
     raise ConfigError(f"sweep: unknown axis {axis!r}")
 
@@ -271,11 +273,13 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"sweep: could not parse values {args.values!r}")
     if not values:
         raise ConfigError("sweep: no values given")
+    # every value is checked before the first run
+    overrides = [_sweep_override(args.axis, value, base) for value in values]
     rows = []
     prev_y0 = None
-    for value in values:
+    for value, override in zip(values, overrides):
         merged = base
-        for key, block in _sweep_override(args.axis, value, base).items():
+        for key, block in override.items():
             merged = {**merged, key: {**merged.get(key, {}), **block}}
         exp = build_experiment(merged)
         t0 = time.perf_counter()

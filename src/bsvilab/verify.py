@@ -24,7 +24,7 @@ with a frozen fitted constant.  verify_run is the plan of a run: it
 picks every check, exponent and gate, and names every report.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -173,6 +173,10 @@ def process_terms(
     return m - pw["Y"], psi_m, tp.R - pw["Z"]
 
 
+def _variational_name(tp: TestProcess, q: float, delta: float) -> str:
+    return f"variational[{tp.label}] q={q:g} delta={delta:g}"
+
+
 def check_variational_inequality(
     sol: SolutionField,
     tp: TestProcess,
@@ -232,7 +236,7 @@ def check_variational_inequality(
         "driver_eval_gap": float(np.max(np.abs(h_used - h_fresh))),
     }
     return VerificationReport(
-        name=f"variational[{tp.label}] q={q:g} delta={delta:g}",
+        name=_variational_name(tp, q, delta),
         passed=bool(worst <= tol),
         worst_violation=worst,
         tolerance=tol,
@@ -520,9 +524,11 @@ def battery(
     DELTAS, gated at default_tolerance(bundle).  Potentials are taken at
     the solution's penalization level; the candidate's own terms H and
     Psi(Y) are evaluated once and shared by every check, and each test
-    process's terms once and shared by its checks.  Also reports
-    the collapse of the reconstruction Gamma to the delta_q floor (the
-    strong solution seen through the inequality).
+    process's terms once and shared by its checks.  Each (process, q,
+    Gamma shift) is evaluated once: at q = 2 the shift is 0 for every
+    delta, so the later deltas get renamed copies of the first report.
+    Also reports the collapse of the reconstruction Gamma to the delta_q
+    floor (the strong solution seen through the inequality).
     """
     tol = default_tolerance(bundle)
     recon = reconstruction_process(sol, bundle)
@@ -537,13 +543,23 @@ def battery(
     for tp in processes:
         process = process_terms(sol, tp, phi, psi, bundle, sol.eps)
         for q in q_values:
+            # a report depends on delta only through gamma_shift and its name
+            by_shift = {}
             for delta in DELTAS:
-                reports.append(
-                    check_variational_inequality(
+                shift = gamma_shift(delta, q)
+                first = by_shift.get(shift)
+                if first is None:
+                    rep = by_shift[shift] = check_variational_inequality(
                         sol, tp, phi, psi, gen, bundle, q, delta,
                         tol=tol, penalization_eps=sol.eps, terms=terms, process=process,
                     )
-                )
+                else:
+                    rep = replace(
+                        first,
+                        name=_variational_name(tp, q, delta),
+                        monitors=dict(first.monitors),
+                    )
+                reports.append(rep)
         if tp is recon:
             collapse = float(np.max(np.mean(process[0] ** 2, axis=0)))
         del process  # one process's path arrays at a time

@@ -2,6 +2,7 @@ import hashlib
 import importlib.util
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -274,6 +275,29 @@ def test_sweep_guards_axes(tmp_path):
     assert main(["sweep", "--config", nodes_cfg, "--axis", "dt", "--values", "0.1", "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("axis, values", [
+    ("dt", "0.25,0"),
+    ("dt", "0.25,nan"),
+    ("dt", "0.25,-0.5"),
+    ("eps", "0.1,inf"),
+    ("paths", "20,nan"),
+    ("paths", "20,1.5"),
+    ("paths", "20,-3"),
+])
+def test_sweep_refuses_bad_axis_values(tmp_path, capsys, monkeypatch, axis, values):
+    # every value is checked before the first run, so nothing runs and
+    # no sweep.csv is written
+    scenario = "mc_martingale" if axis == "paths" else "linear"
+    cfg = write_cfg(tmp_path, {"scenario": scenario, "grid": {"T": 1.0, "steps": 8}})
+    runs = []
+    monkeypatch.setattr(cli, "execute", runs.append)
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", cfg, "--axis", axis, "--values", values, "--out", str(out)]) == 2
+    assert f"sweep: {axis} values must be" in capsys.readouterr().err
+    assert runs == []
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("config", [
     {"scenario": "linear", "grid": {"T": 1.0, "steps": 3}},
     {"scenario": "linear", "grid": {"T": 1.0, "steps": 1}},
@@ -414,6 +438,53 @@ def test_results_csv_matches_the_per_row_writer(tmp_path, config):
     assert got == (tmp_path / "oracle.csv").read_bytes()
     final = res.seq.solutions[res.exp.solver.eps_schedule[-1]]
     assert got.count(b"\r\n") == 1 + sum(np.size(y) for y in final.Y_levels)
+
+
+def _hand_built_result(y_levels, z_levels, u_levels, kinc_levels):
+    steps = len(y_levels) - 1
+    sol = SimpleNamespace(
+        Y_levels=y_levels, Z_levels=z_levels, U_levels=u_levels, kinc_levels=kinc_levels
+    )
+    return SimpleNamespace(
+        exp=SimpleNamespace(solver=SimpleNamespace(eps_schedule=(0.1, 0.05))),
+        seq=SimpleNamespace(solutions={0.05: sol}),
+        bundle=SimpleNamespace(
+            grid=SimpleNamespace(nodes=np.linspace(0.0, 1.0, steps + 1), steps=steps),
+            Q=np.linspace(0.0, 1.0, steps + 1),
+            alpha=np.linspace(1.0, 0.25, steps),
+        ),
+    )
+
+
+def test_results_csv_writer_on_hand_built_levels(tmp_path):
+    # signed zero, the smallest subnormal, huge values, integral floats
+    # and a one-node level (a 0-d array, as a lattice's root is)
+    result = _hand_built_result(
+        y_levels=[np.array(3.0), np.array([-0.0, 5e-324, 1e300]), np.array([-1e300, 2.0, 0.1])],
+        z_levels=[np.array([1e300]), np.array([-0.0, 3.0, -5e-324])],
+        u_levels=[np.array([0.0]), np.array([1.0, -1e300, 2.0])],
+        kinc_levels=[np.array([5e-324]), np.array([0.1, -0.0, 1e-300])],
+    )
+    cli._write_results_csv(str(tmp_path / "got.csv"), result)
+    results_csv_oracle(str(tmp_path / "oracle.csv"), result)
+    got = (tmp_path / "got.csv").read_bytes()
+    assert got == (tmp_path / "oracle.csv").read_bytes()
+    assert got.splitlines(keepends=True)[1:3] == [
+        b"0,0,0,1,0,3,1.0000000000000001e+300,0,4.9406564584124654e-324\r\n",
+        b"1,0.5,0.5,0.25,0,-0,-0,1,0.10000000000000001\r\n",
+    ]
+    assert got.endswith(b"2,1,1,,2,0.10000000000000001,,,\r\n")
+
+
+def test_results_csv_writer_refuses_ragged_levels(tmp_path):
+    result = _hand_built_result(
+        y_levels=[np.array([1.0, 2.0]), np.array([1.0, 2.0])],
+        z_levels=[np.array([1.0])],
+        u_levels=[np.array([0.0, 0.0])],
+        kinc_levels=[np.array([0.0, 0.0])],
+    )
+    with pytest.raises(ValueError):
+        cli._write_results_csv(str(tmp_path / "got.csv"), result)
 
 
 def test_summary_reports_the_penalty_per_eps():

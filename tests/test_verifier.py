@@ -387,6 +387,56 @@ def test_battery_shares_candidate_terms_without_changing_reports(p):
     assert len(got) == len(want) + 1
 
 
+@pytest.mark.parametrize("p, calls", [(2.0, 3), (1.5, 12)])
+def test_battery_evaluates_each_gamma_shift_once(monkeypatch, p, calls):
+    # at q = 2 every delta has Gamma shift 0, so each process is checked
+    # once at q = 2 and once per delta at q < 2
+    exp = build_experiment({"scenario": "two_barrier_driven", "solver": {"p": p}})
+    bundle = accumulate_weights(
+        build_paths(exp.grid, exp.noise, exp.a_spec),
+        exp.gen.mu, exp.gen.nu, exp.gen.ell, p, exp.solver.lam,
+    )
+    backend = make_backend(bundle, exp.solver)
+    seq = solve_sequence(backend, exp.phi, exp.psi, exp.gen, exp.terminal, exp.solver)
+    final = seq.solutions[exp.solver.eps_schedule[-1]]
+    made = []
+
+    def counting(*args, **kwargs):
+        made.append(args)
+        return check_variational_inequality(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "check_variational_inequality", counting)
+    got = battery(final, bundle, backend, exp.phi, exp.psi, exp.gen, p)
+    assert len(made) == calls
+
+    processes = [
+        zero_process(bundle),
+        reconstruction_process(final, bundle),
+        smoothed_midpoint_process(final, bundle, backend),
+    ]
+    tol = default_tolerance(bundle)
+    want = [
+        check_variational_inequality(
+            final, tp, exp.phi, exp.psi, exp.gen, bundle, q, delta,
+            tol=tol, penalization_eps=final.eps,
+        )
+        for tp in processes
+        for q in sorted({2.0, min(p, 2.0)})
+        for delta in verify.DELTAS
+    ]
+    assert [r.as_dict() for r in got[: len(want)]] == [r.as_dict() for r in want]
+
+    # the copied q = 2 reports own their monitors: mutating one leaves
+    # the others as they were
+    q2 = [r for r in got if " q=2 " in r.name]
+    assert len(q2) == 3 * len(verify.DELTAS)
+    assert len({id(r.monitors) for r in q2}) == len(q2)
+    before = [dict(r.monitors) for r in q2]
+    q2[0].monitors["gamma_floor_margin"] = -1.0
+    q2[1].monitors.clear()
+    assert [r.monitors for r in q2[2:]] == before[2:]
+
+
 @pytest.mark.parametrize("p", [2.0, 1.5, 2.5])
 def test_verify_run_is_the_plan_of_a_run(p):
     exp = build_experiment({"scenario": "two_barrier_driven", "solver": {"p": p}})
