@@ -9,12 +9,10 @@ that characterize the solution.
 from .convex import (
     CompatibilityReport,
     ConvexSpec,
-    RecenterData,
     combined_gradient,
     compatibility_check,
     envelope,
     potential_value,
-    recenter,
     resolvent,
     yosida_gradient,
 )
@@ -26,7 +24,6 @@ from .errors import (
     InfinitePotential,
     NonFiniteGenerator,
     NonFiniteInput,
-    NotASubgradient,
     QuadratureFailure,
     ZeroStep,
 )
@@ -35,8 +32,6 @@ from .generators import (
     MollifierConfig,
     combined_driver,
     compile_expression,
-    local_sup_f,
-    local_sup_g,
     mollify_driver,
     mollify_driver_g,
     project_to_ball,

@@ -249,7 +249,9 @@ def _sweep_override(axis: str, value: float, base: dict) -> dict:
         return {"solver": {"eps_schedule": [float(value)]}}
     if axis == "dt":
         grid = base.get("grid", {})
-        if "T" not in grid:
+        # explicit nodes take precedence over steps, so they would run
+        # every value on the same grid
+        if "T" not in grid or "nodes" in grid:
             raise ConfigError("sweep over dt needs a grid given as T and steps")
         steps = int(round(float(grid["T"]) / float(value)))
         if steps < 1:
@@ -282,6 +284,9 @@ def cmd_sweep(args) -> int:
         for key, block in override.items():
             merged = {**merged, key: {**merged.get(key, {}), **block}}
         exp = build_experiment(merged)
+        if args.axis == "dt":
+            # record the dt that ran: T over the rounded step count
+            value = exp.grid.horizon / exp.grid.steps
         t0 = time.perf_counter()
         result = execute(exp)
         runtime = time.perf_counter() - t0

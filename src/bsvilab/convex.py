@@ -1,8 +1,7 @@
 """Convex potentials and their Moreau-Yosida regularizations.
 
 A potential is a proper convex lower-semicontinuous function
-phi: R -> [0, +inf] normalized so that phi(0) = 0 <= phi(y); a
-recentered one only has 0 as a minimizer.  For eps > 0
+phi: R -> [0, +inf] normalized so that phi(0) = 0 <= phi(y).  For eps > 0
 the regularization and its ingredients are
 
     envelope:   phi_eps(y) = inf_v { |y - v|^2 / (2 eps) + phi(v) }
@@ -15,36 +14,41 @@ Every kind is closed form and acts coordinatewise, so every operation
 broadcasts over numpy arrays of scalar coordinates.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, NonFiniteInput, NotASubgradient
+from .errors import DomainError, NonFiniteInput
+
+_KINDS = ("zero", "interval", "quadratic", "abs")
+
 
 @dataclass(frozen=True)
 class ConvexSpec:
-    """Description of one convex potential.
+    """Description of one convex potential, normalized at construction.
 
     kind "interval" is the indicator of [a, b] (value 0 inside, +inf
     outside, bounds may be infinite), "quadratic" is c |y|^2 / 2 with
-    c > 0, "abs" is |y|.  A recentered spec (see recenter) stands for
-    phi(y + shift) - tilt * y, where phi is the kind's potential; the
-    proximal rules for a translation and a linear tilt keep every
-    operation in closed form.  With shift = tilt = 0 each operation is
-    the kind's own formula, untouched.
+    c > 0, "abs" is |y|.  Every kind is finite and minimal at 0, so an
+    interval must contain 0; this is the one place that is checked.
     """
 
     kind: str
     a: float = -np.inf
     b: float = np.inf
     c: float = 1.0
-    shift: float = 0.0
-    tilt: float = 0.0
 
-    @property
-    def recentered(self) -> bool:
-        return self.shift != 0.0 or self.tilt != 0.0
+    def __post_init__(self):
+        if self.kind not in _KINDS:
+            raise DomainError(f"unknown potential kind {self.kind!r}")
+        if self.kind == "interval":
+            if not (self.a <= 0.0 <= self.b):
+                raise DomainError(f"interval must contain 0, got [{self.a}, {self.b}]")
+            if not (self.a < self.b):
+                raise DomainError(f"interval requires a < b, got [{self.a}, {self.b}]")
+        if self.kind == "quadratic" and not (np.isfinite(self.c) and self.c > 0.0):
+            raise DomainError(f"quadratic coefficient must be finite and > 0, got {self.c}")
 
     @staticmethod
     def zero() -> "ConvexSpec":
@@ -52,16 +56,10 @@ class ConvexSpec:
 
     @staticmethod
     def interval(a: float, b: float) -> "ConvexSpec":
-        # 0 in [a, b] is not required here; recenter() translates such
-        # intervals, and the solver rejects potentials infinite at 0
-        if not (a < b):
-            raise DomainError(f"interval requires a < b, got [{a}, {b}]")
         return ConvexSpec(kind="interval", a=float(a), b=float(b))
 
     @staticmethod
     def quadratic(c: float) -> "ConvexSpec":
-        if not (np.isfinite(c) and c > 0.0):
-            raise DomainError(f"quadratic coefficient must be finite and > 0, got {c}")
         return ConvexSpec(kind="quadratic", c=float(c))
 
     @staticmethod
@@ -83,29 +81,9 @@ def _require_eps(eps) -> float:
     return eps
 
 
-def _unknown(spec: ConvexSpec) -> DomainError:
-    return DomainError(f"unknown potential kind {spec.kind!r}")
-
-
-def _moved(spec: ConvexSpec, eps: float, y: np.ndarray) -> np.ndarray:
-    """x = y + shift + eps tilt, where a recentered spec reads its kind's maps.
-
-    For phi_hat(y) = phi(y + shift) - tilt y, completing the square gives
-    J_hat(y) = J(x) - shift, D phi_hat_eps(y) = D phi_eps(x) - tilt and
-    phi_hat_eps(y) = phi_eps(x) - tilt y - eps tilt^2 / 2.
-    """
-    return y + spec.shift + eps * spec.tilt
-
-
 def potential_value(spec: ConvexSpec, y) -> np.ndarray:
     """Extended-real potential value, elementwise over scalar coordinates."""
     y = _require_finite("y", y)
-    if spec.recentered:
-        return _value(spec, y + spec.shift) - spec.tilt * y
-    return _value(spec, y)
-
-
-def _value(spec, y):
     if spec.kind == "zero":
         return np.zeros_like(y)
     if spec.kind == "interval":
@@ -113,9 +91,7 @@ def _value(spec, y):
         return np.asarray(out, dtype=float)
     if spec.kind == "quadratic":
         return 0.5 * spec.c * y * y
-    if spec.kind == "abs":
-        return np.abs(y)
-    raise _unknown(spec)
+    return np.abs(y)
 
 
 def resolvent(spec: ConvexSpec, eps, y) -> np.ndarray:
@@ -125,10 +101,7 @@ def resolvent(spec: ConvexSpec, eps, y) -> np.ndarray:
     (quadratic), clamp to [a, b] (interval), soft threshold (abs).
     """
     y = _require_finite("y", y)
-    eps = _require_eps(eps)
-    if spec.recentered:
-        return _resolvent(spec, eps, _moved(spec, eps, y)) - spec.shift
-    return _resolvent(spec, eps, y)
+    return _resolvent(spec, _require_eps(eps), y)
 
 
 def _resolvent(spec, eps, y):
@@ -138,9 +111,7 @@ def _resolvent(spec, eps, y):
         return y / (1.0 + eps * spec.c)
     if spec.kind == "interval":
         return np.clip(y, spec.a, spec.b)
-    if spec.kind == "abs":
-        return np.sign(y) * np.maximum(np.abs(y) - eps, 0.0)
-    raise _unknown(spec)
+    return np.sign(y) * np.maximum(np.abs(y) - eps, 0.0)
 
 
 def envelope(spec: ConvexSpec, eps, y) -> np.ndarray:
@@ -151,13 +122,6 @@ def envelope(spec: ConvexSpec, eps, y) -> np.ndarray:
     """
     y = _require_finite("y", y)
     eps = _require_eps(eps)
-    if spec.recentered:
-        x = _moved(spec, eps, y)
-        return _envelope(spec, eps, x) - spec.tilt * y - 0.5 * eps * spec.tilt * spec.tilt
-    return _envelope(spec, eps, y)
-
-
-def _envelope(spec, eps, y):
     if spec.kind == "zero":
         return np.zeros_like(y)
     if spec.kind == "quadratic":
@@ -165,10 +129,8 @@ def _envelope(spec, eps, y):
     if spec.kind == "interval":
         d = np.maximum(y - spec.b, 0.0) + np.maximum(spec.a - y, 0.0)
         return d * d / (2.0 * eps)
-    if spec.kind == "abs":
-        # Huber function
-        return np.where(np.abs(y) <= eps, y * y / (2.0 * eps), np.abs(y) - 0.5 * eps)
-    raise _unknown(spec)
+    # Huber function
+    return np.where(np.abs(y) <= eps, y * y / (2.0 * eps), np.abs(y) - 0.5 * eps)
 
 
 def yosida_gradient(spec: ConvexSpec, eps, y) -> np.ndarray:
@@ -178,12 +140,6 @@ def yosida_gradient(spec: ConvexSpec, eps, y) -> np.ndarray:
     """
     y = _require_finite("y", y)
     eps = _require_eps(eps)
-    if spec.recentered:
-        return _gradient(spec, eps, _moved(spec, eps, y)) - spec.tilt
-    return _gradient(spec, eps, y)
-
-
-def _gradient(spec, eps, y):
     if spec.kind == "interval":
         return (np.maximum(y - spec.b, 0.0) - np.maximum(spec.a - y, 0.0)) / eps
     return (y - _resolvent(spec, eps, y)) / eps
@@ -198,85 +154,12 @@ def combined_gradient(phi: ConvexSpec, psi: ConvexSpec, alpha, eps, y) -> np.nda
 
 
 def gradient_breakpoints(spec: ConvexSpec, eps: float) -> list:
-    """Kink locations of the piecewise-linear Yosida gradient.
-
-    Every kind has one; a recentered spec's kinks move by
-    -(shift + eps tilt).
-    """
+    """Kink locations of the piecewise-linear Yosida gradient."""
     if spec.kind in ("zero", "quadratic"):
-        kinks = []
-    elif spec.kind == "interval":
-        kinks = [x for x in (spec.a, spec.b) if np.isfinite(x)]
-    elif spec.kind == "abs":
-        kinks = [-eps, eps]
-    else:
-        raise _unknown(spec)
-    if spec.recentered:
-        move = spec.shift + eps * spec.tilt
-        return [x - move for x in kinks]
-    return kinks
-
-
-@dataclass(frozen=True)
-class RecenterData:
-    """Shift point u0 with one subgradient of each potential at u0."""
-
-    u0: float
-    phi_subgradient: float
-    psi_subgradient: float
-
-
-def _check_subgradient(spec: ConvexSpec, u0: float, sub: float) -> None:
-    """Refuse sub unless it lies in the kind's subdifferential at u0."""
-    if spec.kind == "zero":
-        ok = sub == 0.0
-    elif spec.kind == "quadratic":
-        ok = abs(sub - spec.c * u0) <= 1e-12 * max(1.0, abs(spec.c * u0))
-    elif spec.kind == "abs":
-        ok = abs(sub) <= 1.0 if u0 == 0.0 else sub == np.sign(u0)
-    elif spec.kind == "interval":
-        if not spec.a <= u0 <= spec.b:
-            raise NotASubgradient(f"recentering point {u0} lies outside the domain")
-        # the normal cone: {0} inside, [0, inf) at b, (-inf, 0] at a
-        ok = sub == 0.0 or (u0 == spec.b and sub > 0.0) or (u0 == spec.a and sub < 0.0)
-    else:
-        raise _unknown(spec)
-    if not (ok and np.isfinite(sub)):
-        raise NotASubgradient(f"{sub} is not a subgradient of the potential at {u0}")
-
-
-def _recenter_one(spec: ConvexSpec, u0: float, sub: float) -> ConvexSpec:
-    if spec.recentered:
-        # two recenterings compose to phi(y + u0 + u1) - (s0 + s1) y - s0 u1,
-        # whose constant the spec cannot hold
-        raise DomainError("the potential is already recentered")
-    _check_subgradient(spec, u0, sub)
-    if spec.kind == "zero":
-        return spec
-    if spec.kind == "interval" and sub == 0.0:
-        return ConvexSpec.interval(spec.a - u0, spec.b - u0)
-    if u0 == 0.0 and sub == 0.0:
-        return spec
-    return replace(spec, shift=u0, tilt=sub)
-
-
-def recenter(phi: ConvexSpec, psi: ConvexSpec, data: RecenterData) -> tuple:
-    """Shift both potentials so the distinguished point moves to the origin.
-
-    Returns (phi_hat, psi_hat) with
-    phi_hat(y) = phi(y + u0) - <phi_subgradient, y>, and likewise for psi.
-    The tilt makes 0 a minimizer of the shifted potential (0 belongs to
-    its subdifferential at 0); the minimum value need not be 0.  The
-    result is exact: an interval with a zero subgradient is translated,
-    any other kind carries shift u0 and tilt subgradient.  A spec that
-    is already recentered is refused.
-    """
-    u0 = float(data.u0)
-    if not np.isfinite(u0):
-        raise NonFiniteInput("recentering point must be finite")
-    phi_hat = _recenter_one(phi, u0, float(data.phi_subgradient))
-    psi_hat = _recenter_one(psi, u0, float(data.psi_subgradient))
-    return phi_hat, psi_hat
+        return []
+    if spec.kind == "interval":
+        return [x for x in (spec.a, spec.b) if np.isfinite(x)]
+    return [-eps, eps]
 
 
 @dataclass

@@ -9,10 +9,6 @@ class NonFiniteInput(BsvilabError):
     """An argument contains NaN or infinity where a finite value is required."""
 
 
-class NotASubgradient(BsvilabError):
-    """A claimed subgradient is not in the potential's subdifferential at its point."""
-
-
 class ZeroStep(BsvilabError):
     """A time grid contains a zero-length step."""
 

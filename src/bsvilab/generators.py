@@ -207,22 +207,6 @@ def mollify_driver_g(gen: GeneratorSpec, cfg: MollifierConfig, t, y) -> np.ndarr
     return _mollify("G_eps", cfg, yy, g, g)
 
 
-def local_sup_f(gen: GeneratorSpec, rho: float, t) -> float:
-    """Grid maximum of |F(t, ., 0)| over the ball |y| <= rho."""
-    if not (np.isfinite(rho) and rho >= 0.0):
-        raise DomainError(f"rho must be finite and >= 0, got {rho}")
-    grid = np.concatenate([np.linspace(-rho, rho, 1000), [-rho, rho]])
-    return float(np.max(np.abs(driver_f(gen, t, grid, np.zeros_like(grid)))))
-
-
-def local_sup_g(gen: GeneratorSpec, rho: float, t) -> float:
-    """Grid maximum of |G(t, .)| over the ball |y| <= rho."""
-    if not (np.isfinite(rho) and rho >= 0.0):
-        raise DomainError(f"rho must be finite and >= 0, got {rho}")
-    grid = np.concatenate([np.linspace(-rho, rho, 1000), [-rho, rho]])
-    return float(np.max(np.abs(driver_g(gen, t, grid))))
-
-
 def validate_generator(gen: GeneratorSpec) -> None:
     """Sampled check of the declared structural coefficients on 500 fixed draws."""
     rng = np.random.default_rng(0)

@@ -111,11 +111,20 @@ class NoiseModel:
 @dataclass(frozen=True)
 class IncreasingProcessSpec:
     """Deterministic A: zero, linear kappa*t, or a delayed ramp
-    kappa*(t - s0)^+."""
+    kappa*(t - s0)^+, checked at construction."""
 
     kind: str  # "zero" | "linear" | "ramp"
     rate: float = 0.0
     start: float = 0.0
+
+    def __post_init__(self):
+        if self.kind not in ("zero", "linear", "ramp"):
+            raise ConfigError(f"a_process: unknown kind {self.kind!r}")
+        # a JSON config can carry NaN and Infinity
+        for name in ("rate", "start"):
+            x = getattr(self, name)
+            if not (np.isfinite(x) and x >= 0.0):
+                raise DomainError(f"a_process: {name} must be finite and >= 0, got {x}")
 
     @staticmethod
     def zero() -> "IncreasingProcessSpec":
@@ -123,14 +132,10 @@ class IncreasingProcessSpec:
 
     @staticmethod
     def linear(rate: float) -> "IncreasingProcessSpec":
-        if rate < 0.0:
-            raise DomainError(f"a_process: rate must be >= 0, got {rate}")
         return IncreasingProcessSpec(kind="linear", rate=float(rate))
 
     @staticmethod
     def ramp(start: float, rate: float) -> "IncreasingProcessSpec":
-        if rate < 0.0 or start < 0.0:
-            raise DomainError("a_process: ramp needs start >= 0 and rate >= 0")
         return IncreasingProcessSpec(kind="ramp", rate=float(rate), start=float(start))
 
     def values(self, t: np.ndarray) -> np.ndarray:
@@ -139,9 +144,7 @@ class IncreasingProcessSpec:
             return np.zeros_like(t)
         if self.kind == "linear":
             return self.rate * t
-        if self.kind == "ramp":
-            return self.rate * np.maximum(t - self.start, 0.0)
-        raise ConfigError(f"a_process: unknown kind {self.kind!r}")
+        return self.rate * np.maximum(t - self.start, 0.0)
 
 
 @dataclass(frozen=True)

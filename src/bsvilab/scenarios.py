@@ -62,8 +62,6 @@ def potential_from_config(d: dict, where: str) -> ConvexSpec:
     if kind == "interval":
         a = _get(d, "a", float, where, default=-_INF)
         b = _get(d, "b", float, where, default=_INF)
-        if not (a <= 0.0 <= b):
-            raise ConfigError(f"{where}: interval must contain 0, got [{a}, {b}]")
         try:
             return ConvexSpec.interval(a, b)
         except Exception as exc:

@@ -37,7 +37,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import convex
-from .convex import ConvexSpec, potential_value
+from .convex import ConvexSpec
 from .errors import ConfigError, DomainError
 from .generators import (
     GeneratorSpec,
@@ -212,16 +212,16 @@ def implicit_step(phi: ConvexSpec, psi: ConvexSpec, alpha: float, schedule, dq: 
 
     # whether a kind has kinks does not depend on eps
     if kinks[0].size == 0:
-        # the map is affine: subtract its value at 0, +0.0 unless a
-        # potential is recentered, then divide, which keeps -0.0
-        at0 = np.array([float(forward(np.asarray(0.0), eps)) for eps in schedule])[:, None]
-        slopes = np.array([float(forward(np.asarray(1.0), eps)) for eps in schedule])[:, None] - at0
+        # the map is linear, v -> slope v: forward(0) is +0.0 for every
+        # kink-free potential, and y - (+0.0) is y bit for bit (-0.0
+        # included), so the inverse is one division, y / slope
+        slopes = np.array([float(forward(np.asarray(1.0), eps)) for eps in schedule])[:, None]
 
-        def affine(y_hat, rows=slice(None)):
+        def linear(y_hat, rows=slice(None)):
             y = np.asarray(y_hat, dtype=float)
-            return ((y.reshape(len(y), -1) - at0[rows]) / slopes[rows]).reshape(y.shape)
+            return (y.reshape(len(y), -1) / slopes[rows]).reshape(y.shape)
 
-        return affine
+        return linear
 
     # the kinks of two potentials coincide at some eps only; such rows
     # are padded with knots at +inf, which no finite y_hat passes
@@ -371,12 +371,6 @@ def backward_sweep(
     the schedule is finite, positive and strictly decreasing.
     """
     schedule = cfg.eps_schedule
-    for label, pot in (("phi", phi), ("psi", psi)):
-        at0 = float(np.asarray(potential_value(pot, np.zeros(1))).ravel()[0])
-        if not np.isfinite(at0):
-            raise DomainError(
-                f"{label} is infinite at 0; recenter the potential first"
-            )
     bundle = backend.bundle
     n = bundle.grid.steps
     t = bundle.grid.nodes

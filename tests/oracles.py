@@ -16,7 +16,6 @@ import csv
 import numpy as np
 
 from bsvilab import convex
-from bsvilab.convex import potential_value
 from bsvilab.errors import DomainError
 from bsvilab.generators import (
     MollifierConfig,
@@ -188,14 +187,18 @@ def implicit_step_oracle(phi, psi, alpha, eps, dq, method):
     return bisect
 
 
+def local_sup_f(gen, rho, t):
+    """Grid maximum of |F(t, ., 0)| over the ball |y| <= rho."""
+    if not (np.isfinite(rho) and rho >= 0.0):
+        raise DomainError(f"rho must be finite and >= 0, got {rho}")
+    grid = np.concatenate([np.linspace(-rho, rho, 1000), [-rho, rho]])
+    return float(np.max(np.abs(gen.F(t, grid, np.zeros_like(grid)))))
+
+
 def solve_penalized_oracle(bundle, phi, psi, gen, terminal, eps, cfg):
     """One backward sweep at a single eps; levels as a dict of lists."""
     if not (np.isfinite(eps) and eps > 0.0):
         raise DomainError(f"eps must be finite and > 0, got {eps}")
-    for label, pot in (("phi", phi), ("psi", psi)):
-        at0 = float(np.asarray(potential_value(pot, np.zeros(1))).ravel()[0])
-        if not np.isfinite(at0):
-            raise DomainError(f"{label} is infinite at 0; recenter the potential first")
     backend = make_backend(bundle, cfg)
     n = bundle.grid.steps
     t = bundle.grid.nodes

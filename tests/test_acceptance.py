@@ -21,7 +21,6 @@ from bsvilab.convex import (
 from bsvilab.generators import (
     GeneratorSpec,
     MollifierConfig,
-    local_sup_f,
     mollify_driver,
     project_to_ball,
 )
@@ -49,6 +48,7 @@ from bsvilab.verify import (
 from oracles import (
     abs_potential,
     indicator_potential,
+    local_sup_f,
     prox_oracle,
     quadratic_potential,
     reflection_oracle,

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import importlib.util
 import json
@@ -96,12 +97,30 @@ def test_config_errors_name_the_field():
             build_experiment(cfg)
 
 
-def _benchmark_configs():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+def _perfbench_module(name):
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return {name: w.config_for(1) for name, w in module.WORKLOADS.items()}
+    return module
+
+
+def _benchmark_configs():
+    workloads = _perfbench_module("workloads").WORKLOADS
+    return {name: w.config_for(1) for name, w in workloads.items()}
+
+
+def test_every_call_site_the_benchmark_traces_exists():
+    # a renamed or deleted site fails a traced benchmark sample; look each
+    # one up without tracer.install, which would patch the modules for
+    # the tests that follow
+    tracer = _perfbench_module("tracer")
+    sites = [(owner, attr) for owner, attr, *_ in tracer.SPANS + tracer.COUNTERS]
+    missing = [
+        f"{owner}.{attr}" for owner, attr in sites
+        if getattr(tracer._resolve(owner), attr, None) is None
+    ]
+    assert sites and missing == []
 
 
 def test_every_shipped_config_passes_the_key_check():
@@ -319,6 +338,15 @@ def test_sweep_dt_runs_above_a_quarter_of_the_horizon(tmp_path, capsys):
     argv = ["sweep", "--config", cfg, "--axis", "dt", "--values", "0.5,0.3", "--out", str(tmp_path)]
     assert main(argv) == 0
     capsys.readouterr()
+    # 0.3 runs as 3 steps of T/3, and the table records that dt
+    with open(tmp_path / "sweep.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["value"] for r in rows] == ["0.5", "0.33333333333333331"]
+    # explicit nodes would override every step count the sweep sets
+    nodes = {"scenario": "linear", "grid": {"T": 1.0, "steps": 8, "nodes": [0.0, 0.5, 1.0]}}
+    argv[2] = write_cfg(tmp_path, nodes, "nodes.json")
+    assert main(argv) == 2
+    assert "needs a grid given as T and steps" in capsys.readouterr().err
 
 
 def test_main_reports_config_errors(tmp_path):

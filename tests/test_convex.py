@@ -6,17 +6,15 @@ from hypothesis import strategies as st
 from bsvilab.convex import (
     CompatibilityReport,
     ConvexSpec,
-    RecenterData,
     combined_gradient,
     compatibility_check,
     envelope,
     gradient_breakpoints,
     potential_value,
-    recenter,
     resolvent,
     yosida_gradient,
 )
-from bsvilab.errors import DomainError, NonFiniteInput, NotASubgradient
+from bsvilab.errors import DomainError, NonFiniteInput
 
 from oracles import (
     abs_potential,
@@ -31,13 +29,6 @@ QUAD1 = ConvexSpec.quadratic(1.0)
 IND11 = ConvexSpec.interval(-1.0, 1.0)
 ABS = ConvexSpec.abs_value()
 ZERO = ConvexSpec.zero()
-# recentered at u0 with subgradient s: phi(y + u0) - s y
-QUAD_AT_1 = recenter(QUAD1, ZERO, RecenterData(u0=1.0, phi_subgradient=1.0, psi_subgradient=0.0))[0]
-ABS_AT_HALF = recenter(ABS, ZERO, RecenterData(u0=0.5, phi_subgradient=1.0, psi_subgradient=0.0))[0]
-WALL_TILTED = recenter(
-    ConvexSpec.interval(-1.0, 0.5), ZERO,
-    RecenterData(u0=0.5, phi_subgradient=2.0, psi_subgradient=0.0),
-)[0]
 
 finite_y = st.floats(min_value=-8.0, max_value=8.0)
 small_eps = st.floats(min_value=1e-3, max_value=2.0)
@@ -86,13 +77,18 @@ def test_combined_gradient_rejects_bad_alpha():
 
 
 def test_constructor_validation():
-    with pytest.raises(DomainError):
-        ConvexSpec.interval(1.0, 0.5)
-    # off-origin intervals construct fine; solving with one is refused
-    # until it has been recentered, which is covered in the solver tests
-    assert ConvexSpec.interval(0.5, 2.0).kind == "interval"
-    with pytest.raises(DomainError):
-        ConvexSpec.quadratic(0.0)
+    with pytest.raises(DomainError, match="a < b"):
+        ConvexSpec.interval(0.0, 0.0)
+    # every potential is finite and minimal at 0, so construction refuses
+    # an interval that misses it
+    for a, b in ((0.5, 2.0), (-2.0, -0.5), (1.0, 0.5)):
+        with pytest.raises(DomainError, match="must contain 0"):
+            ConvexSpec.interval(a, b)
+    with pytest.raises(DomainError, match="unknown potential kind"):
+        ConvexSpec(kind="custom")
+    for c in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(DomainError):
+            ConvexSpec.quadratic(c)
     with pytest.raises(NonFiniteInput):
         envelope(QUAD1, 0.1, np.nan)
     with pytest.raises(DomainError):
@@ -105,10 +101,6 @@ def test_gradient_breakpoints():
     assert gradient_breakpoints(IND11, 0.1) == [-1.0, 1.0]
     assert gradient_breakpoints(ConvexSpec.interval(-np.inf, 0.0), 0.1) == [0.0]
     assert gradient_breakpoints(ABS, 0.2) == [-0.2, 0.2]
-    # a recentered spec's kinks move by -(shift + eps tilt)
-    assert gradient_breakpoints(QUAD_AT_1, 0.1) == []
-    assert np.allclose(gradient_breakpoints(ABS_AT_HALF, 0.2), [-0.9, -0.5], rtol=0, atol=1e-15)
-    assert np.allclose(gradient_breakpoints(WALL_TILTED, 0.25), [-2.0, -0.5], rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize(
@@ -119,9 +111,6 @@ def test_gradient_breakpoints():
         (IND11, indicator_potential(-1, 1)),
         (ConvexSpec.interval(-0.5, 2.0), indicator_potential(-0.5, 2.0)),
         (ABS, abs_potential()),
-        (QUAD_AT_1, lambda v: quadratic_potential(1.0)(v + 1.0) - v),
-        (ABS_AT_HALF, lambda v: abs_potential()(v + 0.5) - v),
-        (WALL_TILTED, lambda v: indicator_potential(-1.0, 0.5)(v + 0.5) - 2.0 * v),
     ],
 )
 def test_random_samples_against_oracle(spec, potential):
@@ -135,9 +124,7 @@ def test_random_samples_against_oracle(spec, potential):
         assert abs(float(yosida_gradient(spec, eps, y)) - (y - j) / eps) < 1e-4
 
 
-# WALL_TILTED is left out: its domain [-1.5, 0] misses the samples of
-# the domain-bound properties below
-CLOSED_FORMS = [QUAD1, IND11, ABS, ZERO, ConvexSpec.interval(-np.inf, 0.0), QUAD_AT_1, ABS_AT_HALF]
+CLOSED_FORMS = [QUAD1, IND11, ABS, ZERO, ConvexSpec.interval(-np.inf, 0.0)]
 
 
 @settings(max_examples=200, deadline=None)
@@ -206,88 +193,6 @@ def test_envelope_nonincreasing_in_eps(y, k):
     spec = CLOSED_FORMS[k]
     values = [float(envelope(spec, e, y)) for e in (0.01, 0.1, 0.5, 1.0, 2.0)]
     assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
-
-
-def test_recenter_quadratic_example():
-    data = RecenterData(u0=1.0, phi_subgradient=1.0, psi_subgradient=0.0)
-    phi_hat, psi_hat = recenter(QUAD1, ZERO, data)
-    y = np.linspace(-4, 4, 201)
-    vals = potential_value(phi_hat, y)
-    v0 = float(potential_value(phi_hat, np.asarray(0.0)))
-    assert np.isclose(v0, 0.5, atol=1e-12)
-    assert np.all(vals >= v0 - 1e-9)
-    assert np.allclose(vals, 0.5 * (y + 1) ** 2 - y, atol=1e-12)
-    assert psi_hat.kind == "zero"
-
-
-def test_recenter_is_exact_and_refuses_a_second_recentering():
-    assert (QUAD_AT_1.kind, QUAD_AT_1.shift, QUAD_AT_1.tilt) == ("quadratic", 1.0, 1.0)
-    y = np.linspace(-4.0, 4.0, 201)
-    for eps in (0.05, 0.5):
-        # phi(y + 1) - y = y^2/2 + 1/2: shrink y / (1 + eps), envelope
-        # y^2 / (2 (1 + eps)) + 1/2
-        assert np.allclose(resolvent(QUAD_AT_1, eps, y), y / (1.0 + eps), rtol=0, atol=1e-14)
-        assert np.allclose(envelope(QUAD_AT_1, eps, y), 0.5 * y * y / (1.0 + eps) + 0.5, rtol=0, atol=1e-13)
-        # 0 minimizes a recentered potential
-        for spec in (QUAD_AT_1, ABS_AT_HALF, WALL_TILTED):
-            assert abs(float(yosida_gradient(spec, eps, 0.0))) <= 1e-15
-    with pytest.raises(DomainError, match="already recentered"):
-        recenter(QUAD_AT_1, ZERO, RecenterData(u0=0.5, phi_subgradient=0.0, psi_subgradient=0.0))
-
-
-def test_recenter_interval_translation():
-    data = RecenterData(u0=3.0, phi_subgradient=0.0, psi_subgradient=0.0)
-    phi_hat, _ = recenter(ConvexSpec.interval(2.0, 4.0), ZERO, data)
-    assert phi_hat.kind == "interval"
-    assert (phi_hat.a, phi_hat.b) == (-1.0, 1.0)
-
-
-def test_recenter_identity():
-    data = RecenterData(u0=0.0, phi_subgradient=0.0, psi_subgradient=0.0)
-    phi_hat, psi_hat = recenter(ZERO, ZERO, data)
-    assert phi_hat is ZERO and psi_hat is ZERO
-
-
-def test_recenter_rejects_bad_subgradient():
-    # the subdifferential of quadratic(1) at 1 is {1}, to 1e-12 relative
-    for sub in (5.0, 1.01, 1.0 + 4e-5, np.nan, np.inf):
-        with pytest.raises(NotASubgradient):
-            recenter(QUAD1, ZERO, RecenterData(u0=1.0, phi_subgradient=sub, psi_subgradient=0.0))
-    with pytest.raises(NotASubgradient, match="outside the domain"):
-        recenter(IND11, ZERO, RecenterData(u0=2.0, phi_subgradient=0.0, psi_subgradient=0.0))
-    for spec, u0, sub in (
-        (ZERO, 1.0, 1e-9),
-        (ABS, 0.0, 1.0 + 1e-12),  # [-1, 1] at the kink
-        (ABS, 0.0, -1.5),
-        (ABS, 0.5, 1.0 - 1e-12),  # {sign u0} away from it
-        (ABS, -0.5, 1.0),
-        (IND11, 0.5, 0.1),  # {0} inside the interval
-        (IND11, 1.0, -0.1),  # [0, inf) at b
-        (IND11, -1.0, 0.1),  # (-inf, 0] at a
-        (IND11, 1.0, np.inf),
-    ):
-        with pytest.raises(NotASubgradient):
-            recenter(spec, ZERO, RecenterData(u0=u0, phi_subgradient=sub, psi_subgradient=0.0))
-
-
-def test_recenter_accepts_the_whole_subdifferential():
-    for spec, u0, sub in (
-        (ZERO, 2.0, 0.0),
-        (QUAD1, 1.0, 1.0 + 1e-13),
-        (ConvexSpec.quadratic(3.0), -2.0, -6.0),
-        (ABS, 0.0, -1.0),
-        (ABS, 0.0, 0.25),
-        (ABS, 0.0, 1.0),
-        (ABS, -0.5, -1.0),
-        (IND11, 0.5, 0.0),
-        (IND11, 1.0, 0.0),
-        (IND11, 1.0, 3.0),
-        (IND11, -1.0, -3.0),
-        (ConvexSpec.interval(-np.inf, 0.5), 0.5, 2.0),
-    ):
-        hat, _ = recenter(spec, ZERO, RecenterData(u0=u0, phi_subgradient=sub, psi_subgradient=0.0))
-        # 0 minimizes the recentered potential: its Yosida gradient vanishes there
-        assert abs(float(yosida_gradient(hat, 0.1, 0.0))) <= 1e-12 * max(1.0, abs(sub))
 
 
 def _samples():

@@ -9,15 +9,13 @@ from bsvilab.generators import (
     MollifierConfig,
     combined_driver,
     compile_expression,
-    local_sup_f,
-    local_sup_g,
     mollify_driver,
     mollify_driver_g,
     project_to_ball,
     validate_generator,
 )
 
-from oracles import mollify_oracle
+from oracles import local_sup_f, mollify_oracle
 
 ZERO_GEN = GeneratorSpec.from_expressions("0", "0")
 
@@ -120,7 +118,6 @@ def test_mollify_g_matches_y_only_route():
 def test_local_sup_values():
     neg = GeneratorSpec.from_expressions("-y", "-y")
     assert local_sup_f(neg, 2.0, 0.0) == 2.0
-    assert local_sup_g(neg, 2.0, 0.0) == 2.0
     quad = GeneratorSpec.from_expressions("1 + y*y", "0", mu=100.0)
     assert np.isclose(local_sup_f(quad, 1.0, 0.0), 2.0, rtol=0, atol=1e-12)
     assert local_sup_f(ZERO_GEN, 5.0, 0.0) == 0.0

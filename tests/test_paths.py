@@ -201,6 +201,18 @@ def test_grid_and_spec_validation():
         IncreasingProcessSpec.linear(-1.0)
     with pytest.raises(DomainError):
         IncreasingProcessSpec.ramp(-0.1, 1.0)
+    # a JSON config can carry NaN and Infinity
+    for bad in (np.nan, np.inf):
+        with pytest.raises(DomainError, match="a_process: rate"):
+            IncreasingProcessSpec.linear(bad)
+        with pytest.raises(DomainError, match="a_process: rate"):
+            IncreasingProcessSpec.ramp(0.5, bad)
+        with pytest.raises(DomainError, match="a_process: start"):
+            IncreasingProcessSpec.ramp(bad, 1.0)
+        with pytest.raises(DomainError, match="a_process: rate"):
+            IncreasingProcessSpec(kind="linear", rate=bad)
+    with pytest.raises(ConfigError, match="a_process: unknown kind"):
+        IncreasingProcessSpec(kind="step")
 
 
 def test_tree_requires_uniform_grid():

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from bsvilab.convex import ConvexSpec, RecenterData, recenter
+from bsvilab.convex import ConvexSpec
 from bsvilab.errors import (
     ConfigError,
     DomainError,
@@ -36,15 +36,6 @@ QUAD1 = ConvexSpec.quadratic(1.0)
 IND11 = ConvexSpec.interval(-1.0, 1.0)
 HALFLINE = ConvexSpec.interval(-np.inf, 0.0)
 ABS = ConvexSpec.abs_value()
-# phi(y + u0) - s y with s a subgradient at u0, so 0 is a minimizer
-QUAD_AT_1, ABS_AT_1 = recenter(QUAD1, ABS, RecenterData(u0=1.0, phi_subgradient=1.0, psi_subgradient=1.0))
-# a tilt 1e-6 off the gradient, which recenter refuses: 0 is not quite
-# a minimizer, so the kink-free inverse must subtract its value at 0
-QUAD_NEAR_1 = dataclasses.replace(QUAD1, shift=1.0, tilt=1.0 + 1e-6)
-WALL_TILTED = recenter(
-    ConvexSpec.interval(-1.0, 0.5), ZERO,
-    RecenterData(u0=0.5, phi_subgradient=2.0, psi_subgradient=0.0),
-)[0]
 ZERO_GEN = GeneratorSpec.from_expressions("0", "0")
 ZERO_A = IncreasingProcessSpec.zero()
 
@@ -175,11 +166,7 @@ def test_penalization_force_single_sign_for_one_sided_wall():
 
 @pytest.mark.parametrize(
     "pair",
-    [
-        (ZERO, ZERO), (QUAD1, ZERO), (IND11, ABS), (HALFLINE, QUAD1),
-        # recentered: kink-free affine maps, and kinks away from 0
-        (QUAD_AT_1, ZERO), (QUAD_NEAR_1, QUAD1), (WALL_TILTED, ABS_AT_1),
-    ],
+    [(ZERO, ZERO), (QUAD1, ZERO), (IND11, ABS), (HALFLINE, QUAD1)],
 )
 @pytest.mark.parametrize("alpha", [0.0, 0.4, 1.0])
 def test_implicit_step_closed_form_matches_bisection(pair, alpha):
@@ -222,8 +209,9 @@ UNEVEN = build_paths(
     [
         (tree_bundle(16, a_spec=RAMP), IND11, 2),
         (UNEVEN, IND11, 3),
-        # with psi = QUAD1 neither potential has kinks: the affine inverse
-        (tree_bundle(8, a_spec=RAMP), QUAD_AT_1, 2),
+        # with psi = QUAD1 neither potential has kinks: the linear inverse
+        # (the id is kept from when this case was recentered)
+        (tree_bundle(8, a_spec=RAMP), ConvexSpec.quadratic(2.0), 2),
     ],
     ids=["closed_form-tree", "closed_form-uneven", "recentered"],
 )
@@ -395,11 +383,17 @@ def test_backend_selection_rules():
 
 
 def test_unnormalized_potential_is_refused():
-    off = ConvexSpec.interval(0.5, 2.0)
-    with pytest.raises(DomainError, match="recenter"):
-        solve_penalized(
-            det_bundle(10), off, ZERO, ZERO_GEN, terminal_const(1.0), 0.1, SolverConfig()
-        )
+    # the sweep takes every potential as finite and minimal at 0, and
+    # ConvexSpec refuses any other at construction
+    for a, b in ((0.5, 2.0), (-2.0, -0.5)):
+        with pytest.raises(DomainError, match="must contain 0"):
+            ConvexSpec.interval(a, b)
+    with pytest.raises(DomainError, match="unknown potential kind"):
+        ConvexSpec(kind="custom")
+    config = {"scenario": "reflection", "potentials": {"phi": {"kind": "interval", "a": 0.5, "b": 2.0}}}
+    with pytest.raises(ConfigError) as err:
+        build_experiment(config)
+    assert str(err.value) == "potentials.phi: interval must contain 0, got [0.5, 2.0]"
 
 
 def assert_matches_oracle(seq, ref):
@@ -417,16 +411,10 @@ def assert_matches_oracle(seq, ref):
 
 
 def sweep_and_oracle(config):
-    """(one sweep, per-eps oracle) for a config.
-
-    A "recenter" entry holds RecenterData for the config's potentials.
-    """
-    config = dict(config)
-    data = config.pop("recenter", None)
+    """(one sweep, per-eps oracle) for a config."""
     exp = build_experiment(config)
     bundle = build_paths(exp.grid, exp.noise, exp.a_spec)
-    phi, psi = (exp.phi, exp.psi) if data is None else recenter(exp.phi, exp.psi, data)
-    args = (phi, psi, exp.gen, exp.terminal, exp.solver)
+    args = (exp.phi, exp.psi, exp.gen, exp.terminal, exp.solver)
     seq = solve_sequence(make_backend(bundle, exp.solver), *args)
     return seq, solve_sequence_oracle(bundle, *args)
 
@@ -490,15 +478,14 @@ SWEEP_CASES = {
         "generator": {"F": "0.5 - y"},
         "solver": {"eps_schedule": [0.1, 0.05]},
     },
-    # recentered potentials on a ramp clock: "recenter" is read by
-    # sweep_and_oracle, not by build_experiment
+    # a kink-free and a kinked potential on a ramp clock (the id is kept
+    # from when this case was recentered)
     "recentered": {
         "scenario": "two_barrier_driven",
         "grid": {"steps": 8},
         "a_process": {"kind": "ramp", "start": 0.5, "rate": 1.0},
         "potentials": {"phi": {"kind": "quadratic", "c": 1.0}, "psi": {"kind": "abs"}},
         "solver": {"eps_schedule": [0.5, 0.1]},
-        "recenter": RecenterData(u0=1.0, phi_subgradient=1.0, psi_subgradient=1.0),
     },
 }
 
