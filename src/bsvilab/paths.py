@@ -23,6 +23,11 @@ from .errors import ConfigError, DomainError, GridMismatch, ZeroStep
 # trees with at most this many steps enumerate every path exactly
 ENUMERATION_LIMIT = 12
 DEFAULT_TREE_EVAL_PATHS = 512
+# readers of the evaluation paths take a window of
+# max(WINDOW_MIN_STEPS, WINDOW_CELLS // paths) steps at a time: a
+# 256 KiB float64 block, and never fewer than 16 columns
+WINDOW_CELLS = 32768
+WINDOW_MIN_STEPS = 16
 
 
 def moment_factor(p: float) -> float:
@@ -193,20 +198,38 @@ class PathBundle:
         out[:, 1:] = np.cumsum(self.dB, axis=1)
         return out
 
-    def on_paths(self, level_values: list) -> np.ndarray:
-        """Materialize per-level lattice arrays onto evaluation paths.
+    def windows(self) -> list:
+        """The node ranges [a, b) that readers of the paths take in turn.
 
-        The levels are laid end to end and gathered in one take: level
-        i starts at the sum of the sizes of the levels before it.
+        Window k starts at step k * w, w = max(WINDOW_MIN_STEPS,
+        WINDOW_CELLS // paths), and covers the steps [a, min(b, N)); the
+        last window also holds node N.  A per-column path mean of a
+        (paths, >= 2) block is summed row by row, as it is in the whole
+        array, so the means do not depend on the windows.  A (paths, 1)
+        block is summed pairwise instead, so a last window of one step
+        joins the one before it.
+        """
+        n = self.grid.steps
+        width = max(WINDOW_MIN_STEPS, WINDOW_CELLS // self.n_paths)
+        starts = list(range(0, n, width))
+        if len(starts) > 1 and n - starts[-1] == 1:
+            starts.pop()
+        return list(zip(starts, starts[1:] + [n + 1]))
+
+    def on_paths(self, level_values: list, start: int = 0) -> np.ndarray:
+        """Materialize lattice levels start, start + 1, ... onto evaluation paths.
+
+        The levels are laid end to end and gathered in one take: each
+        level starts at the sum of the sizes of the levels before it.
         """
         if self.node_index is None:
             raise ConfigError("on_paths requires a lattice bundle")
         n = len(level_values)
         sizes = [len(level) for level in level_values]
-        if sizes != [len(level) for level in self.levels[:n]]:
+        if sizes != [len(level) for level in self.levels[start:start + n]]:
             raise GridMismatch("level sizes do not match the lattice")
         offsets = np.concatenate([[0], np.cumsum(sizes[:-1], dtype=np.int64)])
-        return np.concatenate(level_values)[self.node_index[:, :n] + offsets]
+        return np.concatenate(level_values)[self.node_index[:, start:start + n] + offsets]
 
 
 def _tree_levels(n_steps: int, sqdt: float) -> list:

@@ -31,7 +31,7 @@ it.
 import dataclasses
 import numbers
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -288,7 +288,6 @@ class SolutionField:
     H_levels: list
     dq: np.ndarray
     max_stiffness: float
-    _expanded: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def y0(self) -> float:
@@ -309,33 +308,33 @@ class SolutionField:
         """Levels hold lattice node values from exact expectations."""
         return self.backend_kind == "tree"
 
-    def expand(self, bundle: PathBundle, levels: list) -> np.ndarray:
-        """Levels built by this solution's backend as a (paths, nodes) array.
+    def expand(self, bundle: PathBundle, levels: list, start: int = 0) -> np.ndarray:
+        """Levels start, start + 1, ... built by this solution's backend, as
+        a (paths, len(levels)) array.
 
         This is the only route from levels to paths: lattice levels are
         gathered along the bundle's walks, per-path levels are stacked.
         """
         if self.lattice:
-            return bundle.on_paths(levels)
+            return bundle.on_paths(levels, start)
         return np.stack(levels, axis=1)
 
-    def paths(self, bundle: PathBundle) -> dict:
-        """Y, Z, U, H on the bundle's evaluation paths.
+    def paths(
+        self, bundle: PathBundle, window: Optional[tuple] = None, names: str = "YZUH"
+    ) -> dict:
+        """The fields named in names on the bundle's evaluation paths.
 
-        Expanded once per bundle object; later calls return the same
-        read-only arrays.
+        window is a node range [a, b), such as one of bundle.windows(),
+        and the whole grid by default: Y holds the nodes [a, b), Z, U and
+        H the steps [a, min(b, N)).  Every call gathers fresh arrays.
         """
-        if self._expanded is None or self._expanded[0] is not bundle:
-            arrays = {
-                "Y": self.expand(bundle, self.Y_levels),
-                "Z": self.expand(bundle, self.Z_levels),
-                "U": self.expand(bundle, self.U_levels),
-                "H": self.expand(bundle, self.H_levels),
-            }
-            for arr in arrays.values():
-                arr.flags.writeable = False
-            self._expanded = (bundle, arrays)
-        return dict(self._expanded[1])
+        n = bundle.grid.steps
+        a, b = (0, n + 1) if window is None else window
+        levels = {"Y": self.Y_levels, "Z": self.Z_levels, "U": self.U_levels, "H": self.H_levels}
+        return {
+            name: self.expand(bundle, levels[name][a:b if name == "Y" else min(b, n)], a)
+            for name in names
+        }
 
 
 @dataclass
@@ -478,7 +477,8 @@ def solve_sequence(
     The caller builds the backend once; one sweep on backend.bundle
     serves every eps, so gaps measure the penalization error alone.
     Reported per adjacent pair: the sup gap of Y over all nodes and the
-    L2-in-time gap of Z along evaluation paths.
+    L2-in-time gap of Z along evaluation paths, read a window of steps at
+    a time.
     Also logs the penalty energy eps * sum_i mean |U_i|^2 dQ_i, which
     stays bounded along the schedule when penalization converges.
     """
@@ -491,11 +491,18 @@ def solve_sequence(
     u2 = np.array([np.add.reduce(u * u, axis=-1) / u.shape[-1] for u in sweep.U_levels]).T
     energy = {eps: float(eps * np.sum(u2_r * bundle.dq)) for eps, u2_r in zip(schedule, u2)}
     y_gaps = np.max([np.abs(y[:-1] - y[1:]).max(axis=-1) for y in sweep.Y_levels], axis=0)
+    steps = [(a, min(b, bundle.grid.steps)) for a, b in bundle.windows()]
     gaps = []
     for r, (e_coarse, e_fine) in enumerate(zip(schedule, schedule[1:])):
-        a, b = solutions[e_coarse], solutions[e_fine]
-        sq = a.expand(bundle, [(za - zb) ** 2 for za, zb in zip(a.Z_levels, b.Z_levels)])
-        z_gap = float(np.sqrt(np.sum(np.mean(sq, axis=0) * bundle.dt)))
+        coarse, fine = solutions[e_coarse], solutions[e_fine]
+        # per-step path means of |Z - Z'|^2, squared on the levels and
+        # gathered one window of steps at a time
+        means = []
+        for a, e in steps:
+            levels = zip(coarse.Z_levels[a:e], fine.Z_levels[a:e])
+            sq = coarse.expand(bundle, [(za - zb) ** 2 for za, zb in levels], a)
+            means.append(np.mean(sq, axis=0))
+        z_gap = float(np.sqrt(np.sum(np.concatenate(means) * bundle.dt)))
         gaps.append(
             {
                 "eps_coarse": float(e_coarse),

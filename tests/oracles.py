@@ -8,14 +8,15 @@ rendering, and the eps schedule is solved by one backward sweep per eps
 with a per-segment implicit inverse.  Regression fits rebuild the
 Vandermonde basis and call lstsq on every fit, and the smoothing
 operator runs its kernel sum over every date before a second pass.
-Slow and simple on purpose.
+The verifier oracle runs every check on whole (paths, nodes) arrays,
+each report on its own.  Slow and simple on purpose.
 """
 
 import csv
 
 import numpy as np
 
-from bsvilab import convex
+from bsvilab import convex, verify
 from bsvilab.errors import DomainError
 from bsvilab.generators import (
     MollifierConfig,
@@ -23,7 +24,8 @@ from bsvilab.generators import (
     mollify_driver,
     mollify_driver_g,
 )
-from bsvilab.solver import SmoothedProcess, make_backend
+from bsvilab.paths import gamma_shift
+from bsvilab.solver import SmoothedProcess, SmoothingConfig, make_backend, smoothing_operator
 
 
 def prox_oracle(potential, eps, y, half_width=None):
@@ -302,3 +304,195 @@ def smoothing_operator_oracle(bundle, backend, u_levels, cfg):
         i_eps=i_eps,
         scale=scale,
     )
+
+
+def _paths_oracle(sol, bundle):
+    """Y, Z, U, H of a solution as whole (paths, nodes) arrays."""
+    return {
+        name: sol.expand(bundle, levels)
+        for name, levels in (
+            ("Y", sol.Y_levels), ("Z", sol.Z_levels), ("U", sol.U_levels), ("H", sol.H_levels)
+        )
+    }
+
+
+def _pair_max_oracle(a):
+    suffix_min = np.minimum.accumulate(a[..., ::-1], axis=-1)[..., ::-1]
+    return float(np.max(a[..., :-1] - suffix_min[..., 1:]))
+
+
+def _mixed_potential_oracle(phi, psi, alpha, x, eps_pen):
+    vp = convex.envelope(phi, eps_pen, x)
+    vq = convex.envelope(psi, eps_pen, x)
+    with np.errstate(invalid="ignore"):
+        left = np.where(alpha > 0.0, alpha * vp, 0.0)
+        right = np.where(alpha < 1.0, (1.0 - alpha) * vq, 0.0)
+    return left + right
+
+
+def _variational_oracle(pw, h_fresh, psi_y, gamma0, n_steps, r_steps, name, phi, psi,
+                        bundle, q, shift, tol, eps):
+    m = np.empty((bundle.n_paths, bundle.grid.steps + 1))
+    m[:, 0] = gamma0
+    m[:, 1:] = gamma0 + np.cumsum(-n_steps * bundle.dq + r_steps * bundle.dB, axis=1)
+    psi_m = _mixed_potential_oracle(phi, psi, bundle.alpha, m[:, :-1], eps)
+    m_minus_y, r_minus_z = m - pw["Y"], r_steps - pw["Z"]
+    gamma = np.sqrt(m_minus_y ** 2 + shift)
+    g_pow = gamma[:, :-1] ** (q - 2.0)
+    diff = m_minus_y[:, :-1]
+    incr = (
+        0.5 * q * (q - 1.0) * g_pow * r_minus_z ** 2 * bundle.dt
+        + q * g_pow * psi_y * bundle.dq
+        - q * g_pow * psi_m * bundle.dq
+        - q * g_pow * diff * (n_steps - h_fresh) * bundle.dq
+        + q * g_pow * diff * r_minus_z * bundle.dB
+    )
+    a = np.mean(gamma**q, axis=0).copy()
+    a[1:] -= np.cumsum(np.mean(incr, axis=0))
+    worst = _pair_max_oracle(a)
+    monitors = {
+        "gamma_floor_margin": float(np.min(gamma) - np.sqrt(shift)),
+        "terminal_gamma_sq_minus_shift": float(np.mean(gamma[:, -1] ** 2) - shift),
+        "driver_eval_gap": float(np.max(np.abs(pw["H"] - h_fresh))),
+    }
+    return verify.VerificationReport(name, bool(worst <= tol), worst, tol, monitors), m_minus_y
+
+
+def battery_oracle(sol, bundle, backend, phi, psi, gen, p):
+    """The battery on whole (paths, nodes) arrays, every report computed in full."""
+    tol = verify.default_tolerance(bundle)
+    pw = _paths_oracle(sol, bundle)
+    t, alpha = bundle.grid.nodes, bundle.alpha
+    h_fresh = np.empty_like(pw["Z"])
+    for r in range(bundle.grid.steps):
+        h_fresh[:, r] = combined_driver(gen, alpha[r], t[r], pw["Y"][:, r], pw["Z"][:, r])
+    psi_y = _mixed_potential_oracle(phi, psi, alpha, pw["Y"][:, :-1], sol.eps)
+    horizon = bundle.grid.horizon
+    smooth_eps = min(max(4.0 * float(np.max(bundle.dt)), 0.05 * horizon), horizon)
+    sm = smoothing_operator(bundle, backend, sol.Y_levels, SmoothingConfig(smooth_eps))
+    zeros = np.zeros(bundle.dB.shape)
+    processes = [
+        ("zero", 0.0, zeros, zeros),
+        ("reconstruction", float(pw["Y"][0, 0]), pw["H"] - pw["U"], pw["Z"]),
+        ("smoothed", sm.gamma, sol.expand(bundle, sm.N_levels), sol.expand(bundle, sm.R_levels)),
+    ]
+    reports = []
+    for label, gamma0, n_steps, r_steps in processes:
+        for q in sorted({2.0, min(float(p), 2.0)}):
+            for delta in verify.DELTAS:
+                name = f"variational[{label}] q={q:g} delta={delta:g}"
+                rep, m_minus_y = _variational_oracle(
+                    pw, h_fresh, psi_y, gamma0, n_steps, r_steps, name, phi, psi,
+                    bundle, q, gamma_shift(delta, q), tol, sol.eps,
+                )
+                reports.append(rep)
+        if label == "reconstruction":
+            collapse = float(np.max(np.mean(m_minus_y ** 2, axis=0)))
+    reports.append(verify.VerificationReport(
+        "reconstruction-collapse", bool(collapse <= tol), collapse, tol, {}
+    ))
+    return reports
+
+
+def ito_oracle(sol, bundle, p, delta, tol):
+    """The norm-power identity on whole arrays."""
+    pw = _paths_oracle(sol, bundle)
+    y_paths, r_paths = pw["Y"], pw["Z"]
+    drift_incr = (pw["H"] - pw["U"]) * bundle.dq
+    yl = y_paths[:, :-1]
+    base = yl * yl + delta
+    v_nodes = (y_paths * y_paths + delta) ** (p / 2.0)
+    if p == 2.0:
+        quad = r_paths * r_paths * bundle.dt
+        weight = np.ones_like(base)
+    else:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            quad = (
+                0.5 * p
+                * np.where(
+                    base > 0.0,
+                    base ** ((p - 4.0) / 2.0)
+                    * ((p - 1.0) * r_paths**2 * yl**2 + delta * r_paths**2),
+                    0.0,
+                )
+                * bundle.dt
+            )
+            weight = np.where(base > 0.0, base ** ((p - 2.0) / 2.0), 0.0)
+    incr = quad - p * weight * yl * drift_incr + p * weight * yl * r_paths * bundle.dB
+    a = v_nodes.copy()
+    a[:, 1:] -= np.cumsum(incr, axis=1)
+    if not sol.lattice:
+        a = np.mean(a, axis=0, keepdims=True)
+    worst = float(np.max(np.max(a, axis=-1) - np.min(a, axis=-1)))
+    return verify.VerificationReport(
+        f"ito-identity p={p:g} delta={delta:g}", bool(worst <= tol), worst, float(tol),
+        {"mean_abs_residual": float(np.mean(np.abs(a - a[:, :1])))},
+    )
+
+
+def contraction_oracle(sol_a, sol_b, bundle, q, tol):
+    pa = _paths_oracle(sol_a, bundle)["Y"]
+    pb = _paths_oracle(sol_b, bundle)["Y"]
+    worst = _pair_max_oracle(np.mean(np.exp(q * bundle.V) * np.abs(pa - pb) ** q, axis=0))
+    end_gap = np.mean(np.abs(pa[:, -1] - pb[:, -1]))
+    return verify.VerificationReport(
+        f"contraction eps {sol_a.eps:g} vs {sol_b.eps:g}", bool(worst <= tol), worst, float(tol),
+        {
+            "initial_gap": float(np.abs(sol_a.y0 - sol_b.y0)),
+            "terminal_gap": float(end_gap),
+            "gap_ratio": float(np.abs(sol_a.y0 - sol_b.y0) / max(end_gap, 1e-300)),
+        },
+    )
+
+
+def bounds_oracle(sol, bundle, gen, terminal_values, p):
+    """The a-priori and energy bounds on whole arrays."""
+    y, z = (_paths_oracle(sol, bundle)[k] for k in "YZ")
+    t = bundle.grid.nodes[:-1]
+    f0 = np.array([np.abs(float(gen.F(ti, 0.0, 0.0))) for ti in t])
+    g0 = np.array([np.abs(float(gen.G(ti, 0.0))) for ti in t])
+
+    def source(v, power):
+        return float(np.sum(np.exp(v[:-1]) * (f0 * bundle.dt + g0 * bundle.dA)) ** power)
+
+    v = bundle.V
+    lhs = float(
+        np.mean(np.max(np.exp(p * v) * np.abs(y) ** p, axis=1))
+        + np.mean(np.sum(np.exp(2.0 * v[:-1]) * z ** 2 * bundle.dt, axis=1) ** (p / 2.0))
+    )
+    rhs = float(np.mean(np.exp(p * v[-1]) * np.abs(terminal_values) ** p) + source(v, p))
+    c = verify.APRIORI_C_FIT
+    apriori = verify.VerificationReport(
+        "apriori-bound", bool(lhs <= c * rhs * (1.0 + 1e-12) + 1e-12), float(lhs - c * rhs), 0.0,
+        {"lhs": lhs, "rhs": rhs, "c_fit": c, "margin": float(c * rhs - lhs)},
+    )
+    v = bundle.Vplus
+    lhs = float(np.mean(np.max(np.exp(2.0 * v) * y ** 2, axis=1)))
+    rhs = float(np.mean(np.exp(2.0 * v[-1]) * terminal_values**2) + source(v, 2))
+    c = verify.ENERGY_C_FIT
+    energy = verify.VerificationReport(
+        "energy-bound", bool(lhs <= c * rhs * (1.0 + 1e-12) + 1e-12), float(lhs - c * rhs), 0.0,
+        {"lhs": lhs, "rhs": rhs, "c_fit": c},
+    )
+    return [apriori, energy]
+
+
+def verify_run_oracle(seq, backend, phi, psi, gen, p):
+    """verify.verify_run with every check on whole (paths, nodes) arrays."""
+    bundle = backend.bundle
+    tol = verify.default_tolerance(bundle)
+    sols = list(seq.solutions.values())
+    final = sols[-1]
+    reports = battery_oracle(final, bundle, backend, phi, psi, gen, p)
+    reports.append(ito_oracle(final, bundle, p, verify.ITO_DELTA, tol))
+    for coarse, fine in zip(sols, sols[1:]):
+        gate = max(tol, 2.0 * (coarse.eps + fine.eps))
+        reports.append(contraction_oracle(coarse, fine, bundle, min(p, 2.0), gate))
+    terminal_values = _paths_oracle(final, bundle)["Y"][:, -1]
+    return reports + bounds_oracle(final, bundle, gen, terminal_values, p)
+
+
+def penalty_monotonicity_oracle(sol_a, sol_b, bundle):
+    pa, pb = _paths_oracle(sol_a, bundle), _paths_oracle(sol_b, bundle)
+    dy = pa["Y"][:, :-1] - pb["Y"][:, :-1]
+    return float(np.sum(np.mean(dy * (pa["U"] - pb["U"]), axis=0) * bundle.dq))

@@ -250,12 +250,15 @@ def test_tree_step_identity_reconstructs_exactly():
     dq = bundle.dq
     recon = p["Y"][:, :-1] - (p["H"] - p["U"]) * dq + p["Z"] * bundle.dB
     assert np.allclose(recon, p["Y"][:, 1:], rtol=0, atol=1e-12)
-    # expanded once per bundle: the same read-only arrays come back
+    # every call gathers fresh arrays; a window's columns are those of the whole grid
     again = sol.paths(bundle)
     for key, arr in p.items():
-        assert again[key] is arr
-        with pytest.raises(ValueError):
-            arr[0, 0] = 0.0
+        assert again[key] is not arr and np.array_equal(again[key], arr)
+    for a, b in ((0, 3), (3, 7)):
+        win = sol.paths(bundle, (a, b))
+        for key, arr in p.items():
+            assert np.array_equal(win[key], arr[:, a:b])
+    assert list(sol.paths(bundle, (6, 7), "Y")) == ["Y"]
 
 
 def test_budget_truncation_switches_the_dynamics_off():

@@ -1,6 +1,10 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from bsvilab import paths as pathsmod
 from bsvilab import verify
 from bsvilab.convex import ConvexSpec
 from bsvilab.errors import DomainError, GridMismatch, InfinitePotential, NonFiniteGenerator
@@ -33,6 +37,7 @@ from bsvilab.verify import (
     smoothed_midpoint_process,
     zero_process,
 )
+from oracles import penalty_monotonicity_oracle, verify_run_oracle
 
 ZERO = ConvexSpec.zero()
 IND11 = ConvexSpec.interval(-1.0, 1.0)
@@ -472,3 +477,111 @@ def test_verify_run_is_the_plan_of_a_run(p):
     # the coarsest pair is gated by the cross term 2 (eps + eps'), not by tol
     assert got[-5].tolerance == 2.0 * (0.1 + 0.05) > tol
 
+
+
+def solved_run(config):
+    """(experiment, backend, SequenceResult) of a config, solved as a run solves it."""
+    exp = build_experiment(config)
+    bundle = accumulate_weights(
+        build_paths(exp.grid, exp.noise, exp.a_spec),
+        exp.gen.mu, exp.gen.nu, exp.gen.ell, exp.solver.p, exp.solver.lam,
+    )
+    backend = make_backend(bundle, exp.solver)
+    seq = solve_sequence(backend, exp.phi, exp.psi, exp.gen, exp.terminal, exp.solver)
+    return exp, backend, seq
+
+
+def tree_config(steps, paths, **solver):
+    return {
+        "scenario": "two_barrier_driven",
+        "grid": {"T": 1.0, "steps": steps},
+        "noise": {"kind": "tree", "eval_paths": paths},
+        "solver": solver,
+    }
+
+
+def mc_config(steps, paths, **solver):
+    return {
+        "scenario": "mc_martingale",
+        "grid": {"T": 1.0, "steps": steps},
+        "noise": {"kind": "mc", "paths": paths},
+        "solver": solver,
+    }
+
+
+# the benchmark's three workloads, at their first seed
+TREE_BARRIER = {**tree_config(256, 1024, eps_schedule=[0.1, 0.05, 0.025, 0.0125]), "seed": 2}
+ORACLE_CASES = {
+    **{name: {"scenario": name} for name in (
+        "martingale", "mc_martingale", "linear", "reflection", "two_barrier",
+        "two_barrier_driven", "clocked_decay",
+    )},
+    **{f"{name}-p{p}": {"scenario": name, "solver": {"p": p}}
+       for name in ("two_barrier_driven", "mc_martingale") for p in (1.5, 2.5)},
+    "tree_barrier": TREE_BARRIER,
+    "mc_regression": {**mc_config(128, 1000, ce="lsq", degree=3, eps_schedule=[0.1]), "seed": 2},
+    "reflection_fine": {
+        "scenario": "reflection", "grid": {"T": 1.0, "steps": 1000},
+        "solver": {"eps_schedule": [0.1, 0.05, 0.025]}, "seed": 2,
+    },
+}
+
+
+def _reports_match_the_oracle(exp, backend, seq):
+    args = (seq, backend, exp.phi, exp.psi, exp.gen, exp.solver.p)
+    got = [r.as_dict() for r in verify.verify_run(*args)]
+    assert got == [r.as_dict() for r in verify_run_oracle(*args)]
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_verify_run_matches_the_full_array_oracle(case):
+    _reports_match_the_oracle(*solved_run(ORACLE_CASES[case]))
+
+
+# (config, windows) under WINDOW_CELLS = 64 and WINDOW_MIN_STEPS = 2
+WINDOW_LAYOUTS = {
+    "merged-one-step-remainder": (tree_config(9, 16), [(0, 4), (4, 10)]),
+    "merged-one-step-remainder-p1.5": (tree_config(9, 16, p=1.5), [(0, 4), (4, 10)]),
+    "two-step-remainder": (tree_config(10, 16), [(0, 4), (4, 8), (8, 11)]),
+    "two-step-windows": (
+        tree_config(7, 64, eps_schedule=[0.1, 0.05, 0.025]), [(0, 2), (2, 4), (4, 8)]
+    ),
+    "mc": (mc_config(11, 300, eps_schedule=[0.1, 0.05]), [(0, 2), (2, 4), (4, 6), (6, 8), (8, 12)]),
+    "tree-over-8192-paths": (tree_config(5, 9000), [(0, 2), (2, 6)]),
+    "mc-over-8192-paths-p1.5": (mc_config(5, 9000, p=1.5), [(0, 2), (2, 6)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WINDOW_LAYOUTS))
+def test_windowed_reads_match_whole_arrays_bit_for_bit(monkeypatch, case):
+    config, windows = WINDOW_LAYOUTS[case]
+    monkeypatch.setattr(pathsmod, "WINDOW_CELLS", 64)
+    monkeypatch.setattr(pathsmod, "WINDOW_MIN_STEPS", 2)
+    exp, backend, seq = solved_run(config)
+    bundle = backend.bundle
+    assert bundle.windows() == windows
+    _reports_match_the_oracle(exp, backend, seq)
+    sols = list(seq.solutions.values())
+    for gap, a, b in zip(seq.gaps, sols, sols[1:]):
+        za, zb = a.paths(bundle)["Z"], b.paths(bundle)["Z"]
+        assert gap["z_gap"] == float(np.sqrt(np.sum(np.mean((za - zb) ** 2, axis=0) * bundle.dt)))
+        assert penalty_monotonicity(a, b, bundle) == penalty_monotonicity_oracle(a, b, bundle)
+
+
+def test_verify_run_memory_is_bounded():
+    # the solve stays outside the traced span; tracemalloc counts numpy's
+    # buffers, so the figures do not depend on the machine
+    exp, backend, seq = solved_run(TREE_BARRIER)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        reports = verify.verify_run(seq, backend, exp.phi, exp.psi, exp.gen, exp.solver.p)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(reports) == 16
+    # one window of path arrays and two whole (paths, nodes) arrays, not
+    # the run's (paths, nodes) fields
+    assert peak - start <= 14e6
+    assert held - start <= 1e6
