@@ -51,7 +51,6 @@ from .scenarios import SCENARIOS, Experiment, build_experiment, resolve_config
 from .solver import (
     SequenceResult,
     SmoothedProcess,
-    SmoothingConfig,
     SolutionField,
     SolverConfig,
     make_backend,

@@ -57,12 +57,21 @@ def fmt(x) -> str:
 
 def load_config(path: str) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}")
+
+
+def _make_out_dir(path: str) -> None:
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot use output directory {path}: {exc}")
 
 
 @dataclass
@@ -182,7 +191,7 @@ def _json_dump(path: str, payload) -> None:
 
 
 def write_artifacts(out_dir: str, result: RunResult) -> dict:
-    os.makedirs(out_dir, exist_ok=True)
+    _make_out_dir(out_dir)
     results_path = os.path.join(out_dir, "results.csv")
     verify_path = os.path.join(out_dir, "verify.json")
     _write_results_csv(results_path, result)
@@ -205,8 +214,9 @@ def _default_out_dir(exp: Experiment) -> str:
 def cmd_run(args) -> int:
     config = load_config(args.config)
     exp = build_experiment(config)
-    result = execute(exp)
     out_dir = args.out or _default_out_dir(exp)
+    _make_out_dir(out_dir)
+    result = execute(exp)
     summary = write_artifacts(out_dir, result)
     print(f"scenario {exp.name} (seed {exp.seed})")
     for eps in exp.solver.eps_schedule:
@@ -275,8 +285,10 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"sweep: could not parse values {args.values!r}")
     if not values:
         raise ConfigError("sweep: no values given")
-    # every value is checked before the first run
+    # every value and the output directory are checked before the first run
     overrides = [_sweep_override(args.axis, value, base) for value in values]
+    out_dir = args.out or os.environ.get("BSVILAB_OUT_ROOT", "runs")
+    _make_out_dir(out_dir)
     rows = []
     prev_y0 = None
     for value, override in zip(values, overrides):
@@ -302,8 +314,6 @@ def cmd_sweep(args) -> int:
             f"{args.axis}={value:g}: Y0 {final.y0:.10g}"
             + ("" if ref is None else f", ref error {ref:.4g}")
         )
-    out_dir = args.out or os.environ.get("BSVILAB_OUT_ROOT", "runs")
-    os.makedirs(out_dir, exist_ok=True)
     sweep_path = os.path.join(out_dir, "sweep.csv")
     with open(sweep_path, "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -208,7 +208,15 @@ def mollify_driver_g(gen: GeneratorSpec, cfg: MollifierConfig, t, y) -> np.ndarr
 
 
 def validate_generator(gen: GeneratorSpec) -> None:
-    """Sampled check of the declared structural coefficients on 500 fixed draws."""
+    """Sampled check of the declared structural coefficients on 500 fixed draws.
+
+    A NaN or infinite coefficient would make every sampled comparison
+    vacuous, so each must be finite first.
+    """
+    for name in ("mu", "nu", "ell"):
+        value = getattr(gen, name)
+        if not np.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value}")
     rng = np.random.default_rng(0)
     t = rng.uniform(0.0, 1.0, 500)
     y1, y2, z1, z2 = rng.uniform(-5.0, 5.0, (4, 500))

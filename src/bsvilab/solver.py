@@ -518,22 +518,6 @@ def solve_sequence(
     )
 
 
-@dataclass(frozen=True)
-class SmoothingConfig:
-    """Exponential kernel smoothing scale, given as the time point eps.
-
-    The kernel scale in clock units is Q at the first grid node with
-    t >= eps; values beyond the horizon are extended by holding the last
-    node value, which gives the kernel tail a closed form.
-    """
-
-    eps: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.eps) and self.eps > 0.0):
-            raise DomainError(f"smoothing eps must be > 0, got {self.eps}")
-
-
 @dataclass
 class SmoothedProcess:
     """Discrete exponential smoothing M of a per-node process U.
@@ -557,13 +541,21 @@ class SmoothedProcess:
 
 
 def smoothing_operator(
-    bundle: PathBundle, backend, u_levels: list, cfg: SmoothingConfig
+    bundle: PathBundle, backend, u_levels: list, eps: float
 ) -> SmoothedProcess:
+    """Exponential kernel smoothing of U at the time point eps.
+
+    The kernel scale in clock units is Q at the first grid node with
+    t >= eps; values beyond the horizon are extended by holding the last
+    node value, which gives the kernel tail a closed form.
+    """
+    if not (np.isfinite(eps) and eps > 0.0):
+        raise DomainError(f"smoothing eps must be > 0, got {eps}")
     n = bundle.grid.steps
     t = bundle.grid.nodes
     dq = bundle.dq
     # the first node with t >= eps; eps > 0 = t_0, so i_eps >= 1
-    i_eps = int(np.searchsorted(t, cfg.eps))
+    i_eps = int(np.searchsorted(t, eps))
     if i_eps >= n + 1:
         raise DomainError("smoothing eps lies beyond the horizon")
     scale = float(bundle.Q[i_eps])

@@ -32,7 +32,7 @@ and the pathwise mean residual of the Ito identity.  A check called on
 whole arrays is the one-window case of the same code.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -42,7 +42,7 @@ from .convex import ConvexSpec, envelope, potential_value
 from .errors import DomainError, GridMismatch, InfinitePotential
 from .generators import GeneratorSpec, combined_driver, driver_f, driver_g
 from .paths import PathBundle, gamma_shift
-from .solver import SequenceResult, SmoothingConfig, SolutionField, smoothing_operator
+from .solver import SequenceResult, SolutionField, smoothing_operator
 
 # fitted once on the martingale reference scenarios (p in 1.5 .. 2.5,
 # where the largest observed lhs/rhs ratios stay below 2.8 and 1.7),
@@ -52,7 +52,7 @@ ENERGY_C_FIT = 4.0
 # the gate of every interval check: C_DT * max(dt) + C_MC / sqrt(paths)
 C_DT = 5.0
 C_MC = 5.0
-# the battery's Gamma shifts, and the shift of the Ito identity check
+# the battery's deltas at q < 2, and the delta of the Ito identity check
 DELTAS = (1.0, 0.1, 0.01)
 ITO_DELTA = 0.1
 
@@ -170,7 +170,7 @@ class _Profile:
 def _variational_profiles(
     sol: SolutionField,
     processes: list,
-    shifts: list,
+    checks: list,
     phi: ConvexSpec,
     psi: ConvexSpec,
     gen: GeneratorSpec,
@@ -178,8 +178,8 @@ def _variational_profiles(
     penalization_eps: Optional[float],
     collapse: Optional[int] = None,
 ) -> tuple:
-    """The profiles of every check (process, q, Gamma shift), in one pass
-    over the windows.
+    """The profiles of every check (process, q, delta), in one pass over
+    the windows.
 
     Per window, the candidate's own terms H(t, Y, Z) and Psi(t, Y) are
     evaluated once and shared by every check, and each test process's
@@ -187,15 +187,15 @@ def _variational_profiles(
     driver is evaluated step by step because F and G are only promised a
     scalar time.  A test process that leaves the domain of a raw
     potential makes the inequality vacuous and raises InfinitePotential.
-    Returns ({(k, q, shift): _Profile} for processes[k] and every
-    (q, shift) of shifts, the largest per-node path mean of |M - Y|^2 of
+    Returns ({(k, q, delta): _Profile} for processes[k] and every
+    (q, delta) of checks, the largest per-node path mean of |M - Y|^2 of
     processes[collapse] or None).
     """
     for tp in processes:
         tp.check_shape(bundle)
     n = bundle.grid.steps
     t, alpha, dq, dt, dB = bundle.grid.nodes, bundle.alpha, bundle.dq, bundle.dt, bundle.dB
-    profiles = {(k, q, s): _Profile() for k in range(len(processes)) for q, s in shifts}
+    profiles = {(k, q, d): _Profile() for k in range(len(processes)) for q, d in checks}
     carries = [None] * len(processes)
     driver_gap = -np.inf
     collapse_means = []
@@ -223,8 +223,8 @@ def _variational_profiles(
                 )
             m_minus_y, r_minus_z = m - y, r_steps - z
             diff = m_minus_y[:, : e - a]
-            for q, shift in shifts:
-                gamma = np.sqrt(m_minus_y ** 2 + shift)
+            for q, delta in checks:
+                gamma = np.sqrt(m_minus_y ** 2 + gamma_shift(delta, q))
                 g_pow = gamma[:, : e - a] ** (q - 2.0)
                 incr = (
                     0.5 * q * (q - 1.0) * g_pow * r_minus_z ** 2 * dt[a:e]
@@ -233,7 +233,7 @@ def _variational_profiles(
                     - q * g_pow * diff * (n_steps - h_fresh) * dq[a:e]
                     + q * g_pow * diff * r_minus_z * dB[:, a:e]
                 )
-                prof = profiles[k, q, shift]
+                prof = profiles[k, q, delta]
                 prof.node_means.append(np.mean(gamma**q, axis=0))
                 prof.step_means.append(np.mean(incr, axis=0))
                 prof.gamma_min = np.minimum(prof.gamma_min, np.min(gamma))
@@ -245,10 +245,6 @@ def _variational_profiles(
         prof.driver_gap = driver_gap
     worst_collapse = float(np.max(np.concatenate(collapse_means))) if collapse_means else None
     return profiles, worst_collapse
-
-
-def _variational_name(tp: TestProcess, q: float, delta: float) -> str:
-    return f"variational[{tp.label}] q={q:g} delta={delta:g}"
 
 
 def check_variational_inequality(
@@ -270,7 +266,9 @@ def check_variational_inequality(
     profile is this check's entry of _variational_profiles(...) at the
     same penalization_eps, for callers that check one candidate against
     many test processes and exponents in one pass over the windows; it
-    is gathered here when not given.
+    is gathered here when not given.  At q = 2 the Gamma shift is 0 for
+    every delta, so the report is the same for every delta and its name
+    carries none.
     """
     if not (1.0 < q <= 2.0):
         raise DomainError(f"q must lie in (1, 2], got {q}")
@@ -278,9 +276,9 @@ def check_variational_inequality(
     tol = default_tolerance(bundle) if tol is None else float(tol)
     if profile is None:
         profiles, _ = _variational_profiles(
-            sol, [tp], [(q, dq_shift)], phi, psi, gen, bundle, penalization_eps
+            sol, [tp], [(q, delta)], phi, psi, gen, bundle, penalization_eps
         )
-        profile = profiles[0, q, dq_shift]
+        profile = profiles[0, q, delta]
     a = np.concatenate(profile.node_means)
     a[1:] -= np.cumsum(np.concatenate(profile.step_means))
     worst = _pair_max(a)
@@ -291,7 +289,7 @@ def check_variational_inequality(
         "driver_eval_gap": float(profile.driver_gap),
     }
     return VerificationReport(
-        name=_variational_name(tp, q, delta),
+        name=f"variational[{tp.label}] q={q:g}" + (f" delta={delta:g}" if q < 2.0 else ""),
         passed=bool(worst <= tol),
         worst_violation=worst,
         tolerance=tol,
@@ -587,7 +585,7 @@ def smoothed_midpoint_process(sol: SolutionField, bundle: PathBundle, backend) -
     max(4 max(dt), T/20), capped at T for grids of a few steps."""
     horizon = bundle.grid.horizon
     smooth_eps = min(max(4.0 * float(np.max(bundle.dt)), 0.05 * horizon), horizon)
-    sm = smoothing_operator(bundle, backend, sol.Y_levels, SmoothingConfig(smooth_eps))
+    sm = smoothing_operator(bundle, backend, sol.Y_levels, smooth_eps)
     # the process keeps the N and R levels, not M
     n_levels, r_levels = sm.N_levels, sm.R_levels
     return TestProcess(
@@ -629,18 +627,17 @@ def battery(
     gen: GeneratorSpec,
     p: float,
 ) -> list:
-    """Three-way test-process battery at q = 2 and q = min(p, 2).
+    """Three-way test-process battery at q = min(p, 2) and q = 2.
 
     Processes: the zero process, the solution's own reconstruction, and
     the smoothing of the solution's midpoints, each at every delta of
-    DELTAS, gated at default_tolerance(bundle).  Potentials are taken at
-    the solution's penalization level.  One pass over the windows
-    gathers every check's profile (_variational_profiles), and each check
-    forms its report from its profile.  Each (process, q,
-    Gamma shift) is evaluated once: at q = 2 the shift is 0 for every
-    delta, so the later deltas get renamed copies of the first report.
-    Also reports the collapse of the reconstruction Gamma to the delta_q
-    floor (the strong solution seen through the inequality).
+    DELTAS when q < 2 and once at q = 2, where the Gamma shift is 0 for
+    every delta; gated at default_tolerance(bundle).  Potentials are
+    taken at the solution's penalization level.  One pass over the
+    windows gathers every check's profile (_variational_profiles), and
+    each check forms its report from its profile.  Also reports the
+    collapse of the reconstruction Gamma to the delta_q floor (the strong
+    solution seen through the inequality).
     """
     tol = default_tolerance(bundle)
     processes = [
@@ -648,31 +645,22 @@ def battery(
         reconstruction_process(sol, bundle),
         smoothed_midpoint_process(sol, bundle, backend),
     ]
-    q_values = sorted({2.0, min(float(p), 2.0)})
-    # a report depends on delta only through gamma_shift and its name
-    shifts = list(dict.fromkeys((q, gamma_shift(delta, q)) for q in q_values for delta in DELTAS))
+    checks = [
+        (q, delta)
+        for q in sorted({2.0, min(float(p), 2.0)})
+        for delta in (DELTAS if q < 2.0 else DELTAS[:1])
+    ]
     profiles, collapse = _variational_profiles(
-        sol, processes, shifts, phi, psi, gen, bundle, sol.eps, collapse=1
+        sol, processes, checks, phi, psi, gen, bundle, sol.eps, collapse=1
     )
-    reports = []
-    for k, tp in enumerate(processes):
-        for q in q_values:
-            by_shift = {}
-            for delta in DELTAS:
-                shift = gamma_shift(delta, q)
-                first = by_shift.get(shift)
-                if first is None:
-                    rep = by_shift[shift] = check_variational_inequality(
-                        sol, tp, phi, psi, gen, bundle, q, delta,
-                        tol=tol, penalization_eps=sol.eps, profile=profiles[k, q, shift],
-                    )
-                else:
-                    rep = replace(
-                        first,
-                        name=_variational_name(tp, q, delta),
-                        monitors=dict(first.monitors),
-                    )
-                reports.append(rep)
+    reports = [
+        check_variational_inequality(
+            sol, tp, phi, psi, gen, bundle, q, delta,
+            tol=tol, penalization_eps=sol.eps, profile=profiles[k, q, delta],
+        )
+        for k, tp in enumerate(processes)
+        for q, delta in checks
+    ]
     reports.append(
         VerificationReport(
             name="reconstruction-collapse",

@@ -25,7 +25,7 @@ from bsvilab.generators import (
     mollify_driver_g,
 )
 from bsvilab.paths import gamma_shift
-from bsvilab.solver import SmoothedProcess, SmoothingConfig, make_backend, smoothing_operator
+from bsvilab.solver import SmoothedProcess, make_backend, smoothing_operator
 
 
 def prox_oracle(potential, eps, y, half_width=None):
@@ -264,12 +264,12 @@ def regression_fit_oracle(b, degree, target):
     return x @ beta
 
 
-def smoothing_operator_oracle(bundle, backend, u_levels, cfg):
+def smoothing_operator_oracle(bundle, backend, u_levels, eps):
     """The smoothing operator as two backward loops and a forward one."""
     n = bundle.grid.steps
     t = bundle.grid.nodes
     dq = bundle.dq
-    i_eps = int(np.searchsorted(t, cfg.eps))
+    i_eps = int(np.searchsorted(t, eps))
     if i_eps >= n + 1:
         raise DomainError("smoothing eps lies beyond the horizon")
     scale = float(bundle.Q[i_eps])
@@ -290,7 +290,7 @@ def smoothing_operator_oracle(bundle, backend, u_levels, cfg):
     n_levels = []
     r_levels = []
     for i in range(n):
-        if t[i] >= cfg.eps:
+        if t[i] >= eps:
             n_levels.append((np.asarray(u_levels[i], dtype=float) - m_levels[i]) / scale)
         else:
             n_levels.append(np.zeros_like(m_levels[i]))
@@ -369,7 +369,7 @@ def battery_oracle(sol, bundle, backend, phi, psi, gen, p):
     psi_y = _mixed_potential_oracle(phi, psi, alpha, pw["Y"][:, :-1], sol.eps)
     horizon = bundle.grid.horizon
     smooth_eps = min(max(4.0 * float(np.max(bundle.dt)), 0.05 * horizon), horizon)
-    sm = smoothing_operator(bundle, backend, sol.Y_levels, SmoothingConfig(smooth_eps))
+    sm = smoothing_operator(bundle, backend, sol.Y_levels, smooth_eps)
     zeros = np.zeros(bundle.dB.shape)
     processes = [
         ("zero", 0.0, zeros, zeros),
@@ -379,8 +379,9 @@ def battery_oracle(sol, bundle, backend, phi, psi, gen, p):
     reports = []
     for label, gamma0, n_steps, r_steps in processes:
         for q in sorted({2.0, min(float(p), 2.0)}):
-            for delta in verify.DELTAS:
-                name = f"variational[{label}] q={q:g} delta={delta:g}"
+            # Gamma's shift is 0 at q = 2, so one delta stands for all
+            for delta in verify.DELTAS if q < 2.0 else verify.DELTAS[:1]:
+                name = f"variational[{label}] q={q:g}" + (f" delta={delta:g}" if q < 2.0 else "")
                 rep, m_minus_y = _variational_oracle(
                     pw, h_fresh, psi_y, gamma0, n_steps, r_steps, name, phi, psi,
                     bundle, q, gamma_shift(delta, q), tol, sol.eps,

@@ -33,7 +33,6 @@ from bsvilab.paths import (
 )
 from bsvilab.scenarios import SCENARIOS, build_experiment
 from bsvilab.solver import (
-    SmoothingConfig,
     SolverConfig,
     make_backend,
     smoothing_operator,
@@ -234,11 +233,17 @@ def test_acceptance_07_variational_battery_passes_everywhere(capsys):
             batt = [r for r in res.reports
                     if r.name.startswith(("variational",
                                           "reconstruction-collapse"))]
-            names = " ".join(r.name for r in batt)
-            for q in sorted({2.0, min(p, 2.0)}):
-                assert f"q={q:g}" in names
-            for d in (1.0, 0.1, 0.01):
-                assert f"delta={d:g}" in names
+            names = [r.name for r in batt]
+            # one q = 2 report per process, whose Gamma shift is 0 at
+            # every delta, and every delta at q = min(p, 2) < 2
+            labels = ("zero", "reconstruction", "smoothed")
+            assert [n for n in names if " q=2" in n] == [
+                f"variational[{label}] q=2" for label in labels
+            ]
+            if p < 2.0:
+                for label in labels:
+                    for d in (1.0, 0.1, 0.01):
+                        assert f"variational[{label}] q={p:g} delta={d:g}" in names
             failures.extend(f"{name} p={p} {r.name}" for r in batt
                             if not r.passed)
     _verdict(capsys, 7, "comparison-inequality battery on all scenarios",
@@ -275,7 +280,7 @@ def test_acceptance_09_smoothing_operator_bounds(capsys):
     backend = make_backend(tree, SolverConfig())
 
     const = [np.full(i + 1, 3.0) for i in range(9)]
-    sm = smoothing_operator(tree, backend, const, SmoothingConfig(eps=0.2))
+    sm = smoothing_operator(tree, backend, const, 0.2)
     fixed = max(float(np.max(np.abs(m - 3.0))) for m in sm.M_levels)
 
     rng = np.random.default_rng(23)
@@ -284,7 +289,7 @@ def test_acceptance_09_smoothing_operator_bounds(capsys):
         v = rng.uniform(-3.0, 3.0, 4)
         u = [np.full(i + 1, v[min(3, (4 * i) // 9)]) for i in range(9)]
         eps = float(rng.choice([0.05, 0.1, 0.3]))
-        sm = smoothing_operator(tree, backend, u, SmoothingConfig(eps=eps))
+        sm = smoothing_operator(tree, backend, u, eps)
         sup_u = max(float(np.max(np.abs(x))) for x in u)
         sup_m = max(float(np.max(np.abs(m))) for m in sm.M_levels)
         sup_defect = max(sup_defect, sup_m - sup_u)
@@ -293,8 +298,7 @@ def test_acceptance_09_smoothing_operator_bounds(capsys):
                                 NoiseModel.deterministic(), ZERO_A))
     dbackend = make_backend(det, SolverConfig())
     t = det.grid.nodes
-    sm = smoothing_operator(det, dbackend, [np.array([ti]) for ti in t],
-                            SmoothingConfig(eps=0.01))
+    sm = smoothing_operator(det, dbackend, [np.array([ti]) for ti in t], 0.01)
     root = np.sqrt(sm.scale)
     modulus_bound = root * 1.0 + 2.0 * np.exp(1.0 - 1.0 / root) * 1.0
     modulus = max(float(np.max(np.abs(m - ti)))

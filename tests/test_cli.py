@@ -2,6 +2,7 @@ import csv
 import hashlib
 import importlib.util
 import json
+import math
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -90,6 +91,11 @@ def test_config_errors_name_the_field():
         ({"noise": {"kind": "tree", "eval_paths": 0}}, r"noise: eval_paths must be >= 1, got 0"),
         # --out and the default directory name the output; the config does not
         ({"out_dir": 5}, r"config: unknown top-level keys \['out_dir'\]"),
+    ] + [
+        # a NaN or infinite bound makes every sampled comparison vacuous
+        ({"generator": {name: value}}, f"generator: {name} must be finite, got {value}")
+        for name in ("mu", "nu", "ell")
+        for value in (math.nan, math.inf, -math.inf)
     ]
     for override, needle in cases:
         cfg = {**base, **override}
@@ -349,11 +355,33 @@ def test_sweep_dt_runs_above_a_quarter_of_the_horizon(tmp_path, capsys):
     assert "needs a grid given as T and steps" in capsys.readouterr().err
 
 
-def test_main_reports_config_errors(tmp_path):
+def test_main_reports_config_errors(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "absent.json")]) == 2
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["run", "--config", str(bad)]) == 2
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b'{"scenario": "martingale", "note": "\xe9"}')
+    good = write_cfg(tmp_path, MART_SMALL)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    # a directory or non-UTF-8 bytes as the config, a file as --out or as
+    # a parent of --out: an error line naming the path, no traceback
+    unusable = [
+        (["run", "--config", str(tmp_path)], str(tmp_path)),
+        (["run", "--config", str(latin)], str(latin)),
+        (["run", "--config", good, "--out", str(taken)], str(taken)),
+        (["run", "--config", good, "--out", str(taken / "sub")], str(taken / "sub")),
+        (["sweep", "--config", good, "--axis", "eps", "--values", "0.1", "--out", str(taken)],
+         str(taken)),
+    ]
+    for argv, path in unusable:
+        capsys.readouterr()
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith("error: ") and path in err
+        # the output directory is checked before anything runs
+        assert out == ""
 
 
 @pytest.mark.parametrize("scenario", ["martingale", "two_barrier_driven"])

@@ -14,7 +14,6 @@ from bsvilab.generators import GeneratorSpec, combined_driver
 from bsvilab.paths import IncreasingProcessSpec, NoiseModel, TimeGrid, build_paths
 from bsvilab.scenarios import SCENARIOS, build_experiment
 from bsvilab.solver import (
-    SmoothingConfig,
     SolverConfig,
     make_backend,
     resolve_implicit,
@@ -314,7 +313,7 @@ def test_smoothing_of_constant_is_a_fixed_point():
     bundle = tree_bundle(8)
     backend = make_backend(bundle, SolverConfig())
     u = [np.full(i + 1, 3.0) for i in range(9)]
-    sm = smoothing_operator(bundle, backend, u, SmoothingConfig(eps=0.2))
+    sm = smoothing_operator(bundle, backend, u, 0.2)
     for m in sm.M_levels:
         assert np.allclose(m, 3.0, rtol=0, atol=1e-12)
     for nn in sm.N_levels:
@@ -328,7 +327,7 @@ def test_smoothing_never_exceeds_the_source_sup():
     rng = np.random.default_rng(5)
     for _ in range(10):
         u = [rng.uniform(-2.0, 2.0, i + 1) for i in range(9)]
-        sm = smoothing_operator(bundle, backend, u, SmoothingConfig(eps=0.3))
+        sm = smoothing_operator(bundle, backend, u, 0.3)
         sup_u = max(float(np.max(np.abs(x))) for x in u)
         sup_m = max(float(np.max(np.abs(m))) for m in sm.M_levels)
         assert sup_m <= sup_u + 1e-12
@@ -339,7 +338,7 @@ def test_smoothing_modulus_bound_for_linear_source():
     backend = make_backend(bundle, SolverConfig())
     t = bundle.grid.nodes
     u = [np.array([ti]) for ti in t]
-    sm = smoothing_operator(bundle, backend, u, SmoothingConfig(eps=0.01))
+    sm = smoothing_operator(bundle, backend, u, 0.01)
     scale = sm.scale
     bound = np.sqrt(scale) * 1.0 + 2.0 * np.exp(1.0 - 1.0 / np.sqrt(scale)) * 1.0
     worst = max(
@@ -347,9 +346,10 @@ def test_smoothing_modulus_bound_for_linear_source():
     )
     assert worst <= bound
     with pytest.raises(DomainError):
-        smoothing_operator(bundle, backend, u, SmoothingConfig(eps=2.0))
-    with pytest.raises(DomainError):
-        SmoothingConfig(eps=0.0)
+        smoothing_operator(bundle, backend, u, 2.0)
+    for bad in (0.0, -0.1, np.nan, np.inf):
+        with pytest.raises(DomainError):
+            smoothing_operator(bundle, backend, u, bad)
 
 
 def test_mollified_linear_driver_leaves_solution_unchanged():
@@ -626,7 +626,7 @@ def test_regression_factors_each_date_once_per_pass(monkeypatch):
     # date 0 is the sample mean; dates 1 .. steps-1 are factored once each
     assert calls["svd"] <= steps - 1
     calls["svd"] = 0
-    smoothing_operator(bundle, backend, sol.Y_levels, SmoothingConfig(eps=0.2))
+    smoothing_operator(bundle, backend, sol.Y_levels, 0.2)
     assert calls["svd"] <= steps - 1
     assert calls["lstsq"] == 0
 
@@ -649,8 +649,8 @@ def test_one_pass_smoothing_matches_the_two_loop_oracle(kind, eps):
     else:
         sizes = [level.size for level in bundle.levels]
     u = [rng.uniform(-2.0, 2.0, size) for size in sizes]
-    got = smoothing_operator(bundle, backend, u, SmoothingConfig(eps=eps))
-    want = smoothing_operator_oracle(bundle, backend, u, SmoothingConfig(eps=eps))
+    got = smoothing_operator(bundle, backend, u, eps)
+    want = smoothing_operator_oracle(bundle, backend, u, eps)
     assert (got.gamma, got.i_eps, got.scale) == (want.gamma, want.i_eps, want.scale)
     for key in ("M_levels", "N_levels", "R_levels"):
         g, w = getattr(got, key), getattr(want, key)
