@@ -145,7 +145,8 @@ def execute(exp: Experiment) -> RunResult:
 
 
 def _write_results_csv(path: str, result: RunResult) -> None:
-    """One row per node (lattice) or path, written one level at a time.
+    """One row per node (lattice) or path, written one level at a time;
+    Kinc is U dQ.
 
     The bytes are those of csv.writer's default dialect: fields need no
     quoting, rows end in CRLF, and the last step leaves alpha, Z, U and
@@ -156,8 +157,6 @@ def _write_results_csv(path: str, result: RunResult) -> None:
     bundle = result.bundle
     t = bundle.grid.nodes
     n = bundle.grid.steps
-    # read once: a property that rebuilds every level on each read
-    kinc = sol.kinc_levels
     with open(path, "w", newline="") as fh:
         fh.write("step,t,Q,alpha,node_or_path,Y,Z,U,Kinc\r\n")
         for i in range(n + 1):
@@ -166,11 +165,12 @@ def _write_results_csv(path: str, result: RunResult) -> None:
             head = f"{i},{fmt(t[i])},{fmt(bundle.Q[i])},{alpha},"
             if last:
                 row = head + "%d,%.17g,,,\r\n"
-                cols = (sol.Y_levels[i],)
+                cols = (sol.level("Y", i),)
             else:
                 row = head + "%d,%.17g,%.17g,%.17g,%.17g\r\n"
-                cols = (sol.Y_levels[i], sol.Z_levels[i], sol.U_levels[i], kinc[i])
-            cols = [np.atleast_1d(c).tolist() for c in cols]
+                u = sol.level("U", i)
+                cols = (sol.level("Y", i), sol.level("Z", i), u, u * sol.dq[i])
+            cols = [c.tolist() for c in cols]
             m = len(cols[0])
             fields = chain.from_iterable(zip(range(m), *cols, strict=True))
             fh.write((row * m) % tuple(fields))
@@ -285,17 +285,18 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"sweep: could not parse values {args.values!r}")
     if not values:
         raise ConfigError("sweep: no values given")
-    # every value and the output directory are checked before the first run
-    overrides = [_sweep_override(args.axis, value, base) for value in values]
+    # every run's config and the output directory are checked before the first run
+    exps = []
+    for value in values:
+        merged = base
+        for key, block in _sweep_override(args.axis, value, base).items():
+            merged = {**merged, key: {**merged.get(key, {}), **block}}
+        exps.append(build_experiment(merged))
     out_dir = args.out or os.environ.get("BSVILAB_OUT_ROOT", "runs")
     _make_out_dir(out_dir)
     rows = []
     prev_y0 = None
-    for value, override in zip(values, overrides):
-        merged = base
-        for key, block in override.items():
-            merged = {**merged, key: {**merged.get(key, {}), **block}}
-        exp = build_experiment(merged)
+    for value, exp in zip(values, exps):
         if args.axis == "dt":
             # record the dt that ran: T over the rounded step count
             value = exp.grid.horizon / exp.grid.steps

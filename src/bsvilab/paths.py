@@ -158,9 +158,10 @@ class PathBundle:
 
     Per node (length N+1): A, Q, and after accumulation V, Vplus.
     Per step (length N): dt, dq, alpha, with alpha_i * dq_i = dt_i.
-    Evaluation paths (shape (P, N) increments dB): on a tree each path
-    walks the lattice and node_index maps it to lattice nodes; levels[i]
-    holds the i+1 distinct driver values of lattice level i.
+    Evaluation paths (shape (P, N) increments dB): on a lattice, levels[i]
+    holds the distinct driver values of level i, a field laid out level
+    after level holds level i in [offsets[i], offsets[i + 1]), and
+    cells[p, i] is the cell that path p visits at node i.
     """
 
     grid: TimeGrid
@@ -170,7 +171,8 @@ class PathBundle:
     Q: np.ndarray
     alpha: np.ndarray
     levels: Optional[list] = None
-    node_index: Optional[np.ndarray] = None
+    offsets: Optional[np.ndarray] = None
+    cells: Optional[np.ndarray] = None
     V: Optional[np.ndarray] = None
     Vplus: Optional[np.ndarray] = None
 
@@ -216,20 +218,16 @@ class PathBundle:
             starts.pop()
         return list(zip(starts, starts[1:] + [n + 1]))
 
-    def on_paths(self, level_values: list, start: int = 0) -> np.ndarray:
-        """Materialize lattice levels start, start + 1, ... onto evaluation paths.
-
-        The levels are laid end to end and gathered in one take: each
-        level starts at the sum of the sizes of the levels before it.
-        """
-        if self.node_index is None:
+    def on_paths(self, values: np.ndarray, start: int = 0, stop: Optional[int] = None) -> np.ndarray:
+        """Lattice levels start, ..., stop - 1 (all by default), laid end to
+        end in values, on the evaluation paths: one take along the walks."""
+        if self.cells is None:
             raise ConfigError("on_paths requires a lattice bundle")
-        n = len(level_values)
-        sizes = [len(level) for level in level_values]
-        if sizes != [len(level) for level in self.levels[start:start + n]]:
-            raise GridMismatch("level sizes do not match the lattice")
-        offsets = np.concatenate([[0], np.cumsum(sizes[:-1], dtype=np.int64)])
-        return np.concatenate(level_values)[self.node_index[:, start:start + n] + offsets]
+        stop = self.grid.steps + 1 if stop is None else stop
+        first = self.offsets[start]
+        if np.size(values) != self.offsets[stop] - first:
+            raise GridMismatch("values do not fill the lattice levels")
+        return values[self.cells[:, start:stop] - first]
 
 
 def _tree_levels(n_steps: int, sqdt: float) -> list:
@@ -261,8 +259,7 @@ def build_paths(
     dq = dt + np.diff(A)
     alpha = dt / dq
 
-    levels = None
-    node_index = None
+    levels = offsets = cells = None
     if noise.kind == "tree":
         if not np.allclose(dt, dt[0], rtol=1e-12, atol=0.0):
             raise ConfigError("noise: binomial tree requires a uniform grid")
@@ -274,7 +271,7 @@ def build_paths(
             count = DEFAULT_TREE_EVAL_PATHS if noise.eval_paths is None else noise.eval_paths
             ups = rngmod.sign_paths(noise.seed, count, n)
         dB = (2.0 * ups - 1.0) * sqdt
-        node_index = np.concatenate(
+        walks = np.concatenate(
             [np.zeros((ups.shape[0], 1), dtype=np.int64), np.cumsum(ups, axis=1)], axis=1
         )
     elif noise.kind == "mc":
@@ -282,13 +279,16 @@ def build_paths(
     elif noise.kind == "deterministic":
         dB = np.zeros((1, n))
         levels = [np.zeros(1) for _ in range(n + 1)]
-        node_index = np.zeros((1, n + 1), dtype=np.int64)
+        walks = np.zeros((1, n + 1), dtype=np.int64)
     else:
         raise ConfigError(f"noise: unknown kind {noise.kind!r}")
+    if levels is not None:
+        offsets = np.cumsum([0] + [level.size for level in levels])
+        cells = walks + offsets[:-1]
 
     return PathBundle(
         grid=grid, kind=noise.kind, dB=dB, A=A, Q=Q, alpha=alpha,
-        levels=levels, node_index=node_index,
+        levels=levels, offsets=offsets, cells=cells,
     )
 
 

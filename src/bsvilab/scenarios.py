@@ -143,6 +143,8 @@ def terminal_from_config(d: dict, where: str = "scenario.terminal") -> Callable:
     kind = _get(d, "kind", str, where, required=True)
     if kind == "constant":
         value = _get(d, "value", float, where, required=True)
+        if not np.isfinite(value):
+            raise ConfigError(f"{where}.value: must be finite, got {value}")
 
         def terminal(b, a):
             return np.full_like(np.asarray(b, dtype=float), value)
@@ -153,6 +155,9 @@ def terminal_from_config(d: dict, where: str = "scenario.terminal") -> Callable:
     if kind == "clamp":
         lo = _get(d, "lo", float, where, required=True)
         hi = _get(d, "hi", float, where, required=True)
+        for name, bound in (("lo", lo), ("hi", hi)):
+            if np.isnan(bound):  # NaN passes lo < hi; an infinite bound clamps no side
+                raise ConfigError(f"{where}.{name}: must be a number, got nan")
         if lo >= hi:
             raise ConfigError(f"{where}: clamp needs lo < hi")
         return lambda b, a: np.clip(np.asarray(b, dtype=float), lo, hi)
@@ -346,6 +351,8 @@ def build_experiment(config: dict) -> Experiment:
     gen = generator_from_config(merged.get("generator", {}), "generator")
     terminal = terminal_from_config(merged["scenario"]["terminal"])
     solver = solver_from_config(merged.get("solver", {}), "solver")
+    if solver.ce == "tree" and noise.kind == "mc":
+        raise ConfigError("solver.ce: 'tree' needs tree or deterministic noise, got mc")
     return Experiment(
         name=merged["scenario"].get("name", "custom"),
         grid=grid,
@@ -383,8 +390,5 @@ def reference_error(exp: Experiment, sol, bundle) -> Optional[float]:
     if name == "reflection":
         t = bundle.grid.nodes
         oracle = np.minimum(0.0, -0.5 + (t[-1] - t))
-        worst = 0.0
-        for i, level in enumerate(sol.Y_levels):
-            worst = max(worst, float(np.max(np.abs(level - oracle[i]))))
-        return worst
+        return max(float(np.max(np.abs(sol.level("Y", i) - oracle[i]))) for i in range(t.size))
     return None

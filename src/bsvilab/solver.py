@@ -17,9 +17,10 @@ pluggable backend: exact averaging on the recombining binomial lattice,
 or least-squares regression on monomials of the driver value.
 
 The whole eps schedule is solved in one sweep on the shared bundle:
-every level holds Y, Z, U and H with one row per eps, so conditional
-expectations, the driver and the penalty update run once per step for
-all rows, and each row carries its own budget 1/eps.
+each of Y, Z, U and H is one array with a row per eps and the levels
+laid end to end in the backend's layout, so conditional expectations,
+the driver and the penalty update run once per step for all rows, and
+each row carries its own budget 1/eps.
 
 The implicit step is solved exactly: every potential is closed form,
 so the map v -> v + dQ D Psi_eps(v) is piecewise linear and strictly
@@ -77,6 +78,8 @@ class SolverConfig:
             raise ConfigError(f"solver.degree must be an integer >= 1, got {self.degree!r}")
         if not isinstance(self.mollify, bool):
             raise ConfigError(f"solver.mollify must be true or false, got {self.mollify!r}")
+        if self.mollify and sched[0] > 1.0:
+            raise ConfigError(f"solver.eps_schedule must lie in (0, 1] to mollify, got {sched[0]}")
         object.__setattr__(self, "p", float(self.p))
         object.__setattr__(self, "lam", float(self.lam))
         object.__setattr__(self, "eps_schedule", sched)
@@ -91,7 +94,7 @@ class TreeBackend:
     """Exact conditional expectations on the recombining lattice.
 
     Lattice nodes lie on the last axis; leading axes (one row per eps)
-    are carried along.
+    are carried along.  Fields take the lattice's layout, bundle.offsets.
     """
 
     kind = "tree"
@@ -100,6 +103,7 @@ class TreeBackend:
         if bundle.levels is None:
             raise ConfigError("solver.ce 'tree' needs tree or deterministic noise")
         self.bundle = bundle
+        self.offsets = bundle.offsets
         self.sqdt = float(np.sqrt(bundle.dt[0])) if bundle.kind == "tree" else 0.0
         self.degenerate = bundle.kind == "deterministic"
 
@@ -132,13 +136,14 @@ class RegressionBackend:
     rank deficient (a tree's early dates, deterministic noise).  One
     slot holds the last date's factor, so callers keep a date's fits
     together; a cache across dates would hold P x (degree + 1) floats
-    per date.
+    per date.  Fields hold one cell per path at every level.
     """
 
     kind = "lsq"
 
     def __init__(self, bundle: PathBundle, degree: int):
         self.bundle = bundle
+        self.offsets = np.arange(bundle.grid.steps + 2) * bundle.n_paths
         self.degree = int(degree)
         self.B = bundle.driver_paths()
         self._slot = (None, None)  # (date, u)
@@ -266,58 +271,67 @@ def resolve_implicit(
     return step(np.asarray(y_hat, dtype=float)[None])[0]
 
 
-@dataclass
-class SolutionField:
-    """Backward solution on the grid, stored level by level.
+class _Levels:
+    """Fields laid out level after level, one 1-D array each (leading
+    axes carried along): level i holds the cells [offsets[i],
+    offsets[i + 1]), in the layout of the backend that built them."""
 
-    The level format follows backend_kind, the kind of the backend that
-    built the levels: tree levels hold one value per lattice node,
-    regression levels one value per evaluation path, even on a tree
-    bundle.  H_levels records the driver value the predictor actually
-    used, so Y, Z, U, H satisfy the step identity
-    Y_{i+1} = Y_i - (H_i - U_i) dQ_i + Z_i dB_i exactly on lattices.
-    max_stiffness is the largest dQ_i / eps over the steps inside the
-    budget (0 if none).
+    def levels(self, name: str, a: int, b: int) -> np.ndarray:
+        """Levels a, ..., b - 1 of the field name, end to end (a view)."""
+        return getattr(self, name)[..., self.offsets[a]:self.offsets[b]]
+
+    def level(self, name: str, i: int) -> np.ndarray:
+        return self.levels(name, i, i + 1)
+
+
+@dataclass
+class SolutionField(_Levels):
+    """Backward solution on the grid: Y over the N + 1 levels, Z, U and H
+    over the first N, each one array in the layout of offsets.
+
+    backend_kind is the kind of the backend that built the field: tree
+    levels hold one value per lattice node, regression levels one value
+    per evaluation path, even on a tree bundle.  H records the driver
+    value the predictor actually used, so Y, Z, U, H satisfy the step
+    identity Y_{i+1} = Y_i - (H_i - U_i) dQ_i + Z_i dB_i exactly on
+    lattices.  max_stiffness is the largest dQ_i / eps over the steps
+    inside the budget (0 if none).
     """
 
     eps: float
     backend_kind: str
-    Y_levels: list
-    Z_levels: list
-    U_levels: list
-    H_levels: list
+    Y: np.ndarray
+    Z: np.ndarray
+    U: np.ndarray
+    H: np.ndarray
+    offsets: np.ndarray
     dq: np.ndarray
     max_stiffness: float
 
     @property
     def y0(self) -> float:
-        return float(np.mean(self.Y_levels[0]))
+        return float(np.mean(self.level("Y", 0)))
 
     @property
     def active_fraction(self) -> float:
-        """Share of the level entries before the horizon where U != 0."""
-        u = np.concatenate(self.U_levels)
-        return np.count_nonzero(u) / u.size
-
-    @property
-    def kinc_levels(self) -> list:
-        return [u * q for u, q in zip(self.U_levels, self.dq)]
+        """Share of the cells before the horizon where U != 0."""
+        return np.count_nonzero(self.U) / self.U.size
 
     @property
     def lattice(self) -> bool:
         """Levels hold lattice node values from exact expectations."""
         return self.backend_kind == "tree"
 
-    def expand(self, bundle: PathBundle, levels: list, start: int = 0) -> np.ndarray:
-        """Levels start, start + 1, ... built by this solution's backend, as
-        a (paths, len(levels)) array.
-
-        This is the only route from levels to paths: lattice levels are
-        gathered along the bundle's walks, per-path levels are stacked.
+    def expand(self, bundle: PathBundle, values: np.ndarray, a: int, b: int) -> np.ndarray:
+        """Levels a, ..., b - 1 laid end to end in values, such as
+        levels(name, a, b) or an elementwise function of such slices, as
+        a (paths, b - a) array.  This is the only route from levels to
+        paths: lattice cells are gathered along the bundle's walks in one
+        take, per-path levels are transposed.
         """
         if self.lattice:
-            return bundle.on_paths(levels, start)
-        return np.stack(levels, axis=1)
+            return bundle.on_paths(values, a, b)
+        return values.reshape(b - a, bundle.n_paths).T.copy()
 
     def paths(
         self, bundle: PathBundle, window: Optional[tuple] = None, names: str = "YZUH"
@@ -330,24 +344,18 @@ class SolutionField:
         """
         n = bundle.grid.steps
         a, b = (0, n + 1) if window is None else window
-        levels = {"Y": self.Y_levels, "Z": self.Z_levels, "U": self.U_levels, "H": self.H_levels}
-        return {
-            name: self.expand(bundle, levels[name][a:b if name == "Y" else min(b, n)], a)
-            for name in names
-        }
+        stops = {name: b if name == "Y" else min(b, n) for name in names}
+        return {name: self.expand(bundle, self.levels(name, a, e), a, e) for name, e in stops.items()}
 
 
 @dataclass
-class Sweep:
-    """One backward sweep over an eps schedule.
+class Sweep(_Levels):
+    """Y and U with one row per eps, and one SolutionField per eps whose
+    fields are views of those rows."""
 
-    Y_levels and U_levels hold one row per eps at every level;
-    solutions has one SolutionField per eps, whose levels are views of
-    those rows.
-    """
-
-    Y_levels: list
-    U_levels: list
+    Y: np.ndarray
+    U: np.ndarray
+    offsets: np.ndarray
     solutions: list
 
 
@@ -394,14 +402,13 @@ def backward_sweep(
     stiffness = [float(np.max(dq[act] / eps, initial=0.0)) for eps, act in zip(schedule, active)]
     steps = {}  # one implicit_step for all rows per distinct (alpha_i, dQ_i)
 
-    y_levels = [None] * (n + 1)
-    z_levels = [None] * n
-    u_levels = [None] * n
-    h_levels = [None] * n
+    off = backend.offsets
+    y = np.empty((n_eps, off[n + 1]))
+    z, u, h = (np.empty((n_eps, off[n])) for _ in range(3))
     y_n = np.asarray(terminal(backend.terminal_driver(), bundle.A[-1]), dtype=float)
     if not np.all(np.isfinite(y_n)):
         raise DomainError("terminal condition evaluated to non-finite values")
-    y_levels[n] = np.repeat(y_n[None], n_eps, axis=0)
+    y[:, off[n]:] = y_n
 
     def penalized_step(i, rows, ce, z):
         """(Y, H, U) of the active rows, given their CE and Z."""
@@ -414,32 +421,23 @@ def backward_sweep(
         return y, h, (y_hat - y) / dq[i]
 
     for i in reversed(range(n)):
-        ce = backend.ce(i, y_levels[i + 1])
-        z = backend.z(i, y_levels[i + 1])
-        rows = slice(first_active[i], n_eps)
-        if rows.start == 0:
-            y, h, u = penalized_step(i, rows, ce, z)
-        else:
-            # rows outside the budget keep Y = CE (a fresh array) with H = U = 0
-            y, h, u = ce, np.zeros_like(ce), np.zeros_like(ce)
-            if rows.start < n_eps:
-                y[rows], h[rows], u[rows] = penalized_step(i, rows, ce[rows], z[rows])
-        y_levels[i], z_levels[i], u_levels[i], h_levels[i] = y, z, u, h
+        cur, y_next = slice(off[i], off[i + 1]), y[:, off[i + 1]:off[i + 2]]
+        ce = backend.ce(i, y_next)
+        z[:, cur] = z_i = backend.z(i, y_next)
+        out, rows = slice(0, first_active[i]), slice(first_active[i], n_eps)
+        # rows outside the budget keep Y = CE with H = U = 0
+        y[out, cur], h[out, cur], u[out, cur] = ce[out], 0.0, 0.0
+        if rows.start < n_eps:
+            y[rows, cur], h[rows, cur], u[rows, cur] = penalized_step(i, rows, ce[rows], z_i[rows])
 
     solutions = [
         SolutionField(
-            eps=float(eps),
-            backend_kind=backend.kind,
-            Y_levels=[lv[r] for lv in y_levels],
-            Z_levels=[lv[r] for lv in z_levels],
-            U_levels=[lv[r] for lv in u_levels],
-            H_levels=[lv[r] for lv in h_levels],
-            dq=dq,
-            max_stiffness=stiffness[r],
+            eps=float(eps), backend_kind=backend.kind, Y=y[r], Z=z[r], U=u[r], H=h[r],
+            offsets=off, dq=dq, max_stiffness=stiffness[r],
         )
         for r, eps in enumerate(schedule)
     ]
-    return Sweep(Y_levels=y_levels, U_levels=u_levels, solutions=solutions)
+    return Sweep(Y=y, U=u, offsets=off, solutions=solutions)
 
 
 def solve_penalized(
@@ -486,11 +484,12 @@ def solve_sequence(
     bundle = backend.bundle
     sweep = backward_sweep(backend, phi, psi, gen, terminal, cfg)
     solutions = dict(zip(schedule, sweep.solutions))
-    # per level: mean |U|^2 of every row, and max |Y^a - Y^b| of every adjacent pair
-    # (np.mean's sum and division, less its wrapper: one call per level)
-    u2 = np.array([np.add.reduce(u * u, axis=-1) / u.shape[-1] for u in sweep.U_levels]).T
+    # per level, mean |U|^2 of every row (np.mean's sum and division, less
+    # its wrapper); max |Y^a - Y^b| of every adjacent pair over all cells
+    levels = (sweep.level("U", i) for i in range(bundle.grid.steps))
+    u2 = np.array([np.add.reduce(u * u, axis=-1) / u.shape[-1] for u in levels]).T
     energy = {eps: float(eps * np.sum(u2_r * bundle.dq)) for eps, u2_r in zip(schedule, u2)}
-    y_gaps = np.max([np.abs(y[:-1] - y[1:]).max(axis=-1) for y in sweep.Y_levels], axis=0)
+    y_gaps = np.abs(sweep.Y[:-1] - sweep.Y[1:]).max(axis=-1)
     steps = [(a, min(b, bundle.grid.steps)) for a, b in bundle.windows()]
     gaps = []
     for r, (e_coarse, e_fine) in enumerate(zip(schedule, schedule[1:])):
@@ -499,9 +498,8 @@ def solve_sequence(
         # gathered one window of steps at a time
         means = []
         for a, e in steps:
-            levels = zip(coarse.Z_levels[a:e], fine.Z_levels[a:e])
-            sq = coarse.expand(bundle, [(za - zb) ** 2 for za, zb in levels], a)
-            means.append(np.mean(sq, axis=0))
+            sq = (coarse.levels("Z", a, e) - fine.levels("Z", a, e)) ** 2
+            means.append(np.mean(coarse.expand(bundle, sq, a, e), axis=0))
         z_gap = float(np.sqrt(np.sum(np.concatenate(means) * bundle.dt)))
         gaps.append(
             {
@@ -519,7 +517,7 @@ def solve_sequence(
 
 
 @dataclass
-class SmoothedProcess:
+class SmoothedProcess(_Levels):
     """Discrete exponential smoothing M of a per-node process U.
 
     M_i averages U over the clock window starting at max(t_i, eps) with
@@ -529,23 +527,25 @@ class SmoothedProcess:
     on from eps onward, R the per-step martingale loading, so that
     (gamma, N, R) reconstructs M through
     M_{i+1} = M_i - N_i dQ_i + R_i dB_i up to conditional-expectation
-    discretization.
+    discretization.  M, N and R take U's layout, offsets.
     """
 
     gamma: float
-    M_levels: list
-    N_levels: list
-    R_levels: list
+    M: np.ndarray
+    N: np.ndarray
+    R: np.ndarray
+    offsets: np.ndarray
     i_eps: int
     scale: float
 
 
 def smoothing_operator(
-    bundle: PathBundle, backend, u_levels: list, eps: float
+    bundle: PathBundle, backend, u: np.ndarray, eps: float
 ) -> SmoothedProcess:
     """Exponential kernel smoothing of U at the time point eps.
 
-    The kernel scale in clock units is Q at the first grid node with
+    U is one array over the N + 1 levels in the backend's layout.  The
+    kernel scale in clock units is Q at the first grid node with
     t >= eps; values beyond the horizon are extended by holding the last
     node value, which gives the kernel tail a closed form.
     """
@@ -563,31 +563,30 @@ def smoothing_operator(
     # one backward pass; each date takes its expectation and its loading
     # together.  From i_eps on, M is the kernel sum over its deterministic
     # mass; below i_eps it extends as a martingale.
-    g_acc = np.asarray(u_levels[n], dtype=float).copy()
+    off = backend.offsets
+    m, drift, loading = np.empty(off[n + 1]), np.zeros(off[n]), np.empty(off[n])
+    g_acc = u[off[n]:].copy()
     w_acc = 1.0  # closed-form tail on the held terminal value
-    m_levels = [None] * (n + 1)
-    n_levels = [None] * n
-    r_levels = [None] * n
-    m_levels[n] = g_acc / w_acc
+    m[off[n]:] = g_acc / w_acc
     for i in reversed(range(n)):
+        cur, m_next = slice(off[i], off[i + 1]), m[off[i + 1]:off[i + 2]]
         if i >= i_eps:
             decay = float(np.exp(-dq[i] / scale))
             w_i = dq[i] / scale
-            u_i = np.asarray(u_levels[i], dtype=float)
-            g_acc = w_i * u_i + decay * backend.ce(i, g_acc)
+            g_acc = w_i * u[cur] + decay * backend.ce(i, g_acc)
             w_acc = w_i + decay * w_acc
-            m_levels[i] = g_acc / w_acc
-            n_levels[i] = (u_i - m_levels[i]) / scale
+            m[cur] = g_acc / w_acc
+            drift[cur] = (u[cur] - m[cur]) / scale
         else:
-            m_levels[i] = backend.ce(i, m_levels[i + 1])
-            n_levels[i] = np.zeros_like(m_levels[i])
-        r_levels[i] = backend.z(i, m_levels[i + 1])
+            m[cur] = backend.ce(i, m_next)
+        loading[cur] = backend.z(i, m_next)
 
     return SmoothedProcess(
-        gamma=float(np.mean(m_levels[0])),
-        M_levels=m_levels,
-        N_levels=n_levels,
-        R_levels=r_levels,
+        gamma=float(np.mean(m[off[0]:off[1]])),
+        M=m,
+        N=drift,
+        R=loading,
+        offsets=off,
         i_eps=i_eps,
         scale=scale,
     )

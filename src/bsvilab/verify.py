@@ -132,13 +132,6 @@ def _running_sum(x: np.ndarray, carry: Optional[np.ndarray], nodes: int) -> tupl
     return sums[:, : nodes - (carry is None)], sums[:, -1:].copy()
 
 
-def _level_gaps(x_levels: list, y_levels: list, a: int, b: int) -> list:
-    """x - y on the levels a, ..., b - 1 that exist.  Elementwise arithmetic
-    commutes with gathering onto paths, so one gather of the gaps gives
-    the bytes of two gathers and a subtraction on the paths."""
-    return [x - y for x, y in zip(x_levels[a:b], y_levels[a:b])]
-
-
 def _potential_on_paths(spec: ConvexSpec, x: np.ndarray, eps_pen: Optional[float]):
     if eps_pen is None:
         return potential_value(spec, x)
@@ -402,8 +395,9 @@ def ito_report_from_solution(
     def windows():
         for a, b in bundle.windows():
             pw = sol.paths(bundle, (a, b), "YZ")
-            drift = sol.expand(bundle, _level_gaps(sol.H_levels, sol.U_levels, a, b), a)
-            yield (a, b), pw["Y"], drift * dq[a:b], pw["Z"]
+            e = min(b, bundle.grid.steps)
+            drift = sol.expand(bundle, sol.levels("H", a, e) - sol.levels("U", a, e), a, e)
+            yield (a, b), pw["Y"], drift * dq[a:e], pw["Z"]
 
     return _ito_report(windows(), bundle, p, delta, tol, pathwise=sol.lattice)
 
@@ -421,7 +415,8 @@ def check_contraction(
     mean[e^{qV_i} |Y^a_i - Y^b_i|^q] may not exceed its value at any
     later node by more than tol.  Identical inputs give gap 0; a pure
     terminal perturbation with zero drivers propagates unchanged.  Both
-    solutions come from backends of one kind, so their levels subtract.
+    solutions come from backends of one kind, so their levels subtract,
+    and one gather of the gap gives the bytes of two and a subtraction.
     """
     if bundle.V is None:
         raise GridMismatch("bundle has no accumulated weights, call accumulate_weights")
@@ -430,7 +425,7 @@ def check_contraction(
     weight = np.exp(q * bundle.V)
     means = []
     for a, b in bundle.windows():
-        gap = sol_a.expand(bundle, _level_gaps(sol_a.Y_levels, sol_b.Y_levels, a, b), a)
+        gap = sol_a.expand(bundle, sol_a.levels("Y", a, b) - sol_b.levels("Y", a, b), a, b)
         means.append(np.mean(weight[a:b] * np.abs(gap) ** q, axis=0))
     worst = _pair_max(np.concatenate(means))
     terminal_gap = np.mean(np.abs(gap[:, -1]))
@@ -556,8 +551,8 @@ def penalty_monotonicity(
     means = []
     for a, b in bundle.windows():
         e = min(b, bundle.grid.steps)
-        dy = sol_a.expand(bundle, _level_gaps(sol_a.Y_levels, sol_b.Y_levels, a, e), a)
-        du = sol_a.expand(bundle, _level_gaps(sol_a.U_levels, sol_b.U_levels, a, e), a)
+        dy = sol_a.expand(bundle, sol_a.levels("Y", a, e) - sol_b.levels("Y", a, e), a, e)
+        du = sol_a.expand(bundle, sol_a.levels("U", a, e) - sol_b.levels("U", a, e), a, e)
         means.append(np.mean(dy * du, axis=0))
     return float(np.sum(np.concatenate(means) * bundle.dq))
 
@@ -571,13 +566,13 @@ def reconstruction_process(sol: SolutionField, bundle: PathBundle) -> TestProces
     """The solution's own (terminal, driver-minus-penalty) reconstruction."""
 
     def drift(a, e):
-        return sol.expand(bundle, _level_gaps(sol.H_levels, sol.U_levels, a, e), a)
+        return sol.expand(bundle, sol.levels("H", a, e) - sol.levels("U", a, e), a, e)
 
     def loading(a, e):
-        return sol.expand(bundle, sol.Z_levels[a:e], a)
+        return sol.expand(bundle, sol.levels("Z", a, e), a, e)
 
     # Y_0 on path 0: lattice node 0, or path 0's own entry
-    return TestProcess(float(sol.Y_levels[0][0]), drift, loading, label="reconstruction")
+    return TestProcess(float(sol.level("Y", 0)[0]), drift, loading, label="reconstruction")
 
 
 def smoothed_midpoint_process(sol: SolutionField, bundle: PathBundle, backend) -> TestProcess:
@@ -585,13 +580,12 @@ def smoothed_midpoint_process(sol: SolutionField, bundle: PathBundle, backend) -
     max(4 max(dt), T/20), capped at T for grids of a few steps."""
     horizon = bundle.grid.horizon
     smooth_eps = min(max(4.0 * float(np.max(bundle.dt)), 0.05 * horizon), horizon)
-    sm = smoothing_operator(bundle, backend, sol.Y_levels, smooth_eps)
-    # the process keeps the N and R levels, not M
-    n_levels, r_levels = sm.N_levels, sm.R_levels
+    sm = smoothing_operator(bundle, backend, sol.Y, smooth_eps)
+    sm.M = None  # the process keeps the N and R levels, not M
     return TestProcess(
         sm.gamma,
-        lambda a, e: sol.expand(bundle, n_levels[a:e], a),
-        lambda a, e: sol.expand(bundle, r_levels[a:e], a),
+        lambda a, e: sol.expand(bundle, sm.levels("N", a, e), a, e),
+        lambda a, e: sol.expand(bundle, sm.levels("R", a, e), a, e),
         label="smoothed",
     )
 

@@ -13,6 +13,7 @@ each report on its own.  Slow and simple on purpose.
 """
 
 import csv
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -25,7 +26,7 @@ from bsvilab.generators import (
     mollify_driver_g,
 )
 from bsvilab.paths import gamma_shift
-from bsvilab.solver import SmoothedProcess, make_backend, smoothing_operator
+from bsvilab.solver import make_backend, smoothing_operator
 
 
 def prox_oracle(potential, eps, y, half_width=None):
@@ -106,12 +107,11 @@ def results_csv_oracle(path, result):
     bundle = result.bundle
     t = bundle.grid.nodes
     n = bundle.grid.steps
-    kinc = sol.kinc_levels
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["step", "t", "Q", "alpha", "node_or_path", "Y", "Z", "U", "Kinc"])
         for i in range(n + 1):
-            y_level = np.atleast_1d(sol.Y_levels[i])
+            y_level = sol.level("Y", i)
             last = i == n
             for j in range(y_level.size):
                 writer.writerow(
@@ -122,9 +122,9 @@ def results_csv_oracle(path, result):
                         "" if last else fmt(bundle.alpha[i]),
                         j,
                         fmt(y_level[j]),
-                        "" if last else fmt(np.atleast_1d(sol.Z_levels[i])[j]),
-                        "" if last else fmt(np.atleast_1d(sol.U_levels[i])[j]),
-                        "" if last else fmt(np.atleast_1d(kinc[i])[j]),
+                        "" if last else fmt(sol.level("Z", i)[j]),
+                        "" if last else fmt(sol.level("U", i)[j]),
+                        "" if last else fmt(sol.level("U", i)[j] * sol.dq[i]),
                     ]
                 )
 
@@ -296,7 +296,7 @@ def smoothing_operator_oracle(bundle, backend, u_levels, eps):
             n_levels.append(np.zeros_like(m_levels[i]))
         r_levels.append(backend.z(i, m_levels[i + 1]))
 
-    return SmoothedProcess(
+    return SimpleNamespace(
         gamma=float(np.mean(m_levels[0])),
         M_levels=m_levels,
         N_levels=n_levels,
@@ -306,13 +306,23 @@ def smoothing_operator_oracle(bundle, backend, u_levels, eps):
     )
 
 
+def _levels_on_paths(sol, bundle, levels):
+    """Levels 0, 1, ... of a list on the evaluation paths, as a (paths,
+    len(levels)) array.  A lattice path's node at level i is its count of
+    up moves before i, read off dB; per-path levels are stacked."""
+    if not sol.lattice:
+        return np.stack(levels, axis=1)
+    node = np.zeros((bundle.n_paths, len(levels)), dtype=np.int64)
+    node[:, 1:] = np.cumsum(bundle.dB[:, : len(levels) - 1] > 0.0, axis=1)
+    return np.stack([level[node[:, i]] for i, level in enumerate(levels)], axis=1)
+
+
 def _paths_oracle(sol, bundle):
     """Y, Z, U, H of a solution as whole (paths, nodes) arrays."""
+    n = bundle.grid.steps
     return {
-        name: sol.expand(bundle, levels)
-        for name, levels in (
-            ("Y", sol.Y_levels), ("Z", sol.Z_levels), ("U", sol.U_levels), ("H", sol.H_levels)
-        )
+        name: _levels_on_paths(sol, bundle, [sol.level(name, i) for i in range(n + (name == "Y"))])
+        for name in "YZUH"
     }
 
 
@@ -369,12 +379,16 @@ def battery_oracle(sol, bundle, backend, phi, psi, gen, p):
     psi_y = _mixed_potential_oracle(phi, psi, alpha, pw["Y"][:, :-1], sol.eps)
     horizon = bundle.grid.horizon
     smooth_eps = min(max(4.0 * float(np.max(bundle.dt)), 0.05 * horizon), horizon)
-    sm = smoothing_operator(bundle, backend, sol.Y_levels, smooth_eps)
+    sm = smoothing_operator(bundle, backend, sol.Y, smooth_eps)
+    sm_n, sm_r = (
+        _levels_on_paths(sol, bundle, [sm.level(name, i) for i in range(bundle.grid.steps)])
+        for name in "NR"
+    )
     zeros = np.zeros(bundle.dB.shape)
     processes = [
         ("zero", 0.0, zeros, zeros),
         ("reconstruction", float(pw["Y"][0, 0]), pw["H"] - pw["U"], pw["Z"]),
-        ("smoothed", sm.gamma, sol.expand(bundle, sm.N_levels), sol.expand(bundle, sm.R_levels)),
+        ("smoothed", sm.gamma, sm_n, sm_r),
     ]
     reports = []
     for label, gamma0, n_steps, r_steps in processes:

@@ -176,9 +176,9 @@ def test_acceptance_02_indicator_gradient_formula_is_exact(capsys):
 def test_acceptance_03_martingale_is_reproduced_to_machine_precision(capsys):
     exp, bundle, seq = _solve_scenario({"scenario": "martingale"})
     sol = seq.solutions[0.1]
-    worst_y = max(float(np.max(np.abs(lv - ref)))
-                  for lv, ref in zip(sol.Y_levels, bundle.levels))
-    worst_z = max(float(np.max(np.abs(z - 1.0))) for z in sol.Z_levels)
+    worst_y = max(float(np.max(np.abs(sol.level("Y", i) - ref)))
+                  for i, ref in enumerate(bundle.levels))
+    worst_z = float(np.max(np.abs(sol.Z - 1.0)))
     ito = ito_report_from_solution(sol, bundle, 2.0, 0.1,
                                    default_tolerance(bundle))
     ok = worst_y <= 1e-13 and worst_z <= 1e-13 and ito.worst_violation <= 1e-13
@@ -279,30 +279,30 @@ def test_acceptance_09_smoothing_operator_bounds(capsys):
                                  NoiseModel.binomial_tree(seed=0), ZERO_A))
     backend = make_backend(tree, SolverConfig())
 
-    const = [np.full(i + 1, 3.0) for i in range(9)]
+    const = np.full(45, 3.0)  # levels of 1, ..., 9 nodes
     sm = smoothing_operator(tree, backend, const, 0.2)
-    fixed = max(float(np.max(np.abs(m - 3.0))) for m in sm.M_levels)
+    fixed = float(np.max(np.abs(sm.M - 3.0)))
 
     rng = np.random.default_rng(23)
     sup_defect = -np.inf
     for _ in range(100):
         v = rng.uniform(-3.0, 3.0, 4)
-        u = [np.full(i + 1, v[min(3, (4 * i) // 9)]) for i in range(9)]
+        u = np.concatenate([np.full(i + 1, v[min(3, (4 * i) // 9)]) for i in range(9)])
         eps = float(rng.choice([0.05, 0.1, 0.3]))
         sm = smoothing_operator(tree, backend, u, eps)
-        sup_u = max(float(np.max(np.abs(x))) for x in u)
-        sup_m = max(float(np.max(np.abs(m))) for m in sm.M_levels)
+        sup_u = float(np.max(np.abs(u)))
+        sup_m = float(np.max(np.abs(sm.M)))
         sup_defect = max(sup_defect, sup_m - sup_u)
 
     det = _weighted(build_paths(TimeGrid.uniform(1.0, 1000),
                                 NoiseModel.deterministic(), ZERO_A))
     dbackend = make_backend(det, SolverConfig())
     t = det.grid.nodes
-    sm = smoothing_operator(det, dbackend, [np.array([ti]) for ti in t], 0.01)
+    sm = smoothing_operator(det, dbackend, t.copy(), 0.01)  # one node per level
     root = np.sqrt(sm.scale)
     modulus_bound = root * 1.0 + 2.0 * np.exp(1.0 - 1.0 / root) * 1.0
-    modulus = max(float(np.max(np.abs(m - ti)))
-                  for m, ti in zip(sm.M_levels, t))
+    modulus = max(float(np.max(np.abs(sm.level("M", i) - ti)))
+                  for i, ti in enumerate(t))
 
     ok = fixed <= 1e-12 and sup_defect <= 1e-12 and modulus <= modulus_bound
     _verdict(capsys, 9, "smoothing fixed point, sup bound, modulus bound", ok,

@@ -13,6 +13,7 @@ from bsvilab import cli, solver, verify
 from bsvilab.cli import _sweep_override, execute, fmt, main, write_artifacts
 from bsvilab.errors import ConfigError
 from bsvilab.scenarios import SCENARIOS, build_experiment, resolve_config
+from bsvilab.solver import SolutionField
 
 from oracles import results_csv_oracle
 
@@ -63,6 +64,11 @@ def test_config_errors_name_the_field():
         ({"grid": {"T": 1.0, "steps": None}}, "grid.steps"),
         ({"scenario": {"name": "martingale", "terminal": {"kind": "oracle"}}}, "scenario.terminal.kind"),
         ({"scenario": {"name": "martingale", "terminal": {"kind": "clamp", "lo": 1.0, "hi": -1.0}}}, "lo < hi"),
+        # the mollifier takes eps in (0, 1] only; a tree backend needs a lattice
+        ({"solver": {"mollify": True, "eps_schedule": [2.0, 0.5]}},
+         r"solver.eps_schedule must lie in \(0, 1\] to mollify, got 2.0"),
+        ({"noise": {"kind": "mc", "paths": 10}, "solver": {"ce": "tree"}},
+         "solver.ce: 'tree' needs tree or deterministic noise, got mc"),
         ({"seed": "abc"}, "seed"),
         # a typo inside a block names the key instead of falling back to a default
         ({"scenario": {"name": "martingale", "terminal": {"kind": "brownian", "valeu": 1.0}}},
@@ -95,6 +101,19 @@ def test_config_errors_name_the_field():
         # a NaN or infinite bound makes every sampled comparison vacuous
         ({"generator": {name: value}}, f"generator: {name} must be finite, got {value}")
         for name in ("mu", "nu", "ell")
+        for value in (math.nan, math.inf, -math.inf)
+    ] + [
+        # NaN passes lo < hi, and JSON carries NaN and Infinity
+        ({"scenario": {"name": "martingale", "terminal": {"kind": "clamp", **bounds}}},
+         f"scenario.terminal.{name}: must be a number, got nan")
+        for name, bounds in (
+            ("lo", {"lo": math.nan, "hi": 1.0}),
+            ("hi", {"lo": -1.0, "hi": math.nan}),
+            ("lo", {"lo": math.nan, "hi": math.nan}),
+        )
+    ] + [
+        ({"scenario": {"name": "martingale", "terminal": {"kind": "constant", "value": value}}},
+         f"scenario.terminal.value: must be finite, got {value}")
         for value in (math.nan, math.inf, -math.inf)
     ]
     for override, needle in cases:
@@ -180,10 +199,25 @@ RESULTS_CSV_SHA256 = {
 }
 
 
+# sha256 of verify.json for the same runs: every check's worst value,
+# gate and monitors
+VERIFY_JSON_SHA256 = {
+    "clocked_decay": "5f2ef5015569a2db750b86c56152873758b5725b7d5451d2e655efe648809886",
+    "linear": "7c9cdc23bb7f3b5e1ac66a4e6150bec9a3aad4953ba157d47132c9368a791340",
+    "martingale": "88c0400751c5fe85c62fb6997d1b5efef4ae861c5f956891e47838ead0a2b591",
+    "reflection": "3ba60dbd2615ccbc1628762b8e193a3d07ac8934b73d19e5f8961302e14f3935",
+    "two_barrier": "df05c537342d9a92a99778ad75fc811d116ab1588b75b318bc829d46cb2341bb",
+    "two_barrier_driven": "5cd78a442cf342fcce79643e27e3aaa25079d0574822d61c13923987d1a2d21d",
+}
+
+
 @pytest.mark.parametrize("scenario", sorted(RESULTS_CSV_SHA256))
 def test_results_csv_bytes_hold_on_exact_presets(tmp_path, scenario):
     written = write_artifacts(str(tmp_path), execute(build_experiment({"scenario": scenario})))
-    assert written["artifact_hashes"]["results.csv"] == RESULTS_CSV_SHA256[scenario]
+    assert written["artifact_hashes"] == {
+        "results.csv": RESULTS_CSV_SHA256[scenario],
+        "verify.json": VERIFY_JSON_SHA256[scenario],
+    }
 
 
 def test_terminal_kinds_evaluate():
@@ -194,6 +228,10 @@ def test_terminal_kinds_evaluate():
     clamp = build_experiment({**resolve_config(MART_SMALL), "scenario": {
         "name": "martingale", "terminal": {"kind": "clamp", "lo": -1.0, "hi": 1.0}}})
     assert np.array_equal(clamp.terminal(b, 0.0), np.array([-1.0, 0.0, 1.0]))
+    # an infinite bound clamps nothing on its side
+    open_clamp = build_experiment({**resolve_config(MART_SMALL), "scenario": {
+        "name": "martingale", "terminal": {"kind": "clamp", "lo": -math.inf, "hi": math.inf}}})
+    assert np.array_equal(open_clamp.terminal(b, 0.0), b)
     const = build_experiment({**resolve_config(MART_SMALL), "scenario": {
         "name": "martingale", "terminal": {"kind": "constant", "value": 0.25}}})
     assert np.array_equal(const.terminal(b, 0.0), np.full(3, 0.25))
@@ -355,7 +393,7 @@ def test_sweep_dt_runs_above_a_quarter_of_the_horizon(tmp_path, capsys):
     assert "needs a grid given as T and steps" in capsys.readouterr().err
 
 
-def test_main_reports_config_errors(tmp_path, capsys):
+def test_main_reports_config_errors(tmp_path, capsys, monkeypatch):
     assert main(["run", "--config", str(tmp_path / "absent.json")]) == 2
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -382,6 +420,28 @@ def test_main_reports_config_errors(tmp_path, capsys):
         assert err.startswith("error: ") and path in err
         # the output directory is checked before anything runs
         assert out == ""
+    # a config error refuses run and sweep before any path is realized
+    # and before the output directory is made
+    realized = []
+    monkeypatch.setattr(cli, "build_paths", lambda *args: realized.append(args))
+    mollify = write_cfg(tmp_path, {**MART_SMALL, "solver": {"mollify": True, "eps_schedule": [2.0, 0.5]}})
+    mollify_sweep = write_cfg(tmp_path, {**MART_SMALL, "solver": {"mollify": True}}, "sweep.json")
+    tree_mc = write_cfg(tmp_path, {"scenario": "mc_martingale", "solver": {"ce": "tree"}}, "mc.json")
+    fresh = tmp_path / "fresh"
+    refused = [
+        (["run", "--config", mollify, "--out", str(fresh)], "solver.eps_schedule"),
+        (["run", "--config", tree_mc, "--out", str(fresh)], "solver.ce"),
+        (["sweep", "--config", mollify_sweep, "--axis", "eps", "--values", "0.5,2",
+          "--out", str(fresh)], "solver.eps_schedule"),
+        (["sweep", "--config", tree_mc, "--axis", "paths", "--values", "100",
+          "--out", str(fresh)], "solver.ce"),
+    ]
+    for argv, field in refused:
+        capsys.readouterr()
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith(f"error: {field}") and out == ""
+        assert realized == [] and not fresh.exists()
 
 
 @pytest.mark.parametrize("scenario", ["martingale", "two_barrier_driven"])
@@ -394,7 +454,8 @@ def test_tree_noise_with_regression_expectations_verifies(scenario):
     res = execute(exp)
     assert res.summary["all_passed"], [r.name for r in res.reports if not r.passed]
     sol = res.seq.solutions[exp.solver.eps_schedule[-1]]
-    assert np.array_equal(sol.paths(res.bundle)["Y"], np.stack(sol.Y_levels, axis=1))
+    levels = [sol.level("Y", i) for i in range(exp.grid.steps + 1)]
+    assert np.array_equal(sol.paths(res.bundle)["Y"], np.stack(levels, axis=1))
 
 
 def test_tiny_ramp_keeps_the_clock_density_at_most_one():
@@ -493,13 +554,17 @@ def test_results_csv_matches_the_per_row_writer(tmp_path, config):
     got = (tmp_path / "out" / "results.csv").read_bytes()
     assert got == (tmp_path / "oracle.csv").read_bytes()
     final = res.seq.solutions[res.exp.solver.eps_schedule[-1]]
-    assert got.count(b"\r\n") == 1 + sum(np.size(y) for y in final.Y_levels)
+    assert got.count(b"\r\n") == 1 + final.Y.size
 
 
-def _hand_built_result(y_levels, z_levels, u_levels, kinc_levels):
+def _hand_built_result(y_levels, z, u, dq):
+    """A run whose final solution holds the given Y levels, and Z and U
+    laid out in their first len(y_levels) - 1 levels."""
     steps = len(y_levels) - 1
-    sol = SimpleNamespace(
-        Y_levels=y_levels, Z_levels=z_levels, U_levels=u_levels, kinc_levels=kinc_levels
+    sol = SolutionField(
+        eps=0.05, backend_kind="tree", Y=np.concatenate(y_levels), Z=np.array(z),
+        U=np.array(u), H=np.zeros(len(u)), offsets=np.cumsum([0] + [len(y) for y in y_levels]),
+        dq=np.array(dq), max_stiffness=0.0,
     )
     return SimpleNamespace(
         exp=SimpleNamespace(solver=SimpleNamespace(eps_schedule=(0.1, 0.05))),
@@ -514,30 +579,30 @@ def _hand_built_result(y_levels, z_levels, u_levels, kinc_levels):
 
 def test_results_csv_writer_on_hand_built_levels(tmp_path):
     # signed zero, the smallest subnormal, huge values, integral floats
-    # and a one-node level (a 0-d array, as a lattice's root is)
+    # and a one-node level, as a lattice's root is; Kinc = U dQ
     result = _hand_built_result(
-        y_levels=[np.array(3.0), np.array([-0.0, 5e-324, 1e300]), np.array([-1e300, 2.0, 0.1])],
-        z_levels=[np.array([1e300]), np.array([-0.0, 3.0, -5e-324])],
-        u_levels=[np.array([0.0]), np.array([1.0, -1e300, 2.0])],
-        kinc_levels=[np.array([5e-324]), np.array([0.1, -0.0, 1e-300])],
+        y_levels=[np.array([3.0]), np.array([-0.0, 5e-324, 1e300]), np.array([-1e300, 2.0, 0.1])],
+        z=[1e300, -0.0, 3.0, -5e-324],
+        u=[2.0, -0.0, -1e300, 1e-323],
+        dq=[0.5, 0.5],
     )
     cli._write_results_csv(str(tmp_path / "got.csv"), result)
     results_csv_oracle(str(tmp_path / "oracle.csv"), result)
     got = (tmp_path / "got.csv").read_bytes()
     assert got == (tmp_path / "oracle.csv").read_bytes()
-    assert got.splitlines(keepends=True)[1:3] == [
-        b"0,0,0,1,0,3,1.0000000000000001e+300,0,4.9406564584124654e-324\r\n",
-        b"1,0.5,0.5,0.25,0,-0,-0,1,0.10000000000000001\r\n",
+    assert got.splitlines(keepends=True)[1:5] == [
+        b"0,0,0,1,0,3,1.0000000000000001e+300,2,1\r\n",
+        b"1,0.5,0.5,0.25,0,-0,-0,-0,-0\r\n",
+        b"1,0.5,0.5,0.25,1,4.9406564584124654e-324,3,-1.0000000000000001e+300,-5.0000000000000003e+299\r\n",
+        b"1,0.5,0.5,0.25,2,1.0000000000000001e+300,-4.9406564584124654e-324,9.8813129168249309e-324,4.9406564584124654e-324\r\n",
     ]
     assert got.endswith(b"2,1,1,,2,0.10000000000000001,,,\r\n")
 
 
 def test_results_csv_writer_refuses_ragged_levels(tmp_path):
+    # a Z one cell short of its level
     result = _hand_built_result(
-        y_levels=[np.array([1.0, 2.0]), np.array([1.0, 2.0])],
-        z_levels=[np.array([1.0])],
-        u_levels=[np.array([0.0, 0.0])],
-        kinc_levels=[np.array([0.0, 0.0])],
+        y_levels=[np.array([1.0, 2.0]), np.array([1.0, 2.0])], z=[1.0], u=[0.0, 0.0], dq=[0.5],
     )
     with pytest.raises(ValueError):
         cli._write_results_csv(str(tmp_path / "got.csv"), result)

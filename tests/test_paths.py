@@ -123,12 +123,17 @@ def test_tree_enumeration_and_lattice_maps():
     b = build_paths(TimeGrid.uniform(1.0, 5), NoiseModel.binomial_tree(), ZERO_A)
     assert b.n_paths == 32
     assert np.unique(b.dB, axis=0).shape[0] == 32
-    assert b.node_index[:, 0].max() == 0
-    steps = np.diff(b.node_index, axis=1)
-    assert set(np.unique(steps)) <= {0, 1}
     for i, lv in enumerate(b.levels):
         assert lv.size == i + 1
-    walked = b.on_paths(b.levels)
+    # level i fills the cells [i (i + 1) / 2, (i + 1) (i + 2) / 2)
+    assert np.array_equal(b.offsets, np.arange(7) * np.arange(1, 8) // 2)
+    # a walk's node is its cell less its level's offset: 0 at the root,
+    # then up by 0 or 1 per step
+    node = b.cells - b.offsets[:-1]
+    assert node[:, 0].max() == 0
+    steps = np.diff(node, axis=1)
+    assert set(np.unique(steps)) <= {0, 1}
+    walked = b.on_paths(np.concatenate(b.levels))
     assert np.allclose(walked, b.driver_paths(), rtol=0, atol=1e-12)
 
 
@@ -136,12 +141,20 @@ def test_on_paths_gathers_each_level_along_the_walks():
     b = build_paths(TimeGrid.uniform(1.0, 20), NoiseModel.binomial_tree(seed=3, eval_paths=64), ZERO_A)
     rng = np.random.default_rng(2)
     values = [rng.standard_normal(i + 1) for i in range(21)]
-    for n in (21, 20, 1):  # Y levels, Z/U/H levels, one level
-        want = np.stack([values[i][b.node_index[:, i]] for i in range(n)], axis=1)
-        got = b.on_paths(values[:n])
-        assert got.shape == (64, n) and got.tobytes() == want.tobytes()
+    # a walk's node at level i is its count of up moves before i
+    node = np.concatenate([np.zeros((64, 1), dtype=np.int64), np.cumsum(b.dB > 0, axis=1)], axis=1)
+    # Y levels, Z/U/H levels, one level, a window inside the grid
+    for start, stop in ((0, 21), (0, 20), (0, 1), (7, 13)):
+        want = np.stack([values[i][node[:, i]] for i in range(start, stop)], axis=1)
+        got = b.on_paths(np.concatenate(values[start:stop]), start, stop)
+        assert got.shape == (64, stop - start) and got.tobytes() == want.tobytes()
+    whole = np.concatenate(values)
+    assert b.on_paths(whole).tobytes() == b.on_paths(whole, 0, 21).tobytes()
+    # values that do not fill the levels: one cell short, or level 1 for level 0
     with pytest.raises(GridMismatch):
-        b.on_paths([values[1]] + values[1:])
+        b.on_paths(whole[:-1])
+    with pytest.raises(GridMismatch):
+        b.on_paths(np.concatenate([values[1]] + values[1:]))
 
 
 def test_tree_sampling_beyond_enumeration_limit():
@@ -226,13 +239,14 @@ def test_deterministic_bundle_is_single_frozen_path():
     assert b.n_paths == 1
     assert np.array_equal(b.dB, np.zeros((1, 6)))
     assert np.array_equal(b.driver_paths(), np.zeros((1, 7)))
-    assert np.array_equal(b.on_paths(b.levels), np.zeros((1, 7)))
+    assert np.array_equal(b.offsets, np.arange(8))
+    assert np.array_equal(b.on_paths(np.concatenate(b.levels)), np.zeros((1, 7)))
 
 
 def test_on_paths_needs_a_lattice():
     b = build_paths(TimeGrid.uniform(1.0, 4), NoiseModel.gaussian_mc(16, seed=1), ZERO_A)
     with pytest.raises(ConfigError):
-        b.on_paths([np.zeros(1)] * 5)
+        b.on_paths(np.zeros(5))
 
 
 def test_accumulate_weights_validation():

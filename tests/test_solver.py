@@ -97,10 +97,15 @@ def test_solver_config_validation():
         ({"degree": "3"}, "solver.degree"),
         ({"mollify": "no"}, "solver.mollify"),
         ({"mollify": 1}, "solver.mollify"),
+        # the mollifier takes eps in (0, 1]
+        ({"mollify": True, "eps_schedule": (2.0, 0.5)}, "solver.eps_schedule"),
+        ({"mollify": True, "eps_schedule": (1.0 + 1e-12,)}, "solver.eps_schedule"),
     ):
         with pytest.raises(ConfigError, match=needle):
             SolverConfig(**kwargs)
     assert SolverConfig(degree=np.int64(2), mollify=True).degree == 2
+    assert SolverConfig(eps_schedule=(1.0, 0.5), mollify=True).eps_schedule == (1.0, 0.5)
+    assert SolverConfig(eps_schedule=(2.0, 0.5)).eps_schedule == (2.0, 0.5)
 
 
 def test_solver_block_keys_are_the_config_fields():
@@ -122,12 +127,10 @@ def test_martingale_exactness_on_tree():
     bundle = tree_bundle(8)
     cfg = SolverConfig(eps_schedule=(0.1,))
     sol = solve_penalized(bundle, ZERO, ZERO, ZERO_GEN, terminal_driver, 0.1, cfg)
-    for lv, ref in zip(sol.Y_levels, bundle.levels):
-        assert np.allclose(lv, ref, rtol=0, atol=1e-13)
-    for z in sol.Z_levels:
-        assert np.allclose(z, 1.0, rtol=0, atol=1e-13)
-    for u in sol.U_levels:
-        assert np.array_equal(u, np.zeros_like(u))
+    for i, ref in enumerate(bundle.levels):
+        assert np.allclose(sol.level("Y", i), ref, rtol=0, atol=1e-13)
+    assert np.allclose(sol.Z, 1.0, rtol=0, atol=1e-13)
+    assert np.array_equal(sol.U, np.zeros_like(sol.U))
     assert abs(sol.y0) <= 1e-14
 
 
@@ -149,7 +152,7 @@ def test_reflection_scenario_plateau_and_profile():
     sol = solve_penalized(bundle, HALFLINE, ZERO, gen, terminal_const(-0.5), 0.025, cfg)
     assert np.isclose(sol.y0, 0.025, rtol=0, atol=1e-6)
     ref = reflection_oracle(bundle.grid.nodes, -0.5, 1.0, 1.0)
-    y = np.array([float(lv[0]) for lv in sol.Y_levels])
+    y = np.array([float(sol.level("Y", i)[0]) for i in range(bundle.grid.steps + 1)])
     assert np.max(np.abs(y - ref)) <= 0.025 + 5.0 / 1000
 
 
@@ -157,9 +160,11 @@ def test_penalization_force_single_sign_for_one_sided_wall():
     gen = GeneratorSpec.from_expressions("1", "0")
     cfg = SolverConfig(eps_schedule=(0.05,))
     sol = solve_penalized(det_bundle(400), HALFLINE, ZERO, gen, terminal_const(-0.5), 0.05, cfg)
-    for kinc in sol.kinc_levels:
-        assert np.all(kinc >= -1e-15)
-    total = sum(float(np.sum(np.abs(k))) for k in sol.kinc_levels)
+    # Kinc = U dQ per level, as results.csv writes it
+    kinc = [sol.level("U", i) * sol.dq[i] for i in range(400)]
+    for k in kinc:
+        assert np.all(k >= -1e-15)
+    total = sum(float(np.sum(np.abs(k))) for k in kinc)
     assert np.isfinite(total) and total > 0.0
 
 
@@ -234,8 +239,9 @@ def test_one_implicit_step_per_alpha_and_dq_matches_per_step_solves(
     sol = solve_penalized(bundle, phi, QUAD1, gen, terminal, eps, cfg)
     assert sorted((a, d) for a, _, d in builds) == sorted(keys)
     ref = per_step_sweep(bundle, phi, QUAD1, gen, terminal, eps)
-    for got, want in zip(sol.Y_levels, ref, strict=True):
-        assert np.array_equal(got, want)
+    assert sol.Y.size == sum(want.size for want in ref)
+    for i, want in enumerate(ref):
+        assert np.array_equal(sol.level("Y", i), want)
 
 
 def test_tree_step_identity_reconstructs_exactly():
@@ -270,10 +276,10 @@ def test_budget_truncation_switches_the_dynamics_off():
     assert np.array_equal(live, t <= 2.0 / 9.0 + 1e-12)
     for i in range(bundle.grid.steps):
         if live[i]:
-            assert np.all(sol.H_levels[i] != 0.0)
+            assert np.all(sol.level("H", i) != 0.0)
         else:
-            assert np.all(sol.H_levels[i] == 0.0)
-            assert np.all(sol.U_levels[i] == 0.0)
+            assert np.all(sol.level("H", i) == 0.0)
+            assert np.all(sol.level("U", i) == 0.0)
 
 
 def test_sequence_zero_potentials_have_zero_gaps():
@@ -312,12 +318,11 @@ def test_sequence_reflection_gap_tracks_eps():
 def test_smoothing_of_constant_is_a_fixed_point():
     bundle = tree_bundle(8)
     backend = make_backend(bundle, SolverConfig())
-    u = [np.full(i + 1, 3.0) for i in range(9)]
+    u = np.full(45, 3.0)  # levels of 1, ..., 9 nodes
     sm = smoothing_operator(bundle, backend, u, 0.2)
-    for m in sm.M_levels:
-        assert np.allclose(m, 3.0, rtol=0, atol=1e-12)
-    for nn in sm.N_levels:
-        assert np.allclose(nn, 0.0, rtol=0, atol=1e-12)
+    assert sm.M.size == u.size and sm.N.size == sm.R.size == u.size - 9
+    assert np.allclose(sm.M, 3.0, rtol=0, atol=1e-12)
+    assert np.allclose(sm.N, 0.0, rtol=0, atol=1e-12)
     assert np.isclose(sm.gamma, 3.0, rtol=0, atol=1e-12)
 
 
@@ -326,10 +331,10 @@ def test_smoothing_never_exceeds_the_source_sup():
     backend = make_backend(bundle, SolverConfig())
     rng = np.random.default_rng(5)
     for _ in range(10):
-        u = [rng.uniform(-2.0, 2.0, i + 1) for i in range(9)]
+        u = rng.uniform(-2.0, 2.0, 45)
         sm = smoothing_operator(bundle, backend, u, 0.3)
-        sup_u = max(float(np.max(np.abs(x))) for x in u)
-        sup_m = max(float(np.max(np.abs(m))) for m in sm.M_levels)
+        sup_u = float(np.max(np.abs(u)))
+        sup_m = float(np.max(np.abs(sm.M)))
         assert sup_m <= sup_u + 1e-12
 
 
@@ -337,13 +342,11 @@ def test_smoothing_modulus_bound_for_linear_source():
     bundle = det_bundle(1000)
     backend = make_backend(bundle, SolverConfig())
     t = bundle.grid.nodes
-    u = [np.array([ti]) for ti in t]
+    u = t.copy()  # one node per level
     sm = smoothing_operator(bundle, backend, u, 0.01)
     scale = sm.scale
     bound = np.sqrt(scale) * 1.0 + 2.0 * np.exp(1.0 - 1.0 / np.sqrt(scale)) * 1.0
-    worst = max(
-        float(np.max(np.abs(m - ti))) for m, ti in zip(sm.M_levels, t)
-    )
+    worst = max(float(np.max(np.abs(sm.level("M", i) - ti))) for i, ti in enumerate(t))
     assert worst <= bound
     with pytest.raises(DomainError):
         smoothing_operator(bundle, backend, u, 2.0)
@@ -382,7 +385,7 @@ def test_backend_selection_rules():
     lsq = make_backend(tree_bundle(4), SolverConfig(ce="lsq"))
     seq = solve_sequence(lsq, ZERO, ZERO, ZERO_GEN, terminal_driver, SolverConfig())
     assert seq.solutions[0.1].backend_kind == lsq.kind == "lsq"
-    assert seq.solutions[0.1].Y_levels[2].shape == (lsq.bundle.n_paths,)
+    assert seq.solutions[0.1].level("Y", 2).shape == (lsq.bundle.n_paths,)
 
 
 def test_unnormalized_potential_is_refused():
@@ -404,10 +407,11 @@ def assert_matches_oracle(seq, ref):
     assert list(seq.solutions) == list(ref)
     for eps, want in ref.items():
         sol = seq.solutions[eps]
-        for key in ("Y_levels", "Z_levels", "U_levels", "H_levels"):
-            got = getattr(sol, key)
-            assert len(got) == len(want[key])
-            for i, (g, w) in enumerate(zip(got, want[key])):
+        for key in "YZUH":
+            levels = want[f"{key}_levels"]
+            assert getattr(sol, key).size == sum(w.size for w in levels)
+            for i, w in enumerate(levels):
+                g = sol.level(key, i)
                 assert g.dtype == w.dtype and g.shape == w.shape, (eps, key, i)
                 # tobytes, not array_equal: -0.0 and 0.0 print differently
                 assert g.tobytes() == w.tobytes(), (eps, key, i)
@@ -524,9 +528,9 @@ def test_rows_outside_their_budget_skip_the_driver_and_the_penalty(monkeypatch):
     assert rows_seen == [1 if o else 2 for o in out[::-1]]
     coarse, fine = seq.solutions[0.5], seq.solutions[0.1]
     for i in np.flatnonzero(out):
-        for level in (coarse.H_levels[i], coarse.U_levels[i]):
+        for level in (coarse.level("H", i), coarse.level("U", i)):
             assert level.tobytes() == np.zeros_like(level).tobytes()
-        assert np.all(fine.H_levels[i] != 0.0)
+        assert np.all(fine.level("H", i) != 0.0)
     dq = seq.solutions[0.5].dq
     assert coarse.max_stiffness == float(np.max(dq[~out] / 0.5))
     assert fine.max_stiffness == float(np.max(dq / 0.1))
@@ -543,7 +547,7 @@ def test_non_finite_driver_on_the_finest_row_alone_still_raises():
     )
     cfg = SolverConfig(eps_schedule=(0.5, 0.1))
     coarse = solve_penalized(bundle, HALFLINE, ZERO, gen, terminal_const(-0.5), 0.5, cfg)
-    assert max(float(y[0]) for y in coarse.Y_levels) < 0.05
+    assert float(np.max(coarse.Y)) < 0.05  # one node per level
     with pytest.raises(NonFiniteGenerator):
         solve_sequence(make_backend(bundle, cfg), HALFLINE, ZERO, gen, terminal_const(-0.5), cfg)
 
@@ -626,7 +630,7 @@ def test_regression_factors_each_date_once_per_pass(monkeypatch):
     # date 0 is the sample mean; dates 1 .. steps-1 are factored once each
     assert calls["svd"] <= steps - 1
     calls["svd"] = 0
-    smoothing_operator(bundle, backend, sol.Y_levels, 0.2)
+    smoothing_operator(bundle, backend, sol.Y, 0.2)
     assert calls["svd"] <= steps - 1
     assert calls["lstsq"] == 0
 
@@ -649,10 +653,10 @@ def test_one_pass_smoothing_matches_the_two_loop_oracle(kind, eps):
     else:
         sizes = [level.size for level in bundle.levels]
     u = [rng.uniform(-2.0, 2.0, size) for size in sizes]
-    got = smoothing_operator(bundle, backend, u, eps)
+    got = smoothing_operator(bundle, backend, np.concatenate(u), eps)
     want = smoothing_operator_oracle(bundle, backend, u, eps)
     assert (got.gamma, got.i_eps, got.scale) == (want.gamma, want.i_eps, want.scale)
-    for key in ("M_levels", "N_levels", "R_levels"):
-        g, w = getattr(got, key), getattr(want, key)
-        assert len(g) == len(w)
-        assert all(a.tobytes() == b.tobytes() for a, b in zip(g, w)), key
+    for key in "MNR":
+        levels = getattr(want, f"{key}_levels")
+        assert getattr(got, key).size == sum(w.size for w in levels)
+        assert all(got.level(key, i).tobytes() == w.tobytes() for i, w in enumerate(levels)), key

@@ -151,7 +151,7 @@ def test_gamma_floor_tracks_delta_for_small_q():
     )
     # q = 2 drops it: Gamma equals |M - Y| and the terminal monitor is plain
     assert rep2.monitors["terminal_gamma_sq_minus_shift"] == pytest.approx(
-        float(np.mean(bundle.on_paths(bundle.levels)[:, -1] ** 2)), abs=1e-12
+        float(np.mean(bundle.on_paths(np.concatenate(bundle.levels))[:, -1] ** 2)), abs=1e-12
     )
 
 
@@ -264,8 +264,8 @@ def test_penalty_monotonicity_cross_term_is_controlled():
     sa = solve_penalized(bundle, HALFLINE, ZERO, gen, terminal_const(-0.5), 0.1, CFG)
     sb = solve_penalized(bundle, HALFLINE, ZERO, gen, terminal_const(-0.5), 0.05, CFG)
     val = penalty_monotonicity(sa, sb, bundle)
-    sup_a = max(float(np.max(np.abs(u))) for u in sa.U_levels)
-    sup_b = max(float(np.max(np.abs(u))) for u in sb.U_levels)
+    sup_a = float(np.max(np.abs(sa.U)))
+    sup_b = float(np.max(np.abs(sb.U)))
     assert val >= -(0.1 + 0.05) * sup_a * sup_b * bundle.Q[-1]
 
 
@@ -276,7 +276,7 @@ def test_apriori_bound_reference_cases():
     assert rep.passed and rep.worst_violation <= 0.0
 
     bundle, sol = martingale_solution()
-    eta = bundle.on_paths(bundle.levels)[:, -1]
+    eta = bundle.on_paths(np.concatenate(bundle.levels))[:, -1]
     for p in (1.5, 2.0, 2.5):
         wb = weighted(bundle, p=p)
         rep = check_apriori_bound(sol, wb, ZERO_GEN, eta, p=p)
@@ -302,7 +302,7 @@ def test_apriori_bound_reference_cases():
 
 def test_energy_bound_with_positive_part_weights():
     bundle, sol = martingale_solution()
-    eta = bundle.on_paths(bundle.levels)[:, -1]
+    eta = bundle.on_paths(np.concatenate(bundle.levels))[:, -1]
     rep = check_energy_bound(sol, bundle, ZERO_GEN, eta)
     assert rep.passed
     assert rep.monitors["c_fit"] == 4.0

@@ -1,0 +1,72 @@
+"""Print the sha256 of every deterministic artifact of a fixed list of runs.
+
+    python tools/artifact_hashes.py > hashes.txt
+
+One line per case and artifact: results.csv, verify.json,
+config_echo.json, and summary.json with its wall-clock `timings` key
+left out.  The cases are the seven presets at p = 1.5, 2 and 2.5, and
+the three benchmark workloads (perfbench/workloads.py) at seeds 1 to 3.
+Running it on two checkouts and diffing the outputs shows whether a
+change moved any artifact byte; running it twice under different
+PYTHONHASHSEED values shows whether a run depends on the process.
+The bsvilab imported is the one under this checkout's src/.
+"""
+
+import hashlib
+import importlib.util
+import json
+import os
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+
+from bsvilab.cli import execute, write_artifacts  # noqa: E402
+from bsvilab.scenarios import SCENARIOS, build_experiment  # noqa: E402
+
+ARTIFACTS = ("results.csv", "verify.json", "config_echo.json", "summary.json")
+
+
+def _workloads():
+    path = os.path.join(ROOT, "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+def cases() -> list:
+    """(name, config) of every case, in the order they are printed."""
+    out = [
+        (f"{name}/p={p:g}", {"scenario": name, "solver": {"p": p}})
+        for name in sorted(SCENARIOS)
+        for p in (1.5, 2.0, 2.5)
+    ]
+    for name, workload in sorted(_workloads().items()):
+        out += [(f"{name}/seed={seed}", workload.config_for(seed)) for seed in (1, 2, 3)]
+    return out
+
+
+def _digest(path: str) -> str:
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if path.endswith("summary.json"):
+        summary = json.loads(data)
+        del summary["timings"]
+        data = json.dumps(summary, indent=2, sort_keys=True).encode() + b"\n"
+    return hashlib.sha256(data).hexdigest()
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as work:
+        for k, (name, config) in enumerate(cases()):
+            out_dir = os.path.join(work, str(k))
+            write_artifacts(out_dir, execute(build_experiment(config)))
+            for artifact in ARTIFACTS:
+                print(f"{name} {artifact} {_digest(os.path.join(out_dir, artifact))}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
