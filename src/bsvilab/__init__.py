@@ -65,7 +65,6 @@ from .verify import (
     battery,
     check_apriori_bound,
     check_contraction,
-    check_ito_identity,
     check_variational_inequality,
     default_tolerance,
     penalty_monotonicity,

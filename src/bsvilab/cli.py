@@ -126,13 +126,7 @@ def execute(exp: Experiment) -> RunResult:
         "reference_error": ref,
         "tolerance": verifymod.default_tolerance(bundle),
         "verifications": [
-            {
-                "name": r.name,
-                "passed": bool(r.passed),
-                "worst_violation": float(r.worst_violation),
-                "tolerance": float(r.tolerance),
-            }
-            for r in reports
+            {k: v for k, v in r.as_dict().items() if k != "monitors"} for r in reports
         ],
         "all_passed": bool(all(r.passed for r in reports)),
         "timings": {
@@ -155,7 +149,7 @@ def _write_results_csv(path: str, result: RunResult) -> None:
     """
     sol = result.seq.solutions[result.exp.solver.eps_schedule[-1]]
     bundle = result.bundle
-    t = bundle.grid.nodes
+    t, dq = bundle.grid.nodes, bundle.dq
     n = bundle.grid.steps
     with open(path, "w", newline="") as fh:
         fh.write("step,t,Q,alpha,node_or_path,Y,Z,U,Kinc\r\n")
@@ -169,7 +163,7 @@ def _write_results_csv(path: str, result: RunResult) -> None:
             else:
                 row = head + "%d,%.17g,%.17g,%.17g,%.17g\r\n"
                 u = sol.level("U", i)
-                cols = (sol.level("Y", i), sol.level("Z", i), u, u * sol.dq[i])
+                cols = (sol.level("Y", i), sol.level("Z", i), u, u * dq[i])
             cols = [c.tolist() for c in cols]
             m = len(cols[0])
             fields = chain.from_iterable(zip(range(m), *cols, strict=True))

@@ -136,12 +136,11 @@ def envelope(spec: ConvexSpec, eps, y) -> np.ndarray:
 def yosida_gradient(spec: ConvexSpec, eps, y) -> np.ndarray:
     """Gradient of the envelope, (y - J_eps(y)) / eps.
 
-    For the indicator of [a, b] this is ((y - b)^+ - (a - y)^+) / eps.
+    For the indicator of [a, b] this is ((y - b)^+ - (a - y)^+) / eps,
+    bit for bit.
     """
     y = _require_finite("y", y)
     eps = _require_eps(eps)
-    if spec.kind == "interval":
-        return (np.maximum(y - spec.b, 0.0) - np.maximum(spec.a - y, 0.0)) / eps
     return (y - _resolvent(spec, eps, y)) / eps
 
 

@@ -12,7 +12,7 @@ exponential change of scale used by the verifier:
 with n_p = min(1, p - 1).
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -52,6 +52,7 @@ def gamma_shift(delta: float, q: float) -> float:
 @dataclass(frozen=True)
 class TimeGrid:
     nodes: np.ndarray
+    dt: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -61,9 +62,11 @@ class TimeGrid:
             raise ConfigError("grid: nodes must be finite")
         if nodes[0] != 0.0:
             raise ConfigError("grid: first node must be 0")
-        if np.any(np.diff(nodes) <= 0.0):
+        dt = np.diff(nodes)
+        if np.any(dt <= 0.0):
             raise ZeroStep("grid: nodes must be strictly increasing")
         object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "dt", dt)
 
     @staticmethod
     def uniform(horizon: float, steps: int) -> "TimeGrid":
@@ -80,10 +83,6 @@ class TimeGrid:
     @property
     def steps(self) -> int:
         return self.nodes.size - 1
-
-    @property
-    def dt(self) -> np.ndarray:
-        return np.diff(self.nodes)
 
 
 @dataclass(frozen=True)
@@ -157,7 +156,8 @@ class PathBundle:
     """Grid-aligned realization of the driving data.
 
     Per node (length N+1): A, Q, and after accumulation V, Vplus.
-    Per step (length N): dt, dq, alpha, with alpha_i * dq_i = dt_i.
+    Per step (length N): dt (the grid's), dq, dA, alpha, with
+    dq_i = dt_i + dA_i and alpha_i * dq_i = dt_i.
     Evaluation paths (shape (P, N) increments dB): on a lattice, levels[i]
     holds the distinct driver values of level i, a field laid out level
     after level holds level i in [offsets[i], offsets[i + 1]), and
@@ -169,6 +169,8 @@ class PathBundle:
     dB: np.ndarray
     A: np.ndarray
     Q: np.ndarray
+    dq: np.ndarray
+    dA: np.ndarray
     alpha: np.ndarray
     levels: Optional[list] = None
     offsets: Optional[np.ndarray] = None
@@ -183,15 +185,6 @@ class PathBundle:
     @property
     def dt(self) -> np.ndarray:
         return self.grid.dt
-
-    @property
-    def dq(self) -> np.ndarray:
-        # dt + dA, not diff(Q): rounding keeps it >= dt, so alpha <= 1
-        return self.dt + np.diff(self.A)
-
-    @property
-    def dA(self) -> np.ndarray:
-        return np.diff(self.A)
 
     def driver_paths(self) -> np.ndarray:
         """Driver values B along evaluation paths, shape (P, N+1)."""
@@ -254,9 +247,10 @@ def build_paths(
     dt = grid.dt
     A = a_spec.values(t)
     Q = t + A
+    dA = np.diff(A)
     # diff(t + A) can round below dt when dA is tiny; dt + dA cannot,
     # since A is non-decreasing and rounding is monotone
-    dq = dt + np.diff(A)
+    dq = dt + dA
     alpha = dt / dq
 
     levels = offsets = cells = None
@@ -287,7 +281,7 @@ def build_paths(
         cells = walks + offsets[:-1]
 
     return PathBundle(
-        grid=grid, kind=noise.kind, dB=dB, A=A, Q=Q, alpha=alpha,
+        grid=grid, kind=noise.kind, dB=dB, A=A, Q=Q, dq=dq, dA=dA, alpha=alpha,
         levels=levels, offsets=offsets, cells=cells,
     )
 

@@ -305,7 +305,6 @@ class SolutionField(_Levels):
     U: np.ndarray
     H: np.ndarray
     offsets: np.ndarray
-    dq: np.ndarray
     max_stiffness: float
 
     @property
@@ -433,7 +432,7 @@ def backward_sweep(
     solutions = [
         SolutionField(
             eps=float(eps), backend_kind=backend.kind, Y=y[r], Z=z[r], U=u[r], H=h[r],
-            offsets=off, dq=dq, max_stiffness=stiffness[r],
+            offsets=off, max_stiffness=stiffness[r],
         )
         for r, eps in enumerate(schedule)
     ]
@@ -539,18 +538,18 @@ class SmoothedProcess(_Levels):
     scale: float
 
 
-def smoothing_operator(
-    bundle: PathBundle, backend, u: np.ndarray, eps: float
-) -> SmoothedProcess:
+def smoothing_operator(backend, u: np.ndarray, eps: float) -> SmoothedProcess:
     """Exponential kernel smoothing of U at the time point eps.
 
-    U is one array over the N + 1 levels in the backend's layout.  The
-    kernel scale in clock units is Q at the first grid node with
-    t >= eps; values beyond the horizon are extended by holding the last
-    node value, which gives the kernel tail a closed form.
+    U is one array over the N + 1 levels of backend.bundle in the
+    backend's layout.  The kernel scale in clock units is Q at the first
+    grid node with t >= eps; values beyond the horizon are extended by
+    holding the last node value, which gives the kernel tail a closed
+    form.
     """
     if not (np.isfinite(eps) and eps > 0.0):
         raise DomainError(f"smoothing eps must be > 0, got {eps}")
+    bundle = backend.bundle
     n = bundle.grid.steps
     t = bundle.grid.nodes
     dq = bundle.dq

@@ -28,12 +28,13 @@ Every check reads the evaluation paths one window of steps at a time
 needs: per-node and per-step path means, running per-path extremes, and
 the carry of a running sum.  Two reductions run along whole paths and
 keep one (paths, nodes) array each: the time sum of the a-priori bound
-and the pathwise mean residual of the Ito identity.  A check called on
-whole arrays is the one-window case of the same code.
+and the pathwise mean residual of the Ito identity.  Test processes too
+are read a window at a time.  A function takes the backend when it
+needs conditional expectations, and the bundle otherwise.
 """
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -63,23 +64,14 @@ class TestProcess:
 
     M is defined by the exact reconstruction
     M_0 = gamma, M_{i+1} = M_i - N_i dQ_i + R_i dB_i.
-    N and R are (paths, steps) arrays, or callables (a, e) -> their
-    columns on the steps [a, e), for processes read from levels one
-    window at a time.
+    N and R are callables (a, e) -> their (paths, e - a) columns on the
+    steps [a, e), so a check reads a process one window at a time.
     """
 
     gamma: float
-    N: object
-    R: object
+    N: Callable
+    R: Callable
     label: str = "test"
-
-    def check_shape(self, bundle: PathBundle) -> None:
-        if any(not callable(x) and np.shape(x) != bundle.dB.shape for x in (self.N, self.R)):
-            raise GridMismatch("test process arrays do not match the bundle's paths")
-
-    def steps(self, a: int, e: int) -> tuple:
-        """(N, R) on the steps [a, e)."""
-        return tuple(x(a, e) if callable(x) else x[:, a:e] for x in (self.N, self.R))
 
 
 @dataclass
@@ -184,8 +176,6 @@ def _variational_profiles(
     (q, delta) of checks, the largest per-node path mean of |M - Y|^2 of
     processes[collapse] or None).
     """
-    for tp in processes:
-        tp.check_shape(bundle)
     n = bundle.grid.steps
     t, alpha, dq, dt, dB = bundle.grid.nodes, bundle.alpha, bundle.dq, bundle.dt, bundle.dB
     profiles = {(k, q, d): _Profile() for k in range(len(processes)) for q, d in checks}
@@ -202,7 +192,7 @@ def _variational_profiles(
         psi_y = _mixed_potential(phi, psi, alpha[a:e], y[:, : e - a], penalization_eps)
         driver_gap = np.maximum(driver_gap, np.max(np.abs(pw["H"] - h_fresh)))
         for k, tp in enumerate(processes):
-            n_steps, r_steps = tp.steps(a, e)
+            n_steps, r_steps = tp.N(a, e), tp.R(a, e)
             sums, carries[k] = _running_sum(
                 -n_steps * dq[a:e] + r_steps * dB[:, a:e], carries[k], b - a
             )
@@ -290,22 +280,40 @@ def check_variational_inequality(
     )
 
 
-def _ito_report(
-    windows, bundle: PathBundle, p: float, delta: float, tol: float, pathwise: bool
+def ito_report_from_solution(
+    sol: SolutionField, bundle: PathBundle, p: float, delta: float, tol: float
 ) -> VerificationReport:
-    """The Ito identity's report from windows ((a, b), Y, D, R) in grid order."""
+    """Residual of the norm-power transformation identity along the solution.
+
+    The semimartingale is Y_{i+1} = Y_i - D_i + Z_i dB_i with drift
+    increments D_i = (H_i - U_i) dQ_i playing the role of F dr.  The
+    squared-variation integral is realized as sum Z^2 dt and the
+    stochastic integral as sum <Y, Z dB>; on the binomial lattice
+    (dB)^2 = dt makes the p = 2, delta = 0 form an algebraic identity per
+    path, so the residual is taken path by path when the solution's
+    levels are lattice values from exact expectations (sol.lattice).
+    Otherwise (Monte Carlo paths, where dB^2 fluctuates around dt, or
+    regression values, which do not reconstruct exactly path by path)
+    the identity holds only after averaging, and the residual is the
+    worst interval gap of the path-averaged profile.
+    """
     if p < 2.0 and delta <= 0.0:
         raise DomainError("delta > 0 is required for p < 2")
     if delta < 0.0:
         raise DomainError(f"delta must be >= 0, got {delta}")
+    pathwise = sol.lattice
     n = bundle.grid.steps
-    dt, dB = bundle.dt, bundle.dB
+    dt, dq, dB = bundle.dt, bundle.dq, bundle.dB
     carry = None
     means = []  # per-node path means, when averaged
     high, low = -np.inf, np.inf  # per-path extremes, when pathwise
     residual = np.empty((bundle.n_paths, n + 1)) if pathwise else None
-    for (a, b), y_paths, drift_incr, r_paths in windows:
+    for a, b in bundle.windows():
         e = min(b, n)
+        pw = sol.paths(bundle, (a, b), "YZ")
+        y_paths, r_paths = pw["Y"], pw["Z"]
+        drift = sol.expand(bundle, sol.levels("H", a, e) - sol.levels("U", a, e), a, e)
+        drift_incr = drift * dq[a:e]
         yl = y_paths[:, : e - a]
         base = yl * yl + delta
         acc = (y_paths * y_paths + delta) ** (p / 2.0)
@@ -350,56 +358,6 @@ def _ito_report(
         tolerance=float(tol),
         monitors={"mean_abs_residual": float(np.mean(residual))},
     )
-
-
-def check_ito_identity(
-    y_paths: np.ndarray,
-    drift_incr: np.ndarray,
-    r_paths: np.ndarray,
-    bundle: PathBundle,
-    p: float,
-    delta: float,
-    tol: float,
-    pathwise: bool = False,
-) -> VerificationReport:
-    """Residual of the norm-power transformation identity.
-
-    The semimartingale is Y_{i+1} = Y_i - D_i + R_i dB_i with drift
-    increments D_i playing the role of F dr.  The squared-variation
-    integral is realized as sum R^2 dt and the stochastic integral as
-    sum <Y, R dB>; on the binomial lattice (dB)^2 = dt makes the p = 2,
-    delta = 0 form an algebraic identity per path, so callers pass
-    pathwise=True when they know the expectations were exact on a
-    lattice.  Otherwise (Monte Carlo paths, where dB^2 fluctuates around
-    dt, or regression values, which do not reconstruct exactly path by
-    path) the identity holds only after averaging, and the residual is
-    the worst interval gap of the path-averaged profile.  The arrays
-    here are one window that spans the grid.
-    """
-    n = bundle.grid.steps
-
-    def whole():
-        if y_paths.shape[1] != n + 1 or drift_incr.shape[1] != n or r_paths.shape[1] != n:
-            raise GridMismatch("path arrays do not conform to the bundle's grid")
-        yield (0, n + 1), y_paths, drift_incr, r_paths
-
-    return _ito_report(whole(), bundle, p, delta, tol, pathwise)
-
-
-def ito_report_from_solution(
-    sol: SolutionField, bundle: PathBundle, p: float, delta: float, tol: float
-) -> VerificationReport:
-    """check_ito_identity on the solution's (Y, (H - U) dQ, Z), a window at a time."""
-    dq = bundle.dq
-
-    def windows():
-        for a, b in bundle.windows():
-            pw = sol.paths(bundle, (a, b), "YZ")
-            e = min(b, bundle.grid.steps)
-            drift = sol.expand(bundle, sol.levels("H", a, e) - sol.levels("U", a, e), a, e)
-            yield (a, b), pw["Y"], drift * dq[a:e], pw["Z"]
-
-    return _ito_report(windows(), bundle, p, delta, tol, pathwise=sol.lattice)
 
 
 def check_contraction(
@@ -558,7 +516,9 @@ def penalty_monotonicity(
 
 
 def zero_process(bundle: PathBundle) -> TestProcess:
-    zeros = np.broadcast_to(0.0, bundle.dB.shape)
+    def zeros(a, e):
+        return np.broadcast_to(0.0, (bundle.n_paths, e - a))
+
     return TestProcess(0.0, zeros, zeros, label="zero")
 
 
@@ -575,12 +535,13 @@ def reconstruction_process(sol: SolutionField, bundle: PathBundle) -> TestProces
     return TestProcess(float(sol.level("Y", 0)[0]), drift, loading, label="reconstruction")
 
 
-def smoothed_midpoint_process(sol: SolutionField, bundle: PathBundle, backend) -> TestProcess:
+def smoothed_midpoint_process(sol: SolutionField, backend) -> TestProcess:
     """Exponential smoothing of the solution itself at scale
     max(4 max(dt), T/20), capped at T for grids of a few steps."""
+    bundle = backend.bundle
     horizon = bundle.grid.horizon
     smooth_eps = min(max(4.0 * float(np.max(bundle.dt)), 0.05 * horizon), horizon)
-    sm = smoothing_operator(bundle, backend, sol.Y, smooth_eps)
+    sm = smoothing_operator(backend, sol.Y, smooth_eps)
     sm.M = None  # the process keeps the N and R levels, not M
     return TestProcess(
         sm.gamma,
@@ -593,7 +554,8 @@ def smoothed_midpoint_process(sol: SolutionField, bundle: PathBundle, backend) -
 def random_step_process(
     bundle: PathBundle, seed: int, scale: float = 1.0, index: int = 0
 ) -> TestProcess:
-    """Piecewise-constant (N, R) with Gaussian values on 8 blocks, for probing."""
+    """Piecewise-constant (N, R) with Gaussian values on 8 blocks, for
+    probing; a window's columns are broadcast views of the per-step values."""
     gen = rngmod.aux_stream(seed, 1000 + index)
     n = bundle.grid.steps
     edges = np.linspace(0, n, 9).astype(int)
@@ -603,18 +565,15 @@ def random_step_process(
         nn[edges[k]:edges[k + 1]] = scale * gen.standard_normal()
         rr[edges[k]:edges[k + 1]] = scale * gen.standard_normal()
     gamma = float(scale * gen.standard_normal())
-    shape = bundle.dB.shape
-    return TestProcess(
-        gamma,
-        np.broadcast_to(nn, shape).copy(),
-        np.broadcast_to(rr, shape).copy(),
-        label=f"random-step-{index}",
-    )
+
+    def columns(values):
+        return lambda a, e: np.broadcast_to(values[a:e], (bundle.n_paths, e - a))
+
+    return TestProcess(gamma, columns(nn), columns(rr), label=f"random-step-{index}")
 
 
 def battery(
     sol: SolutionField,
-    bundle: PathBundle,
     backend,
     phi: ConvexSpec,
     psi: ConvexSpec,
@@ -631,13 +590,15 @@ def battery(
     windows gathers every check's profile (_variational_profiles), and
     each check forms its report from its profile.  Also reports the
     collapse of the reconstruction Gamma to the delta_q floor (the strong
-    solution seen through the inequality).
+    solution seen through the inequality).  The paths are those of
+    backend.bundle.
     """
+    bundle = backend.bundle
     tol = default_tolerance(bundle)
     processes = [
         zero_process(bundle),
         reconstruction_process(sol, bundle),
-        smoothed_midpoint_process(sol, bundle, backend),
+        smoothed_midpoint_process(sol, backend),
     ]
     checks = [
         (q, delta)
@@ -681,7 +642,7 @@ def verify_run(seq: SequenceResult, backend, phi, psi, gen: GeneratorSpec, p: fl
     tol = default_tolerance(bundle)
     sols = list(seq.solutions.values())
     final = sols[-1]
-    reports = battery(final, bundle, backend, phi, psi, gen, p)
+    reports = battery(final, backend, phi, psi, gen, p)
     reports.append(ito_report_from_solution(final, bundle, p, ITO_DELTA, tol))
     q = min(p, 2.0)
     for coarse, fine in zip(sols, sols[1:]):

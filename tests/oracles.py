@@ -18,6 +18,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from bsvilab import convex, verify
+from bsvilab import rng as rngmod
 from bsvilab.errors import DomainError
 from bsvilab.generators import (
     MollifierConfig,
@@ -124,7 +125,7 @@ def results_csv_oracle(path, result):
                         fmt(y_level[j]),
                         "" if last else fmt(sol.level("Z", i)[j]),
                         "" if last else fmt(sol.level("U", i)[j]),
-                        "" if last else fmt(sol.level("U", i)[j] * sol.dq[i]),
+                        "" if last else fmt(sol.level("U", i)[j] * bundle.dq[i]),
                     ]
                 )
 
@@ -379,7 +380,7 @@ def battery_oracle(sol, bundle, backend, phi, psi, gen, p):
     psi_y = _mixed_potential_oracle(phi, psi, alpha, pw["Y"][:, :-1], sol.eps)
     horizon = bundle.grid.horizon
     smooth_eps = min(max(4.0 * float(np.max(bundle.dt)), 0.05 * horizon), horizon)
-    sm = smoothing_operator(bundle, backend, sol.Y, smooth_eps)
+    sm = smoothing_operator(backend, sol.Y, smooth_eps)
     sm_n, sm_r = (
         _levels_on_paths(sol, bundle, [sm.level(name, i) for i in range(bundle.grid.steps)])
         for name in "NR"
@@ -409,8 +410,9 @@ def battery_oracle(sol, bundle, backend, phi, psi, gen, p):
     return reports
 
 
-def ito_oracle(sol, bundle, p, delta, tol):
-    """The norm-power identity on whole arrays."""
+def ito_oracle(sol, bundle, p, delta, tol, pathwise=None):
+    """The norm-power identity on whole arrays, path by path on lattice
+    solutions unless pathwise says otherwise."""
     pw = _paths_oracle(sol, bundle)
     y_paths, r_paths = pw["Y"], pw["Z"]
     drift_incr = (pw["H"] - pw["U"]) * bundle.dq
@@ -436,13 +438,27 @@ def ito_oracle(sol, bundle, p, delta, tol):
     incr = quad - p * weight * yl * drift_incr + p * weight * yl * r_paths * bundle.dB
     a = v_nodes.copy()
     a[:, 1:] -= np.cumsum(incr, axis=1)
-    if not sol.lattice:
+    if not (sol.lattice if pathwise is None else pathwise):
         a = np.mean(a, axis=0, keepdims=True)
     worst = float(np.max(np.max(a, axis=-1) - np.min(a, axis=-1)))
     return verify.VerificationReport(
         f"ito-identity p={p:g} delta={delta:g}", bool(worst <= tol), worst, float(tol),
         {"mean_abs_residual": float(np.mean(np.abs(a - a[:, :1])))},
     )
+
+
+def random_step_process_oracle(bundle, seed, scale=1.0, index=0):
+    """(gamma, N, R) of a random-step process, N and R as whole (paths,
+    steps) arrays."""
+    gen = rngmod.aux_stream(seed, 1000 + index)
+    n = bundle.grid.steps
+    edges = np.linspace(0, n, 9).astype(int)
+    nn, rr = np.zeros(n), np.zeros(n)
+    for k in range(8):
+        nn[edges[k]:edges[k + 1]] = scale * gen.standard_normal()
+        rr[edges[k]:edges[k + 1]] = scale * gen.standard_normal()
+    gamma = float(scale * gen.standard_normal())
+    return gamma, np.broadcast_to(nn, bundle.dB.shape), np.broadcast_to(rr, bundle.dB.shape)
 
 
 def contraction_oracle(sol_a, sol_b, bundle, q, tol):

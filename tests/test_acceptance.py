@@ -280,7 +280,7 @@ def test_acceptance_09_smoothing_operator_bounds(capsys):
     backend = make_backend(tree, SolverConfig())
 
     const = np.full(45, 3.0)  # levels of 1, ..., 9 nodes
-    sm = smoothing_operator(tree, backend, const, 0.2)
+    sm = smoothing_operator(backend, const, 0.2)
     fixed = float(np.max(np.abs(sm.M - 3.0)))
 
     rng = np.random.default_rng(23)
@@ -289,7 +289,7 @@ def test_acceptance_09_smoothing_operator_bounds(capsys):
         v = rng.uniform(-3.0, 3.0, 4)
         u = np.concatenate([np.full(i + 1, v[min(3, (4 * i) // 9)]) for i in range(9)])
         eps = float(rng.choice([0.05, 0.1, 0.3]))
-        sm = smoothing_operator(tree, backend, u, eps)
+        sm = smoothing_operator(backend, u, eps)
         sup_u = float(np.max(np.abs(u)))
         sup_m = float(np.max(np.abs(sm.M)))
         sup_defect = max(sup_defect, sup_m - sup_u)
@@ -298,7 +298,7 @@ def test_acceptance_09_smoothing_operator_bounds(capsys):
                                 NoiseModel.deterministic(), ZERO_A))
     dbackend = make_backend(det, SolverConfig())
     t = det.grid.nodes
-    sm = smoothing_operator(det, dbackend, t.copy(), 0.01)  # one node per level
+    sm = smoothing_operator(dbackend, t.copy(), 0.01)  # one node per level
     root = np.sqrt(sm.scale)
     modulus_bound = root * 1.0 + 2.0 * np.exp(1.0 - 1.0 / root) * 1.0
     modulus = max(float(np.max(np.abs(sm.level("M", i) - ti)))

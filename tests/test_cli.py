@@ -564,7 +564,7 @@ def _hand_built_result(y_levels, z, u, dq):
     sol = SolutionField(
         eps=0.05, backend_kind="tree", Y=np.concatenate(y_levels), Z=np.array(z),
         U=np.array(u), H=np.zeros(len(u)), offsets=np.cumsum([0] + [len(y) for y in y_levels]),
-        dq=np.array(dq), max_stiffness=0.0,
+        max_stiffness=0.0,
     )
     return SimpleNamespace(
         exp=SimpleNamespace(solver=SimpleNamespace(eps_schedule=(0.1, 0.05))),
@@ -572,6 +572,7 @@ def _hand_built_result(y_levels, z, u, dq):
         bundle=SimpleNamespace(
             grid=SimpleNamespace(nodes=np.linspace(0.0, 1.0, steps + 1), steps=steps),
             Q=np.linspace(0.0, 1.0, steps + 1),
+            dq=np.array(dq),
             alpha=np.linspace(1.0, 0.25, steps),
         ),
     )

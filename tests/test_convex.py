@@ -65,6 +65,21 @@ def test_indicator_gradient_formula_on_grid():
     formula = (np.maximum(y - b, 0.0) - np.maximum(a - y, 0.0)) / eps
     assert np.array_equal(yosida_gradient(IND11, eps, y), formula)
 
+    # on edge values the generic (y - clip(y, a, b)) / eps is the formula
+    # bit for bit, signed zeros included
+    sub, tiny = 5e-324, np.finfo(float).tiny
+    intervals = [(-1.0, 1.0), (-np.inf, 0.0), (0.0, np.inf), (-np.inf, np.inf), (0.0, 1.0), (-sub, sub)]
+    edges = [0.0, sub, tiny, 1e-300, 1e-16, 0.5, 1.0, 2.0, 1e300]
+    bounds = [x for ab in intervals for x in ab if np.isfinite(x)]
+    edges += bounds + [np.nextafter(x, s) for x in bounds for s in (-np.inf, np.inf)]
+    y = np.array(edges + [-x for x in edges])
+    for a, b in intervals:
+        for eps in (1.0, 0.1, 0.025, 1e-3, 3.7):
+            got = yosida_gradient(ConvexSpec.interval(a, b), eps, y)
+            want = (np.maximum(y - b, 0.0) - np.maximum(a - y, 0.0)) / eps
+            assert np.all(got == want), (a, b, eps)
+            assert np.array_equal(np.signbit(got), np.signbit(want)), (a, b, eps)
+
 
 def test_combined_gradient_values():
     assert np.isclose(combined_gradient(IND11, IND11, 0.3, 0.1, 1.5), 5.0, atol=1e-12)

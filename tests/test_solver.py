@@ -159,9 +159,10 @@ def test_reflection_scenario_plateau_and_profile():
 def test_penalization_force_single_sign_for_one_sided_wall():
     gen = GeneratorSpec.from_expressions("1", "0")
     cfg = SolverConfig(eps_schedule=(0.05,))
-    sol = solve_penalized(det_bundle(400), HALFLINE, ZERO, gen, terminal_const(-0.5), 0.05, cfg)
+    bundle = det_bundle(400)
+    sol = solve_penalized(bundle, HALFLINE, ZERO, gen, terminal_const(-0.5), 0.05, cfg)
     # Kinc = U dQ per level, as results.csv writes it
-    kinc = [sol.level("U", i) * sol.dq[i] for i in range(400)]
+    kinc = [sol.level("U", i) * bundle.dq[i] for i in range(400)]
     for k in kinc:
         assert np.all(k >= -1e-15)
     total = sum(float(np.sum(np.abs(k))) for k in kinc)
@@ -319,7 +320,7 @@ def test_smoothing_of_constant_is_a_fixed_point():
     bundle = tree_bundle(8)
     backend = make_backend(bundle, SolverConfig())
     u = np.full(45, 3.0)  # levels of 1, ..., 9 nodes
-    sm = smoothing_operator(bundle, backend, u, 0.2)
+    sm = smoothing_operator(backend, u, 0.2)
     assert sm.M.size == u.size and sm.N.size == sm.R.size == u.size - 9
     assert np.allclose(sm.M, 3.0, rtol=0, atol=1e-12)
     assert np.allclose(sm.N, 0.0, rtol=0, atol=1e-12)
@@ -332,7 +333,7 @@ def test_smoothing_never_exceeds_the_source_sup():
     rng = np.random.default_rng(5)
     for _ in range(10):
         u = rng.uniform(-2.0, 2.0, 45)
-        sm = smoothing_operator(bundle, backend, u, 0.3)
+        sm = smoothing_operator(backend, u, 0.3)
         sup_u = float(np.max(np.abs(u)))
         sup_m = float(np.max(np.abs(sm.M)))
         assert sup_m <= sup_u + 1e-12
@@ -343,16 +344,16 @@ def test_smoothing_modulus_bound_for_linear_source():
     backend = make_backend(bundle, SolverConfig())
     t = bundle.grid.nodes
     u = t.copy()  # one node per level
-    sm = smoothing_operator(bundle, backend, u, 0.01)
+    sm = smoothing_operator(backend, u, 0.01)
     scale = sm.scale
     bound = np.sqrt(scale) * 1.0 + 2.0 * np.exp(1.0 - 1.0 / np.sqrt(scale)) * 1.0
     worst = max(float(np.max(np.abs(sm.level("M", i) - ti))) for i, ti in enumerate(t))
     assert worst <= bound
     with pytest.raises(DomainError):
-        smoothing_operator(bundle, backend, u, 2.0)
+        smoothing_operator(backend, u, 2.0)
     for bad in (0.0, -0.1, np.nan, np.inf):
         with pytest.raises(DomainError):
-            smoothing_operator(bundle, backend, u, bad)
+            smoothing_operator(backend, u, bad)
 
 
 def test_mollified_linear_driver_leaves_solution_unchanged():
@@ -521,7 +522,8 @@ def test_rows_outside_their_budget_skip_the_driver_and_the_penalty(monkeypatch):
     assert_matches_oracle(seq, ref)
 
     exp = build_experiment(config)
-    a_left = build_paths(exp.grid, exp.noise, exp.a_spec).A[:-1]
+    bundle = build_paths(exp.grid, exp.noise, exp.a_spec)
+    a_left = bundle.A[:-1]
     out = a_left > 2.0
     assert out.any() and not out.all() and np.all(a_left <= 10.0)
     # one driver call per step, carrying only the rows inside their budget
@@ -531,7 +533,7 @@ def test_rows_outside_their_budget_skip_the_driver_and_the_penalty(monkeypatch):
         for level in (coarse.level("H", i), coarse.level("U", i)):
             assert level.tobytes() == np.zeros_like(level).tobytes()
         assert np.all(fine.level("H", i) != 0.0)
-    dq = seq.solutions[0.5].dq
+    dq = bundle.dq
     assert coarse.max_stiffness == float(np.max(dq[~out] / 0.5))
     assert fine.max_stiffness == float(np.max(dq / 0.1))
 
@@ -630,7 +632,7 @@ def test_regression_factors_each_date_once_per_pass(monkeypatch):
     # date 0 is the sample mean; dates 1 .. steps-1 are factored once each
     assert calls["svd"] <= steps - 1
     calls["svd"] = 0
-    smoothing_operator(bundle, backend, sol.Y, 0.2)
+    smoothing_operator(backend, sol.Y, 0.2)
     assert calls["svd"] <= steps - 1
     assert calls["lstsq"] == 0
 
@@ -653,7 +655,7 @@ def test_one_pass_smoothing_matches_the_two_loop_oracle(kind, eps):
     else:
         sizes = [level.size for level in bundle.levels]
     u = [rng.uniform(-2.0, 2.0, size) for size in sizes]
-    got = smoothing_operator(bundle, backend, np.concatenate(u), eps)
+    got = smoothing_operator(backend, np.concatenate(u), eps)
     want = smoothing_operator_oracle(bundle, backend, u, eps)
     assert (got.gamma, got.i_eps, got.scale) == (want.gamma, want.i_eps, want.scale)
     for key in "MNR":

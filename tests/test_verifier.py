@@ -27,7 +27,6 @@ from bsvilab.verify import (
     check_apriori_bound,
     check_contraction,
     check_energy_bound,
-    check_ito_identity,
     check_variational_inequality,
     default_tolerance,
     ito_report_from_solution,
@@ -37,7 +36,12 @@ from bsvilab.verify import (
     smoothed_midpoint_process,
     zero_process,
 )
-from oracles import penalty_monotonicity_oracle, verify_run_oracle
+from oracles import (
+    ito_oracle,
+    penalty_monotonicity_oracle,
+    random_step_process_oracle,
+    verify_run_oracle,
+)
 
 ZERO = ConvexSpec.zero()
 IND11 = ConvexSpec.interval(-1.0, 1.0)
@@ -119,8 +123,11 @@ def test_variational_inequality_rejects_bad_exponent():
 
 def test_martingale_against_itself_is_exact():
     bundle, sol = martingale_solution()
-    shape = bundle.dB.shape
-    tp = ComparisonProcess(0.0, np.zeros(shape), np.ones(shape), label="self")
+    paths = bundle.n_paths
+    tp = ComparisonProcess(
+        0.0, lambda a, e: np.zeros((paths, e - a)), lambda a, e: np.ones((paths, e - a)),
+        label="self",
+    )
     rep = check_variational_inequality(
         sol, tp, ZERO, ZERO, ZERO_GEN, bundle, q=2.0, delta=0.1, tol=1e-13
     )
@@ -190,13 +197,9 @@ def test_ito_residual_halves_with_the_step():
     for steps in (100, 200):
         bundle = det_bundle(steps)
         sol = solve_penalized(bundle, ZERO, ZERO, gen, terminal_const(1.0), 0.1, CFG)
-        y = sol.paths(bundle)["Y"]
-        # drift increments realized from the dynamics, not the solver state:
-        # the step reads Y_{i+1} = Y_i - D_i, and D = F dt = -y dt here
-        drift = -y[:, :-1] * bundle.dt
-        rep = check_ito_identity(
-            y, drift, np.zeros_like(bundle.dB), bundle, p=2.0, delta=0.0, tol=1.0
-        )
+        # the solver's drift is the explicit H dQ = -Y_{i+1} dt, which the
+        # identity weights by Y_i: the residual is first order in dt
+        rep = ito_report_from_solution(sol, bundle, p=2.0, delta=0.0, tol=1.0)
         res.append(rep.worst_violation)
     assert 1.5 <= res[0] / res[1] <= 2.5
 
@@ -207,23 +210,14 @@ def test_ito_identity_validation_and_mc_mode():
         ito_report_from_solution(sol, bundle, p=1.5, delta=0.0, tol=1.0)
     with pytest.raises(DomainError):
         ito_report_from_solution(sol, bundle, p=2.0, delta=-0.1, tol=1.0)
-    pw = sol.paths(bundle)
-    with pytest.raises(GridMismatch):
-        check_ito_identity(
-            pw["Y"][:, :-1], np.zeros_like(bundle.dB), np.zeros_like(bundle.dB),
-            bundle, p=2.0, delta=0.0, tol=1.0,
-        )
 
     mc = weighted(build_paths(TimeGrid.uniform(1.0, 16), NoiseModel.gaussian_mc(4000, seed=2), ZERO_A))
     cfg = SolverConfig(eps_schedule=(0.1,), ce="lsq", degree=3)
     msol = solve_penalized(mc, ZERO, ZERO, ZERO_GEN, terminal_driver, 0.1, cfg)
     averaged = ito_report_from_solution(msol, mc, p=2.0, delta=0.0, tol=default_tolerance(mc))
     assert averaged.passed
-    pw = msol.paths(mc)
-    drift = (pw["H"] - pw["U"]) * mc.dq
-    forced = check_ito_identity(
-        pw["Y"], drift, pw["Z"], mc, p=2.0, delta=0.0, tol=1.0, pathwise=True
-    )
+    # the worst per-path range, from whole arrays
+    forced = ito_oracle(msol, mc, p=2.0, delta=0.0, tol=1.0, pathwise=True)
     # pathwise residuals do not vanish off the lattice; averaging is the point
     assert forced.worst_violation > 10 * averaged.worst_violation
 
@@ -332,6 +326,32 @@ def test_zero_potential_solutions_pass_random_probes():
             assert rep.passed, rep.name
 
 
+def test_step_processes_read_windows_without_path_copies():
+    # 8 random-step processes and the zero process on 16384 x 128 paths:
+    # whole (paths, steps) arrays would hold 256 MB
+    grid = TimeGrid.uniform(1.0, 128)
+    bundle = build_paths(grid, NoiseModel.gaussian_mc(16384, seed=4), ZERO_A)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        processes = [random_step_process(bundle, seed=7, index=k) for k in range(8)]
+        processes.append(zero_process(bundle))
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 1 << 20
+    wholes = [random_step_process_oracle(bundle, seed=7, index=k) for k in range(8)]
+    zeros = np.broadcast_to(0.0, bundle.dB.shape)
+    wholes.append((0.0, zeros, zeros))
+    for tp, (gamma, n_whole, r_whole) in zip(processes, wholes):
+        assert tp.gamma == gamma
+        for a, b in bundle.windows():
+            e = min(b, grid.steps)
+            for got, want in ((tp.N(a, e), n_whole), (tp.R(a, e), r_whole)):
+                assert got.shape == (bundle.n_paths, e - a)
+                assert got.tobytes() == want[:, a:e].tobytes()
+
+
 def test_reconstruction_process_collapses_gamma():
     bundle, sol = martingale_solution()
     tp = reconstruction_process(sol, bundle)
@@ -351,7 +371,7 @@ def test_battery_composition_and_verdicts(monkeypatch):
     # one path: a gate of 0.25, tighter than the default 5.01
     monkeypatch.setattr(verify, "C_DT", 0.0)
     monkeypatch.setattr(verify, "C_MC", 0.25)
-    reports = battery(sol, bundle, backend, HALFLINE, ZERO, gen, p=2.0)
+    reports = battery(sol, backend, HALFLINE, ZERO, gen, p=2.0)
     # 3 processes x one q = 2 check (its Gamma shift is 0 at every delta) + collapse
     assert len(reports) == 4
     names = [r.name for r in reports]
@@ -363,7 +383,7 @@ def test_battery_composition_and_verdicts(monkeypatch):
         assert rep.passed, rep.name
         assert rep.tolerance == 0.25
 
-    lowp = battery(sol, bundle, backend, HALFLINE, ZERO, gen, p=1.5)
+    lowp = battery(sol, backend, HALFLINE, ZERO, gen, p=1.5)
     assert len(lowp) == 13  # 3 processes x (3 deltas at q = 1.5 + q = 2) + collapse
 
 
@@ -386,11 +406,11 @@ def test_battery_shares_candidate_terms_without_changing_reports(p):
     gen = GeneratorSpec.from_expressions("2 - y + 0.5 * z", "0")
     sol = solve_penalized(bundle, IND11, ZERO, gen, lambda b, a: 1.2 * b, 0.1, CFG)
     backend = make_backend(bundle, CFG)
-    got = battery(sol, bundle, backend, IND11, ZERO, gen, p)
+    got = battery(sol, backend, IND11, ZERO, gen, p)
     processes = [
         zero_process(bundle),
         reconstruction_process(sol, bundle),
-        smoothed_midpoint_process(sol, bundle, backend),
+        smoothed_midpoint_process(sol, backend),
     ]
     tol = default_tolerance(bundle)
     want = [
@@ -423,13 +443,13 @@ def test_battery_evaluates_each_gamma_shift_once(monkeypatch, p, calls):
         return check_variational_inequality(*args, **kwargs)
 
     monkeypatch.setattr(verify, "check_variational_inequality", counting)
-    got = battery(final, bundle, backend, exp.phi, exp.psi, exp.gen, p)
+    got = battery(final, backend, exp.phi, exp.psi, exp.gen, p)
     assert len(made) == calls
 
     processes = [
         zero_process(bundle),
         reconstruction_process(final, bundle),
-        smoothed_midpoint_process(final, bundle, backend),
+        smoothed_midpoint_process(final, backend),
     ]
     tol = default_tolerance(bundle)
     want = [
@@ -460,7 +480,7 @@ def test_verify_run_is_the_plan_of_a_run(p):
     final = sols[-1]
     tol = default_tolerance(bundle)
     eta = final.paths(bundle)["Y"][:, -1]
-    want = battery(final, bundle, backend, exp.phi, exp.psi, exp.gen, p)
+    want = battery(final, backend, exp.phi, exp.psi, exp.gen, p)
     want.append(ito_report_from_solution(final, bundle, p, verify.ITO_DELTA, tol))
     for a, b in zip(sols, sols[1:]):
         want.append(check_contraction(a, b, bundle, min(p, 2.0), max(tol, 2.0 * (a.eps + b.eps))))
