@@ -7,12 +7,13 @@
 
 `run` realizes the noise, solves along the penalization schedule, runs
 the checks that verify.verify_run plans, and writes results.csv, verify.json,
-summary.json, and config_echo.json into the output directory.  Floats
-in CSV artifacts carry 17 significant digits so that a re-run with the
-same recorded seed reproduces them byte for byte; summary.json isolates
-wall-clock timings in a single key for the same reason.  `verify`
-rebuilds an experiment from a run directory's config echo and exits
-nonzero if any check fails.
+summary.json, config_echo.json and profile.json into the output directory.
+Floats in CSV artifacts carry 17 significant digits so that a re-run with
+the same recorded seed reproduces them byte for byte.  The wall-clock
+timings (solve, verify, total and the results.csv write) live in
+profile.json alone, so every other artifact repeats byte for byte too.
+`verify` rebuilds an experiment from a run directory's config echo and
+exits nonzero if any check fails.
 """
 
 import argparse
@@ -24,7 +25,6 @@ import os
 import sys
 import time
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -49,6 +49,10 @@ SCENARIO_NOTES = {
     "two_barrier_driven": "two barriers with constant push F = 2",
     "clocked_decay": "decay G = -y carried entirely by the clock A",
 }
+
+
+RESULTS_HEADER = b"step,t,Q,alpha,node_or_path,Y,Z,U,Kinc\r\n"
+BLOCK_ROWS = 1024  # rows per block of results.csv: 4096 float cells
 
 
 def fmt(x) -> str:
@@ -81,6 +85,7 @@ class RunResult:
     seq: object
     reports: list
     summary: dict
+    timings: dict
 
 
 def execute(exp: Experiment) -> RunResult:
@@ -129,74 +134,111 @@ def execute(exp: Experiment) -> RunResult:
             {k: v for k, v in r.as_dict().items() if k != "monitors"} for r in reports
         ],
         "all_passed": bool(all(r.passed for r in reports)),
-        "timings": {
-            "solve_s": solve_s,
-            "verify_s": verify_s,
-            "total_s": time.perf_counter() - t_total,
-        },
     }
-    return RunResult(exp=exp, bundle=bundle, seq=seq, reports=reports, summary=summary)
+    timings = {
+        "solve_s": solve_s,
+        "verify_s": verify_s,
+        "total_s": time.perf_counter() - t_total,
+    }
+    return RunResult(
+        exp=exp, bundle=bundle, seq=seq, reports=reports, summary=summary, timings=timings
+    )
 
 
-def _write_results_csv(path: str, result: RunResult) -> None:
-    """One row per node (lattice) or path, written one level at a time;
-    Kinc is U dQ.
+def _write_results_csv(path: str, result: RunResult) -> str:
+    """One row per node (lattice) or path; Kinc is U dQ.  Returns the
+    sha256 of the bytes written.
 
     The bytes are those of csv.writer's default dialect: fields need no
     quoting, rows end in CRLF, and the last step leaves alpha, Z, U and
-    Kinc empty.  Each level is one %-format of its row template repeated
-    once per row; %.17g writes the bytes of fmt.
+    Kinc empty.  Rows go out BLOCK_ROWS at a time, across levels: each
+    block is a NUL-padded byte table of [head | index | ,Y | ,Z | ,U |
+    ,Kinc | CRLF] per row, compacted by dropping the NULs, which no field
+    contains.  The head (step, t, Q, alpha) is fmt per level, and the
+    floats are g17.cells, the bytes of fmt.
     """
+    # imported on first use: `verify`, `sweep` and `list-scenarios` write
+    # no results.csv, and need neither its compile nor its tables
+    from . import g17
+
     sol = result.seq.solutions[result.exp.solver.eps_schedule[-1]]
     bundle = result.bundle
     t, dq = bundle.grid.nodes, bundle.dq
     n = bundle.grid.steps
-    with open(path, "w", newline="") as fh:
-        fh.write("step,t,Q,alpha,node_or_path,Y,Z,U,Kinc\r\n")
-        for i in range(n + 1):
-            last = i == n
-            alpha = "" if last else fmt(bundle.alpha[i])
-            head = f"{i},{fmt(t[i])},{fmt(bundle.Q[i])},{alpha},"
-            if last:
-                row = head + "%d,%.17g,,,\r\n"
-                cols = (sol.level("Y", i),)
-            else:
-                row = head + "%d,%.17g,%.17g,%.17g,%.17g\r\n"
-                u = sol.level("U", i)
-                cols = (sol.level("Y", i), sol.level("Z", i), u, u * dq[i])
-            cols = [c.tolist() for c in cols]
-            m = len(cols[0])
-            fields = chain.from_iterable(zip(range(m), *cols, strict=True))
-            fh.write((row * m) % tuple(fields))
+    sizes = np.array([sol.level("Y", i).size for i in range(n + 1)])
+    ends = np.cumsum(sizes)
+    y, z, u = sol.levels("Y", 0, n + 1), sol.levels("Z", 0, n), sol.levels("U", 0, n)
+    inner = y.size - sizes[n]  # rows before the last step's
+    if z.size != inner or u.size != inner:
+        raise ValueError("Z and U do not fill the levels of Y")
+    heads = np.array(
+        [
+            f"{i},{fmt(t[i])},{fmt(bundle.Q[i])},{'' if i == n else fmt(bundle.alpha[i])},"
+            for i in range(n + 1)
+        ],
+        dtype=bytes,
+    )
+    head_width = heads.itemsize
+    heads = heads.view(np.dtype((np.void, head_width)))
+    place = 10 ** np.arange(len(str(sizes.max() - 1)))[::-1, None]  # of the index
+    start = head_width + len(place)  # the comma before Y
+    slot = 1 + g17.WIDTH
 
+    def block(r0):
+        """The bytes of the rows from r0 on, BLOCK_ROWS of them or the
+        rest; its arrays are freed when it returns."""
+        rows = np.arange(r0, min(r0 + BLOCK_ROWS, y.size))
+        level = np.searchsorted(ends, rows, side="right")
+        q = min(rows.size, max(inner - r0, 0))  # rows with Z, U and Kinc
+        values = np.zeros((rows.size, 4))
+        values[:, 0] = y[r0:r0 + rows.size]
+        values[:q, 1] = z[r0:r0 + q]
+        values[:q, 2] = u[r0:r0 + q]
+        values[:q, 3] = values[:q, 2] * dq[level[:q]]
+        text = g17.cells(values).reshape(rows.size, 4, g17.WIDTH)
+        buf = np.zeros((rows.size, start + 4 * slot + 2), np.uint8)
+        buf[:, :head_width] = heads[level].view(np.uint8).reshape(rows.size, head_width)
+        index = rows - ends[level] + sizes[level]
+        digits = (index // place % 10 + ord("0")) * ((index >= place) | (place == 1))
+        buf[:, head_width:start] = digits.T  # leading zeros are NUL
+        floats = buf[:, start:-2].reshape(rows.size, 4, slot)
+        floats[:, :, 0] = ord(",")
+        floats[:, :, 1:] = text
+        floats[q:, 1:, 1:] = 0  # the last step has no Z, U or Kinc
+        buf[:, -2:] = (13, 10)
+        return buf[buf != 0]
 
-def _sha256(path: str) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
+    digest = hashlib.sha256(RESULTS_HEADER)
+    with open(path, "wb") as fh:
+        fh.write(RESULTS_HEADER)
+        for r0 in range(0, y.size, BLOCK_ROWS):
+            chunk = block(r0)
             digest.update(chunk)
+            fh.write(chunk)
     return digest.hexdigest()
 
 
-def _json_dump(path: str, payload) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _json_dump(path: str, payload) -> str:
+    """Write payload as indented JSON; returns the sha256 of the bytes."""
+    data = (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
+    with open(path, "wb") as fh:
+        fh.write(data)
+    return hashlib.sha256(data).hexdigest()
 
 
 def write_artifacts(out_dir: str, result: RunResult) -> dict:
     _make_out_dir(out_dir)
-    results_path = os.path.join(out_dir, "results.csv")
-    verify_path = os.path.join(out_dir, "verify.json")
-    _write_results_csv(results_path, result)
-    _json_dump(verify_path, [r.as_dict() for r in result.reports])
+    t_write = time.perf_counter()
+    results_sha = _write_results_csv(os.path.join(out_dir, "results.csv"), result)
+    write_s = time.perf_counter() - t_write
+    verify_sha = _json_dump(
+        os.path.join(out_dir, "verify.json"), [r.as_dict() for r in result.reports]
+    )
     _json_dump(os.path.join(out_dir, "config_echo.json"), result.exp.echo)
     summary = dict(result.summary)
-    summary["artifact_hashes"] = {
-        "results.csv": _sha256(results_path),
-        "verify.json": _sha256(verify_path),
-    }
+    summary["artifact_hashes"] = {"results.csv": results_sha, "verify.json": verify_sha}
     _json_dump(os.path.join(out_dir, "summary.json"), summary)
+    _json_dump(os.path.join(out_dir, "profile.json"), {**result.timings, "write_s": write_s})
     return summary
 
 

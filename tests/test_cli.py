@@ -1,8 +1,10 @@
 import csv
+import gc
 import hashlib
 import importlib.util
 import json
 import math
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -263,13 +265,14 @@ def test_run_writes_byte_identical_artifacts(tmp_path):
     assert main(["run", "--config", cfg, "--out", out1]) == 0
     assert main(["run", "--config", cfg, "--out", out2]) == 0
 
-    for fname in ("results.csv", "verify.json", "config_echo.json"):
+    # wall-clock data lives in profile.json, so every other artifact repeats
+    for fname in ("results.csv", "verify.json", "config_echo.json", "summary.json"):
         assert Path(out1, fname).read_bytes() == Path(out2, fname).read_bytes(), fname
+    profile = json.loads(Path(out1, "profile.json").read_text())
+    assert set(profile) == {"solve_s", "verify_s", "total_s", "write_s"}
 
     s1 = json.loads(Path(out1, "summary.json").read_text())
-    s2 = json.loads(Path(out2, "summary.json").read_text())
-    s1.pop("timings"), s2.pop("timings")
-    assert s1 == s2
+    assert "timings" not in s1
 
     blob = Path(out1, "results.csv").read_bytes()
     assert s1["artifact_hashes"]["results.csv"] == hashlib.sha256(blob).hexdigest()
@@ -500,11 +503,17 @@ def test_execute_summary_structure(tmp_path):
     assert s["scenario"] == "martingale"
     assert s["noise"] == {"kind": "tree", "eval_paths": 512}
     assert s["weight_monitor"] == {"max_exp_pV": 1.0, "exp_pVplus_N": 1.0}
-    assert set(s["timings"]) == {"solve_s", "verify_s", "total_s"}
+    assert "timings" not in s
+    assert set(res.timings) == {"solve_s", "verify_s", "total_s"}
     assert s["config"]["seed"] == 5
     assert s["reference_error"] == 0.0
     written = write_artifacts(str(tmp_path / "out"), res)
     assert set(written["artifact_hashes"]) == {"results.csv", "verify.json"}
+    for name, digest in written["artifact_hashes"].items():
+        assert hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest() == digest
+    profile = json.loads((tmp_path / "out" / "profile.json").read_text())
+    assert profile == {**res.timings, "write_s": profile["write_s"]}
+    assert profile["write_s"] > 0.0
 
 
 def test_reference_error_needs_the_presets_data():
@@ -607,6 +616,23 @@ def test_results_csv_writer_refuses_ragged_levels(tmp_path):
     )
     with pytest.raises(ValueError):
         cli._write_results_csv(str(tmp_path / "got.csv"), result)
+
+
+def test_results_csv_writer_memory_is_one_block(tmp_path):
+    # 68000 rows, 67 blocks: a 4.4 MB file written by a writer that holds
+    # about one block, never the whole text
+    res = execute(build_experiment(
+        {"scenario": "mc_martingale", "grid": {"steps": 16}, "noise": {"paths": 4000}}
+    ))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        cli._write_results_csv(str(tmp_path / "results.csv"), res)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "results.csv").stat().st_size > 4 << 20
+    assert peak < 4 << 20
 
 
 def test_summary_reports_the_penalty_per_eps():

@@ -3,8 +3,8 @@
     python tools/artifact_hashes.py > hashes.txt
 
 One line per case and artifact: results.csv, verify.json,
-config_echo.json, and summary.json with its wall-clock `timings` key
-left out.  The cases are the seven presets at p = 1.5, 2 and 2.5, and
+config_echo.json and summary.json; the wall-clock profile.json is left
+out.  The cases are the seven presets at p = 1.5, 2 and 2.5, and
 the three benchmark workloads (perfbench/workloads.py) at seeds 1 to 3.
 Running it on two checkouts and diffing the outputs shows whether a
 change moved any artifact byte; running it twice under different
@@ -14,7 +14,6 @@ The bsvilab imported is the one under this checkout's src/.
 
 import hashlib
 import importlib.util
-import json
 import os
 import sys
 import tempfile
@@ -50,12 +49,7 @@ def cases() -> list:
 
 def _digest(path: str) -> str:
     with open(path, "rb") as fh:
-        data = fh.read()
-    if path.endswith("summary.json"):
-        summary = json.loads(data)
-        del summary["timings"]
-        data = json.dumps(summary, indent=2, sort_keys=True).encode() + b"\n"
-    return hashlib.sha256(data).hexdigest()
+        return hashlib.sha256(fh.read()).hexdigest()
 
 
 def main() -> int:
