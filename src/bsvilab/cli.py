@@ -165,7 +165,7 @@ def _write_results_csv(path: str, result: RunResult) -> str:
     bundle = result.bundle
     t, dq = bundle.grid.nodes, bundle.dq
     n = bundle.grid.steps
-    sizes = np.array([sol.level("Y", i).size for i in range(n + 1)])
+    sizes = np.diff(sol.offsets)
     ends = np.cumsum(sizes)
     y, z, u = sol.levels("Y", 0, n + 1), sol.levels("Z", 0, n), sol.levels("U", 0, n)
     inner = y.size - sizes[n]  # rows before the last step's

@@ -96,7 +96,15 @@ def compile_expression(text: str, variables=("t", "y", "z")) -> Callable:
 
 @dataclass(frozen=True)
 class GeneratorSpec:
-    """Pair of drivers with their structural coefficients."""
+    """Pair of drivers with their structural coefficients.
+
+    F(t, y, z) and G(t, y) are elementwise: their arguments are arrays
+    that broadcast together, and entry k of the value depends only on
+    entry k of each argument.  So one call evaluates a driver at every
+    node of a step, a window or the grid, with t an array of times where
+    the nodes' times differ.  The grammar of compile_expression gives
+    such drivers.
+    """
 
     F: Callable  # (t, y, z) -> value
     G: Callable  # (t, y) -> value
@@ -129,16 +137,21 @@ def driver_g(gen: GeneratorSpec, t, y) -> np.ndarray:
 
 
 def combined_driver(gen: GeneratorSpec, alpha, t, y, z) -> np.ndarray:
-    """H = alpha F + (1 - alpha) G at one time for a scalar alpha, vectorized over y, z.
+    """H = alpha F + (1 - alpha) G, elementwise on alpha, t, y and z.
 
-    Checked once, on H: for alpha in [0, 1] a non-finite F or G leaves H
-    non-finite (0 * inf is nan).  Returns a fresh writable array of y's shape.
+    The four broadcast together, so one call covers a step (scalar alpha
+    and t) or a window of steps (alpha and t per column of y and z).
+    Every alpha must lie in [0, 1]; H is checked once: for such alpha a
+    non-finite F or G leaves H non-finite (0 * inf is nan).  Returns a
+    fresh writable array of the broadcast shape.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise DomainError(f"alpha must lie in [0, 1], got {alpha}")
+    alpha = np.asarray(alpha, dtype=float)
+    inside = (0.0 <= alpha) & (alpha <= 1.0)  # False for NaN
+    if not inside.all():
+        raise DomainError(f"alpha must lie in [0, 1], got {alpha[~inside]}")
     f = np.asarray(gen.F(t, y, z), dtype=float)
     g = np.asarray(gen.G(t, y), dtype=float)
-    return _checked("H", _mix(alpha, f, g, np.empty(np.shape(y))))
+    return _checked("H", _mix(alpha, f, g, np.empty(np.broadcast(alpha, t, y, z).shape)))
 
 
 @np.errstate(invalid="ignore")

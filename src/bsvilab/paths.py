@@ -158,10 +158,10 @@ class PathBundle:
     Per node (length N+1): A, Q, and after accumulation V, Vplus.
     Per step (length N): dt (the grid's), dq, dA, alpha, with
     dq_i = dt_i + dA_i and alpha_i * dq_i = dt_i.
-    Evaluation paths (shape (P, N) increments dB): on a lattice, levels[i]
-    holds the distinct driver values of level i, a field laid out level
-    after level holds level i in [offsets[i], offsets[i + 1]), and
-    cells[p, i] is the cell that path p visits at node i.
+    Evaluation paths (shape (P, N) increments dB): on a lattice, a field
+    laid out level after level holds level i in [offsets[i],
+    offsets[i + 1]), cell_values is the driver value B at every cell in
+    that layout, and cells[p, i] is the cell that path p visits at node i.
     """
 
     grid: TimeGrid
@@ -172,7 +172,7 @@ class PathBundle:
     dq: np.ndarray
     dA: np.ndarray
     alpha: np.ndarray
-    levels: Optional[list] = None
+    cell_values: Optional[np.ndarray] = None
     offsets: Optional[np.ndarray] = None
     cells: Optional[np.ndarray] = None
     V: Optional[np.ndarray] = None
@@ -223,10 +223,6 @@ class PathBundle:
         return values[self.cells[:, start:stop] - first]
 
 
-def _tree_levels(n_steps: int, sqdt: float) -> list:
-    return [(2.0 * np.arange(i + 1) - i) * sqdt for i in range(n_steps + 1)]
-
-
 def _enumerate_sign_paths(n_steps: int) -> np.ndarray:
     idx = np.arange(2**n_steps, dtype=np.int64)
     return (idx[:, None] >> np.arange(n_steps)) & 1
@@ -253,12 +249,16 @@ def build_paths(
     dq = dt + dA
     alpha = dt / dq
 
-    levels = offsets = cells = None
+    cell_values = offsets = cells = None
     if noise.kind == "tree":
         if not np.allclose(dt, dt[0], rtol=1e-12, atol=0.0):
             raise ConfigError("noise: binomial tree requires a uniform grid")
         sqdt = float(np.sqrt(dt[0]))
-        levels = _tree_levels(n, sqdt)
+        # level i holds the i + 1 nodes (2j - i) sqrt(dt), j = 0, ..., i
+        offsets = np.arange(n + 2) * np.arange(1, n + 3) // 2
+        level = np.repeat(np.arange(n + 1), np.diff(offsets))
+        node = np.arange(offsets[-1]) - offsets[level]
+        cell_values = (2.0 * node - level) * sqdt
         if n <= ENUMERATION_LIMIT and noise.eval_paths is None:
             ups = _enumerate_sign_paths(n)
         else:
@@ -272,17 +272,17 @@ def build_paths(
         dB = rngmod.gaussian_increments(noise.seed, noise.paths, dt)
     elif noise.kind == "deterministic":
         dB = np.zeros((1, n))
-        levels = [np.zeros(1) for _ in range(n + 1)]
+        offsets = np.arange(n + 2)
+        cell_values = np.zeros(n + 1)
         walks = np.zeros((1, n + 1), dtype=np.int64)
     else:
         raise ConfigError(f"noise: unknown kind {noise.kind!r}")
-    if levels is not None:
-        offsets = np.cumsum([0] + [level.size for level in levels])
+    if offsets is not None:
         cells = walks + offsets[:-1]
 
     return PathBundle(
         grid=grid, kind=noise.kind, dB=dB, A=A, Q=Q, dq=dq, dA=dA, alpha=alpha,
-        levels=levels, offsets=offsets, cells=cells,
+        cell_values=cell_values, offsets=offsets, cells=cells,
     )
 
 

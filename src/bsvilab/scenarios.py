@@ -390,5 +390,5 @@ def reference_error(exp: Experiment, sol, bundle) -> Optional[float]:
     if name == "reflection":
         t = bundle.grid.nodes
         oracle = np.minimum(0.0, -0.5 + (t[-1] - t))
-        return max(float(np.max(np.abs(sol.level("Y", i) - oracle[i]))) for i in range(t.size))
+        return float(np.max(np.abs(sol.Y - np.repeat(oracle, np.diff(sol.offsets)))))
     return None

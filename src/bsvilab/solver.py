@@ -100,7 +100,7 @@ class TreeBackend:
     kind = "tree"
 
     def __init__(self, bundle: PathBundle):
-        if bundle.levels is None:
+        if bundle.cell_values is None:
             raise ConfigError("solver.ce 'tree' needs tree or deterministic noise")
         self.bundle = bundle
         self.offsets = bundle.offsets
@@ -108,7 +108,7 @@ class TreeBackend:
         self.degenerate = bundle.kind == "deterministic"
 
     def terminal_driver(self) -> np.ndarray:
-        return self.bundle.levels[-1]
+        return self.bundle.cell_values[self.offsets[-2]:]
 
     def ce(self, i: int, v_next: np.ndarray) -> np.ndarray:
         if self.degenerate:

@@ -29,8 +29,11 @@ needs: per-node and per-step path means, running per-path extremes, and
 the carry of a running sum.  Two reductions run along whole paths and
 keep one (paths, nodes) array each: the time sum of the a-priori bound
 and the pathwise mean residual of the Ito identity.  Test processes too
-are read a window at a time.  A function takes the backend when it
-needs conditional expectations, and the bundle otherwise.
+are read a window at a time.  The drivers are elementwise in t as in y
+and z (GeneratorSpec), so H(t, Y, Z) is one call per window and each
+bound's F(t, 0, 0) and G(t, 0) one call over the grid.  A function
+takes the backend when it needs conditional expectations, and the
+bundle otherwise.
 """
 
 from dataclasses import dataclass, field
@@ -169,9 +172,10 @@ def _variational_profiles(
     Per window, the candidate's own terms H(t, Y, Z) and Psi(t, Y) are
     evaluated once and shared by every check, and each test process's
     terms M - Y, Psi(t, M) and R - Z once and shared by its checks.  The
-    driver is evaluated step by step because F and G are only promised a
-    scalar time.  A test process that leaves the domain of a raw
-    potential makes the inequality vacuous and raises InfinitePotential.
+    drivers are elementwise (GeneratorSpec), so H is one call per window
+    on the window's alpha and t.  A test process that leaves the domain
+    of a raw potential makes the inequality vacuous and raises
+    InfinitePotential.
     Returns ({(k, q, delta): _Profile} for processes[k] and every
     (q, delta) of checks, the largest per-node path mean of |M - Y|^2 of
     processes[collapse] or None).
@@ -186,9 +190,7 @@ def _variational_profiles(
         e = min(b, n)
         pw = sol.paths(bundle, (a, b), "YZH")
         y, z = pw["Y"], pw["Z"]
-        h_fresh = np.empty_like(z)
-        for r in range(a, e):
-            h_fresh[:, r - a] = combined_driver(gen, alpha[r], t[r], y[:, r - a], z[:, r - a])
+        h_fresh = combined_driver(gen, alpha[a:e], t[a:e], y[:, : e - a], z)
         psi_y = _mixed_potential(phi, psi, alpha[a:e], y[:, : e - a], penalization_eps)
         driver_gap = np.maximum(driver_gap, np.max(np.abs(pw["H"] - h_fresh)))
         for k, tp in enumerate(processes):
@@ -401,26 +403,12 @@ def check_contraction(
     )
 
 
-def driver_at_zero(gen: GeneratorSpec, bundle: PathBundle) -> tuple:
-    """(|F(t,0,0)|, |G(t,0)|) at the left node of every step, F and G checked.
-
-    The a-priori and energy bounds share these source terms; callers
-    that run both compute them once and hand them to each.
-    """
+def _driver_source(gen: GeneratorSpec, bundle: PathBundle, v: np.ndarray, power) -> float:
+    """(sum e^{v}(|F(t,0,0)| dt + |G(t,0)| dA))^power over the grid steps,
+    F and G checked, each called once on the left nodes of the steps."""
     t = bundle.grid.nodes[:-1]
-    f0 = np.array([np.abs(float(driver_f(gen, ti, 0.0, 0.0))) for ti in t])
-    g0 = np.array([np.abs(float(driver_g(gen, ti, 0.0))) for ti in t])
-    return f0, g0
-
-
-def _driver_source(
-    gen: GeneratorSpec, bundle: PathBundle, v: np.ndarray, power, at_zero: Optional[tuple]
-) -> float:
-    """(sum e^{v}(|F(t,0,0)| dt + |G(t,0)| dA))^power over the grid steps.
-
-    at_zero is driver_at_zero(gen, bundle), computed here when None.
-    """
-    f0, g0 = driver_at_zero(gen, bundle) if at_zero is None else at_zero
+    f0 = np.abs(driver_f(gen, t, 0.0, 0.0))
+    g0 = np.abs(driver_g(gen, t, 0.0))
     return float(np.sum(np.exp(v[:-1]) * (f0 * bundle.dt + g0 * bundle.dA)) ** power)
 
 
@@ -430,16 +418,12 @@ def check_apriori_bound(
     gen: GeneratorSpec,
     terminal_values: np.ndarray,
     p: float,
-    *,
-    at_zero: Optional[tuple] = None,
 ) -> VerificationReport:
     """Path-averaged a-priori estimate with a frozen fitted constant.
 
     mean[max_i e^{pV_i}|Y_i|^p] + mean[(sum e^{2V}|Z|^2 dt)^{p/2}]
     <= APRIORI_C_FIT * ( mean[e^{pV_N}|eta|^p]
                          + mean[(sum e^{V}(|F(t,0,0)| dt + |G(t,0)| dA))^p] ).
-
-    at_zero is driver_at_zero(gen, bundle), computed here when not given.
     """
     if bundle.V is None:
         raise GridMismatch("bundle has no accumulated weights, call accumulate_weights")
@@ -453,7 +437,7 @@ def check_apriori_bound(
         y_max = np.maximum(y_max, np.max(y_weight[a:b] * np.abs(pw["Y"]) ** p, axis=1))
         z_terms[:, a:b] = z_weight[a:b] * pw["Z"] ** 2 * dt[a:b]
     lhs = float(np.mean(y_max) + np.mean(np.sum(z_terms, axis=1) ** (p / 2.0)))
-    source = _driver_source(gen, bundle, v, p, at_zero)
+    source = _driver_source(gen, bundle, v, p)
     rhs = float(np.mean(np.exp(p * v[-1]) * np.abs(terminal_values) ** p) + source)
     margin = APRIORI_C_FIT * rhs - lhs
     return VerificationReport(
@@ -470,16 +454,12 @@ def check_energy_bound(
     bundle: PathBundle,
     gen: GeneratorSpec,
     terminal_values: np.ndarray,
-    *,
-    at_zero: Optional[tuple] = None,
 ) -> VerificationReport:
     """Positive-part weighted energy estimate with a frozen fitted constant.
 
     mean[max_i e^{2Vplus_i}|Y_i|^2]
     <= ENERGY_C_FIT * ( mean[e^{2Vplus_N}|eta|^2]
                         + mean[(sum e^{Vplus}(|F(t,0,0)| dt + |G(t,0)| dA))^2] ).
-
-    at_zero is driver_at_zero(gen, bundle), computed here when not given.
     """
     if bundle.Vplus is None:
         raise GridMismatch("bundle has no accumulated weights, call accumulate_weights")
@@ -490,7 +470,7 @@ def check_energy_bound(
         y = sol.paths(bundle, (a, b), "Y")["Y"]
         y_max = np.maximum(y_max, np.max(weight[a:b] * y ** 2, axis=1))
     lhs = float(np.mean(y_max))
-    source = _driver_source(gen, bundle, v, 2, at_zero)
+    source = _driver_source(gen, bundle, v, 2)
     rhs = float(np.mean(np.exp(2.0 * v[-1]) * terminal_values**2) + source)
     return VerificationReport(
         name="energy-bound",
@@ -557,13 +537,9 @@ def random_step_process(
     """Piecewise-constant (N, R) with Gaussian values on 8 blocks, for
     probing; a window's columns are broadcast views of the per-step values."""
     gen = rngmod.aux_stream(seed, 1000 + index)
-    n = bundle.grid.steps
-    edges = np.linspace(0, n, 9).astype(int)
-    nn = np.zeros(n)
-    rr = np.zeros(n)
-    for k in range(8):
-        nn[edges[k]:edges[k + 1]] = scale * gen.standard_normal()
-        rr[edges[k]:edges[k + 1]] = scale * gen.standard_normal()
+    widths = np.diff(np.linspace(0, bundle.grid.steps, 9).astype(int))
+    # block k draws its N value, then its R value
+    nn, rr = np.repeat(scale * gen.standard_normal((8, 2)), widths, axis=0).T
     gamma = float(scale * gen.standard_normal())
 
     def columns(values):
@@ -635,8 +611,8 @@ def verify_run(seq: SequenceResult, backend, phi, psi, gen: GeneratorSpec, p: fl
     contraction of each adjacent eps pair at q = min(p, 2), which lies in
     (1, 2] for every p > 1, gated at max(tol, 2 (eps + eps')) for the
     penalization cross term; then the a-priori and energy bounds on the
-    finest solution's terminal values, sharing one driver_at_zero.  tol
-    is default_tolerance(backend.bundle).
+    finest solution's terminal values.  tol is
+    default_tolerance(backend.bundle).
     """
     bundle = backend.bundle
     tol = default_tolerance(bundle)
@@ -650,7 +626,6 @@ def verify_run(seq: SequenceResult, backend, phi, psi, gen: GeneratorSpec, p: fl
         reports.append(check_contraction(coarse, fine, bundle, q, gate))
     n = bundle.grid.steps
     terminal_values = final.paths(bundle, (n, n + 1), "Y")["Y"][:, 0]
-    at_zero = driver_at_zero(gen, bundle)
-    reports.append(check_apriori_bound(final, bundle, gen, terminal_values, p, at_zero=at_zero))
-    reports.append(check_energy_bound(final, bundle, gen, terminal_values, at_zero=at_zero))
+    reports.append(check_apriori_bound(final, bundle, gen, terminal_values, p))
+    reports.append(check_energy_bound(final, bundle, gen, terminal_values))
     return reports

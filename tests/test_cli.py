@@ -479,14 +479,17 @@ def test_execute_evaluates_the_driver_at_zero_once(monkeypatch):
     calls = []
 
     def counted(gen, t, y, z):
-        calls.append(t)
+        calls.append(np.array(t))
         return driver_f(gen, t, y, z)
 
     monkeypatch.setattr(verify, "driver_f", counted)
     exp = build_experiment({"scenario": "two_barrier_driven", "grid": {"steps": 16}})
     res = execute(exp)
-    assert len(calls) == exp.grid.steps
-    # each bound computes the same source terms itself when not handed them
+    # one call per bound, on the left nodes of all N steps at once
+    assert len(calls) == 2
+    for t in calls:
+        assert np.array_equal(t, res.bundle.grid.nodes[:-1])
+    # a bound called on its own gives the report the run gave
     final = res.seq.solutions[exp.solver.eps_schedule[-1]]
     eta = final.paths(res.bundle)["Y"][:, -1]
     alone = [

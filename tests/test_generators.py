@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from bsvilab.errors import ConfigError, DomainError, NonFiniteGenerator
 from bsvilab.generators import (
@@ -55,6 +56,61 @@ def test_combined_driver_vectorizes_over_y():
     assert out.shape == y.shape and out.dtype == float and out.flags.writeable
     out[0] = 7.0
     assert np.array_equal(combined_driver(const, 0.25, 0.0, y, np.zeros(3)), np.full(3, 0.25))
+
+
+def _window(paths, w, low, high):
+    return hnp.arrays(float, (paths, w), elements=st.floats(low, high))
+
+
+@st.composite
+def _window_case(draw, low=-50.0, high=50.0):
+    """(alpha, t, y, z): w steps of alpha in [0, 1] and t, and (paths, w) y and z."""
+    paths, w = draw(st.integers(1, 5)), draw(st.integers(1, 9))
+    alpha = draw(hnp.arrays(float, w, elements=st.floats(0.0, 1.0)))
+    t = draw(hnp.arrays(float, w, elements=st.floats(0.0, 10.0)))
+    return alpha, t, draw(_window(paths, w, low, high)), draw(_window(paths, w, low, high))
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_window_case(), bad=st.sampled_from([np.nan, 1.0 + 1e-15, -1e-300]), at=st.integers(0, 8))
+def test_combined_driver_over_a_window_equals_its_steps(case, bad, at):
+    alpha, t, y, z = case
+    gen = GeneratorSpec.from_expressions("t*y - min(z, 1)", "0.5*t - y", mu=0.0, nu=0.0, ell=1.0)
+    got = combined_driver(gen, alpha, t, y, z)
+    steps = [combined_driver(gen, alpha[j], t[j], y[:, j], z[:, j]) for j in range(t.size)]
+    assert got.shape == y.shape and got.tobytes() == np.stack(steps, axis=1).tobytes()
+    broken = alpha.copy()
+    broken[at % alpha.size] = bad
+    with pytest.raises(DomainError, match="alpha"):
+        combined_driver(gen, broken, t, y, z)
+
+
+# expressions of the driver grammar over t, y and z, parenthesized
+_EXPRESSIONS = st.recursive(
+    st.one_of(
+        st.sampled_from(["t", "y", "z"]),
+        st.floats(-4.0, 4.0).map(repr),
+    ),
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from("+-*"), inner).map(lambda x: f"({x[0]} {x[1]} {x[2]})"),
+        inner.map(lambda e: f"-({e})"),
+        st.tuples(st.sampled_from(["min", "max"]), inner, inner).map(lambda x: f"{x[0]}({x[1]}, {x[2]})"),
+    ),
+    max_leaves=10,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=_EXPRESSIONS, case=_window_case(-10.0, 10.0))
+def test_grammar_drivers_are_elementwise_in_time(text, case):
+    # the contract every driver keeps (GeneratorSpec): column j of a call
+    # on a window is the call at the column's own time, bit for bit
+    _, t, y, z = case
+    f = compile_expression(text)
+    whole = np.broadcast_to(f(t, y, z), y.shape)
+    for j in range(t.size):
+        column = np.broadcast_to(f(t[j], y[:, j], z[:, j]), y[:, j].shape)
+        assert whole[:, j].tobytes() == column.tobytes(), (text, j)
 
 
 def test_project_to_ball_values():

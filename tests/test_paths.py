@@ -123,8 +123,6 @@ def test_tree_enumeration_and_lattice_maps():
     b = build_paths(TimeGrid.uniform(1.0, 5), NoiseModel.binomial_tree(), ZERO_A)
     assert b.n_paths == 32
     assert np.unique(b.dB, axis=0).shape[0] == 32
-    for i, lv in enumerate(b.levels):
-        assert lv.size == i + 1
     # level i fills the cells [i (i + 1) / 2, (i + 1) (i + 2) / 2)
     assert np.array_equal(b.offsets, np.arange(7) * np.arange(1, 8) // 2)
     # a walk's node is its cell less its level's offset: 0 at the root,
@@ -133,7 +131,7 @@ def test_tree_enumeration_and_lattice_maps():
     assert node[:, 0].max() == 0
     steps = np.diff(node, axis=1)
     assert set(np.unique(steps)) <= {0, 1}
-    walked = b.on_paths(np.concatenate(b.levels))
+    walked = b.on_paths(b.cell_values)
     assert np.allclose(walked, b.driver_paths(), rtol=0, atol=1e-12)
 
 
@@ -240,7 +238,7 @@ def test_deterministic_bundle_is_single_frozen_path():
     assert np.array_equal(b.dB, np.zeros((1, 6)))
     assert np.array_equal(b.driver_paths(), np.zeros((1, 7)))
     assert np.array_equal(b.offsets, np.arange(8))
-    assert np.array_equal(b.on_paths(np.concatenate(b.levels)), np.zeros((1, 7)))
+    assert np.array_equal(b.on_paths(b.cell_values), np.zeros((1, 7)))
 
 
 def test_on_paths_needs_a_lattice():

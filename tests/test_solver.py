@@ -127,8 +127,8 @@ def test_martingale_exactness_on_tree():
     bundle = tree_bundle(8)
     cfg = SolverConfig(eps_schedule=(0.1,))
     sol = solve_penalized(bundle, ZERO, ZERO, ZERO_GEN, terminal_driver, 0.1, cfg)
-    for i, ref in enumerate(bundle.levels):
-        assert np.allclose(sol.level("Y", i), ref, rtol=0, atol=1e-13)
+    for i, (a, b) in enumerate(zip(bundle.offsets, bundle.offsets[1:])):
+        assert np.allclose(sol.level("Y", i), bundle.cell_values[a:b], rtol=0, atol=1e-13)
     assert np.allclose(sol.Z, 1.0, rtol=0, atol=1e-13)
     assert np.array_equal(sol.U, np.zeros_like(sol.U))
     assert abs(sol.y0) <= 1e-14
@@ -653,7 +653,7 @@ def test_one_pass_smoothing_matches_the_two_loop_oracle(kind, eps):
     if ce == "lsq":
         sizes = [bundle.n_paths] * (bundle.grid.steps + 1)
     else:
-        sizes = [level.size for level in bundle.levels]
+        sizes = np.diff(bundle.offsets)
     u = [rng.uniform(-2.0, 2.0, size) for size in sizes]
     got = smoothing_operator(backend, np.concatenate(u), eps)
     want = smoothing_operator_oracle(bundle, backend, u, eps)

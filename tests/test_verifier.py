@@ -158,7 +158,7 @@ def test_gamma_floor_tracks_delta_for_small_q():
     )
     # q = 2 drops it: Gamma equals |M - Y| and the terminal monitor is plain
     assert rep2.monitors["terminal_gamma_sq_minus_shift"] == pytest.approx(
-        float(np.mean(bundle.on_paths(np.concatenate(bundle.levels))[:, -1] ** 2)), abs=1e-12
+        float(np.mean(bundle.on_paths(bundle.cell_values)[:, -1] ** 2)), abs=1e-12
     )
 
 
@@ -270,7 +270,7 @@ def test_apriori_bound_reference_cases():
     assert rep.passed and rep.worst_violation <= 0.0
 
     bundle, sol = martingale_solution()
-    eta = bundle.on_paths(np.concatenate(bundle.levels))[:, -1]
+    eta = bundle.on_paths(bundle.cell_values)[:, -1]
     for p in (1.5, 2.0, 2.5):
         wb = weighted(bundle, p=p)
         rep = check_apriori_bound(sol, wb, ZERO_GEN, eta, p=p)
@@ -296,7 +296,7 @@ def test_apriori_bound_reference_cases():
 
 def test_energy_bound_with_positive_part_weights():
     bundle, sol = martingale_solution()
-    eta = bundle.on_paths(np.concatenate(bundle.levels))[:, -1]
+    eta = bundle.on_paths(bundle.cell_values)[:, -1]
     rep = check_energy_bound(sol, bundle, ZERO_GEN, eta)
     assert rep.passed
     assert rep.monitors["c_fit"] == 4.0
