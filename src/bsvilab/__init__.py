@@ -24,17 +24,12 @@ from .errors import (
     InfinitePotential,
     NonFiniteGenerator,
     NonFiniteInput,
-    QuadratureFailure,
     ZeroStep,
 )
 from .generators import (
     GeneratorSpec,
-    MollifierConfig,
     combined_driver,
     compile_expression,
-    mollify_driver,
-    mollify_driver_g,
-    project_to_ball,
     validate_generator,
 )
 from .paths import (

@@ -21,10 +21,6 @@ class NonFiniteGenerator(BsvilabError):
     """A driver evaluation returned NaN or infinity."""
 
 
-class QuadratureFailure(BsvilabError):
-    """Mollifier quadrature weights failed their normalization check."""
-
-
 class InfinitePotential(BsvilabError):
     """A test process leaves the domain of the potential, so the
     comparison integral is infinite and the inequality is vacuous."""

@@ -237,16 +237,28 @@ def build_paths(
     recombine; its squared increments then match dt exactly, node by
     node.  Evaluation paths through the tree are enumerated exhaustively
     for short grids and sampled fairly from keyed streams otherwise.
+
+    The clock is checked here, once: a finite rate can still overflow
+    A, Q or dq, and a clock that is finite everywhere has
+    alpha = dt / dq in [0, 1], as the drivers require.
     """
     t = grid.nodes
     n = grid.steps
     dt = grid.dt
-    A = a_spec.values(t)
-    Q = t + A
-    dA = np.diff(A)
-    # diff(t + A) can round below dt when dA is tiny; dt + dA cannot,
-    # since A is non-decreasing and rounding is monotone
-    dq = dt + dA
+    with np.errstate(over="ignore", invalid="ignore"):
+        A = a_spec.values(t)
+        Q = t + A
+        dA = np.diff(A)
+        # diff(t + A) can round below dt when dA is tiny; dt + dA cannot,
+        # since A is non-decreasing and rounding is monotone
+        dq = dt + dA
+    finite = np.isfinite(A) & np.isfinite(Q)
+    finite[1:] &= np.isfinite(dq)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise ConfigError(
+            f"a_process: the clock is not finite at node {k} (t = {float(t[k])!r}); lower its rate"
+        )
     alpha = dt / dq
 
     cell_values = offsets = cells = None

@@ -5,16 +5,16 @@ One backward Euler sweep in the clock Q per step, splitting the driver
 (implicit):
 
     Z_i    = CE_i[Y_{i+1} dB_i] / dt_i
-    y_hat  = CE_i[Y_{i+1}] + H_eps(t_i, CE_i[Y_{i+1}], Z_i) dQ_i
+    y_hat  = CE_i[Y_{i+1}] + H(t_i, CE_i[Y_{i+1}], Z_i) dQ_i
     Y_i    + dQ_i D Psi_eps(t_i, Y_i) = y_hat          (semi-implicit)
     U_i    = (y_hat - Y_i) / dQ_i
 
 where Psi_eps(t, y) = alpha_t phi_eps(y) + (1 - alpha_t) psi_eps(y) and
-H_eps = alpha F + (1 - alpha) G, optionally mollified.  Both the driver
-and the penalty gradient are switched off once the increasing process
-exceeds the budget 1/eps.  Conditional expectations CE_i come from a
-pluggable backend: exact averaging on the recombining binomial lattice,
-or least-squares regression on monomials of the driver value.
+H = alpha F + (1 - alpha) G.  Both the driver and the penalty gradient
+are switched off once the increasing process exceeds the budget 1/eps.
+Conditional expectations CE_i come from a pluggable backend: exact
+averaging on the recombining binomial lattice, or least-squares
+regression on monomials of the driver value.
 
 The whole eps schedule is solved in one sweep on the shared bundle:
 each of Y, Z, U and H is one array with a row per eps and the levels
@@ -40,13 +40,7 @@ import numpy as np
 from . import convex
 from .convex import ConvexSpec
 from .errors import ConfigError, DomainError
-from .generators import (
-    GeneratorSpec,
-    MollifierConfig,
-    combined_driver,
-    mollify_driver,
-    mollify_driver_g,
-)
+from .generators import GeneratorSpec, combined_driver
 from .paths import PathBundle
 
 
@@ -57,7 +51,6 @@ class SolverConfig:
     eps_schedule: tuple = (0.1,)
     ce: str = "tree"  # or "lsq"
     degree: int = 3
-    mollify: bool = False
 
     def __post_init__(self):
         if not (_real(self.p) and np.isfinite(self.p) and self.p > 1.0):
@@ -76,10 +69,6 @@ class SolverConfig:
             raise ConfigError(f"solver.ce unknown: {self.ce!r}")
         if not (isinstance(self.degree, numbers.Integral) and _real(self.degree) and self.degree >= 1):
             raise ConfigError(f"solver.degree must be an integer >= 1, got {self.degree!r}")
-        if not isinstance(self.mollify, bool):
-            raise ConfigError(f"solver.mollify must be true or false, got {self.mollify!r}")
-        if self.mollify and sched[0] > 1.0:
-            raise ConfigError(f"solver.eps_schedule must lie in (0, 1] to mollify, got {sched[0]}")
         object.__setattr__(self, "p", float(self.p))
         object.__setattr__(self, "lam", float(self.lam))
         object.__setattr__(self, "eps_schedule", sched)
@@ -371,10 +360,10 @@ def backward_sweep(
     Every level holds one row per eps.  Row r is active at step i while
     A_i <= 1 / eps_r; a finer eps has the larger budget, so the active
     rows of a step are the last ones.  Only those reach the driver and
-    the implicit step; the others keep Y = CE with H = U = 0.  Work that
-    is elementwise runs once per step for all rows; the mollified driver
-    depends on eps and runs row by row.  SolverConfig has checked that
-    the schedule is finite, positive and strictly decreasing.
+    the implicit step; the others keep Y = CE with H = U = 0.  The driver
+    and the implicit step run once per step for all active rows.
+    SolverConfig has checked that the schedule is finite, positive and
+    strictly decreasing.
     """
     schedule = cfg.eps_schedule
     bundle = backend.bundle
@@ -386,17 +375,6 @@ def backward_sweep(
     # budget indicator at the left node, one row per eps
     active = np.array([bundle.A[:-1] <= 1.0 / eps for eps in schedule])
     first_active = n_eps - np.count_nonzero(active, axis=0)
-
-    molls = [MollifierConfig(eps=eps) for eps in schedule] if cfg.mollify else None
-
-    def driver(i, rows, y, z):
-        if molls is None:
-            return combined_driver(gen, alpha[i], t[i], y, z)
-        return np.stack([
-            alpha[i] * mollify_driver(gen, moll, t[i], y_r, z_r)
-            + (1.0 - alpha[i]) * mollify_driver_g(gen, moll, t[i], y_r)
-            for moll, y_r, z_r in zip(molls[rows], y, z)
-        ])
 
     stiffness = [float(np.max(dq[act] / eps, initial=0.0)) for eps, act in zip(schedule, active)]
     steps = {}  # one implicit_step for all rows per distinct (alpha_i, dQ_i)
@@ -411,7 +389,7 @@ def backward_sweep(
 
     def penalized_step(i, rows, ce, z):
         """(Y, H, U) of the active rows, given their CE and Z."""
-        h = driver(i, rows, ce, z)
+        h = combined_driver(gen, alpha[i], t[i], ce, z)
         y_hat = ce + h * dq[i]
         key = (alpha[i], dq[i])
         if key not in steps:

@@ -1,11 +1,10 @@
 """Independent numerical oracles used to freeze expected values.
 
 These deliberately avoid the package's own code paths: proximal points
-come from staged grid minimization of the defining objective, and
-mollified drivers from a high-resolution quadrature with its own
-normalization.  The results.csv writer is the plain per-row csv.writer
-rendering, and the eps schedule is solved by one backward sweep per eps
-with a per-segment implicit inverse.  Regression fits rebuild the
+come from staged grid minimization of the defining objective.  The
+results.csv writer is the plain per-row csv.writer rendering, and the
+eps schedule is solved by one backward sweep per eps with a per-segment
+implicit inverse.  Regression fits rebuild the
 Vandermonde basis and call lstsq on every fit, and the smoothing
 operator runs its kernel sum over every date before a second pass.
 The verifier oracle runs every check on whole (paths, nodes) arrays,
@@ -20,12 +19,7 @@ import numpy as np
 from bsvilab import convex, verify
 from bsvilab import rng as rngmod
 from bsvilab.errors import DomainError
-from bsvilab.generators import (
-    MollifierConfig,
-    combined_driver,
-    mollify_driver,
-    mollify_driver_g,
-)
+from bsvilab.generators import combined_driver
 from bsvilab.paths import gamma_shift
 from bsvilab.solver import make_backend, smoothing_operator
 
@@ -78,19 +72,6 @@ def indicator_potential(a, b):
 
 def abs_potential():
     return lambda v: np.abs(v)
-
-
-def mollify_oracle(F, eps, t, y, z, n_q=10_000):
-    """High-resolution midpoint rendering of the mollified driver."""
-    h = 2.0 / n_q
-    u = -1.0 + (np.arange(n_q) + 0.5) * h
-    raw = np.exp(-1.0 / (1.0 - u * u))
-    w = raw / np.sum(raw)
-    zc = z / max(1.0, eps * abs(z))
-    yy = y - eps * u
-    keep = (eps * np.abs(np.asarray(F(t, yy, np.zeros_like(yy)), dtype=float)) <= 1.0)
-    fv = np.asarray(F(t, yy, np.full_like(yy, zc)), dtype=float)
-    return float(np.sum(w * fv * keep))
 
 
 def reflection_oracle(t_nodes, terminal, push, horizon):
@@ -190,14 +171,6 @@ def implicit_step_oracle(phi, psi, alpha, eps, dq, method):
     return bisect
 
 
-def local_sup_f(gen, rho, t):
-    """Grid maximum of |F(t, ., 0)| over the ball |y| <= rho."""
-    if not (np.isfinite(rho) and rho >= 0.0):
-        raise DomainError(f"rho must be finite and >= 0, got {rho}")
-    grid = np.concatenate([np.linspace(-rho, rho, 1000), [-rho, rho]])
-    return float(np.max(np.abs(gen.F(t, grid, np.zeros_like(grid)))))
-
-
 def solve_penalized_oracle(bundle, phi, psi, gen, terminal, eps, cfg):
     """One backward sweep at a single eps; levels as a dict of lists."""
     if not (np.isfinite(eps) and eps > 0.0):
@@ -208,15 +181,6 @@ def solve_penalized_oracle(bundle, phi, psi, gen, terminal, eps, cfg):
     dq = bundle.dq
     alpha = bundle.alpha
     active = bundle.A[:-1] <= 1.0 / eps
-
-    moll = MollifierConfig(eps=eps) if cfg.mollify else None
-
-    def driver(i, y, z):
-        if moll is None:
-            return combined_driver(gen, alpha[i], t[i], y, z)
-        f = mollify_driver(gen, moll, t[i], y, z)
-        g = mollify_driver_g(gen, moll, t[i], y)
-        return alpha[i] * f + (1.0 - alpha[i]) * g
 
     y_levels = [None] * (n + 1)
     z_levels = [None] * n
@@ -230,7 +194,7 @@ def solve_penalized_oracle(bundle, phi, psi, gen, terminal, eps, cfg):
         ce = backend.ce(i, y_levels[i + 1])
         z = backend.z(i, y_levels[i + 1])
         if active[i]:
-            h = driver(i, ce, z)
+            h = combined_driver(gen, alpha[i], t[i], ce, z)
             y_hat = ce + h * dq[i]
             y = implicit_step_oracle(phi, psi, alpha[i], eps, dq[i], "closed_form")(y_hat)
             u = (y_hat - y) / dq[i]

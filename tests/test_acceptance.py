@@ -18,12 +18,7 @@ from bsvilab.convex import (
     resolvent,
     yosida_gradient,
 )
-from bsvilab.generators import (
-    GeneratorSpec,
-    MollifierConfig,
-    mollify_driver,
-    project_to_ball,
-)
+from bsvilab.generators import GeneratorSpec
 from bsvilab.paths import (
     IncreasingProcessSpec,
     NoiseModel,
@@ -47,7 +42,6 @@ from bsvilab.verify import (
 from oracles import (
     abs_potential,
     indicator_potential,
-    local_sup_f,
     prox_oracle,
     quadratic_potential,
     reflection_oracle,
@@ -56,16 +50,6 @@ from oracles import (
 ZERO = ConvexSpec.zero()
 ZERO_GEN = GeneratorSpec.from_expressions("0", "0")
 ZERO_A = IncreasingProcessSpec.zero()
-
-# 1-Lipschitz-in-y drivers exercised by the mollifier criterion
-VARIANTS = [
-    ("-y", 0.0),
-    ("0.5 - y", 0.0),
-    ("-0.5*y", 0.0),
-    ("max(-y, -1.5)", 0.0),
-    ("min(-y, 1) + 0.2*z", 0.2),
-]
-
 
 def _verdict(capsys, num, label, ok, detail=""):
     with capsys.disabled():
@@ -308,41 +292,6 @@ def test_acceptance_09_smoothing_operator_bounds(capsys):
     _verdict(capsys, 9, "smoothing fixed point, sup bound, modulus bound", ok,
              f"fixed {fixed:.3g}, sup defect {sup_defect:.3g}, "
              f"modulus {modulus:.3g} vs {modulus_bound:.3g}")
-
-
-def test_acceptance_10_mollifier_bounds_with_computed_kappa(capsys):
-    rng = np.random.default_rng(31)
-    worst = -np.inf
-    for expr, ell in VARIANTS:
-        gen = GeneratorSpec.from_expressions(expr, "0", mu=0.0, nu=0.0,
-                                             ell=ell)
-        for _ in range(200):
-            eps = float(rng.uniform(0.2, 1.0))
-            cfg = MollifierConfig(eps=eps)
-            t = float(rng.uniform(0.0, 1.0))
-            y = float(rng.uniform(-3.0, 3.0))
-            z = float(rng.uniform(-5.0, 5.0))
-            zh = float(rng.uniform(-5.0, 5.0))
-            yh = y + float(rng.choice([-1.0, 1.0])) * float(
-                rng.uniform(0.05, 2.0))
-
-            fe = float(mollify_driver(gen, cfg, t, y, z))
-            fz = float(mollify_driver(gen, cfg, t, y, zh))
-            fy = float(mollify_driver(gen, cfg, t, yh, z))
-            f0 = float(mollify_driver(gen, cfg, t, 0.0, 0.0))
-            bz = float(project_to_ball(eps, z))
-            worst = max(
-                worst,
-                abs(f0) - local_sup_f(gen, 1.0, t),
-                abs(fe) - (1.0 + gen.ell) / eps,
-                abs(fe - fz) - gen.ell * abs(z - zh),
-                abs(fe - fy) - (cfg.kappa * (1.0 + gen.ell) / eps ** 2)
-                * abs(y - yh),
-                abs(bz) - min(abs(z), 1.0 / eps),
-            )
-    ok = worst <= 1e-9
-    _verdict(capsys, 10, "mollified driver bounds on sampled grammar drivers",
-             ok, f"worst margin {worst:.3g}")
 
 
 def test_acceptance_11_rerun_is_byte_identical(capsys, tmp_path):

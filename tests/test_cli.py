@@ -66,9 +66,8 @@ def test_config_errors_name_the_field():
         ({"grid": {"T": 1.0, "steps": None}}, "grid.steps"),
         ({"scenario": {"name": "martingale", "terminal": {"kind": "oracle"}}}, "scenario.terminal.kind"),
         ({"scenario": {"name": "martingale", "terminal": {"kind": "clamp", "lo": 1.0, "hi": -1.0}}}, "lo < hi"),
-        # the mollifier takes eps in (0, 1] only; a tree backend needs a lattice
-        ({"solver": {"mollify": True, "eps_schedule": [2.0, 0.5]}},
-         r"solver.eps_schedule must lie in \(0, 1\] to mollify, got 2.0"),
+        # the mollified driver is gone; a tree backend needs a lattice
+        ({"solver": {"mollify": True, "eps_schedule": [2.0, 0.5]}}, r"solver: unknown keys \['mollify'\]"),
         ({"noise": {"kind": "mc", "paths": 10}, "solver": {"ce": "tree"}},
          "solver.ce: 'tree' needs tree or deterministic noise, got mc"),
         ({"seed": "abc"}, "seed"),
@@ -432,10 +431,10 @@ def test_main_reports_config_errors(tmp_path, capsys, monkeypatch):
     tree_mc = write_cfg(tmp_path, {"scenario": "mc_martingale", "solver": {"ce": "tree"}}, "mc.json")
     fresh = tmp_path / "fresh"
     refused = [
-        (["run", "--config", mollify, "--out", str(fresh)], "solver.eps_schedule"),
+        (["run", "--config", mollify, "--out", str(fresh)], "solver: unknown keys ['mollify']"),
         (["run", "--config", tree_mc, "--out", str(fresh)], "solver.ce"),
         (["sweep", "--config", mollify_sweep, "--axis", "eps", "--values", "0.5,2",
-          "--out", str(fresh)], "solver.eps_schedule"),
+          "--out", str(fresh)], "solver: unknown keys ['mollify']"),
         (["sweep", "--config", tree_mc, "--axis", "paths", "--values", "100",
           "--out", str(fresh)], "solver.ce"),
     ]
@@ -472,6 +471,36 @@ def test_tiny_ramp_keeps_the_clock_density_at_most_one():
     res = execute(exp)
     assert np.all(res.bundle.alpha <= 1.0)
     assert res.summary["all_passed"], [r.name for r in res.reports if not r.passed]
+
+
+def test_a_clock_that_overflows_is_refused_before_the_solve(tmp_path, capsys, monkeypatch):
+    # A = 1e308 t overflows to inf from t = 2 on, and dA = inf - inf to nan
+    # (T = 4); either made alpha 0 or nan, so build_paths refuses the clock,
+    # without a numpy warning first
+    solved = []
+    monkeypatch.setattr(cli, "solve_sequence", lambda *args: solved.append(args))
+    for horizon, node in ((2, 8), (4, 4)):
+        config = {
+            "scenario": "linear",
+            "grid": {"T": horizon, "steps": 8},
+            "a_process": {"kind": "linear", "rate": 1e308},
+        }
+        with pytest.raises(ConfigError, match=rf"^a_process: .* at node {node} \(t = 2.0\)"):
+            execute(build_experiment(config))
+        capsys.readouterr()
+        argv = ["run", "--config", write_cfg(tmp_path, config), "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith(f"error: a_process: the clock is not finite at node {node}") and out == ""
+    assert solved == []
+    # a clock that stays finite passes, and its alpha = dt / dq lies in [0, 1]
+    exp = build_experiment({
+        "scenario": "linear",
+        "grid": {"T": 2, "steps": 8},
+        "a_process": {"kind": "linear", "rate": 8e307},
+    })
+    alpha = cli.build_paths(exp.grid, exp.noise, exp.a_spec).alpha
+    assert np.all((0.0 <= alpha) & (alpha <= 1.0)) and alpha[0] == 0.25 / (0.25 + 2e307)
 
 
 def test_execute_evaluates_the_driver_at_zero_once(monkeypatch):

@@ -95,30 +95,25 @@ def test_solver_config_validation():
         ({"degree": 2.5}, "solver.degree"),
         ({"degree": True}, "solver.degree"),
         ({"degree": "3"}, "solver.degree"),
-        ({"mollify": "no"}, "solver.mollify"),
-        ({"mollify": 1}, "solver.mollify"),
-        # the mollifier takes eps in (0, 1]
-        ({"mollify": True, "eps_schedule": (2.0, 0.5)}, "solver.eps_schedule"),
-        ({"mollify": True, "eps_schedule": (1.0 + 1e-12,)}, "solver.eps_schedule"),
     ):
         with pytest.raises(ConfigError, match=needle):
             SolverConfig(**kwargs)
-    assert SolverConfig(degree=np.int64(2), mollify=True).degree == 2
-    assert SolverConfig(eps_schedule=(1.0, 0.5), mollify=True).eps_schedule == (1.0, 0.5)
+    assert SolverConfig(degree=np.int64(2)).degree == 2
     assert SolverConfig(eps_schedule=(2.0, 0.5)).eps_schedule == (2.0, 0.5)
 
 
 def test_solver_block_keys_are_the_config_fields():
     fields = {f.name for f in dataclasses.fields(SolverConfig)}
-    assert fields == {"p", "lam", "eps_schedule", "ce", "degree", "mollify"}
+    assert fields == {"p", "lam", "eps_schedule", "ce", "degree"}
     # lam is spelled lambda in a config, and integers are read as floats
     exp = build_experiment({"scenario": "linear", "solver": {"p": 3, "lambda": 0.25}})
     assert (exp.solver.p, exp.solver.lam) == (3.0, 0.25) and type(exp.solver.p) is float
     with pytest.raises(ConfigError, match=r"solver: unknown keys \['lam'\]"):
         build_experiment({"scenario": "linear", "solver": {"lam": 0.25}})
     # the penalty scheme has no knobs: explicit steps, predictor sweeps,
-    # ridge fits and the mollifier's node count are gone
-    for key, value in (("mode", "explicit"), ("sweeps", 2), ("ridge", 0.1), ("mollifier_nq", 101)):
+    # ridge fits and the mollified driver with its node count are gone
+    removed = (("mode", "explicit"), ("sweeps", 2), ("ridge", 0.1), ("mollifier_nq", 101), ("mollify", True))
+    for key, value in removed:
         with pytest.raises(ConfigError, match=rf"solver: unknown keys \['{key}'\]"):
             build_experiment({"scenario": "linear", "solver": {key: value}})
 
@@ -356,19 +351,6 @@ def test_smoothing_modulus_bound_for_linear_source():
             smoothing_operator(backend, u, bad)
 
 
-def test_mollified_linear_driver_leaves_solution_unchanged():
-    gen = GeneratorSpec.from_expressions("-y", "0", mu=-1.0)
-    bundle = det_bundle(100)
-    plain = solve_penalized(
-        bundle, ZERO, ZERO, gen, terminal_const(1.0), 0.1, SolverConfig(eps_schedule=(0.1,))
-    )
-    smooth = solve_penalized(
-        bundle, ZERO, ZERO, gen, terminal_const(1.0), 0.1,
-        SolverConfig(eps_schedule=(0.1,), mollify=True),
-    )
-    assert np.isclose(plain.y0, smooth.y0, rtol=0, atol=1e-12)
-
-
 def test_mc_martingale_y0_within_statistical_gate():
     bundle = build_paths(TimeGrid.uniform(1.0, 16), NoiseModel.gaussian_mc(2000, seed=9), ZERO_A)
     cfg = SolverConfig(eps_schedule=(0.1,), ce="lsq", degree=3)
@@ -471,12 +453,12 @@ SWEEP_CASES = {
         "potentials": {"phi": {"kind": "abs"}, "psi": {"kind": "interval", "a": -0.05, "b": 0.05}},
         "solver": {"eps_schedule": [0.1, 0.05, 0.025]},
     },
-    # min(z, 1) is 1-Lipschitz in z
-    "mollify": {
+    # a driver that reads z; min(z, 1) is 1-Lipschitz in z
+    "z-driver": {
         "scenario": "two_barrier_driven",
         "grid": {"steps": 16},
         "generator": {"F": "2 - y + min(z, 1)", "ell": 1.0},
-        "solver": {"mollify": True, "eps_schedule": [0.2, 0.1]},
+        "solver": {"eps_schedule": [0.2, 0.1]},
     },
     "lsq-two-eps": {
         "scenario": "mc_martingale",
