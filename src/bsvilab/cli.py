@@ -78,6 +78,20 @@ def _make_out_dir(path: str) -> None:
         raise ConfigError(f"cannot use output directory {path}: {exc}")
 
 
+def _check_out_dir(path: str) -> None:
+    """Refuse an output directory that could not be made or written,
+    without making it, so that a run refused later leaves nothing
+    behind: its nearest existing ancestor (itself, if it exists) must be
+    a writable directory."""
+    probe = os.path.abspath(path)
+    while not os.path.lexists(probe):
+        probe = os.path.dirname(probe)
+    if not os.path.isdir(probe):
+        raise ConfigError(f"cannot use output directory {path}: {probe} is not a directory")
+    if not os.access(probe, os.W_OK | os.X_OK):
+        raise ConfigError(f"cannot use output directory {path}: {probe} is not writable")
+
+
 @dataclass
 class RunResult:
     exp: Experiment
@@ -251,7 +265,7 @@ def cmd_run(args) -> int:
     config = load_config(args.config)
     exp = build_experiment(config)
     out_dir = args.out or _default_out_dir(exp)
-    _make_out_dir(out_dir)
+    _check_out_dir(out_dir)
     result = execute(exp)
     summary = write_artifacts(out_dir, result)
     print(f"scenario {exp.name} (seed {exp.seed})")
@@ -329,7 +343,7 @@ def cmd_sweep(args) -> int:
             merged = {**merged, key: {**merged.get(key, {}), **block}}
         exps.append(build_experiment(merged))
     out_dir = args.out or os.environ.get("BSVILAB_OUT_ROOT", "runs")
-    _make_out_dir(out_dir)
+    _check_out_dir(out_dir)
     rows = []
     prev_y0 = None
     for value, exp in zip(values, exps):
@@ -351,6 +365,7 @@ def cmd_sweep(args) -> int:
             f"{args.axis}={value:g}: Y0 {final.y0:.10g}"
             + ("" if ref is None else f", ref error {ref:.4g}")
         )
+    _make_out_dir(out_dir)
     sweep_path = os.path.join(out_dir, "sweep.csv")
     with open(sweep_path, "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -110,6 +110,17 @@ class TreeBackend:
         return (v_next[..., 1:] - v_next[..., :-1]) / (2.0 * self.sqdt)
 
 
+def monomial_basis(b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Fill out, P x (degree + 1), with vander(b, degree + 1,
+    increasing=True) bit for bit and return it: vander forms each power
+    as the previous one times b, and so does this, one column at a time."""
+    out[:, 0] = 1.0
+    out[:, 1] = b
+    for k in range(2, out.shape[1]):
+        np.multiply(out[:, k - 1], b, out=out[:, k])
+    return out
+
+
 class RegressionBackend:
     """Least-squares projection onto monomials {1, B, ..., B^degree}.
 
@@ -117,15 +128,18 @@ class RegressionBackend:
     fitted row by row.  At date 0 every path has B = 0 and the fit is
     the sample mean.
 
-    The basis x = vander(B_i) changes only with the date, so it is
-    factored once per date: a thin SVD x = U S V^T, keeping the columns
-    u of U whose singular value exceeds finfo.eps * max(P, degree + 1)
-    * s_max.  That is lstsq's rank rule with rcond=None, so every fit
-    u (u^T target) is lstsq's minimum-norm fit, also where the basis is
-    rank deficient (a tree's early dates, deterministic noise).  One
-    slot holds the last date's factor, so callers keep a date's fits
-    together; a cache across dates would hold P x (degree + 1) floats
-    per date.  Fields hold one cell per path at every level.
+    The basis x_i = vander(B_i) changes only with the date, so each date
+    is factored once per backend: a thin SVD x_i = U S V^T, keeping the
+    singular values above finfo.eps * max(P, degree + 1) * s_max.  That
+    is lstsq's rank rule with rcond=None.  Only the right factor
+    W_i = V_r diag(1 / s_r) is kept, (degree + 1) x r floats per date,
+    and u_i = x_i W_i spans the same columns as the kept U_r, so every
+    fit u_i (u_i^T target) is lstsq's minimum-norm fit, also where the
+    basis is rank deficient (a tree's early dates, deterministic noise).
+    One slot holds the last date's u_i, P x r floats, so callers keep a
+    date's fits together.  u_i is x_i W_i whichever date the slot held
+    before, so a fit's bits do not depend on the calls before it.
+    Fields hold one cell per path at every level.
     """
 
     kind = "lsq"
@@ -135,17 +149,23 @@ class RegressionBackend:
         self.offsets = np.arange(bundle.grid.steps + 2) * bundle.n_paths
         self.degree = int(degree)
         self.B = bundle.driver_paths()
-        self._slot = (None, None)  # (date, u)
+        # columns contiguous: each power is one pass over the paths
+        self._x = np.empty((bundle.n_paths, self.degree + 1), order="F")
+        self._right = {}  # date -> W_i
+        self._slot = (None, None)  # (date, u_i)
 
     def terminal_driver(self) -> np.ndarray:
         return self.B[:, -1]
 
     def _basis(self, i: int) -> np.ndarray:
+        """u_i = x_i W_i: columns orthonormal to rounding, spanning the kept directions."""
         if self._slot[0] != i:
-            x = np.vander(self.B[:, i], self.degree + 1, increasing=True)
-            u, s, _ = np.linalg.svd(x, full_matrices=False)
-            rank = np.count_nonzero(s > np.finfo(float).eps * max(x.shape) * s[0])
-            self._slot = (i, u[:, :rank])
+            x = monomial_basis(self.B[:, i], self._x)
+            if i not in self._right:
+                _, s, vt = np.linalg.svd(x, full_matrices=False)
+                rank = np.count_nonzero(s > np.finfo(float).eps * max(x.shape) * s[0])
+                self._right[i] = vt[:rank].T / s[:rank]
+            self._slot = (i, x @ self._right[i])
         return self._slot[1]
 
     def _fit(self, i: int, target: np.ndarray) -> np.ndarray:
@@ -177,6 +197,15 @@ def make_backend(bundle: PathBundle, cfg: SolverConfig):
     return RegressionBackend(bundle, cfg.degree)
 
 
+def _distinct(values) -> np.ndarray:
+    """np.unique of a float list: sorted, each value once.  np.unique
+    itself imports numpy.ma on its first call in a process."""
+    xs = np.sort(np.asarray(values, dtype=float))
+    keep = np.ones(xs.size, dtype=bool)
+    keep[1:] = xs[1:] != xs[:-1]
+    return xs[keep]
+
+
 def implicit_step(phi: ConvexSpec, psi: ConvexSpec, alpha: float, schedule, dq: float) -> Callable:
     """The map (y_hat, rows) -> v solving v + dq D Psi_eps(v) = y_hat, one row per eps.
 
@@ -197,10 +226,7 @@ def implicit_step(phi: ConvexSpec, psi: ConvexSpec, alpha: float, schedule, dq: 
         return v + dq * convex.combined_gradient(phi, psi, alpha, eps, v)
 
     kinks = [
-        np.unique(np.asarray(
-            convex.gradient_breakpoints(phi, eps) + convex.gradient_breakpoints(psi, eps),
-            dtype=float,
-        ))
+        _distinct(convex.gradient_breakpoints(phi, eps) + convex.gradient_breakpoints(psi, eps))
         for eps in schedule
     ]
 

@@ -4,6 +4,9 @@ import hashlib
 import importlib.util
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
@@ -501,6 +504,43 @@ def test_a_clock_that_overflows_is_refused_before_the_solve(tmp_path, capsys, mo
     })
     alpha = cli.build_paths(exp.grid, exp.noise, exp.a_spec).alpha
     assert np.all((0.0 <= alpha) & (alpha <= 1.0)) and alpha[0] == 0.25 / (0.25 + 2e307)
+
+
+def test_a_run_refused_after_the_config_leaves_no_output_directory(tmp_path, capsys):
+    # build_paths refuses both, after build_experiment has accepted them
+    overflow = {
+        "scenario": "linear",
+        "grid": {"T": 2, "steps": 8},
+        "a_process": {"kind": "linear", "rate": 1e308},
+    }
+    uneven_tree = {"scenario": "martingale", "grid": {"nodes": [0.0, 0.25, 1.0]}}
+    for k, (config, field) in enumerate(((overflow, "a_process"), (uneven_tree, "noise"))):
+        cfg = write_cfg(tmp_path, config, f"cfg{k}.json")
+        out = tmp_path / f"out{k}" / "run"
+        for argv in (
+            ["run", "--config", cfg, "--out", str(out)],
+            ["sweep", "--config", cfg, "--axis", "eps", "--values", "0.1", "--out", str(out)],
+        ):
+            capsys.readouterr()
+            assert main(argv) == 2
+            assert capsys.readouterr().err.startswith(f"error: {field}")
+            assert not (tmp_path / f"out{k}").exists()
+
+
+def test_a_run_does_not_import_numpy_ma(tmp_path):
+    # np.unique imports numpy.ma on its first call in a process, a cost every run paid
+    src = Path(cli.__file__).resolve().parents[1]
+    code = (
+        "import sys\n"
+        "from bsvilab.cli import main\n"
+        f"assert main(['run', '--config', {write_cfg(tmp_path, {'scenario': 'reflection'})!r},"
+        f" '--out', {str(tmp_path / 'out')!r}]) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "False"
 
 
 def test_execute_evaluates_the_driver_at_zero_once(monkeypatch):

@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bsvilab.convex import ConvexSpec
 from bsvilab.errors import (
@@ -16,6 +18,7 @@ from bsvilab.scenarios import SCENARIOS, build_experiment
 from bsvilab.solver import (
     SolverConfig,
     make_backend,
+    monomial_basis,
     resolve_implicit,
     smoothing_operator,
     solve_penalized,
@@ -611,12 +614,53 @@ def test_regression_factors_each_date_once_per_pass(monkeypatch):
     bundle = build_paths(exp.grid, exp.noise, exp.a_spec)
     backend = make_backend(bundle, exp.solver)
     sol = solve_sequence(backend, exp.phi, exp.psi, exp.gen, exp.terminal, exp.solver).solutions[0.05]
-    # date 0 is the sample mean; dates 1 .. steps-1 are factored once each
-    assert calls["svd"] <= steps - 1
-    calls["svd"] = 0
     smoothing_operator(backend, sol.Y, 0.2)
-    assert calls["svd"] <= steps - 1
+    # date 0 is the sample mean; dates 1 .. steps-1 are factored once
+    # each, by the sweep, and the smoothing pass reuses those factors
+    assert calls["svd"] == steps - 1
     assert calls["lstsq"] == 0
+
+
+EDGE_FLOATS = st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-160, -1e-110, 1e77, -1e103, 1.7e308]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.one_of(EDGE_FLOATS, st.floats(allow_nan=False)), min_size=1, max_size=40),
+    st.integers(1, 5),
+)
+def test_monomial_basis_is_vander_bit_for_bit(b, degree):
+    b = np.array(b)
+    with np.errstate(over="ignore", under="ignore"):  # powers of the edge values
+        want = np.vander(b, degree + 1, increasing=True)
+        got = monomial_basis(b, np.empty((b.size, degree + 1), order="F"))
+    assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(EDGE_FLOATS, st.floats(allow_nan=False), st.sampled_from([1.0, -1.0])), max_size=12))
+def test_distinct_kinks_are_np_unique_bit_for_bit(values):
+    assert solver._distinct(values).tobytes() == np.unique(np.array(values, dtype=float)).tobytes()
+
+
+def test_a_regression_fit_does_not_depend_on_the_fits_before_it():
+    bundle = REGRESSION_BUNDLES["mc"]()
+    rng = np.random.default_rng(5)
+    v = rng.standard_normal((2, bundle.n_paths))
+    i = 3
+    fresh = make_backend(bundle, SolverConfig(ce="lsq"))
+    first = fresh.ce(i, v), fresh.z(i, v)
+    # fits at other dates evict date i from the one-date slot; on another
+    # backend, date i comes after them
+    late = make_backend(bundle, SolverConfig(ce="lsq"))
+    for j in (1, 5, 7, 2):
+        fresh.ce(j, v)
+        late.z(j, v)
+    for backend in (fresh, late):
+        again = backend.ce(i, v), backend.z(i, v)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(first, again))
 
 
 SMOOTHING_BUNDLES = {

@@ -4,7 +4,9 @@
 
 One line per case and artifact: results.csv, verify.json,
 config_echo.json and summary.json; the wall-clock profile.json is left
-out.  The cases are the seven presets at p = 1.5, 2 and 2.5, and
+out.  The cases are the seven presets at p = 1.5, 2 and 2.5, the
+lattice presets `linear` (deterministic, a rank-1 basis) and
+`martingale` (a tree, ranks 2 to 4) with regression expectations, and
 the three benchmark workloads (perfbench/workloads.py) at seeds 1 to 3.
 Running it on two checkouts and diffing the outputs shows whether a
 change moved any artifact byte; running it twice under different
@@ -42,6 +44,8 @@ def cases() -> list:
         for name in sorted(SCENARIOS)
         for p in (1.5, 2.0, 2.5)
     ]
+    # lsq on a lattice: rank-deficient bases, at every date (deterministic) or early on (tree)
+    out += [(f"{name}/lsq", {"scenario": name, "solver": {"ce": "lsq"}}) for name in ("linear", "martingale")]
     for name, workload in sorted(_workloads().items()):
         out += [(f"{name}/seed={seed}", workload.config_for(seed)) for seed in (1, 2, 3)]
     return out
