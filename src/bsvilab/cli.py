@@ -52,7 +52,9 @@ SCENARIO_NOTES = {
 
 
 RESULTS_HEADER = b"step,t,Q,alpha,node_or_path,Y,Z,U,Kinc\r\n"
-BLOCK_ROWS = 1024  # rows per block of results.csv: 4096 float cells
+# the bytes a block of results.csv may hold (see _row_bytes), about the
+# writer's peak per call (tracemalloc) when its blocks were 1024 rows
+BLOCK_BYTES = 640_000
 
 
 def fmt(x) -> str:
@@ -159,17 +161,68 @@ def execute(exp: Experiment) -> RunResult:
     )
 
 
+def _numerals(count: int) -> np.ndarray:
+    """The decimal text of 0 .. count - 1 as rows of one void item each,
+    right-aligned behind NULs."""
+    places = 10 ** np.arange(len(str(max(count - 1, 0))))[::-1]
+    n = np.arange(count)[:, None]
+    text = (n // places % 10 + ord("0")) * ((n >= places) | (places == 1))
+    text = text.astype(np.uint8)
+    return text.view(np.dtype((np.void, len(places)))).ravel()
+
+
+def _level_heads(bundle, g17) -> np.ndarray:
+    """`step,t,Q,alpha,` of every level as one NUL-padded void item each;
+    the last step has no alpha.  The floats go through g17.write, one
+    call for as many levels as fit BLOCK_BYTES (all of them, but on
+    grids of thousands of steps)."""
+    n = bundle.grid.steps
+    steps = _numerals(n + 1)
+    width = steps.itemsize + 3 * (1 + g17.WIDTH)
+    values = np.zeros((n + 1, 3))
+    values[:, 0] = bundle.grid.nodes
+    values[:, 1] = bundle.Q
+    values[:-1, 2] = bundle.alpha
+    size = max(1, BLOCK_BYTES // (3 * (width + 2) + 3 * g17.BYTES_PER_VALUE))
+    heads = []
+    for i in range(0, n + 1, size):
+        j = min(i + size, n + 1)
+        table = np.zeros((j - i, width + 2), np.uint8)
+        table[:, : steps.itemsize] = steps[i:j, None].view(np.uint8)
+        floats = table[:, steps.itemsize : width].reshape(j - i, 3, 1 + g17.WIDTH)
+        floats[:, :, 0] = ord(",")
+        g17.write(values[i:j], floats[:, :, 1:])
+        if j == n + 1:
+            floats[-1, 2, 1:] = 0
+        table[:, width:] = (ord(","), ord("\n"))
+        heads += table[table != 0].tobytes().split(b"\n")[:-1]
+    return np.array(heads, dtype=bytes).view(np.dtype((np.void, max(map(len, heads)))))
+
+
+def _row_bytes(row: int, spelled: int, g17) -> int:
+    """What one row of a results.csv block holds at most: its row of the
+    table (row bytes wide) and its `spelled` float values, and then
+    either the row and level numbers and g17's temporaries, or the NUL
+    mask and the compacted text."""
+    return row + 8 * spelled + max(16 + spelled * g17.BYTES_PER_VALUE, 2 * row)
+
+
 def _write_results_csv(path: str, result: RunResult) -> str:
     """One row per node (lattice) or path; Kinc is U dQ.  Returns the
     sha256 of the bytes written.
 
     The bytes are those of csv.writer's default dialect: fields need no
     quoting, rows end in CRLF, and the last step leaves alpha, Z, U and
-    Kinc empty.  Rows go out BLOCK_ROWS at a time, across levels: each
-    block is a NUL-padded byte table of [head | index | ,Y | ,Z | ,U |
-    ,Kinc | CRLF] per row, compacted by dropping the NULs, which no field
-    contains.  The head (step, t, Q, alpha) is fmt per level, and the
-    floats are g17.cells, the bytes of fmt.
+    Kinc empty.  Rows go out in blocks across levels, as many as fit
+    BLOCK_BYTES (see _row_bytes).  One row table, NUL-padded, holds
+    every block in turn: [head | index | ,Y | ,Z | ,U | ,Kinc | CRLF]
+    per row, compacted by dropping the NULs, which no field contains.
+    The heads (step, t, Q, alpha) are built once per level and the
+    indices once per run.  g17.write spells the floats, the bytes of
+    fmt, into the table's cells: one call per block and run of adjacent
+    columns.  A column that is +0 in every row (U and Kinc where no
+    constraint binds, Z without noise) is spelled nowhere; its cell is
+    the constant "0", written once.
     """
     # imported on first use: `verify`, `sweep` and `list-scenarios` write
     # no results.csv, and need neither its compile nor its tables
@@ -177,59 +230,73 @@ def _write_results_csv(path: str, result: RunResult) -> str:
 
     sol = result.seq.solutions[result.exp.solver.eps_schedule[-1]]
     bundle = result.bundle
-    t, dq = bundle.grid.nodes, bundle.dq
     n = bundle.grid.steps
-    sizes = np.diff(sol.offsets)
-    ends = np.cumsum(sizes)
+    ends = sol.offsets[1:]
     y, z, u = sol.levels("Y", 0, n + 1), sol.levels("Z", 0, n), sol.levels("U", 0, n)
-    inner = y.size - sizes[n]  # rows before the last step's
+    inner = int(sol.offsets[n])  # rows before the last step's
     if z.size != inner or u.size != inner:
         raise ValueError("Z and U do not fill the levels of Y")
-    heads = np.array(
-        [
-            f"{i},{fmt(t[i])},{fmt(bundle.Q[i])},{'' if i == n else fmt(bundle.alpha[i])},"
-            for i in range(n + 1)
-        ],
-        dtype=bytes,
-    )
-    head_width = heads.itemsize
-    heads = heads.view(np.dtype((np.void, head_width)))
-    place = 10 ** np.arange(len(str(sizes.max() - 1)))[::-1, None]  # of the index
-    start = head_width + len(place)  # the comma before Y
+    heads = _level_heads(bundle, g17)
+    index = _numerals(int(np.diff(sol.offsets).max()))
+    # the columns to spell: Y, and Z, U and Kinc = U dQ unless +0 throughout
+    z_spelled, u_spelled = z.view(np.int64).any(), u.view(np.int64).any()
+    spelled = np.array([True, z_spelled, u_spelled, u_spelled])
     slot = 1 + g17.WIDTH
+    starts = heads.itemsize + index.itemsize + np.cumsum([0, *np.where(spelled, slot, 2)])
+    row = int(starts[-1]) + 2
+    size = max(1, min(y.size, BLOCK_BYTES // _row_bytes(row, spelled.sum(), g17)))
+    table = np.zeros((size, row), np.uint8)
+    table[:, starts[:-1]] = ord(",")
+    table[:, starts[:-1][~spelled] + 1] = ord("0")
+    table[:, -2:] = (13, 10)
+    values = np.empty((size, spelled.sum()))  # the spelled columns
+    # each run of adjacent spelled columns: its values and its cells
+    runs, j = [], 0
+    for c, k in _runs(spelled):
+        cells = table[:, starts[c] : starts[c] + k * slot].reshape(size, k, slot)[:, :, 1:]
+        runs.append((values[:, j : j + k], cells))
+        j += k
 
-    def block(r0):
-        """The bytes of the rows from r0 on, BLOCK_ROWS of them or the
-        rest; its arrays are freed when it returns."""
-        rows = np.arange(r0, min(r0 + BLOCK_ROWS, y.size))
+    def block(r0, fh):
+        """Write the rows from r0 on, size of them or the rest; the
+        block's arrays are freed when it returns."""
+        r1 = min(r0 + size, y.size)
+        m, q = r1 - r0, max(min(r1, inner) - r0, 0)  # rows, rows with Z, U and Kinc
+        rows = np.arange(r0, r1)
         level = np.searchsorted(ends, rows, side="right")
-        q = min(rows.size, max(inner - r0, 0))  # rows with Z, U and Kinc
-        values = np.zeros((rows.size, 4))
-        values[:, 0] = y[r0:r0 + rows.size]
-        values[:q, 1] = z[r0:r0 + q]
-        values[:q, 2] = u[r0:r0 + q]
-        values[:q, 3] = values[:q, 2] * dq[level[:q]]
-        text = g17.cells(values).reshape(rows.size, 4, g17.WIDTH)
-        buf = np.zeros((rows.size, start + 4 * slot + 2), np.uint8)
-        buf[:, :head_width] = heads[level].view(np.uint8).reshape(rows.size, head_width)
-        index = rows - ends[level] + sizes[level]
-        digits = (index // place % 10 + ord("0")) * ((index >= place) | (place == 1))
-        buf[:, head_width:start] = digits.T  # leading zeros are NUL
-        floats = buf[:, start:-2].reshape(rows.size, 4, slot)
-        floats[:, :, 0] = ord(",")
-        floats[:, :, 1:] = text
-        floats[q:, 1:, 1:] = 0  # the last step has no Z, U or Kinc
-        buf[:, -2:] = (13, 10)
-        return buf[buf != 0]
+        rows -= sol.offsets[level]
+        np.take(heads, level, out=table[:m, : heads.itemsize].view(heads.dtype)[:, 0])
+        np.take(index, rows, out=table[:m, heads.itemsize : starts[0]].view(index.dtype)[:, 0])
+        del rows
+        for j, c in enumerate(np.flatnonzero(spelled)):
+            if c == 0:
+                values[:m, j] = y[r0:r1]
+            elif c < 3:
+                values[:q, j] = (z, u)[c - 1][r0 : r0 + q]
+            else:
+                np.multiply(u[r0 : r0 + q], bundle.dq[level[:q]], out=values[:q, j])
+        values[q:m, 1:] = 0.0
+        del level
+        for x, cells in runs:
+            g17.write(x[:m], cells[:m])
+        table[q:m, starts[1] : starts[-1]] = 0  # the last step has no Z, U or Kinc:
+        table[q:m, starts[1:-1]] = ord(",")  # only their commas stay
+        chunk = table[:m][table[:m] != 0]
+        digest.update(chunk)
+        fh.write(chunk)
 
     digest = hashlib.sha256(RESULTS_HEADER)
     with open(path, "wb") as fh:
         fh.write(RESULTS_HEADER)
-        for r0 in range(0, y.size, BLOCK_ROWS):
-            chunk = block(r0)
-            digest.update(chunk)
-            fh.write(chunk)
+        for r0 in range(0, y.size, size):
+            block(r0, fh)
     return digest.hexdigest()
+
+
+def _runs(mask):
+    """(start, length) of each run of True in mask."""
+    edges = np.flatnonzero(np.diff(np.concatenate([[False], mask, [False]])))
+    return [(int(a), int(b - a)) for a, b in zip(edges[::2], edges[1::2])]
 
 
 def _json_dump(path: str, payload) -> str:

@@ -210,7 +210,8 @@ def _variational_profiles(
             diff = m_minus_y[:, : e - a]
             for q, delta in checks:
                 gamma = np.sqrt(m_minus_y ** 2 + gamma_shift(delta, q))
-                g_pow = gamma[:, : e - a] ** (q - 2.0)
+                # gamma ** 0 is 1 for every gamma, and a product by 1.0 is exact
+                g_pow = 1.0 if q == 2.0 else gamma[:, : e - a] ** (q - 2.0)
                 incr = (
                     0.5 * q * (q - 1.0) * g_pow * r_minus_z ** 2 * dt[a:e]
                     + q * g_pow * psi_y * dq[a:e]
@@ -321,7 +322,7 @@ def ito_report_from_solution(
         acc = (y_paths * y_paths + delta) ** (p / 2.0)
         if p == 2.0:
             quad = r_paths * r_paths * dt[a:e]
-            weight = np.ones_like(base)
+            weight = 1.0  # a product by 1.0 is exact
         else:
             with np.errstate(divide="ignore", invalid="ignore"):
                 quad = (

@@ -14,7 +14,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from bsvilab import cli, solver, verify
+from bsvilab import cli, g17, solver, verify
 from bsvilab.cli import _sweep_override, execute, fmt, main, write_artifacts
 from bsvilab.errors import ConfigError
 from bsvilab.scenarios import SCENARIOS, build_experiment, resolve_config
@@ -628,14 +628,55 @@ def test_reference_error_needs_the_presets_data():
     ],
     ids=["mc-lsq", "tree", "deterministic", "tree-lsq"],
 )
-def test_results_csv_matches_the_per_row_writer(tmp_path, config):
+def test_results_csv_matches_the_per_row_writer(tmp_path, monkeypatch, config):
     res = execute(build_experiment(config))
     write_artifacts(str(tmp_path / "out"), res)
     results_csv_oracle(str(tmp_path / "oracle.csv"), res)
-    got = (tmp_path / "out" / "results.csv").read_bytes()
-    assert got == (tmp_path / "oracle.csv").read_bytes()
+    want = (tmp_path / "oracle.csv").read_bytes()
+    assert (tmp_path / "out" / "results.csv").read_bytes() == want
     final = res.seq.solutions[res.exp.solver.eps_schedule[-1]]
-    assert got.count(b"\r\n") == 1 + final.Y.size
+    assert want.count(b"\r\n") == 1 + final.Y.size
+    # rows per block, 7 a prime, None all rows.  mc-lsq has 17 levels of
+    # 300 rows: 7-row blocks start mid-level, a level spans many blocks,
+    # and the index grows from 1 to 3 digits inside blocks; tree has 561
+    # rows, so its last 2- and 7-row block holds one row
+    for block in (1, 2, 7, None):
+        sizes = _write_in_blocks(monkeypatch, res, str(tmp_path / "got.csv"), block)
+        assert max(sizes) == (block or final.Y.size), block
+        assert (tmp_path / "got.csv").read_bytes() == want, block
+
+
+def _write_in_blocks(monkeypatch, result, path, rows):
+    """Write result's results.csv in blocks of `rows` rows (None: one
+    block) by setting cli.BLOCK_BYTES to that many rows' bytes; return
+    the rows of every g17.write call on a block."""
+    row_bytes = []
+    real_row_bytes = cli._row_bytes
+
+    def spy_row_bytes(*args):
+        row_bytes.append(real_row_bytes(*args))
+        return row_bytes[-1]
+
+    monkeypatch.setattr(cli, "_row_bytes", spy_row_bytes)
+    cli._write_results_csv(path, result)
+    sol = result.seq.solutions[result.exp.solver.eps_schedule[-1]]
+    monkeypatch.setattr(cli, "BLOCK_BYTES", (rows or sol.Y.size) * row_bytes[-1])
+    calls = []
+    real_write, real_heads = g17.write, cli._level_heads
+
+    def spy_write(x, out):
+        calls.append(x.shape[0])
+        real_write(x, out)
+
+    def spy_heads(*args):
+        heads = real_heads(*args)
+        calls.clear()  # the calls on blocks come next
+        return heads
+
+    monkeypatch.setattr(g17, "write", spy_write)
+    monkeypatch.setattr(cli, "_level_heads", spy_heads)
+    cli._write_results_csv(path, result)
+    return calls
 
 
 def _hand_built_result(y_levels, z, u, dq):
@@ -659,7 +700,7 @@ def _hand_built_result(y_levels, z, u, dq):
     )
 
 
-def test_results_csv_writer_on_hand_built_levels(tmp_path):
+def test_results_csv_writer_on_hand_built_levels(tmp_path, monkeypatch):
     # signed zero, the smallest subnormal, huge values, integral floats
     # and a one-node level, as a lattice's root is; Kinc = U dQ
     result = _hand_built_result(
@@ -668,17 +709,21 @@ def test_results_csv_writer_on_hand_built_levels(tmp_path):
         u=[2.0, -0.0, -1e300, 1e-323],
         dq=[0.5, 0.5],
     )
-    cli._write_results_csv(str(tmp_path / "got.csv"), result)
     results_csv_oracle(str(tmp_path / "oracle.csv"), result)
-    got = (tmp_path / "got.csv").read_bytes()
-    assert got == (tmp_path / "oracle.csv").read_bytes()
-    assert got.splitlines(keepends=True)[1:5] == [
+    want = (tmp_path / "oracle.csv").read_bytes()
+    assert want.splitlines(keepends=True)[1:5] == [
         b"0,0,0,1,0,3,1.0000000000000001e+300,2,1\r\n",
         b"1,0.5,0.5,0.25,0,-0,-0,-0,-0\r\n",
         b"1,0.5,0.5,0.25,1,4.9406564584124654e-324,3,-1.0000000000000001e+300,-5.0000000000000003e+299\r\n",
         b"1,0.5,0.5,0.25,2,1.0000000000000001e+300,-4.9406564584124654e-324,9.8813129168249309e-324,4.9406564584124654e-324\r\n",
     ]
-    assert got.endswith(b"2,1,1,,2,0.10000000000000001,,,\r\n")
+    assert want.endswith(b"2,1,1,,2,0.10000000000000001,,,\r\n")
+    # rows per block, 3 a prime, None all 7 rows: 2-row blocks start
+    # mid-level and end on a one-row block
+    for block in (1, 2, 3, None):
+        sizes = _write_in_blocks(monkeypatch, result, str(tmp_path / "got.csv"), block)
+        assert max(sizes) == (block or 7), block
+        assert (tmp_path / "got.csv").read_bytes() == want, block
 
 
 def test_results_csv_writer_refuses_ragged_levels(tmp_path):
@@ -691,11 +736,13 @@ def test_results_csv_writer_refuses_ragged_levels(tmp_path):
 
 
 def test_results_csv_writer_memory_is_one_block(tmp_path):
-    # 68000 rows, 67 blocks: a 4.4 MB file written by a writer that holds
-    # about one block, never the whole text
+    # 68000 rows, 34 blocks: a 4.4 MB file written by a writer that holds
+    # about one block, never the whole text.  The peak measured 636,748
+    # bytes (numpy 2.4, Python 3.11); the bound adds 64 KiB to it
     res = execute(build_experiment(
         {"scenario": "mc_martingale", "grid": {"steps": 16}, "noise": {"paths": 4000}}
     ))
+    cli._write_results_csv(str(tmp_path / "results.csv"), res)  # g17's tables, once
     gc.collect()
     tracemalloc.start()
     try:
@@ -704,7 +751,7 @@ def test_results_csv_writer_memory_is_one_block(tmp_path):
     finally:
         tracemalloc.stop()
     assert (tmp_path / "results.csv").stat().st_size > 4 << 20
-    assert peak < 4 << 20
+    assert peak < 636_748 + (64 << 10)
 
 
 def test_summary_reports_the_penalty_per_eps():

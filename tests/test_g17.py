@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -6,9 +8,24 @@ from hypothesis import strategies as st
 from bsvilab import g17
 
 
+def cells(values):
+    """g17.write of values into the cells of a row table laid out as the
+    results.csv writer lays out its own: two values to a row behind a
+    head, each cell after a comma, so the cells are strided and
+    unaligned.  The table starts as 0xff to show the bytes write leaves."""
+    values = np.asarray(values, dtype=np.float64).ravel()
+    rows = np.resize(values, 2 * -(-values.size // 2)).reshape(-1, 2)
+    table = np.full((rows.shape[0], 3 + 2 * (1 + g17.WIDTH) + 2), 0xFF, np.uint8)
+    slots = table[:, 3:-2].reshape(-1, 2, 1 + g17.WIDTH)
+    g17.write(rows, slots[:, :, 1:])
+    assert (table[:, :3] == 0xFF).all() and (slots[:, :, 0] == 0xFF).all()
+    assert (table[:, -2:] == 0xFF).all()
+    return slots[:, :, 1:].reshape(-1, g17.WIDTH)[: values.size]
+
+
 def texts(values):
-    """g17.cells of values as one bytes object per value."""
-    return [row[row != 0].tobytes() for row in g17.cells(np.asarray(values, dtype=np.float64))]
+    """g17.write of values as one bytes object per value."""
+    return [row[row != 0].tobytes() for row in cells(values)]
 
 
 def dtoa(values):
@@ -44,6 +61,14 @@ EDGES = {
     # the double-double product of 1e20 lands just under 1e16; without the
     # edge fallback it prints 1e+19
     "inexact decade edge": [1e20],
+    # x 10^24 is half an integer for x = 2^-25 and 3 2^-25, and 10^24 is no
+    # double: the double-double product lies a hair from the tie
+    "far ties": [2.0**-25, -3 * 2.0**-25],
+    # every fallback at once, next to exact values: the fallback rows of a
+    # strided write land in their own cells
+    "fallbacks among exact values": [
+        1.5, -0.0, 0.25, 5e-324, -2.5, 2.0**-25, 0.0, -1e-300, np.nan, 1e20, 7.0, -np.inf,
+    ],
     "range limits": [1e-284, np.nextafter(1e-284, 0.0), 1e280, np.nextafter(1e280, 0.0)],
     "non-finite": [np.inf, -np.inf],
 }
@@ -70,6 +95,30 @@ def test_exact_digits_marks_unsure_inexact_products():
 
 def test_cells_rows_fit_the_width():
     values = [-1.2345678901234567e-100, -0.00012345678901234567, -12345678901234567.0]
-    rows = g17.cells(values)
-    assert rows.shape == (3, g17.WIDTH)
+    assert cells(values).shape == (3, g17.WIDTH)
     assert [len(t) for t in texts(values)] == [24, 23, 18]
+
+
+def test_write_takes_any_shape():
+    values = np.array([[1.5, -0.0, np.nan], [1e300, 5e-324, 0.1]])
+    out = np.zeros((2, 3, g17.WIDTH), np.uint8)
+    g17.write(values, out)
+    assert [row[row != 0].tobytes() for row in out.reshape(-1, g17.WIDTH)] == dtoa(values.ravel())
+
+
+def test_write_holds_at_most_bytes_per_value():
+    # the results.csv writer sizes its blocks by this bound
+    rng = np.random.default_rng(5)
+    for values in (
+        rng.standard_normal(4096) * 10.0 ** rng.integers(-8, 8, 4096),
+        np.where(rng.random(4096) < 0.5, 0.0, rng.standard_normal(4096)),
+    ):
+        out = np.zeros((values.size, g17.WIDTH), np.uint8)
+        g17.write(values, out)
+        tracemalloc.start()
+        try:
+            g17.write(values, out)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= g17.BYTES_PER_VALUE * values.size
