@@ -161,42 +161,14 @@ def execute(exp: Experiment) -> RunResult:
     )
 
 
-def _numerals(count: int) -> np.ndarray:
-    """The decimal text of 0 .. count - 1 as rows of one void item each,
-    right-aligned behind NULs."""
-    places = 10 ** np.arange(len(str(max(count - 1, 0))))[::-1]
-    n = np.arange(count)[:, None]
-    text = (n // places % 10 + ord("0")) * ((n >= places) | (places == 1))
-    text = text.astype(np.uint8)
-    return text.view(np.dtype((np.void, len(places)))).ravel()
-
-
-def _level_heads(bundle, g17) -> np.ndarray:
-    """`step,t,Q,alpha,` of every level as one NUL-padded void item each;
-    the last step has no alpha.  The floats go through g17.write, one
-    call for as many levels as fit BLOCK_BYTES (all of them, but on
-    grids of thousands of steps)."""
-    n = bundle.grid.steps
-    steps = _numerals(n + 1)
-    width = steps.itemsize + 3 * (1 + g17.WIDTH)
-    values = np.zeros((n + 1, 3))
-    values[:, 0] = bundle.grid.nodes
-    values[:, 1] = bundle.Q
-    values[:-1, 2] = bundle.alpha
-    size = max(1, BLOCK_BYTES // (3 * (width + 2) + 3 * g17.BYTES_PER_VALUE))
-    heads = []
-    for i in range(0, n + 1, size):
-        j = min(i + size, n + 1)
-        table = np.zeros((j - i, width + 2), np.uint8)
-        table[:, : steps.itemsize] = steps[i:j, None].view(np.uint8)
-        floats = table[:, steps.itemsize : width].reshape(j - i, 3, 1 + g17.WIDTH)
-        floats[:, :, 0] = ord(",")
-        g17.write(values[i:j], floats[:, :, 1:])
-        if j == n + 1:
-            floats[-1, 2, 1:] = 0
-        table[:, width:] = (ord(","), ord("\n"))
-        heads += table[table != 0].tobytes().split(b"\n")[:-1]
-    return np.array(heads, dtype=bytes).view(np.dtype((np.void, max(map(len, heads)))))
+def _level_heads(bundle) -> np.ndarray:
+    """`step,t,Q,alpha,` of every level, the floats as '%.17g', as one
+    NUL-padded void item each; the last step has no alpha."""
+    t, q, alpha = bundle.grid.nodes.tolist(), bundle.Q.tolist(), bundle.alpha.tolist()
+    heads = [b"%d,%.17g,%.17g,%.17g," % head for head in zip(range(len(alpha)), t, q, alpha)]
+    heads.append(b"%d,%.17g,%.17g,," % (len(alpha), t[-1], q[-1]))
+    heads = np.array(heads)
+    return heads.view(np.dtype((np.void, heads.itemsize)))
 
 
 def _row_bytes(row: int, spelled: int, g17) -> int:
@@ -217,12 +189,12 @@ def _write_results_csv(path: str, result: RunResult) -> str:
     BLOCK_BYTES (see _row_bytes).  One row table, NUL-padded, holds
     every block in turn: [head | index | ,Y | ,Z | ,U | ,Kinc | CRLF]
     per row, compacted by dropping the NULs, which no field contains.
-    The heads (step, t, Q, alpha) are built once per level and the
-    indices once per run.  g17.write spells the floats, the bytes of
-    fmt, into the table's cells: one call per block and run of adjacent
-    columns.  A column that is +0 in every row (U and Kinc where no
-    constraint binds, Z without noise) is spelled nowhere; its cell is
-    the constant "0", written once.
+    The heads (step, t, Q, alpha), '%.17g' per level, and the indices,
+    numpy's decimal text, are built once per run.  g17.write spells the
+    row floats, the bytes of fmt, into the table's cells: one call per
+    block and run of adjacent columns.  A column that is +0 in every
+    row (U and Kinc where no constraint binds, Z without noise) is
+    spelled nowhere; its cell is the constant "0", written once.
     """
     # imported on first use: `verify`, `sweep` and `list-scenarios` write
     # no results.csv, and need neither its compile nor its tables
@@ -236,8 +208,9 @@ def _write_results_csv(path: str, result: RunResult) -> str:
     inner = int(sol.offsets[n])  # rows before the last step's
     if z.size != inner or u.size != inner:
         raise ValueError("Z and U do not fill the levels of Y")
-    heads = _level_heads(bundle, g17)
-    index = _numerals(int(np.diff(sol.offsets).max()))
+    heads = _level_heads(bundle)
+    count = int(np.diff(sol.offsets).max())  # rows in the widest level
+    index = np.arange(count).astype(f"S{len(str(count - 1))}")
     # the columns to spell: Y, and Z, U and Kinc = U dQ unless +0 throughout
     z_spelled, u_spelled = z.view(np.int64).any(), u.view(np.int64).any()
     spelled = np.array([True, z_spelled, u_spelled, u_spelled])
@@ -394,8 +367,8 @@ def _sweep_override(axis: str, value: float, base: dict) -> dict:
 
 
 def cmd_sweep(args) -> int:
-    config = load_config(args.config)
-    base = resolve_config(config)
+    base = resolve_config(load_config(args.config))
+    build_experiment(base)  # refuse a bad base config before forming the overrides
     try:
         values = [float(v) for v in args.values.split(",") if v.strip()]
     except ValueError:

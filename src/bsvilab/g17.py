@@ -128,19 +128,25 @@ _U8, _U32, _U64 = np.uint64(8), np.uint64(32), np.uint64(64)
 _EDGES = (1e16 * (1 + 1e-12), 1e17 * (1 - 1e-12))
 
 
-def _scaled(a, ah, al, col):
-    """a 10^(16 - k) as p + t, p = fl(a 10^(16 - k)), k = col + _K_MIN;
-    ah + al is a split into 26-bit halves.  Exact where lo is 0."""
+def _scaled(a, col):
+    """a 10^(16 - k) as p + t, p = fl(a 10^(16 - k)), k = col + _K_MIN.
+    Exact where lo is 0.  Holds at most four arrays the size of a."""
     hi, hh, hl, lo = _POW
-    p = a * hi[col]
-    hh, hl = hh[col], hl[col]
-    t = ah * hh
+    p = hi[col]
+    p *= a
+    half = _SPLIT * a
+    half -= half - a  # c - (c - a): the upper 26 bits of a, ah
+    t = hh[col]
+    t *= half
+    term = hl[col]
+    term *= half
+    np.subtract(a, half, out=half)  # the lower bits, al
     t -= p
-    t += ah * hl
-    t += al * hh
-    t += al * hl
-    del hh, hl
-    t += a * lo[col]
+    t += term  # ah hh - p + ah hl
+    for row, x in ((hh, half), (hl, half), (lo, a)):  # + al hh + al hl + a lo
+        np.take(row, col, out=term)
+        term *= x
+        t += term
     return p, t
 
 
@@ -151,10 +157,7 @@ def exact_digits(a):
     col = np.log10(a)
     col -= _K_MIN
     col = np.floor(col, out=col).astype(np.intp)
-    ah = _SPLIT * a
-    ah -= ah - a  # c - (c - a): the upper 26 bits of a
-    al = a - ah
-    p, t = _scaled(a, ah, al, col)
+    p, t = _scaled(a, col)
     # the decade of the unrounded product; log10 is off by at most one,
     # and |t| is far below the margin of _EDGES
     edge = p < _EDGES[0]
@@ -163,12 +166,12 @@ def exact_digits(a):
     for _ in range(2 if edge.size else 0):
         pe, te = p[edge], t[edge]
         move = ((pe - 1e17) + te >= 0).view(np.int8) - ((pe - 1e16) + te < 0).view(np.int8)
+        del pe, te
         edge = edge[move != 0]
         if edge.size == 0:
             break
         col[edge] += move[move != 0]
-        p[edge], t[edge] = _scaled(a[edge], ah[edge], al[edge], col[edge])
-    del ah, al
+        p[edge], t[edge] = _scaled(a[edge], col[edge])
     unsure = np.zeros(a.size, bool)
     # columns whose scale 10^(16 - k) is not a double
     far = np.flatnonzero((col - (-_K_MIN - 6)).astype(np.uintp) > _EXACT)

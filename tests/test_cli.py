@@ -366,6 +366,22 @@ def test_sweep_refuses_bad_axis_values(tmp_path, capsys, monkeypatch, axis, valu
     assert not out.exists()
 
 
+@pytest.mark.parametrize("axis, config", [
+    ("dt", {"scenario": "linear", "grid": None}),
+    ("paths", {"scenario": "mc_martingale", "noise": None}),
+    ("eps", {"scenario": "linear", "solver": None}),
+])
+def test_sweep_refuses_a_null_config_block(tmp_path, capsys, axis, config):
+    # the base config is checked as `run` checks it, before any override
+    # reads the block
+    block = next(key for key, value in config.items() if value is None)
+    out = tmp_path / "out"
+    argv = ["sweep", "--config", write_cfg(tmp_path, config), "--axis", axis, "--values", "100"]
+    assert main([*argv, "--out", str(out)]) == 2
+    assert f"error: {block}: expected an object, got NoneType" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("config", [
     {"scenario": "linear", "grid": {"T": 1.0, "steps": 3}},
     {"scenario": "linear", "grid": {"T": 1.0, "steps": 1}},
@@ -613,6 +629,9 @@ def test_reference_error_needs_the_presets_data():
         assert res.summary["reference_error"] is not None, name
 
 
+CLOCKED_NODES = [0.0, 0.1, 0.35, 0.5, 0.8, 1.0]
+
+
 @pytest.mark.parametrize(
     "config",
     [
@@ -625,8 +644,16 @@ def test_reference_error_needs_the_presets_data():
             "solver": {"ce": "lsq"},
             "noise": {"kind": "tree", "eval_paths": 256},
         },
+        # a clock A on a non-uniform grid: heads with Q != t and alpha != 1
+        {"scenario": "clocked_decay", "grid": {"nodes": CLOCKED_NODES}},
+        {
+            "scenario": "mc_martingale",
+            "grid": {"nodes": CLOCKED_NODES},
+            "a_process": {"kind": "ramp", "start": 0.3, "rate": 2.0},
+            "noise": {"paths": 50},
+        },
     ],
-    ids=["mc-lsq", "tree", "deterministic", "tree-lsq"],
+    ids=["mc-lsq", "tree", "deterministic", "tree-lsq", "clocked", "mc-lsq-ramp"],
 )
 def test_results_csv_matches_the_per_row_writer(tmp_path, monkeypatch, config):
     res = execute(build_experiment(config))
@@ -639,17 +666,18 @@ def test_results_csv_matches_the_per_row_writer(tmp_path, monkeypatch, config):
     # rows per block, 7 a prime, None all rows.  mc-lsq has 17 levels of
     # 300 rows: 7-row blocks start mid-level, a level spans many blocks,
     # and the index grows from 1 to 3 digits inside blocks; tree has 561
-    # rows, so its last 2- and 7-row block holds one row
+    # rows, so its last 2- and 7-row block holds one row; clocked has 6
+    # rows, fewer than a 7-row block
     for block in (1, 2, 7, None):
         sizes = _write_in_blocks(monkeypatch, res, str(tmp_path / "got.csv"), block)
-        assert max(sizes) == (block or final.Y.size), block
+        assert max(sizes) == min(block or final.Y.size, final.Y.size), block
         assert (tmp_path / "got.csv").read_bytes() == want, block
 
 
 def _write_in_blocks(monkeypatch, result, path, rows):
     """Write result's results.csv in blocks of `rows` rows (None: one
     block) by setting cli.BLOCK_BYTES to that many rows' bytes; return
-    the rows of every g17.write call on a block."""
+    the rows of every g17.write call, each on a block."""
     row_bytes = []
     real_row_bytes = cli._row_bytes
 
@@ -662,19 +690,13 @@ def _write_in_blocks(monkeypatch, result, path, rows):
     sol = result.seq.solutions[result.exp.solver.eps_schedule[-1]]
     monkeypatch.setattr(cli, "BLOCK_BYTES", (rows or sol.Y.size) * row_bytes[-1])
     calls = []
-    real_write, real_heads = g17.write, cli._level_heads
+    real_write = g17.write
 
     def spy_write(x, out):
         calls.append(x.shape[0])
         real_write(x, out)
 
-    def spy_heads(*args):
-        heads = real_heads(*args)
-        calls.clear()  # the calls on blocks come next
-        return heads
-
     monkeypatch.setattr(g17, "write", spy_write)
-    monkeypatch.setattr(cli, "_level_heads", spy_heads)
     cli._write_results_csv(path, result)
     return calls
 

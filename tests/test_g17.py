@@ -106,12 +106,28 @@ def test_write_takes_any_shape():
     assert [row[row != 0].tobytes() for row in out.reshape(-1, g17.WIDTH)] == dtoa(values.ravel())
 
 
+def _decade_edges(lo, hi, size, sides=(np.inf, -np.inf)):
+    """The doubles next to 10.0**k toward each of sides for k in [lo, hi],
+    repeated to size values.  Each lies within 1e-12 of its decade's
+    edge, where the product is checked again; below 10.0**k, log10
+    names the decade above, and the product is scaled a second time."""
+    powers = 10.0 ** np.arange(lo, hi + 1)
+    return np.resize([np.nextafter(powers, side) for side in sides], size)
+
+
 def test_write_holds_at_most_bytes_per_value():
     # the results.csv writer sizes its blocks by this bound
     rng = np.random.default_rng(5)
     for values in (
         rng.standard_normal(4096) * 10.0 ** rng.integers(-8, 8, 4096),
         np.where(rng.random(4096) < 0.5, 0.0, rng.standard_normal(4096)),
+        # decade edges: [-20, 21] spans the exact scales, [-280, 269] is
+        # mostly double-double ones
+        _decade_edges(-20, 21, 4096),
+        _decade_edges(-280, 269, 4096),
+        _decade_edges(-20, 21, 16384),
+        _decade_edges(-280, 269, 16384),
+        _decade_edges(-280, 269, 4096, sides=(-np.inf,)),  # every value scaled twice
     ):
         out = np.zeros((values.size, g17.WIDTH), np.uint8)
         g17.write(values, out)
