@@ -133,6 +133,33 @@ def envelope(spec: ConvexSpec, eps, y) -> np.ndarray:
     return np.where(np.abs(y) <= eps, y * y / (2.0 * eps), np.abs(y) - 0.5 * eps)
 
 
+def combined_potential(phi: ConvexSpec, psi: ConvexSpec, alpha, eps, y) -> np.ndarray:
+    """alpha phi_eps(y) + (1 - alpha) psi_eps(y), raw potentials where eps is None.
+
+    A potential weighted 0 contributes 0, also outside its domain (0 * inf
+    counts as 0).  A term whose kind is zero, or whose weight is 0 at
+    every entry of alpha, is +0.0 throughout and is not evaluated; every
+    potential value is >= +0.0, so leaving it out changes no bit.  Each
+    term evaluated checks y and eps; where none is, they are checked
+    here, so a non-finite y raises NonFiniteInput either way.
+    """
+    alpha = np.asarray(alpha, dtype=float)
+    out = None
+    for spec, weight, on in ((phi, alpha, alpha > 0.0), (psi, 1.0 - alpha, alpha < 1.0)):
+        if spec.kind == "zero" or not on.any():
+            continue
+        value = potential_value(spec, y) if eps is None else envelope(spec, eps, y)
+        with np.errstate(invalid="ignore"):
+            term = np.where(on, weight * value, 0.0)
+        out = term if out is None else out + term
+    if out is None:
+        y = _require_finite("y", y)
+        if eps is not None:
+            _require_eps(eps)
+        out = np.zeros(np.broadcast(alpha, y).shape)
+    return out
+
+
 def yosida_gradient(spec: ConvexSpec, eps, y) -> np.ndarray:
     """Gradient of the envelope, (y - J_eps(y)) / eps.
 

@@ -21,6 +21,8 @@ from .errors import ConfigError, DomainError, NonFiniteGenerator
 
 _BINOPS = {ast.Add: np.add, ast.Sub: np.subtract, ast.Mult: np.multiply}
 _CALLS = {"min": np.minimum, "max": np.maximum}
+# the variables of a driver's state; a driver reading neither is known from (t, alpha)
+_STATE = frozenset({"y", "z"})
 
 
 def compile_expression(text: str, variables=("t", "y", "z")) -> Callable:
@@ -28,7 +30,9 @@ def compile_expression(text: str, variables=("t", "y", "z")) -> Callable:
 
     Allowed: the named variables, numeric literals, +, -, *, unary minus,
     and two-argument min/max.  Anything else is rejected with the
-    offending construct named.
+    offending construct named.  The callable's attribute reads is the
+    frozenset of the variables whose names occur in the expression, so
+    "2 - t" reads t alone and "0" reads nothing.
     """
     if not isinstance(text, str) or not text.strip():
         raise ConfigError("expression: empty or non-string driver expression")
@@ -36,6 +40,8 @@ def compile_expression(text: str, variables=("t", "y", "z")) -> Callable:
         tree = ast.parse(text, mode="eval")
     except SyntaxError as exc:
         raise ConfigError(f"expression: cannot parse {text!r}: {exc.msg}") from exc
+
+    reads = set()
 
     def build(node):
         if isinstance(node, ast.Expression):
@@ -48,6 +54,7 @@ def compile_expression(text: str, variables=("t", "y", "z")) -> Callable:
         if isinstance(node, ast.Name):
             if node.id in variables:
                 name = node.id
+                reads.add(name)
                 return lambda env: env[name]
             raise ConfigError(f"expression: unknown variable {node.id!r}")
         if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
@@ -84,6 +91,7 @@ def compile_expression(text: str, variables=("t", "y", "z")) -> Callable:
         env = dict(zip(variables, values))
         return body(env)
 
+    fn.reads = frozenset(reads)
     return fn
 
 
@@ -96,7 +104,7 @@ class GeneratorSpec:
     entry k of each argument.  So one call evaluates a driver at every
     node of a step, a window or the grid, with t an array of times where
     the nodes' times differ.  The grammar of compile_expression gives
-    such drivers.
+    such drivers, and records on each the variables it reads.
     """
 
     F: Callable  # (t, y, z) -> value
@@ -112,6 +120,17 @@ class GeneratorSpec:
         f = compile_expression(f_expr, ("t", "y", "z"))
         g = compile_expression(g_expr, ("t", "y"))
         return GeneratorSpec(F=f, G=g, mu=float(mu), nu=float(nu), ell=float(ell))
+
+    @property
+    def reads_state(self) -> bool:
+        """Whether H = alpha F + (1 - alpha) G may read y or z.
+
+        Read from the variables compile_expression records on F and G; a
+        callable without that record, such as a plain lambda, counts as
+        reading both.  Where this is False, H is a function of (t, alpha)
+        alone.
+        """
+        return any(getattr(fn, "reads", _STATE) & _STATE for fn in (self.F, self.G))
 
 
 def _checked(name, value):

@@ -10,6 +10,11 @@ roles from colliding:
 * paths:      key = (seed, PATH_NS + path_index), one stream per sample path
 * auxiliary:  key = (seed, AUX_NS + role_index), verifier probes, sign draws
 
+A path's up/down signs are those of ``integers(0, 2)`` on its stream:
+each keeps bit 31 of a 32-bit half of the next raw 64-bit word, low
+half first.  So sign 2k of a path is bit 31 of the stream's word k, and
+sign 2k + 1 is bit 63.
+
 Everything downstream of a PathBundle is a pure function of these streams,
 which is what makes re-runs byte-identical.
 """
@@ -65,8 +70,13 @@ def gaussian_increments(seed: int, n_paths: int, dt: np.ndarray) -> np.ndarray:
 
 
 def sign_paths(seed: int, n_paths: int, n_steps: int) -> np.ndarray:
-    """Fair up/down indicators in {0, 1}, shape (n_paths, n_steps)."""
-    out = np.empty((n_paths, n_steps), dtype=np.int64)
+    """Fair up/down indicators in {0, 1}, shape (n_paths, n_steps).
+
+    Row p equals path_stream(seed, p).integers(0, 2, n_steps), read from
+    the raw words by the sign rule of the module docstring.
+    """
+    words = np.empty((n_paths, (n_steps + 1) // 2), dtype=np.uint64)
     for p, gen in enumerate(_path_streams(seed, n_paths)):
-        out[p] = gen.integers(0, 2, size=n_steps)
-    return out
+        words[p] = gen.bit_generator.random_raw(words.shape[1])
+    bits = np.stack([words >> np.uint64(31), words >> np.uint64(63)], axis=-1) & np.uint64(1)
+    return bits.reshape(n_paths, -1)[:, :n_steps].astype(np.int64)

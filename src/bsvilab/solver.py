@@ -1,7 +1,7 @@
 """Backward time-stepping for the penalized equation.
 
 One backward Euler sweep in the clock Q per step, splitting the driver
-(explicit, one predictor evaluation) from the penalty gradient
+(explicit, evaluated at the predictor) from the penalty gradient
 (implicit):
 
     Z_i    = CE_i[Y_{i+1} dB_i] / dt_i
@@ -20,13 +20,16 @@ The whole eps schedule is solved in one sweep on the shared bundle:
 each of Y, Z, U and H is one array with a row per eps and the levels
 laid end to end in the backend's layout, so conditional expectations,
 the driver and the penalty update run once per step for all rows, and
-each row carries its own budget 1/eps.
+each row carries its own budget 1/eps.  A step does only the work that
+depends on Y_{i+1}: a driver that reads neither y nor z (the compiled
+grammar records which variables occur) is a known function of
+(t_i, alpha_i), evaluated for every step in one call before the sweep.
 
 The implicit step is solved exactly: every potential is closed form,
 so the map v -> v + dQ D Psi_eps(v) is piecewise linear and strictly
 increasing.  The inverse depends only on (alpha, eps, dQ), so a sweep
-tabulates it once per distinct (alpha_i, dQ_i) for all rows and reuses
-it.
+tabulates it once, in one build, for every distinct (alpha_i, dQ_i) and
+all rows, and each step looks up its key.
 """
 
 import dataclasses
@@ -95,18 +98,26 @@ class TreeBackend:
         self.offsets = bundle.offsets
         self.sqdt = float(np.sqrt(bundle.dt[0])) if bundle.kind == "tree" else 0.0
         self.degenerate = bundle.kind == "deterministic"
+        self._zeros = {}  # shape -> read-only zeros, the Z of deterministic noise
 
     def terminal_driver(self) -> np.ndarray:
         return self.bundle.cell_values[self.offsets[-2]:]
 
     def ce(self, i: int, v_next: np.ndarray) -> np.ndarray:
+        # without noise the expectation is the value itself: v_next, not
+        # a copy, for callers that only read it
         if self.degenerate:
-            return v_next.copy()
+            return v_next
         return 0.5 * (v_next[..., :-1] + v_next[..., 1:])
 
     def z(self, i: int, v_next: np.ndarray) -> np.ndarray:
+        # without noise Z = 0: one read-only array per shape serves every step
         if self.degenerate:
-            return np.zeros_like(v_next)
+            zero = self._zeros.get(v_next.shape)
+            if zero is None:
+                zero = self._zeros[v_next.shape] = np.zeros(v_next.shape)
+                zero.flags.writeable = False
+            return zero
         return (v_next[..., 1:] - v_next[..., :-1]) / (2.0 * self.sqdt)
 
 
@@ -206,21 +217,28 @@ def _distinct(values) -> np.ndarray:
     return xs[keep]
 
 
-def implicit_step(phi: ConvexSpec, psi: ConvexSpec, alpha: float, schedule, dq: float) -> Callable:
-    """The map (y_hat, rows) -> v solving v + dq D Psi_eps(v) = y_hat, one row per eps.
+def implicit_step(phi: ConvexSpec, psi: ConvexSpec, alpha, schedule, dq) -> Callable:
+    """The map (y_hat, rows, key) -> v solving v + dq_k D Psi_eps(v) = y_hat,
+    one row per eps.
 
-    Here D Psi_eps = alpha D phi_eps + (1 - alpha) D psi_eps.  The left
-    side is strictly increasing and piecewise linear, so the root is
-    unique.  y_hat holds one row for each eps of the schedule's slice
-    ``rows`` (all of it by default).  The breakpoints, values and slopes
-    depend only on (alpha, eps, dq), so they are tabulated here once per
-    eps and every call inverts all rows by one gather.  On segment s
-    with base point x, knot value g and slope d the inverse is
-    x - (g - y) / d.  That is x + (y - g) / d bit for bit wherever
-    y != g, and keeps its signed zero on the lower outer segment, the
-    one segment where y == g can occur.
+    Here D Psi_eps = alpha_k D phi_eps + (1 - alpha_k) D psi_eps, and
+    alpha and dq list the keys k = 0, 1, ... (a scalar pair is one key).
+    The left side is strictly increasing and piecewise linear, so the
+    root is unique.  y_hat holds one row for each eps of the schedule's
+    slice ``rows`` (all of it by default), all inverted at key ``key``
+    (0 by default).  The breakpoints, values and slopes depend only on
+    (alpha, eps, dq) and are elementwise in alpha and dq, so they are
+    tabulated here once per eps for all keys in one broadcast, and every
+    call inverts all rows by one gather.  On segment s with base point
+    x, knot value g and slope d the inverse is x - (g - y) / d.  That is
+    x + (y - g) / d bit for bit wherever y != g, and keeps its signed
+    zero on the lower outer segment, the one segment where y == g can
+    occur.
     """
     schedule = [float(eps) for eps in schedule]
+    # one row per key, against the knots of an eps along the last axis
+    alpha = np.atleast_1d(np.asarray(alpha, dtype=float))[:, None]
+    dq = np.atleast_1d(np.asarray(dq, dtype=float))[:, None]
 
     def forward(v, eps):
         return v + dq * convex.combined_gradient(phi, psi, alpha, eps, v)
@@ -235,38 +253,38 @@ def implicit_step(phi: ConvexSpec, psi: ConvexSpec, alpha: float, schedule, dq: 
         # the map is linear, v -> slope v: forward(0) is +0.0 for every
         # kink-free potential, and y - (+0.0) is y bit for bit (-0.0
         # included), so the inverse is one division, y / slope
-        slopes = np.array([float(forward(np.asarray(1.0), eps)) for eps in schedule])[:, None]
+        slopes = np.concatenate([forward(1.0, eps) for eps in schedule], axis=1)
 
-        def linear(y_hat, rows=slice(None)):
+        def linear(y_hat, rows=slice(None), key=0):
             y = np.asarray(y_hat, dtype=float)
-            return (y.reshape(len(y), -1) / slopes[rows]).reshape(y.shape)
+            return (y.reshape(len(y), -1) / slopes[key, rows, None]).reshape(y.shape)
 
         return linear
 
     # the kinks of two potentials coincide at some eps only; such rows
     # are padded with knots at +inf, which no finite y_hat passes
     width = max(xs.size for xs in kinks)
-    knots = np.full((len(schedule), width), np.inf)
-    table = np.empty((len(schedule), width + 1, 3))  # base, knot value, slope
+    knots = np.full((len(dq), len(schedule), width), np.inf)
+    table = np.empty((len(dq), len(schedule), width + 1, 3))  # base, knot value, slope
     for r, (eps, xs) in enumerate(zip(schedule, kinks)):
         g_at = forward(xs, eps)
-        lo_slope = float((g_at[0] - forward(xs[0] - 1.0, eps)))
-        hi_slope = float((forward(xs[-1] + 1.0, eps) - g_at[-1]))
-        slopes = (g_at[1:] - g_at[:-1]) / (xs[1:] - xs[:-1])
+        lo_slope = g_at[:, :1] - forward(xs[0] - 1.0, eps)
+        hi_slope = forward(xs[-1] + 1.0, eps) - g_at[:, -1:]
+        slopes = (g_at[:, 1:] - g_at[:, :-1]) / (xs[1:] - xs[:-1])
         m = xs.size
-        knots[r, :m] = g_at
-        table[r, : m + 1, 0] = np.concatenate([xs[:1], xs])
-        table[r, : m + 1, 1] = np.concatenate([g_at[:1], g_at])
-        table[r, : m + 1, 2] = np.concatenate([[lo_slope], slopes, [hi_slope]])
-        table[r, m + 1 :] = table[r, m]
+        knots[:, r, :m] = g_at
+        table[:, r, : m + 1, 0] = np.concatenate([xs[:1], xs])
+        table[:, r, : m + 1, 1] = np.concatenate([g_at[:, :1], g_at], axis=1)
+        table[:, r, : m + 1, 2] = np.concatenate([lo_slope, slopes, hi_slope], axis=1)
+        table[:, r, m + 1 :] = table[:, r, m : m + 1]
     row_index = np.arange(len(schedule))[:, None]
 
-    def closed_form(y_hat, rows=slice(None)):
+    def closed_form(y_hat, rows=slice(None), key=0):
         y = np.asarray(y_hat, dtype=float)
         flat = y.reshape(len(y), -1)
         # segment = number of knots below y_hat, as searchsorted(side="left")
-        seg = (flat[:, :, None] > knots[rows][:, None, :]).sum(axis=2)
-        picked = table[rows][row_index[: len(flat)], seg]
+        seg = (flat[:, :, None] > knots[key, rows][:, None, :]).sum(axis=2)
+        picked = table[key, rows][row_index[: len(flat)], seg]
         v = picked[..., 0] - (picked[..., 1] - flat) / picked[..., 2]
         return v.reshape(y.shape)
 
@@ -386,10 +404,14 @@ def backward_sweep(
     Every level holds one row per eps.  Row r is active at step i while
     A_i <= 1 / eps_r; a finer eps has the larger budget, so the active
     rows of a step are the last ones.  Only those reach the driver and
-    the implicit step; the others keep Y = CE with H = U = 0.  The driver
-    and the implicit step run once per step for all active rows.
-    SolverConfig has checked that the schedule is finite, positive and
-    strictly decreasing.
+    the implicit step; the others keep Y = CE with H = U = 0, and a step
+    with no active row evaluates neither.  The implicit tables of all
+    steps are built once, before the sweep.  A driver that reads y or z
+    runs once per step for all active rows; one that reads neither
+    (GeneratorSpec.reads_state) runs once, before the sweep, on the
+    steps with an active row, and each step adds its H_i, a scalar, to
+    CE.  Both give the same bits.  SolverConfig has checked that the
+    schedule is finite, positive and strictly decreasing.
     """
     schedule = cfg.eps_schedule
     bundle = backend.bundle
@@ -401,9 +423,7 @@ def backward_sweep(
     # budget indicator at the left node, one row per eps
     active = np.array([bundle.A[:-1] <= 1.0 / eps for eps in schedule])
     first_active = n_eps - np.count_nonzero(active, axis=0)
-
     stiffness = [float(np.max(dq[act] / eps, initial=0.0)) for eps, act in zip(schedule, active)]
-    steps = {}  # one implicit_step for all rows per distinct (alpha_i, dQ_i)
 
     off = backend.offsets
     y = np.empty((n_eps, off[n + 1]))
@@ -413,24 +433,39 @@ def backward_sweep(
         raise DomainError("terminal condition evaluated to non-finite values")
     y[:, off[n]:] = y_n
 
+    # what the steps with a row inside its budget share: one implicit
+    # table for every distinct (alpha_i, dQ_i), key_at[i] indexing it, and
+    # H_i where the driver reads neither y nor z
+    live = np.flatnonzero(first_active < n_eps)
+    keys, key_at = {}, {}
+    for i in live.tolist():
+        key_at[i] = keys.setdefault((alpha[i], dq[i]), len(keys))
+    if keys:
+        alphas, dqs = np.array(list(keys)).T
+        step = implicit_step(phi, psi, alphas, schedule, dqs)
+    h_at = None
+    if not gen.reads_state and live.size:
+        h_at = np.zeros(n)
+        h_at[live] = combined_driver(gen, alpha[live], t[live], 0.0, 0.0)
+
     def penalized_step(i, rows, ce, z):
         """(Y, H, U) of the active rows, given their CE and Z."""
-        h = combined_driver(gen, alpha[i], t[i], ce, z)
+        h = combined_driver(gen, alpha[i], t[i], ce, z) if h_at is None else h_at[i]
         y_hat = ce + h * dq[i]
-        key = (alpha[i], dq[i])
-        if key not in steps:
-            steps[key] = implicit_step(phi, psi, alpha[i], schedule, dq[i])
-        y = steps[key](y_hat, rows)
+        y = step(y_hat, rows, key_at[i])
         return y, h, (y_hat - y) / dq[i]
 
+    firsts = first_active.tolist()
     for i in reversed(range(n)):
+        first = firsts[i]
         cur, y_next = slice(off[i], off[i + 1]), y[:, off[i + 1]:off[i + 2]]
         ce = backend.ce(i, y_next)
         z[:, cur] = z_i = backend.z(i, y_next)
-        out, rows = slice(0, first_active[i]), slice(first_active[i], n_eps)
-        # rows outside the budget keep Y = CE with H = U = 0
-        y[out, cur], h[out, cur], u[out, cur] = ce[out], 0.0, 0.0
-        if rows.start < n_eps:
+        if first:
+            # rows outside the budget keep Y = CE with H = U = 0
+            y[:first, cur], h[:first, cur], u[:first, cur] = ce[:first], 0.0, 0.0
+        if first < n_eps:
+            rows = slice(first, n_eps)
             y[rows, cur], h[rows, cur], u[rows, cur] = penalized_step(i, rows, ce[rows], z_i[rows])
 
     solutions = [
@@ -571,11 +606,13 @@ def smoothing_operator(backend, u: np.ndarray, eps: float) -> SmoothedProcess:
     g_acc = u[off[n]:].copy()
     w_acc = 1.0  # closed-form tail on the held terminal value
     m[off[n]:] = g_acc / w_acc
+    # each step's kernel weight dQ_i / scale and decay exp(-dQ_i / scale)
+    weight = dq / scale
+    decays = np.exp(-dq / scale).tolist()
     for i in reversed(range(n)):
         cur, m_next = slice(off[i], off[i + 1]), m[off[i + 1]:off[i + 2]]
         if i >= i_eps:
-            decay = float(np.exp(-dq[i] / scale))
-            w_i = dq[i] / scale
+            decay, w_i = decays[i], weight[i]
             g_acc = w_i * u[cur] + decay * backend.ce(i, g_acc)
             w_acc = w_i + decay * w_acc
             m[cur] = g_acc / w_acc

@@ -42,7 +42,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import rng as rngmod
-from .convex import ConvexSpec, envelope, potential_value
+from .convex import ConvexSpec, combined_potential
 from .errors import DomainError, GridMismatch, InfinitePotential
 from .generators import GeneratorSpec, combined_driver, driver_f, driver_g
 from .paths import PathBundle, gamma_shift
@@ -127,22 +127,6 @@ def _running_sum(x: np.ndarray, carry: Optional[np.ndarray], nodes: int) -> tupl
     return sums[:, : nodes - (carry is None)], sums[:, -1:].copy()
 
 
-def _potential_on_paths(spec: ConvexSpec, x: np.ndarray, eps_pen: Optional[float]):
-    if eps_pen is None:
-        return potential_value(spec, x)
-    return envelope(spec, eps_pen, x)
-
-
-def _mixed_potential(phi, psi, alpha, x, eps_pen):
-    """alpha phi(x) + (1 - alpha) psi(x) with 0 * inf treated as 0."""
-    vp = _potential_on_paths(phi, x, eps_pen)
-    vq = _potential_on_paths(psi, x, eps_pen)
-    with np.errstate(invalid="ignore"):
-        left = np.where(alpha > 0.0, alpha * vp, 0.0)
-        right = np.where(alpha < 1.0, (1.0 - alpha) * vq, 0.0)
-    return left + right
-
-
 @dataclass
 class _Profile:
     """What one variational check keeps of the windows: path means per
@@ -191,7 +175,7 @@ def _variational_profiles(
         pw = sol.paths(bundle, (a, b), "YZH")
         y, z = pw["Y"], pw["Z"]
         h_fresh = combined_driver(gen, alpha[a:e], t[a:e], y[:, : e - a], z)
-        psi_y = _mixed_potential(phi, psi, alpha[a:e], y[:, : e - a], penalization_eps)
+        psi_y = combined_potential(phi, psi, alpha[a:e], penalization_eps, y[:, : e - a])
         driver_gap = np.maximum(driver_gap, np.max(np.abs(pw["H"] - h_fresh)))
         for k, tp in enumerate(processes):
             n_steps, r_steps = tp.N(a, e), tp.R(a, e)
@@ -201,7 +185,7 @@ def _variational_profiles(
             m = np.empty_like(y)
             m[:, 0] = tp.gamma
             m[:, b - a - sums.shape[1]:] = tp.gamma + sums
-            psi_m = _mixed_potential(phi, psi, alpha[a:e], m[:, : e - a], penalization_eps)
+            psi_m = combined_potential(phi, psi, alpha[a:e], penalization_eps, m[:, : e - a])
             if penalization_eps is None and np.any(np.isinf(psi_m)):
                 raise InfinitePotential(
                     "test process leaves the domain of the potential, inequality is vacuous"

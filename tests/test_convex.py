@@ -7,6 +7,7 @@ from bsvilab.convex import (
     CompatibilityReport,
     ConvexSpec,
     combined_gradient,
+    combined_potential,
     compatibility_check,
     envelope,
     gradient_breakpoints,
@@ -108,6 +109,28 @@ def test_constructor_validation():
         envelope(QUAD1, 0.1, np.nan)
     with pytest.raises(DomainError):
         envelope(QUAD1, -0.1, 1.0)
+
+
+@pytest.mark.parametrize("eps", [None, 0.1])
+@pytest.mark.parametrize("pair", [(ZERO, ZERO), (IND11, ZERO), (ZERO, ABS), (ABS, IND11)])
+@pytest.mark.parametrize("alpha", [[1.0, 1.0, 1.0], [0.0, 0.0, 0.0], [1.0, 0.4, 0.0]])
+def test_combined_potential_leaves_out_only_terms_that_are_zero(pair, alpha, eps):
+    phi, psi = pair
+    alpha = np.array(alpha)
+    # three paths per step, inside and outside the interval, -0.0 included
+    y = np.array([[-2.0, -0.0, 0.5], [0.05, 3.0, -0.0], [1.0, -1.5, 0.0]])
+
+    def value(spec):
+        return potential_value(spec, y) if eps is None else envelope(spec, eps, y)
+
+    # both terms, each with 0 * inf counted as 0
+    with np.errstate(invalid="ignore"):
+        left = np.where(alpha > 0.0, alpha * value(phi), 0.0)
+        right = np.where(alpha < 1.0, (1.0 - alpha) * value(psi), 0.0)
+    got = combined_potential(phi, psi, alpha, eps, y)
+    assert got.shape == y.shape and got.tobytes() == (left + right).tobytes()
+    with pytest.raises(NonFiniteInput):
+        combined_potential(phi, psi, alpha, eps, np.where(y == 3.0, np.inf, y))
 
 
 def test_gradient_breakpoints():

@@ -22,6 +22,20 @@ def test_combined_driver_frozen_values():
     assert combined_driver(ZERO_GEN, 0.7, 0.1, 3.0, -4.0) == 0.0
 
 
+def test_compiled_drivers_record_the_variables_they_read():
+    assert compile_expression("0").reads == frozenset()
+    assert compile_expression("1 - 2 * t").reads == {"t"}
+    # min and max are calls, not variables
+    assert compile_expression("max(y, 0) - min(z, 1)").reads == {"y", "z"}
+    assert compile_expression("y", ("t", "y")).reads == {"y"}
+    assert not GeneratorSpec.from_expressions("2", "0").reads_state
+    assert not GeneratorSpec.from_expressions("1 - 2 * t", "0.5 * t").reads_state
+    assert GeneratorSpec.from_expressions("2", "-y").reads_state
+    assert GeneratorSpec.from_expressions("min(z, 1)", "0").reads_state
+    # a callable without the record counts as reading y and z
+    assert GeneratorSpec(F=lambda t, y, z: 1.0, G=compile_expression("0", ("t", "y"))).reads_state
+
+
 def test_combined_driver_vectorizes_over_y():
     gen = GeneratorSpec.from_expressions("-y", "2*y")
     y = np.array([-1.0, 0.0, 2.0])

@@ -271,7 +271,7 @@ def test_rng_stream_derivation_rule():
     w2 = rngmod.keyed_stream(5 + 2**64, 0).standard_normal(4)
     assert np.array_equal(w1, w2)
     # sign draws use the half-word buffer; an odd count leaves it half full
-    for steps in (3, 64):
+    for steps in (1, 3, 64, 255):
         ups = rngmod.sign_paths(seed=11, n_paths=4, n_steps=steps)
         for p in range(4):
             expect = rngmod.path_stream(11, p).integers(0, 2, size=steps)

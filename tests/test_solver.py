@@ -236,7 +236,10 @@ def test_one_implicit_step_per_alpha_and_dq_matches_per_step_solves(
     eps = 0.5
     cfg = SolverConfig(eps_schedule=(eps,))
     sol = solve_penalized(bundle, phi, QUAD1, gen, terminal, eps, cfg)
-    assert sorted((a, d) for a, _, d in builds) == sorted(keys)
+    # one table build for the run, one key per distinct (alpha_i, dQ_i)
+    [(alphas, schedule, dqs)] = builds
+    assert list(schedule) == [eps] and len(alphas) == len(dqs) == n_keys
+    assert set(zip(alphas, dqs)) == keys
     ref = per_step_sweep(bundle, phi, QUAD1, gen, terminal, eps)
     assert sol.Y.size == sum(want.size for want in ref)
     for i, want in enumerate(ref):
@@ -265,14 +268,24 @@ def test_tree_step_identity_reconstructs_exactly():
     assert list(sol.paths(bundle, (6, 7), "Y")) == ["Y"]
 
 
-def test_budget_truncation_switches_the_dynamics_off():
+def test_budget_truncation_switches_the_dynamics_off(monkeypatch):
     bundle = det_bundle(90, a_spec=IncreasingProcessSpec.linear(9.0))
     gen = GeneratorSpec.from_expressions("1", "0")
+    times = []
+
+    def counted(gen, alpha, t, y, z):
+        times.append(t)
+        return combined_driver(gen, alpha, t, y, z)
+
+    monkeypatch.setattr(solver, "combined_driver", counted)
     cfg = SolverConfig(eps_schedule=(0.5,))
     sol = solve_penalized(bundle, HALFLINE, ZERO, gen, terminal_const(-0.5), 0.5, cfg)
     t = bundle.grid.nodes[:-1]
     live = bundle.A[:-1] <= 1.0 / 0.5
     assert np.array_equal(live, t <= 2.0 / 9.0 + 1e-12)
+    # F = 1 reads neither y nor z: one driver call, on the live steps alone
+    [called] = times
+    assert np.array_equal(called, t[live])
     for i in range(bundle.grid.steps):
         if live[i]:
             assert np.all(sol.level("H", i) != 0.0)
@@ -471,6 +484,15 @@ SWEEP_CASES = {
         "generator": {"F": "0.5 - y"},
         "solver": {"eps_schedule": [0.1, 0.05]},
     },
+    # a driver of t alone, known before the sweep, on a ramp clock whose A
+    # passes the coarse budget 2 at t = 3/4, so alpha = 1 and 1/5
+    "state-free-ramp": {
+        "scenario": "two_barrier_driven",
+        "grid": {"steps": 32},
+        "a_process": {"kind": "ramp", "start": 0.25, "rate": 4.0},
+        "generator": {"F": "1 - 2 * t", "G": "0.5 * t"},
+        "solver": {"eps_schedule": [0.5, 0.1]},
+    },
     # a kink-free and a kinked potential on a ramp clock (the id is kept
     # from when this case was recentered)
     "recentered": {
@@ -488,18 +510,20 @@ def test_one_sweep_matches_the_per_eps_sweeps(config):
     assert_matches_oracle(*sweep_and_oracle(config))
 
 
-def test_rows_outside_their_budget_skip_the_driver_and_the_penalty(monkeypatch):
+@pytest.mark.parametrize("driver", ["2", "2 - y"], ids=["state-free", "reads-y"])
+def test_rows_outside_their_budget_skip_the_driver_and_the_penalty(monkeypatch, driver):
     # A = 4t crosses 1/eps = 2 at t = 1/2 but never reaches 1/eps = 10
     config = {
         "scenario": "two_barrier_driven",
         "grid": {"steps": 32},
         "a_process": {"kind": "linear", "rate": 4.0},
+        "generator": {"F": driver},
         "solver": {"eps_schedule": [0.5, 0.1]},
     }
-    rows_seen = []
+    calls = []
 
     def counted(gen, alpha, t, y, z):
-        rows_seen.append(len(y))
+        calls.append((t, np.shape(y)))
         return combined_driver(gen, alpha, t, y, z)
 
     monkeypatch.setattr(solver, "combined_driver", counted)
@@ -511,8 +535,14 @@ def test_rows_outside_their_budget_skip_the_driver_and_the_penalty(monkeypatch):
     a_left = bundle.A[:-1]
     out = a_left > 2.0
     assert out.any() and not out.all() and np.all(a_left <= 10.0)
-    # one driver call per step, carrying only the rows inside their budget
-    assert rows_seen == [1 if o else 2 for o in out[::-1]]
+    if driver == "2":
+        # H is known from (t, alpha): one call over the steps where some
+        # row is inside its budget, which is every step here
+        [(t, _)] = calls
+        assert np.array_equal(t, bundle.grid.nodes[:-1])
+    else:
+        # one driver call per step, carrying only the rows inside their budget
+        assert [shape[0] for _, shape in calls] == [1 if o else 2 for o in out[::-1]]
     coarse, fine = seq.solutions[0.5], seq.solutions[0.1]
     for i in np.flatnonzero(out):
         for level in (coarse.level("H", i), coarse.level("U", i)):
@@ -537,6 +567,27 @@ def test_non_finite_driver_on_the_finest_row_alone_still_raises():
     assert float(np.max(coarse.Y)) < 0.05  # one node per level
     with pytest.raises(NonFiniteGenerator):
         solve_sequence(make_backend(bundle, cfg), HALFLINE, ZERO, gen, terminal_const(-0.5), cfg)
+
+
+def test_a_state_free_driver_is_evaluated_and_checked_on_live_steps_alone():
+    # F = +inf after t = 1/2, where A = 4t has passed the budget 2 of eps 0.5;
+    # the record says F reads t alone, so the sweep evaluates it once
+    def f(t, y, z):
+        return np.where(np.asarray(t) > 0.5, np.inf, 1.0)
+
+    f.reads = frozenset({"t"})
+    gen = GeneratorSpec(F=f, G=ZERO_GEN.G)
+    assert not gen.reads_state
+    bundle = det_bundle(40, a_spec=IncreasingProcessSpec.linear(4.0))
+    cfg = SolverConfig(eps_schedule=(0.5,))
+    sol = solve_penalized(bundle, HALFLINE, ZERO, gen, terminal_const(-0.5), 0.5, cfg)
+    live = bundle.A[:-1] <= 2.0
+    assert not live.all() and np.all(np.isfinite(sol.H))
+    # H = alpha F + (1 - alpha) 0 with F = 1 on the live steps
+    assert np.array_equal(sol.H[live], bundle.alpha[live]) and np.all(sol.H[~live] == 0.0)
+    # eps 0.1 keeps every step in its budget, where F is infinite
+    with pytest.raises(NonFiniteGenerator):
+        solve_penalized(bundle, HALFLINE, ZERO, gen, terminal_const(-0.5), 0.1, cfg)
 
 
 def test_sweep_refuses_a_schedule_that_is_not_decreasing():

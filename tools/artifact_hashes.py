@@ -6,8 +6,11 @@ One line per case and artifact: results.csv, verify.json,
 config_echo.json and summary.json; the wall-clock profile.json is left
 out.  The cases are the seven presets at p = 1.5, 2 and 2.5, the
 lattice presets `linear` (deterministic, a rank-1 basis) and
-`martingale` (a tree, ranks 2 to 4) with regression expectations, and
-the three benchmark workloads (perfbench/workloads.py) at seeds 1 to 3.
+`martingale` (a tree, ranks 2 to 4) with regression expectations, the
+three benchmark workloads (perfbench/workloads.py) at seeds 1 to 3, and
+two drivers of t alone: `two_barrier_driven` with F = 2 - t on a ramp
+clock that takes the coarse eps out of its budget, and `reflection`
+with F = 1 - t on its 1000-step grid.
 Running it on two checkouts and diffing the outputs shows whether a
 change moved any artifact byte; running it twice under different
 PYTHONHASHSEED values shows whether a run depends on the process.
@@ -48,6 +51,20 @@ def cases() -> list:
     out += [(f"{name}/lsq", {"scenario": name, "solver": {"ce": "lsq"}}) for name in ("linear", "martingale")]
     for name, workload in sorted(_workloads().items()):
         out += [(f"{name}/seed={seed}", workload.config_for(seed)) for seed in (1, 2, 3)]
+    # H known from (t, alpha) before the sweep; A = 4 (t - 1/4)^+ passes
+    # the budget 2 of eps 0.5 at t = 3/4, and alpha is 1, then 1/5
+    out += [
+        (
+            "two_barrier_driven/F=2-t",
+            {
+                "scenario": "two_barrier_driven",
+                "generator": {"F": "2 - t"},
+                "a_process": {"kind": "ramp", "start": 0.25, "rate": 4.0},
+                "solver": {"eps_schedule": [0.5, 0.1]},
+            },
+        ),
+        ("reflection/F=1-t", {"scenario": "reflection", "generator": {"F": "1 - t"}}),
+    ]
     return out
 
 
