@@ -140,7 +140,7 @@ def execute(exp: Experiment) -> RunResult:
         "penalty_by_eps": {
             fmt(e): {
                 "active_fraction": seq.solutions[e].active_fraction,
-                "max_stiffness": seq.solutions[e].max_stiffness,
+                "max_stiffness": float(np.max(bundle.dq / e)),
             }
             for e in exp.solver.eps_schedule
         },

@@ -10,20 +10,20 @@ One backward Euler sweep in the clock Q per step, splitting the driver
     U_i    = (y_hat - Y_i) / dQ_i
 
 where Psi_eps(t, y) = alpha_t phi_eps(y) + (1 - alpha_t) psi_eps(y) and
-H = alpha F + (1 - alpha) G.  Both the driver and the penalty gradient
-are switched off once the increasing process exceeds the budget 1/eps.
-Conditional expectations CE_i come from a pluggable backend: exact
-averaging on the recombining binomial lattice, or least-squares
-regression on monomials of the driver value.
+H = alpha F + (1 - alpha) G.  Every step takes the driver and the
+penalty, on the whole interval, whatever the size of A.  Conditional
+expectations CE_i come from a pluggable backend: exact averaging on the
+recombining binomial lattice, or least-squares regression on monomials
+of the driver value.
 
 The whole eps schedule is solved in one sweep on the shared bundle:
 each of Y, Z, U and H is one array with a row per eps and the levels
 laid end to end in the backend's layout, so conditional expectations,
-the driver and the penalty update run once per step for all rows, and
-each row carries its own budget 1/eps.  A step does only the work that
-depends on Y_{i+1}: a driver that reads neither y nor z (the compiled
-grammar records which variables occur) is a known function of
-(t_i, alpha_i), evaluated for every step in one call before the sweep.
+the driver and the penalty update run once per step for all rows.  A
+step does only the work that depends on Y_{i+1}: a driver that reads
+neither y nor z (the compiled grammar records which variables occur)
+is a known function of (t_i, alpha_i), evaluated for every step in one
+call before the sweep.
 
 The implicit step is solved exactly: every potential is closed form,
 so the map v -> v + dQ D Psi_eps(v) is piecewise linear and strictly
@@ -218,22 +218,21 @@ def _distinct(values) -> np.ndarray:
 
 
 def implicit_step(phi: ConvexSpec, psi: ConvexSpec, alpha, schedule, dq) -> Callable:
-    """The map (y_hat, rows, key) -> v solving v + dq_k D Psi_eps(v) = y_hat,
+    """The map (y_hat, key) -> v solving v + dq_k D Psi_eps(v) = y_hat,
     one row per eps.
 
     Here D Psi_eps = alpha_k D phi_eps + (1 - alpha_k) D psi_eps, and
     alpha and dq list the keys k = 0, 1, ... (a scalar pair is one key).
     The left side is strictly increasing and piecewise linear, so the
-    root is unique.  y_hat holds one row for each eps of the schedule's
-    slice ``rows`` (all of it by default), all inverted at key ``key``
-    (0 by default).  The breakpoints, values and slopes depend only on
-    (alpha, eps, dq) and are elementwise in alpha and dq, so they are
-    tabulated here once per eps for all keys in one broadcast, and every
-    call inverts all rows by one gather.  On segment s with base point
-    x, knot value g and slope d the inverse is x - (g - y) / d.  That is
-    x + (y - g) / d bit for bit wherever y != g, and keeps its signed
-    zero on the lower outer segment, the one segment where y == g can
-    occur.
+    root is unique.  y_hat holds one row for each eps of the schedule,
+    all inverted at key ``key`` (0 by default).  The breakpoints, values
+    and slopes depend only on (alpha, eps, dq) and are elementwise in
+    alpha and dq, so they are tabulated here once per eps for all keys
+    in one broadcast, and every call inverts all rows by one gather.  On
+    segment s with base point x, knot value g and slope d the inverse is
+    x - (g - y) / d.  That is x + (y - g) / d bit for bit wherever
+    y != g, and keeps its signed zero on the lower outer segment, the
+    one segment where y == g can occur.
     """
     schedule = [float(eps) for eps in schedule]
     # one row per key, against the knots of an eps along the last axis
@@ -255,9 +254,9 @@ def implicit_step(phi: ConvexSpec, psi: ConvexSpec, alpha, schedule, dq) -> Call
         # included), so the inverse is one division, y / slope
         slopes = np.concatenate([forward(1.0, eps) for eps in schedule], axis=1)
 
-        def linear(y_hat, rows=slice(None), key=0):
+        def linear(y_hat, key=0):
             y = np.asarray(y_hat, dtype=float)
-            return (y.reshape(len(y), -1) / slopes[key, rows, None]).reshape(y.shape)
+            return (y.reshape(len(y), -1) / slopes[key, :, None]).reshape(y.shape)
 
         return linear
 
@@ -279,12 +278,12 @@ def implicit_step(phi: ConvexSpec, psi: ConvexSpec, alpha, schedule, dq) -> Call
         table[:, r, m + 1 :] = table[:, r, m : m + 1]
     row_index = np.arange(len(schedule))[:, None]
 
-    def closed_form(y_hat, rows=slice(None), key=0):
+    def closed_form(y_hat, key=0):
         y = np.asarray(y_hat, dtype=float)
         flat = y.reshape(len(y), -1)
         # segment = number of knots below y_hat, as searchsorted(side="left")
-        seg = (flat[:, :, None] > knots[key, rows][:, None, :]).sum(axis=2)
-        picked = table[key, rows][row_index[: len(flat)], seg]
+        seg = (flat[:, :, None] > knots[key][:, None, :]).sum(axis=2)
+        picked = table[key][row_index, seg]
         v = picked[..., 0] - (picked[..., 1] - flat) / picked[..., 2]
         return v.reshape(y.shape)
 
@@ -327,8 +326,7 @@ class SolutionField(_Levels):
     per evaluation path, even on a tree bundle.  H records the driver
     value the predictor actually used, so Y, Z, U, H satisfy the step
     identity Y_{i+1} = Y_i - (H_i - U_i) dQ_i + Z_i dB_i exactly on
-    lattices.  max_stiffness is the largest dQ_i / eps over the steps
-    inside the budget (0 if none).
+    lattices.
     """
 
     eps: float
@@ -338,7 +336,6 @@ class SolutionField(_Levels):
     U: np.ndarray
     H: np.ndarray
     offsets: np.ndarray
-    max_stiffness: float
 
     @property
     def y0(self) -> float:
@@ -401,17 +398,14 @@ def backward_sweep(
 ) -> Sweep:
     """One backward sweep on backend.bundle over cfg.eps_schedule.
 
-    Every level holds one row per eps.  Row r is active at step i while
-    A_i <= 1 / eps_r; a finer eps has the larger budget, so the active
-    rows of a step are the last ones.  Only those reach the driver and
-    the implicit step; the others keep Y = CE with H = U = 0, and a step
-    with no active row evaluates neither.  The implicit tables of all
-    steps are built once, before the sweep.  A driver that reads y or z
-    runs once per step for all active rows; one that reads neither
-    (GeneratorSpec.reads_state) runs once, before the sweep, on the
-    steps with an active row, and each step adds its H_i, a scalar, to
-    CE.  Both give the same bits.  SolverConfig has checked that the
-    schedule is finite, positive and strictly decreasing.
+    Every level holds one row per eps, and every row of every step takes
+    the driver, the implicit step and the penalty.  The implicit tables
+    of all steps are built once, before the sweep.  A driver that reads
+    y or z runs once per step for all rows; one that reads neither
+    (GeneratorSpec.reads_state) runs once, before the sweep, on every
+    step, and each step adds its H_i, a scalar, to CE.  Both give the
+    same bits.  SolverConfig has checked that the schedule is finite,
+    positive and strictly decreasing.
     """
     schedule = cfg.eps_schedule
     bundle = backend.bundle
@@ -419,59 +413,36 @@ def backward_sweep(
     t = bundle.grid.nodes
     dq = bundle.dq
     alpha = bundle.alpha
-    n_eps = len(schedule)
-    # budget indicator at the left node, one row per eps
-    active = np.array([bundle.A[:-1] <= 1.0 / eps for eps in schedule])
-    first_active = n_eps - np.count_nonzero(active, axis=0)
-    stiffness = [float(np.max(dq[act] / eps, initial=0.0)) for eps, act in zip(schedule, active)]
 
     off = backend.offsets
-    y = np.empty((n_eps, off[n + 1]))
-    z, u, h = (np.empty((n_eps, off[n])) for _ in range(3))
+    y = np.empty((len(schedule), off[n + 1]))
+    z, u, h = (np.empty((len(schedule), off[n])) for _ in range(3))
     y_n = np.asarray(terminal(backend.terminal_driver(), bundle.A[-1]), dtype=float)
     if not np.all(np.isfinite(y_n)):
         raise DomainError("terminal condition evaluated to non-finite values")
     y[:, off[n]:] = y_n
 
-    # what the steps with a row inside its budget share: one implicit
-    # table for every distinct (alpha_i, dQ_i), key_at[i] indexing it, and
-    # H_i where the driver reads neither y nor z
-    live = np.flatnonzero(first_active < n_eps)
-    keys, key_at = {}, {}
-    for i in live.tolist():
-        key_at[i] = keys.setdefault((alpha[i], dq[i]), len(keys))
-    if keys:
-        alphas, dqs = np.array(list(keys)).T
-        step = implicit_step(phi, psi, alphas, schedule, dqs)
-    h_at = None
-    if not gen.reads_state and live.size:
-        h_at = np.zeros(n)
-        h_at[live] = combined_driver(gen, alpha[live], t[live], 0.0, 0.0)
+    # what the steps share: one implicit table for every distinct
+    # (alpha_i, dQ_i), key_at[i] indexing it, and H_i where the driver
+    # reads neither y nor z
+    keys = {}
+    key_at = [keys.setdefault(pair, len(keys)) for pair in zip(alpha.tolist(), dq.tolist())]
+    alphas, dqs = np.array(list(keys)).T
+    step = implicit_step(phi, psi, alphas, schedule, dqs)
+    h_at = None if gen.reads_state else combined_driver(gen, alpha, t[:n], 0.0, 0.0)
 
-    def penalized_step(i, rows, ce, z):
-        """(Y, H, U) of the active rows, given their CE and Z."""
-        h = combined_driver(gen, alpha[i], t[i], ce, z) if h_at is None else h_at[i]
-        y_hat = ce + h * dq[i]
-        y = step(y_hat, rows, key_at[i])
-        return y, h, (y_hat - y) / dq[i]
-
-    firsts = first_active.tolist()
     for i in reversed(range(n)):
-        first = firsts[i]
         cur, y_next = slice(off[i], off[i + 1]), y[:, off[i + 1]:off[i + 2]]
         ce = backend.ce(i, y_next)
         z[:, cur] = z_i = backend.z(i, y_next)
-        if first:
-            # rows outside the budget keep Y = CE with H = U = 0
-            y[:first, cur], h[:first, cur], u[:first, cur] = ce[:first], 0.0, 0.0
-        if first < n_eps:
-            rows = slice(first, n_eps)
-            y[rows, cur], h[rows, cur], u[rows, cur] = penalized_step(i, rows, ce[rows], z_i[rows])
+        h_i = combined_driver(gen, alpha[i], t[i], ce, z_i) if h_at is None else h_at[i]
+        y_hat = ce + h_i * dq[i]
+        y[:, cur] = y_i = step(y_hat, key_at[i])
+        h[:, cur], u[:, cur] = h_i, (y_hat - y_i) / dq[i]
 
     solutions = [
         SolutionField(
-            eps=float(eps), backend_kind=backend.kind, Y=y[r], Z=z[r], U=u[r], H=h[r],
-            offsets=off, max_stiffness=stiffness[r],
+            eps=float(eps), backend_kind=backend.kind, Y=y[r], Z=z[r], U=u[r], H=h[r], offsets=off
         )
         for r, eps in enumerate(schedule)
     ]

@@ -180,7 +180,6 @@ def solve_penalized_oracle(bundle, phi, psi, gen, terminal, eps, cfg):
     t = bundle.grid.nodes
     dq = bundle.dq
     alpha = bundle.alpha
-    active = bundle.A[:-1] <= 1.0 / eps
 
     y_levels = [None] * (n + 1)
     z_levels = [None] * n
@@ -193,14 +192,10 @@ def solve_penalized_oracle(bundle, phi, psi, gen, terminal, eps, cfg):
     for i in reversed(range(n)):
         ce = backend.ce(i, y_levels[i + 1])
         z = backend.z(i, y_levels[i + 1])
-        if active[i]:
-            h = combined_driver(gen, alpha[i], t[i], ce, z)
-            y_hat = ce + h * dq[i]
-            y = implicit_step_oracle(phi, psi, alpha[i], eps, dq[i], "closed_form")(y_hat)
-            u = (y_hat - y) / dq[i]
-        else:
-            y, h = ce, np.zeros_like(ce)
-            u = np.zeros_like(ce)
+        h = combined_driver(gen, alpha[i], t[i], ce, z)
+        y_hat = ce + h * dq[i]
+        y = implicit_step_oracle(phi, psi, alpha[i], eps, dq[i], "closed_form")(y_hat)
+        u = (y_hat - y) / dq[i]
         y_levels[i], z_levels[i], u_levels[i], h_levels[i] = y, z, u, h
 
     return {

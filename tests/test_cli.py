@@ -708,7 +708,6 @@ def _hand_built_result(y_levels, z, u, dq):
     sol = SolutionField(
         eps=0.05, backend_kind="tree", Y=np.concatenate(y_levels), Z=np.array(z),
         U=np.array(u), H=np.zeros(len(u)), offsets=np.cumsum([0] + [len(y) for y in y_levels]),
-        max_stiffness=0.0,
     )
     return SimpleNamespace(
         exp=SimpleNamespace(solver=SimpleNamespace(eps_schedule=(0.1, 0.05))),
@@ -786,6 +785,5 @@ def test_summary_reports_the_penalty_per_eps():
         assert set(penalty[fmt(e)]) == {"active_fraction", "max_stiffness"}
         # the wall at 0 binds on the 100 steps before t = 1/2
         assert penalty[fmt(e)]["active_fraction"] == 0.5
-        # no budget binds (A = 0), so every step counts
         assert penalty[fmt(e)]["max_stiffness"] == float(np.max(dq / e))
     json.dumps(penalty)  # plain floats, ready for summary.json

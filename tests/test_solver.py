@@ -12,6 +12,7 @@ from bsvilab.errors import (
     NonFiniteGenerator,
 )
 from bsvilab import solver
+from bsvilab.cli import execute, fmt
 from bsvilab.generators import GeneratorSpec, combined_driver
 from bsvilab.paths import IncreasingProcessSpec, NoiseModel, TimeGrid, build_paths
 from bsvilab.scenarios import SCENARIOS, build_experiment
@@ -190,11 +191,8 @@ def per_step_sweep(bundle, phi, psi, gen, terminal, eps):
     levels = [y]
     for i in reversed(range(bundle.grid.steps)):
         ce, z = backend.ce(i, y), backend.z(i, y)
-        if bundle.A[i] <= 1.0 / eps:
-            y_hat = ce + combined_driver(gen, alpha[i], t[i], ce, z) * dq[i]
-            y = resolve_implicit(phi, psi, alpha[i], eps, dq[i], y_hat)
-        else:
-            y = ce
+        y_hat = ce + combined_driver(gen, alpha[i], t[i], ce, z) * dq[i]
+        y = resolve_implicit(phi, psi, alpha[i], eps, dq[i], y_hat)
         levels.append(y)
     return levels[::-1]
 
@@ -266,32 +264,6 @@ def test_tree_step_identity_reconstructs_exactly():
         for key, arr in p.items():
             assert np.array_equal(win[key], arr[:, a:b])
     assert list(sol.paths(bundle, (6, 7), "Y")) == ["Y"]
-
-
-def test_budget_truncation_switches_the_dynamics_off(monkeypatch):
-    bundle = det_bundle(90, a_spec=IncreasingProcessSpec.linear(9.0))
-    gen = GeneratorSpec.from_expressions("1", "0")
-    times = []
-
-    def counted(gen, alpha, t, y, z):
-        times.append(t)
-        return combined_driver(gen, alpha, t, y, z)
-
-    monkeypatch.setattr(solver, "combined_driver", counted)
-    cfg = SolverConfig(eps_schedule=(0.5,))
-    sol = solve_penalized(bundle, HALFLINE, ZERO, gen, terminal_const(-0.5), 0.5, cfg)
-    t = bundle.grid.nodes[:-1]
-    live = bundle.A[:-1] <= 1.0 / 0.5
-    assert np.array_equal(live, t <= 2.0 / 9.0 + 1e-12)
-    # F = 1 reads neither y nor z: one driver call, on the live steps alone
-    [called] = times
-    assert np.array_equal(called, t[live])
-    for i in range(bundle.grid.steps):
-        if live[i]:
-            assert np.all(sol.level("H", i) != 0.0)
-        else:
-            assert np.all(sol.level("H", i) == 0.0)
-            assert np.all(sol.level("U", i) == 0.0)
 
 
 def test_sequence_zero_potentials_have_zero_gaps():
@@ -484,8 +456,8 @@ SWEEP_CASES = {
         "generator": {"F": "0.5 - y"},
         "solver": {"eps_schedule": [0.1, 0.05]},
     },
-    # a driver of t alone, known before the sweep, on a ramp clock whose A
-    # passes the coarse budget 2 at t = 3/4, so alpha = 1 and 1/5
+    # a driver of t alone, known before the sweep, on a ramp clock
+    # A = 4 (t - 1/4)^+, so alpha = 1, then 1/5
     "state-free-ramp": {
         "scenario": "two_barrier_driven",
         "grid": {"steps": 32},
@@ -511,8 +483,8 @@ def test_one_sweep_matches_the_per_eps_sweeps(config):
 
 
 @pytest.mark.parametrize("driver", ["2", "2 - y"], ids=["state-free", "reads-y"])
-def test_rows_outside_their_budget_skip_the_driver_and_the_penalty(monkeypatch, driver):
-    # A = 4t crosses 1/eps = 2 at t = 1/2 but never reaches 1/eps = 10
+def test_every_row_takes_the_driver_and_the_penalty_on_every_step(monkeypatch, driver):
+    # A = 4t passes 1/eps = 2 at t = 1/2, and nothing changes there
     config = {
         "scenario": "two_barrier_driven",
         "grid": {"steps": 32},
@@ -520,6 +492,7 @@ def test_rows_outside_their_budget_skip_the_driver_and_the_penalty(monkeypatch, 
         "generator": {"F": driver},
         "solver": {"eps_schedule": [0.5, 0.1]},
     }
+    res = execute(build_experiment(config))
     calls = []
 
     def counted(gen, alpha, t, y, z):
@@ -530,64 +503,69 @@ def test_rows_outside_their_budget_skip_the_driver_and_the_penalty(monkeypatch, 
     seq, ref = sweep_and_oracle(config)
     assert_matches_oracle(seq, ref)
 
-    exp = build_experiment(config)
-    bundle = build_paths(exp.grid, exp.noise, exp.a_spec)
-    a_left = bundle.A[:-1]
-    out = a_left > 2.0
-    assert out.any() and not out.all() and np.all(a_left <= 10.0)
+    bundle = res.bundle
     if driver == "2":
-        # H is known from (t, alpha): one call over the steps where some
-        # row is inside its budget, which is every step here
+        # H is known from (t, alpha): one call over every step
         [(t, _)] = calls
         assert np.array_equal(t, bundle.grid.nodes[:-1])
     else:
-        # one driver call per step, carrying only the rows inside their budget
-        assert [shape[0] for _, shape in calls] == [1 if o else 2 for o in out[::-1]]
-    coarse, fine = seq.solutions[0.5], seq.solutions[0.1]
-    for i in np.flatnonzero(out):
-        for level in (coarse.level("H", i), coarse.level("U", i)):
-            assert level.tobytes() == np.zeros_like(level).tobytes()
-        assert np.all(fine.level("H", i) != 0.0)
-    dq = bundle.dq
-    assert coarse.max_stiffness == float(np.max(dq[~out] / 0.5))
-    assert fine.max_stiffness == float(np.max(dq / 0.1))
+        # one driver call per step, carrying both rows
+        assert [shape[0] for _, shape in calls] == [2] * bundle.grid.steps
+    late = np.flatnonzero(bundle.A[:-1] > 2.0)
+    assert 0 < late.size < bundle.grid.steps
+    for sol in seq.solutions.values():
+        for i in late:
+            assert np.all(sol.level("H", i) != 0.0) and np.any(sol.level("U", i) != 0.0)
+    penalty = res.summary["penalty_by_eps"]
+    for eps in (0.5, 0.1):
+        assert penalty[fmt(eps)]["max_stiffness"] == float(np.max(bundle.dq / eps))
 
 
-def test_non_finite_driver_on_the_finest_row_alone_still_raises():
-    # A = 4t: the coarse row (budget 2) stays at -0.5 after t = 1/2 and
-    # climbs to about 0.02 by t = 0; the fine row, in budget throughout,
-    # overshoots the wall at 0 by up to about 0.1
+def test_non_finite_driver_on_one_row_alone_still_raises():
+    # F = 1 pushes Y over the wall at 0, further at the coarse eps; a
+    # driver that is NaN above a level between the two rows' peaks is NaN
+    # in one row of the sweep's two-row calls
     bundle = det_bundle(40, a_spec=IncreasingProcessSpec.linear(4.0))
+    cfg = SolverConfig(eps_schedule=(0.5, 0.1))
+    one = GeneratorSpec.from_expressions("1", "0")
+    seq = solve_sequence(make_backend(bundle, cfg), HALFLINE, ZERO, one, terminal_const(-0.5), cfg)
+    # the driver reads CE = Y_{i+1}: levels 1 to N on deterministic noise
+    peaks = {eps: float(np.max(sol.levels("Y", 1, 41))) for eps, sol in seq.solutions.items()}
+    calm, wild = sorted(peaks, key=peaks.get)
+    level = 0.5 * (peaks[calm] + peaks[wild])
     gen = GeneratorSpec(
-        F=lambda t, y, z: np.where(np.asarray(y) > 0.05, np.nan, 1.0),
+        F=lambda t, y, z: np.where(np.asarray(y) > level, np.nan, 1.0),
         G=lambda t, y: np.zeros_like(np.asarray(y, dtype=float)),
     )
-    cfg = SolverConfig(eps_schedule=(0.5, 0.1))
-    coarse = solve_penalized(bundle, HALFLINE, ZERO, gen, terminal_const(-0.5), 0.5, cfg)
-    assert float(np.max(coarse.Y)) < 0.05  # one node per level
+    sol = solve_penalized(bundle, HALFLINE, ZERO, gen, terminal_const(-0.5), calm, cfg)
+    assert np.all(np.isfinite(sol.Y))
     with pytest.raises(NonFiniteGenerator):
         solve_sequence(make_backend(bundle, cfg), HALFLINE, ZERO, gen, terminal_const(-0.5), cfg)
 
 
-def test_a_state_free_driver_is_evaluated_and_checked_on_live_steps_alone():
-    # F = +inf after t = 1/2, where A = 4t has passed the budget 2 of eps 0.5;
-    # the record says F reads t alone, so the sweep evaluates it once
+def test_a_state_free_driver_raises_from_the_sweeps_single_call(monkeypatch):
+    # F = +inf after t = 1/2; the record says F reads t alone, so the
+    # sweep evaluates it once, before the first step
     def f(t, y, z):
         return np.where(np.asarray(t) > 0.5, np.inf, 1.0)
 
     f.reads = frozenset({"t"})
     gen = GeneratorSpec(F=f, G=ZERO_GEN.G)
     assert not gen.reads_state
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return combined_driver(*args)
+
+    monkeypatch.setattr(solver, "combined_driver", counted)
     bundle = det_bundle(40, a_spec=IncreasingProcessSpec.linear(4.0))
-    cfg = SolverConfig(eps_schedule=(0.5,))
-    sol = solve_penalized(bundle, HALFLINE, ZERO, gen, terminal_const(-0.5), 0.5, cfg)
-    live = bundle.A[:-1] <= 2.0
-    assert not live.all() and np.all(np.isfinite(sol.H))
-    # H = alpha F + (1 - alpha) 0 with F = 1 on the live steps
-    assert np.array_equal(sol.H[live], bundle.alpha[live]) and np.all(sol.H[~live] == 0.0)
-    # eps 0.1 keeps every step in its budget, where F is infinite
-    with pytest.raises(NonFiniteGenerator):
-        solve_penalized(bundle, HALFLINE, ZERO, gen, terminal_const(-0.5), 0.1, cfg)
+    cfg = SolverConfig(eps_schedule=(0.5, 0.1))
+    for eps in cfg.eps_schedule:
+        calls.clear()
+        with pytest.raises(NonFiniteGenerator):
+            solve_penalized(bundle, HALFLINE, ZERO, gen, terminal_const(-0.5), eps, cfg)
+        assert len(calls) == 1
 
 
 def test_sweep_refuses_a_schedule_that_is_not_decreasing():

@@ -618,17 +618,6 @@ def _apriori_report(rate):
     return next(r for r in res.reports if r.name == "apriori-bound")
 
 
-@pytest.mark.parametrize("rate", [1.0, 6.0])
+@pytest.mark.parametrize("rate", [1.0, 6.0, 10.0, 1e20])
 def test_apriori_bound_holds_while_the_clock_is_slow(rate):
-    assert _apriori_report(rate).passed
-
-
-@pytest.mark.xfail(
-    strict=True,
-    reason="the sweep switches the driver off once A > 1/eps, but the a priori "
-    "bound still uses mu = -1 over the whole horizon (worst violation 0.0088 "
-    "at rate 10, 0.53 at rate 1e20)",
-)
-@pytest.mark.parametrize("rate", [10.0, 1e20])
-def test_apriori_bound_holds_when_the_clock_outruns_the_penalty(rate):
     assert _apriori_report(rate).passed

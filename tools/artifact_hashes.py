@@ -9,8 +9,8 @@ lattice presets `linear` (deterministic, a rank-1 basis) and
 `martingale` (a tree, ranks 2 to 4) with regression expectations, the
 three benchmark workloads (perfbench/workloads.py) at seeds 1 to 3, and
 two drivers of t alone: `two_barrier_driven` with F = 2 - t on a ramp
-clock that takes the coarse eps out of its budget, and `reflection`
-with F = 1 - t on its 1000-step grid.
+clock whose A passes 1/eps of the coarse eps, and `reflection` with
+F = 1 - t on its 1000-step grid.
 Running it on two checkouts and diffing the outputs shows whether a
 change moved any artifact byte; running it twice under different
 PYTHONHASHSEED values shows whether a run depends on the process.
@@ -52,7 +52,7 @@ def cases() -> list:
     for name, workload in sorted(_workloads().items()):
         out += [(f"{name}/seed={seed}", workload.config_for(seed)) for seed in (1, 2, 3)]
     # H known from (t, alpha) before the sweep; A = 4 (t - 1/4)^+ passes
-    # the budget 2 of eps 0.5 at t = 3/4, and alpha is 1, then 1/5
+    # 1/eps = 2 at t = 3/4, and alpha is 1, then 1/5
     out += [
         (
             "two_barrier_driven/F=2-t",
