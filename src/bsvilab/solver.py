@@ -23,7 +23,8 @@ the driver and the penalty update run once per step for all rows.  A
 step does only the work that depends on Y_{i+1}: a driver that reads
 neither y nor z (the compiled grammar records which variables occur)
 is a known function of (t_i, alpha_i), evaluated for every step in one
-call before the sweep.
+call before the sweep, and what no later step reads (U, such an H) is
+finished after it in one pass.
 
 The implicit step is solved exactly: every potential is closed form,
 so the map v -> v + dQ D Psi_eps(v) is piecewise linear and strictly
@@ -303,6 +304,21 @@ def resolve_implicit(
     return step(np.asarray(y_hat, dtype=float)[None])[0]
 
 
+def _runs(offsets: np.ndarray, n: int) -> list:
+    """(a, b, width) of each maximal run of levels a, ..., b - 1 among
+    the first n that hold width cells each: one run on per-path and
+    deterministic layouts, one per level on a lattice."""
+    widths = np.diff(offsets[:n + 1])
+    cuts = (np.flatnonzero(widths[1:] != widths[:-1]) + 1).tolist()
+    return [(a, b, int(widths[a])) for a, b in zip([0, *cuts], [*cuts, n])]
+
+
+def _blocked(field: np.ndarray, offsets: np.ndarray, a: int, b: int, width: int) -> np.ndarray:
+    """Levels a, ..., b - 1 of field, width cells each, as a (..., b - a,
+    width) view, so a per-level value broadcasts over its cells."""
+    return field[..., offsets[a]:offsets[b]].reshape(*field.shape[:-1], b - a, width)
+
+
 class _Levels:
     """Fields laid out level after level, one 1-D array each (leading
     axes carried along): level i holds the cells [offsets[i],
@@ -403,9 +419,15 @@ def backward_sweep(
     of all steps are built once, before the sweep.  A driver that reads
     y or z runs once per step for all rows; one that reads neither
     (GeneratorSpec.reads_state) runs once, before the sweep, on every
-    step, and each step adds its H_i, a scalar, to CE.  Both give the
-    same bits.  SolverConfig has checked that the schedule is finite,
-    positive and strictly decreasing.
+    step, and each step adds its H_i dQ_i, a scalar, to CE.  Both give
+    the same bits.
+
+    The loop keeps only what the recursion reads: CE, Z, y_hat and the
+    implicit step, with y_hat written into U's array.  U = (y_hat - Y)
+    / dQ and a state-free H are finished after the loop, one
+    elementwise pass over each run of equal-width levels; elementwise
+    ops give the same bits wherever they run.  SolverConfig has checked
+    that the schedule is finite, positive and strictly decreasing.
     """
     schedule = cfg.eps_schedule
     bundle = backend.bundle
@@ -423,22 +445,38 @@ def backward_sweep(
     y[:, off[n]:] = y_n
 
     # what the steps share: one implicit table for every distinct
-    # (alpha_i, dQ_i), key_at[i] indexing it, and H_i where the driver
-    # reads neither y nor z
+    # (alpha_i, dQ_i), key_at[i] indexing it, and H_i dQ_i where the
+    # driver reads neither y nor z
     keys = {}
     key_at = [keys.setdefault(pair, len(keys)) for pair in zip(alpha.tolist(), dq.tolist())]
     alphas, dqs = np.array(list(keys)).T
     step = implicit_step(phi, psi, alphas, schedule, dqs)
     h_at = None if gen.reads_state else combined_driver(gen, alpha, t[:n], 0.0, 0.0)
+    dq_at = dq.tolist()
+    h_dq = None if h_at is None else (h_at * dq).tolist()
 
+    # the loop keeps what the recursion reads; y_hat waits in U's array
+    bounds = off.tolist()
     for i in reversed(range(n)):
-        cur, y_next = slice(off[i], off[i + 1]), y[:, off[i + 1]:off[i + 2]]
+        a, b, c = bounds[i:i + 3]
+        y_next = y[:, b:c]
         ce = backend.ce(i, y_next)
-        z[:, cur] = z_i = backend.z(i, y_next)
-        h_i = combined_driver(gen, alpha[i], t[i], ce, z_i) if h_at is None else h_at[i]
-        y_hat = ce + h_i * dq[i]
-        y[:, cur] = y_i = step(y_hat, key_at[i])
-        h[:, cur], u[:, cur] = h_i, (y_hat - y_i) / dq[i]
+        z[:, a:b] = z_i = backend.z(i, y_next)
+        if h_dq is None:
+            h[:, a:b] = h_i = combined_driver(gen, alpha[i], t[i], ce, z_i)
+            u[:, a:b] = y_hat = ce + h_i * dq_at[i]
+        else:
+            u[:, a:b] = y_hat = ce + h_dq[i]
+        y[:, a:b] = step(y_hat, key_at[i])
+
+    # U = (y_hat - Y) / dQ and a state-free H, finished one run of
+    # equal-width levels at a time
+    np.subtract(u, y[:, :off[n]], out=u)
+    for a, b, width in _runs(off, n):
+        u_run = _blocked(u, off, a, b, width)
+        np.divide(u_run, dq[a:b, None], out=u_run)
+        if h_at is not None:
+            _blocked(h, off, a, b, width)[...] = h_at[a:b, None]
 
     solutions = [
         SolutionField(
@@ -487,19 +525,26 @@ def solve_sequence(
     L2-in-time gap of Z along evaluation paths, read a window of steps at
     a time.
     Also logs the penalty energy eps * sum_i mean |U_i|^2 dQ_i, which
-    stays bounded along the schedule when penalization converges.
+    stays bounded along the schedule when penalization converges; the
+    per-level sums of |U|^2 take one reduction per run of equal-width
+    levels, each level's cells summed in the order np.mean sums them.
     """
     schedule = cfg.eps_schedule
     bundle = backend.bundle
     sweep = backward_sweep(backend, phi, psi, gen, terminal, cfg)
     solutions = dict(zip(schedule, sweep.solutions))
     # per level, mean |U|^2 of every row (np.mean's sum and division, less
-    # its wrapper); max |Y^a - Y^b| of every adjacent pair over all cells
-    levels = (sweep.level("U", i) for i in range(bundle.grid.steps))
-    u2 = np.array([np.add.reduce(u * u, axis=-1) / u.shape[-1] for u in levels]).T
+    # its wrapper), summed one run of equal-width levels at a time; max
+    # |Y^a - Y^b| of every adjacent pair over all cells
+    n, off = bundle.grid.steps, sweep.offsets
+    sums = []
+    for a, b, width in _runs(off, n):
+        u_run = _blocked(sweep.U, off, a, b, width)
+        sums.append(np.add.reduce(u_run * u_run, axis=-1))
+    u2 = np.concatenate(sums, axis=-1) / np.diff(off[:n + 1])
     energy = {eps: float(eps * np.sum(u2_r * bundle.dq)) for eps, u2_r in zip(schedule, u2)}
     y_gaps = np.abs(sweep.Y[:-1] - sweep.Y[1:]).max(axis=-1)
-    steps = [(a, min(b, bundle.grid.steps)) for a, b in bundle.windows()]
+    steps = [(a, min(b, n)) for a, b in bundle.windows()]
     gaps = []
     for r, (e_coarse, e_fine) in enumerate(zip(schedule, schedule[1:])):
         coarse, fine = solutions[e_coarse], solutions[e_fine]
@@ -527,16 +572,17 @@ def solve_sequence(
 
 @dataclass
 class SmoothedProcess(_Levels):
-    """Discrete exponential smoothing M of a per-node process U.
+    """Discrete exponential smoothing M of a per-node process X, the
+    smoothed process (the battery smooths Y).
 
-    M_i averages U over the clock window starting at max(t_i, eps) with
+    M_i averages X over the clock window starting at max(t_i, eps) with
     weights proportional to exp(-(Q_j - Q_start)/scale) dQ_j plus the
     held tail, renormalized to total mass one; below eps it extends as a
-    martingale.  N is the compensating drift (U_i - M_i)/scale switched
+    martingale.  N is the compensating drift (X_i - M_i)/scale switched
     on from eps onward, R the per-step martingale loading, so that
     (gamma, N, R) reconstructs M through
     M_{i+1} = M_i - N_i dQ_i + R_i dB_i up to conditional-expectation
-    discretization.  M, N and R take U's layout, offsets.
+    discretization.  M, N and R take X's layout, offsets.
     """
 
     gamma: float
@@ -548,14 +594,20 @@ class SmoothedProcess(_Levels):
     scale: float
 
 
-def smoothing_operator(backend, u: np.ndarray, eps: float) -> SmoothedProcess:
-    """Exponential kernel smoothing of U at the time point eps.
+def smoothing_operator(backend, x: np.ndarray, eps: float) -> SmoothedProcess:
+    """Exponential kernel smoothing of the process x at the time point eps.
 
-    U is one array over the N + 1 levels of backend.bundle in the
+    x is one array over the N + 1 levels of backend.bundle in the
     backend's layout.  The kernel scale in clock units is Q at the first
     grid node with t >= eps; values beyond the horizon are extended by
     holding the last node value, which gives the kernel tail a closed
     form.
+
+    One backward loop keeps what the recursion reads: the kernel sum,
+    M and the loading R, with backend.ce(i, .) and backend.z(i, .) of a
+    date taken together, so the lsq backend's one-date slot builds one
+    basis per date.  The drift N is finished after the loop in one
+    elementwise pass.
     """
     if not (np.isfinite(eps) and eps > 0.0):
         raise DomainError(f"smoothing eps must be > 0, got {eps}")
@@ -574,23 +626,29 @@ def smoothing_operator(backend, u: np.ndarray, eps: float) -> SmoothedProcess:
     # mass; below i_eps it extends as a martingale.
     off = backend.offsets
     m, drift, loading = np.empty(off[n + 1]), np.zeros(off[n]), np.empty(off[n])
-    g_acc = u[off[n]:].copy()
+    g_acc = x[off[n]:].copy()
     w_acc = 1.0  # closed-form tail on the held terminal value
     m[off[n]:] = g_acc / w_acc
     # each step's kernel weight dQ_i / scale and decay exp(-dQ_i / scale)
-    weight = dq / scale
+    weights = (dq / scale).tolist()
     decays = np.exp(-dq / scale).tolist()
+    bounds = off.tolist()
     for i in reversed(range(n)):
-        cur, m_next = slice(off[i], off[i + 1]), m[off[i + 1]:off[i + 2]]
+        a, b, c = bounds[i:i + 3]
+        m_next = m[b:c]
         if i >= i_eps:
-            decay, w_i = decays[i], weight[i]
-            g_acc = w_i * u[cur] + decay * backend.ce(i, g_acc)
+            decay, w_i = decays[i], weights[i]
+            g_acc = w_i * x[a:b] + decay * backend.ce(i, g_acc)
             w_acc = w_i + decay * w_acc
-            m[cur] = g_acc / w_acc
-            drift[cur] = (u[cur] - m[cur]) / scale
+            m[a:b] = g_acc / w_acc
         else:
-            m[cur] = backend.ce(i, m_next)
-        loading[cur] = backend.z(i, m_next)
+            m[a:b] = backend.ce(i, m_next)
+        loading[a:b] = backend.z(i, m_next)
+
+    # the drift (x - M) / scale from i_eps on, in one pass; 0 below it
+    on = slice(off[i_eps], off[n])
+    np.subtract(x[on], m[on], out=drift[on])
+    drift[on] /= scale
 
     return SmoothedProcess(
         gamma=float(np.mean(m[off[0]:off[1]])),

@@ -4,7 +4,8 @@ These deliberately avoid the package's own code paths: proximal points
 come from staged grid minimization of the defining objective.  The
 results.csv writer is the plain per-row csv.writer rendering, and the
 eps schedule is solved by one backward sweep per eps with a per-segment
-implicit inverse.  Regression fits rebuild the
+implicit inverse, and its penalty energy and gaps are read level by
+level.  Regression fits rebuild the
 Vandermonde basis and call lstsq on every fit, and the smoothing
 operator runs its kernel sum over every date before a second pass.
 The verifier oracle runs every check on whole (paths, nodes) arrays,
@@ -207,11 +208,39 @@ def solve_penalized_oracle(bundle, phi, psi, gen, terminal, eps, cfg):
 
 
 def solve_sequence_oracle(bundle, phi, psi, gen, terminal, cfg):
-    """The eps schedule solved one eps at a time, keyed by eps."""
-    return {
+    """The eps schedule solved one eps at a time: the levels keyed by
+    eps, the penalty energy eps * sum_i mean(U_i^2) dQ_i one level at a
+    time, and for each adjacent pair the sup gap of Y over every cell
+    and the L2-in-time gap of Z from its per-step path means."""
+    schedule = cfg.eps_schedule
+    solutions = {
         eps: solve_penalized_oracle(bundle, phi, psi, gen, terminal, eps, cfg)
-        for eps in cfg.eps_schedule
+        for eps in schedule
     }
+    energy = {}
+    for eps, sol in solutions.items():
+        means = np.array([np.mean(u**2) for u in sol["U_levels"]])
+        energy[eps] = float(eps * np.sum(means * bundle.dq))
+    lattice = cfg.ce == "tree"
+    gaps = []
+    for coarse, fine in zip(schedule, schedule[1:]):
+        a, b = solutions[coarse], solutions[fine]
+        y_gap = max(float(np.max(np.abs(ya - yb))) for ya, yb in zip(a["Y_levels"], b["Y_levels"]))
+        sq = [(za - zb) ** 2 for za, zb in zip(a["Z_levels"], b["Z_levels"])]
+        on_paths = _lattice_on_paths(bundle, sq) if lattice else np.stack(sq, axis=1)
+        z_gap = float(np.sqrt(np.sum(_row_by_row_mean(on_paths) * bundle.dt)))
+        gaps.append({"eps_coarse": coarse, "eps_fine": fine, "y_gap": y_gap, "z_gap": z_gap})
+    return SimpleNamespace(solutions=solutions, gaps=gaps, penalty_energy=energy)
+
+
+def _row_by_row_mean(a):
+    """Column means of a (paths, steps) array, each column summed one
+    path after another in path order, as numpy sums the columns of a
+    (paths, >= 2) block."""
+    acc = a[0].copy()
+    for row in a[1:]:
+        acc += row
+    return acc / len(a)
 
 
 def regression_fit_oracle(b, degree, target):
@@ -268,10 +297,15 @@ def smoothing_operator_oracle(bundle, backend, u_levels, eps):
 
 def _levels_on_paths(sol, bundle, levels):
     """Levels 0, 1, ... of a list on the evaluation paths, as a (paths,
-    len(levels)) array.  A lattice path's node at level i is its count of
-    up moves before i, read off dB; per-path levels are stacked."""
+    len(levels)) array; per-path levels are stacked."""
     if not sol.lattice:
         return np.stack(levels, axis=1)
+    return _lattice_on_paths(bundle, levels)
+
+
+def _lattice_on_paths(bundle, levels):
+    """Lattice levels 0, 1, ... of a list on the evaluation paths.  A
+    path's node at level i is its count of up moves before i, read off dB."""
     node = np.zeros((bundle.n_paths, len(levels)), dtype=np.int64)
     node[:, 1:] = np.cumsum(bundle.dB[:, : len(levels) - 1] > 0.0, axis=1)
     return np.stack([level[node[:, i]] for i, level in enumerate(levels)], axis=1)

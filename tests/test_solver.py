@@ -375,8 +375,8 @@ def test_unnormalized_potential_is_refused():
 
 def assert_matches_oracle(seq, ref):
     """Every level of every eps equal to the per-eps sweep, bit for bit."""
-    assert list(seq.solutions) == list(ref)
-    for eps, want in ref.items():
+    assert list(seq.solutions) == list(ref.solutions)
+    for eps, want in ref.solutions.items():
         sol = seq.solutions[eps]
         for key in "YZUH":
             levels = want[f"{key}_levels"]
@@ -480,6 +480,20 @@ SWEEP_CASES = {
 @pytest.mark.parametrize("config", SWEEP_CASES.values(), ids=SWEEP_CASES.keys())
 def test_one_sweep_matches_the_per_eps_sweeps(config):
     assert_matches_oracle(*sweep_and_oracle(config))
+
+
+@pytest.mark.parametrize("config", SWEEP_CASES.values(), ids=SWEEP_CASES.keys())
+def test_penalty_energy_and_gaps_match_the_per_level_oracle(config):
+    seq, ref = sweep_and_oracle(config)
+    assert list(seq.penalty_energy) == list(ref.penalty_energy)
+    for eps, want in ref.penalty_energy.items():
+        assert np.float64(seq.penalty_energy[eps]).tobytes() == np.float64(want).tobytes(), eps
+    assert [(g["eps_coarse"], g["eps_fine"]) for g in seq.gaps] == [
+        (g["eps_coarse"], g["eps_fine"]) for g in ref.gaps
+    ]
+    for got, want in zip(seq.gaps, ref.gaps):
+        for key in ("y_gap", "z_gap"):
+            assert np.float64(got[key]).tobytes() == np.float64(want[key]).tobytes(), (want, key)
 
 
 @pytest.mark.parametrize("driver", ["2", "2 - y"], ids=["state-free", "reads-y"])
@@ -622,7 +636,7 @@ def test_regression_fits_match_vander_lstsq(kind):
 
 
 def test_regression_factors_each_date_once_per_pass(monkeypatch):
-    calls = {"svd": 0, "lstsq": 0}
+    calls = {"svd": 0, "lstsq": 0, "basis": 0}
     svd, lstsq = np.linalg.svd, np.linalg.lstsq
 
     def counted(name, fn):
@@ -643,11 +657,15 @@ def test_regression_factors_each_date_once_per_pass(monkeypatch):
     bundle = build_paths(exp.grid, exp.noise, exp.a_spec)
     backend = make_backend(bundle, exp.solver)
     sol = solve_sequence(backend, exp.phi, exp.psi, exp.gen, exp.terminal, exp.solver).solutions[0.05]
+    monkeypatch.setattr(solver, "monomial_basis", counted("basis", solver.monomial_basis))
     smoothing_operator(backend, sol.Y, 0.2)
     # date 0 is the sample mean; dates 1 .. steps-1 are factored once
-    # each, by the sweep, and the smoothing pass reuses those factors
+    # each, by the sweep, and the smoothing pass reuses those factors.
+    # It takes a date's expectation and loading together, so the
+    # one-date slot builds each date's basis once
     assert calls["svd"] == steps - 1
     assert calls["lstsq"] == 0
+    assert calls["basis"] == steps - 1
 
 
 EDGE_FLOATS = st.sampled_from(
