@@ -40,7 +40,6 @@ from .paths import (
     accumulate_weights,
     build_paths,
     gamma_shift,
-    moment_factor,
 )
 from .scenarios import SCENARIOS, Experiment, build_experiment, resolve_config
 from .solver import (

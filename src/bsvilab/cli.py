@@ -108,9 +108,7 @@ def execute(exp: Experiment) -> RunResult:
     """Solve and verify one experiment; artifact writing happens later."""
     t_total = time.perf_counter()
     bundle = build_paths(exp.grid, exp.noise, exp.a_spec)
-    bundle = accumulate_weights(
-        bundle, exp.gen.mu, exp.gen.nu, exp.gen.ell, exp.solver.p, exp.solver.lam
-    )
+    bundle = accumulate_weights(bundle, exp.gen, exp.solver)
     t_solve = time.perf_counter()
     backend = make_backend(bundle, exp.solver)
     seq = solve_sequence(backend, exp.phi, exp.psi, exp.gen, exp.terminal, exp.solver)

@@ -172,10 +172,12 @@ def yosida_gradient(spec: ConvexSpec, eps, y) -> np.ndarray:
 
 
 def combined_gradient(phi: ConvexSpec, psi: ConvexSpec, alpha, eps, y) -> np.ndarray:
-    """alpha * D phi_eps + (1 - alpha) * D psi_eps."""
+    """alpha * D phi_eps + (1 - alpha) * D psi_eps.
+
+    Precondition: every alpha lies in [0, 1], as build_paths ensures for
+    the clock's alpha = dt / dQ; it is not checked here.
+    """
     alpha = np.asarray(alpha, dtype=float)
-    if np.any(alpha < 0.0) or np.any(alpha > 1.0):
-        raise DomainError("alpha must lie in [0, 1]")
     return alpha * yosida_gradient(phi, eps, y) + (1.0 - alpha) * yosida_gradient(psi, eps, y)
 
 

@@ -113,6 +113,15 @@ class GeneratorSpec:
     nu: float = 0.0
     ell: float = 0.0
 
+    def __post_init__(self):
+        # a NaN or infinite coefficient would make every sampled comparison
+        # of validate_generator vacuous, and the weights NaN
+        for name in ("mu", "nu", "ell"):
+            value = float(getattr(self, name))
+            if not np.isfinite(value):
+                raise DomainError(f"{name} must be finite, got {value}")
+            object.__setattr__(self, name, value)
+
     @staticmethod
     def from_expressions(
         f_expr: str, g_expr: str, mu: float = 0.0, nu: float = 0.0, ell: float = 0.0
@@ -171,15 +180,8 @@ def _mix(alpha, f, g, out):
 
 
 def validate_generator(gen: GeneratorSpec) -> None:
-    """Sampled check of the declared structural coefficients on 500 fixed draws.
-
-    A NaN or infinite coefficient would make every sampled comparison
-    vacuous, so each must be finite first.
-    """
-    for name in ("mu", "nu", "ell"):
-        value = getattr(gen, name)
-        if not np.isfinite(value):
-            raise DomainError(f"{name} must be finite, got {value}")
+    """Sampled check of the declared structural coefficients on 500 fixed
+    draws; GeneratorSpec has checked that each is finite."""
     rng = np.random.default_rng(0)
     t = rng.uniform(0.0, 1.0, 500)
     y1, y2, z1, z2 = rng.uniform(-5.0, 5.0, (4, 500))

@@ -9,16 +9,22 @@ exponential change of scale used by the verifier:
     V_i     = (mu + ell^2 / (2 n_p lambda)) t_i + nu A_i
     V_i^(+) = (mu + ell^2 / (2 n_p lambda))^+ t_i + nu^+ A_i
 
-with n_p = min(1, p - 1).
+with n_p = min(1, p - 1).  lambda in (0, 1) splits the z-Lipschitz term
+in the proof of the L^p estimates; it is a constant of the proof, not a
+coefficient of the equation, so it is fixed at SPLIT = 1/2.
 """
 
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from . import rng as rngmod
 from .errors import ConfigError, DomainError, GridMismatch, ZeroStep
+from .generators import GeneratorSpec
+
+if TYPE_CHECKING:
+    from .solver import SolverConfig
 
 # trees with at most this many steps enumerate every path exactly
 ENUMERATION_LIMIT = 12
@@ -28,14 +34,12 @@ DEFAULT_TREE_EVAL_PATHS = 512
 # 256 KiB float64 block, and never fewer than 16 columns
 WINDOW_CELLS = 32768
 WINDOW_MIN_STEPS = 16
-
-
-def moment_factor(p: float) -> float:
-    """min(1, p - 1), the exponent-dependent weight on the ell^2 term."""
-    p = float(p)
-    if not (np.isfinite(p) and p > 1.0):
-        raise DomainError(f"exponent p must be finite and > 1, got {p}")
-    return min(1.0, p - 1.0)
+# lambda of the weights: any value in (0, 1) proves the estimates, but
+# the verifier's bounds hold a frozen constant, under which a lambda near
+# 0 would blow the weights up; 1/2 is the value every preset has used
+SPLIT = 0.5
+# the largest x with e^x a finite float
+LOG_MAX = float(np.log(np.finfo(float).max))
 
 
 def gamma_shift(delta: float, q: float) -> float:
@@ -298,22 +302,27 @@ def build_paths(
     )
 
 
-def accumulate_weights(
-    bundle: PathBundle, mu: float, nu: float, ell: float, p: float, lam: float
-) -> PathBundle:
-    """Fill V and Vplus for the given structural coefficients.
+def accumulate_weights(bundle: PathBundle, gen: GeneratorSpec, cfg: "SolverConfig") -> PathBundle:
+    """Fill V and Vplus from the run's generator and solver config, with
+    n_p = min(1, p - 1) and lambda = SPLIT = 1/2.
 
-    lam is the Lipschitz split parameter in (0, 1); constants-only
-    coefficients keep V deterministic, matching the deterministic A.
+    GeneratorSpec has checked mu, nu and ell finite, and SolverConfig
+    p > 1.  What is left is the size of the weights: V <= Vplus, and
+    Vplus is non-decreasing from 0, so every exponential the verifier
+    and summary.json take, e^{qV} or e^{qVplus} with q <= max(p, 2), is
+    at most e^{max(p, 2) Vplus_N}.  Where that overflows a float the
+    weights are refused, before any exponential is evaluated.
     """
-    if not (0.0 < lam < 1.0):
-        raise DomainError(f"lambda must lie in (0, 1), got {lam}")
-    for name, val in (("mu", mu), ("nu", nu), ("ell", ell)):
-        if not np.isfinite(val):
-            raise DomainError(f"{name} must be finite, got {val}")
-    n_p = moment_factor(p)
-    t = bundle.grid.nodes
-    drift = mu + ell * ell / (2.0 * n_p * lam)
-    V = drift * t + nu * bundle.A
-    Vplus = max(drift, 0.0) * t + max(nu, 0.0) * bundle.A
+    n_p = min(1.0, cfg.p - 1.0)
+    drift = gen.mu + gen.ell * gen.ell / (2.0 * n_p * SPLIT)
+    t, a = bundle.grid.nodes, bundle.A
+    # Python floats: a large coefficient reads inf here, with no warning
+    top = max(cfg.p, 2.0) * (max(drift, 0.0) * float(t[-1]) + max(gen.nu, 0.0) * float(a[-1]))
+    if top > LOG_MAX:
+        raise ConfigError(
+            f"generator: the weights overflow, max(p, 2) Vplus_N = {top:.6g} > {LOG_MAX:.6g}; "
+            "lower generator.mu, nu or ell, or solver.p"
+        )
+    V = drift * t + gen.nu * a
+    Vplus = max(drift, 0.0) * t + max(gen.nu, 0.0) * a
     return replace(bundle, V=V, Vplus=Vplus)

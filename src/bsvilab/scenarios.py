@@ -175,12 +175,10 @@ def terminal_from_config(d: dict, where: str = "scenario.terminal") -> Callable:
 def solver_from_config(d: dict, where: str = "solver") -> SolverConfig:
     """SolverConfig from the block, which SolverConfig alone checks.
 
-    The keys are its fields, lam spelled lambda; null means unset.
+    The keys are its fields; null means unset.
     """
-    fields = dataclasses.fields(SolverConfig)
-    keys = {"lambda" if f.name == "lam" else f.name: f.name for f in fields}
-    _known(d, keys, where)
-    return SolverConfig(**{keys[k]: v for k, v in d.items() if v is not None})
+    _known(d, [f.name for f in dataclasses.fields(SolverConfig)], where)
+    return SolverConfig(**{k: v for k, v in d.items() if v is not None})
 
 
 SCENARIOS = {
@@ -191,7 +189,7 @@ SCENARIOS = {
         "noise": {"kind": "tree"},
         "grid": {"T": 1.0, "steps": 64},
         "a_process": {"kind": "zero"},
-        "solver": {"p": 2.0, "lambda": 0.5, "eps_schedule": [0.1], "ce": "tree"},
+        "solver": {"p": 2.0, "eps_schedule": [0.1], "ce": "tree"},
         "seed": 1,
     },
     "mc_martingale": {
@@ -201,7 +199,7 @@ SCENARIOS = {
         "noise": {"kind": "mc", "paths": 4000},
         "grid": {"T": 1.0, "steps": 64},
         "a_process": {"kind": "zero"},
-        "solver": {"p": 2.0, "lambda": 0.5, "eps_schedule": [0.1], "ce": "lsq", "degree": 3},
+        "solver": {"p": 2.0, "eps_schedule": [0.1], "ce": "lsq", "degree": 3},
         "seed": 1,
     },
     "linear": {
@@ -211,7 +209,7 @@ SCENARIOS = {
         "noise": {"kind": "deterministic"},
         "grid": {"T": 1.0, "steps": 100},
         "a_process": {"kind": "zero"},
-        "solver": {"p": 2.0, "lambda": 0.5, "eps_schedule": [0.1], "ce": "tree"},
+        "solver": {"p": 2.0, "eps_schedule": [0.1], "ce": "tree"},
         "seed": 1,
     },
     "reflection": {
@@ -221,12 +219,7 @@ SCENARIOS = {
         "noise": {"kind": "deterministic"},
         "grid": {"T": 1.0, "steps": 1000},
         "a_process": {"kind": "zero"},
-        "solver": {
-            "p": 2.0,
-            "lambda": 0.5,
-            "eps_schedule": [0.1, 0.05, 0.025],
-            "ce": "tree",
-        },
+        "solver": {"p": 2.0, "eps_schedule": [0.1, 0.05, 0.025], "ce": "tree"},
         "seed": 1,
     },
     "two_barrier": {
@@ -239,12 +232,7 @@ SCENARIOS = {
         "noise": {"kind": "tree"},
         "grid": {"T": 1.0, "steps": 64},
         "a_process": {"kind": "zero"},
-        "solver": {
-            "p": 2.0,
-            "lambda": 0.5,
-            "eps_schedule": [0.1, 0.05, 0.025, 0.0125],
-            "ce": "tree",
-        },
+        "solver": {"p": 2.0, "eps_schedule": [0.1, 0.05, 0.025, 0.0125], "ce": "tree"},
         "seed": 1,
     },
     "two_barrier_driven": {
@@ -257,12 +245,7 @@ SCENARIOS = {
         "noise": {"kind": "tree"},
         "grid": {"T": 1.0, "steps": 64},
         "a_process": {"kind": "zero"},
-        "solver": {
-            "p": 2.0,
-            "lambda": 0.5,
-            "eps_schedule": [0.1, 0.05, 0.025, 0.0125],
-            "ce": "tree",
-        },
+        "solver": {"p": 2.0, "eps_schedule": [0.1, 0.05, 0.025, 0.0125], "ce": "tree"},
         "seed": 1,
     },
     "clocked_decay": {
@@ -272,7 +255,7 @@ SCENARIOS = {
         "noise": {"kind": "deterministic"},
         "grid": {"T": 1.0, "steps": 100},
         "a_process": {"kind": "linear", "rate": 1.0},
-        "solver": {"p": 2.0, "lambda": 0.5, "eps_schedule": [0.1], "ce": "tree"},
+        "solver": {"p": 2.0, "eps_schedule": [0.1], "ce": "tree"},
         "seed": 1,
     },
 }

@@ -51,7 +51,6 @@ from .paths import PathBundle
 @dataclass(frozen=True)
 class SolverConfig:
     p: float = 2.0
-    lam: float = 0.5
     eps_schedule: tuple = (0.1,)
     ce: str = "tree"  # or "lsq"
     degree: int = 3
@@ -59,8 +58,6 @@ class SolverConfig:
     def __post_init__(self):
         if not (_real(self.p) and np.isfinite(self.p) and self.p > 1.0):
             raise ConfigError(f"solver.p must be a number > 1, got {self.p!r}")
-        if not (_real(self.lam) and 0.0 < self.lam < 1.0):
-            raise ConfigError(f"solver.lambda must be a number in (0, 1), got {self.lam!r}")
         if not isinstance(self.eps_schedule, Iterable):
             raise ConfigError(f"solver.eps_schedule must be a list, got {self.eps_schedule!r}")
         sched = tuple(self.eps_schedule)
@@ -74,7 +71,6 @@ class SolverConfig:
         if not (isinstance(self.degree, numbers.Integral) and _real(self.degree) and self.degree >= 1):
             raise ConfigError(f"solver.degree must be an integer >= 1, got {self.degree!r}")
         object.__setattr__(self, "p", float(self.p))
-        object.__setattr__(self, "lam", float(self.lam))
         object.__setattr__(self, "eps_schedule", sched)
 
 

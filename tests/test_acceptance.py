@@ -58,14 +58,14 @@ def _verdict(capsys, num, label, ok, detail=""):
     assert ok, detail or f"acceptance {num:02d} {label}"
 
 
-def _weighted(bundle, gen=ZERO_GEN, p=2.0, lam=0.5):
-    return accumulate_weights(bundle, gen.mu, gen.nu, gen.ell, p, lam)
+def _weighted(bundle, gen=ZERO_GEN, cfg=SolverConfig()):
+    return accumulate_weights(bundle, gen, cfg)
 
 
 def _solve_scenario(overrides):
     exp = build_experiment(overrides)
     bundle = build_paths(exp.grid, exp.noise, exp.a_spec)
-    bundle = _weighted(bundle, exp.gen, exp.solver.p, exp.solver.lam)
+    bundle = _weighted(bundle, exp.gen, exp.solver)
     seq = solve_sequence(make_backend(bundle, exp.solver), exp.phi, exp.psi,
                          exp.gen, exp.terminal, exp.solver)
     return exp, bundle, seq

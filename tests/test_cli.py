@@ -65,7 +65,8 @@ def test_config_errors_name_the_field():
         ({"generator": {"F": "y"}}, "generator: F violates its declared monotonicity bound mu"),
         ({"noise": {"kind": "sobol"}}, "noise.kind"),
         ({"a_process": {"kind": "steps"}}, "a_process.kind"),
-        ({"solver": {"lambda": 2.0}}, "lambda"),
+        # lambda is a constant of the weights' proof, fixed at 1/2
+        ({"solver": {"lambda": 0.5}}, r"solver: unknown keys \['lambda'\]"),
         ({"grid": {"T": 1.0, "steps": None}}, "grid.steps"),
         ({"scenario": {"name": "martingale", "terminal": {"kind": "oracle"}}}, "scenario.terminal.kind"),
         ({"scenario": {"name": "martingale", "terminal": {"kind": "clamp", "lo": 1.0, "hi": -1.0}}}, "lo < hi"),
@@ -191,15 +192,18 @@ def test_execute_builds_one_backend(monkeypatch):
 
 
 # sha256 of results.csv for every tree and deterministic preset at its
-# defaults.  These runs use only +, -, *, / and sqrt, so the bytes should
-# not depend on the CPU; a change that moves them moves a result.
+# defaults, and for two of them with ell = 1 (CASE_CONFIGS).  These runs
+# use only +, -, *, / and sqrt, so the bytes should not depend on the
+# CPU; a change that moves them moves a result.
 RESULTS_CSV_SHA256 = {
     "clocked_decay": "774f9ddcfb3337a8e14268f3aefeb407276475140a8c9f49f48fde1eb16ce7d4",
+    "clocked_decay/ell=1/p=1.5": "774f9ddcfb3337a8e14268f3aefeb407276475140a8c9f49f48fde1eb16ce7d4",
     "linear": "907ff6ebc11baa77e819236c03b492fc675fd60f44671390f2533e28186c21ed",
     "martingale": "c9666b6a76a98a19f926b7651a465eb2049fb1200456d9c3765a47b0c5bf9f6a",
     "reflection": "5126da07cf993631ebb24165b38a11b7978df833b03b1c54a4afc1c682017941",
     "two_barrier": "0c1c6ca9ac2cd1e4928411af05f4c9f5240a4f09b97b554a314e88df9a86d2da",
     "two_barrier_driven": "f2d6f8f8ba90d0a0b7fcc9b2cd4741e40f2e4a0c1c71f6643b8b615d3782ae05",
+    "two_barrier_driven/ell=1": "f2d6f8f8ba90d0a0b7fcc9b2cd4741e40f2e4a0c1c71f6643b8b615d3782ae05",
 }
 
 
@@ -207,17 +211,31 @@ RESULTS_CSV_SHA256 = {
 # gate and monitors
 VERIFY_JSON_SHA256 = {
     "clocked_decay": "5f2ef5015569a2db750b86c56152873758b5725b7d5451d2e655efe648809886",
+    "clocked_decay/ell=1/p=1.5": "bad59e9ae2a68c7841af49277bf0a08942bbb54f2c459e965dc0ea3a9e95da7c",
     "linear": "7c9cdc23bb7f3b5e1ac66a4e6150bec9a3aad4953ba157d47132c9368a791340",
     "martingale": "88c0400751c5fe85c62fb6997d1b5efef4ae861c5f956891e47838ead0a2b591",
     "reflection": "3ba60dbd2615ccbc1628762b8e193a3d07ac8934b73d19e5f8961302e14f3935",
     "two_barrier": "df05c537342d9a92a99778ad75fc811d116ab1588b75b318bc829d46cb2341bb",
     "two_barrier_driven": "5cd78a442cf342fcce79643e27e3aaa25079d0574822d61c13923987d1a2d21d",
+    "two_barrier_driven/ell=1": "89b31112bef3ca56555fb6192a9b1971f0a4dbd51599f6b7c58afe5250dab3d2",
+}
+
+
+# ell^2 / (2 n_p lambda) is the one term of the weights that the split
+# lambda = 1/2 enters; n_p = min(1, p - 1) is 1, then 1/2.  The weights
+# move verify.json only: the solve does not read them
+CASE_CONFIGS = {
+    "two_barrier_driven/ell=1": {"scenario": "two_barrier_driven", "generator": {"ell": 1.0}},
+    "clocked_decay/ell=1/p=1.5": {
+        "scenario": "clocked_decay", "generator": {"ell": 1.0}, "solver": {"p": 1.5},
+    },
 }
 
 
 @pytest.mark.parametrize("scenario", sorted(RESULTS_CSV_SHA256))
 def test_results_csv_bytes_hold_on_exact_presets(tmp_path, scenario):
-    written = write_artifacts(str(tmp_path), execute(build_experiment({"scenario": scenario})))
+    config = CASE_CONFIGS.get(scenario, {"scenario": scenario})
+    written = write_artifacts(str(tmp_path), execute(build_experiment(config)))
     assert written["artifact_hashes"] == {
         "results.csv": RESULTS_CSV_SHA256[scenario],
         "verify.json": VERIFY_JSON_SHA256[scenario],
@@ -302,6 +320,15 @@ def test_verify_subcommand_replays_a_run(tmp_path, capsys, monkeypatch):
     old.mkdir()
     (old / "config_echo.json").write_text(json.dumps({**echo, "verify": {}}))
     assert main(["verify", str(old)]) == 2
+    # so does one whose solver block sets lambda, now fixed at 1/2; with
+    # the key deleted it replays
+    with_lambda = {**echo, "solver": {**echo["solver"], "lambda": 0.5}}
+    (old / "config_echo.json").write_text(json.dumps(with_lambda))
+    capsys.readouterr()
+    assert main(["verify", str(old)]) == 2
+    assert "error: solver: unknown keys ['lambda']" in capsys.readouterr().err
+    (old / "config_echo.json").write_text(json.dumps(echo))
+    assert main(["verify", str(old)]) == 0
 
     # a zero tolerance turns the O(dt) discretization bias into failures
     monkeypatch.setattr(verify, "C_DT", 0.0)
@@ -523,14 +550,24 @@ def test_a_clock_that_overflows_is_refused_before_the_solve(tmp_path, capsys, mo
 
 
 def test_a_run_refused_after_the_config_leaves_no_output_directory(tmp_path, capsys):
-    # build_paths refuses both, after build_experiment has accepted them
+    # build_paths refuses the first two and accumulate_weights the third,
+    # after build_experiment has accepted them
     overflow = {
         "scenario": "linear",
         "grid": {"T": 2, "steps": 8},
         "a_process": {"kind": "linear", "rate": 1e308},
     }
     uneven_tree = {"scenario": "martingale", "grid": {"nodes": [0.0, 0.25, 1.0]}}
-    for k, (config, field) in enumerate(((overflow, "a_process"), (uneven_tree, "noise"))):
+    # F = -y keeps its declared bound mu = 1000, but the energy bound's
+    # e^{2 Vplus_N} = e^2000 is no float: this wrote NaN and Infinity into
+    # verify.json, with numpy overflow warnings, and exited 0
+    heavy_weights = {"scenario": "linear", "generator": {"mu": 1000}}
+    weights_error = (
+        "generator: the weights overflow, max(p, 2) Vplus_N = 2000 > 709.783; "
+        "lower generator.mu, nu or ell, or solver.p"
+    )
+    refused = ((overflow, "a_process"), (uneven_tree, "noise"), (heavy_weights, weights_error))
+    for k, (config, field) in enumerate(refused):
         cfg = write_cfg(tmp_path, config, f"cfg{k}.json")
         out = tmp_path / f"out{k}" / "run"
         for argv in (

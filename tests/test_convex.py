@@ -87,11 +87,6 @@ def test_combined_gradient_values():
     assert np.isclose(combined_gradient(QUAD1, ZERO, 0.5, 0.25, 2.0), 0.8, atol=1e-12)
 
 
-def test_combined_gradient_rejects_bad_alpha():
-    with pytest.raises(DomainError):
-        combined_gradient(QUAD1, ZERO, 1.5, 0.1, 1.0)
-
-
 def test_constructor_validation():
     with pytest.raises(DomainError, match="a < b"):
         ConvexSpec.interval(0.0, 0.0)

@@ -142,6 +142,20 @@ def test_validate_generator_checks_declared_coefficients():
         validate_generator(GeneratorSpec.from_expressions("z", "0", ell=0.0))
 
 
+def test_generator_spec_refuses_non_finite_coefficients():
+    # checked at construction, so a spec built directly is checked too
+    zero_f, zero_g = (lambda t, y, z: 0.0), (lambda t, y: 0.0)
+    for name in ("mu", "nu", "ell"):
+        for value in (np.nan, np.inf, -np.inf):
+            with pytest.raises(DomainError, match=f"{name} must be finite, got {value}"):
+                GeneratorSpec(F=zero_f, G=zero_g, **{name: value})
+            with pytest.raises(DomainError, match=f"{name} must be finite, got {value}"):
+                GeneratorSpec.from_expressions("0", "0", **{name: value})
+    gen = GeneratorSpec(F=zero_f, G=zero_g, mu=np.float64(-1.0), ell=2)
+    assert (gen.mu, gen.nu, gen.ell) == (-1.0, 0.0, 2.0)
+    assert all(type(v) is float for v in (gen.mu, gen.nu, gen.ell))
+
+
 def test_non_finite_driver_is_reported():
     bad = GeneratorSpec(
         F=lambda t, y, z: np.where(np.asarray(y) > 0.0, np.inf, 0.0),

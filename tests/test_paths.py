@@ -5,27 +5,26 @@ from hypothesis import strategies as st
 
 from bsvilab import rng as rngmod
 from bsvilab.errors import ConfigError, DomainError, GridMismatch, ZeroStep
+from bsvilab.generators import GeneratorSpec
 from bsvilab.paths import (
     DEFAULT_TREE_EVAL_PATHS,
+    LOG_MAX,
+    SPLIT,
     IncreasingProcessSpec,
     NoiseModel,
     TimeGrid,
     accumulate_weights,
     build_paths,
     gamma_shift,
-    moment_factor,
 )
+from bsvilab.solver import SolverConfig
 
 ZERO_A = IncreasingProcessSpec.zero()
 
 
-def test_moment_factor_values():
-    assert moment_factor(1.5) == 0.5
-    assert moment_factor(3.0) == 1.0
-    assert moment_factor(2.0) == 1.0
-    for bad in (1.0, 0.5, np.inf, np.nan):
-        with pytest.raises(DomainError):
-            moment_factor(bad)
+def _weights(bundle, mu=0.0, nu=0.0, ell=0.0, p=2.0):
+    gen = GeneratorSpec.from_expressions("0", "0", mu=mu, nu=nu, ell=ell)
+    return accumulate_weights(bundle, gen, SolverConfig(p=p))
 
 
 def test_gamma_shift_values():
@@ -70,14 +69,17 @@ def test_weight_accumulation_frozen_values():
     grid = TimeGrid.uniform(1.0, 10)
     b = build_paths(grid, NoiseModel.deterministic(), ZERO_A)
 
-    w = accumulate_weights(b, mu=0.1, nu=0.2, ell=0.3, p=2.0, lam=0.5)
+    w = _weights(b, mu=0.1, nu=0.2, ell=0.3)
     assert np.allclose(w.V, 0.19 * grid.nodes, rtol=0, atol=1e-15)
+    # n_p = min(1, p - 1) = 1/2 at p = 1.5 doubles the ell^2 term
+    h = _weights(b, mu=0.1, ell=0.3, p=1.5)
+    assert np.allclose(h.V, 0.28 * grid.nodes, rtol=0, atol=1e-15)
 
-    z = accumulate_weights(b, mu=0.0, nu=0.0, ell=0.0, p=2.0, lam=0.5)
+    z = _weights(b)
     assert np.array_equal(z.V, np.zeros(11))
     assert np.array_equal(z.Vplus, np.zeros(11))
 
-    m = accumulate_weights(b, mu=-1.0, nu=0.0, ell=0.0, p=2.0, lam=0.5)
+    m = _weights(b, mu=-1.0)
     assert m.V[-1] == -1.0
     assert m.Vplus[-1] == 0.0
 
@@ -88,13 +90,12 @@ def test_weight_accumulation_frozen_values():
     nu=st.floats(min_value=-3.0, max_value=3.0),
     ell=st.floats(min_value=0.0, max_value=1.0),
     p=st.floats(min_value=1.25, max_value=4.0),
-    lam=st.floats(min_value=0.25, max_value=0.95),
     rate=st.floats(min_value=0.0, max_value=4.0),
 )
-def test_weight_order_and_exp_bound(mu, nu, ell, p, lam, rate):
+def test_weight_order_and_exp_bound(mu, nu, ell, p, rate):
     grid = TimeGrid.uniform(1.0, 16)
     b = build_paths(grid, NoiseModel.deterministic(), IncreasingProcessSpec.linear(rate))
-    w = accumulate_weights(b, mu=mu, nu=nu, ell=ell, p=p, lam=lam)
+    w = _weights(b, mu=mu, nu=nu, ell=ell, p=p)
     assert w.V[0] == 0.0 and w.Vplus[0] == 0.0
     assert np.all(w.V <= w.Vplus + 1e-12)
     assert np.all(np.diff(w.Vplus) >= -1e-12)
@@ -104,7 +105,7 @@ def test_weight_order_and_exp_bound(mu, nu, ell, p, lam, rate):
     cap = np.exp(p * w.Vplus[-1])
     assert np.isfinite(cap)
     assert max_exp <= cap * (1.0 + 1e-12)
-    drift = mu + ell * ell / (2.0 * moment_factor(p) * lam)
+    drift = mu + ell * ell / (2.0 * min(1.0, p - 1.0) * SPLIT)
     if drift >= 0.0 and nu >= 0.0:
         assert np.isclose(max_exp, cap, rtol=1e-12)
 
@@ -248,12 +249,22 @@ def test_on_paths_needs_a_lattice():
 
 
 def test_accumulate_weights_validation():
-    b = build_paths(TimeGrid.uniform(1.0, 4), NoiseModel.deterministic(), ZERO_A)
-    for lam in (0.0, 1.0, -0.5):
-        with pytest.raises(DomainError):
-            accumulate_weights(b, mu=0.0, nu=0.0, ell=0.0, p=2.0, lam=lam)
-    with pytest.raises(DomainError):
-        accumulate_weights(b, mu=np.inf, nu=0.0, ell=0.0, p=2.0, lam=0.5)
+    # every weight is at most e^{max(p, 2) Vplus_N}; where that overflows,
+    # the weights are refused before any exponential is taken
+    clock = IncreasingProcessSpec.linear(1.0)
+    b = build_paths(TimeGrid.uniform(1.0, 4), NoiseModel.deterministic(), clock)
+    edge = _weights(b, mu=LOG_MAX / 2.0)
+    assert np.isfinite(np.exp(2.0 * edge.Vplus[-1]))
+    for coefficients in (
+        {"mu": 1000.0},
+        {"mu": LOG_MAX / 2.0, "p": 2.5},
+        {"nu": 355.0},
+        {"mu": 1e308, "nu": 1e308},
+        {"ell": 1e200},
+        {"ell": 1.0, "p": 1.0 + 1e-15},
+    ):
+        with pytest.raises(ConfigError, match=r"generator: the weights overflow.*solver\.p"):
+            _weights(b, **coefficients)
 
 
 def test_rng_stream_derivation_rule():

@@ -62,8 +62,6 @@ def det_bundle(steps, horizon=1.0, a_spec=ZERO_A):
 def test_solver_config_validation():
     for kwargs in (
         {"p": 1.0},
-        {"lam": 0.0},
-        {"lam": 1.0},
         {"eps_schedule": ()},
         {"eps_schedule": (0.1, 0.1)},
         {"eps_schedule": (0.05, 0.1)},
@@ -95,7 +93,6 @@ def test_solver_config_validation():
         ({"eps_schedule": None}, "solver.eps_schedule"),
         ({"p": "3"}, "solver.p"),
         ({"p": True}, "solver.p"),
-        ({"lam": "a"}, "solver.lambda"),
         ({"degree": 2.5}, "solver.degree"),
         ({"degree": True}, "solver.degree"),
         ({"degree": "3"}, "solver.degree"),
@@ -108,15 +105,17 @@ def test_solver_config_validation():
 
 def test_solver_block_keys_are_the_config_fields():
     fields = {f.name for f in dataclasses.fields(SolverConfig)}
-    assert fields == {"p", "lam", "eps_schedule", "ce", "degree"}
-    # lam is spelled lambda in a config, and integers are read as floats
-    exp = build_experiment({"scenario": "linear", "solver": {"p": 3, "lambda": 0.25}})
-    assert (exp.solver.p, exp.solver.lam) == (3.0, 0.25) and type(exp.solver.p) is float
-    with pytest.raises(ConfigError, match=r"solver: unknown keys \['lam'\]"):
-        build_experiment({"scenario": "linear", "solver": {"lam": 0.25}})
+    assert fields == {"p", "eps_schedule", "ce", "degree"}
+    # integers are read as floats
+    exp = build_experiment({"scenario": "linear", "solver": {"p": 3}})
+    assert exp.solver.p == 3.0 and type(exp.solver.p) is float
     # the penalty scheme has no knobs: explicit steps, predictor sweeps,
-    # ridge fits and the mollified driver with its node count are gone
-    removed = (("mode", "explicit"), ("sweeps", 2), ("ridge", 0.1), ("mollifier_nq", 101), ("mollify", True))
+    # ridge fits and the mollified driver with its node count are gone;
+    # so is lambda, the split of the weights, a constant of the proof
+    removed = (
+        ("mode", "explicit"), ("sweeps", 2), ("ridge", 0.1), ("mollifier_nq", 101), ("mollify", True),
+        ("lambda", 0.5),
+    )
     for key, value in removed:
         with pytest.raises(ConfigError, match=rf"solver: unknown keys \['{key}'\]"):
             build_experiment({"scenario": "linear", "solver": {key: value}})

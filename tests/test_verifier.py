@@ -64,7 +64,8 @@ def terminal_const(value):
 
 
 def weighted(bundle, mu=0.0, nu=0.0, ell=0.0, p=2.0):
-    return accumulate_weights(bundle, mu=mu, nu=nu, ell=ell, p=p, lam=0.5)
+    gen = GeneratorSpec(F=ZERO_GEN.F, G=ZERO_GEN.G, mu=mu, nu=nu, ell=ell)
+    return accumulate_weights(bundle, gen, SolverConfig(p=p))
 
 
 def tree_bundle(steps, seed=0):
@@ -429,10 +430,7 @@ def test_battery_evaluates_each_gamma_shift_once(monkeypatch, p, calls):
     # at q = 2 every delta has Gamma shift 0, so each process is checked
     # once at q = 2 and once per delta at q < 2
     exp = build_experiment({"scenario": "two_barrier_driven", "solver": {"p": p}})
-    bundle = accumulate_weights(
-        build_paths(exp.grid, exp.noise, exp.a_spec),
-        exp.gen.mu, exp.gen.nu, exp.gen.ell, p, exp.solver.lam,
-    )
+    bundle = accumulate_weights(build_paths(exp.grid, exp.noise, exp.a_spec), exp.gen, exp.solver)
     backend = make_backend(bundle, exp.solver)
     seq = solve_sequence(backend, exp.phi, exp.psi, exp.gen, exp.terminal, exp.solver)
     final = seq.solutions[exp.solver.eps_schedule[-1]]
@@ -467,10 +465,7 @@ def test_battery_evaluates_each_gamma_shift_once(monkeypatch, p, calls):
 @pytest.mark.parametrize("p", [2.0, 1.5, 2.5])
 def test_verify_run_is_the_plan_of_a_run(p):
     exp = build_experiment({"scenario": "two_barrier_driven", "solver": {"p": p}})
-    bundle = accumulate_weights(
-        build_paths(exp.grid, exp.noise, exp.a_spec),
-        exp.gen.mu, exp.gen.nu, exp.gen.ell, p, exp.solver.lam,
-    )
+    bundle = accumulate_weights(build_paths(exp.grid, exp.noise, exp.a_spec), exp.gen, exp.solver)
     backend = make_backend(bundle, exp.solver)
     seq = solve_sequence(backend, exp.phi, exp.psi, exp.gen, exp.terminal, exp.solver)
     got = verify.verify_run(seq, backend, exp.phi, exp.psi, exp.gen, p)
@@ -504,10 +499,7 @@ def test_verify_run_is_the_plan_of_a_run(p):
 def solved_run(config):
     """(experiment, backend, SequenceResult) of a config, solved as a run solves it."""
     exp = build_experiment(config)
-    bundle = accumulate_weights(
-        build_paths(exp.grid, exp.noise, exp.a_spec),
-        exp.gen.mu, exp.gen.nu, exp.gen.ell, exp.solver.p, exp.solver.lam,
-    )
+    bundle = accumulate_weights(build_paths(exp.grid, exp.noise, exp.a_spec), exp.gen, exp.solver)
     backend = make_backend(bundle, exp.solver)
     seq = solve_sequence(backend, exp.phi, exp.psi, exp.gen, exp.terminal, exp.solver)
     return exp, backend, seq

@@ -10,7 +10,9 @@ lattice presets `linear` (deterministic, a rank-1 basis) and
 three benchmark workloads (perfbench/workloads.py) at seeds 1 to 3, and
 two drivers of t alone: `two_barrier_driven` with F = 2 - t on a ramp
 clock whose A passes 1/eps of the coarse eps, and `reflection` with
-F = 1 - t on its 1000-step grid.
+F = 1 - t on its 1000-step grid; and two cases with a z-Lipschitz bound
+ell = 1, the only term of the weights that the split lambda = 1/2
+enters: `two_barrier_driven` at p = 2 and `clocked_decay` at p = 1.5.
 Running it on two checkouts and diffing the outputs shows whether a
 change moved any artifact byte; running it twice under different
 PYTHONHASHSEED values shows whether a run depends on the process.
@@ -64,6 +66,13 @@ def cases() -> list:
             },
         ),
         ("reflection/F=1-t", {"scenario": "reflection", "generator": {"F": "1 - t"}}),
+        # ell > 0 puts ell^2 / (2 n_p lambda) into the weights: n_p = 1,
+        # then n_p = 1/2
+        ("two_barrier_driven/ell=1", {"scenario": "two_barrier_driven", "generator": {"ell": 1.0}}),
+        (
+            "clocked_decay/ell=1/p=1.5",
+            {"scenario": "clocked_decay", "generator": {"ell": 1.0}, "solver": {"p": 1.5}},
+        ),
     ]
     return out
 
