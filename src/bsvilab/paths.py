@@ -215,16 +215,29 @@ class PathBundle:
             starts.pop()
         return list(zip(starts, starts[1:] + [n + 1]))
 
-    def on_paths(self, values: np.ndarray, start: int = 0, stop: Optional[int] = None) -> np.ndarray:
+    def walk_index(self, start: int, stop: int) -> np.ndarray:
+        """The cells the paths visit at the nodes start, ..., stop - 1,
+        counted from the first cell of level start: a (paths, stop -
+        start) index into those levels laid end to end."""
+        return self.cells[:, start:stop] - self.offsets[start]
+
+    def on_paths(
+        self,
+        values: np.ndarray,
+        start: int = 0,
+        stop: Optional[int] = None,
+        index: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
         """Lattice levels start, ..., stop - 1 (all by default), laid end to
-        end in values, on the evaluation paths: one take along the walks."""
+        end in values, on the evaluation paths: one take along the walks.
+        index is walk_index(start, stop), for callers that gather several
+        arrays of the same levels."""
         if self.cells is None:
             raise ConfigError("on_paths requires a lattice bundle")
         stop = self.grid.steps + 1 if stop is None else stop
-        first = self.offsets[start]
-        if np.size(values) != self.offsets[stop] - first:
+        if np.size(values) != self.offsets[stop] - self.offsets[start]:
             raise GridMismatch("values do not fill the lattice levels")
-        return values[self.cells[:, start:stop] - first]
+        return values[self.walk_index(start, stop) if index is None else index]
 
 
 def _enumerate_sign_paths(n_steps: int) -> np.ndarray:

@@ -300,6 +300,13 @@ def resolve_implicit(
     return step(np.asarray(y_hat, dtype=float)[None])[0]
 
 
+def level_cells(offsets: np.ndarray, values: np.ndarray, a: int, b: int) -> np.ndarray:
+    """values[a:b], one per level, each repeated over its level's cells
+    in the layout offsets: a per-level scalar (t, alpha, dQ, ...) as an
+    array of levels a, ..., b - 1, one call on every layout."""
+    return np.repeat(values[a:b], np.diff(offsets[a:b + 1]))
+
+
 def _runs(offsets: np.ndarray, n: int) -> list:
     """(a, b, width) of each maximal run of levels a, ..., b - 1 among
     the first n that hold width cells each: one run on per-path and
@@ -363,15 +370,23 @@ class SolutionField(_Levels):
         """Levels hold lattice node values from exact expectations."""
         return self.backend_kind == "tree"
 
-    def expand(self, bundle: PathBundle, values: np.ndarray, a: int, b: int) -> np.ndarray:
+    def expand(
+        self,
+        bundle: PathBundle,
+        values: np.ndarray,
+        a: int,
+        b: int,
+        index: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
         """Levels a, ..., b - 1 laid end to end in values, such as
         levels(name, a, b) or an elementwise function of such slices, as
-        a (paths, b - a) array.  This is the only route from levels to
-        paths: lattice cells are gathered along the bundle's walks in one
-        take, per-path levels are transposed.
+        a fresh (paths, b - a) array.  This is the only route from levels
+        to paths: lattice cells are gathered along the bundle's walks in
+        one take, per-path levels are transposed.  index, the lattice's
+        bundle.walk_index(a, b), lets the gathers of one window share it.
         """
         if self.lattice:
-            return bundle.on_paths(values, a, b)
+            return bundle.on_paths(values, a, b, index)
         return values.reshape(b - a, bundle.n_paths).T.copy()
 
     def paths(
@@ -420,10 +435,11 @@ def backward_sweep(
 
     The loop keeps only what the recursion reads: CE, Z, y_hat and the
     implicit step, with y_hat written into U's array.  U = (y_hat - Y)
-    / dQ and a state-free H are finished after the loop, one
-    elementwise pass over each run of equal-width levels; elementwise
-    ops give the same bits wherever they run.  SolverConfig has checked
-    that the schedule is finite, positive and strictly decreasing.
+    / dQ and a state-free H are finished after the loop, each one call
+    over every cell with dQ_i and H_i laid over level i's cells
+    (level_cells); elementwise ops give the same bits wherever they
+    run.  SolverConfig has checked that the schedule is finite,
+    positive and strictly decreasing.
     """
     schedule = cfg.eps_schedule
     bundle = backend.bundle
@@ -465,14 +481,12 @@ def backward_sweep(
             u[:, a:b] = y_hat = ce + h_dq[i]
         y[:, a:b] = step(y_hat, key_at[i])
 
-    # U = (y_hat - Y) / dQ and a state-free H, finished one run of
-    # equal-width levels at a time
+    # U = (y_hat - Y) / dQ and a state-free H, finished on every cell
+    # at once
     np.subtract(u, y[:, :off[n]], out=u)
-    for a, b, width in _runs(off, n):
-        u_run = _blocked(u, off, a, b, width)
-        np.divide(u_run, dq[a:b, None], out=u_run)
-        if h_at is not None:
-            _blocked(h, off, a, b, width)[...] = h_at[a:b, None]
+    np.divide(u, level_cells(off, dq, 0, n), out=u)
+    if h_at is not None:
+        h[:] = level_cells(off, h_at, 0, n)
 
     solutions = [
         SolutionField(

@@ -26,14 +26,27 @@ picks every check, exponent and gate, and names every report.
 Every check reads the evaluation paths one window of steps at a time
 (PathBundle.windows) and keeps across windows only what its report
 needs: per-node and per-step path means, running per-path extremes, and
-the carry of a running sum.  Two reductions run along whole paths and
+the carry of a running sum.  Within a window, every term that is
+elementwise in level values is computed on the levels: SolutionField
+level slices, and the per-level scalars t, alpha, dt, dQ and e^{qV}
+laid over each level's cells (level_cells).  Each such term reaches the
+paths through one SolutionField.expand, and a window's gathers share
+one index (_Window).  dB enters every term last, as a factor, so a step
+increment is expand(L) + expand(K) dB with L and K formed on the
+levels.  What stays on path arrays depends on the path: the running
+sums (a test process's M, the Ito sums, the a-priori time sum), the
+terms of an M summed along the paths (Psi(M), M - Y, Gamma and what
+they multiply), and the means and extremes.  A lattice level holds one
+cell per node, far fewer than the paths through it; a per-path level
+holds one cell per path and expand is a transpose, so the same code
+does the same work there.  Two reductions run along whole paths and
 keep one (paths, nodes) array each: the time sum of the a-priori bound
 and the pathwise mean residual of the Ito identity.  Test processes too
-are read a window at a time.  The drivers are elementwise in t as in y
-and z (GeneratorSpec), so H(t, Y, Z) is one call per window and each
-bound's F(t, 0, 0) and G(t, 0) one call over the grid.  A function
-takes the backend when it needs conditional expectations, and the
-bundle otherwise.
+are read a window at a time, on the levels.  The drivers are elementwise
+in t as in y and z (GeneratorSpec), so H(t, Y, Z) is one call per
+window and each bound's F(t, 0, 0) and G(t, 0) one call over the grid.
+A function takes the backend when it needs conditional expectations,
+and the bundle otherwise.
 """
 
 from dataclasses import dataclass, field
@@ -46,7 +59,7 @@ from .convex import ConvexSpec, combined_potential
 from .errors import DomainError, GridMismatch, InfinitePotential
 from .generators import GeneratorSpec, combined_driver, driver_f, driver_g
 from .paths import PathBundle, gamma_shift
-from .solver import SequenceResult, SolutionField, smoothing_operator
+from .solver import SequenceResult, SolutionField, level_cells, smoothing_operator
 
 # fitted once on the martingale reference scenarios (p in 1.5 .. 2.5,
 # where the largest observed lhs/rhs ratios stay below 2.8 and 1.7),
@@ -67,14 +80,22 @@ class TestProcess:
 
     M is defined by the exact reconstruction
     M_0 = gamma, M_{i+1} = M_i - N_i dQ_i + R_i dB_i.
-    N and R are callables (a, e) -> their (paths, e - a) columns on the
-    steps [a, e), so a check reads a process one window at a time.
+    N and R are level callables in the layout of the candidate they are
+    checked against: (a, e) -> their values on the levels of the steps
+    [a, e), laid end to end as SolutionField.levels lays a field.  So a
+    check reads a process one window at a time and forms its node-wise
+    terms on the levels.  M is summed along the evaluation paths, unless
+    the process gives it as a level callable (a, b) -> its values on the
+    nodes [a, b): a reconstruction that is a lattice function, such as
+    the zero process's +0.0 on every path, whose terms then all stay on
+    the levels.  Such an M must equal the reconstruction bit for bit.
     """
 
     gamma: float
     N: Callable
     R: Callable
     label: str = "test"
+    M: Optional[Callable] = None
 
 
 @dataclass
@@ -127,6 +148,58 @@ def _running_sum(x: np.ndarray, carry: Optional[np.ndarray], nodes: int) -> tupl
     return sums[:, : nodes - (carry is None)], sums[:, -1:].copy()
 
 
+class _Window:
+    """One window of the evaluation paths seen from the levels of sol's
+    layout: the nodes [a, b) and the steps [a, e), e = min(b, N).
+
+    read(sol, name) is a field on the window's step levels, and with
+    nodes=True on its node levels; levels(values) shapes any such values
+    the same way, and steps slices the steps out of node levels.
+    cells(x) lays per-node scalars x over the step levels, or the node
+    levels with nodes=True.  On a lattice the levels are one array of
+    cells and the scalars are repeated over each level's cells
+    (level_cells); on a per-path layout they are a (levels, paths)
+    block and the scalars a column.  paths(values) takes values on the
+    step or node levels to the paths by sol.expand; on a lattice the
+    gathers of the steps share one index, and those of the nodes one.
+    """
+
+    def __init__(self, sol: SolutionField, bundle: PathBundle, a: int, b: int):
+        self.sol, self.bundle, self.a, self.b = sol, bundle, a, b
+        self.e = e = min(b, bundle.grid.steps)
+        off = sol.offsets
+        self._node_cells = off[b] - off[a]
+        self._index = {}  # stop -> bundle.walk_index(a, stop), built on first use
+        self.steps = slice(0, off[e] - off[a] if sol.lattice else e - a)
+
+    def levels(self, values: np.ndarray) -> np.ndarray:
+        return values if self.sol.lattice else values.reshape(-1, self.bundle.n_paths)
+
+    def read(self, sol: SolutionField, name: str, nodes: bool = False) -> np.ndarray:
+        return self.levels(sol.levels(name, self.a, self.b if nodes else self.e))
+
+    def cells(self, x: np.ndarray, nodes: bool = False) -> np.ndarray:
+        stop = self.b if nodes else self.e
+        if not self.sol.lattice:
+            return x[self.a:stop, None]
+        if self._node_cells == self.b - self.a:
+            return x[self.a:stop]  # one cell per level: the scalars are the cells
+        return level_cells(self.sol.offsets, x, self.a, stop)
+
+    def paths(self, values: np.ndarray) -> np.ndarray:
+        stop = self.b if np.size(values) == self._node_cells else self.e
+        index = None
+        if self.sol.lattice:
+            if stop not in self._index:
+                self._index[stop] = self.bundle.walk_index(self.a, stop)
+            index = self._index[stop]
+        return self.sol.expand(self.bundle, values, self.a, stop, index)
+
+
+def _same(x):
+    return x
+
+
 @dataclass
 class _Profile:
     """What one variational check keeps of the windows: path means per
@@ -137,6 +210,45 @@ class _Profile:
     gamma_min: float = np.inf
     terminal_sq: float = np.nan  # mean Gamma_N^2
     driver_gap: float = -np.inf  # max |H used - H(t, Y, Z)|
+
+
+def _head(q, g_pow, r_minus_z, psi_y, dt, dq):
+    """The first two terms of a check's step increment."""
+    return 0.5 * q * (q - 1.0) * g_pow * r_minus_z ** 2 * dt + q * g_pow * psi_y * dq
+
+
+def _increment(q, g_pow, head, diff, psi_m, n_minus_h, r_minus_z, dq) -> tuple:
+    """(L, K) of one check on one window: its step increment is L + K dB.
+
+    The array arguments are all levels or all paths, dq laid over them.
+    The terms are formed in the order the inequality lists them, each
+    product left to right, so either gives the same bits; in place,
+    since each is a fresh array.
+    """
+    qg = q * g_pow
+    qgd = qg * diff
+    drift = qg * psi_m
+    drift *= dq
+    np.subtract(head, drift, out=drift)
+    n_term = qgd * n_minus_h
+    n_term *= dq
+    drift -= n_term
+    return drift, np.multiply(qgd, r_minus_z, out=qgd)
+
+
+def _summed_m(w: _Window, gamma: float, n_steps, r_steps, dq, carry) -> tuple:
+    """(M on the window's nodes along the paths, the carry of its sum),
+    M_0 = gamma and M_{i+1} = M_i - N_i dQ_i + R_i dB_i summed from
+    carry, None in the first window."""
+    x = w.paths(r_steps)
+    x *= w.bundle.dB[:, w.a:w.e]
+    # + is commutative, so this is -N dQ + R dB bit for bit
+    x += w.paths(-n_steps * dq)
+    sums, carry = _running_sum(x, carry, w.b - w.a)
+    m = np.empty((w.bundle.n_paths, w.b - w.a))
+    m[:, 0] = gamma
+    np.add(sums, gamma, out=m[:, w.b - w.a - sums.shape[1]:])
+    return m, carry
 
 
 def _variational_profiles(
@@ -153,64 +265,89 @@ def _variational_profiles(
     """The profiles of every check (process, q, delta), in one pass over
     the windows.
 
-    Per window, the candidate's own terms H(t, Y, Z) and Psi(t, Y) are
-    evaluated once and shared by every check, and each test process's
-    terms M - Y, Psi(t, M) and R - Z once and shared by its checks.  The
-    drivers are elementwise (GeneratorSpec), so H is one call per window
-    on the window's alpha and t.  A test process that leaves the domain
-    of a raw potential makes the inequality vacuous and raises
+    Per window, the candidate's own terms H(t, Y, Z) and Psi(t, Y) and
+    its driver gap are formed once on the levels and shared by every
+    check, and each test process's terms once and shared by its checks.
+    The drivers are elementwise (GeneratorSpec), so H is one call per
+    window on the window's alpha and t laid over the cells.
+    A process that gives M on the levels is checked on the levels, and
+    what its checks average is gathered (land).  Otherwise M is summed
+    along the paths (_summed_m), the level terms go to the paths first
+    (lift), and the checks run there.  A test process that leaves the
+    domain of a raw potential makes the inequality vacuous and raises
     InfinitePotential.
     Returns ({(k, q, delta): _Profile} for processes[k] and every
     (q, delta) of checks, the largest per-node path mean of |M - Y|^2 of
     processes[collapse] or None).
     """
-    n = bundle.grid.steps
-    t, alpha, dq, dt, dB = bundle.grid.nodes, bundle.alpha, bundle.dq, bundle.dt, bundle.dB
+    low_q = any(q < 2.0 for q, _ in checks)
     profiles = {(k, q, d): _Profile() for k in range(len(processes)) for q, d in checks}
     carries = [None] * len(processes)
     driver_gap = -np.inf
     collapse_means = []
     for a, b in bundle.windows():
-        e = min(b, n)
-        pw = sol.paths(bundle, (a, b), "YZH")
-        y, z = pw["Y"], pw["Z"]
-        h_fresh = combined_driver(gen, alpha[a:e], t[a:e], y[:, : e - a], z)
-        psi_y = combined_potential(phi, psi, alpha[a:e], penalization_eps, y[:, : e - a])
-        driver_gap = np.maximum(driver_gap, np.max(np.abs(pw["H"] - h_fresh)))
+        w = _Window(sol, bundle, a, b)
+        e = w.e
+        dB = bundle.dB[:, a:e]
+        y_lv, z = w.read(sol, "Y", nodes=True), w.read(sol, "Z")
+        alpha_c, dt_c, dq_c = w.cells(bundle.alpha), w.cells(bundle.dt), w.cells(bundle.dq)
+        h_fresh = combined_driver(gen, alpha_c, w.cells(bundle.grid.nodes), y_lv[w.steps], z)
+        psi_y_lv = combined_potential(phi, psi, alpha_c, penalization_eps, y_lv[w.steps])
+        driver_gap = np.maximum(driver_gap, np.max(w.paths(np.abs(w.read(sol, "H") - h_fresh))))
+        on_paths = None  # Y, and Psi(t, Y) at q < 2, on the paths, gathered once
         for k, tp in enumerate(processes):
-            n_steps, r_steps = tp.N(a, e), tp.R(a, e)
-            sums, carries[k] = _running_sum(
-                -n_steps * dq[a:e] + r_steps * dB[:, a:e], carries[k], b - a
-            )
-            m = np.empty_like(y)
-            m[:, 0] = tp.gamma
-            m[:, b - a - sums.shape[1]:] = tp.gamma + sums
-            psi_m = combined_potential(phi, psi, alpha[a:e], penalization_eps, m[:, : e - a])
+            n_steps, r_steps = w.levels(tp.N(a, e)), w.levels(tp.R(a, e))
+            r_minus_z = r_steps - z
+            if tp.M is None:
+                # M is summed along the paths, and its terms stay there
+                m, carries[k] = _summed_m(w, tp.gamma, n_steps, r_steps, dq_c, carries[k])
+                lift, land = w.paths, _same
+                if on_paths is None:
+                    on_paths = w.paths(y_lv), w.paths(psi_y_lv) if low_q else None
+                y, psi_y = on_paths
+                steps = np.s_[:, : e - a]
+                alpha, dt, dq = bundle.alpha[a:e], bundle.dt[a:e], bundle.dq[a:e]
+            else:
+                lift, land = _same, w.paths
+                m = w.levels(tp.M(a, b))
+                y, psi_y = y_lv, psi_y_lv
+                steps = w.steps
+                alpha, dt, dq = alpha_c, dt_c, dq_c
+            psi_m = combined_potential(phi, psi, alpha, penalization_eps, m[steps])
             if penalization_eps is None and np.any(np.isinf(psi_m)):
                 raise InfinitePotential(
                     "test process leaves the domain of the potential, inequality is vacuous"
                 )
-            m_minus_y, r_minus_z = m - y, r_steps - z
-            diff = m_minus_y[:, : e - a]
+            m_minus_y = m - y
+            sq = m_minus_y ** 2
+            diff, n_minus_h, rz = m_minus_y[steps], lift(n_steps - h_fresh), lift(r_minus_z)
             for q, delta in checks:
-                gamma = np.sqrt(m_minus_y ** 2 + gamma_shift(delta, q))
-                # gamma ** 0 is 1 for every gamma, and a product by 1.0 is exact
-                g_pow = 1.0 if q == 2.0 else gamma[:, : e - a] ** (q - 2.0)
-                incr = (
-                    0.5 * q * (q - 1.0) * g_pow * r_minus_z ** 2 * dt[a:e]
-                    + q * g_pow * psi_y * dq[a:e]
-                    - q * g_pow * psi_m * dq[a:e]
-                    - q * g_pow * diff * (n_steps - h_fresh) * dq[a:e]
-                    + q * g_pow * diff * r_minus_z * dB[:, a:e]
-                )
+                gamma = sq + gamma_shift(delta, q)
+                np.sqrt(gamma, out=gamma)
+                if q == 2.0:
+                    # gamma ** 0 is 1 and a product by 1.0 is exact, so the
+                    # first two terms are functions of the levels
+                    g_pow = 1.0
+                    head = lift(_head(q, g_pow, r_minus_z, psi_y_lv, dt_c, dq_c))
+                else:
+                    g_pow = gamma[steps] ** (q - 2.0)
+                    head = _head(q, g_pow, rz, psi_y, dt, dq)
+                drift, loading = _increment(q, g_pow, head, diff, psi_m, n_minus_h, rz, dq)
+                # + is commutative, so this is drift + loading dB bit for bit
+                incr = land(loading)
+                incr *= dB
+                incr += land(drift)
+                gamma_q, gamma = land(gamma ** q), land(gamma)
                 prof = profiles[k, q, delta]
-                prof.node_means.append(np.mean(gamma**q, axis=0))
+                prof.node_means.append(np.mean(gamma_q, axis=0))
                 prof.step_means.append(np.mean(incr, axis=0))
                 prof.gamma_min = np.minimum(prof.gamma_min, np.min(gamma))
-                if b == n + 1:
+                if b == bundle.grid.steps + 1:
                     prof.terminal_sq = np.mean(gamma[:, -1] ** 2)
+                # a check's arrays go before the next check makes its own
+                del gamma, g_pow, head, drift, loading, incr, gamma_q
             if k == collapse:
-                collapse_means.append(np.mean(m_minus_y ** 2, axis=0))
+                collapse_means.append(np.mean(land(sq), axis=0))
     for prof in profiles.values():
         prof.driver_gap = driver_gap
     worst_collapse = float(np.max(np.concatenate(collapse_means))) if collapse_means else None
@@ -293,19 +430,18 @@ def ito_report_from_solution(
     dt, dq, dB = bundle.dt, bundle.dq, bundle.dB
     carry = None
     means = []  # per-node path means, when averaged
-    high, low = -np.inf, np.inf  # per-path extremes, when pathwise
-    residual = np.empty((bundle.n_paths, n + 1)) if pathwise else None
+    values = np.empty((bundle.n_paths, n + 1)) if pathwise else None
     for a, b in bundle.windows():
-        e = min(b, n)
-        pw = sol.paths(bundle, (a, b), "YZ")
-        y_paths, r_paths = pw["Y"], pw["Z"]
-        drift = sol.expand(bundle, sol.levels("H", a, e) - sol.levels("U", a, e), a, e)
-        drift_incr = drift * dq[a:e]
-        yl = y_paths[:, : e - a]
+        w = _Window(sol, bundle, a, b)
+        e = w.e
+        y, r = w.read(sol, "Y", nodes=True), w.read(sol, "Z")
+        dt_c = w.cells(dt)
+        drift_incr = (w.read(sol, "H") - w.read(sol, "U")) * w.cells(dq)
+        yl = y[w.steps]
         base = yl * yl + delta
-        acc = (y_paths * y_paths + delta) ** (p / 2.0)
+        acc = w.paths((y * y + delta) ** (p / 2.0))
         if p == 2.0:
-            quad = r_paths * r_paths * dt[a:e]
+            quad = r * r * dt_c
             weight = 1.0  # a product by 1.0 is exact
         else:
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -315,29 +451,29 @@ def ito_report_from_solution(
                     * np.where(
                         base > 0.0,
                         base ** ((p - 4.0) / 2.0)
-                        * ((p - 1.0) * r_paths**2 * yl**2 + delta * r_paths**2),
+                        * ((p - 1.0) * r**2 * yl**2 + delta * r**2),
                         0.0,
                     )
-                    * dt[a:e]
+                    * dt_c
                 )
                 weight = np.where(base > 0.0, base ** ((p - 2.0) / 2.0), 0.0)
-        incr = quad - p * weight * yl * drift_incr + p * weight * yl * r_paths * dB[:, a:e]
+        slope = p * weight * yl
+        # + is commutative, so this is quad - slope D + slope Z dB bit for bit
+        incr = w.paths(slope * r)
+        incr *= dB[:, a:e]
+        incr += w.paths(quad - slope * drift_incr)
         sums, carry = _running_sum(incr, carry, b - a)
         acc[:, b - a - sums.shape[1]:] -= sums
         if pathwise:
-            if a == 0:
-                start = acc[:, :1].copy()
-            high = np.maximum(high, acc.max(axis=1))
-            low = np.minimum(low, acc.min(axis=1))
-            residual[:, a:b] = np.abs(acc - start)
+            values[:, a:b] = acc
         else:
             means.append(np.mean(acc, axis=0))
-    if pathwise:
-        worst = float(np.max(high - low))
-    else:
-        averaged = np.concatenate(means)[None]
-        worst = _pair_range(averaged)
-        residual = np.abs(averaged - averaged[:, :1])
+    if not pathwise:
+        values = np.concatenate(means)[None]
+    worst = _pair_range(values)
+    # the residual against node 0, in place of the values; a view of
+    # node 0 would make numpy copy the whole array
+    residual = np.abs(np.subtract(values, values[:, :1].copy(), out=values), out=values)
     return VerificationReport(
         name=f"ito-identity p={p:g} delta={delta:g}",
         passed=bool(worst <= tol),
@@ -361,7 +497,7 @@ def check_contraction(
     later node by more than tol.  Identical inputs give gap 0; a pure
     terminal perturbation with zero drivers propagates unchanged.  Both
     solutions come from backends of one kind, so their levels subtract,
-    and one gather of the gap gives the bytes of two and a subtraction.
+    and the weighted gap is formed on the levels and gathered once.
     """
     if bundle.V is None:
         raise GridMismatch("bundle has no accumulated weights, call accumulate_weights")
@@ -370,10 +506,13 @@ def check_contraction(
     weight = np.exp(q * bundle.V)
     means = []
     for a, b in bundle.windows():
-        gap = sol_a.expand(bundle, sol_a.levels("Y", a, b) - sol_b.levels("Y", a, b), a, b)
-        means.append(np.mean(weight[a:b] * np.abs(gap) ** q, axis=0))
+        w = _Window(sol_a, bundle, a, b)
+        gap = w.read(sol_a, "Y", nodes=True) - w.read(sol_b, "Y", nodes=True)
+        means.append(np.mean(w.paths(w.cells(weight, nodes=True) * np.abs(gap) ** q), axis=0))
     worst = _pair_max(np.concatenate(means))
-    terminal_gap = np.mean(np.abs(gap[:, -1]))
+    n = bundle.grid.steps
+    gap = sol_a.expand(bundle, sol_a.level("Y", n) - sol_b.level("Y", n), n, n + 1)
+    terminal_gap = np.mean(np.abs(gap[:, 0]))
     return VerificationReport(
         name=f"contraction eps {sol_a.eps:g} vs {sol_b.eps:g}",
         passed=bool(worst <= tol),
@@ -418,9 +557,10 @@ def check_apriori_bound(
     # the time sum runs along whole paths, so its terms are kept whole
     z_terms = np.empty(bundle.dB.shape)
     for a, b in bundle.windows():
-        pw = sol.paths(bundle, (a, b), "YZ")
-        y_max = np.maximum(y_max, np.max(y_weight[a:b] * np.abs(pw["Y"]) ** p, axis=1))
-        z_terms[:, a:b] = z_weight[a:b] * pw["Z"] ** 2 * dt[a:b]
+        w = _Window(sol, bundle, a, b)
+        y_terms = w.cells(y_weight, nodes=True) * np.abs(w.read(sol, "Y", nodes=True)) ** p
+        y_max = np.maximum(y_max, np.max(w.paths(y_terms), axis=1))
+        z_terms[:, a:w.e] = w.paths(w.cells(z_weight) * w.read(sol, "Z") ** 2 * w.cells(dt))
     lhs = float(np.mean(y_max) + np.mean(np.sum(z_terms, axis=1) ** (p / 2.0)))
     source = _driver_source(gen, bundle, v, p)
     rhs = float(np.mean(np.exp(p * v[-1]) * np.abs(terminal_values) ** p) + source)
@@ -452,8 +592,9 @@ def check_energy_bound(
     weight = np.exp(2.0 * v)
     y_max = -np.inf
     for a, b in bundle.windows():
-        y = sol.paths(bundle, (a, b), "Y")["Y"]
-        y_max = np.maximum(y_max, np.max(weight[a:b] * y ** 2, axis=1))
+        w = _Window(sol, bundle, a, b)
+        y_terms = w.cells(weight, nodes=True) * w.read(sol, "Y", nodes=True) ** 2
+        y_max = np.maximum(y_max, np.max(w.paths(y_terms), axis=1))
     lhs = float(np.mean(y_max))
     source = _driver_source(gen, bundle, v, 2)
     rhs = float(np.mean(np.exp(2.0 * v[-1]) * terminal_values**2) + source)
@@ -473,28 +614,31 @@ def penalty_monotonicity(
     monotone penalty pair (up to the eps + eps' cross term)."""
     means = []
     for a, b in bundle.windows():
-        e = min(b, bundle.grid.steps)
-        dy = sol_a.expand(bundle, sol_a.levels("Y", a, e) - sol_b.levels("Y", a, e), a, e)
-        du = sol_a.expand(bundle, sol_a.levels("U", a, e) - sol_b.levels("U", a, e), a, e)
-        means.append(np.mean(dy * du, axis=0))
+        w = _Window(sol_a, bundle, a, b)
+        dy = w.read(sol_a, "Y") - w.read(sol_b, "Y")
+        du = w.read(sol_a, "U") - w.read(sol_b, "U")
+        means.append(np.mean(w.paths(dy * du), axis=0))
     return float(np.sum(np.concatenate(means) * bundle.dq))
 
 
-def zero_process(bundle: PathBundle) -> TestProcess:
-    def zeros(a, e):
-        return np.broadcast_to(0.0, (bundle.n_paths, e - a))
+def zero_process(offsets: np.ndarray) -> TestProcess:
+    """N = R = 0 in the layout offsets, so M is +0.0 on every path: a
+    lattice function, given as such."""
 
-    return TestProcess(0.0, zeros, zeros, label="zero")
+    def zeros(a, b):
+        return np.broadcast_to(0.0, (offsets[b] - offsets[a],))
+
+    return TestProcess(0.0, zeros, zeros, label="zero", M=zeros)
 
 
-def reconstruction_process(sol: SolutionField, bundle: PathBundle) -> TestProcess:
+def reconstruction_process(sol: SolutionField) -> TestProcess:
     """The solution's own (terminal, driver-minus-penalty) reconstruction."""
 
     def drift(a, e):
-        return sol.expand(bundle, sol.levels("H", a, e) - sol.levels("U", a, e), a, e)
+        return sol.levels("H", a, e) - sol.levels("U", a, e)
 
     def loading(a, e):
-        return sol.expand(bundle, sol.levels("Z", a, e), a, e)
+        return sol.levels("Z", a, e)
 
     # Y_0 on path 0: lattice node 0, or path 0's own entry
     return TestProcess(float(sol.level("Y", 0)[0]), drift, loading, label="reconstruction")
@@ -510,27 +654,28 @@ def smoothed_midpoint_process(sol: SolutionField, backend) -> TestProcess:
     sm.M = None  # the process keeps the N and R levels, not M
     return TestProcess(
         sm.gamma,
-        lambda a, e: sol.expand(bundle, sm.levels("N", a, e), a, e),
-        lambda a, e: sol.expand(bundle, sm.levels("R", a, e), a, e),
+        lambda a, e: sm.levels("N", a, e),
+        lambda a, e: sm.levels("R", a, e),
         label="smoothed",
     )
 
 
 def random_step_process(
-    bundle: PathBundle, seed: int, scale: float = 1.0, index: int = 0
+    offsets: np.ndarray, seed: int, scale: float = 1.0, index: int = 0
 ) -> TestProcess:
     """Piecewise-constant (N, R) with Gaussian values on 8 blocks, for
-    probing; a window's columns are broadcast views of the per-step values."""
+    probing, in the layout offsets; a window's levels lay the per-step
+    values over their cells (level_cells)."""
     gen = rngmod.aux_stream(seed, 1000 + index)
-    widths = np.diff(np.linspace(0, bundle.grid.steps, 9).astype(int))
+    widths = np.diff(np.linspace(0, len(offsets) - 2, 9).astype(int))
     # block k draws its N value, then its R value
     nn, rr = np.repeat(scale * gen.standard_normal((8, 2)), widths, axis=0).T
     gamma = float(scale * gen.standard_normal())
 
-    def columns(values):
-        return lambda a, e: np.broadcast_to(values[a:e], (bundle.n_paths, e - a))
+    def levels(values):
+        return lambda a, e: level_cells(offsets, values, a, e)
 
-    return TestProcess(gamma, columns(nn), columns(rr), label=f"random-step-{index}")
+    return TestProcess(gamma, levels(nn), levels(rr), label=f"random-step-{index}")
 
 
 def battery(
@@ -557,8 +702,8 @@ def battery(
     bundle = backend.bundle
     tol = default_tolerance(bundle)
     processes = [
-        zero_process(bundle),
-        reconstruction_process(sol, bundle),
+        zero_process(sol.offsets),
+        reconstruction_process(sol),
         smoothed_midpoint_process(sol, backend),
     ]
     checks = [

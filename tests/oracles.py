@@ -362,15 +362,34 @@ def _variational_oracle(pw, h_fresh, psi_y, gamma0, n_steps, r_steps, name, phi,
     return verify.VerificationReport(name, bool(worst <= tol), worst, tol, monitors), m_minus_y
 
 
-def battery_oracle(sol, bundle, backend, phi, psi, gen, p):
-    """The battery on whole (paths, nodes) arrays, every report computed in full."""
-    tol = verify.default_tolerance(bundle)
+def _candidate_oracle(sol, bundle, phi, psi, gen):
+    """Y, Z, U and H of a solution on whole arrays, with H(t, Y, Z) taken
+    step by step and Psi(t, Y) at the solution's eps."""
     pw = _paths_oracle(sol, bundle)
     t, alpha = bundle.grid.nodes, bundle.alpha
     h_fresh = np.empty_like(pw["Z"])
     for r in range(bundle.grid.steps):
         h_fresh[:, r] = combined_driver(gen, alpha[r], t[r], pw["Y"][:, r], pw["Z"][:, r])
     psi_y = _mixed_potential_oracle(phi, psi, alpha, pw["Y"][:, :-1], sol.eps)
+    return pw, h_fresh, psi_y
+
+
+def variational_oracle(sol, bundle, phi, psi, gen, process, name, q, delta, tol):
+    """One variational check at the solution's eps on whole arrays, for
+    a process given as (gamma, N, R) with (paths, steps) N and R."""
+    pw, h_fresh, psi_y = _candidate_oracle(sol, bundle, phi, psi, gen)
+    gamma0, n_steps, r_steps = process
+    report, _ = _variational_oracle(
+        pw, h_fresh, psi_y, gamma0, n_steps, r_steps, name, phi, psi,
+        bundle, q, gamma_shift(delta, q), tol, sol.eps,
+    )
+    return report
+
+
+def battery_oracle(sol, bundle, backend, phi, psi, gen, p):
+    """The battery on whole (paths, nodes) arrays, every report computed in full."""
+    tol = verify.default_tolerance(bundle)
+    pw, h_fresh, psi_y = _candidate_oracle(sol, bundle, phi, psi, gen)
     horizon = bundle.grid.horizon
     smooth_eps = min(max(4.0 * float(np.max(bundle.dt)), 0.05 * horizon), horizon)
     sm = smoothing_operator(backend, sol.Y, smooth_eps)

@@ -40,6 +40,7 @@ from oracles import (
     ito_oracle,
     penalty_monotonicity_oracle,
     random_step_process_oracle,
+    variational_oracle,
     verify_run_oracle,
 )
 
@@ -116,7 +117,7 @@ def test_pair_scans_match_brute_force():
 
 def test_variational_inequality_rejects_bad_exponent():
     bundle, sol = martingale_solution()
-    tp = zero_process(bundle)
+    tp = zero_process(sol.offsets)
     for q in (1.0, 2.5):
         with pytest.raises(DomainError):
             check_variational_inequality(sol, tp, ZERO, ZERO, ZERO_GEN, bundle, q, 0.1)
@@ -124,9 +125,9 @@ def test_variational_inequality_rejects_bad_exponent():
 
 def test_martingale_against_itself_is_exact():
     bundle, sol = martingale_solution()
-    paths = bundle.n_paths
+    off = sol.offsets
     tp = ComparisonProcess(
-        0.0, lambda a, e: np.zeros((paths, e - a)), lambda a, e: np.ones((paths, e - a)),
+        0.0, lambda a, e: np.zeros(off[e] - off[a]), lambda a, e: np.ones(off[e] - off[a]),
         label="self",
     )
     rep = check_variational_inequality(
@@ -141,7 +142,7 @@ def test_martingale_against_itself_is_exact():
 def test_martingale_zero_process_passes_default_gate():
     bundle, sol = martingale_solution()
     rep = check_variational_inequality(
-        sol, zero_process(bundle), ZERO, ZERO, ZERO_GEN, bundle, q=2.0, delta=0.1
+        sol, zero_process(sol.offsets), ZERO, ZERO, ZERO_GEN, bundle, q=2.0, delta=0.1
     )
     assert rep.passed
     assert rep.tolerance == pytest.approx(default_tolerance(bundle))
@@ -150,12 +151,12 @@ def test_martingale_zero_process_passes_default_gate():
 def test_gamma_floor_tracks_delta_for_small_q():
     bundle, sol = martingale_solution()
     rep = check_variational_inequality(
-        sol, zero_process(bundle), ZERO, ZERO, ZERO_GEN, bundle, q=1.5, delta=0.25
+        sol, zero_process(sol.offsets), ZERO, ZERO, ZERO_GEN, bundle, q=1.5, delta=0.25
     )
     # q < 2 keeps the shift inside Gamma, so the floor is sqrt(delta)
     assert rep.monitors["gamma_floor_margin"] >= 0.0
     rep2 = check_variational_inequality(
-        sol, zero_process(bundle), ZERO, ZERO, ZERO_GEN, bundle, q=2.0, delta=0.25
+        sol, zero_process(sol.offsets), ZERO, ZERO, ZERO_GEN, bundle, q=2.0, delta=0.25
     )
     # q = 2 drops it: Gamma equals |M - Y| and the terminal monitor is plain
     assert rep2.monitors["terminal_gamma_sq_minus_shift"] == pytest.approx(
@@ -168,7 +169,7 @@ def test_raw_potential_mode_detects_domain_exit():
     sol = solve_penalized(
         bundle, IND11, ZERO, ZERO_GEN, lambda b, a: np.clip(b, -1, 1), 0.1, CFG
     )
-    wild = random_step_process(bundle, seed=3, scale=5.0)
+    wild = random_step_process(sol.offsets, seed=3, scale=5.0)
     with pytest.raises(InfinitePotential):
         check_variational_inequality(
             sol, wild, IND11, ZERO, ZERO_GEN, bundle, q=2.0, delta=0.1,
@@ -318,7 +319,7 @@ def test_zero_potential_solutions_pass_random_probes():
     sol = solve_penalized(bundle, ZERO, ZERO, gen, terminal_driver, 0.1, CFG)
     tol = 5.0 * (float(np.max(bundle.dt)) + 1.0 / np.sqrt(bundle.n_paths))
     for k in range(10):
-        tp = random_step_process(bundle, seed=11, index=k)
+        tp = random_step_process(sol.offsets, seed=11, index=k)
         for q in (1.5, 2.0):
             rep = check_variational_inequality(
                 sol, tp, ZERO, ZERO, gen, bundle, q=q, delta=0.1,
@@ -328,15 +329,17 @@ def test_zero_potential_solutions_pass_random_probes():
 
 
 def test_step_processes_read_windows_without_path_copies():
-    # 8 random-step processes and the zero process on 16384 x 128 paths:
-    # whole (paths, steps) arrays would hold 256 MB
+    # 8 random-step processes and the zero process in the per-path layout
+    # of 16384 x 128 paths (a regression backend's): whole (paths, steps)
+    # arrays would hold 256 MB
     grid = TimeGrid.uniform(1.0, 128)
     bundle = build_paths(grid, NoiseModel.gaussian_mc(16384, seed=4), ZERO_A)
+    offsets = np.arange(grid.steps + 2) * bundle.n_paths
     gc.collect()
     tracemalloc.start()
     try:
-        processes = [random_step_process(bundle, seed=7, index=k) for k in range(8)]
-        processes.append(zero_process(bundle))
+        processes = [random_step_process(offsets, seed=7, index=k) for k in range(8)]
+        processes.append(zero_process(offsets))
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -349,13 +352,44 @@ def test_step_processes_read_windows_without_path_copies():
         for a, b in bundle.windows():
             e = min(b, grid.steps)
             for got, want in ((tp.N(a, e), n_whole), (tp.R(a, e), r_whole)):
-                assert got.shape == (bundle.n_paths, e - a)
-                assert got.tobytes() == want[:, a:e].tobytes()
+                # level i holds path p's value in its cell p
+                assert got.shape == ((e - a) * bundle.n_paths,)
+                assert got.tobytes() == want[:, a:e].T.tobytes()
+    # on a lattice every cell of a level holds the step's value, so the
+    # levels gathered along the walks give the whole arrays' columns
+    tree = tree_bundle(40)
+    tp = random_step_process(tree.offsets, seed=7, index=3)
+    gamma, n_whole, r_whole = random_step_process_oracle(tree, seed=7, index=3)
+    assert tp.gamma == gamma
+    for a, e in ((0, 13), (13, 40)):
+        for got, want in ((tp.N(a, e), n_whole), (tp.R(a, e), r_whole)):
+            assert tree.on_paths(got, a, e).tobytes() == want[:, a:e].tobytes()
+
+
+@pytest.mark.parametrize("q", [2.0, 1.5])
+def test_random_step_processes_on_a_lattice_match_the_oracle(monkeypatch, q):
+    # windows of 4 steps: the running sum of M crosses 5 window edges
+    monkeypatch.setattr(pathsmod, "WINDOW_CELLS", 2048)
+    monkeypatch.setattr(pathsmod, "WINDOW_MIN_STEPS", 2)
+    bundle = tree_bundle(24)
+    assert len(bundle.windows()) == 6
+    gen = GeneratorSpec.from_expressions("2 - y + 0.5 * z", "0")
+    sol = solve_penalized(bundle, IND11, ZERO, gen, lambda b, a: 1.2 * b, 0.1, CFG)
+    tol = default_tolerance(bundle)
+    for k in range(3):
+        got = check_variational_inequality(
+            sol, random_step_process(sol.offsets, seed=5, index=k), IND11, ZERO, gen, bundle,
+            q, 0.1, tol=tol, penalization_eps=sol.eps,
+        )
+        name = f"variational[random-step-{k}] q={q:g}" + (" delta=0.1" if q < 2.0 else "")
+        process = random_step_process_oracle(bundle, seed=5, index=k)
+        want = variational_oracle(sol, bundle, IND11, ZERO, gen, process, name, q, 0.1, tol)
+        assert got.as_dict() == want.as_dict()
 
 
 def test_reconstruction_process_collapses_gamma():
     bundle, sol = martingale_solution()
-    tp = reconstruction_process(sol, bundle)
+    tp = reconstruction_process(sol)
     rep = check_variational_inequality(
         sol, tp, ZERO, ZERO, ZERO_GEN, bundle, q=2.0, delta=0.5, tol=1e-12,
         penalization_eps=sol.eps,
@@ -409,8 +443,8 @@ def test_battery_shares_candidate_terms_without_changing_reports(p):
     backend = make_backend(bundle, CFG)
     got = battery(sol, backend, IND11, ZERO, gen, p)
     processes = [
-        zero_process(bundle),
-        reconstruction_process(sol, bundle),
+        zero_process(sol.offsets),
+        reconstruction_process(sol),
         smoothed_midpoint_process(sol, backend),
     ]
     tol = default_tolerance(bundle)
@@ -445,8 +479,8 @@ def test_battery_evaluates_each_gamma_shift_once(monkeypatch, p, calls):
     assert len(made) == calls
 
     processes = [
-        zero_process(bundle),
-        reconstruction_process(final, bundle),
+        zero_process(final.offsets),
+        reconstruction_process(final),
         smoothed_midpoint_process(final, backend),
     ]
     tol = default_tolerance(bundle)
@@ -533,6 +567,9 @@ ORACLE_CASES = {
     **{f"{name}-p{p}": {"scenario": name, "solver": {"p": p}}
        for name in ("two_barrier_driven", "mc_martingale") for p in (1.5, 2.5)},
     "tree_barrier": TREE_BARRIER,
+    # 8 windows of 32 steps on the lattice at q < 2 and at p > 2
+    **{f"tree_barrier-p{p}": {**TREE_BARRIER, "solver": {**TREE_BARRIER["solver"], "p": p}}
+       for p in (1.5, 2.5)},
     "mc_regression": {**mc_config(128, 1000, ce="lsq", degree=3, eps_schedule=[0.1]), "seed": 2},
     "reflection_fine": {
         "scenario": "reflection", "grid": {"T": 1.0, "steps": 1000},
@@ -596,8 +633,9 @@ def test_verify_run_memory_is_bounded():
         tracemalloc.stop()
     assert len(reports) == 10
     # one window of path arrays and two whole (paths, nodes) arrays, not
-    # the run's (paths, nodes) fields
-    assert peak - start <= 14e6
+    # the run's (paths, nodes) fields: the peak is 4.80e6 bytes, and the
+    # margin is about two and a half (1024, 33) float windows
+    assert peak - start <= 5.5e6
     assert held - start <= 1e6
 
 

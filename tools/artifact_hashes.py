@@ -7,10 +7,12 @@ config_echo.json and summary.json; the wall-clock profile.json is left
 out.  The cases are the seven presets at p = 1.5, 2 and 2.5, the
 lattice presets `linear` (deterministic, a rank-1 basis) and
 `martingale` (a tree, ranks 2 to 4) with regression expectations, the
-three benchmark workloads (perfbench/workloads.py) at seeds 1 to 3, and
-two drivers of t alone: `two_barrier_driven` with F = 2 - t on a ramp
-clock whose A passes 1/eps of the coarse eps, and `reflection` with
-F = 1 - t on its 1000-step grid; and two cases with a z-Lipschitz bound
+three benchmark workloads (perfbench/workloads.py) at seeds 1 to 3,
+tree_barrier at p = 1.5 (seed 1), the one case with several windows of
+paths on a lattice at q < 2, and two drivers of t alone:
+`two_barrier_driven` with F = 2 - t on a ramp clock whose A passes
+1/eps of the coarse eps, and `reflection` with F = 1 - t on its
+1000-step grid; and two cases with a z-Lipschitz bound
 ell = 1, the only term of the weights that the split lambda = 1/2
 enters: `two_barrier_driven` at p = 2 and `clocked_decay` at p = 1.5.
 Running it on two checkouts and diffing the outputs shows whether a
@@ -51,8 +53,12 @@ def cases() -> list:
     ]
     # lsq on a lattice: rank-deficient bases, at every date (deterministic) or early on (tree)
     out += [(f"{name}/lsq", {"scenario": name, "solver": {"ce": "lsq"}}) for name in ("linear", "martingale")]
-    for name, workload in sorted(_workloads().items()):
+    workloads = _workloads()
+    for name, workload in sorted(workloads.items()):
         out += [(f"{name}/seed={seed}", workload.config_for(seed)) for seed in (1, 2, 3)]
+    # 8 windows of 32 steps on the lattice, each delta of the battery at q = 1.5
+    tree = workloads["tree_barrier"].config_for(1)
+    out.append(("tree_barrier/p=1.5", {**tree, "solver": {**tree["solver"], "p": 1.5}}))
     # H known from (t, alpha) before the sweep; A = 4 (t - 1/4)^+ passes
     # 1/eps = 2 at t = 3/4, and alpha is 1, then 1/5
     out += [

@@ -1,21 +1,24 @@
-"""Record execute() times of every preset and of the mc_martingale ladder.
+"""Record execute() times of every preset and of two scale ladders.
 
-    python tools/bench_ladder.py --label parent --out BENCH_27.json
-    python tools/bench_ladder.py --label change --out BENCH_27.json
+    python tools/bench_ladder.py --label parent --out BENCH_29.json
+    python tools/bench_ladder.py --label change --out BENCH_29.json
 
 Every preset runs through `bsvilab.cli.execute` three times in this
 process; the fastest run is kept, with its `solve_s` and `verify_s`.
-Each rung of the ladder, `mc_martingale` at 128 steps and 4000, 16000
-and 32000 paths, runs once in a fresh process: its `total_s`, `solve_s`
-and `verify_s` come from `RunResult.timings`, and its peak memory is the
-child's `ru_maxrss`.  BLAS and OpenMP run on one thread, as in the
-benchmark under perfbench/.  The environment (Python, numpy, nproc and
-whether bytecode is cached) is recorded with the times.
+Each rung of a ladder runs once in a fresh process: its `total_s`,
+`solve_s` and `verify_s` come from `RunResult.timings`, and its peak
+memory is the child's `ru_maxrss`.  The Monte Carlo ladder (`ladder`)
+is `mc_martingale` at 128 steps and 4000, 16000 and 32000 paths; the
+tree ladder (`tree_ladder`) is `two_barrier_driven` on its 256-step
+lattice with 1024, 4096 and 16384 evaluation paths, where verification
+reads the lattice along the paths.  BLAS and OpenMP run on one thread,
+as in the benchmark under perfbench/.  The environment (Python, numpy,
+nproc and whether bytecode is cached) is recorded with the times.
 
 The results go into the JSON file under --label, and the file keeps the
 entries of other labels, so one file holds a parent and a change
-measured on the same machine.  --presets and --rungs run a subset.
-The bsvilab imported is the one under this checkout's src/.
+measured on the same machine.  --presets, --rungs and --tree-rungs run
+a subset.  The bsvilab imported is the one under this checkout's src/.
 """
 
 import argparse
@@ -37,8 +40,17 @@ import numpy as np  # noqa: E402
 from bsvilab.cli import execute  # noqa: E402
 from bsvilab.scenarios import SCENARIOS, build_experiment  # noqa: E402
 
-RUNGS = (4000, 16000, 32000)
-STEPS = 128
+# kind -> (steps, rung path counts, config of a rung)
+LADDERS = {
+    "mc": (128, (4000, 16000, 32000), lambda steps, paths: {
+        "scenario": "mc_martingale", "grid": {"steps": steps}, "noise": {"paths": paths},
+    }),
+    "tree": (256, (1024, 4096, 16384), lambda steps, paths: {
+        "scenario": "two_barrier_driven",
+        "grid": {"steps": steps},
+        "noise": {"kind": "tree", "eval_paths": paths},
+    }),
+}
 REPEATS = 3
 
 
@@ -68,17 +80,15 @@ def time_preset(name: str) -> dict:
     return best
 
 
-def rung(paths: int) -> dict:
-    """One ladder rung in this process: RunResult.timings and ru_maxrss."""
+def rung(kind: str, paths: int) -> dict:
+    """One rung of a ladder in this process: RunResult.timings and ru_maxrss."""
     import resource
 
-    exp = build_experiment(
-        {"scenario": "mc_martingale", "grid": {"steps": STEPS}, "noise": {"paths": paths}}
-    )
-    timings = execute(exp).timings
+    steps, _, config = LADDERS[kind]
+    timings = execute(build_experiment(config(steps, paths))).timings
     return {
         "paths": paths,
-        "steps": STEPS,
+        "steps": steps,
         "total_s": timings["total_s"],
         "solve_s": timings["solve_s"],
         "verify_s": timings["verify_s"],
@@ -86,9 +96,9 @@ def rung(paths: int) -> dict:
     }
 
 
-def rung_in_child(paths: int) -> dict:
+def rung_in_child(kind: str, paths: int) -> dict:
     out = subprocess.run(
-        [sys.executable, os.path.abspath(__file__), "--child-rung", str(paths)],
+        [sys.executable, os.path.abspath(__file__), "--child-rung", kind, str(paths)],
         check=True, capture_output=True, text=True,
     )
     return json.loads(out.stdout)
@@ -99,11 +109,19 @@ def main(argv=None) -> int:
     ap.add_argument("--label", default="HEAD", help="key of this entry in the output file")
     ap.add_argument("--out", help="JSON file to add this entry to (required)")
     ap.add_argument("--presets", nargs="*", default=sorted(SCENARIOS), help="presets to time")
-    ap.add_argument("--rungs", nargs="*", type=int, default=list(RUNGS), help="ladder path counts")
-    ap.add_argument("--child-rung", type=int, help=argparse.SUPPRESS)
+    ap.add_argument(
+        "--rungs", nargs="*", type=int, default=list(LADDERS["mc"][1]),
+        help="path counts of the Monte Carlo ladder",
+    )
+    ap.add_argument(
+        "--tree-rungs", nargs="*", type=int, default=list(LADDERS["tree"][1]),
+        help="evaluation path counts of the tree ladder",
+    )
+    ap.add_argument("--child-rung", nargs=2, help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.child_rung is not None:
-        print(json.dumps(rung(args.child_rung)))
+        kind, paths = args.child_rung
+        print(json.dumps(rung(kind, int(paths))))
         return 0
     if args.out is None:
         ap.error("--out is required")
@@ -114,7 +132,8 @@ def main(argv=None) -> int:
     entry = {
         "environment": environment(),
         "presets": {name: time_preset(name) for name in args.presets},
-        "ladder": [rung_in_child(paths) for paths in args.rungs],
+        "ladder": [rung_in_child("mc", paths) for paths in args.rungs],
+        "tree_ladder": [rung_in_child("tree", paths) for paths in args.tree_rungs],
     }
     doc = {}
     if os.path.exists(args.out):
