@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import verify as verifymod
-from .errors import BsvilabError, ConfigError
+from .errors import BsvilabError, ConfigError, DomainError
 from .paths import accumulate_weights, build_paths
 from .scenarios import (
     SCENARIOS,
@@ -61,10 +61,23 @@ def fmt(x) -> str:
     return f"{float(x):.17g}"
 
 
+def _finite_number(text: str) -> float:
+    """A JSON number or constant as float, refusing NaN and Infinity
+    (spelled out, or a literal that overflows such as 1e999): the
+    config is echoed into the run's JSON, which cannot carry them."""
+    x = float(text)
+    if not math.isfinite(x):
+        raise ConfigError(
+            f"config: {text} is not a finite number; "
+            "leave an unbounded side out (or null) instead"
+        )
+    return x
+
+
 def load_config(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, parse_float=_finite_number, parse_constant=_finite_number)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
@@ -149,6 +162,8 @@ def execute(exp: Experiment) -> RunResult:
         ],
         "all_passed": bool(all(r.passed for r in reports)),
     }
+    # the config echo is checked by load_config and write_artifacts
+    _refuse_non_finite(reports, {k: v for k, v in summary.items() if k != "config"})
     timings = {
         "solve_s": solve_s,
         "verify_s": verify_s,
@@ -157,6 +172,36 @@ def execute(exp: Experiment) -> RunResult:
     return RunResult(
         exp=exp, bundle=bundle, seq=seq, reports=reports, summary=summary, timings=timings
     )
+
+
+def _first_non_finite(value, keys=()):
+    """(keys, x) of the first float x in value, nested dicts and lists
+    walked in order, that is not finite; None if there is none."""
+    if isinstance(value, float):
+        return None if math.isfinite(value) else (keys, value)
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, (list, tuple)):
+        items = enumerate(value)
+    else:
+        return None
+    for key, item in items:
+        found = _first_non_finite(item, (*keys, str(key)))
+        if found is not None:
+            return found
+    return None
+
+
+def _refuse_non_finite(reports: list, summary: dict) -> None:
+    """Raise DomainError at the first report, then summary key, holding
+    a value that is not finite: JSON has no NaN or Infinity, and strict
+    parsers reject the files that spell them."""
+    places = [(f"verification {r.name!r}", r.as_dict()) for r in reports]
+    for where, value in [*places, ("summary", summary)]:
+        found = _first_non_finite(value)
+        if found is not None:
+            keys, x = found
+            raise DomainError(f"{where}: {'.'.join(keys)} is {x!r}, not a finite number")
 
 
 def _level_heads(bundle) -> np.ndarray:
@@ -272,13 +317,18 @@ def _runs(mask):
 
 def _json_dump(path: str, payload) -> str:
     """Write payload as indented JSON; returns the sha256 of the bytes."""
-    data = (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
+    data = (json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n").encode()
     with open(path, "wb") as fh:
         fh.write(data)
     return hashlib.sha256(data).hexdigest()
 
 
 def write_artifacts(out_dir: str, result: RunResult) -> dict:
+    # a config built in code, not read by load_config, may hold inf
+    found = _first_non_finite(result.exp.echo)
+    if found is not None:
+        keys, x = found
+        raise ConfigError(f"config: {'.'.join(keys)} is {x!r}, which JSON cannot carry")
     _make_out_dir(out_dir)
     t_write = time.perf_counter()
     results_sha = _write_results_csv(os.path.join(out_dir, "results.csv"), result)

@@ -153,10 +153,11 @@ def terminal_from_config(d: dict, where: str = "scenario.terminal") -> Callable:
     if kind == "brownian":
         return lambda b, a: np.asarray(b, dtype=float).copy()
     if kind == "clamp":
-        lo = _get(d, "lo", float, where, required=True)
-        hi = _get(d, "hi", float, where, required=True)
+        # a bound left out (or null) clamps no side, as an interval's does
+        lo = _get(d, "lo", float, where, default=-_INF)
+        hi = _get(d, "hi", float, where, default=_INF)
         for name, bound in (("lo", lo), ("hi", hi)):
-            if np.isnan(bound):  # NaN passes lo < hi; an infinite bound clamps no side
+            if np.isnan(bound):  # NaN passes lo < hi
                 raise ConfigError(f"{where}.{name}: must be a number, got nan")
         if lo >= hi:
             raise ConfigError(f"{where}: clamp needs lo < hi")

@@ -31,10 +31,15 @@ so the map v -> v + dQ D Psi_eps(v) is piecewise linear and strictly
 increasing.  The inverse depends only on (alpha, eps, dQ), so a sweep
 tabulates it once, in one build, for every distinct (alpha_i, dQ_i) and
 all rows, and each step looks up its key.
+
+On deterministic noise each level is one cell, and the sweep (for a
+state-free driver) and the smoothing pass recurse in Python floats
+instead of numpy calls on one-element rows; they give the same bits.
 """
 
 import dataclasses
 import numbers
+from bisect import bisect_left
 from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -214,7 +219,60 @@ def _distinct(values) -> np.ndarray:
     return xs[keep]
 
 
-def implicit_step(phi: ConvexSpec, psi: ConvexSpec, alpha, schedule, dq) -> Callable:
+class ImplicitStep:
+    """The map (y_hat, key) -> v solving v + dq_k D Psi_eps(v) = y_hat,
+    one row per eps, tabulated by implicit_step.
+
+    One table, two readers.  Calling the step inverts an array, one row
+    per eps, at one key; row(r) hands eps row r's table to a recursion
+    in Python floats, which inverts with the same operations in the same
+    order, so both give the same bits.  On a kink-free map the table is
+    slopes, (keys, rows), and the inverse is y / slope.  Otherwise knots
+    is (keys, rows, width), +inf past a row's last knot, and base, value
+    and slope are (keys, rows, width + 1): segment s, below knot s, has
+    base point x, knot value g and slope d, and the inverse on it is
+    x - (g - y) / d.  The segment of y is the number of knots below it,
+    so a NaN takes segment 0.
+    """
+
+    def __init__(self, slopes, knots=None, base=None, value=None):
+        self.slopes = slopes
+        self.knots, self.base, self.value = knots, base, value
+        if knots is not None:
+            # row r of key k starts at r * (width + 1) in the flat views
+            rows, segments = slopes.shape[1:]
+            self._starts = (np.arange(rows) * segments)[:, None]
+
+    def __call__(self, y_hat, key=0):
+        y = np.asarray(y_hat, dtype=float)
+        flat = y.reshape(len(y), -1)
+        if self.knots is None:
+            return (flat / self.slopes[key, :, None]).reshape(y.shape)
+        knots = self.knots[key]
+        # segment = number of knots below y_hat, one knot column at a
+        # time; a row has at most four knots, so int8 counts them
+        seg = np.greater(flat, knots[:, :1]).view(np.int8)
+        for j in range(1, knots.shape[1]):
+            seg += np.greater(flat, knots[:, j:j + 1]).view(np.int8)
+        seg = seg + self._starts
+        base = self.base[key].take(seg)
+        v = base - (self.value[key].take(seg) - flat) / self.slopes[key].take(seg)
+        return v.reshape(y.shape)
+
+    def row(self, r: int) -> list:
+        """Eps row r's table as floats, one entry per key: the slope on a
+        kink-free map, else (knots, segments), the knots a sorted list
+        for bisect_left and the segments (base, value, slope) tuples."""
+        if self.knots is None:
+            return self.slopes[:, r].tolist()
+        parts = (self.base[:, r], self.value[:, r], self.slopes[:, r])
+        return [
+            (knots, list(zip(*segments)))
+            for knots, *segments in zip(self.knots[:, r].tolist(), *(p.tolist() for p in parts))
+        ]
+
+
+def implicit_step(phi: ConvexSpec, psi: ConvexSpec, alpha, schedule, dq) -> ImplicitStep:
     """The map (y_hat, key) -> v solving v + dq_k D Psi_eps(v) = y_hat,
     one row per eps.
 
@@ -225,11 +283,10 @@ def implicit_step(phi: ConvexSpec, psi: ConvexSpec, alpha, schedule, dq) -> Call
     all inverted at key ``key`` (0 by default).  The breakpoints, values
     and slopes depend only on (alpha, eps, dq) and are elementwise in
     alpha and dq, so they are tabulated here once per eps for all keys
-    in one broadcast, and every call inverts all rows by one gather.  On
-    segment s with base point x, knot value g and slope d the inverse is
-    x - (g - y) / d.  That is x + (y - g) / d bit for bit wherever
-    y != g, and keeps its signed zero on the lower outer segment, the
-    one segment where y == g can occur.
+    in one broadcast; ImplicitStep reads them.  x - (g - y) / d is
+    x + (y - g) / d bit for bit wherever y != g, and keeps its signed
+    zero on the lower outer segment, the one segment where y == g can
+    occur.
     """
     schedule = [float(eps) for eps in schedule]
     # one row per key, against the knots of an eps along the last axis
@@ -249,19 +306,15 @@ def implicit_step(phi: ConvexSpec, psi: ConvexSpec, alpha, schedule, dq) -> Call
         # the map is linear, v -> slope v: forward(0) is +0.0 for every
         # kink-free potential, and y - (+0.0) is y bit for bit (-0.0
         # included), so the inverse is one division, y / slope
-        slopes = np.concatenate([forward(1.0, eps) for eps in schedule], axis=1)
-
-        def linear(y_hat, key=0):
-            y = np.asarray(y_hat, dtype=float)
-            return (y.reshape(len(y), -1) / slopes[key, :, None]).reshape(y.shape)
-
-        return linear
+        return ImplicitStep(np.concatenate([forward(1.0, eps) for eps in schedule], axis=1))
 
     # the kinks of two potentials coincide at some eps only; such rows
-    # are padded with knots at +inf, which no finite y_hat passes
+    # are padded with knots at +inf, which no finite y_hat passes.  The
+    # knots are forward(xs) at sorted xs, and forward is nondecreasing
+    # under rounding, so every row is sorted
     width = max(xs.size for xs in kinks)
     knots = np.full((len(dq), len(schedule), width), np.inf)
-    table = np.empty((len(dq), len(schedule), width + 1, 3))  # base, knot value, slope
+    base, value, slope = (np.empty((len(dq), len(schedule), width + 1)) for _ in range(3))
     for r, (eps, xs) in enumerate(zip(schedule, kinks)):
         g_at = forward(xs, eps)
         lo_slope = g_at[:, :1] - forward(xs[0] - 1.0, eps)
@@ -269,22 +322,12 @@ def implicit_step(phi: ConvexSpec, psi: ConvexSpec, alpha, schedule, dq) -> Call
         slopes = (g_at[:, 1:] - g_at[:, :-1]) / (xs[1:] - xs[:-1])
         m = xs.size
         knots[:, r, :m] = g_at
-        table[:, r, : m + 1, 0] = np.concatenate([xs[:1], xs])
-        table[:, r, : m + 1, 1] = np.concatenate([g_at[:, :1], g_at], axis=1)
-        table[:, r, : m + 1, 2] = np.concatenate([lo_slope, slopes, hi_slope], axis=1)
-        table[:, r, m + 1 :] = table[:, r, m : m + 1]
-    row_index = np.arange(len(schedule))[:, None]
-
-    def closed_form(y_hat, key=0):
-        y = np.asarray(y_hat, dtype=float)
-        flat = y.reshape(len(y), -1)
-        # segment = number of knots below y_hat, as searchsorted(side="left")
-        seg = (flat[:, :, None] > knots[key][:, None, :]).sum(axis=2)
-        picked = table[key][row_index, seg]
-        v = picked[..., 0] - (picked[..., 1] - flat) / picked[..., 2]
-        return v.reshape(y.shape)
-
-    return closed_form
+        base[:, r, : m + 1] = np.concatenate([xs[:1], xs])
+        value[:, r, : m + 1] = np.concatenate([g_at[:, :1], g_at], axis=1)
+        slope[:, r, : m + 1] = np.concatenate([lo_slope, slopes, hi_slope], axis=1)
+        for part in (base, value, slope):
+            part[:, r, m + 1 :] = part[:, r, m : m + 1]
+    return ImplicitStep(slope, knots, base, value)
 
 
 def resolve_implicit(
@@ -415,6 +458,35 @@ class Sweep(_Levels):
     solutions: list
 
 
+def _one_cell(backend) -> bool:
+    """Whether every level of backend holds one cell and CE is the level
+    itself: the tree backend on deterministic noise, where Z = 0."""
+    return isinstance(backend, TreeBackend) and backend.degenerate
+
+
+def _one_cell_sweep(step: ImplicitStep, r: int, y, y_hat, h_dq: list, key_at: list):
+    """Eps row r of the sweep on one-cell levels, in Python floats.
+
+    Step i sets y_hat_i = Y_{i+1} + H_i dQ_i and Y_i to its inverse at
+    key_at[i], read from step.row(r) with the operations, in their
+    order, of the step's array reader.  y and y_hat are the row's own
+    storage, 8 bytes per level; y holds Y_N on entry.
+    """
+    table = step.row(r)
+    v = y[len(h_dq)]
+    if step.knots is None:
+        # kink-free: the inverse is y_hat / slope, which keeps -0.0
+        for i in reversed(range(len(h_dq))):
+            y_hat[i] = w = v + h_dq[i]
+            y[i] = v = w / table[key_at[i]]
+        return
+    for i in reversed(range(len(h_dq))):
+        y_hat[i] = w = v + h_dq[i]
+        knots, segments = table[key_at[i]]
+        base, value, slope = segments[bisect_left(knots, w)]
+        y[i] = v = base - (value - w) / slope
+
+
 def backward_sweep(
     backend,
     phi: ConvexSpec,
@@ -440,6 +512,14 @@ def backward_sweep(
     (level_cells); elementwise ops give the same bits wherever they
     run.  SolverConfig has checked that the schedule is finite,
     positive and strictly decreasing.
+
+    On deterministic noise with a state-free driver every level holds
+    one cell, CE is the level itself and Z = 0, so each eps row is a
+    scalar recursion: it runs in Python floats (_one_cell_sweep), from
+    the same implicit table and with the same operations in the same
+    order, and writes Y and y_hat straight into the row's storage.
+    Lattices, per-path layouts and drivers that read y or z take the
+    array loop, the reference the tests compare the float path with.
     """
     schedule = cfg.eps_schedule
     bundle = backend.bundle
@@ -468,18 +548,23 @@ def backward_sweep(
     h_dq = None if h_at is None else (h_at * dq).tolist()
 
     # the loop keeps what the recursion reads; y_hat waits in U's array
-    bounds = off.tolist()
-    for i in reversed(range(n)):
-        a, b, c = bounds[i:i + 3]
-        y_next = y[:, b:c]
-        ce = backend.ce(i, y_next)
-        z[:, a:b] = z_i = backend.z(i, y_next)
-        if h_dq is None:
-            h[:, a:b] = h_i = combined_driver(gen, alpha[i], t[i], ce, z_i)
-            u[:, a:b] = y_hat = ce + h_i * dq_at[i]
-        else:
-            u[:, a:b] = y_hat = ce + h_dq[i]
-        y[:, a:b] = step(y_hat, key_at[i])
+    if h_dq is not None and _one_cell(backend):
+        z[:] = 0.0
+        for r in range(len(schedule)):
+            _one_cell_sweep(step, r, memoryview(y[r]), memoryview(u[r]), h_dq, key_at)
+    else:
+        bounds = off.tolist()
+        for i in reversed(range(n)):
+            a, b, c = bounds[i:i + 3]
+            y_next = y[:, b:c]
+            ce = backend.ce(i, y_next)
+            z[:, a:b] = z_i = backend.z(i, y_next)
+            if h_dq is None:
+                h[:, a:b] = h_i = combined_driver(gen, alpha[i], t[i], ce, z_i)
+                u[:, a:b] = y_hat = ce + h_i * dq_at[i]
+            else:
+                u[:, a:b] = y_hat = ce + h_dq[i]
+            y[:, a:b] = step(y_hat, key_at[i])
 
     # U = (y_hat - Y) / dQ and a state-free H, finished on every cell
     # at once
@@ -604,6 +689,23 @@ class SmoothedProcess(_Levels):
     scale: float
 
 
+def _one_cell_smoothing(x, m, weights: list, decays: list, i_eps: int):
+    """The smoothing pass on one-cell levels, in Python floats:
+    g <- w_i x_i + d_i g and M_i = g / w from i_eps on, M_i = M_{i+1}
+    below it, with the operations, in their order, of the array pass.
+    x and m are the storage of X and M, 8 bytes per level."""
+    n = len(weights)
+    g = x[n]
+    w = 1.0  # closed-form tail on the held terminal value
+    m[n] = g / w
+    for i in range(n - 1, i_eps - 1, -1):
+        g = weights[i] * x[i] + decays[i] * g
+        w = weights[i] + decays[i] * w
+        m[i] = g / w
+    for i in range(i_eps - 1, -1, -1):
+        m[i] = m[i + 1]
+
+
 def smoothing_operator(backend, x: np.ndarray, eps: float) -> SmoothedProcess:
     """Exponential kernel smoothing of the process x at the time point eps.
 
@@ -616,8 +718,10 @@ def smoothing_operator(backend, x: np.ndarray, eps: float) -> SmoothedProcess:
     One backward loop keeps what the recursion reads: the kernel sum,
     M and the loading R, with backend.ce(i, .) and backend.z(i, .) of a
     date taken together, so the lsq backend's one-date slot builds one
-    basis per date.  The drift N is finished after the loop in one
-    elementwise pass.
+    basis per date.  On deterministic noise, whatever the driver, CE is
+    the level itself and R = 0, and the loop runs in Python floats
+    (_one_cell_smoothing) with the same operations in the same order.
+    The drift N is finished after the loop in one elementwise pass.
     """
     if not (np.isfinite(eps) and eps > 0.0):
         raise DomainError(f"smoothing eps must be > 0, got {eps}")
@@ -635,25 +739,30 @@ def smoothing_operator(backend, x: np.ndarray, eps: float) -> SmoothedProcess:
     # together.  From i_eps on, M is the kernel sum over its deterministic
     # mass; below i_eps it extends as a martingale.
     off = backend.offsets
-    m, drift, loading = np.empty(off[n + 1]), np.zeros(off[n]), np.empty(off[n])
-    g_acc = x[off[n]:].copy()
-    w_acc = 1.0  # closed-form tail on the held terminal value
-    m[off[n]:] = g_acc / w_acc
+    m, drift, loading = np.empty(off[n + 1]), np.zeros(off[n]), np.zeros(off[n])
     # each step's kernel weight dQ_i / scale and decay exp(-dQ_i / scale)
     weights = (dq / scale).tolist()
     decays = np.exp(-dq / scale).tolist()
-    bounds = off.tolist()
-    for i in reversed(range(n)):
-        a, b, c = bounds[i:i + 3]
-        m_next = m[b:c]
-        if i >= i_eps:
-            decay, w_i = decays[i], weights[i]
-            g_acc = w_i * x[a:b] + decay * backend.ce(i, g_acc)
-            w_acc = w_i + decay * w_acc
-            m[a:b] = g_acc / w_acc
-        else:
-            m[a:b] = backend.ce(i, m_next)
-        loading[a:b] = backend.z(i, m_next)
+    if _one_cell(backend):
+        # CE is the level itself and R = 0: the kernel sum in floats
+        x_at = memoryview(np.ascontiguousarray(x))
+        _one_cell_smoothing(x_at, memoryview(m), weights, decays, i_eps)
+    else:
+        g_acc = x[off[n]:].copy()
+        w_acc = 1.0  # closed-form tail on the held terminal value
+        m[off[n]:] = g_acc / w_acc
+        bounds = off.tolist()
+        for i in reversed(range(n)):
+            a, b, c = bounds[i:i + 3]
+            m_next = m[b:c]
+            if i >= i_eps:
+                decay, w_i = decays[i], weights[i]
+                g_acc = w_i * x[a:b] + decay * backend.ce(i, g_acc)
+                w_acc = w_i + decay * w_acc
+                m[a:b] = g_acc / w_acc
+            else:
+                m[a:b] = backend.ce(i, m_next)
+            loading[a:b] = backend.z(i, m_next)
 
     # the drift (x - M) / scale from i_eps on, in one pass; 0 below it
     on = slice(off[i_eps], off[n])

@@ -580,6 +580,99 @@ def test_a_run_refused_after_the_config_leaves_no_output_directory(tmp_path, cap
             assert not (tmp_path / f"out{k}").exists()
 
 
+def test_a_run_with_non_finite_results_is_refused_and_leaves_no_output_directory(tmp_path, capsys):
+    # F = 1e300 keeps Y finite, but U^2 and the checks' sums overflow:
+    # this wrote NaN and Infinity into verify.json and summary.json, which
+    # strict JSON parsers reject, and exited 0.  The first is the one-cell
+    # float sweep, the second a lattice
+    push = {"generator": {"F": "1e300"}, "grid": {"T": 1.0, "steps": 4}}
+    configs = ({"scenario": "reflection", **push}, {"scenario": "two_barrier_driven", **push})
+    for k, config in enumerate(configs):
+        cfg = write_cfg(tmp_path, config, f"cfg{k}.json")
+        out = tmp_path / f"out{k}" / "run"
+        for argv in (
+            ["run", "--config", cfg, "--out", str(out)],
+            ["sweep", "--config", cfg, "--axis", "eps", "--values", "0.1", "--out", str(out)],
+        ):
+            capsys.readouterr()
+            # the overflow itself warns; the refusal is what is tested here
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: verification 'variational[zero] q=2': worst_violation is nan")
+            assert not (tmp_path / f"out{k}").exists()
+
+
+def test_json_artifacts_refuse_non_finite_numbers(tmp_path):
+    with pytest.raises(ValueError):
+        cli._json_dump(str(tmp_path / "x.json"), {"gap": float("inf")})
+
+
+def _strict_json(path):
+    def refuse(text):
+        raise AssertionError(f"{path.name} holds {text}")
+
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+def test_a_config_holding_nan_or_infinity_is_refused_before_any_solve(tmp_path, capsys, monkeypatch):
+    # the config is echoed into config_echo.json and summary.json, which
+    # cannot carry these; an unbounded side is a bound left out instead
+    def no_solve(exp):
+        raise AssertionError("solved a config that should have been refused")
+
+    monkeypatch.setattr(cli, "execute", no_solve)
+    for k, text in enumerate(("-Infinity", "Infinity", "NaN", "1e999", "-1e999")):
+        cfg = tmp_path / f"cfg{k}.json"
+        cfg.write_text(
+            '{"scenario": {"name": "two_barrier", '
+            f'"terminal": {{"kind": "clamp", "lo": {text}, "hi": 1.0}}}}}}'
+        )
+        run_dir = tmp_path / f"old{k}"
+        run_dir.mkdir()
+        (run_dir / "config_echo.json").write_text(cfg.read_text())
+        out = tmp_path / f"out{k}" / "run"
+        for argv in (
+            ["run", "--config", str(cfg), "--out", str(out)],
+            ["sweep", "--config", str(cfg), "--axis", "eps", "--values", "0.1", "--out", str(out)],
+            ["verify", str(run_dir)],
+        ):
+            capsys.readouterr()
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: config: {text} is not a finite number"), err
+            assert not (tmp_path / f"out{k}").exists()
+
+
+def test_one_sided_bounds_run_and_write_strict_json(tmp_path, capsys):
+    # a clamp's lo and an interval's a left null clamp and constrain no side
+    config = {
+        "scenario": {"name": "two_barrier", "terminal": {"kind": "clamp", "lo": None}},
+        "potentials": {"phi": {"kind": "interval", "a": None}},
+        "grid": {"steps": 8},
+    }
+    exp = build_experiment(config)
+    assert np.array_equal(exp.terminal(np.array([-5.0, 0.5, 5.0]), 0.0), [-5.0, 0.5, 1.0])
+    out = tmp_path / "run"
+    assert main(["run", "--config", write_cfg(tmp_path, config), "--out", str(out)]) == 0
+    for name in ("config_echo.json", "summary.json", "verify.json", "profile.json"):
+        _strict_json(out / name)
+    assert _strict_json(out / "config_echo.json")["scenario"]["terminal"]["lo"] is None
+    capsys.readouterr()
+    assert main(["verify", str(out)]) == 0
+    assert "10/10 checks passed" in capsys.readouterr().out
+
+
+def test_write_artifacts_refuses_an_infinite_config_built_in_code(tmp_path):
+    # build_experiment takes an infinite bound from code; JSON cannot echo it
+    exp = build_experiment({**resolve_config(MART_SMALL), "scenario": {
+        "name": "martingale", "terminal": {"kind": "clamp", "lo": -math.inf}}})
+    result = execute(exp)
+    with pytest.raises(ConfigError, match=r"config: scenario.terminal.lo is -inf"):
+        write_artifacts(str(tmp_path / "run"), result)
+    assert not (tmp_path / "run").exists()
+
+
 def test_a_run_does_not_import_numpy_ma(tmp_path):
     # np.unique imports numpy.ma on its first call in a process, a cost every run paid
     src = Path(cli.__file__).resolve().parents[1]

@@ -11,7 +11,7 @@ from bsvilab.errors import (
     DomainError,
     NonFiniteGenerator,
 )
-from bsvilab import solver
+from bsvilab import convex, solver
 from bsvilab.cli import execute, fmt
 from bsvilab.generators import GeneratorSpec, combined_driver
 from bsvilab.paths import IncreasingProcessSpec, NoiseModel, TimeGrid, build_paths
@@ -180,6 +180,38 @@ def test_implicit_step_closed_form_matches_bisection(pair, alpha):
             exact = resolve_implicit(phi, psi, alpha, eps, dq, y_hat)
             probed = implicit_step_oracle(phi, psi, alpha, eps, dq, "bisect")(y_hat)
             assert np.allclose(exact, probed, rtol=0, atol=1e-11)
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [(IND11, ABS), (HALFLINE, QUAD1), (ConvexSpec.interval(-0.05, 0.05), ABS), (QUAD1, ZERO)],
+    ids=["interval-abs", "halfline-quadratic", "coinciding-kinks", "kink-free"],
+)
+def test_both_readers_of_the_implicit_table_match_the_closed_form_oracle(pair):
+    phi, psi = pair
+    schedule = (0.1, 0.05, 0.025)
+    # four keys: alpha 0, 0.4 and 1, two clock steps
+    alphas, dqs = [0.0, 0.4, 1.0, 0.4], [0.3, 0.3, 0.01, 0.01]
+    step = solver.implicit_step(phi, psi, alphas, schedule, dqs)
+    for key, (alpha, dq) in enumerate(zip(alphas, dqs)):
+        for r, eps in enumerate(schedule):
+            xs = np.unique(convex.gradient_breakpoints(phi, eps) + convex.gradient_breakpoints(psi, eps))
+            knots = xs + dq * convex.combined_gradient(phi, psi, alpha, eps, xs)
+            y_hat = np.concatenate([
+                knots, np.nextafter(knots, -np.inf), np.nextafter(knots, np.inf),
+                [0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300, 0.7, -2.5],
+            ])
+            want = implicit_step_oracle(phi, psi, alpha, eps, dq, "closed_form")(y_hat)
+            # the array reader, every row at once
+            got = step(np.tile(y_hat, (len(schedule), 1)), key)[r]
+            assert got.tobytes() == want.tobytes(), (key, eps)
+            # the float reader, one step of the one-cell sweep per value:
+            # H dQ = -0.0 leaves y_hat as it is, -0.0 included
+            for y, w in zip(y_hat.tolist(), want):
+                levels, y_hats = np.array([np.nan, y]), np.empty(1)
+                solver._one_cell_sweep(step, r, memoryview(levels), memoryview(y_hats), [-0.0], [key])
+                assert y_hats.tobytes() == np.float64(y).tobytes()
+                assert levels[:1].tobytes() == np.float64(w).tobytes(), (key, eps, y)
 
 
 def per_step_sweep(bundle, phi, psi, gen, terminal, eps):
@@ -440,6 +472,22 @@ SWEEP_CASES = {
         "potentials": {"phi": {"kind": "abs"}, "psi": {"kind": "interval", "a": -0.05, "b": 0.05}},
         "solver": {"eps_schedule": [0.1, 0.05, 0.025]},
     },
+    # deterministic noise with state-free drivers: each eps row recurses
+    # in Python floats on one-cell levels
+    "coinciding-kinks-deterministic": {
+        "scenario": "two_barrier_driven",
+        "grid": {"steps": 32},
+        "noise": {"kind": "deterministic"},
+        "potentials": {"phi": {"kind": "abs"}, "psi": {"kind": "interval", "a": -0.05, "b": 0.05}},
+        "solver": {"eps_schedule": [0.1, 0.05, 0.025]},
+    },
+    "abs-quadratic-deterministic": {
+        "scenario": "two_barrier_driven",
+        "grid": {"steps": 32},
+        "noise": {"kind": "deterministic"},
+        "potentials": {"phi": {"kind": "abs"}, "psi": {"kind": "quadratic", "c": 2.0}},
+        "generator": {"F": "2 - 4 * t"},
+    },
     # a driver that reads z; min(z, 1) is 1-Lipschitz in z
     "z-driver": {
         "scenario": "two_barrier_driven",
@@ -464,6 +512,16 @@ SWEEP_CASES = {
         "generator": {"F": "1 - 2 * t", "G": "0.5 * t"},
         "solver": {"eps_schedule": [0.5, 0.1]},
     },
+    # the same on deterministic noise: several keys and alpha in (0, 1);
+    # F pushes Y over the barrier at 1, so the penalty acts
+    "state-free-ramp-deterministic": {
+        "scenario": "two_barrier_driven",
+        "grid": {"steps": 32},
+        "noise": {"kind": "deterministic"},
+        "a_process": {"kind": "ramp", "start": 0.25, "rate": 4.0},
+        "generator": {"F": "3 - 2 * t", "G": "0.5 * t"},
+        "solver": {"eps_schedule": [0.5, 0.1]},
+    },
     # a kink-free and a kinked potential on a ramp clock (the id is kept
     # from when this case was recentered)
     "recentered": {
@@ -479,6 +537,39 @@ SWEEP_CASES = {
 @pytest.mark.parametrize("config", SWEEP_CASES.values(), ids=SWEEP_CASES.keys())
 def test_one_sweep_matches_the_per_eps_sweeps(config):
     assert_matches_oracle(*sweep_and_oracle(config))
+
+
+# the cases whose every eps row recurses in floats, and two that keep
+# the array path on deterministic noise: drivers that read y
+ONE_CELL = (
+    "reflection", "reflection_fine", "wall-at-negative-zero", "coinciding-kinks-deterministic",
+    "abs-quadratic-deterministic", "state-free-ramp-deterministic",
+)
+
+
+@pytest.mark.parametrize("case", [*ONE_CELL, "linear", "clocked_decay"])
+def test_deterministic_runs_call_the_backend_only_for_drivers_that_read_the_state(
+    monkeypatch, case
+):
+    exp = build_experiment(SWEEP_CASES[case])
+    bundle = build_paths(exp.grid, exp.noise, exp.a_spec)
+    assert bundle.kind == "deterministic"
+    backend = make_backend(bundle, exp.solver)
+    calls = []
+    for name in ("ce", "z"):
+        method = getattr(solver.TreeBackend, name)
+        monkeypatch.setattr(
+            solver.TreeBackend, name,
+            lambda self, i, v, name=name, method=method: calls.append(name) or method(self, i, v),
+        )
+    seq = solve_sequence(backend, exp.phi, exp.psi, exp.gen, exp.terminal, exp.solver)
+    sweep_calls = len(calls)
+    sol = seq.solutions[exp.solver.eps_schedule[-1]]
+    smoothing_operator(backend, sol.Y, 0.5)
+    # the smoothing pass recurses in floats whatever the driver
+    assert len(calls) == sweep_calls
+    assert sweep_calls == (0 if case in ONE_CELL else 2 * bundle.grid.steps)
+    assert not sol.Z.any() and sol.Z.dtype == float
 
 
 @pytest.mark.parametrize("config", SWEEP_CASES.values(), ids=SWEEP_CASES.keys())
@@ -712,6 +803,7 @@ def test_a_regression_fit_does_not_depend_on_the_fits_before_it():
 SMOOTHING_BUNDLES = {
     "tree": lambda: (tree_bundle(8, a_spec=IncreasingProcessSpec.ramp(0.3, 1.5)), "tree"),
     "deterministic": lambda: (det_bundle(12), "tree"),
+    "deterministic-ramp": lambda: (det_bundle(12, a_spec=IncreasingProcessSpec.ramp(0.3, 1.5)), "tree"),
     "mc-lsq": lambda: (REGRESSION_BUNDLES["mc"](), "lsq"),
 }
 
@@ -727,6 +819,9 @@ def test_one_pass_smoothing_matches_the_two_loop_oracle(kind, eps):
     else:
         sizes = np.diff(bundle.offsets)
     u = [rng.uniform(-2.0, 2.0, size) for size in sizes]
+    # a first call on other values leaves its freed buffers for the
+    # second's np.empty, so a level the pass leaves unwritten shows
+    smoothing_operator(backend, np.concatenate(u) + 7.0, eps)
     got = smoothing_operator(backend, np.concatenate(u), eps)
     want = smoothing_operator_oracle(bundle, backend, u, eps)
     assert (got.gamma, got.i_eps, got.scale) == (want.gamma, want.i_eps, want.scale)

@@ -1,24 +1,29 @@
-"""Record execute() times of every preset and of two scale ladders.
+"""Record execute() times of every preset and of three scale ladders.
 
-    python tools/bench_ladder.py --label parent --out BENCH_29.json
-    python tools/bench_ladder.py --label change --out BENCH_29.json
+    python tools/bench_ladder.py --label parent --out BENCH_30.json
+    python tools/bench_ladder.py --label change --out BENCH_30.json
 
 Every preset runs through `bsvilab.cli.execute` three times in this
 process; the fastest run is kept, with its `solve_s` and `verify_s`.
 Each rung of a ladder runs once in a fresh process: its `total_s`,
-`solve_s` and `verify_s` come from `RunResult.timings`, and its peak
-memory is the child's `ru_maxrss`.  The Monte Carlo ladder (`ladder`)
-is `mc_martingale` at 128 steps and 4000, 16000 and 32000 paths; the
-tree ladder (`tree_ladder`) is `two_barrier_driven` on its 256-step
-lattice with 1024, 4096 and 16384 evaluation paths, where verification
-reads the lattice along the paths.  BLAS and OpenMP run on one thread,
-as in the benchmark under perfbench/.  The environment (Python, numpy,
-nproc and whether bytecode is cached) is recorded with the times.
+`solve_s` and `verify_s` come from `RunResult.timings`, its peak
+memory is the child's `ru_maxrss` and its minor page faults the
+child's `ru_minflt`.  The Monte Carlo ladder (`ladder`) is
+`mc_martingale` at 128 steps and 4000, 16000 and 32000 paths; the tree
+ladder (`tree_ladder`) is `two_barrier_driven` on its 256-step lattice
+with 1024, 4096 and 16384 evaluation paths, where verification reads
+the lattice along the paths; the deterministic ladder
+(`deterministic_ladder`) is `reflection` with three eps at 1000, 10000
+and 100000 steps, where every step is a scalar recursion.  BLAS and
+OpenMP run on one thread, as in the benchmark under perfbench/.  The
+environment (Python, numpy, nproc and whether bytecode is cached) is
+recorded with the times.
 
 The results go into the JSON file under --label, and the file keeps the
 entries of other labels, so one file holds a parent and a change
-measured on the same machine.  --presets, --rungs and --tree-rungs run
-a subset.  The bsvilab imported is the one under this checkout's src/.
+measured on the same machine.  --presets, --rungs, --tree-rungs and
+--det-rungs run a subset.  The bsvilab imported is the one under this
+checkout's src/.
 """
 
 import argparse
@@ -40,15 +45,20 @@ import numpy as np  # noqa: E402
 from bsvilab.cli import execute  # noqa: E402
 from bsvilab.scenarios import SCENARIOS, build_experiment  # noqa: E402
 
-# kind -> (steps, rung path counts, config of a rung)
+# kind -> (rung sizes, config of a rung of that size)
 LADDERS = {
-    "mc": (128, (4000, 16000, 32000), lambda steps, paths: {
-        "scenario": "mc_martingale", "grid": {"steps": steps}, "noise": {"paths": paths},
+    "mc": ((4000, 16000, 32000), lambda paths: {
+        "scenario": "mc_martingale", "grid": {"steps": 128}, "noise": {"paths": paths},
     }),
-    "tree": (256, (1024, 4096, 16384), lambda steps, paths: {
+    "tree": ((1024, 4096, 16384), lambda paths: {
         "scenario": "two_barrier_driven",
-        "grid": {"steps": steps},
+        "grid": {"steps": 256},
         "noise": {"kind": "tree", "eval_paths": paths},
+    }),
+    "deterministic": ((1000, 10000, 100000), lambda steps: {
+        "scenario": "reflection",
+        "grid": {"T": 1.0, "steps": steps},
+        "solver": {"eps_schedule": [0.1, 0.05, 0.025]},
     }),
 }
 REPEATS = 3
@@ -80,25 +90,27 @@ def time_preset(name: str) -> dict:
     return best
 
 
-def rung(kind: str, paths: int) -> dict:
-    """One rung of a ladder in this process: RunResult.timings and ru_maxrss."""
+def rung(kind: str, size: int) -> dict:
+    """One rung of a ladder in this process: RunResult.timings, ru_maxrss
+    and ru_minflt."""
     import resource
 
-    steps, _, config = LADDERS[kind]
-    timings = execute(build_experiment(config(steps, paths))).timings
+    result = execute(build_experiment(LADDERS[kind][1](size)))
+    usage = resource.getrusage(resource.RUSAGE_SELF)
     return {
-        "paths": paths,
-        "steps": steps,
-        "total_s": timings["total_s"],
-        "solve_s": timings["solve_s"],
-        "verify_s": timings["verify_s"],
-        "ru_maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+        "paths": result.bundle.n_paths,
+        "steps": result.exp.grid.steps,
+        "total_s": result.timings["total_s"],
+        "solve_s": result.timings["solve_s"],
+        "verify_s": result.timings["verify_s"],
+        "ru_maxrss_mb": usage.ru_maxrss / 1024.0,
+        "ru_minflt": usage.ru_minflt,
     }
 
 
-def rung_in_child(kind: str, paths: int) -> dict:
+def rung_in_child(kind: str, size: int) -> dict:
     out = subprocess.run(
-        [sys.executable, os.path.abspath(__file__), "--child-rung", kind, str(paths)],
+        [sys.executable, os.path.abspath(__file__), "--child-rung", kind, str(size)],
         check=True, capture_output=True, text=True,
     )
     return json.loads(out.stdout)
@@ -110,18 +122,22 @@ def main(argv=None) -> int:
     ap.add_argument("--out", help="JSON file to add this entry to (required)")
     ap.add_argument("--presets", nargs="*", default=sorted(SCENARIOS), help="presets to time")
     ap.add_argument(
-        "--rungs", nargs="*", type=int, default=list(LADDERS["mc"][1]),
+        "--rungs", nargs="*", type=int, default=list(LADDERS["mc"][0]),
         help="path counts of the Monte Carlo ladder",
     )
     ap.add_argument(
-        "--tree-rungs", nargs="*", type=int, default=list(LADDERS["tree"][1]),
+        "--tree-rungs", nargs="*", type=int, default=list(LADDERS["tree"][0]),
         help="evaluation path counts of the tree ladder",
+    )
+    ap.add_argument(
+        "--det-rungs", nargs="*", type=int, default=list(LADDERS["deterministic"][0]),
+        help="step counts of the deterministic ladder",
     )
     ap.add_argument("--child-rung", nargs=2, help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.child_rung is not None:
-        kind, paths = args.child_rung
-        print(json.dumps(rung(kind, int(paths))))
+        kind, size = args.child_rung
+        print(json.dumps(rung(kind, int(size))))
         return 0
     if args.out is None:
         ap.error("--out is required")
@@ -134,6 +150,7 @@ def main(argv=None) -> int:
         "presets": {name: time_preset(name) for name in args.presets},
         "ladder": [rung_in_child("mc", paths) for paths in args.rungs],
         "tree_ladder": [rung_in_child("tree", paths) for paths in args.tree_rungs],
+        "deterministic_ladder": [rung_in_child("deterministic", steps) for steps in args.det_rungs],
     }
     doc = {}
     if os.path.exists(args.out):
