@@ -162,20 +162,26 @@ class PathBundle:
     Per node (length N+1): A, Q, and after accumulation V, Vplus.
     Per step (length N): dt (the grid's), dq, dA, alpha, with
     dq_i = dt_i + dA_i and alpha_i * dq_i = dt_i.
-    Evaluation paths (shape (P, N) increments dB): on a lattice, a field
-    laid out level after level holds level i in [offsets[i],
+    Evaluation paths: P paths of N steps, whose increments dB a reader
+    takes a window of steps at a time by increments(a, e).  Monte Carlo
+    and deterministic bundles store dB, (P, N) floats.  A tree stores
+    what a step of a path carries, its up/down sign, as signs, (P, N)
+    int8, and forms dB = (2 s - 1) sqrt(dt) per window.  On a lattice, a
+    field laid out level after level holds level i in [offsets[i],
     offsets[i + 1]), cell_values is the driver value B at every cell in
-    that layout, and cells[p, i] is the cell that path p visits at node i.
+    that layout, and cells[p, i] is the cell that path p visits at node
+    i, int32 (int64 only where offsets[-1] does not fit in int32).
     """
 
     grid: TimeGrid
     kind: str
-    dB: np.ndarray
     A: np.ndarray
     Q: np.ndarray
     dq: np.ndarray
     dA: np.ndarray
     alpha: np.ndarray
+    dB: Optional[np.ndarray] = None
+    signs: Optional[np.ndarray] = None
     cell_values: Optional[np.ndarray] = None
     offsets: Optional[np.ndarray] = None
     cells: Optional[np.ndarray] = None
@@ -184,7 +190,7 @@ class PathBundle:
 
     @property
     def n_paths(self) -> int:
-        return self.dB.shape[0]
+        return (self.dB if self.signs is None else self.signs).shape[0]
 
     @property
     def dt(self) -> np.ndarray:
@@ -194,8 +200,19 @@ class PathBundle:
         """Driver values B along evaluation paths, shape (P, N+1)."""
         n = self.grid.steps
         out = np.zeros((self.n_paths, n + 1))
-        out[:, 1:] = np.cumsum(self.dB, axis=1)
+        np.cumsum(self.increments(0, n), axis=1, out=out[:, 1:])
         return out
+
+    def increments(self, a: int, e: int) -> np.ndarray:
+        """dB on the steps [a, e), shape (P, e - a): a view of the stored
+        increments, or on a tree a fresh array of (2 s - 1) sqrt(dt),
+        the bits build_paths once stored as dB."""
+        if self.signs is None:
+            return self.dB[:, a:e]
+        x = self.signs[:, a:e] * 2.0
+        x -= 1.0
+        x *= float(np.sqrt(self.dt[0]))
+        return x
 
     def windows(self) -> list:
         """The node ranges [a, b) that readers of the paths take in turn.
@@ -218,8 +235,10 @@ class PathBundle:
     def walk_index(self, start: int, stop: int) -> np.ndarray:
         """The cells the paths visit at the nodes start, ..., stop - 1,
         counted from the first cell of level start: a (paths, stop -
-        start) index into those levels laid end to end."""
-        return self.cells[:, start:stop] - self.offsets[start]
+        start) index into those levels laid end to end.  The index is
+        intp, numpy's own: a gather by an int32 index converts it first,
+        which costs more than the gather."""
+        return np.subtract(self.cells[:, start:stop], self.offsets[start], dtype=np.intp)
 
     def on_paths(
         self,
@@ -242,7 +261,18 @@ class PathBundle:
 
 def _enumerate_sign_paths(n_steps: int) -> np.ndarray:
     idx = np.arange(2**n_steps, dtype=np.int64)
-    return (idx[:, None] >> np.arange(n_steps)) & 1
+    return ((idx[:, None] >> np.arange(n_steps)) & 1).astype(np.int8)
+
+
+def _walk_cells(signs: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """cells[p, i] = offsets[i] + the up moves of path p before node i,
+    summed straight into int32, or int64 where offsets[-1] does not fit."""
+    dtype = np.int32 if offsets[-1] <= np.iinfo(np.int32).max else np.int64
+    cells = np.empty((signs.shape[0], signs.shape[1] + 1), dtype)
+    cells[:, 0] = 0
+    np.cumsum(signs, axis=1, dtype=dtype, out=cells[:, 1:])
+    cells += offsets[:-1].astype(dtype)
+    return cells
 
 
 def build_paths(
@@ -278,7 +308,7 @@ def build_paths(
         )
     alpha = dt / dq
 
-    cell_values = offsets = cells = None
+    dB = signs = cell_values = offsets = cells = None
     if noise.kind == "tree":
         if not np.allclose(dt, dt[0], rtol=1e-12, atol=0.0):
             raise ConfigError("noise: binomial tree requires a uniform grid")
@@ -289,28 +319,23 @@ def build_paths(
         node = np.arange(offsets[-1]) - offsets[level]
         cell_values = (2.0 * node - level) * sqdt
         if n <= ENUMERATION_LIMIT and noise.eval_paths is None:
-            ups = _enumerate_sign_paths(n)
+            signs = _enumerate_sign_paths(n)
         else:
             count = DEFAULT_TREE_EVAL_PATHS if noise.eval_paths is None else noise.eval_paths
-            ups = rngmod.sign_paths(noise.seed, count, n)
-        dB = (2.0 * ups - 1.0) * sqdt
-        walks = np.concatenate(
-            [np.zeros((ups.shape[0], 1), dtype=np.int64), np.cumsum(ups, axis=1)], axis=1
-        )
+            signs = rngmod.sign_paths(noise.seed, count, n)
+        cells = _walk_cells(signs, offsets)
     elif noise.kind == "mc":
         dB = rngmod.gaussian_increments(noise.seed, noise.paths, dt)
     elif noise.kind == "deterministic":
         dB = np.zeros((1, n))
         offsets = np.arange(n + 2)
         cell_values = np.zeros(n + 1)
-        walks = np.zeros((1, n + 1), dtype=np.int64)
+        cells = _walk_cells(np.zeros((1, n), dtype=np.int8), offsets)
     else:
         raise ConfigError(f"noise: unknown kind {noise.kind!r}")
-    if offsets is not None:
-        cells = walks + offsets[:-1]
 
     return PathBundle(
-        grid=grid, kind=noise.kind, dB=dB, A=A, Q=Q, dq=dq, dA=dA, alpha=alpha,
+        grid=grid, kind=noise.kind, A=A, Q=Q, dq=dq, dA=dA, alpha=alpha, dB=dB, signs=signs,
         cell_values=cell_values, offsets=offsets, cells=cells,
     )
 

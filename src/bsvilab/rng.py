@@ -13,7 +13,8 @@ roles from colliding:
 A path's up/down signs are those of ``integers(0, 2)`` on its stream:
 each keeps bit 31 of a 32-bit half of the next raw 64-bit word, low
 half first.  So sign 2k of a path is bit 31 of the stream's word k, and
-sign 2k + 1 is bit 63.
+sign 2k + 1 is bit 63.  A sign carries one bit, so sign_paths returns
+one int8 per path and step.
 
 Everything downstream of a PathBundle is a pure function of these streams,
 which is what makes re-runs byte-identical.
@@ -70,13 +71,16 @@ def gaussian_increments(seed: int, n_paths: int, dt: np.ndarray) -> np.ndarray:
 
 
 def sign_paths(seed: int, n_paths: int, n_steps: int) -> np.ndarray:
-    """Fair up/down indicators in {0, 1}, shape (n_paths, n_steps).
+    """Fair up/down indicators in {0, 1}, int8, shape (n_paths, n_steps).
 
     Row p equals path_stream(seed, p).integers(0, 2, n_steps), read from
-    the raw words by the sign rule of the module docstring.
+    the raw words by the sign rule of the module docstring: the words'
+    little-endian 32-bit halves, low half first, shifted right by 31 in
+    place.
     """
     words = np.empty((n_paths, (n_steps + 1) // 2), dtype=np.uint64)
     for p, gen in enumerate(_path_streams(seed, n_paths)):
         words[p] = gen.bit_generator.random_raw(words.shape[1])
-    bits = np.stack([words >> np.uint64(31), words >> np.uint64(63)], axis=-1) & np.uint64(1)
-    return bits.reshape(n_paths, -1)[:, :n_steps].astype(np.int64)
+    halves = words.astype("<u8", copy=False).view("<u4")
+    halves >>= 31
+    return halves[:, :n_steps].astype(np.int8)

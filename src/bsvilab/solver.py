@@ -201,7 +201,8 @@ class RegressionBackend:
         # (dB is conditionally centered) but shrinks the target variance
         # from O(|v|^2/dt) to O(var(v increment)/dt)
         resid = v_next - self._fit(i, v_next)
-        return self._fit(i, resid * self.bundle.dB[:, i] / self.bundle.dt[i])
+        db = self.bundle.increments(i, i + 1)[:, 0]
+        return self._fit(i, resid * db / self.bundle.dt[i])
 
 
 def make_backend(bundle: PathBundle, cfg: SolverConfig):

@@ -33,7 +33,8 @@ laid over each level's cells (level_cells).  Each such term reaches the
 paths through one SolutionField.expand, and a window's gathers share
 one index (_Window).  dB enters every term last, as a factor, so a step
 increment is expand(L) + expand(K) dB with L and K formed on the
-levels.  What stays on path arrays depends on the path: the running
+levels; a window's dB is PathBundle.increments, a view of Monte Carlo
+increments or one block formed from a tree's signs.  What stays on path arrays depends on the path: the running
 sums (a test process's M, the Ito sums, the a-priori time sum), the
 terms of an M summed along the paths (Psi(M), M - Y, Gamma and what
 they multiply), and the means and extremes.  A lattice level holds one
@@ -236,12 +237,12 @@ def _increment(q, g_pow, head, diff, psi_m, n_minus_h, r_minus_z, dq) -> tuple:
     return drift, np.multiply(qgd, r_minus_z, out=qgd)
 
 
-def _summed_m(w: _Window, gamma: float, n_steps, r_steps, dq, carry) -> tuple:
+def _summed_m(w: _Window, gamma: float, n_steps, r_steps, dq, dB, carry) -> tuple:
     """(M on the window's nodes along the paths, the carry of its sum),
     M_0 = gamma and M_{i+1} = M_i - N_i dQ_i + R_i dB_i summed from
-    carry, None in the first window."""
+    carry, None in the first window; dB is the window's increments."""
     x = w.paths(r_steps)
-    x *= w.bundle.dB[:, w.a:w.e]
+    x *= dB
     # + is commutative, so this is -N dQ + R dB bit for bit
     x += w.paths(-n_steps * dq)
     sums, carry = _running_sum(x, carry, w.b - w.a)
@@ -288,7 +289,7 @@ def _variational_profiles(
     for a, b in bundle.windows():
         w = _Window(sol, bundle, a, b)
         e = w.e
-        dB = bundle.dB[:, a:e]
+        dB = bundle.increments(a, e)
         y_lv, z = w.read(sol, "Y", nodes=True), w.read(sol, "Z")
         alpha_c, dt_c, dq_c = w.cells(bundle.alpha), w.cells(bundle.dt), w.cells(bundle.dq)
         h_fresh = combined_driver(gen, alpha_c, w.cells(bundle.grid.nodes), y_lv[w.steps], z)
@@ -300,7 +301,7 @@ def _variational_profiles(
             r_minus_z = r_steps - z
             if tp.M is None:
                 # M is summed along the paths, and its terms stay there
-                m, carries[k] = _summed_m(w, tp.gamma, n_steps, r_steps, dq_c, carries[k])
+                m, carries[k] = _summed_m(w, tp.gamma, n_steps, r_steps, dq_c, dB, carries[k])
                 lift, land = w.paths, _same
                 if on_paths is None:
                     on_paths = w.paths(y_lv), w.paths(psi_y_lv) if low_q else None
@@ -427,7 +428,7 @@ def ito_report_from_solution(
         raise DomainError(f"delta must be >= 0, got {delta}")
     pathwise = sol.lattice
     n = bundle.grid.steps
-    dt, dq, dB = bundle.dt, bundle.dq, bundle.dB
+    dt, dq = bundle.dt, bundle.dq
     carry = None
     means = []  # per-node path means, when averaged
     values = np.empty((bundle.n_paths, n + 1)) if pathwise else None
@@ -460,7 +461,7 @@ def ito_report_from_solution(
         slope = p * weight * yl
         # + is commutative, so this is quad - slope D + slope Z dB bit for bit
         incr = w.paths(slope * r)
-        incr *= dB[:, a:e]
+        incr *= bundle.increments(a, e)
         incr += w.paths(quad - slope * drift_incr)
         sums, carry = _running_sum(incr, carry, b - a)
         acc[:, b - a - sums.shape[1]:] -= sums
@@ -555,7 +556,7 @@ def check_apriori_bound(
     y_weight, z_weight, dt = np.exp(p * v), np.exp(2.0 * v[:-1]), bundle.dt
     y_max = -np.inf
     # the time sum runs along whole paths, so its terms are kept whole
-    z_terms = np.empty(bundle.dB.shape)
+    z_terms = np.empty((bundle.n_paths, bundle.grid.steps))
     for a, b in bundle.windows():
         w = _Window(sol, bundle, a, b)
         y_terms = w.cells(y_weight, nodes=True) * np.abs(w.read(sol, "Y", nodes=True)) ** p

@@ -307,7 +307,7 @@ def _lattice_on_paths(bundle, levels):
     """Lattice levels 0, 1, ... of a list on the evaluation paths.  A
     path's node at level i is its count of up moves before i, read off dB."""
     node = np.zeros((bundle.n_paths, len(levels)), dtype=np.int64)
-    node[:, 1:] = np.cumsum(bundle.dB[:, : len(levels) - 1] > 0.0, axis=1)
+    node[:, 1:] = np.cumsum(bundle.increments(0, len(levels) - 1) > 0.0, axis=1)
     return np.stack([level[node[:, i]] for i, level in enumerate(levels)], axis=1)
 
 
@@ -336,9 +336,11 @@ def _mixed_potential_oracle(phi, psi, alpha, x, eps_pen):
 
 def _variational_oracle(pw, h_fresh, psi_y, gamma0, n_steps, r_steps, name, phi, psi,
                         bundle, q, shift, tol, eps):
-    m = np.empty((bundle.n_paths, bundle.grid.steps + 1))
+    n = bundle.grid.steps
+    db = bundle.increments(0, n)
+    m = np.empty((bundle.n_paths, n + 1))
     m[:, 0] = gamma0
-    m[:, 1:] = gamma0 + np.cumsum(-n_steps * bundle.dq + r_steps * bundle.dB, axis=1)
+    m[:, 1:] = gamma0 + np.cumsum(-n_steps * bundle.dq + r_steps * db, axis=1)
     psi_m = _mixed_potential_oracle(phi, psi, bundle.alpha, m[:, :-1], eps)
     m_minus_y, r_minus_z = m - pw["Y"], r_steps - pw["Z"]
     gamma = np.sqrt(m_minus_y ** 2 + shift)
@@ -349,7 +351,7 @@ def _variational_oracle(pw, h_fresh, psi_y, gamma0, n_steps, r_steps, name, phi,
         + q * g_pow * psi_y * bundle.dq
         - q * g_pow * psi_m * bundle.dq
         - q * g_pow * diff * (n_steps - h_fresh) * bundle.dq
-        + q * g_pow * diff * r_minus_z * bundle.dB
+        + q * g_pow * diff * r_minus_z * db
     )
     a = np.mean(gamma**q, axis=0).copy()
     a[1:] -= np.cumsum(np.mean(incr, axis=0))
@@ -397,7 +399,7 @@ def battery_oracle(sol, bundle, backend, phi, psi, gen, p):
         _levels_on_paths(sol, bundle, [sm.level(name, i) for i in range(bundle.grid.steps)])
         for name in "NR"
     )
-    zeros = np.zeros(bundle.dB.shape)
+    zeros = np.zeros((bundle.n_paths, bundle.grid.steps))
     processes = [
         ("zero", 0.0, zeros, zeros),
         ("reconstruction", float(pw["Y"][0, 0]), pw["H"] - pw["U"], pw["Z"]),
@@ -447,7 +449,8 @@ def ito_oracle(sol, bundle, p, delta, tol, pathwise=None):
                 * bundle.dt
             )
             weight = np.where(base > 0.0, base ** ((p - 2.0) / 2.0), 0.0)
-    incr = quad - p * weight * yl * drift_incr + p * weight * yl * r_paths * bundle.dB
+    db = bundle.increments(0, bundle.grid.steps)
+    incr = quad - p * weight * yl * drift_incr + p * weight * yl * r_paths * db
     a = v_nodes.copy()
     a[:, 1:] -= np.cumsum(incr, axis=1)
     if not (sol.lattice if pathwise is None else pathwise):
@@ -470,7 +473,8 @@ def random_step_process_oracle(bundle, seed, scale=1.0, index=0):
         nn[edges[k]:edges[k + 1]] = scale * gen.standard_normal()
         rr[edges[k]:edges[k + 1]] = scale * gen.standard_normal()
     gamma = float(scale * gen.standard_normal())
-    return gamma, np.broadcast_to(nn, bundle.dB.shape), np.broadcast_to(rr, bundle.dB.shape)
+    shape = (bundle.n_paths, n)
+    return gamma, np.broadcast_to(nn, shape), np.broadcast_to(rr, shape)
 
 
 def contraction_oracle(sol_a, sol_b, bundle, q, tol):

@@ -1,8 +1,12 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bsvilab import paths as pathsmod
 from bsvilab import rng as rngmod
 from bsvilab.errors import ConfigError, DomainError, GridMismatch, ZeroStep
 from bsvilab.generators import GeneratorSpec
@@ -113,17 +117,18 @@ def test_weight_order_and_exp_bound(mu, nu, ell, p, rate):
 def test_tree_quadratic_variation_exact():
     grid = TimeGrid.uniform(1.0, 4)  # dt = 0.25 is a perfect square
     b = build_paths(grid, NoiseModel.binomial_tree(), ZERO_A)
-    assert np.array_equal(b.dB**2, np.broadcast_to(grid.dt, b.dB.shape))
-    assert np.array_equal(np.sum(b.dB**2, axis=1), np.full(b.n_paths, 1.0))
+    db = b.increments(0, 4)
+    assert np.array_equal(db**2, np.broadcast_to(grid.dt, db.shape))
+    assert np.array_equal(np.sum(db**2, axis=1), np.full(b.n_paths, 1.0))
 
     b9 = build_paths(TimeGrid.uniform(1.0, 9), NoiseModel.binomial_tree(), ZERO_A)
-    assert np.allclose(np.sum(b9.dB**2, axis=1), 1.0, rtol=0, atol=1e-12)
+    assert np.allclose(np.sum(b9.increments(0, 9) ** 2, axis=1), 1.0, rtol=0, atol=1e-12)
 
 
 def test_tree_enumeration_and_lattice_maps():
     b = build_paths(TimeGrid.uniform(1.0, 5), NoiseModel.binomial_tree(), ZERO_A)
     assert b.n_paths == 32
-    assert np.unique(b.dB, axis=0).shape[0] == 32
+    assert np.unique(b.increments(0, 5), axis=0).shape[0] == 32
     # level i fills the cells [i (i + 1) / 2, (i + 1) (i + 2) / 2)
     assert np.array_equal(b.offsets, np.arange(7) * np.arange(1, 8) // 2)
     # a walk's node is its cell less its level's offset: 0 at the root,
@@ -141,7 +146,8 @@ def test_on_paths_gathers_each_level_along_the_walks():
     rng = np.random.default_rng(2)
     values = [rng.standard_normal(i + 1) for i in range(21)]
     # a walk's node at level i is its count of up moves before i
-    node = np.concatenate([np.zeros((64, 1), dtype=np.int64), np.cumsum(b.dB > 0, axis=1)], axis=1)
+    ups = np.cumsum(b.increments(0, 20) > 0, axis=1)
+    node = np.concatenate([np.zeros((64, 1), dtype=np.int64), ups], axis=1)
     # Y levels, Z/U/H levels, one level, a window inside the grid
     for start, stop in ((0, 21), (0, 20), (0, 1), (7, 13)):
         want = np.stack([values[i][node[:, i]] for i in range(start, stop)], axis=1)
@@ -165,15 +171,78 @@ def test_tree_sampling_beyond_enumeration_limit():
     assert small.n_paths == 8
 
 
+# sampled trees: seeds 1-3, eval_paths 1, 3 and 1024, 255 and 256 steps
+# (an odd count leaves a half word); and two enumerated trees
+TREE_LAYOUTS = [
+    (seed, paths, steps) for seed in (1, 2, 3) for paths in (1, 3, 1024) for steps in (255, 256)
+] + [(0, None, 5), (0, None, 12)]
+
+
+@pytest.mark.parametrize("seed, paths, steps", TREE_LAYOUTS)
+def test_tree_paths_read_as_the_float_increments_and_int64_cells(seed, paths, steps):
+    grid = TimeGrid.uniform(1.0, steps)
+    b = build_paths(grid, NoiseModel.binomial_tree(seed=seed, eval_paths=paths), ZERO_A)
+    if paths is None:
+        ups = (np.arange(2**steps)[:, None] >> np.arange(steps)) & 1
+    else:
+        ups = np.stack([rngmod.path_stream(seed, p).integers(0, 2, steps) for p in range(paths)])
+    # the float and int64 arrays a tree bundle once stored
+    dB = (2.0 * ups - 1.0) * float(np.sqrt(grid.dt[0]))
+    walks = np.concatenate([np.zeros((len(ups), 1), dtype=np.int64), np.cumsum(ups, axis=1)], axis=1)
+    cells = walks + b.offsets[:-1]
+    # one int8 per path and step, one int32 per path and node
+    assert b.dB is None and b.signs.dtype == np.int8 and b.cells.dtype == np.int32
+    for x in vars(b).values():
+        assert not (isinstance(x, np.ndarray) and x.ndim == 2 and x.dtype.itemsize > 4)
+    for a, stop in b.windows() + [(steps, steps + 1), (0, steps + 1)]:
+        e = min(stop, steps)
+        assert b.increments(a, e).tobytes() == dB[:, a:e].tobytes()
+        index = b.walk_index(a, stop)
+        assert index.dtype == np.intp
+        assert np.array_equal(index, cells[:, a:stop] - b.offsets[a])
+
+
+def test_walk_cells_widen_only_where_int32_does_not_hold_the_layout():
+    signs = np.array([[1, 0, 1], [0, 1, 1]], dtype=np.int8)
+    for last, dtype in ((2**31 - 1, np.int32), (2**31, np.int64)):
+        cells = pathsmod._walk_cells(signs, np.array([0, 1, 3, 6, last]))
+        assert cells.dtype == dtype
+        assert cells.tolist() == [[0, 2, 4, 8], [0, 1, 4, 8]]
+
+
+def test_build_paths_memory_is_bounded():
+    # tree_barrier's bundle (256 steps, 1024 paths); tracemalloc counts
+    # numpy's buffers, so the figures do not depend on the machine
+    grid = TimeGrid.uniform(1.0, 256)
+    noise = NoiseModel.binomial_tree(seed=2, eval_paths=1024)
+    build_paths(grid, noise, ZERO_A)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        b = build_paths(grid, noise, ZERO_A)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert b.n_paths == 1024
+    # held: int8 signs (0.26 MB), int32 cells (1.05 MB) and the lattice's
+    # cell values (0.27 MB), 1.60e6 bytes; peak 3.18e6 bytes, while the
+    # cells are summed (numpy buffers the cumsum's strided output).  A
+    # float64 dB or an int64 (paths, nodes) array takes 2.1 MB each; the
+    # bundle that stored both read 4.48e6 and 9.28e6 bytes
+    assert held - start <= 1.8e6
+    assert peak - start <= 3.6e6
+
+
 def test_mc_increment_mean_gate():
     grid = TimeGrid.uniform(1.0, 8)
     b = build_paths(grid, NoiseModel.gaussian_mc(4000, seed=3), ZERO_A)
     gate = 5.0 * np.sqrt(grid.dt / 4000)
-    assert np.all(np.abs(b.dB.mean(axis=0)) <= gate)
+    assert np.all(np.abs(b.increments(0, 8).mean(axis=0)) <= gate)
     again = build_paths(grid, NoiseModel.gaussian_mc(4000, seed=3), ZERO_A)
-    assert np.array_equal(b.dB, again.dB)
+    assert np.array_equal(b.increments(0, 8), again.increments(0, 8))
     other = build_paths(grid, NoiseModel.gaussian_mc(4000, seed=4), ZERO_A)
-    assert not np.array_equal(b.dB, other.dB)
+    assert not np.array_equal(b.increments(0, 8), other.increments(0, 8))
 
 
 @settings(max_examples=40, deadline=None)
@@ -236,7 +305,7 @@ def test_tree_requires_uniform_grid():
 def test_deterministic_bundle_is_single_frozen_path():
     b = build_paths(TimeGrid.uniform(1.0, 6), NoiseModel.deterministic(), ZERO_A)
     assert b.n_paths == 1
-    assert np.array_equal(b.dB, np.zeros((1, 6)))
+    assert np.array_equal(b.increments(0, 6), np.zeros((1, 6)))
     assert np.array_equal(b.driver_paths(), np.zeros((1, 7)))
     assert np.array_equal(b.offsets, np.arange(8))
     assert np.array_equal(b.on_paths(b.cell_values), np.zeros((1, 7)))
@@ -287,6 +356,7 @@ def test_rng_stream_derivation_rule():
         for p in range(4):
             expect = rngmod.path_stream(11, p).integers(0, 2, size=steps)
             assert np.array_equal(ups[p], expect)
+        assert ups.dtype == np.int8
 
 
 def test_sign_paths_are_fair_indicators():

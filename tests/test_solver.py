@@ -284,7 +284,7 @@ def test_tree_step_identity_reconstructs_exactly():
     )
     p = sol.paths(bundle)
     dq = bundle.dq
-    recon = p["Y"][:, :-1] - (p["H"] - p["U"]) * dq + p["Z"] * bundle.dB
+    recon = p["Y"][:, :-1] - (p["H"] - p["U"]) * dq + p["Z"] * bundle.increments(0, bundle.grid.steps)
     assert np.allclose(recon, p["Y"][:, 1:], rtol=0, atol=1e-12)
     # every call gathers fresh arrays; a window's columns are those of the whole grid
     again = sol.paths(bundle)
@@ -715,7 +715,7 @@ def test_regression_fits_match_vander_lstsq(kind):
         for i in (1, 2, n - 1, 2, 3):
             v = rng.standard_normal(shape) * 3.0
             want_ce = regression_fit_oracle(B[:, i], 3, v)
-            target = (v - want_ce) * bundle.dB[:, i] / bundle.dt[i]
+            target = (v - want_ce) * bundle.increments(i, i + 1)[:, 0] / bundle.dt[i]
             want_z = regression_fit_oracle(B[:, i], 3, target)
             got_ce, got_z = backend.ce(i, v), backend.z(i, v)
             assert got_ce.shape == got_z.shape == shape

@@ -345,7 +345,7 @@ def test_step_processes_read_windows_without_path_copies():
         tracemalloc.stop()
     assert held < 1 << 20
     wholes = [random_step_process_oracle(bundle, seed=7, index=k) for k in range(8)]
-    zeros = np.broadcast_to(0.0, bundle.dB.shape)
+    zeros = np.broadcast_to(0.0, (bundle.n_paths, bundle.grid.steps))
     wholes.append((0.0, zeros, zeros))
     for tp, (gamma, n_whole, r_whole) in zip(processes, wholes):
         assert tp.gamma == gamma

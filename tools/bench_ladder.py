@@ -1,14 +1,18 @@
 """Record execute() times of every preset and of three scale ladders.
 
-    python tools/bench_ladder.py --label parent --out BENCH_30.json
-    python tools/bench_ladder.py --label change --out BENCH_30.json
+    python tools/bench_ladder.py --label parent --out BENCH_31.json
+    python tools/bench_ladder.py --label change --out BENCH_31.json
 
 Every preset runs through `bsvilab.cli.execute` three times in this
 process; the fastest run is kept, with its `solve_s` and `verify_s`.
 Each rung of a ladder runs once in a fresh process: its `total_s`,
 `solve_s` and `verify_s` come from `RunResult.timings`, its peak
 memory is the child's `ru_maxrss` and its minor page faults the
-child's `ru_minflt`.  The Monte Carlo ladder (`ladder`) is
+child's `ru_minflt`.  A second fresh child runs the rung again under
+tracemalloc and gives `tracemalloc_peak_mb`, the peak of the heap that
+numpy and Python allocate during `execute()`; it is taken apart, so
+the timed child runs untraced, and unlike `ru_maxrss` it does not
+follow the heap's layout.  The Monte Carlo ladder (`ladder`) is
 `mc_martingale` at 128 steps and 4000, 16000 and 32000 paths; the tree
 ladder (`tree_ladder`) is `two_barrier_driven` on its 256-step lattice
 with 1024, 4096 and 16384 evaluation paths, where verification reads
@@ -108,12 +112,33 @@ def rung(kind: str, size: int) -> dict:
     }
 
 
-def rung_in_child(kind: str, size: int) -> dict:
+def traced_peak(kind: str, size: int) -> float:
+    """The tracemalloc peak of one execute() of a rung in this process, MB."""
+    import tracemalloc
+
+    exp = build_experiment(LADDERS[kind][1](size))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        execute(exp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return (peak - start) / 2**20
+
+
+def in_child(flag: str, kind: str, size: int):
     out = subprocess.run(
-        [sys.executable, os.path.abspath(__file__), "--child-rung", kind, str(size)],
+        [sys.executable, os.path.abspath(__file__), flag, kind, str(size)],
         check=True, capture_output=True, text=True,
     )
     return json.loads(out.stdout)
+
+
+def rung_in_child(kind: str, size: int) -> dict:
+    entry = in_child("--child-rung", kind, size)
+    entry["tracemalloc_peak_mb"] = in_child("--child-traced", kind, size)
+    return entry
 
 
 def main(argv=None) -> int:
@@ -134,10 +159,15 @@ def main(argv=None) -> int:
         help="step counts of the deterministic ladder",
     )
     ap.add_argument("--child-rung", nargs=2, help=argparse.SUPPRESS)
+    ap.add_argument("--child-traced", nargs=2, help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.child_rung is not None:
         kind, size = args.child_rung
         print(json.dumps(rung(kind, int(size))))
+        return 0
+    if args.child_traced is not None:
+        kind, size = args.child_traced
+        print(json.dumps(traced_peak(kind, int(size))))
         return 0
     if args.out is None:
         ap.error("--out is required")
