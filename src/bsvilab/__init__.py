@@ -42,14 +42,13 @@ from .paths import (
     gamma_shift,
 )
 from .scenarios import SCENARIOS, Experiment, build_experiment, resolve_config
+from .smoothing import SmoothedProcess, smoothing_operator
 from .solver import (
     SequenceResult,
-    SmoothedProcess,
     SolutionField,
     SolverConfig,
     make_backend,
     resolve_implicit,
-    smoothing_operator,
     solve_penalized,
     solve_sequence,
 )

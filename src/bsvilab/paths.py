@@ -31,8 +31,9 @@ ENUMERATION_LIMIT = 12
 DEFAULT_TREE_EVAL_PATHS = 512
 # readers of the evaluation paths take a window of
 # max(WINDOW_MIN_STEPS, WINDOW_CELLS // paths) steps at a time: a
-# 256 KiB float64 block, and never fewer than 16 columns
-WINDOW_CELLS = 32768
+# 128 KiB float64 block, and never fewer than 16 columns, so that runs
+# of many paths do not pay each window's fixed cost on a few columns
+WINDOW_CELLS = 16384
 WINDOW_MIN_STEPS = 16
 # lambda of the weights: any value in (0, 1) proves the estimates, but
 # the verifier's bounds hold a frozen constant, under which a lambda near
@@ -266,11 +267,14 @@ def _enumerate_sign_paths(n_steps: int) -> np.ndarray:
 
 def _walk_cells(signs: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """cells[p, i] = offsets[i] + the up moves of path p before node i,
-    summed straight into int32, or int64 where offsets[-1] does not fit."""
+    summed in int32, or int64 where offsets[-1] does not fit."""
     dtype = np.int32 if offsets[-1] <= np.iinfo(np.int32).max else np.int64
     cells = np.empty((signs.shape[0], signs.shape[1] + 1), dtype)
     cells[:, 0] = 0
-    np.cumsum(signs, axis=1, dtype=dtype, out=cells[:, 1:])
+    cells[:, 1:] = signs
+    # in place on the contiguous array: a cumsum into the strided
+    # cells[:, 1:] would be buffered in a (paths, steps) temporary
+    np.cumsum(cells, axis=1, out=cells)
     cells += offsets[:-1].astype(dtype)
     return cells
 

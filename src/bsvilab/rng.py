@@ -65,8 +65,11 @@ def gaussian_increments(seed: int, n_paths: int, dt: np.ndarray) -> np.ndarray:
     """Brownian increments, shape (n_paths, len(dt)), one stream per path."""
     sqdt = np.sqrt(np.asarray(dt, dtype=float))
     out = np.empty((n_paths, sqdt.size))
+    # each row drawn in place, then one product: the same doubles as a
+    # product per row
     for p, gen in enumerate(_path_streams(seed, n_paths)):
-        out[p] = gen.standard_normal(sqdt.size) * sqdt
+        gen.standard_normal(out=out[p])
+    out *= sqdt
     return out
 
 

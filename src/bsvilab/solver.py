@@ -33,8 +33,8 @@ tabulates it once, in one build, for every distinct (alpha_i, dQ_i) and
 all rows, and each step looks up its key.
 
 On deterministic noise each level is one cell, and the sweep (for a
-state-free driver) and the smoothing pass recurse in Python floats
-instead of numpy calls on one-element rows; they give the same bits.
+state-free driver) recurses in Python floats instead of numpy calls on
+one-element rows; it gives the same bits.
 """
 
 import dataclasses
@@ -112,8 +112,9 @@ class TreeBackend:
             return v_next
         return 0.5 * (v_next[..., :-1] + v_next[..., 1:])
 
-    def z(self, i: int, v_next: np.ndarray) -> np.ndarray:
-        # without noise Z = 0: one read-only array per shape serves every step
+    def z(self, i: int, v_next: np.ndarray, ce: Optional[np.ndarray] = None) -> np.ndarray:
+        # the two-point Z does not read ce, CE_i[v_next].  Without noise
+        # Z = 0: one read-only array per shape serves every step
         if self.degenerate:
             zero = self._zeros.get(v_next.shape)
             if zero is None:
@@ -151,8 +152,10 @@ class RegressionBackend:
     basis is rank deficient (a tree's early dates, deterministic noise).
     One slot holds the last date's u_i, P x r floats, so callers keep a
     date's fits together.  u_i is x_i W_i whichever date the slot held
-    before, so a fit's bits do not depend on the calls before it.
-    Fields hold one cell per path at every level.
+    before, so a fit's bits do not depend on the calls before it.  A
+    fit is fitted(i, coefficients(i, target)), so a caller may keep its
+    r coefficients in place of the P values.  Fields hold one cell per
+    path at every level.
     """
 
     kind = "lsq"
@@ -181,6 +184,19 @@ class RegressionBackend:
             self._slot = (i, x @ self._right[i])
         return self._slot[1]
 
+    def coefficients(self, i: int, target: np.ndarray):
+        """The fit of one row target at date i as its coefficients in
+        u_i, target @ u_i (r floats), or at date 0 the sample mean."""
+        if i == 0:
+            return float(np.mean(target))
+        return target @ self._basis(i)
+
+    def fitted(self, i: int, c) -> np.ndarray:
+        """The fit with coefficients(i, .) c on the paths."""
+        if i == 0:
+            return np.full(self.bundle.n_paths, c)
+        return self._basis(i) @ c
+
     def _fit(self, i: int, target: np.ndarray) -> np.ndarray:
         if target.ndim == 2:
             # one fit per eps row: stacked right-hand sides change the bits
@@ -188,21 +204,23 @@ class RegressionBackend:
             for r, row in enumerate(target):
                 out[r] = self._fit(i, row)
             return out
-        if i == 0:
-            return np.full_like(target, float(np.mean(target)))
-        u = self._basis(i)
-        return u @ (target @ u)
+        return self.fitted(i, self.coefficients(i, target))
 
     def ce(self, i: int, v_next: np.ndarray) -> np.ndarray:
         return self._fit(i, v_next)
 
-    def z(self, i: int, v_next: np.ndarray) -> np.ndarray:
-        # centering by the fitted mean leaves the projection unchanged
-        # (dB is conditionally centered) but shrinks the target variance
-        # from O(|v|^2/dt) to O(var(v increment)/dt)
-        resid = v_next - self._fit(i, v_next)
+    def z_target(self, i: int, v_next: np.ndarray, ce: Optional[np.ndarray] = None) -> np.ndarray:
+        """(v_next - CE_i[v_next]) dB_i / dt_i, the target that Z_i fits;
+        ce is CE_i[v_next] where the caller has just fitted it.
+        Centering by the fitted mean leaves the projection unchanged (dB
+        is conditionally centered) but shrinks the target variance from
+        O(|v|^2/dt) to O(var(v increment)/dt)."""
+        resid = v_next - (self._fit(i, v_next) if ce is None else ce)
         db = self.bundle.increments(i, i + 1)[:, 0]
-        return self._fit(i, resid * db / self.bundle.dt[i])
+        return resid * db / self.bundle.dt[i]
+
+    def z(self, i: int, v_next: np.ndarray, ce: Optional[np.ndarray] = None) -> np.ndarray:
+        return self._fit(i, self.z_target(i, v_next, ce))
 
 
 def make_backend(bundle: PathBundle, cfg: SolverConfig):
@@ -559,7 +577,7 @@ def backward_sweep(
             a, b, c = bounds[i:i + 3]
             y_next = y[:, b:c]
             ce = backend.ce(i, y_next)
-            z[:, a:b] = z_i = backend.z(i, y_next)
+            z[:, a:b] = z_i = backend.z(i, y_next, ce)
             if h_dq is None:
                 h[:, a:b] = h_i = combined_driver(gen, alpha[i], t[i], ce, z_i)
                 u[:, a:b] = y_hat = ce + h_i * dq_at[i]
@@ -663,119 +681,4 @@ def solve_sequence(
         solutions=solutions,
         gaps=gaps,
         penalty_energy=energy,
-    )
-
-
-@dataclass
-class SmoothedProcess(_Levels):
-    """Discrete exponential smoothing M of a per-node process X, the
-    smoothed process (the battery smooths Y).
-
-    M_i averages X over the clock window starting at max(t_i, eps) with
-    weights proportional to exp(-(Q_j - Q_start)/scale) dQ_j plus the
-    held tail, renormalized to total mass one; below eps it extends as a
-    martingale.  N is the compensating drift (X_i - M_i)/scale switched
-    on from eps onward, R the per-step martingale loading, so that
-    (gamma, N, R) reconstructs M through
-    M_{i+1} = M_i - N_i dQ_i + R_i dB_i up to conditional-expectation
-    discretization.  M, N and R take X's layout, offsets.
-    """
-
-    gamma: float
-    M: np.ndarray
-    N: np.ndarray
-    R: np.ndarray
-    offsets: np.ndarray
-    i_eps: int
-    scale: float
-
-
-def _one_cell_smoothing(x, m, weights: list, decays: list, i_eps: int):
-    """The smoothing pass on one-cell levels, in Python floats:
-    g <- w_i x_i + d_i g and M_i = g / w from i_eps on, M_i = M_{i+1}
-    below it, with the operations, in their order, of the array pass.
-    x and m are the storage of X and M, 8 bytes per level."""
-    n = len(weights)
-    g = x[n]
-    w = 1.0  # closed-form tail on the held terminal value
-    m[n] = g / w
-    for i in range(n - 1, i_eps - 1, -1):
-        g = weights[i] * x[i] + decays[i] * g
-        w = weights[i] + decays[i] * w
-        m[i] = g / w
-    for i in range(i_eps - 1, -1, -1):
-        m[i] = m[i + 1]
-
-
-def smoothing_operator(backend, x: np.ndarray, eps: float) -> SmoothedProcess:
-    """Exponential kernel smoothing of the process x at the time point eps.
-
-    x is one array over the N + 1 levels of backend.bundle in the
-    backend's layout.  The kernel scale in clock units is Q at the first
-    grid node with t >= eps; values beyond the horizon are extended by
-    holding the last node value, which gives the kernel tail a closed
-    form.
-
-    One backward loop keeps what the recursion reads: the kernel sum,
-    M and the loading R, with backend.ce(i, .) and backend.z(i, .) of a
-    date taken together, so the lsq backend's one-date slot builds one
-    basis per date.  On deterministic noise, whatever the driver, CE is
-    the level itself and R = 0, and the loop runs in Python floats
-    (_one_cell_smoothing) with the same operations in the same order.
-    The drift N is finished after the loop in one elementwise pass.
-    """
-    if not (np.isfinite(eps) and eps > 0.0):
-        raise DomainError(f"smoothing eps must be > 0, got {eps}")
-    bundle = backend.bundle
-    n = bundle.grid.steps
-    t = bundle.grid.nodes
-    dq = bundle.dq
-    # the first node with t >= eps; eps > 0 = t_0, so i_eps >= 1
-    i_eps = int(np.searchsorted(t, eps))
-    if i_eps >= n + 1:
-        raise DomainError("smoothing eps lies beyond the horizon")
-    scale = float(bundle.Q[i_eps])
-
-    # one backward pass; each date takes its expectation and its loading
-    # together.  From i_eps on, M is the kernel sum over its deterministic
-    # mass; below i_eps it extends as a martingale.
-    off = backend.offsets
-    m, drift, loading = np.empty(off[n + 1]), np.zeros(off[n]), np.zeros(off[n])
-    # each step's kernel weight dQ_i / scale and decay exp(-dQ_i / scale)
-    weights = (dq / scale).tolist()
-    decays = np.exp(-dq / scale).tolist()
-    if _one_cell(backend):
-        # CE is the level itself and R = 0: the kernel sum in floats
-        x_at = memoryview(np.ascontiguousarray(x))
-        _one_cell_smoothing(x_at, memoryview(m), weights, decays, i_eps)
-    else:
-        g_acc = x[off[n]:].copy()
-        w_acc = 1.0  # closed-form tail on the held terminal value
-        m[off[n]:] = g_acc / w_acc
-        bounds = off.tolist()
-        for i in reversed(range(n)):
-            a, b, c = bounds[i:i + 3]
-            m_next = m[b:c]
-            if i >= i_eps:
-                decay, w_i = decays[i], weights[i]
-                g_acc = w_i * x[a:b] + decay * backend.ce(i, g_acc)
-                w_acc = w_i + decay * w_acc
-                m[a:b] = g_acc / w_acc
-            else:
-                m[a:b] = backend.ce(i, m_next)
-            loading[a:b] = backend.z(i, m_next)
-
-    # the drift (x - M) / scale from i_eps on, in one pass; 0 below it
-    on = slice(off[i_eps], off[n])
-    np.subtract(x[on], m[on], out=drift[on])
-    drift[on] /= scale
-
-    return SmoothedProcess(
-        gamma=float(np.mean(m[off[0]:off[1]])),
-        M=m,
-        N=drift,
-        R=loading,
-        offsets=off,
-        i_eps=i_eps,
-        scale=scale,
     )

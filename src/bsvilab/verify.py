@@ -60,7 +60,8 @@ from .convex import ConvexSpec, combined_potential
 from .errors import DomainError, GridMismatch, InfinitePotential
 from .generators import GeneratorSpec, combined_driver, driver_f, driver_g
 from .paths import PathBundle, gamma_shift
-from .solver import SequenceResult, SolutionField, level_cells, smoothing_operator
+from .smoothing import smoothing_operator
+from .solver import SequenceResult, SolutionField, level_cells
 
 # fitted once on the martingale reference scenarios (p in 1.5 .. 2.5,
 # where the largest observed lhs/rhs ratios stay below 2.8 and 1.7),
@@ -322,6 +323,8 @@ def _variational_profiles(
             m_minus_y = m - y
             sq = m_minus_y ** 2
             diff, n_minus_h, rz = m_minus_y[steps], lift(n_steps - h_fresh), lift(r_minus_z)
+            # what the checks do not read goes before they make their arrays
+            del m, n_steps, r_steps
             for q, delta in checks:
                 gamma = sq + gamma_shift(delta, q)
                 np.sqrt(gamma, out=gamma)
@@ -349,6 +352,8 @@ def _variational_profiles(
                 del gamma, g_pow, head, drift, loading, incr, gamma_q
             if k == collapse:
                 collapse_means.append(np.mean(land(sq), axis=0))
+            # and a process's arrays before the next process makes its own
+            del psi_m, m_minus_y, sq, diff, n_minus_h, rz, r_minus_z
     for prof in profiles.values():
         prof.driver_gap = driver_gap
     worst_collapse = float(np.max(np.concatenate(collapse_means))) if collapse_means else None
@@ -647,18 +652,28 @@ def reconstruction_process(sol: SolutionField) -> TestProcess:
 
 def smoothed_midpoint_process(sol: SolutionField, backend) -> TestProcess:
     """Exponential smoothing of the solution itself at scale
-    max(4 max(dt), T/20), capped at T for grids of a few steps."""
+    max(4 max(dt), T/20), capped at T for grids of a few steps.
+
+    A window's N and R are read together (SmoothedProcess.steps): on the
+    lsq backend they are evaluated from the pass's per-date fits on the
+    window's levels, one basis per level for both."""
     bundle = backend.bundle
     horizon = bundle.grid.horizon
     smooth_eps = min(max(4.0 * float(np.max(bundle.dt)), 0.05 * horizon), horizon)
     sm = smoothing_operator(backend, sol.Y, smooth_eps)
-    sm.M = None  # the process keeps the N and R levels, not M
-    return TestProcess(
-        sm.gamma,
-        lambda a, e: sm.levels("N", a, e),
-        lambda a, e: sm.levels("R", a, e),
-        label="smoothed",
-    )
+    steps = sm.steps  # N and R, not M: on a lattice, M goes with sm
+    pending = {}  # the R built with the N read last, until it is read
+
+    def drift(a, e):
+        pending.clear()
+        n_levels, pending[a, e] = steps(a, e)
+        return n_levels
+
+    def loading(a, e):
+        r_levels = pending.pop((a, e), None)
+        return steps(a, e)[1] if r_levels is None else r_levels
+
+    return TestProcess(sm.gamma, drift, loading, label="smoothed")
 
 
 def random_step_process(

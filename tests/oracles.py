@@ -22,7 +22,8 @@ from bsvilab import rng as rngmod
 from bsvilab.errors import DomainError
 from bsvilab.generators import combined_driver
 from bsvilab.paths import gamma_shift
-from bsvilab.solver import make_backend, smoothing_operator
+from bsvilab.smoothing import smoothing_operator
+from bsvilab.solver import make_backend
 
 
 def prox_oracle(potential, eps, y, half_width=None):

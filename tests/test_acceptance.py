@@ -27,10 +27,10 @@ from bsvilab.paths import (
     build_paths,
 )
 from bsvilab.scenarios import SCENARIOS, build_experiment
+from bsvilab.smoothing import smoothing_operator
 from bsvilab.solver import (
     SolverConfig,
     make_backend,
-    smoothing_operator,
     solve_sequence,
 )
 from bsvilab.verify import (

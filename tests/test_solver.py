@@ -16,12 +16,12 @@ from bsvilab.cli import execute, fmt
 from bsvilab.generators import GeneratorSpec, combined_driver
 from bsvilab.paths import IncreasingProcessSpec, NoiseModel, TimeGrid, build_paths
 from bsvilab.scenarios import SCENARIOS, build_experiment
+from bsvilab.smoothing import smoothing_operator
 from bsvilab.solver import (
     SolverConfig,
     make_backend,
     monomial_basis,
     resolve_implicit,
-    smoothing_operator,
     solve_penalized,
     solve_sequence,
 )
@@ -560,7 +560,9 @@ def test_deterministic_runs_call_the_backend_only_for_drivers_that_read_the_stat
         method = getattr(solver.TreeBackend, name)
         monkeypatch.setattr(
             solver.TreeBackend, name,
-            lambda self, i, v, name=name, method=method: calls.append(name) or method(self, i, v),
+            lambda self, i, v, *ce, name=name, method=method: (
+                calls.append(name) or method(self, i, v, *ce)
+            ),
         )
     seq = solve_sequence(backend, exp.phi, exp.psi, exp.gen, exp.terminal, exp.solver)
     sweep_calls = len(calls)
@@ -780,6 +782,29 @@ def test_monomial_basis_is_vander_bit_for_bit(b, degree):
 @given(st.lists(st.one_of(EDGE_FLOATS, st.floats(allow_nan=False), st.sampled_from([1.0, -1.0])), max_size=12))
 def test_distinct_kinks_are_np_unique_bit_for_bit(values):
     assert solver._distinct(values).tobytes() == np.unique(np.array(values, dtype=float)).tobytes()
+
+
+def test_regression_passes_fit_each_target_once(monkeypatch):
+    # the sweep and the smoothing pass below i_eps hand Z the CE they
+    # have just fitted, so a date fits CE and Z once per eps row and no
+    # target twice
+    fits = []
+    coefficients = solver.RegressionBackend.coefficients
+    monkeypatch.setattr(
+        solver.RegressionBackend, "coefficients",
+        lambda self, i, target: fits.append(i) or coefficients(self, i, target),
+    )
+    bundle = REGRESSION_BUNDLES["mc"]()
+    cfg = SolverConfig(ce="lsq", eps_schedule=(0.1, 0.05))
+    backend = make_backend(bundle, cfg)
+    seq = solve_sequence(backend, ZERO, ZERO, ZERO_GEN, terminal_driver, cfg)
+    steps = bundle.grid.steps
+    assert sorted(fits) == sorted(list(range(steps)) * 4)
+    fits.clear()
+    sm = smoothing_operator(backend, seq.solutions[0.05].Y, 0.3)
+    # from i_eps on Z fits M_{i+1}, which the kernel sum's CE is not
+    assert sm.i_eps == 3
+    assert len(fits) == 2 * steps + (steps - sm.i_eps)
 
 
 def test_a_regression_fit_does_not_depend_on_the_fits_before_it():

@@ -40,6 +40,7 @@ from oracles import (
     ito_oracle,
     penalty_monotonicity_oracle,
     random_step_process_oracle,
+    smoothing_operator_oracle,
     variational_oracle,
     verify_run_oracle,
 )
@@ -619,10 +620,47 @@ def test_windowed_reads_match_whole_arrays_bit_for_bit(monkeypatch, case):
         assert penalty_monotonicity(a, b, bundle) == penalty_monotonicity_oracle(a, b, bundle)
 
 
-def test_verify_run_memory_is_bounded():
+# (config, WINDOW_CELLS) with WINDOW_MIN_STEPS = 2: windows of 6 and 7
+# steps whose last one is shorter or longer, and on deterministic noise
+# one path, so 7 cells make 7 steps
+SMOOTHED_WINDOW_CASES = {
+    "mc-lsq": ({"scenario": "mc_martingale", "noise": {"paths": 300}}, 2100),
+    "tree-lsq": ({"scenario": "martingale", "solver": {"ce": "lsq"}}, 3072),
+    "deterministic-lsq": ({"scenario": "linear", "solver": {"ce": "lsq"}}, 7),
+    "tree": ({"scenario": "two_barrier_driven", "noise": {"eval_paths": 512}}, 3072),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SMOOTHED_WINDOW_CASES))
+def test_smoothed_process_windows_match_the_smoothing_oracle(monkeypatch, case):
+    config, cells = SMOOTHED_WINDOW_CASES[case]
+    monkeypatch.setattr(pathsmod, "WINDOW_CELLS", cells)
+    monkeypatch.setattr(pathsmod, "WINDOW_MIN_STEPS", 2)
+    exp, backend, seq = solved_run(config)
+    bundle, n = backend.bundle, exp.grid.steps
+    windows = bundle.windows()
+    widths = {b - a for a, b in windows[:-1]}
+    assert len(widths) == 1 and windows[-1][1] - windows[-1][0] not in widths
+    sol = seq.solutions[exp.solver.eps_schedule[-1]]
+    tp = smoothed_midpoint_process(sol, backend)
+    horizon = bundle.grid.horizon
+    smooth_eps = min(max(4.0 * float(np.max(bundle.dt)), 0.05 * horizon), horizon)
+    want = smoothing_operator_oracle(
+        bundle, backend, [sol.level("Y", i) for i in range(n + 1)], smooth_eps
+    )
+    assert 0 < want.i_eps < n and tp.gamma == want.gamma
+    for a, b in windows:
+        e = min(b, n)
+        # R is built with N, and built again when read on its own
+        reads = (tp.N(a, e), want.N_levels), (tp.R(a, e), want.R_levels), (tp.R(a, e), want.R_levels)
+        for got, levels in reads:
+            assert got.tobytes() == np.concatenate(levels[a:e]).tobytes()
+
+
+def _verify_run_peak(config):
     # the solve stays outside the traced span; tracemalloc counts numpy's
     # buffers, so the figures do not depend on the machine
-    exp, backend, seq = solved_run(TREE_BARRIER)
+    exp, backend, seq = solved_run(config)
     gc.collect()
     tracemalloc.start()
     try:
@@ -631,12 +669,27 @@ def test_verify_run_memory_is_bounded():
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(reports) == 10
+    assert len(reports) == 10 - 3 * (len(exp.solver.eps_schedule) == 1)
+    return held - start, peak - start
+
+
+def test_verify_run_memory_is_bounded():
+    held, peak = _verify_run_peak(TREE_BARRIER)
     # one window of path arrays and two whole (paths, nodes) arrays, not
-    # the run's (paths, nodes) fields: the peak is 4.80e6 bytes, and the
-    # margin is about two and a half (1024, 33) float windows
-    assert peak - start <= 5.5e6
-    assert held - start <= 1e6
+    # the run's (paths, nodes) fields: the peak is 3.27e6 bytes (5.06e6
+    # with 256 KiB windows), gated 10% above it
+    assert peak <= 3.59e6
+    assert held <= 1e6
+
+
+def test_verify_run_memory_on_regression_is_bounded():
+    held, peak = _verify_run_peak(ORACLE_CASES["mc_regression"])
+    # one window of 1000 x 16 path arrays; the smoothed process keeps its
+    # per-date fits, not N and R levels of 1000 x 128.  The peak is
+    # 2.03e6 bytes, gated 10% above it; N and R held whole with 256 KiB
+    # windows read 6.32e6
+    assert peak <= 2.23e6
+    assert held <= 1e6
 
 
 def _apriori_report(rate):

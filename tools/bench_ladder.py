@@ -1,14 +1,20 @@
 """Record execute() times of every preset and of three scale ladders.
 
-    python tools/bench_ladder.py --label parent --out BENCH_31.json
-    python tools/bench_ladder.py --label change --out BENCH_31.json
+    python tools/bench_ladder.py --label parent --out BENCH_32.json
+    python tools/bench_ladder.py --label change --out BENCH_32.json
 
 Every preset runs through `bsvilab.cli.execute` three times in this
 process; the fastest run is kept, with its `solve_s` and `verify_s`.
 Each rung of a ladder runs once in a fresh process: its `total_s`,
 `solve_s` and `verify_s` come from `RunResult.timings`, its peak
 memory is the child's `ru_maxrss` and its minor page faults the
-child's `ru_minflt`.  A second fresh child runs the rung again under
+child's `ru_minflt`.  The child then writes the run's artifacts into a
+temporary directory, and `phases` splits the faults and the peak by
+phase: for build (`build_paths` and `accumulate_weights`), solve
+(`make_backend` and `solve_sequence`), verify (`verify_run`) and write
+(`write_artifacts`), the `ru_minflt` counted inside its calls and the
+rise of `ru_maxrss` across them (`ru_maxrss_rise_mb`, 0 for a phase
+that stays under the peak before it).  A second fresh child runs the rung again under
 tracemalloc and gives `tracemalloc_peak_mb`, the peak of the heap that
 numpy and Python allocate during `execute()`; it is taken apart, so
 the timed child runs untraced, and unlike `ru_maxrss` it does not
@@ -33,8 +39,10 @@ checkout's src/.
 import argparse
 import json
 import os
+import resource
 import subprocess
 import sys
+import tempfile
 import time
 
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
@@ -46,6 +54,8 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 import numpy as np  # noqa: E402
 
+import bsvilab.cli  # noqa: E402
+import bsvilab.verify  # noqa: E402
 from bsvilab.cli import execute  # noqa: E402
 from bsvilab.scenarios import SCENARIOS, build_experiment  # noqa: E402
 
@@ -66,6 +76,14 @@ LADDERS = {
     }),
 }
 REPEATS = 3
+# phase -> the (module, name) pairs that execute() and rung() resolve at
+# call time
+PHASES = {
+    "build": ((bsvilab.cli, "build_paths"), (bsvilab.cli, "accumulate_weights")),
+    "solve": ((bsvilab.cli, "make_backend"), (bsvilab.cli, "solve_sequence")),
+    "verify": ((bsvilab.verify, "verify_run"),),
+    "write": ((bsvilab.cli, "write_artifacts"),),
+}
 
 
 def environment() -> dict:
@@ -94,13 +112,36 @@ def time_preset(name: str) -> dict:
     return best
 
 
+def watch_phases() -> dict:
+    """Wrap the calls of PHASES so that each adds its ru_minflt and its
+    ru_maxrss rise to its phase's entry; returns the entries."""
+    phases = {name: {"ru_minflt": 0, "ru_maxrss_rise_mb": 0.0} for name in PHASES}
+
+    def watched(entry, fn):
+        def call(*args, **kwargs):
+            before = resource.getrusage(resource.RUSAGE_SELF)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                after = resource.getrusage(resource.RUSAGE_SELF)
+                entry["ru_minflt"] += after.ru_minflt - before.ru_minflt
+                entry["ru_maxrss_rise_mb"] += (after.ru_maxrss - before.ru_maxrss) / 1024.0
+        return call
+
+    for name, sites in PHASES.items():
+        for module, attr in sites:
+            setattr(module, attr, watched(phases[name], getattr(module, attr)))
+    return phases
+
+
 def rung(kind: str, size: int) -> dict:
     """One rung of a ladder in this process: RunResult.timings, ru_maxrss
-    and ru_minflt."""
-    import resource
-
+    and ru_minflt of execute(), then the per-phase split with the write."""
+    phases = watch_phases()
     result = execute(build_experiment(LADDERS[kind][1](size)))
     usage = resource.getrusage(resource.RUSAGE_SELF)
+    with tempfile.TemporaryDirectory() as tmp:
+        bsvilab.cli.write_artifacts(os.path.join(tmp, "run"), result)
     return {
         "paths": result.bundle.n_paths,
         "steps": result.exp.grid.steps,
@@ -109,6 +150,7 @@ def rung(kind: str, size: int) -> dict:
         "verify_s": result.timings["verify_s"],
         "ru_maxrss_mb": usage.ru_maxrss / 1024.0,
         "ru_minflt": usage.ru_minflt,
+        "phases": phases,
     }
 
 
