@@ -7,10 +7,8 @@ that characterize the solution.
 """
 
 from .convex import (
-    CompatibilityReport,
     ConvexSpec,
     combined_gradient,
-    compatibility_check,
     envelope,
     potential_value,
     resolvent,
@@ -60,7 +58,6 @@ from .verify import (
     check_contraction,
     check_variational_inequality,
     default_tolerance,
-    penalty_monotonicity,
     reconstruction_process,
     smoothed_midpoint_process,
     zero_process,

@@ -14,8 +14,7 @@ Every kind is closed form and acts coordinatewise, so every operation
 broadcasts over numpy arrays of scalar coordinates.
 """
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -101,10 +100,7 @@ def resolvent(spec: ConvexSpec, eps, y) -> np.ndarray:
     (quadratic), clamp to [a, b] (interval), soft threshold (abs).
     """
     y = _require_finite("y", y)
-    return _resolvent(spec, _require_eps(eps), y)
-
-
-def _resolvent(spec, eps, y):
+    eps = _require_eps(eps)
     if spec.kind == "zero":
         return y.copy()
     if spec.kind == "quadratic":
@@ -161,14 +157,13 @@ def combined_potential(phi: ConvexSpec, psi: ConvexSpec, alpha, eps, y) -> np.nd
 
 
 def yosida_gradient(spec: ConvexSpec, eps, y) -> np.ndarray:
-    """Gradient of the envelope, (y - J_eps(y)) / eps.
+    """Gradient of the envelope, (y - J_eps(y)) / eps; resolvent checks
+    y and eps.
 
     For the indicator of [a, b] this is ((y - b)^+ - (a - y)^+) / eps,
     bit for bit.
     """
-    y = _require_finite("y", y)
-    eps = _require_eps(eps)
-    return (y - _resolvent(spec, eps, y)) / eps
+    return (np.asarray(y, dtype=float) - resolvent(spec, eps, y)) / float(eps)
 
 
 def combined_gradient(phi: ConvexSpec, psi: ConvexSpec, alpha, eps, y) -> np.ndarray:
@@ -189,61 +184,3 @@ def gradient_breakpoints(spec: ConvexSpec, eps: float) -> list:
         return [x for x in (spec.a, spec.b) if np.isfinite(x)]
     return [-eps, eps]
 
-
-@dataclass
-class CompatibilityReport:
-    passed: bool
-    worst_margin: float
-    worst_case: dict = field(default_factory=dict)
-
-
-def compatibility_check(
-    phi: ConvexSpec,
-    psi: ConvexSpec,
-    F: Callable,
-    G: Callable,
-    eps_list,
-    t_samples,
-    y_samples,
-    z_samples,
-) -> CompatibilityReport:
-    """Sampled test of the three sign conditions coupling potentials and drivers.
-
-    For each eps and sample point (t, y, z) the conditions are
-        (i)    <D phi_eps(y), D psi_eps(y)> >= 0
-        (ii)   <D phi_eps(y), G(t, y)>    <= |D psi_eps(y)| |G(t, y)|
-        (iii)  <D psi_eps(y), F(t, y, z)> <= |D phi_eps(y)| |F(t, y, z)|
-    A margin above 1e-10 is a violation.  This certifies nothing beyond the
-    sampled points; the report records the worst offender for diagnosis.
-    """
-    y = _require_finite("y_samples", y_samples)
-    t_samples = np.asarray(t_samples, dtype=float)
-    z_samples = np.asarray(z_samples, dtype=float)
-    worst = -np.inf
-    worst_case = {}
-
-    def record(label, m, eps, t):
-        nonlocal worst, worst_case
-        i = int(np.argmax(m))
-        if m.flat[i] > worst:
-            worst = float(m.flat[i])
-            worst_case = {
-                "condition": label,
-                "eps": eps,
-                "t": float(t),
-                "y": float(np.asarray(y).flat[i]),
-                "margin": worst,
-            }
-
-    for eps in eps_list:
-        eps = _require_eps(eps)
-        gp = yosida_gradient(phi, eps, y)
-        gq = yosida_gradient(psi, eps, y)
-        record("gradient_product", -gp * gq, eps, t_samples[0])
-        for t in t_samples:
-            g_val = np.broadcast_to(np.asarray(G(t, y), dtype=float), y.shape)
-            record("G_alignment", gp * g_val - np.abs(gq) * np.abs(g_val), eps, t)
-            for z in z_samples:
-                f_val = np.broadcast_to(np.asarray(F(t, y, z), dtype=float), y.shape)
-                record("F_alignment", gq * f_val - np.abs(gp) * np.abs(f_val), eps, t)
-    return CompatibilityReport(passed=bool(worst <= 1e-10), worst_margin=float(worst), worst_case=worst_case)

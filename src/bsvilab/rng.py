@@ -8,7 +8,7 @@ is the i-th variate of the keyed stream.  Namespaces keep independent
 roles from colliding:
 
 * paths:      key = (seed, PATH_NS + path_index), one stream per sample path
-* auxiliary:  key = (seed, AUX_NS + role_index), verifier probes, sign draws
+* auxiliary:  key = (seed, AUX_NS + role_index), test probes
 
 A path's up/down signs are those of ``integers(0, 2)`` on its stream:
 each keeps bit 31 of a 32-bit half of the next raw 64-bit word, low
@@ -36,10 +36,6 @@ def keyed_stream(seed: int, index: int) -> np.random.Generator:
 
 def path_stream(seed: int, path_index: int) -> np.random.Generator:
     return keyed_stream(seed, PATH_NS + path_index)
-
-
-def aux_stream(seed: int, role_index: int) -> np.random.Generator:
-    return keyed_stream(seed, AUX_NS + role_index)
 
 
 def _path_streams(seed: int, n_paths: int):

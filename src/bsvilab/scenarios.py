@@ -19,7 +19,7 @@ from .convex import ConvexSpec
 from .errors import ConfigError
 from .generators import GeneratorSpec, compile_expression, validate_generator
 from .paths import IncreasingProcessSpec, NoiseModel, TimeGrid
-from .solver import SolverConfig
+from .solver import SolverConfig, level_cells
 
 _INF = float("inf")
 
@@ -372,7 +372,7 @@ def reference_error(exp: Experiment, sol, bundle) -> Optional[float]:
     if name in ("linear", "clocked_decay"):
         return abs(sol.y0 - float(np.exp(-1.0)))
     if name == "reflection":
-        t = bundle.grid.nodes
+        t, n = bundle.grid.nodes, bundle.grid.steps
         oracle = np.minimum(0.0, -0.5 + (t[-1] - t))
-        return float(np.max(np.abs(sol.Y - np.repeat(oracle, np.diff(sol.offsets)))))
+        return float(np.max(np.abs(sol.Y - level_cells(sol.offsets, oracle, 0, n + 1))))
     return None

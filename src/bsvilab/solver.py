@@ -100,7 +100,6 @@ class TreeBackend:
         self.offsets = bundle.offsets
         self.sqdt = float(np.sqrt(bundle.dt[0])) if bundle.kind == "tree" else 0.0
         self.degenerate = bundle.kind == "deterministic"
-        self._zeros = {}  # shape -> read-only zeros, the Z of deterministic noise
 
     def terminal_driver(self) -> np.ndarray:
         return self.bundle.cell_values[self.offsets[-2]:]
@@ -114,13 +113,9 @@ class TreeBackend:
 
     def z(self, i: int, v_next: np.ndarray, ce: Optional[np.ndarray] = None) -> np.ndarray:
         # the two-point Z does not read ce, CE_i[v_next].  Without noise
-        # Z = 0: one read-only array per shape serves every step
+        # Z = 0
         if self.degenerate:
-            zero = self._zeros.get(v_next.shape)
-            if zero is None:
-                zero = self._zeros[v_next.shape] = np.zeros(v_next.shape)
-                zero.flags.writeable = False
-            return zero
+            return np.zeros(v_next.shape)
         return (v_next[..., 1:] - v_next[..., :-1]) / (2.0 * self.sqdt)
 
 

@@ -55,7 +55,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import rng as rngmod
 from .convex import ConvexSpec, combined_potential
 from .errors import DomainError, GridMismatch, InfinitePotential
 from .generators import GeneratorSpec, combined_driver, driver_f, driver_g
@@ -82,20 +81,20 @@ class TestProcess:
 
     M is defined by the exact reconstruction
     M_0 = gamma, M_{i+1} = M_i - N_i dQ_i + R_i dB_i.
-    N and R are level callables in the layout of the candidate they are
-    checked against: (a, e) -> their values on the levels of the steps
-    [a, e), laid end to end as SolutionField.levels lays a field.  So a
-    check reads a process one window at a time and forms its node-wise
-    terms on the levels.  M is summed along the evaluation paths, unless
-    the process gives it as a level callable (a, b) -> its values on the
-    nodes [a, b): a reconstruction that is a lattice function, such as
-    the zero process's +0.0 on every path, whose terms then all stay on
-    the levels.  Such an M must equal the reconstruction bit for bit.
+    steps is the level reader of N and R in the layout of the candidate
+    they are checked against: (a, e) -> (N, R) on the levels of the
+    steps [a, e), each laid end to end as SolutionField.levels lays a
+    field.  So a check reads a process once per window and forms its
+    node-wise terms on the levels.  M is summed along the evaluation
+    paths, unless the process gives it as a level callable (a, b) -> its
+    values on the nodes [a, b): a reconstruction that is a lattice
+    function, such as the zero process's +0.0 on every path, whose terms
+    then all stay on the levels.  Such an M must equal the
+    reconstruction bit for bit.
     """
 
     gamma: float
-    N: Callable
-    R: Callable
+    steps: Callable
     label: str = "test"
     M: Optional[Callable] = None
 
@@ -140,9 +139,9 @@ def _running_sum(x: np.ndarray, carry: Optional[np.ndarray], nodes: int) -> tupl
     carry is the last column of the sums of the windows before, None in
     the first window.  Returns (sums, carry): sums belong to the last
     columns of the window's nodes, all of them after the first window,
-    all but node 0 in it.  Prepending the carry column repeats the whole
-    array's sequential cumsum bit for bit; adding the carry to a fresh
-    cumsum would not.
+    all but node 0 in it.  Summing with the carry column in front
+    repeats the whole array's sequential cumsum bit for bit; adding the
+    carry to a fresh cumsum would not.
     """
     if carry is not None:
         x = np.concatenate([carry, x], axis=1)
@@ -298,7 +297,7 @@ def _variational_profiles(
         driver_gap = np.maximum(driver_gap, np.max(w.paths(np.abs(w.read(sol, "H") - h_fresh))))
         on_paths = None  # Y, and Psi(t, Y) at q < 2, on the paths, gathered once
         for k, tp in enumerate(processes):
-            n_steps, r_steps = w.levels(tp.N(a, e)), w.levels(tp.R(a, e))
+            n_steps, r_steps = (w.levels(x) for x in tp.steps(a, e))
             r_minus_z = r_steps - z
             if tp.M is None:
                 # M is summed along the paths, and its terms stay there
@@ -613,20 +612,6 @@ def check_energy_bound(
     )
 
 
-def penalty_monotonicity(
-    sol_a: SolutionField, sol_b: SolutionField, bundle: PathBundle
-) -> float:
-    """sum_i mean <Y^a - Y^b, U^a - U^b> dQ_i, near-nonnegative for a
-    monotone penalty pair (up to the eps + eps' cross term)."""
-    means = []
-    for a, b in bundle.windows():
-        w = _Window(sol_a, bundle, a, b)
-        dy = w.read(sol_a, "Y") - w.read(sol_b, "Y")
-        du = w.read(sol_a, "U") - w.read(sol_b, "U")
-        means.append(np.mean(w.paths(dy * du), axis=0))
-    return float(np.sum(np.concatenate(means) * bundle.dq))
-
-
 def zero_process(offsets: np.ndarray) -> TestProcess:
     """N = R = 0 in the layout offsets, so M is +0.0 on every path: a
     lattice function, given as such."""
@@ -634,20 +619,17 @@ def zero_process(offsets: np.ndarray) -> TestProcess:
     def zeros(a, b):
         return np.broadcast_to(0.0, (offsets[b] - offsets[a],))
 
-    return TestProcess(0.0, zeros, zeros, label="zero", M=zeros)
+    return TestProcess(0.0, lambda a, e: (zeros(a, e),) * 2, label="zero", M=zeros)
 
 
 def reconstruction_process(sol: SolutionField) -> TestProcess:
     """The solution's own (terminal, driver-minus-penalty) reconstruction."""
 
-    def drift(a, e):
-        return sol.levels("H", a, e) - sol.levels("U", a, e)
-
-    def loading(a, e):
-        return sol.levels("Z", a, e)
+    def steps(a, e):
+        return sol.levels("H", a, e) - sol.levels("U", a, e), sol.levels("Z", a, e)
 
     # Y_0 on path 0: lattice node 0, or path 0's own entry
-    return TestProcess(float(sol.level("Y", 0)[0]), drift, loading, label="reconstruction")
+    return TestProcess(float(sol.level("Y", 0)[0]), steps, label="reconstruction")
 
 
 def smoothed_midpoint_process(sol: SolutionField, backend) -> TestProcess:
@@ -661,37 +643,8 @@ def smoothed_midpoint_process(sol: SolutionField, backend) -> TestProcess:
     horizon = bundle.grid.horizon
     smooth_eps = min(max(4.0 * float(np.max(bundle.dt)), 0.05 * horizon), horizon)
     sm = smoothing_operator(backend, sol.Y, smooth_eps)
-    steps = sm.steps  # N and R, not M: on a lattice, M goes with sm
-    pending = {}  # the R built with the N read last, until it is read
-
-    def drift(a, e):
-        pending.clear()
-        n_levels, pending[a, e] = steps(a, e)
-        return n_levels
-
-    def loading(a, e):
-        r_levels = pending.pop((a, e), None)
-        return steps(a, e)[1] if r_levels is None else r_levels
-
-    return TestProcess(sm.gamma, drift, loading, label="smoothed")
-
-
-def random_step_process(
-    offsets: np.ndarray, seed: int, scale: float = 1.0, index: int = 0
-) -> TestProcess:
-    """Piecewise-constant (N, R) with Gaussian values on 8 blocks, for
-    probing, in the layout offsets; a window's levels lay the per-step
-    values over their cells (level_cells)."""
-    gen = rngmod.aux_stream(seed, 1000 + index)
-    widths = np.diff(np.linspace(0, len(offsets) - 2, 9).astype(int))
-    # block k draws its N value, then its R value
-    nn, rr = np.repeat(scale * gen.standard_normal((8, 2)), widths, axis=0).T
-    gamma = float(scale * gen.standard_normal())
-
-    def levels(values):
-        return lambda a, e: level_cells(offsets, values, a, e)
-
-    return TestProcess(gamma, levels(nn), levels(rr), label=f"random-step-{index}")
+    # the reader of N and R, not sm: on a lattice, M goes with sm
+    return TestProcess(sm.gamma, sm.steps, label="smoothed")
 
 
 def battery(

@@ -23,7 +23,7 @@ from bsvilab.errors import DomainError
 from bsvilab.generators import combined_driver
 from bsvilab.paths import gamma_shift
 from bsvilab.smoothing import smoothing_operator
-from bsvilab.solver import make_backend
+from bsvilab.solver import level_cells, make_backend
 
 
 def prox_oracle(potential, eps, y, half_width=None):
@@ -463,10 +463,27 @@ def ito_oracle(sol, bundle, p, delta, tol, pathwise=None):
     )
 
 
+def random_step_process(offsets, seed, scale=1.0, index=0):
+    """Piecewise-constant (N, R) with Gaussian values on 8 blocks, a
+    probe of the verifier, in the layout offsets; a window's levels lay
+    the per-step values over their cells (level_cells).  Its draws come
+    from the auxiliary stream AUX_NS + 1000 + index."""
+    gen = rngmod.keyed_stream(seed, rngmod.AUX_NS + 1000 + index)
+    widths = np.diff(np.linspace(0, len(offsets) - 2, 9).astype(int))
+    # block k draws its N value, then its R value
+    nn, rr = np.repeat(scale * gen.standard_normal((8, 2)), widths, axis=0).T
+    gamma = float(scale * gen.standard_normal())
+
+    def steps(a, e):
+        return level_cells(offsets, nn, a, e), level_cells(offsets, rr, a, e)
+
+    return verify.TestProcess(gamma, steps, label=f"random-step-{index}")
+
+
 def random_step_process_oracle(bundle, seed, scale=1.0, index=0):
     """(gamma, N, R) of a random-step process, N and R as whole (paths,
     steps) arrays."""
-    gen = rngmod.aux_stream(seed, 1000 + index)
+    gen = rngmod.keyed_stream(seed, rngmod.AUX_NS + 1000 + index)
     n = bundle.grid.steps
     edges = np.linspace(0, n, 9).astype(int)
     nn, rr = np.zeros(n), np.zeros(n)
@@ -538,9 +555,3 @@ def verify_run_oracle(seq, backend, phi, psi, gen, p):
         reports.append(contraction_oracle(coarse, fine, bundle, min(p, 2.0), gate))
     terminal_values = _paths_oracle(final, bundle)["Y"][:, -1]
     return reports + bounds_oracle(final, bundle, gen, terminal_values, p)
-
-
-def penalty_monotonicity_oracle(sol_a, sol_b, bundle):
-    pa, pb = _paths_oracle(sol_a, bundle), _paths_oracle(sol_b, bundle)
-    dy = pa["Y"][:, :-1] - pb["Y"][:, :-1]
-    return float(np.sum(np.mean(dy * (pa["U"] - pb["U"]), axis=0) * bundle.dq))

@@ -4,11 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bsvilab.convex import (
-    CompatibilityReport,
     ConvexSpec,
     combined_gradient,
     combined_potential,
-    compatibility_check,
     envelope,
     gradient_breakpoints,
     potential_value,
@@ -227,34 +225,3 @@ def test_envelope_nonincreasing_in_eps(y, k):
     values = [float(envelope(spec, e, y)) for e in (0.01, 0.1, 0.5, 1.0, 2.0)]
     assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
 
-
-def _samples():
-    y = np.linspace(-3, 3, 101)
-    return dict(eps_list=[0.1, 0.5], t_samples=[0.0, 0.5], y_samples=y, z_samples=[0.0, 1.0])
-
-
-def test_compatibility_equal_potentials_pass():
-    report = compatibility_check(
-        IND11, IND11, F=lambda t, y, z: -y, G=lambda t, y: 2 * y, **_samples()
-    )
-    assert isinstance(report, CompatibilityReport)
-    assert report.passed
-
-
-def test_compatibility_nested_intervals_pass():
-    report = compatibility_check(
-        IND11, ConvexSpec.interval(-2, 2),
-        F=lambda t, y, z: 0.0 * y, G=lambda t, y: -y, **_samples()
-    )
-    assert report.passed
-
-
-def test_compatibility_detects_violation():
-    report = compatibility_check(
-        IND11, ZERO,
-        F=lambda t, y, z: 0.0 * y, G=lambda t, y: np.ones_like(y),
-        eps_list=[0.1], t_samples=[0.0], y_samples=np.array([1.5]), z_samples=[0.0],
-    )
-    assert not report.passed
-    assert report.worst_case["condition"] == "G_alignment"
-    assert np.isclose(report.worst_margin, 5.0, atol=1e-12)

@@ -14,14 +14,10 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "bsvilab"
 
-# each waits on a decision: wire it into a run or delete it
+# only tests call these, and they stay in src because the benchmark's
+# tracer (perfbench/tracer.py) wraps them by name; they go when the
+# tracer's site list moves with them
 UNUSED = {
-    "compatibility_check",
-    "penalty_monotonicity",
-    "random_step_process",
-    # the public J_eps; the kernels call _resolvent, and only tests call this
-    "resolvent",
-    # only tests call these; the benchmark tracer wraps them by name
     "solve_penalized",
     "resolve_implicit",
 }

@@ -344,7 +344,7 @@ def test_rng_stream_derivation_rule():
         assert np.array_equal(dB[p], expect * np.sqrt(grid.dt))
     # namespaces separate roles sharing an index
     a = rngmod.path_stream(11, 2).standard_normal(4)
-    c = rngmod.aux_stream(11, 2).standard_normal(4)
+    c = rngmod.keyed_stream(11, rngmod.AUX_NS + 2).standard_normal(4)
     assert not np.array_equal(a, c)
     # the key wraps at 64 bits by construction
     w1 = rngmod.keyed_stream(5, 0).standard_normal(4)

@@ -1,5 +1,7 @@
+import dataclasses
 import gc
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -30,15 +32,13 @@ from bsvilab.verify import (
     check_variational_inequality,
     default_tolerance,
     ito_report_from_solution,
-    penalty_monotonicity,
-    random_step_process,
     reconstruction_process,
     smoothed_midpoint_process,
     zero_process,
 )
 from oracles import (
     ito_oracle,
-    penalty_monotonicity_oracle,
+    random_step_process,
     random_step_process_oracle,
     smoothing_operator_oracle,
     variational_oracle,
@@ -128,8 +128,7 @@ def test_martingale_against_itself_is_exact():
     bundle, sol = martingale_solution()
     off = sol.offsets
     tp = ComparisonProcess(
-        0.0, lambda a, e: np.zeros(off[e] - off[a]), lambda a, e: np.ones(off[e] - off[a]),
-        label="self",
+        0.0, lambda a, e: (np.zeros(off[e] - off[a]), np.ones(off[e] - off[a])), label="self"
     )
     rep = check_variational_inequality(
         sol, tp, ZERO, ZERO, ZERO_GEN, bundle, q=2.0, delta=0.1, tol=1e-13
@@ -255,17 +254,6 @@ def test_contraction_between_eps_levels():
     assert rep.passed
 
 
-def test_penalty_monotonicity_cross_term_is_controlled():
-    bundle = det_bundle(400)
-    gen = GeneratorSpec.from_expressions("1", "0")
-    sa = solve_penalized(bundle, HALFLINE, ZERO, gen, terminal_const(-0.5), 0.1, CFG)
-    sb = solve_penalized(bundle, HALFLINE, ZERO, gen, terminal_const(-0.5), 0.05, CFG)
-    val = penalty_monotonicity(sa, sb, bundle)
-    sup_a = float(np.max(np.abs(sa.U)))
-    sup_b = float(np.max(np.abs(sb.U)))
-    assert val >= -(0.1 + 0.05) * sup_a * sup_b * bundle.Q[-1]
-
-
 def test_apriori_bound_reference_cases():
     zero_bundle, _ = martingale_solution()
     zsol = solve_penalized(zero_bundle, ZERO, ZERO, ZERO_GEN, terminal_const(0.0), 0.1, CFG)
@@ -352,7 +340,7 @@ def test_step_processes_read_windows_without_path_copies():
         assert tp.gamma == gamma
         for a, b in bundle.windows():
             e = min(b, grid.steps)
-            for got, want in ((tp.N(a, e), n_whole), (tp.R(a, e), r_whole)):
+            for got, want in zip(tp.steps(a, e), (n_whole, r_whole)):
                 # level i holds path p's value in its cell p
                 assert got.shape == ((e - a) * bundle.n_paths,)
                 assert got.tobytes() == want[:, a:e].T.tobytes()
@@ -363,7 +351,7 @@ def test_step_processes_read_windows_without_path_copies():
     gamma, n_whole, r_whole = random_step_process_oracle(tree, seed=7, index=3)
     assert tp.gamma == gamma
     for a, e in ((0, 13), (13, 40)):
-        for got, want in ((tp.N(a, e), n_whole), (tp.R(a, e), r_whole)):
+        for got, want in zip(tp.steps(a, e), (n_whole, r_whole)):
             assert tree.on_paths(got, a, e).tobytes() == want[:, a:e].tobytes()
 
 
@@ -617,7 +605,6 @@ def test_windowed_reads_match_whole_arrays_bit_for_bit(monkeypatch, case):
     for gap, a, b in zip(seq.gaps, sols, sols[1:]):
         za, zb = a.paths(bundle)["Z"], b.paths(bundle)["Z"]
         assert gap["z_gap"] == float(np.sqrt(np.sum(np.mean((za - zb) ** 2, axis=0) * bundle.dt)))
-        assert penalty_monotonicity(a, b, bundle) == penalty_monotonicity_oracle(a, b, bundle)
 
 
 # (config, WINDOW_CELLS) with WINDOW_MIN_STEPS = 2: windows of 6 and 7
@@ -651,10 +638,37 @@ def test_smoothed_process_windows_match_the_smoothing_oracle(monkeypatch, case):
     assert 0 < want.i_eps < n and tp.gamma == want.gamma
     for a, b in windows:
         e = min(b, n)
-        # R is built with N, and built again when read on its own
-        reads = (tp.N(a, e), want.N_levels), (tp.R(a, e), want.R_levels), (tp.R(a, e), want.R_levels)
-        for got, levels in reads:
+        for got, levels in zip(tp.steps(a, e), (want.N_levels, want.R_levels)):
             assert got.tobytes() == np.concatenate(levels[a:e]).tobytes()
+
+
+@pytest.mark.parametrize("case", ["mc-lsq", "tree", "deterministic"])
+def test_the_battery_reads_each_test_process_once_per_window(monkeypatch, case):
+    config, cells = {**SMOOTHED_WINDOW_CASES, "deterministic": ({"scenario": "linear"}, 7)}[case]
+    monkeypatch.setattr(pathsmod, "WINDOW_CELLS", cells)
+    monkeypatch.setattr(pathsmod, "WINDOW_MIN_STEPS", 2)
+    exp, backend, seq = solved_run(config)
+    reads = Counter()
+
+    def counted(make):
+        def made(*args):
+            tp = make(*args)
+
+            def steps(a, e):
+                reads[tp.label] += 1
+                return tp.steps(a, e)
+
+            return dataclasses.replace(tp, steps=steps)
+
+        return made
+
+    for name in ("zero_process", "reconstruction_process", "smoothed_midpoint_process"):
+        monkeypatch.setattr(verify, name, counted(getattr(verify, name)))
+    sol = seq.solutions[exp.solver.eps_schedule[-1]]
+    battery(sol, backend, exp.phi, exp.psi, exp.gen, exp.solver.p)
+    windows = len(backend.bundle.windows())
+    assert windows > 1
+    assert reads == {"zero": windows, "reconstruction": windows, "smoothed": windows}
 
 
 def _verify_run_peak(config):
