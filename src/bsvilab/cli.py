@@ -52,9 +52,14 @@ SCENARIO_NOTES = {
 
 
 RESULTS_HEADER = b"step,t,Q,alpha,node_or_path,Y,Z,U,Kinc\r\n"
-# the bytes a block of results.csv may hold (see _row_bytes), about the
-# writer's peak per call (tracemalloc) when its blocks were 1024 rows
-BLOCK_BYTES = 640_000
+# the bytes a block of results.csv may hold (see _row_bytes).  Set below
+# the verifier's transient: on the benchmark's Monte Carlo and lattice
+# runs the write's tracemalloc peak stays under verify_run's, so the
+# write never sets a run's peak (a test checks it)
+BLOCK_BYTES = 2_000_000
+# a block whose levels average this many rows fills their heads, index
+# runs and dQ level by level, a block of narrower levels row by row
+WIDE_LEVEL = 128
 
 
 def fmt(x) -> str:
@@ -216,10 +221,10 @@ def _level_heads(bundle) -> np.ndarray:
 
 def _row_bytes(row: int, spelled: int, g17) -> int:
     """What one row of a results.csv block holds at most: its row of the
-    table (row bytes wide) and its `spelled` float values, and then
-    either the row and level numbers and g17's temporaries, or the NUL
-    mask and the compacted text."""
-    return row + 8 * spelled + max(16 + spelled * g17.BYTES_PER_VALUE, 2 * row)
+    table (row bytes wide) and its `spelled` float values, and then the
+    most of its row, level and dQ numbers (24 bytes, under the first
+    term as spelled >= 1), g17's temporaries and its compacted text."""
+    return row + 8 * spelled + max(16 + spelled * g17.BYTES_PER_VALUE, row)
 
 
 def _write_results_csv(path: str, result: RunResult) -> str:
@@ -231,13 +236,16 @@ def _write_results_csv(path: str, result: RunResult) -> str:
     Kinc empty.  Rows go out in blocks across levels, as many as fit
     BLOCK_BYTES (see _row_bytes).  One row table, NUL-padded, holds
     every block in turn: [head | index | ,Y | ,Z | ,U | ,Kinc | CRLF]
-    per row, compacted by dropping the NULs, which no field contains.
-    The heads (step, t, Q, alpha), '%.17g' per level, and the indices,
-    numpy's decimal text, are built once per run.  g17.write spells the
-    row floats, the bytes of fmt, into the table's cells: one call per
-    block and run of adjacent columns.  A column that is +0 in every
-    row (U and Kinc where no constraint binds, Z without noise) is
-    spelled nowhere; its cell is the constant "0", written once.
+    per row, in a bytearray that translate compacts by dropping the
+    NULs, which no field contains.  The heads (step, t, Q, alpha),
+    '%.17g' per level, and the indices, numpy's decimal text, are built
+    once per run, and laid into a block one level at a time where its
+    levels are wide (WIDE_LEVEL), by a take per row where they are
+    narrow.  g17.write spells the row floats, the bytes of fmt, into
+    the table's cells: one call per block and run of adjacent columns.
+    A column that is +0 in every row (U and Kinc where no constraint
+    binds, Z without noise) is spelled nowhere; its cell is the
+    constant "0", written once.
     """
     # imported on first use: `verify`, `sweep` and `list-scenarios` write
     # no results.csv, and need neither its compile nor its tables
@@ -261,7 +269,8 @@ def _write_results_csv(path: str, result: RunResult) -> str:
     starts = heads.itemsize + index.itemsize + np.cumsum([0, *np.where(spelled, slot, 2)])
     row = int(starts[-1]) + 2
     size = max(1, min(y.size, BLOCK_BYTES // _row_bytes(row, spelled.sum(), g17)))
-    table = np.zeros((size, row), np.uint8)
+    buf = bytearray(size * row)  # the table's bytes, compacted in place of a copy
+    table = np.frombuffer(buf, np.uint8).reshape(size, row)
     table[:, starts[:-1]] = ord(",")
     table[:, starts[:-1][~spelled] + 1] = ord("0")
     table[:, -2:] = (13, 10)
@@ -273,31 +282,49 @@ def _write_results_csv(path: str, result: RunResult) -> str:
         runs.append((values[:, j : j + k], cells))
         j += k
 
+    head_col = table[:, : heads.itemsize].view(heads.dtype)[:, 0]
+    index_col = table[:, heads.itemsize : starts[0]].view(index.dtype)[:, 0]
+    level_dq = np.append(bundle.dq, 0.0)  # the last step has no Kinc
+
     def block(r0, fh):
         """Write the rows from r0 on, size of them or the rest; the
         block's arrays are freed when it returns."""
         r1 = min(r0 + size, y.size)
         m, q = r1 - r0, max(min(r1, inner) - r0, 0)  # rows, rows with Z, U and Kinc
-        rows = np.arange(r0, r1)
-        level = np.searchsorted(ends, rows, side="right")
-        rows -= sol.offsets[level]
-        np.take(heads, level, out=table[:m, : heads.itemsize].view(heads.dtype)[:, 0])
-        np.take(index, rows, out=table[:m, heads.itemsize : starts[0]].view(index.dtype)[:, 0])
-        del rows
+        first, last = np.searchsorted(ends, (r0, r1 - 1), side="right")
+        if m < WIDE_LEVEL * (last + 1 - first):
+            # narrow levels: each row's head, index and dQ by a take
+            rows = np.arange(r0, r1)
+            level = np.searchsorted(ends, rows, side="right")
+            rows -= sol.offsets[level]
+            np.take(heads, level, out=head_col[:m])
+            np.take(index, rows, out=index_col[:m])
+            dq = level_dq[level[:q]]
+            del rows, level
+        else:
+            # wide levels: one head, run of the index and dQ per level
+            dq = np.empty(q)
+            for i in range(first, last + 1):
+                a, b = max(sol.offsets[i], r0) - r0, min(sol.offsets[i + 1], r1) - r0
+                skip = r0 - sol.offsets[i]  # the level's rows before the block
+                head_col[a:b] = heads[i]
+                index_col[a:b] = index[a + skip : b + skip]
+                dq[a:b] = level_dq[i]
         for j, c in enumerate(np.flatnonzero(spelled)):
             if c == 0:
                 values[:m, j] = y[r0:r1]
             elif c < 3:
                 values[:q, j] = (z, u)[c - 1][r0 : r0 + q]
             else:
-                np.multiply(u[r0 : r0 + q], bundle.dq[level[:q]], out=values[:q, j])
+                np.multiply(u[r0 : r0 + q], dq, out=values[:q, j])
         values[q:m, 1:] = 0.0
-        del level
+        del dq
         for x, cells in runs:
             g17.write(x[:m], cells[:m])
         table[q:m, starts[1] : starts[-1]] = 0  # the last step has no Z, U or Kinc:
         table[q:m, starts[1:-1]] = ord(",")  # only their commas stay
-        chunk = table[:m][table[:m] != 0]
+        table[m:] = 0  # a short last block: its unused rows compact to nothing
+        chunk = buf.translate(None, b"\0")
         digest.update(chunk)
         fh.write(chunk)
 

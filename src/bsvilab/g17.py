@@ -155,8 +155,8 @@ def exact_digits(a):
     digits, 10^16 <= D < 10^17, as D, k and the mask of values whose D
     and k are not certain (they go to the fallback)."""
     col = np.log10(a)
-    col -= _K_MIN
-    col = np.floor(col, out=col).astype(np.intp)
+    col -= _K_MIN  # positive, so the cast floors it
+    col = col.astype(np.intp)
     p, t = _scaled(a, col)
     # the decade of the unrounded product; log10 is off by at most one,
     # and |t| is far below the margin of _EDGES
@@ -221,12 +221,10 @@ def _spelled(d):
     return lead, text, last
 
 
-def _cells(x):
-    """The cells of x, each |x| in [1e-284, 1e280), as (3, n) words; and
-    the mask of the unsure ones."""
-    a = np.abs(x)
+def _cells(x, a):
+    """The cells of x, each a = |x| in [1e-284, 1e280), as (3, n) words;
+    and the mask of the unsure ones."""
     d, col, unsure = exact_digits(a)
-    del a
     col -= _K_MIN  # the column of the decade in the tables
     lead, text, last = _spelled(d)
     del d
@@ -274,15 +272,19 @@ def write(x, out):
     x = np.asarray(x, dtype=np.float64)
     flat = x.ravel()
     a = np.abs(flat)
-    inside = a >= FAST_RANGE[0]
-    inside &= a < FAST_RANGE[1]
-    del a
-    if inside.all():
-        cells, unsure = _cells(flat)
+    low, high = FAST_RANGE
+    # min and max are NaN if any value is
+    if a.min(initial=low) >= low and a.max(initial=0.0) < high:
+        cells, unsure = _cells(flat, a)
+        del a
         redo = np.flatnonzero(unsure)
     else:
+        inside = a >= low
+        inside &= a < high
         fast = np.flatnonzero(inside)
-        part, unsure = _cells(flat[fast])
+        a = a[fast]
+        part, unsure = _cells(flat[fast], a)
+        del a
         cells = np.empty((3, flat.size), _WORD)
         cells[0] = ord("0") << 8  # +0; the other values outside are redone below
         cells[1:] = 0

@@ -795,10 +795,14 @@ def test_results_csv_matches_the_per_row_writer(tmp_path, monkeypatch, config):
     assert want.count(b"\r\n") == 1 + final.Y.size
     # rows per block, 7 a prime, None all rows.  mc-lsq has 17 levels of
     # 300 rows: 7-row blocks start mid-level, a level spans many blocks,
-    # and the index grows from 1 to 3 digits inside blocks; tree has 561
-    # rows, so its last 2- and 7-row block holds one row; clocked has 6
-    # rows, fewer than a 7-row block
-    for block in (1, 2, 7, None):
+    # and the index grows from 1 to 3 digits inside blocks; 650-row
+    # blocks hold whole levels with a partial level on each side, and
+    # fill them level by level (at least cli.WIDE_LEVEL rows a level),
+    # the smaller blocks row by row; tree has 561 rows, so its last 2-
+    # and 7-row block holds one row; clocked has 6 rows, fewer than a
+    # 7-row block
+    assert 650 >= 3 * cli.WIDE_LEVEL
+    for block in (1, 2, 7, 650, None):
         sizes = _write_in_blocks(monkeypatch, res, str(tmp_path / "got.csv"), block)
         assert max(sizes) == min(block or final.Y.size, final.Y.size), block
         assert (tmp_path / "got.csv").read_bytes() == want, block
@@ -887,8 +891,8 @@ def test_results_csv_writer_refuses_ragged_levels(tmp_path):
 
 
 def test_results_csv_writer_memory_is_one_block(tmp_path):
-    # 68000 rows, 34 blocks: a 4.4 MB file written by a writer that holds
-    # about one block, never the whole text.  The peak measured 636,748
+    # 68000 rows, 12 blocks: a 4.4 MB file written by a writer that holds
+    # about one block, never the whole text.  The peak measured 1,751,312
     # bytes (numpy 2.4, Python 3.11); the bound adds 64 KiB to it
     res = execute(build_experiment(
         {"scenario": "mc_martingale", "grid": {"steps": 16}, "noise": {"paths": 4000}}
@@ -902,7 +906,34 @@ def test_results_csv_writer_memory_is_one_block(tmp_path):
     finally:
         tracemalloc.stop()
     assert (tmp_path / "results.csv").stat().st_size > 4 << 20
-    assert peak < 636_748 + (64 << 10)
+    assert peak < 1_751_312 + (64 << 10)
+
+
+@pytest.mark.parametrize("name", ["mc_regression", "tree_barrier"])
+def test_writing_artifacts_stays_below_the_verifiers_peak(tmp_path, name):
+    # cli.BLOCK_BYTES is sized so that the write never sets a run's
+    # tracemalloc peak: each call's rise above its start stays below
+    # verify_run's, the largest transient of execute()
+    exp = build_experiment(_benchmark_configs()[name])
+    res = execute(exp)
+    backend = solver.make_backend(res.bundle, exp.solver)
+    write_artifacts(str(tmp_path / "warm"), res)  # g17's tables, once
+
+    def rise(call):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            call()
+            return tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+
+    verifier = rise(lambda: verify.verify_run(
+        res.seq, backend, exp.phi, exp.psi, exp.gen, exp.solver.p
+    ))
+    writer = rise(lambda: write_artifacts(str(tmp_path / "out"), res))
+    assert writer < verifier
 
 
 def test_summary_reports_the_penalty_per_eps():

@@ -116,10 +116,13 @@ def _decade_edges(lo, hi, size, sides=(np.inf, -np.inf)):
 
 
 def test_write_holds_at_most_bytes_per_value():
-    # the results.csv writer sizes its blocks by this bound
+    # the results.csv writer sizes its blocks by this bound; 12306 values
+    # are one of its calls on the benchmark's mc_regression (the Y and Z
+    # of a 6153-row block)
     rng = np.random.default_rng(5)
     for values in (
         rng.standard_normal(4096) * 10.0 ** rng.integers(-8, 8, 4096),
+        rng.standard_normal(12306) * 10.0 ** rng.integers(-8, 8, 12306),
         np.where(rng.random(4096) < 0.5, 0.0, rng.standard_normal(4096)),
         # decade edges: [-20, 21] spans the exact scales, [-280, 269] is
         # mostly double-double ones
@@ -128,6 +131,7 @@ def test_write_holds_at_most_bytes_per_value():
         _decade_edges(-20, 21, 16384),
         _decade_edges(-280, 269, 16384),
         _decade_edges(-280, 269, 4096, sides=(-np.inf,)),  # every value scaled twice
+        _decade_edges(-280, 269, 12306, sides=(-np.inf,)),
     ):
         out = np.zeros((values.size, g17.WIDTH), np.uint8)
         g17.write(values, out)

@@ -1,7 +1,7 @@
 """Record execute() times of every preset and of three scale ladders.
 
-    python tools/bench_ladder.py --label parent --out BENCH_32.json
-    python tools/bench_ladder.py --label change --out BENCH_32.json
+    python tools/bench_ladder.py --label parent --out BENCH_35.json
+    python tools/bench_ladder.py --label change --out BENCH_35.json
 
 Every preset runs through `bsvilab.cli.execute` three times in this
 process; the fastest run is kept, with its `solve_s` and `verify_s`.
@@ -9,7 +9,9 @@ Each rung of a ladder runs once in a fresh process: its `total_s`,
 `solve_s` and `verify_s` come from `RunResult.timings`, its peak
 memory is the child's `ru_maxrss` and its minor page faults the
 child's `ru_minflt`.  The child then writes the run's artifacts into a
-temporary directory, and `phases` splits the faults and the peak by
+temporary directory: `write_s` is the wall time of that
+`write_artifacts` call and `results_bytes` the size of its
+results.csv.  `phases` splits the faults and the peak by
 phase: for build (`build_paths` and `accumulate_weights`), solve
 (`make_backend` and `solve_sequence`), verify (`verify_run`) and write
 (`write_artifacts`), the `ru_minflt` counted inside its calls and the
@@ -136,16 +138,23 @@ def watch_phases() -> dict:
 
 def rung(kind: str, size: int) -> dict:
     """One rung of a ladder in this process: RunResult.timings, ru_maxrss
-    and ru_minflt of execute(), then the per-phase split with the write."""
+    and ru_minflt of execute(), the time of the artifact write and the
+    size of its results.csv, then the per-phase split with the write."""
     phases = watch_phases()
     result = execute(build_experiment(LADDERS[kind][1](size)))
     usage = resource.getrusage(resource.RUSAGE_SELF)
     with tempfile.TemporaryDirectory() as tmp:
-        bsvilab.cli.write_artifacts(os.path.join(tmp, "run"), result)
+        out = os.path.join(tmp, "run")
+        t0 = time.perf_counter()
+        bsvilab.cli.write_artifacts(out, result)
+        write_s = time.perf_counter() - t0
+        results_bytes = os.path.getsize(os.path.join(out, "results.csv"))
     return {
         "paths": result.bundle.n_paths,
         "steps": result.exp.grid.steps,
         "total_s": result.timings["total_s"],
+        "write_s": write_s,
+        "results_bytes": results_bytes,
         "solve_s": result.timings["solve_s"],
         "verify_s": result.timings["verify_s"],
         "ru_maxrss_mb": usage.ru_maxrss / 1024.0,
