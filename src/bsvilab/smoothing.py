@@ -6,7 +6,9 @@ backend's conditional expectations and loadings.  On deterministic
 noise each level is one cell and the pass recurses in Python floats
 instead of numpy calls on one-element rows; they give the same bits.
 On the lsq backend the pass keeps what it fits per date, a few
-coefficients, and its readers evaluate N and R a window at a time.
+coefficients, and its readers evaluate N and R a window at a time.  On
+a tree the drift is taken from M itself, so that the smoothed process
+is a lattice function.
 """
 
 from dataclasses import dataclass
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .solver import RegressionBackend, _Levels, _one_cell
+from .solver import RegressionBackend, _Levels, _one_cell, level_cells
 
 
 @dataclass
@@ -25,10 +27,14 @@ class SmoothedProcess(_Levels):
     M_i averages X over the clock window starting at max(t_i, eps) with
     weights proportional to exp(-(Q_j - Q_start)/scale) dQ_j plus the
     held tail, renormalized to total mass one; below eps it extends as a
-    martingale.  N is the compensating drift (X_i - M_i)/scale switched
-    on from eps onward, R the per-step martingale loading, so that
-    (gamma, N, R) reconstructs M through
-    M_{i+1} = M_i - N_i dQ_i + R_i dB_i up to conditional-expectation
+    martingale.  R is the per-step martingale loading and N the drift,
+    0 below eps, so that (gamma, N, R) reconstructs M through
+    M_{i+1} = M_i - N_i dQ_i + R_i dB_i.  On a tree N_i is
+    (M_i - CE_i[M_{i+1}]) / dQ_i from eps on, and the reconstruction
+    gives M node by node in exact arithmetic: M is a lattice function,
+    and the verifier reads it as such.  On the lsq backend and on
+    deterministic noise N is the compensating drift (X_i - M_i)/scale,
+    and the reconstruction holds up to conditional-expectation
     discretization.  M, N and R take X's layout, offsets; on a lattice
     and on deterministic noise they are the pass's arrays, lattice-sized
     levels.  steps(a, e) is (N, R) on the levels of the steps [a, e); it
@@ -166,8 +172,8 @@ def smoothing_operator(backend, x: np.ndarray, eps: float) -> SmoothedProcess:
     array.  On deterministic noise, whatever the driver, CE is the level
     itself and R = 0, and the loop runs in Python floats
     (_one_cell_smoothing) with the same operations in the same order.
-    On a lattice the drift N is finished after the loop in one
-    elementwise pass.
+    On a tree the loop forms M_i - CE_i[M_{i+1}], and the division by
+    dQ_i finishes N after it in one elementwise pass.
     """
     if not (np.isfinite(eps) and eps > 0.0):
         raise DomainError(f"smoothing eps must be > 0, got {eps}")
@@ -191,10 +197,14 @@ def smoothing_operator(backend, x: np.ndarray, eps: float) -> SmoothedProcess:
         return _fitted_smoothing(backend, x, weights, decays, i_eps, scale)
     off = backend.offsets
     m, drift, loading = np.empty(off[n + 1]), np.zeros(off[n]), np.zeros(off[n])
+    on = slice(off[i_eps], off[n])
     if _one_cell(backend):
         # CE is the level itself and R = 0: the kernel sum in floats
         x_at = memoryview(np.ascontiguousarray(x))
         _one_cell_smoothing(x_at, memoryview(m), weights, decays, i_eps)
+        # the drift (x - M) / scale from i_eps on, in one pass; 0 below it
+        np.subtract(x[on], m[on], out=drift[on])
+        drift[on] /= scale
     else:
         g_acc = x[off[n]:].copy()
         w_acc = 1.0  # closed-form tail on the held terminal value
@@ -208,14 +218,13 @@ def smoothing_operator(backend, x: np.ndarray, eps: float) -> SmoothedProcess:
                 g_acc = w_i * x[a:b] + decay * backend.ce(i, g_acc)
                 w_acc = w_i + decay * w_acc
                 m[a:b] = g_acc / w_acc
+                np.subtract(m[a:b], backend.ce(i, m_next), out=drift[a:b])
             else:
                 m[a:b] = backend.ce(i, m_next)
             loading[a:b] = backend.z(i, m_next)
-
-    # the drift (x - M) / scale from i_eps on, in one pass; 0 below it
-    on = slice(off[i_eps], off[n])
-    np.subtract(x[on], m[on], out=drift[on])
-    drift[on] /= scale
+        # the drift (M_i - CE_i[M_{i+1}]) / dQ_i from i_eps on, in one
+        # pass; 0 below it, where M_i is CE_i[M_{i+1}]
+        drift[on] /= level_cells(off, dq, i_eps, n)
 
     return SmoothedProcess(
         gamma=float(np.mean(m[off[0]:off[1]])),

@@ -50,7 +50,7 @@ from . import convex
 from .convex import ConvexSpec
 from .errors import ConfigError, DomainError
 from .generators import GeneratorSpec, combined_driver
-from .paths import PathBundle
+from .paths import NodeMeans, PathBundle
 
 
 @dataclass(frozen=True)
@@ -631,8 +631,10 @@ def solve_sequence(
     The caller builds the backend once; one sweep on backend.bundle
     serves every eps, so gaps measure the penalization error alone.
     Reported per adjacent pair: the sup gap of Y over all nodes and the
-    L2-in-time gap of Z along evaluation paths, read a window of steps at
-    a time.
+    L2-in-time gap of Z, sqrt(sum_i mean |Z_i - Z'_i|^2 dt_i), its means
+    taken by NodeMeans a window of steps at a time for every pair in one
+    pass: exact node expectations on a tree, means over the evaluation
+    paths elsewhere.
     Also logs the penalty energy eps * sum_i mean |U_i|^2 dQ_i, which
     stays bounded along the schedule when penalization converges; the
     per-level sums of |U|^2 take one reduction per run of equal-width
@@ -653,25 +655,24 @@ def solve_sequence(
     u2 = np.concatenate(sums, axis=-1) / np.diff(off[:n + 1])
     energy = {eps: float(eps * np.sum(u2_r * bundle.dq)) for eps, u2_r in zip(schedule, u2)}
     y_gaps = np.abs(sweep.Y[:-1] - sweep.Y[1:]).max(axis=-1)
-    steps = [(a, min(b, n)) for a, b in bundle.windows()]
-    gaps = []
-    for r, (e_coarse, e_fine) in enumerate(zip(schedule, schedule[1:])):
-        coarse, fine = solutions[e_coarse], solutions[e_fine]
-        # per-step path means of |Z - Z'|^2, squared on the levels and
-        # gathered one window of steps at a time
-        means = []
-        for a, e in steps:
-            sq = (coarse.levels("Z", a, e) - fine.levels("Z", a, e)) ** 2
-            means.append(np.mean(coarse.expand(bundle, sq, a, e), axis=0))
-        z_gap = float(np.sqrt(np.sum(np.concatenate(means) * bundle.dt)))
-        gaps.append(
-            {
-                "eps_coarse": float(e_coarse),
-                "eps_fine": float(e_fine),
-                "y_gap": float(y_gaps[r]),
-                "z_gap": z_gap,
-            }
-        )
+    # per-step path means of |Z - Z'|^2 of every adjacent pair, squared
+    # on the levels and read one window of steps at a time
+    pairs = list(zip(sweep.solutions, sweep.solutions[1:]))
+    node_means = NodeMeans(sweep.solutions[0], bundle)
+    means = [[] for _ in pairs]
+    for a, b in bundle.windows():
+        e = min(b, n)
+        for (coarse, fine), out in zip(pairs, means):
+            out.append(node_means((coarse.levels("Z", a, e) - fine.levels("Z", a, e)) ** 2, a, e))
+    gaps = [
+        {
+            "eps_coarse": float(e_coarse),
+            "eps_fine": float(e_fine),
+            "y_gap": float(y_gap),
+            "z_gap": float(np.sqrt(np.sum(np.concatenate(out) * bundle.dt))),
+        }
+        for e_coarse, e_fine, y_gap, out in zip(schedule, schedule[1:], y_gaps, means)
+    ]
     return SequenceResult(
         solutions=solutions,
         gaps=gaps,

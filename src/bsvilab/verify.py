@@ -3,7 +3,7 @@
 A candidate pair (Y, Z) with penalty density U is tested against smooth
 test processes M_t = gamma - int N dQ + int R dB.  With
 Gamma_r = sqrt(|M_r - Y_r|^2 + delta_q) the inequality checked on every
-grid interval [t_i, t_j], path-averaged, is
+grid interval [t_i, t_j], averaged, is
 
     Gamma_i^q + q(q-1)/2 sum Gamma^{q-2} |R - Z|^2 dt
               + q sum Gamma^{q-2} Psi(r, Y) dQ
@@ -23,31 +23,19 @@ the weighted contraction between two solutions, and the a-priori bound
 with a frozen fitted constant.  verify_run is the plan of a run: it
 picks every check, exponent and gate, and names every report.
 
-Every check reads the evaluation paths one window of steps at a time
-(PathBundle.windows) and keeps across windows only what its report
-needs: per-node and per-step path means, running per-path extremes, and
-the carry of a running sum.  Within a window, every term that is
-elementwise in level values is computed on the levels: SolutionField
-level slices, and the per-level scalars t, alpha, dt, dQ and e^{qV}
-laid over each level's cells (level_cells).  Each such term reaches the
-paths through one SolutionField.expand, and a window's gathers share
-one index (_Window).  dB enters every term last, as a factor, so a step
-increment is expand(L) + expand(K) dB with L and K formed on the
-levels; a window's dB is PathBundle.increments, a view of Monte Carlo
-increments or one block formed from a tree's signs.  What stays on path arrays depends on the path: the running
-sums (a test process's M, the Ito sums, the a-priori time sum), the
-terms of an M summed along the paths (Psi(M), M - Y, Gamma and what
-they multiply), and the means and extremes.  A lattice level holds one
-cell per node, far fewer than the paths through it; a per-path level
-holds one cell per path and expand is a transpose, so the same code
-does the same work there.  Two reductions run along whole paths and
-keep one (paths, nodes) array each: the time sum of the a-priori bound
-and the pathwise mean residual of the Ito identity.  Test processes too
-are read a window at a time, on the levels.  The drivers are elementwise
-in t as in y and z (GeneratorSpec), so H(t, Y, Z) is one call per
-window and each bound's F(t, 0, 0) and G(t, 0) one call over the grid.
-A function takes the backend when it needs conditional expectations,
-and the bundle otherwise.
+Every check reads the levels a window of steps at a time
+(PathBundle.windows), keeping across windows per-node and per-step
+means, running per-path extremes and the carry of a running sum.
+Terms elementwise in level values are formed on the levels, per-level
+scalars laid over the cells (level_cells), and averaged by NodeMeans:
+exact node expectations on a tree, where a step's dB term drops, and
+elsewhere means over the evaluation paths, reached by
+SolutionField.expand.  On a tree the battery's lattice processes, the
+contraction and the solver's z_gap are thus exact, and four things
+stay on the paths: the reconstruction process, whose path-summed M
+leaves Y where a candidate breaks the step identity; the pathwise Ito
+identity; the a-priori and energy bounds, which take E[max_i ...]; and
+the collapse report.
 """
 
 from dataclasses import dataclass, field
@@ -58,7 +46,7 @@ import numpy as np
 from .convex import ConvexSpec, combined_potential
 from .errors import DomainError, GridMismatch, InfinitePotential
 from .generators import GeneratorSpec, combined_driver, driver_f, driver_g
-from .paths import PathBundle, gamma_shift
+from .paths import NodeMeans, PathBundle, exact_means, gamma_shift
 from .smoothing import smoothing_operator
 from .solver import SequenceResult, SolutionField, level_cells
 
@@ -79,18 +67,17 @@ ITO_DELTA = 0.1
 class TestProcess:
     """Smooth comparison process given by (gamma, N, R) per step.
 
-    M is defined by the exact reconstruction
+    M is defined by the reconstruction
     M_0 = gamma, M_{i+1} = M_i - N_i dQ_i + R_i dB_i.
     steps is the level reader of N and R in the layout of the candidate
     they are checked against: (a, e) -> (N, R) on the levels of the
-    steps [a, e), each laid end to end as SolutionField.levels lays a
-    field.  So a check reads a process once per window and forms its
-    node-wise terms on the levels.  M is summed along the evaluation
-    paths, unless the process gives it as a level callable (a, b) -> its
-    values on the nodes [a, b): a reconstruction that is a lattice
-    function, such as the zero process's +0.0 on every path, whose terms
-    then all stay on the levels.  Such an M must equal the
-    reconstruction bit for bit.
+    steps [a, e), laid end to end as SolutionField.levels lays a field,
+    so a check reads a process once per window.  M is summed along the
+    evaluation paths, unless the process gives it as a level callable
+    (a, b) -> its values on the nodes [a, b), as the zero process and
+    the smoothed process on a tree do; its terms then stay on the
+    levels, averaged exactly on a tree.  Such an M must equal the
+    reconstruction in exact arithmetic: a lattice function.
     """
 
     gamma: float
@@ -138,10 +125,9 @@ def _running_sum(x: np.ndarray, carry: Optional[np.ndarray], nodes: int) -> tupl
 
     carry is the last column of the sums of the windows before, None in
     the first window.  Returns (sums, carry): sums belong to the last
-    columns of the window's nodes, all of them after the first window,
-    all but node 0 in it.  Summing with the carry column in front
-    repeats the whole array's sequential cumsum bit for bit; adding the
-    carry to a fresh cumsum would not.
+    columns of the window's nodes, all but node 0 in the first window.
+    Summing with the carry column in front repeats the whole array's
+    cumsum bit for bit; adding the carry to a fresh cumsum would not.
     """
     if carry is not None:
         x = np.concatenate([carry, x], axis=1)
@@ -153,20 +139,19 @@ class _Window:
     """One window of the evaluation paths seen from the levels of sol's
     layout: the nodes [a, b) and the steps [a, e), e = min(b, N).
 
-    read(sol, name) is a field on the window's step levels, and with
-    nodes=True on its node levels; levels(values) shapes any such values
-    the same way, and steps slices the steps out of node levels.
-    cells(x) lays per-node scalars x over the step levels, or the node
-    levels with nodes=True.  On a lattice the levels are one array of
-    cells and the scalars are repeated over each level's cells
-    (level_cells); on a per-path layout they are a (levels, paths)
-    block and the scalars a column.  paths(values) takes values on the
-    step or node levels to the paths by sol.expand; on a lattice the
-    gathers of the steps share one index, and those of the nodes one.
+    read(sol, name) is a field on the window's step levels, or with
+    nodes=True its node levels; levels(values) shapes any such values
+    alike, and steps slices the steps out of node levels.  cells(x)
+    lays per-node scalars x over the step (or node) levels: repeated
+    over each level's cells on a lattice (level_cells), a column of a
+    (levels, paths) block on a per-path layout.  paths(values) takes
+    values on the step or node levels to the paths by sol.expand, the
+    gathers of the steps sharing one index, and those of the nodes one;
+    means(values) is their per-level means by the pass's node_means.
     """
 
-    def __init__(self, sol: SolutionField, bundle: PathBundle, a: int, b: int):
-        self.sol, self.bundle, self.a, self.b = sol, bundle, a, b
+    def __init__(self, sol, bundle: PathBundle, a: int, b: int, node_means=None):
+        self.sol, self.bundle, self.a, self.b, self._means = sol, bundle, a, b, node_means
         self.e = e = min(b, bundle.grid.steps)
         off = sol.offsets
         self._node_cells = off[b] - off[a]
@@ -187,14 +172,19 @@ class _Window:
             return x[self.a:stop]  # one cell per level: the scalars are the cells
         return level_cells(self.sol.offsets, x, self.a, stop)
 
-    def paths(self, values: np.ndarray) -> np.ndarray:
+    def paths(self, values: np.ndarray, mean: bool = False) -> np.ndarray:
         stop = self.b if np.size(values) == self._node_cells else self.e
         index = None
-        if self.sol.lattice:
+        if self.sol.lattice and not (mean and self._means.exact):
             if stop not in self._index:
                 self._index[stop] = self.bundle.walk_index(self.a, stop)
             index = self._index[stop]
+        if mean:
+            return self._means(values, self.a, stop, index)
         return self.sol.expand(self.bundle, values, self.a, stop, index)
+
+    def means(self, values: np.ndarray) -> np.ndarray:
+        return self.paths(values, mean=True)
 
 
 def _same(x):
@@ -203,8 +193,8 @@ def _same(x):
 
 @dataclass
 class _Profile:
-    """What one variational check keeps of the windows: path means per
-    node of Gamma^q and per step of the increment, and its monitors."""
+    """What one variational check keeps of the windows: means per node
+    of Gamma^q and per step of the increment, and its monitors."""
 
     node_means: list = field(default_factory=list)
     step_means: list = field(default_factory=list)
@@ -221,10 +211,9 @@ def _head(q, g_pow, r_minus_z, psi_y, dt, dq):
 def _increment(q, g_pow, head, diff, psi_m, n_minus_h, r_minus_z, dq) -> tuple:
     """(L, K) of one check on one window: its step increment is L + K dB.
 
-    The array arguments are all levels or all paths, dq laid over them.
-    The terms are formed in the order the inequality lists them, each
-    product left to right, so either gives the same bits; in place,
-    since each is a fresh array.
+    The arrays are all levels or all paths, dq laid over them.  The
+    terms are formed in the inequality's order, each product left to
+    right, so either gives the same bits; in place, each being fresh.
     """
     qg = q * g_pow
     qgd = qg * diff
@@ -266,28 +255,27 @@ def _variational_profiles(
     """The profiles of every check (process, q, delta), in one pass over
     the windows.
 
-    Per window, the candidate's own terms H(t, Y, Z) and Psi(t, Y) and
-    its driver gap are formed once on the levels and shared by every
-    check, and each test process's terms once and shared by its checks.
-    The drivers are elementwise (GeneratorSpec), so H is one call per
-    window on the window's alpha and t laid over the cells.
-    A process that gives M on the levels is checked on the levels, and
-    what its checks average is gathered (land).  Otherwise M is summed
-    along the paths (_summed_m), the level terms go to the paths first
-    (lift), and the checks run there.  A test process that leaves the
+    Per window, the candidate's terms H(t, Y, Z) and Psi(t, Y) and its
+    driver gap are formed once on the levels for every check, and each
+    process's terms once for its checks.  A process that gives M on the
+    levels is checked there, and what its checks average is gathered
+    (land), or on a tree averaged exactly (NodeMeans).  Otherwise M is
+    summed along the paths (_summed_m), the level terms go to the paths
+    first (lift), and the checks run there.  A process that leaves the
     domain of a raw potential makes the inequality vacuous and raises
-    InfinitePotential.
-    Returns ({(k, q, delta): _Profile} for processes[k] and every
-    (q, delta) of checks, the largest per-node path mean of |M - Y|^2 of
-    processes[collapse] or None).
+    InfinitePotential.  Returns ({(k, q, delta): _Profile} for
+    processes[k] and every (q, delta) of checks, the largest per-node
+    path mean of |M - Y|^2 of processes[collapse] or None).
     """
     low_q = any(q < 2.0 for q, _ in checks)
     profiles = {(k, q, d): _Profile() for k in range(len(processes)) for q, d in checks}
     carries = [None] * len(processes)
     driver_gap = -np.inf
     collapse_means = []
+    node_means = NodeMeans(sol, bundle)
+    n = bundle.grid.steps
     for a, b in bundle.windows():
-        w = _Window(sol, bundle, a, b)
+        w = _Window(sol, bundle, a, b, node_means)
         e = w.e
         dB = bundle.increments(a, e)
         y_lv, z = w.read(sol, "Y", nodes=True), w.read(sol, "Z")
@@ -299,6 +287,10 @@ def _variational_profiles(
         for k, tp in enumerate(processes):
             n_steps, r_steps = (w.levels(x) for x in tp.steps(a, e))
             r_minus_z = r_steps - z
+            # a lattice M on a tree: exact means
+            exact = tp.M is not None and node_means.exact
+            # a lone column sums pairwise
+            mean, last_sq = lambda x: np.mean(x, axis=0), lambda g: np.mean(g[:, -1] ** 2)
             if tp.M is None:
                 # M is summed along the paths, and its terms stay there
                 m, carries[k] = _summed_m(w, tp.gamma, n_steps, r_steps, dq_c, dB, carries[k])
@@ -309,7 +301,9 @@ def _variational_profiles(
                 steps = np.s_[:, : e - a]
                 alpha, dt, dq = bundle.alpha[a:e], bundle.dt[a:e], bundle.dq[a:e]
             else:
-                lift, land = _same, w.paths
+                lift, land = _same, _same if exact else w.paths
+                if exact:
+                    mean, last_sq = w.means, lambda g: w.means(g ** 2)[-1]
                 m = w.levels(tp.M(a, b))
                 y, psi_y = y_lv, psi_y_lv
                 steps = w.steps
@@ -336,17 +330,21 @@ def _variational_profiles(
                     g_pow = gamma[steps] ** (q - 2.0)
                     head = _head(q, g_pow, rz, psi_y, dt, dq)
                 drift, loading = _increment(q, g_pow, head, diff, psi_m, n_minus_h, rz, dq)
-                # + is commutative, so this is drift + loading dB bit for bit
-                incr = land(loading)
-                incr *= dB
-                incr += land(drift)
+                if exact:
+                    incr = drift  # E[loading dB | node] = 0
+                else:
+                    # + is commutative, so this is drift + loading dB bit for bit
+                    incr = land(loading)
+                    incr *= dB
+                    incr += land(drift)
                 gamma_q, gamma = land(gamma ** q), land(gamma)
                 prof = profiles[k, q, delta]
-                prof.node_means.append(np.mean(gamma_q, axis=0))
-                prof.step_means.append(np.mean(incr, axis=0))
+                prof.node_means.append(mean(gamma_q))
+                prof.step_means.append(mean(incr))
+                # on a tree, over every node
                 prof.gamma_min = np.minimum(prof.gamma_min, np.min(gamma))
-                if b == bundle.grid.steps + 1:
-                    prof.terminal_sq = np.mean(gamma[:, -1] ** 2)
+                if b == n + 1:
+                    prof.terminal_sq = last_sq(gamma)
                 # a check's arrays go before the next check makes its own
                 del gamma, g_pow, head, drift, loading, incr, gamma_q
             if k == collapse:
@@ -376,11 +374,10 @@ def check_variational_inequality(
     """Worst interval residual of the variational inequality, path-averaged.
 
     profile is this check's entry of _variational_profiles(...) at the
-    same penalization_eps, for callers that check one candidate against
-    many test processes and exponents in one pass over the windows; it
-    is gathered here when not given.  At q = 2 the Gamma shift is 0 for
-    every delta, so the report is the same for every delta and its name
-    carries none.
+    same penalization_eps, for callers that check many processes and
+    exponents in one pass; it is gathered here when not given.  At q = 2
+    the Gamma shift is 0, so the report is the same for every delta and
+    its name carries none.
     """
     if not (1.0 < q <= 2.0):
         raise DomainError(f"q must lie in (1, 2], got {q}")
@@ -414,17 +411,15 @@ def ito_report_from_solution(
 ) -> VerificationReport:
     """Residual of the norm-power transformation identity along the solution.
 
-    The semimartingale is Y_{i+1} = Y_i - D_i + Z_i dB_i with drift
-    increments D_i = (H_i - U_i) dQ_i playing the role of F dr.  The
-    squared-variation integral is realized as sum Z^2 dt and the
-    stochastic integral as sum <Y, Z dB>; on the binomial lattice
-    (dB)^2 = dt makes the p = 2, delta = 0 form an algebraic identity per
-    path, so the residual is taken path by path when the solution's
-    levels are lattice values from exact expectations (sol.lattice).
-    Otherwise (Monte Carlo paths, where dB^2 fluctuates around dt, or
-    regression values, which do not reconstruct exactly path by path)
-    the identity holds only after averaging, and the residual is the
-    worst interval gap of the path-averaged profile.
+    The semimartingale is Y_{i+1} = Y_i - D_i + Z_i dB_i, with drift
+    increments D_i = (H_i - U_i) dQ_i as F dr, sum Z^2 dt as the
+    squared variation and sum <Y, Z dB> as the stochastic integral.  On
+    a lattice (dB)^2 = dt makes the p = 2, delta = 0 form an algebraic
+    identity per path, so the residual is taken path by path when the
+    levels are lattice values (sol.lattice).  Otherwise (Monte Carlo
+    paths, where dB^2 fluctuates around dt, or regression values, which
+    do not reconstruct path by path) it is the worst interval gap of the
+    path-averaged profile.
     """
     if p < 2.0 and delta <= 0.0:
         raise DomainError("delta > 0 is required for p < 2")
@@ -488,36 +483,43 @@ def ito_report_from_solution(
     )
 
 
+def _contraction_profiles(sols: list, bundle: PathBundle, q: float) -> list:
+    """(node means of e^{qV} |Y^a - Y^b|^q, mean |Y^a_N - Y^b_N|) of each
+    adjacent pair of sols, all of one backend kind."""
+    if bundle.V is None:
+        raise GridMismatch("bundle has no accumulated weights, call accumulate_weights")
+    if len({sol.backend_kind for sol in sols}) > 1:
+        raise GridMismatch("the two solutions hold their levels in different formats")
+    weight = np.exp(q * bundle.V)
+    node_means, n = NodeMeans(sols[0], bundle), bundle.grid.steps
+    means = [[] for _ in sols[1:]]
+    for a, b in bundle.windows():
+        w = _Window(sols[0], bundle, a, b, node_means)
+        ys = [w.read(sol, "Y", nodes=True) for sol in sols]
+        for out, y_a, y_b in zip(means, ys, ys[1:]):
+            out.append(w.means(w.cells(weight, nodes=True) * np.abs(y_a - y_b) ** q))
+    ys = [sol.level("Y", n) for sol in sols]
+    return [
+        (np.concatenate(out), node_means(np.abs(y_a - y_b), n, n + 1)[0])
+        for out, y_a, y_b in zip(means, ys, ys[1:])
+    ]
+
+
 def check_contraction(
-    sol_a: SolutionField,
-    sol_b: SolutionField,
-    bundle: PathBundle,
-    q: float,
-    tol: float,
+    sol_a: SolutionField, sol_b: SolutionField, bundle: PathBundle, q: float, tol: float,
+    *, profile: Optional[tuple] = None,
 ) -> VerificationReport:
     """Backward submartingale test of the weighted gap.
 
     For two solutions of the same data the weighted gap
     mean[e^{qV_i} |Y^a_i - Y^b_i|^q] may not exceed its value at any
     later node by more than tol.  Identical inputs give gap 0; a pure
-    terminal perturbation with zero drivers propagates unchanged.  Both
-    solutions come from backends of one kind, so their levels subtract,
-    and the weighted gap is formed on the levels and gathered once.
+    terminal perturbation with zero drivers propagates unchanged.  The
+    gap is averaged by NodeMeans; profile is the pair's entry of
+    _contraction_profiles.
     """
-    if bundle.V is None:
-        raise GridMismatch("bundle has no accumulated weights, call accumulate_weights")
-    if sol_a.backend_kind != sol_b.backend_kind:
-        raise GridMismatch("the two solutions hold their levels in different formats")
-    weight = np.exp(q * bundle.V)
-    means = []
-    for a, b in bundle.windows():
-        w = _Window(sol_a, bundle, a, b)
-        gap = w.read(sol_a, "Y", nodes=True) - w.read(sol_b, "Y", nodes=True)
-        means.append(np.mean(w.paths(w.cells(weight, nodes=True) * np.abs(gap) ** q), axis=0))
-    worst = _pair_max(np.concatenate(means))
-    n = bundle.grid.steps
-    gap = sol_a.expand(bundle, sol_a.level("Y", n) - sol_b.level("Y", n), n, n + 1)
-    terminal_gap = np.mean(np.abs(gap[:, 0]))
+    means, terminal_gap = profile or _contraction_profiles([sol_a, sol_b], bundle, q)[0]
+    worst = _pair_max(means)
     return VerificationReport(
         name=f"contraction eps {sol_a.eps:g} vs {sol_b.eps:g}",
         passed=bool(worst <= tol),
@@ -643,8 +645,10 @@ def smoothed_midpoint_process(sol: SolutionField, backend) -> TestProcess:
     horizon = bundle.grid.horizon
     smooth_eps = min(max(4.0 * float(np.max(bundle.dt)), 0.05 * horizon), horizon)
     sm = smoothing_operator(backend, sol.Y, smooth_eps)
-    # the reader of N and R, not sm: on a lattice, M goes with sm
-    return TestProcess(sm.gamma, sm.steps, label="smoothed")
+    # on a tree M is the lattice function sm.M; elsewhere the process
+    # holds only the reader of N and R, and M goes with sm
+    m = (lambda a, b: sm.levels("M", a, b)) if exact_means(sol, bundle) else None
+    return TestProcess(sm.gamma, sm.steps, label="smoothed", M=m)
 
 
 def battery(
@@ -660,13 +664,11 @@ def battery(
     Processes: the zero process, the solution's own reconstruction, and
     the smoothing of the solution's midpoints, each at every delta of
     DELTAS when q < 2 and once at q = 2, where the Gamma shift is 0 for
-    every delta; gated at default_tolerance(bundle).  Potentials are
-    taken at the solution's penalization level.  One pass over the
-    windows gathers every check's profile (_variational_profiles), and
-    each check forms its report from its profile.  Also reports the
-    collapse of the reconstruction Gamma to the delta_q floor (the strong
-    solution seen through the inequality).  The paths are those of
-    backend.bundle.
+    every delta; gated at default_tolerance(bundle), with potentials at
+    the solution's penalization level.  One pass over the windows
+    gathers every check's profile (_variational_profiles).  Also reports
+    the collapse of the reconstruction Gamma to the delta_q floor (the
+    strong solution seen through the inequality), on backend.bundle.
     """
     bundle = backend.bundle
     tol = default_tolerance(bundle)
@@ -707,10 +709,10 @@ def verify_run(seq: SequenceResult, backend, phi, psi, gen: GeneratorSpec, p: fl
     """Every check of one solved run, in the order verify.json lists them.
 
     The battery and the Ito identity at ITO_DELTA on the finest eps; the
-    contraction of each adjacent eps pair at q = min(p, 2), which lies in
-    (1, 2] for every p > 1, gated at max(tol, 2 (eps + eps')) for the
-    penalization cross term; then the a-priori and energy bounds on the
-    finest solution's terminal values.  tol is
+    contraction of each adjacent eps pair at q = min(p, 2), in (1, 2]
+    for every p > 1, gated at max(tol, 2 (eps + eps')) for the
+    penalization cross term, in one pass; then the a-priori
+    and energy bounds on the finest solution's terminal values.  tol is
     default_tolerance(backend.bundle).
     """
     bundle = backend.bundle
@@ -720,9 +722,10 @@ def verify_run(seq: SequenceResult, backend, phi, psi, gen: GeneratorSpec, p: fl
     reports = battery(final, backend, phi, psi, gen, p)
     reports.append(ito_report_from_solution(final, bundle, p, ITO_DELTA, tol))
     q = min(p, 2.0)
-    for coarse, fine in zip(sols, sols[1:]):
+    profiles = _contraction_profiles(sols, bundle, q) if len(sols) > 1 else []
+    for coarse, fine, profile in zip(sols, sols[1:], profiles):
         gate = max(tol, 2.0 * (coarse.eps + fine.eps))
-        reports.append(check_contraction(coarse, fine, bundle, q, gate))
+        reports.append(check_contraction(coarse, fine, bundle, q, gate, profile=profile))
     n = bundle.grid.steps
     terminal_values = final.paths(bundle, (n, n + 1), "Y")["Y"][:, 0]
     reports.append(check_apriori_bound(final, bundle, gen, terminal_values, p))

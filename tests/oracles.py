@@ -9,7 +9,10 @@ level.  Regression fits rebuild the
 Vandermonde basis and call lstsq on every fit, and the smoothing
 operator runs its kernel sum over every date before a second pass.
 The verifier oracle runs every check on whole (paths, nodes) arrays,
-each report on its own.  Slow and simple on purpose.
+each report on its own.  On a tree the path means of node functions
+are exact expectations instead: every level's cells are weighted by
+their binomial probabilities, built row by row by Pascal's rule, and
+each level is summed on its own.  Slow and simple on purpose.
 """
 
 import csv
@@ -208,6 +211,51 @@ def solve_penalized_oracle(bundle, phi, psi, gen, terminal, eps, cfg):
     }
 
 
+def pascal_rows_oracle(n):
+    """The node probabilities C(i, k) 2^-i of levels 0, ..., n of a
+    binomial tree, one array per level, by Pascal's rule with the
+    halving at every level: p_{i+1, k} = (p_{i, k-1} + p_{i, k}) / 2."""
+    rows = [np.ones(1)]
+    for _ in range(n):
+        r = rows[-1]
+        nxt = np.empty(r.size + 1)
+        nxt[0], nxt[-1] = 0.5 * r[0], 0.5 * r[-1]
+        nxt[1:-1] = 0.5 * (r[:-1] + r[1:])
+        rows.append(nxt)
+    return rows
+
+
+def level_mean_oracle(row, values):
+    """sum_k p_k f_k of one level, the level summed on its own by
+    np.add.reduceat as the verifier sums each level."""
+    return np.add.reduceat(row * values, [0])[0]
+
+
+def exact_oracle(sol, bundle):
+    """Whether sol's path means are exact node expectations: lattice
+    levels on a binomial tree."""
+    return sol.lattice and bundle.kind == "tree"
+
+
+def exact_means_oracle(levels):
+    """The exact expectation of each level of a list of lattice levels
+    0, 1, ...: per-level weighted sums, level by level."""
+    rows = pascal_rows_oracle(len(levels) - 1)
+    return np.array([level_mean_oracle(row, level) for row, level in zip(rows, levels)])
+
+
+def z_gap_oracle(sol_a, sol_b, bundle):
+    """sqrt(sum_i mean|Z^a_i - Z^b_i|^2 dt_i): exact node expectations on
+    a tree, path means of whole (paths, steps) arrays elsewhere."""
+    n = bundle.grid.steps
+    sq = [(sol_a.level("Z", i) - sol_b.level("Z", i)) ** 2 for i in range(n)]
+    if exact_oracle(sol_a, bundle):
+        means = exact_means_oracle(sq)
+    else:
+        means = np.mean(_levels_on_paths(sol_a, bundle, sq), axis=0)
+    return float(np.sqrt(np.sum(means * bundle.dt)))
+
+
 def solve_sequence_oracle(bundle, phi, psi, gen, terminal, cfg):
     """The eps schedule solved one eps at a time: the levels keyed by
     eps, the penalty energy eps * sum_i mean(U_i^2) dQ_i one level at a
@@ -228,8 +276,12 @@ def solve_sequence_oracle(bundle, phi, psi, gen, terminal, cfg):
         a, b = solutions[coarse], solutions[fine]
         y_gap = max(float(np.max(np.abs(ya - yb))) for ya, yb in zip(a["Y_levels"], b["Y_levels"]))
         sq = [(za - zb) ** 2 for za, zb in zip(a["Z_levels"], b["Z_levels"])]
-        on_paths = _lattice_on_paths(bundle, sq) if lattice else np.stack(sq, axis=1)
-        z_gap = float(np.sqrt(np.sum(_row_by_row_mean(on_paths) * bundle.dt)))
+        if lattice and bundle.kind == "tree":
+            means = exact_means_oracle(sq)
+        else:
+            on_paths = _lattice_on_paths(bundle, sq) if lattice else np.stack(sq, axis=1)
+            means = _row_by_row_mean(on_paths)
+        z_gap = float(np.sqrt(np.sum(means * bundle.dt)))
         gaps.append({"eps_coarse": coarse, "eps_fine": fine, "y_gap": y_gap, "z_gap": z_gap})
     return SimpleNamespace(solutions=solutions, gaps=gaps, penalty_energy=energy)
 
@@ -255,7 +307,10 @@ def regression_fit_oracle(b, degree, target):
 
 
 def smoothing_operator_oracle(bundle, backend, u_levels, eps):
-    """The smoothing operator as two backward loops and a forward one."""
+    """The smoothing operator as two backward loops and a forward one.
+    On a tree the drift is (M_i - CE_i[M_{i+1}]) / dQ_i from eps on, so
+    that (gamma, N, R) rebuilds M node by node; elsewhere it is
+    (X_i - M_i) / scale."""
     n = bundle.grid.steps
     t = bundle.grid.nodes
     dq = bundle.dq
@@ -279,8 +334,11 @@ def smoothing_operator_oracle(bundle, backend, u_levels, eps):
 
     n_levels = []
     r_levels = []
+    lattice = backend.kind == "tree" and bundle.kind == "tree"
     for i in range(n):
-        if t[i] >= eps:
+        if t[i] >= eps and lattice:
+            n_levels.append((m_levels[i] - backend.ce(i, m_levels[i + 1])) / dq[i])
+        elif t[i] >= eps:
             n_levels.append((np.asarray(u_levels[i], dtype=float) - m_levels[i]) / scale)
         else:
             n_levels.append(np.zeros_like(m_levels[i]))
@@ -365,6 +423,47 @@ def _variational_oracle(pw, h_fresh, psi_y, gamma0, n_steps, r_steps, name, phi,
     return verify.VerificationReport(name, bool(worst <= tol), worst, tol, monitors), m_minus_y
 
 
+def _exact_variational_oracle(sol, bundle, phi, psi, gen, m_levels, n_levels, r_levels,
+                              name, q, shift, tol, driver_gap):
+    """One variational check of a process given by its lattice levels M,
+    N and R on a tree, level by level: each node mean and each step mean
+    is the level's exact expectation, and E[(R - Z) dB | node] = 0
+    leaves the step's drift alone."""
+    n = bundle.grid.steps
+    rows = pascal_rows_oracle(n)
+    t, alpha, dt, dq = bundle.grid.nodes, bundle.alpha, bundle.dt, bundle.dq
+    node_means, step_means, gamma_min = [], [], np.inf
+    for i in range(n + 1):
+        y, m = sol.level("Y", i), m_levels[i]
+        gamma = np.sqrt((m - y) ** 2 + shift)
+        node_means.append(level_mean_oracle(rows[i], gamma ** q))
+        gamma_min = min(gamma_min, float(np.min(gamma)))
+        if i == n:
+            break
+        z = sol.level("Z", i)
+        h_fresh = combined_driver(gen, alpha[i], t[i], y, z)
+        psi_y = _mixed_potential_oracle(phi, psi, alpha[i], y, sol.eps)
+        psi_m = _mixed_potential_oracle(phi, psi, alpha[i], m, sol.eps)
+        g_pow = gamma ** (q - 2.0)
+        rz, diff = r_levels[i] - z, m - y
+        drift = (
+            0.5 * q * (q - 1.0) * g_pow * rz ** 2 * dt[i]
+            + q * g_pow * psi_y * dq[i]
+            - q * g_pow * psi_m * dq[i]
+            - q * g_pow * diff * (n_levels[i] - h_fresh) * dq[i]
+        )
+        step_means.append(level_mean_oracle(rows[i], drift))
+    a = np.array(node_means)
+    a[1:] -= np.cumsum(step_means)
+    worst = _pair_max_oracle(a)
+    monitors = {
+        "gamma_floor_margin": float(gamma_min - np.sqrt(shift)),
+        "terminal_gamma_sq_minus_shift": float(level_mean_oracle(rows[n], gamma ** 2) - shift),
+        "driver_eval_gap": driver_gap,
+    }
+    return verify.VerificationReport(name, bool(worst <= tol), worst, tol, monitors)
+
+
 def _candidate_oracle(sol, bundle, phi, psi, gen):
     """Y, Z, U and H of a solution on whole arrays, with H(t, Y, Z) taken
     step by step and Psi(t, Y) at the solution's eps."""
@@ -389,29 +488,40 @@ def variational_oracle(sol, bundle, phi, psi, gen, process, name, q, delta, tol)
     return report
 
 
-def battery_oracle(sol, bundle, backend, phi, psi, gen, p):
-    """The battery on whole (paths, nodes) arrays, every report computed in full."""
+def battery_oracle(sol, bundle, backend, phi, psi, gen, p, exact=None):
+    """The battery on whole (paths, nodes) arrays, every report computed
+    in full.  On a tree (exact, decided by exact_oracle unless given)
+    the zero and smoothed processes, whose M are lattice functions, are
+    checked level by level at exact node expectations."""
+    exact = exact_oracle(sol, bundle) if exact is None else exact
     tol = verify.default_tolerance(bundle)
     pw, h_fresh, psi_y = _candidate_oracle(sol, bundle, phi, psi, gen)
+    driver_gap = float(np.max(np.abs(pw["H"] - h_fresh)))
+    n = bundle.grid.steps
     horizon = bundle.grid.horizon
     smooth_eps = min(max(4.0 * float(np.max(bundle.dt)), 0.05 * horizon), horizon)
     sm = smoothing_operator(backend, sol.Y, smooth_eps)
-    sm_n, sm_r = (
-        _levels_on_paths(sol, bundle, [sm.level(name, i) for i in range(bundle.grid.steps)])
-        for name in "NR"
-    )
-    zeros = np.zeros((bundle.n_paths, bundle.grid.steps))
+    sm_levels = [[sm.level(name, i) for i in range(n + (name == "M"))] for name in "MNR"]
+    sm_n, sm_r = (_levels_on_paths(sol, bundle, levels) for levels in sm_levels[1:])
+    zeros = np.zeros((bundle.n_paths, n))
+    zero_levels = [np.zeros(sol.level("Y", i).size) for i in range(n + 1)]
     processes = [
-        ("zero", 0.0, zeros, zeros),
-        ("reconstruction", float(pw["Y"][0, 0]), pw["H"] - pw["U"], pw["Z"]),
-        ("smoothed", sm.gamma, sm_n, sm_r),
+        ("zero", 0.0, zeros, zeros, [zero_levels, zero_levels, zero_levels]),
+        ("reconstruction", float(pw["Y"][0, 0]), pw["H"] - pw["U"], pw["Z"], None),
+        ("smoothed", sm.gamma, sm_n, sm_r, sm_levels),
     ]
     reports = []
-    for label, gamma0, n_steps, r_steps in processes:
+    for label, gamma0, n_steps, r_steps, lattice in processes:
         for q in sorted({2.0, min(float(p), 2.0)}):
             # Gamma's shift is 0 at q = 2, so one delta stands for all
             for delta in verify.DELTAS if q < 2.0 else verify.DELTAS[:1]:
                 name = f"variational[{label}] q={q:g}" + (f" delta={delta:g}" if q < 2.0 else "")
+                if exact and lattice is not None:
+                    reports.append(_exact_variational_oracle(
+                        sol, bundle, phi, psi, gen, *lattice, name, q, gamma_shift(delta, q),
+                        tol, driver_gap,
+                    ))
+                    continue
                 rep, m_minus_y = _variational_oracle(
                     pw, h_fresh, psi_y, gamma0, n_steps, r_steps, name, phi, psi,
                     bundle, q, gamma_shift(delta, q), tol, sol.eps,
@@ -495,11 +605,22 @@ def random_step_process_oracle(bundle, seed, scale=1.0, index=0):
     return gamma, np.broadcast_to(nn, shape), np.broadcast_to(rr, shape)
 
 
-def contraction_oracle(sol_a, sol_b, bundle, q, tol):
-    pa = _paths_oracle(sol_a, bundle)["Y"]
-    pb = _paths_oracle(sol_b, bundle)["Y"]
-    worst = _pair_max_oracle(np.mean(np.exp(q * bundle.V) * np.abs(pa - pb) ** q, axis=0))
-    end_gap = np.mean(np.abs(pa[:, -1] - pb[:, -1]))
+def contraction_oracle(sol_a, sol_b, bundle, q, tol, exact=None):
+    """The contraction on whole (paths, nodes) arrays, or on a tree level
+    by level at exact node expectations."""
+    if exact_oracle(sol_a, bundle) if exact is None else exact:
+        n = bundle.grid.steps
+        gaps = [np.abs(sol_a.level("Y", i) - sol_b.level("Y", i)) for i in range(n + 1)]
+        weight = np.exp(q * bundle.V)
+        worst = _pair_max_oracle(
+            exact_means_oracle([w * gap ** q for w, gap in zip(weight, gaps)])
+        )
+        end_gap = level_mean_oracle(pascal_rows_oracle(n)[n], gaps[n])
+    else:
+        pa = _paths_oracle(sol_a, bundle)["Y"]
+        pb = _paths_oracle(sol_b, bundle)["Y"]
+        worst = _pair_max_oracle(np.mean(np.exp(q * bundle.V) * np.abs(pa - pb) ** q, axis=0))
+        end_gap = np.mean(np.abs(pa[:, -1] - pb[:, -1]))
     return verify.VerificationReport(
         f"contraction eps {sol_a.eps:g} vs {sol_b.eps:g}", bool(worst <= tol), worst, float(tol),
         {
@@ -542,16 +663,20 @@ def bounds_oracle(sol, bundle, gen, terminal_values, p):
     return [apriori, energy]
 
 
-def verify_run_oracle(seq, backend, phi, psi, gen, p):
-    """verify.verify_run with every check on whole (paths, nodes) arrays."""
+def verify_run_oracle(seq, backend, phi, psi, gen, p, exact=None):
+    """verify.verify_run with every check on whole (paths, nodes) arrays,
+    and on a tree the battery's lattice processes and the contraction
+    level by level at exact node expectations.  exact=False reads every
+    path mean off the evaluation paths instead, which on a tree of at
+    most ENUMERATION_LIMIT steps are all 2^n paths."""
     bundle = backend.bundle
     tol = verify.default_tolerance(bundle)
     sols = list(seq.solutions.values())
     final = sols[-1]
-    reports = battery_oracle(final, bundle, backend, phi, psi, gen, p)
+    reports = battery_oracle(final, bundle, backend, phi, psi, gen, p, exact)
     reports.append(ito_oracle(final, bundle, p, verify.ITO_DELTA, tol))
     for coarse, fine in zip(sols, sols[1:]):
         gate = max(tol, 2.0 * (coarse.eps + fine.eps))
-        reports.append(contraction_oracle(coarse, fine, bundle, min(p, 2.0), gate))
+        reports.append(contraction_oracle(coarse, fine, bundle, min(p, 2.0), gate, exact))
     terminal_values = _paths_oracle(final, bundle)["Y"][:, -1]
     return reports + bounds_oracle(final, bundle, gen, terminal_values, p)

@@ -208,16 +208,17 @@ RESULTS_CSV_SHA256 = {
 
 
 # sha256 of verify.json for the same runs: every check's worst value,
-# gate and monitors
+# gate and monitors.  On the tree presets the battery's lattice test
+# processes and the contraction read exact node expectations
 VERIFY_JSON_SHA256 = {
     "clocked_decay": "5f2ef5015569a2db750b86c56152873758b5725b7d5451d2e655efe648809886",
     "clocked_decay/ell=1/p=1.5": "bad59e9ae2a68c7841af49277bf0a08942bbb54f2c459e965dc0ea3a9e95da7c",
     "linear": "7c9cdc23bb7f3b5e1ac66a4e6150bec9a3aad4953ba157d47132c9368a791340",
-    "martingale": "88c0400751c5fe85c62fb6997d1b5efef4ae861c5f956891e47838ead0a2b591",
+    "martingale": "071e8464d2f83de6f29ac5b6825ac91854054a537f7364bc3a62f6c42c02a593",
     "reflection": "3ba60dbd2615ccbc1628762b8e193a3d07ac8934b73d19e5f8961302e14f3935",
-    "two_barrier": "df05c537342d9a92a99778ad75fc811d116ab1588b75b318bc829d46cb2341bb",
-    "two_barrier_driven": "5cd78a442cf342fcce79643e27e3aaa25079d0574822d61c13923987d1a2d21d",
-    "two_barrier_driven/ell=1": "89b31112bef3ca56555fb6192a9b1971f0a4dbd51599f6b7c58afe5250dab3d2",
+    "two_barrier": "cbc053196b9c18d6e8f810e1b7c2a33c87f29208b7e7d46875d212b7e737eb09",
+    "two_barrier_driven": "524a727f1b27f519d46c22fb372c3509807f6ca4648677a40cb55727aab54860",
+    "two_barrier_driven/ell=1": "18ec4c7a3d573e93c03d9d464c2f3d550f41c0f50cbb10953f73a0d20806a8f5",
 }
 
 

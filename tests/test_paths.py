@@ -1,4 +1,5 @@
 import gc
+import math
 import tracemalloc
 
 import numpy as np
@@ -18,10 +19,12 @@ from bsvilab.paths import (
     NoiseModel,
     TimeGrid,
     accumulate_weights,
+    binomial_weights,
     build_paths,
     gamma_shift,
 )
 from bsvilab.solver import SolverConfig
+from oracles import pascal_rows_oracle
 
 ZERO_A = IncreasingProcessSpec.zero()
 
@@ -139,6 +142,23 @@ def test_tree_enumeration_and_lattice_maps():
     assert set(np.unique(steps)) <= {0, 1}
     walked = b.on_paths(b.cell_values)
     assert np.allclose(walked, b.driver_paths(), rtol=0, atol=1e-12)
+
+
+def test_binomial_weights_follow_pascal_level_by_level():
+    rows = pascal_rows_oracle(300)
+    # spans of 1, 5, 16 (and a last 12) and 300 levels, each from the
+    # row the span before it handed on
+    for widths in ([1] * 300, [5] * 60, [16] * 18 + [12], [300]):
+        row, got = np.ones(1), []
+        for width in widths:
+            w, row = binomial_weights(row, width)
+            got.append(w)
+        assert np.concatenate(got).tobytes() == np.concatenate(rows[:300]).tobytes()
+        assert row.tobytes() == rows[300].tobytes()
+    for i in (0, 1, 7, 64, 255, 300):
+        exact = np.array([math.comb(i, k) for k in range(i + 1)], dtype=float) / 2.0**i
+        np.testing.assert_allclose(rows[i], exact, rtol=1e-13, atol=0.0)
+        assert abs(math.fsum(rows[i]) - 1.0) <= 1e-13
 
 
 def test_on_paths_gathers_each_level_along_the_walks():

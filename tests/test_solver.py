@@ -12,9 +12,10 @@ from bsvilab.errors import (
     NonFiniteGenerator,
 )
 from bsvilab import convex, solver
+from bsvilab import paths as pathsmod
 from bsvilab.cli import execute, fmt
 from bsvilab.generators import GeneratorSpec, combined_driver
-from bsvilab.paths import IncreasingProcessSpec, NoiseModel, TimeGrid, build_paths
+from bsvilab.paths import IncreasingProcessSpec, NodeMeans, NoiseModel, TimeGrid, build_paths
 from bsvilab.scenarios import SCENARIOS, build_experiment
 from bsvilab.smoothing import smoothing_operator
 from bsvilab.solver import (
@@ -28,10 +29,13 @@ from bsvilab.solver import (
 
 from oracles import (
     implicit_step_oracle,
+    level_mean_oracle,
+    pascal_rows_oracle,
     reflection_oracle,
     regression_fit_oracle,
     smoothing_operator_oracle,
     solve_sequence_oracle,
+    z_gap_oracle,
 )
 
 ZERO = ConvexSpec.zero()
@@ -316,8 +320,13 @@ def test_z_gap_is_the_path_l2_gap_of_the_expanded_fields(case):
     schedule = exp.solver.eps_schedule
     assert len(seq.gaps) == len(schedule) - 1
     for gap, coarse, fine in zip(seq.gaps, schedule, schedule[1:]):
-        za, zb = (seq.solutions[e].paths(bundle)["Z"] for e in (coarse, fine))
-        want = float(np.sqrt(np.sum(np.mean((za - zb) ** 2, axis=0) * bundle.dt)))
+        sol_a, sol_b = seq.solutions[coarse], seq.solutions[fine]
+        if sol_a.lattice:
+            # on a tree the path mean is the exact node expectation
+            want = z_gap_oracle(sol_a, sol_b, bundle)
+        else:
+            za, zb = sol_a.paths(bundle)["Z"], sol_b.paths(bundle)["Z"]
+            want = float(np.sqrt(np.sum(np.mean((za - zb) ** 2, axis=0) * bundle.dt)))
         assert want > 0.0 and gap["z_gap"] == want
 
 
@@ -854,3 +863,51 @@ def test_one_pass_smoothing_matches_the_two_loop_oracle(kind, eps):
         levels = getattr(want, f"{key}_levels")
         assert getattr(got, key).size == sum(w.size for w in levels)
         assert all(got.level(key, i).tobytes() == w.tobytes() for i, w in enumerate(levels)), key
+
+
+def test_node_means_on_a_tree_are_exact_level_expectations(monkeypatch):
+    # 12 steps: the evaluation paths are all 2^12 walks; windows of 3 steps
+    monkeypatch.setattr(pathsmod, "WINDOW_CELLS", 64)
+    monkeypatch.setattr(pathsmod, "WINDOW_MIN_STEPS", 3)
+    bundle = tree_bundle(12)
+    assert bundle.n_paths == 4096
+    assert bundle.windows() == [(0, 3), (3, 6), (6, 9), (9, 13)]
+    sol = solve_penalized(bundle, ZERO, ZERO, ZERO_GEN, terminal_driver, 0.1, SolverConfig())
+    f = np.random.default_rng(3).uniform(0.5, 2.0, sol.offsets[-1])
+    levels = [f[sol.offsets[i]:sol.offsets[i + 1]] for i in range(13)]
+    want = np.array([level_mean_oracle(r, v) for r, v in zip(pascal_rows_oracle(12), levels)])
+    means = NodeMeans(sol, bundle)
+    assert means.exact
+    got = []
+    for a, b in bundle.windows():
+        e = min(b, 12)
+        # the steps of a window, then its nodes, then one level inside it
+        steps = means(f[sol.offsets[a]:sol.offsets[e]], a, e)
+        nodes = means(f[sol.offsets[a]:sol.offsets[b]], a, b)
+        inner = means(levels[b - 1], b - 1, b)
+        assert steps.tobytes() == nodes[: e - a].tobytes() and inner[0] == nodes[-1]
+        got.append(nodes)
+    # in the order the levels are summed, bit for bit
+    assert np.concatenate(got).tobytes() == want.tobytes()
+    # a read that goes back restarts the Pascal row, and one read of all levels
+    assert means(levels[4], 4, 5)[0] == want[4]
+    assert NodeMeans(sol, bundle)(f, 0, 13).tobytes() == want.tobytes()
+    # the mean over all 2^12 paths, to rounding
+    np.testing.assert_allclose(want, np.mean(bundle.on_paths(f), axis=0), rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("kind", ["tree-lsq", "mc", "deterministic"])
+def test_node_means_off_trees_are_path_means_bit_for_bit(kind):
+    bundle, ce = {
+        "tree-lsq": (tree_bundle(10, seed=2), "lsq"),
+        "mc": (REGRESSION_BUNDLES["mc"](), "lsq"),
+        "deterministic": (det_bundle(10), "tree"),
+    }[kind]
+    sol = solve_penalized(bundle, ZERO, ZERO, ZERO_GEN, terminal_driver, 0.1, SolverConfig(ce=ce))
+    means = NodeMeans(sol, bundle)
+    assert not means.exact
+    n = bundle.grid.steps
+    for a, b in ((0, n + 1), (2, 5), (n, n + 1)):
+        y = sol.levels("Y", a, b)
+        want = np.mean(sol.expand(bundle, y, a, b), axis=0)
+        assert means(y, a, b).tobytes() == want.tobytes()

@@ -43,6 +43,7 @@ from oracles import (
     smoothing_operator_oracle,
     variational_oracle,
     verify_run_oracle,
+    z_gap_oracle,
 )
 
 ZERO = ConvexSpec.zero()
@@ -578,6 +579,120 @@ def test_verify_run_matches_the_full_array_oracle(case):
     _reports_match_the_oracle(*solved_run(ORACLE_CASES[case]))
 
 
+@pytest.mark.parametrize("p", [2.0, 1.5])
+@pytest.mark.parametrize("scenario", ["martingale", "two_barrier", "two_barrier_driven"])
+def test_exact_tree_means_match_the_mean_over_every_path(scenario, p):
+    # at most ENUMERATION_LIMIT steps, the evaluation paths are all 2^n
+    # walks, so the path means that the exact node expectations replace
+    # are the same expectations summed another way
+    steps = pathsmod.ENUMERATION_LIMIT
+    exp, backend, seq = solved_run({"scenario": scenario, "grid": {"steps": steps}, "solver": {"p": p}})
+    assert backend.bundle.n_paths == 2**steps
+    args = (seq, backend, exp.phi, exp.psi, exp.gen, p)
+    got = [r.as_dict() for r in verify.verify_run(*args)]
+    want = [r.as_dict() for r in verify_run_oracle(*args, exact=False)]
+    assert [r["name"] for r in got] == [r["name"] for r in want]
+    for g, w in zip(got, want):
+        assert g["passed"] == w["passed"] and g["tolerance"] == w["tolerance"]
+        for key in ("worst_violation", *w["monitors"]):
+            x, y = (r[key] if key == "worst_violation" else r["monitors"][key] for r in (g, w))
+            # 1e-12 relative, on the scale of the report or 1
+            assert abs(x - y) <= 1e-12 * max(1.0, abs(y)), (g["name"], key, x, y)
+
+
+def test_tree_smoothed_process_rebuilds_its_lattice_M_on_every_path():
+    exp, backend, seq = solved_run(
+        {"scenario": "two_barrier_driven", "grid": {"steps": pathsmod.ENUMERATION_LIMIT}}
+    )
+    bundle = backend.bundle
+    sol = seq.solutions[exp.solver.eps_schedule[-1]]
+    tp = smoothed_midpoint_process(sol, backend)
+    n = bundle.grid.steps
+    m_levels = tp.M(0, n + 1)
+    n_steps, r_steps = (bundle.on_paths(x, 0, n) for x in tp.steps(0, n))
+    # M_0 = gamma, M_{i+1} = M_i - N_i dQ_i + R_i dB_i along every one of the 2^n paths
+    rebuilt = tp.gamma + np.cumsum(-n_steps * bundle.dq + r_steps * bundle.increments(0, n), axis=1)
+    lattice = bundle.on_paths(m_levels)
+    assert lattice[0, 0] == tp.gamma and bundle.n_paths == 2**n
+    assert np.max(np.abs(rebuilt - lattice[:, 1:])) <= 1e-13 * np.max(np.abs(m_levels))
+    # the drift is on from the kernel's eps and M moves there
+    assert np.any(tp.steps(0, n)[0] != 0.0)
+    # off a tree the smoothed M is summed along the paths, as before
+    for config in ({"scenario": "linear"}, {"scenario": "martingale", "solver": {"ce": "lsq"}}):
+        exp, backend, seq = solved_run(config)
+        assert smoothed_midpoint_process(seq.solutions[exp.solver.eps_schedule[-1]], backend).M is None
+
+
+def _inside(sol):
+    y = sol.Y.copy()
+    y[: sol.offsets[-2]] += 0.3
+    return dataclasses.replace(sol, Y=y)
+
+
+def _terminal(sol):
+    y = sol.Y.copy()
+    y[sol.offsets[-2]:] += 0.1
+    return dataclasses.replace(sol, Y=y)
+
+
+# field faults, each applied to every eps solution unless named "finest"
+FIELD_FAULTS = {
+    "terminal+0.1": _terminal,
+    "inside+0.3": _inside,
+    "Y*1.5": lambda s: dataclasses.replace(s, Y=1.5 * s.Y),
+    "Z=0": lambda s: dataclasses.replace(s, Z=np.zeros_like(s.Z)),
+    "Y+noise": lambda s: dataclasses.replace(
+        s, Y=s.Y + 0.05 * np.random.default_rng(0).standard_normal(s.Y.shape)
+    ),
+    "U=0": lambda s: dataclasses.replace(s, U=np.zeros_like(s.U)),
+    "H+0.5": lambda s: dataclasses.replace(s, H=s.H + 0.5),
+    "inside+0.3/finest": _inside,
+}
+FAULT_CONFIGS = {
+    **{name: {"scenario": name} for name in ("martingale", "two_barrier", "two_barrier_driven")},
+    "two_barrier_driven/F=2-t": {
+        "scenario": "two_barrier_driven",
+        "generator": {"F": "2 - t"},
+        "a_process": {"kind": "ramp", "start": 0.25, "rate": 4.0},
+        "solver": {"eps_schedule": [0.5, 0.1]},
+    },
+    "tree_barrier": TREE_BARRIER,
+}
+# the faults that verify_run caught on each config while the battery,
+# the contraction and z_gap read sampled paths; U = 0 moves nothing on
+# martingale, which has no potentials, and escapes on two_barrier
+CAUGHT = {
+    "martingale": set(FIELD_FAULTS) - {"U=0"},
+    "two_barrier": set(FIELD_FAULTS) - {"terminal+0.1", "U=0"},
+    "two_barrier_driven": set(FIELD_FAULTS) - {"terminal+0.1"},
+    "two_barrier_driven/F=2-t": set(FIELD_FAULTS) - {"terminal+0.1"},
+    "tree_barrier": set(FIELD_FAULTS),
+}
+
+
+@pytest.mark.parametrize("config", sorted(FAULT_CONFIGS))
+def test_tree_field_faults_caught_on_sampled_paths_still_fail(config):
+    exp, backend, seq = solved_run(FAULT_CONFIGS[config])
+    args = (backend, exp.phi, exp.psi, exp.gen, exp.solver.p)
+    assert all(r.passed for r in verify.verify_run(seq, *args))
+    finest = exp.solver.eps_schedule[-1]
+    failing = {}
+    for name, fault in FIELD_FAULTS.items():
+        solutions = {
+            eps: fault(sol) if eps == finest or not name.endswith("/finest") else sol
+            for eps, sol in seq.solutions.items()
+        }
+        reports = verify.verify_run(dataclasses.replace(seq, solutions=solutions), *args)
+        failing[name] = {r.name for r in reports if not r.passed}
+    assert {name for name, names in failing.items() if names} >= CAUGHT[config]
+    if "terminal+0.1" not in CAUGHT[config]:
+        # still escapes: no check reads Y_N against the terminal condition
+        assert not failing["terminal+0.1"]
+    if config == "two_barrier_driven/F=2-t":
+        # the kill the exact node expectations add
+        assert "variational[smoothed] q=2" in failing["Y*1.5"]
+
+
 # (config, windows) under WINDOW_CELLS = 64 and WINDOW_MIN_STEPS = 2
 WINDOW_LAYOUTS = {
     "merged-one-step-remainder": (tree_config(9, 16), [(0, 4), (4, 10)]),
@@ -603,8 +718,7 @@ def test_windowed_reads_match_whole_arrays_bit_for_bit(monkeypatch, case):
     _reports_match_the_oracle(exp, backend, seq)
     sols = list(seq.solutions.values())
     for gap, a, b in zip(seq.gaps, sols, sols[1:]):
-        za, zb = a.paths(bundle)["Z"], b.paths(bundle)["Z"]
-        assert gap["z_gap"] == float(np.sqrt(np.sum(np.mean((za - zb) ** 2, axis=0) * bundle.dt)))
+        assert gap["z_gap"] == z_gap_oracle(a, b, bundle)
 
 
 # (config, WINDOW_CELLS) with WINDOW_MIN_STEPS = 2: windows of 6 and 7
